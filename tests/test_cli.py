@@ -7,6 +7,8 @@ output files byte for byte.
 
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,17 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+
+
+def test_distribution_metadata_matches_package():
+    # The distribution, the import package and the CLI share one name, so
+    # importlib.metadata.version("bumpscatter") finds an installed copy.
+    import bumpscatter
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1]
+    assert re.search(r'^name = "bumpscatter"$', project, re.M)
+    assert re.search(rf'^version = "{re.escape(bumpscatter.__version__)}"$', project, re.M)
 
 
 def test_sweep_rejects_delta_supported_angle(tmp_path, capsys):

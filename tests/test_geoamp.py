@@ -14,7 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from bumpscatter.defects import DefectSet, Kinematics, SingularMatrixError
+from bumpscatter import geoamp
+from bumpscatter.defects import (
+    DefectSet,
+    Kinematics,
+    SingularMatrixError,
+    build_defect_matrix,
+)
 from bumpscatter.geoamp import (
     GeoCoefficientInputs,
     I0_closed,
@@ -24,6 +30,7 @@ from bumpscatter.geoamp import (
     SingularAngleError,
     cross_section,
     f1_geometric,
+    geo_inputs,
 )
 
 RTOL = 1e-12
@@ -170,6 +177,85 @@ def test_assembly_regression_pins():
         f1_geometric(kin3, DefectSet([1.5], [2.0]), 0.1, 0.5, -0.5),
         -0.02298193494757228 - 0.0009570921204641713j, rtol=1e-12,
     )
+
+
+def _kahan(terms):
+    total = comp = 0j
+    for t in terms:
+        y = t - comp
+        new = total + y
+        comp = (new - total) - y
+        total = new
+    return total
+
+
+def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2):
+    """Reference f1: the public coefficients summed over every index tuple.
+
+    Costs 2N^2 two-index and N^4 four-index evaluations; the engine's
+    bilinear form over kink-only factors must reproduce it.
+    """
+    g = geo_inputs(kin, ds, eta, lambda1, lambda2)
+    n = ds.n
+    ainv_in = build_defect_matrix(kin.kx, ds).inverse
+    ainv_out = build_defect_matrix(kin.kx_out, ds).inverse
+    singles = _kahan(
+        ainv_out[m, k] * Imn_closed(g, m, k) + ainv_in[m, k] * Jmn_closed(g, m, k)
+        for m in range(n)
+        for k in range(n)
+    )
+    quads = _kahan(
+        ainv_out[m, mp] * ainv_in[k, kp] * Immnn_closed(g, m, mp, k, kp)
+        for m in range(n)
+        for mp in range(n)
+        for k in range(n)
+        for kp in range(n)
+    )
+    bracket = I0_closed(g) - 1j * singles - quads
+    return -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK) * bracket
+
+
+@pytest.mark.parametrize(
+    "kin, positions, couplings",
+    [
+        (Kinematics(1.0, 0.0, 2.4), [0.5], [1.0]),
+        (Kinematics(0.8, 0.3, 1.1), [-1.2], [0.7 - 0.4j]),
+        (Kinematics(1.0, 0.0, math.radians(50.0)), [-3.0, 3.0], [1.0, 1.0]),
+        (Kinematics(1.3, -0.2, 2.7), [-0.4, 2.5], [2.0 + 0.5j, 0.6]),
+        (Kinematics(2.1, 0.4, 0.9), [-2.6, -0.3, 1.9], [1.0, 0.5 - 0.3j, 3.0]),
+        (Kinematics(0.9, 0.0, 2.0), [-3.1, -1.0, 0.2, 2.8], [1.0, 2.0, 0.3 + 0.2j, 1.5]),
+        (Kinematics(1.6, 0.25, 0.6), [-2.0, -1.5, 0.7, 3.3], [0.8j + 0.4, 1.0, 1.0, 2.5]),
+    ],
+)
+def test_bilinear_assembly_matches_quadruple_sum(kin, positions, couplings):
+    ds = DefectSet(positions, couplings)
+    np.testing.assert_allclose(
+        f1_geometric(kin, ds, 0.1, 0.5, -0.5),
+        _f1_quadruple_sum(kin, ds, 0.1, 0.5, -0.5),
+        rtol=1e-12,
+    )
+
+
+def test_assembly_costs_n_squared_core_evaluations(monkeypatch):
+    # One f1 at N = 4 evaluates N two-index factors of each family and N^2
+    # four-index cores, from one incoming and one outgoing defect matrix.
+    calls = {"_imn_kink": 0, "_jmn_kink": 0, "_immnn_kink": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_imn_kink", "_jmn_kink", "_immnn_kink"):
+        monkeypatch.setattr(geoamp, name, counted(name, getattr(geoamp, name)))
+    monkeypatch.setattr(
+        geoamp, "build_defect_matrix", counted("build", build_defect_matrix)
+    )
+    kin = Kinematics(bigK=1.1, theta0=0.0, theta=2.2)
+    ds = DefectSet([-2.0, -0.5, 1.0, 2.5], [1.0, 1.0, 1.0, 1.0])
+    f1_geometric(kin, ds, 0.1, 0.5, -0.5)
+    assert calls == {"_imn_kink": 4, "_jmn_kink": 4, "_immnn_kink": 16, "build": 2}
 
 
 def test_amplitude_is_linear_in_eta():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bumpscatter.defects import DefectSet, Kinematics
+from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
 from bumpscatter.geoamp import (
     GeoCoefficientInputs,
     I0_closed,
@@ -25,8 +25,11 @@ from bumpscatter.geoamp import (
     f1_geometric,
 )
 from bumpscatter.oracle import (
+    OracleValue,
     QuadratureConvergenceError,
     QuadratureSpec,
+    VerificationRecord,
+    VerificationReport,
     _adaptive,
     _smooth_integrand,
     _Wave,
@@ -313,6 +316,49 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point():
         assert r.judged == "relative"
         assert abs(r.oracle) > 1e9 * r.resolution
         assert r.passed == (r.rel_err[primary] <= 1e-18)
+
+
+def test_worst_reports_the_primary_variant_error():
+    # x2 fits this record better than kappa2, but kappa2 decides passed.
+    rec = VerificationRecord(
+        coefficient="Immnn", s=0.3, bigK=1.0, lambda1=0.5, lambda2=-0.5,
+        alphas=(-3.0, 3.0), indices=(0, 1, 1, 0), oracle=1.0 + 0j,
+        err_est=1e-14, closed={"kappa2": 1.0 + 2e-7, "x2": 1.0 + 1e-9},
+        rel_err={"kappa2": 2e-7, "x2": 1e-9}, passed=True,
+        matched_variants=("kappa2", "x2"), primary="kappa2",
+        judged="relative", resolution=1e-15,
+    )
+    report = VerificationReport(records=[rec])
+    assert report.worst() == {"Immnn": 2e-7}
+
+
+def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
+    import bumpscatter.oracle as oracle_mod
+
+    # Stand-in integrals with a distinct error estimate per label.
+    err_of = {}
+
+    def fake_pair(bra, ket, g, spec, what, route="cartesian"):
+        err_of[what] = 1e-9 * (1 + len(err_of))
+        return OracleValue(value=0.1 + 0.2j, err_est=err_of[what], panels=1,
+                           abs_integral=1.0)
+
+    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
+    ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
+    ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
+    ain = np.abs(build_defect_matrix(kin.kx, ds).inverse)
+    aout = np.abs(build_defect_matrix(kin.kx_out, ds).inverse)
+    n = ds.n
+    expected = err_of["I0"] + sum(
+        aout[m, k] * err_of[f"Imn[{m},{k}]"]
+        + ain[m, k] * err_of[f"Jmn[{m},{k}]"]
+        + aout[m].sum() * ain[k].sum() * err_of[f"I4 base[{m},{k}]"]
+        for m in range(n)
+        for k in range(n)
+    )
+    pref = 0.5 / math.sqrt(2.0 * math.pi * kin.bigK)
+    assert ov.err_est == pytest.approx(pref * expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
