@@ -36,12 +36,7 @@ import numpy as np
 from . import __version__
 from .defects import DefectSet, Kinematics, SingularMatrixError
 from .feasibility import assess, parse_energy, parse_length
-from .geoamp import (
-    KMMNN_VARIANTS,
-    SingularAngleError,
-    cross_section,
-    f1_geometric,
-)
+from .geoamp import SingularAngleError, cross_section, f1_geometric
 from .oracle import (
     QuadratureConvergenceError,
     default_verification_grid,
@@ -148,7 +143,6 @@ class _RowTask:
     eta: float
     lambda1: float
     lambda2: float
-    variant: str
 
 
 def _compute_row(task: _RowTask):
@@ -158,9 +152,7 @@ def _compute_row(task: _RowTask):
         theta=math.radians(task.theta_deg),
     )
     defects = DefectSet(task.positions, task.couplings)
-    f1 = f1_geometric(
-        kin, defects, task.eta, task.lambda1, task.lambda2, task.variant
-    )
+    f1 = f1_geometric(kin, defects, task.eta, task.lambda1, task.lambda2)
     return (
         task.bigK,
         task.theta_deg,
@@ -190,7 +182,7 @@ def _csv_text(headers: dict, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _common_headers(args_mode, theta0_deg, defects, couplings, eta, l1, l2, variant):
+def _common_headers(args_mode, theta0_deg, defects, couplings, eta, l1, l2):
     headers = {
         "tool": "bumpscatter",
         "version": __version__,
@@ -201,7 +193,8 @@ def _common_headers(args_mode, theta0_deg, defects, couplings, eta, l1, l2, vari
         "eta": _f17(eta),
         "lambda1": _f17(l1),
         "lambda2": _f17(l2),
-        "kmmnn_variant": variant,
+        # the transcription of the four-index step term behind the numbers
+        "kmmnn_variant": "kappa2",
     }
     if theta0_deg != 0.0:
         headers["note"] = (
@@ -247,7 +240,6 @@ def _cmd_sweep(args) -> int:
             bigK=float(k), theta_deg=float(th), theta0_deg=args.theta0_deg,
             positions=tuple(positions), couplings=tuple(couplings),
             eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
-            variant=args.kmmnn_variant,
         )
         for th in thetas
         for k in kgrid
@@ -255,13 +247,13 @@ def _cmd_sweep(args) -> int:
     rows = _run_rows(tasks, args.workers)
     headers = _common_headers(
         "kscan", args.theta0_deg, positions, couplings,
-        args.eta, args.lambda1, args.lambda2, args.kmmnn_variant,
+        args.eta, args.lambda1, args.lambda2,
     )
     headers["kgrid"] = args.kgrid
     headers["thetas_deg"] = ",".join(_f17(t) for t in thetas)
     _write_out(args.out, _csv_text(headers, rows))
     if args.svg:
-        _write_out(args.svg, _svg_from_rows("kscan", headers, rows))
+        _write_out(args.svg, _svg("kscan", _curves(headers, rows)))
     return EXIT_OK
 
 
@@ -286,20 +278,19 @@ def _cmd_angular(args) -> int:
             bigK=args.ksigma, theta_deg=th, theta0_deg=args.theta0_deg,
             positions=tuple(positions), couplings=tuple(couplings),
             eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
-            variant=args.kmmnn_variant,
         )
         for th in thetas
     ]
     rows = _run_rows(tasks, args.workers)
     headers = _common_headers(
         "anglescan", args.theta0_deg, positions, couplings,
-        args.eta, args.lambda1, args.lambda2, args.kmmnn_variant,
+        args.eta, args.lambda1, args.lambda2,
     )
     headers["ksigma"] = _f17(args.ksigma)
     headers["thetagrid"] = args.thetagrid
     _write_out(args.out, _csv_text(headers, rows))
     if args.svg:
-        _write_out(args.svg, _svg_from_rows("anglescan", headers, rows))
+        _write_out(args.svg, _svg("anglescan", _curves(headers, rows)))
     return EXIT_OK
 
 
@@ -308,26 +299,26 @@ def _cmd_angular(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _svg_from_rows(mode: str, headers: dict, rows) -> str:
-    if mode == "kscan":
-        curves = {}
-        for (k, th, _, _, _, xs) in rows:
-            curves.setdefault(th, ([], []))
-            curves[th][0].append(k)
-            curves[th][1].append(xs)
-        curve_list = [
-            (f"theta = {th:g} deg", xs, ys) for th, (xs, ys) in curves.items()
-        ]
-        return render_svg(curve_list, "k sigma", "|f1|^2 / sigma")
-    curves = {}
+def _curves(headers: dict, rows) -> list:
+    """Plot curves (label, xs, ys) of one sweep or angular table: one per
+    angle for a K scan, one per table for an angle scan."""
+    if headers.get("mode", "kscan") == "kscan":
+        groups = {}
+        for (k, th, _, _, _, xsec) in rows:
+            ks, ys = groups.setdefault(th, ([], []))
+            ks.append(k)
+            ys.append(xsec)
+        return [(f"theta = {th:g} deg", ks, ys) for th, (ks, ys) in groups.items()]
     label = (
-        f"l1 = {headers.get('lambda1')}, l2 = {headers.get('lambda2')}"
-        if "lambda1" in headers
-        else "sweep"
+        f"l1 = {headers.get('lambda1', '?')}, "
+        f"l2 = {headers.get('lambda2', '?')}"
     )
-    xs = [r[1] for r in rows]
-    ys = [r[5] for r in rows]
-    return render_svg([(label, xs, ys)], "theta (deg)", "|f1|^2 / sigma")
+    return [(label, [r[1] for r in rows], [r[5] for r in rows])]
+
+
+def _svg(mode: str, curves: list) -> str:
+    xlabel = "k sigma" if mode == "kscan" else "theta (deg)"
+    return render_svg(curves, xlabel, "|f1|^2 / sigma")
 
 
 def _read_csv(path: str):
@@ -362,24 +353,8 @@ def _cmd_plot(args) -> int:
             raise _UsageError(
                 f"cannot mix modes in one plot: {mode} vs {m} ({path})"
             )
-        if m == "kscan":
-            groups = {}
-            for (k, th, _, _, _, xs) in rows:
-                groups.setdefault(th, ([], []))
-                groups[th][0].append(k)
-                groups[th][1].append(xs)
-            for th, (xs, ys) in groups.items():
-                curve_list.append((f"theta = {th:g} deg", xs, ys))
-        else:
-            label = (
-                f"l1 = {headers.get('lambda1', '?')}, "
-                f"l2 = {headers.get('lambda2', '?')}"
-            )
-            curve_list.append(
-                (label, [r[1] for r in rows], [r[5] for r in rows])
-            )
-    xlabel = "k sigma" if mode == "kscan" else "theta (deg)"
-    _write_out(args.out, render_svg(curve_list, xlabel, "|f1|^2 / sigma"))
+        curve_list += _curves(headers, rows)
+    _write_out(args.out, _svg(mode, curve_list))
     return EXIT_OK
 
 
@@ -500,7 +475,7 @@ def _cmd_preset(args) -> int:
     defects = _PRESET_DEFECTS[name]
     ns = argparse.Namespace(
         defects=defects, couplings=None, theta0_deg=0.0, eta=0.1,
-        kmmnn_variant="kappa2", workers=args.workers, svg=None,
+        workers=args.workers, svg=None,
     )
     written = []
     if _preset_is_kscan(name):
@@ -547,8 +522,6 @@ def _add_engine_flags(p):
                    help="Gaussian-curvature weight (default 0.5)")
     p.add_argument("--lambda2", type=float, default=-0.5,
                    help="squared-mean-curvature weight (default -0.5)")
-    p.add_argument("--kmmnn-variant", choices=KMMNN_VARIANTS, default="kappa2",
-                   help="transcription variant of the four-index step term")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for sweep rows (default 1)")
 

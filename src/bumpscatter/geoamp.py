@@ -49,10 +49,10 @@ Validation status (enforced by the test suite and the quadrature oracle in
 bumpscatter.oracle): each closed form below matches adaptive quadrature of
 its defining integral to better than 1e-6 relative across the acceptance
 grid, and matches a 40-digit semi-analytic reduction at random points.
-Two transcription variants of the four-index coefficient's step term exist
-in circulation; the "kappa2" variant (default) is the one the oracle
-confirms, the "x2" variant is retained behind a switch for comparison and
-fails validation by design.
+The four-index step term is coded in the one transcription the oracle
+confirms ("kappa2", named in every CSV header); the circulating "x2"
+transcription, which fails validation, lives only in the test suite as a
+reference that keeps the discrimination reproducible.
 
 Special directions: at theta = theta0 and theta = pi - theta0 the
 zeroth-order amplitude is a delta spike (see defects.f0_distributional)
@@ -95,12 +95,9 @@ __all__ = [
     "f1_geometric",
     "cross_section",
     "SingularAngleError",
-    "KMMNN_VARIANTS",
 ]
 
 SQPI = math.sqrt(math.pi)
-
-KMMNN_VARIANTS = ("kappa2", "x2")
 
 # Offset of the averaged pair of angles used to cross theta = +-90 deg.
 ANGLE_REG_EPS = 1e-6
@@ -121,8 +118,7 @@ class GeoCoefficientInputs:
 
     s, bigK enter through beta = s*K; alphas are the sigma-scaled defect
     positions (ascending); eta scales every coefficient linearly; lambda1
-    and lambda2 weigh the two curvature contributions; kmmnn_variant picks
-    the transcription variant of the four-index step term.
+    and lambda2 weigh the two curvature contributions.
     """
 
     s: float
@@ -131,14 +127,8 @@ class GeoCoefficientInputs:
     eta: float
     lambda1: float
     lambda2: float
-    kmmnn_variant: str = "kappa2"
 
     def __post_init__(self):
-        if self.kmmnn_variant not in KMMNN_VARIANTS:
-            raise ValueError(
-                f"kmmnn_variant must be one of {KMMNN_VARIANTS}, "
-                f"got {self.kmmnn_variant!r}"
-            )
         if self.eta < 0.0 or not np.isfinite(self.eta):
             raise ValueError(f"eta must be a finite non-negative number, got {self.eta!r}")
         if not (np.isfinite(self.s) and np.isfinite(self.bigK) and self.bigK > 0.0):
@@ -310,24 +300,14 @@ def _piece_l(g: GeoCoefficientInputs, am: float, an: float) -> complex:
 
 
 def _piece_k(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Step piece for am < an; carries the transcription-variant switch.
+    """Step piece for am < an.
 
-    The "kappa2" variant multiplies both erf(alpha + i beta) terms by the
-    step bracket cn built on K^2; the "x2" variant replaces K^2 by am^2 in
-    the erf(am + i beta) coefficient only.  Only "kappa2" survives the
-    quadrature oracle.
+    Both erf(alpha + i beta) terms carry the step bracket cn built on K^2
+    (the "kappa2" transcription, the one the quadrature oracle confirms).
     """
     b = g.beta
     l1, l2 = g.lambda1, g.lambda2
     cn = g.cn
-    if g.kmmnn_variant == "x2":
-        cm = (
-            am * am * ((1.0 + 4.0 * l1) * g.s**2 - 1.0)
-            + 2.0 * l2
-            + l2 * b**4
-        )
-    else:
-        cm = cn
     em = -8.0 * l1 + (2.0 * am * am - 3.0) * l2
     en = -8.0 * l1 + (2.0 * an * an - 3.0) * l2
     bn = (
@@ -349,7 +329,7 @@ def _piece_k(g: GeoCoefficientInputs, am: float, an: float) -> complex:
         + bn * eexp(-an * an + 1j * b * (am - an))
         + bm * eexp(-am * am - 1j * b * (am - an))
         + 2.0 * SQPI * g.r2 * eexp(-1j * b * (am - an)) * (erf_c(am) - erf_c(an))
-        - 2.0 * SQPI * cm * exp_erf(-b * b + 1j * b * (am + an), am + 1j * b)
+        - 2.0 * SQPI * cn * exp_erf(-b * b + 1j * b * (am + an), am + 1j * b)
         + 2.0 * SQPI * cn * exp_erf(-b * b + 1j * b * (am + an), an + 1j * b)
     )
     return 0.125 * SQPI * g.eta * inner
@@ -449,7 +429,6 @@ def geo_inputs(
     eta: float,
     lambda1: float,
     lambda2: float,
-    kmmnn_variant: str = "kappa2",
 ) -> GeoCoefficientInputs:
     """Bundle kinematics + geometry into closed-form coefficient inputs."""
     return GeoCoefficientInputs(
@@ -459,7 +438,6 @@ def geo_inputs(
         eta=eta,
         lambda1=lambda1,
         lambda2=lambda2,
-        kmmnn_variant=kmmnn_variant,
     )
 
 
@@ -469,7 +447,6 @@ def _f1_direct(
     eta: float,
     lambda1: float,
     lambda2: float,
-    kmmnn_variant: str,
     dm_out: DefectMatrix | None = None,
 ) -> complex:
     """f1 at one angle; dm_out is the outgoing defect matrix if already built.
@@ -478,7 +455,7 @@ def _f1_direct(
     I0 - i (u_out . I~ + u_in . J~) - w_out^T C w_in over the kink-only
     factors I~_n, J~_n and C[m, n].
     """
-    g = geo_inputs(kin, defects, eta, lambda1, lambda2, kmmnn_variant)
+    g = geo_inputs(kin, defects, eta, lambda1, lambda2)
     bracket = I0_closed(g)
     if defects.n > 0:
         if dm_out is None:
@@ -512,7 +489,6 @@ def f1_geometric(
     eta: float,
     lambda1: float,
     lambda2: float,
-    kmmnn_variant: str = "kappa2",
     regularize: bool = True,
 ) -> complex:
     """First-order geometric scattering amplitude f1(theta).
@@ -541,10 +517,10 @@ def f1_geometric(
                 )
             up = replace(kin, theta=kin.theta + ANGLE_REG_EPS)
             dn = replace(kin, theta=kin.theta - ANGLE_REG_EPS)
-            fu = _f1_direct(up, defects, eta, lambda1, lambda2, kmmnn_variant)
-            fd = _f1_direct(dn, defects, eta, lambda1, lambda2, kmmnn_variant)
+            fu = _f1_direct(up, defects, eta, lambda1, lambda2)
+            fd = _f1_direct(dn, defects, eta, lambda1, lambda2)
             return 0.5 * (fu + fd)
-    return _f1_direct(kin, defects, eta, lambda1, lambda2, kmmnn_variant, dm_out)
+    return _f1_direct(kin, defects, eta, lambda1, lambda2, dm_out)
 
 
 def cross_section(
@@ -553,7 +529,6 @@ def cross_section(
     eta: float,
     lambda1: float,
     lambda2: float,
-    kmmnn_variant: str = "kappa2",
 ) -> float:
     """Differential cross section |f1|^2 (sigma-scaled units).
 
@@ -569,5 +544,5 @@ def cross_section(
                 "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
                 "there (use defects.f0_distributional for the spike weights)"
             )
-    f1 = f1_geometric(kin, defects, eta, lambda1, lambda2, kmmnn_variant)
+    f1 = f1_geometric(kin, defects, eta, lambda1, lambda2)
     return abs(f1) ** 2

@@ -32,13 +32,12 @@ panel boundaries), each panel is scored by the difference between its
 order-p and order-2p evaluations, and the worst panel is bisected along
 its longer side until the summed error estimate meets the tolerance.  The
 reported err_est is that summed two-level difference.  Panel contributions
-are re-accumulated in sorted order with compensated summation, so results
-are deterministic.
+are summed with math.fsum (real and imaginary parts separately), which is
+exactly rounded and so independent of the order the panels end up in.
 
 This module is intentionally independent of the closed forms: it never
 calls geoamp internals, only mirrors the defining integrals.  verify_all
-evaluates both and reports coefficient-by-coefficient agreement, including
-which transcription variant of the four-index step term survives.
+evaluates both and reports coefficient-by-coefficient agreement.
 """
 
 from __future__ import annotations
@@ -179,17 +178,6 @@ def _eval_panel_1d(f, a, b, p):
     return q_hi, abs(q_hi - q_lo), scale * float(w @ np.abs(F))
 
 
-def _kahan(values) -> complex:
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleValue:
     """Global-adaptive integration; edges_y=None selects the 1D path."""
     p = spec.panel_order
@@ -209,8 +197,9 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleVal
             seq += 1
 
     def totals():
-        tot = _kahan(entry[6] for entry in heap)
-        err = math.fsum(-entry[0] for entry in heap)
+        tot = complex(math.fsum(e[6].real for e in heap),
+                      math.fsum(e[6].imag for e in heap))
+        err = math.fsum(-e[0] for e in heap)
         return tot, err
 
     tot, err = totals()
@@ -242,11 +231,8 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleVal
                 seq += 1
         tot, err = totals()
 
-    leaves = sorted(heap, key=lambda e: (e[2], e[4], e[3], e[5]))
-    value = _kahan(e[6] for e in leaves)
-    abs_integral = math.fsum(e[7] for e in leaves)
-    return OracleValue(value=value, err_est=err, panels=len(heap),
-                       abs_integral=abs_integral)
+    return OracleValue(value=tot, err_est=err, panels=len(heap),
+                       abs_integral=math.fsum(e[7] for e in heap))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +264,7 @@ def _wave_x_factor(w: _Wave, beta: float, X, is_bra: bool):
     return const * np.exp(sign * 1j * beta * np.abs(X - w.kink))
 
 
-def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs, route="cartesian"):
+def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
     """Vectorized bra * (L ket) smooth-part integrand on arrays X, Y."""
     beta = g.beta
     gam2 = g.bigK**2 - beta**2
@@ -299,32 +285,12 @@ def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs, route="ca
             sg = np.sign(X - ket.kink)
         hx = 1j * beta * sg
         hy = 1j * gamma
-        if route == "cartesian":
-            quad_part = oc.a_over_r2 * (
-                X * X * (-(beta**2))
-                + 2.0 * X * Y * (-(beta * gamma) * sg)
-                + Y * Y * (-(gamma**2))
-            )
-            grad_part = oc.b_over_r2 * (X * hx + Y * hy)
-        else:
-            # polar route: a d2/dr2 + (b/r) d/dr via the radial identities
-            # r dh/dr = x h_x + y h_y, r^2 d2h/dr2 = x^2 h_xx + ... ; for
-            # the exponential kets both reduce to the same expressions, so
-            # this path differs only in floating-point grouping.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                dr1 = np.where(R > 0.0, (X * hx + Y * hy) / R, 0.0)
-                dr2 = np.where(
-                    R > 0.0,
-                    (
-                        X * X * (-(beta**2))
-                        + 2.0 * X * Y * (-(beta * gamma) * sg)
-                        + Y * Y * (-(gamma**2))
-                    )
-                    / (R * R),
-                    0.0,
-                )
-            quad_part = oc.a * dr2
-            grad_part = np.where(R > 0.0, oc.b * dr1 / R, 0.0)
+        quad_part = oc.a_over_r2 * (
+            X * X * (-(beta**2))
+            + 2.0 * X * Y * (-(beta * gamma) * sg)
+            + Y * Y * (-(gamma**2))
+        )
+        grad_part = oc.b_over_r2 * (X * hx + Y * hy)
         factor = quad_part + grad_part + oc.c
         bra_v = _wave_x_factor(bra, beta, X, True) * np.exp(-1j * gamma * Y)
         ket_v = _wave_x_factor(ket, beta, X, False) * np.exp(1j * gamma * Y)
@@ -364,16 +330,20 @@ def _combine(a: OracleValue, b: OracleValue) -> OracleValue:
     )
 
 
-def _integrate_pair(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs,
-                    spec: QuadratureSpec, what: str, route="cartesian") -> OracleValue:
+def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
+    """Base panel edges: x breaks at 0 and at the points inside the box,
+    y breaks at 0."""
     rmax = spec.resolve_r_max(g.alphas)
-    interior = sorted(
-        {0.0}
-        | {w.kink for w in (bra, ket) if w.kind == "defect"}
-    )
+    interior = sorted({0.0, *points})
     edges_x = [-rmax] + [v for v in interior if -rmax < v < rmax] + [rmax]
-    edges_y = [-rmax, 0.0, rmax]
-    out = _adaptive(_smooth_integrand(bra, ket, g, route), edges_x, edges_y, spec, what)
+    return edges_x, [-rmax, 0.0, rmax]
+
+
+def _integrate_pair(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs,
+                    spec: QuadratureSpec, what: str) -> OracleValue:
+    kinks = [w.kink for w in (bra, ket) if w.kind == "defect"]
+    edges_x, edges_y = _panel_edges(g, spec, kinks)
+    out = _adaptive(_smooth_integrand(bra, ket, g), edges_x, edges_y, spec, what)
     line = _delta_line_integrand(bra, ket, g)
     if line is not None:
         extra = _adaptive(line, edges_y, None, spec, what + " (line term)")
@@ -384,10 +354,10 @@ def _integrate_pair(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs,
 # -- public coefficient oracles ---------------------------------------------
 
 
-def integrate_I0(g: GeoCoefficientInputs, spec: QuadratureSpec = QuadratureSpec(),
-                 route="cartesian") -> OracleValue:
+def integrate_I0(g: GeoCoefficientInputs,
+                 spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
     """Quadrature of the plane x plane defining integral."""
-    return _integrate_pair(_Wave("plane"), _Wave("plane"), g, spec, "I0", route)
+    return _integrate_pair(_Wave("plane"), _Wave("plane"), g, spec, "I0")
 
 
 def integrate_Imn(g: GeoCoefficientInputs, m: int, n: int,
@@ -426,9 +396,10 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
     """
     ket = _Wave("defect", kink=g.alphas[n], phase_pos=g.alphas[m])
     bra = _Wave("plane")
+    a = ket.kink
     base = _adaptive(
         _smooth_integrand(bra, ket, g),
-        *_edges_for(g, bra, ket, spec),
+        *_panel_edges(g, spec, [a]),
         spec,
         f"Jmn[{m},{n}] smooth",
     )
@@ -436,7 +407,6 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
     gamma = math.sqrt(max(g.bigK**2 - beta**2, 0.0))
     profile = BumpProfile(delta=math.sqrt(g.eta))
     cc = CurvatureCoefficients(g.lambda1, g.lambda2)
-    a = ket.kink
     const = np.exp(1j * beta * ket.phase_pos) * 2j * beta
 
     def f(X, Y):
@@ -449,18 +419,22 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
         return const * bra_v * oc.a_over_r2 * X * X * moll * np.exp(1j * gamma * Y)
 
     # the mollifier support needs panel edges at a +- few widths
-    rmax = spec.resolve_r_max(g.alphas)
-    pts = sorted({0.0, a, a - 6.0 * width, a + 6.0 * width})
-    edges_x = [-rmax] + [v for v in pts if -rmax < v < rmax] + [rmax]
-    line = _adaptive(f, edges_x, [-rmax, 0.0, rmax], spec, "mollified line")
+    edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
+    line = _adaptive(f, *edges, spec, "mollified line")
     return _combine(base, line)
 
 
-def _edges_for(g, bra: _Wave, ket: _Wave, spec: QuadratureSpec):
-    rmax = spec.resolve_r_max(g.alphas)
-    interior = sorted({0.0} | {w.kink for w in (bra, ket) if w.kind == "defect"})
-    edges_x = [-rmax] + [v for v in interior if -rmax < v < rmax] + [rmax]
-    return edges_x, [-rmax, 0.0, rmax]
+def _kink_pair_integrals(g: GeoCoefficientInputs, spec: QuadratureSpec):
+    """Four-index base integrals B[m][n] of bra kink m and ket kink n, with
+    zero phase positions."""
+    return [
+        [
+            _integrate_pair(_Wave("defect", kink=am), _Wave("defect", kink=an),
+                            g, spec, f"I4 base[{m},{n}]")
+            for n, an in enumerate(g.alphas)
+        ]
+        for m, am in enumerate(g.alphas)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +457,19 @@ def assemble_f1_oracle(
     per kink pair and re-phased exactly (the phase positions multiply the
     defining integral by a constant unimodular factor).
 
+    With e_n = e^{i beta a_n} and w = Ainv e, the four-index sum is
+    w_out^T B w_in over the base integrals B[m, n] of kinks (m, n).
+
     err_est and abs_integral weigh each coefficient's estimate by the
     modulus of its assembly weight: |Ainv_out[m,n]| for Imn, |Ainv_in[m,n]|
-    for Jmn, and sum_{m',n'} |Ainv_out[m,m'] Ainv_in[n,n']| for the
-    four-index base integral of kinks (m, n).
+    for Jmn, and sum_{m',n'} |Ainv_out[m,m'] Ainv_in[n,n']|
+    = (sum_m' |Ainv_out[m,m']|) (sum_n' |Ainv_in[n,n']|) for B[m, n].
     """
     g = GeoCoefficientInputs(
         s=kin.s, bigK=kin.bigK, alphas=defects.positions,
         eta=eta, lambda1=lambda1, lambda2=lambda2,
     )
     n = defects.n
-    beta = g.beta
     total_err = 0.0
     panels = 0
     i0 = integrate_I0(g, spec)
@@ -506,15 +482,8 @@ def assemble_f1_oracle(
     if n > 0:
         ainv_in = build_defect_matrix(kin.kx, defects).inverse
         ainv_out = build_defect_matrix(kin.kx_out, defects).inverse
-        # base four-index integrals per kink pair, with zero phase positions
-        base4 = {}
-        for m in range(n):
-            for nn in range(n):
-                bra = _Wave("defect", kink=g.alphas[m], phase_pos=0.0)
-                ket = _Wave("defect", kink=g.alphas[nn], phase_pos=0.0)
-                ov = _integrate_pair(bra, ket, g, spec, f"I4 base[{m},{nn}]")
-                base4[(m, nn)] = ov
-                panels += ov.panels
+        base4 = _kink_pair_integrals(g, spec)
+        panels += sum(ov.panels for row in base4 for ov in row)
         singles = 0.0 + 0.0j
         for m in range(n):
             for nn in range(n):
@@ -526,19 +495,15 @@ def assemble_f1_oracle(
                 total_abs += (abs(ainv_out[m, nn]) * o_i.abs_integral
                               + abs(ainv_in[m, nn]) * o_j.abs_integral)
                 panels += o_i.panels + o_j.panels
-        quads = 0.0 + 0.0j
-        for m in range(n):
-            for mp in range(n):
-                for nn in range(n):
-                    for np_ in range(n):
-                        phase = np.exp(1j * beta * (g.alphas[mp] + g.alphas[np_]))
-                        quads += (
-                            ainv_out[m, mp] * ainv_in[nn, np_]
-                            * phase * base4[(m, nn)].value
-                        )
-                        weight = abs(ainv_out[m, mp] * ainv_in[nn, np_])
-                        total_abs += weight * base4[(m, nn)].abs_integral
-                        total_err += weight * base4[(m, nn)].err_est
+        b_val, b_err, b_abs = (
+            np.array([[getattr(ov, k) for ov in row] for row in base4])
+            for k in ("value", "err_est", "abs_integral")
+        )
+        e = np.exp(1j * g.beta * np.array(g.alphas))
+        quads = complex((ainv_out @ e) @ b_val @ (ainv_in @ e))
+        weight = np.outer(np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1))
+        total_err += float((weight * b_err).sum())
+        total_abs += float((weight * b_abs).sum())
         bracket = bracket - 1j * singles - quads
     pref = -0.5 * complex(np.exp(1j * math.pi / 4.0)) / math.sqrt(2.0 * math.pi * kin.bigK)
     return OracleValue(value=pref * bracket, err_est=abs(pref) * total_err, panels=panels,
@@ -554,8 +519,7 @@ def assemble_f1_oracle(
 class VerificationRecord:
     """Closed form vs quadrature at one grid point for one coefficient.
 
-    primary is the closed-form variant whose verdict is passed.  judged is
-    "relative" when rel_err decided the verdict and "resolution"
+    judged is "relative" when rel_err decided the verdict and "resolution"
     when the oracle value was no larger than its roundoff floor resolution,
     so that |closed - oracle| <= resolution decided it (see verify_all).
     """
@@ -569,33 +533,24 @@ class VerificationRecord:
     indices: tuple
     oracle: complex
     err_est: float
-    closed: dict
-    rel_err: dict
+    closed: complex
+    rel_err: float
     passed: bool
-    matched_variants: tuple
-    primary: str
     judged: str
     resolution: float
 
     def line(self) -> str:
         idx = ",".join(str(i) for i in self.indices)
         if self.judged == "relative":
-            errs = " ".join(
-                f"rel_err[{k}]={v:.3e}" for k, v in sorted(self.rel_err.items())
-            )
+            err = f"rel_err={self.rel_err:.3e}"
         else:
-            errs = " ".join(
-                f"abs_err[{k}]={abs(v - self.oracle):.3e}"
-                for k, v in sorted(self.closed.items())
-            )
+            err = f"abs_err={abs(self.closed - self.oracle):.3e}"
         return (
             f"coefficient={self.coefficient} s={self.s:g} K={self.bigK:g} "
             f"l1={self.lambda1:g} l2={self.lambda2:g} "
             f"alphas={','.join(f'{a:g}' for a in self.alphas)} idx=({idx}) "
             f"oracle_err={self.err_est:.2e} judged={self.judged} "
-            f"R={self.resolution:.2e} {errs} "
-            f"matched={'/'.join(self.matched_variants) or 'NONE'} "
-            f"pass={self.passed}"
+            f"R={self.resolution:.2e} {err} pass={self.passed}"
         )
 
 
@@ -616,16 +571,12 @@ class VerificationReport:
         return sum(0 if r.passed else 1 for r in self.records)
 
     def worst(self) -> dict:
-        """Largest relative error per family, over relatively judged records.
-
-        Each record contributes the error of its primary variant, the one
-        that decides passed.
-        """
+        """Largest relative error per family, over relatively judged records."""
         out = {}
         for r in self.records:
             if r.judged != "relative":
                 continue
-            out[r.coefficient] = max(out.get(r.coefficient, 0.0), r.rel_err[r.primary])
+            out[r.coefficient] = max(out.get(r.coefficient, 0.0), r.rel_err)
         return out
 
     def to_text(self) -> str:
@@ -691,10 +642,7 @@ def verify_all(
     (OracleValue.resolution, p = spec.panel_order), about 2.6e-15 at the
     grid point s = 0, K = 1, lambdas = (0.5, 0.5), whose exact value is 0.
 
-    For the four-index family both transcription variants are evaluated and
-    the record stores which of them match the oracle; the grid point passes
-    if at least the default ("kappa2") variant does.  Records land in
-    deterministic grid order.
+    Records land in deterministic grid order.
     """
     grid = grid or default_verification_grid()
     report = VerificationReport(rtol=rtol, atol=atol)
@@ -702,20 +650,18 @@ def verify_all(
     eta = grid.get("eta", 0.1)
     npos = len(alphas)
 
-    def emit(coefficient, indices, oval, ov, closed, primary, base):
+    def emit(coefficient, indices, oval, ov, closed, base):
         resolution = ov.resolution(spec)
-        rel = {k: _rel_err(v, oval, atol) for k, v in closed.items()}
+        rel = _rel_err(closed, oval, atol)
         if abs(oval) <= resolution:
             judged = "resolution"
-            ok = {k: abs(v - oval) <= resolution for k, v in closed.items()}
+            ok = abs(closed - oval) <= resolution
         else:
             judged = "relative"
-            ok = {k: e <= rtol for k, e in rel.items()}
+            ok = rel <= rtol
         rec = VerificationRecord(
             coefficient=coefficient, indices=indices, oracle=oval,
-            err_est=ov.err_est, closed=closed, rel_err=rel,
-            passed=ok[primary], primary=primary,
-            matched_variants=tuple(k for k in sorted(ok) if ok[k]),
+            err_est=ov.err_est, closed=closed, rel_err=rel, passed=ok,
             judged=judged, resolution=resolution, **base,
         )
         report.records.append(rec)
@@ -731,41 +677,24 @@ def verify_all(
                 )
                 base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
                 ov = integrate_I0(g, spec)
-                emit("I0", (), ov.value, ov, {"default": I0_closed(g)}, "default", base)
+                emit("I0", (), ov.value, ov, I0_closed(g), base)
                 for m in range(npos):
                     for n in range(npos):
                         ov = integrate_Imn(g, m, n, spec)
-                        emit("Imn", (m, n), ov.value, ov,
-                             {"default": Imn_closed(g, m, n)}, "default", base)
+                        emit("Imn", (m, n), ov.value, ov, Imn_closed(g, m, n), base)
                         ov = integrate_Jmn(g, m, n, spec)
-                        emit("Jmn", (m, n), ov.value, ov,
-                             {"default": Jmn_closed(g, m, n)}, "default", base)
+                        emit("Jmn", (m, n), ov.value, ov, Jmn_closed(g, m, n), base)
                 # four-index family: integrate once per kink pair, apply the
-                # exact phase per quadruple, evaluate closed form per variant
-                base4 = {}
-                for m in range(npos):
-                    for n in range(npos):
-                        bra = _Wave("defect", kink=alphas[m], phase_pos=0.0)
-                        ket = _Wave("defect", kink=alphas[n], phase_pos=0.0)
-                        base4[(m, n)] = _integrate_pair(
-                            bra, ket, g, spec, f"I4 base[{m},{n}]"
-                        )
-                g_x2 = GeoCoefficientInputs(
-                    s=s, bigK=bigK, alphas=alphas, eta=eta,
-                    lambda1=l1, lambda2=l2, kmmnn_variant="x2",
-                )
+                # exact phase per quadruple
+                base4 = _kink_pair_integrals(g, spec)
                 for m in range(npos):
                     for mp in range(npos):
                         for n in range(npos):
                             for np_ in range(npos):
-                                bv = base4[(m, n)]
+                                bv = base4[m][n]
                                 phase = complex(np.exp(
                                     1j * g.beta * (alphas[mp] + alphas[np_])
                                 ))
-                                closed = {
-                                    "kappa2": Immnn_closed(g, m, mp, n, np_),
-                                    "x2": Immnn_closed(g_x2, m, mp, n, np_),
-                                }
                                 emit("Immnn", (m, mp, n, np_), phase * bv.value,
-                                     bv, closed, "kappa2", base)
+                                     bv, Immnn_closed(g, m, mp, n, np_), base)
     return report

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from references import immnn_x2
 
 from bumpscatter import geoamp
 from bumpscatter.defects import (
@@ -36,10 +37,10 @@ from bumpscatter.geoamp import (
 RTOL = 1e-12
 
 
-def _g(s, bigK, alphas, eta=0.1, lambda1=0.5, lambda2=-0.5, variant="kappa2"):
+def _g(s, bigK, alphas, eta=0.1, lambda1=0.5, lambda2=-0.5):
     return GeoCoefficientInputs(
         s=s, bigK=bigK, alphas=tuple(alphas), eta=eta,
-        lambda1=lambda1, lambda2=lambda2, kmmnn_variant=variant,
+        lambda1=lambda1, lambda2=lambda2,
     )
 
 
@@ -189,11 +190,12 @@ def _kahan(terms):
     return total
 
 
-def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2):
+def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2, immnn=Immnn_closed):
     """Reference f1: the public coefficients summed over every index tuple.
 
     Costs 2N^2 two-index and N^4 four-index evaluations; the engine's
-    bilinear form over kink-only factors must reproduce it.
+    bilinear form over kink-only factors must reproduce it.  immnn is the
+    four-index coefficient to sum.
     """
     g = geo_inputs(kin, ds, eta, lambda1, lambda2)
     n = ds.n
@@ -205,7 +207,7 @@ def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2):
         for k in range(n)
     )
     quads = _kahan(
-        ainv_out[m, mp] * ainv_in[k, kp] * Immnn_closed(g, m, mp, k, kp)
+        ainv_out[m, mp] * ainv_in[k, kp] * immnn(g, m, mp, k, kp)
         for m in range(n)
         for mp in range(n)
         for k in range(n)
@@ -313,18 +315,18 @@ def test_right_angle_single_defect_needs_no_averaging():
 
 
 def test_step_term_variants_differ():
-    # The two transcription variants of the four-index step term must not
+    # The engine's kappa2 step term and the test-side x2 reference must not
     # agree once the bra kink sits strictly below the ket kink.
-    g_k = _g(0.6, 1.1, (-1.5, 0.0, 2.0), variant="kappa2")
-    g_x = _g(0.6, 1.1, (-1.5, 0.0, 2.0), variant="x2")
-    a = Immnn_closed(g_k, 0, 1, 2, 1)
-    b = Immnn_closed(g_x, 0, 1, 2, 1)
+    g = _g(0.6, 1.1, (-1.5, 0.0, 2.0))
+    a = Immnn_closed(g, 0, 1, 2, 1)
+    b = immnn_x2(g, 0, 1, 2, 1)
     assert abs(a - b) > 1e-6 * max(abs(a), abs(b))
-    # The full amplitude inherits the difference.
+    # The full amplitude inherits the difference: swap x2 into the
+    # quadruple-sum reference.
     kin = Kinematics(bigK=1.1, theta0=0.0, theta=1.2)
     ds = DefectSet([-1.5, 2.0], [1.0, 1.0])
-    fa = f1_geometric(kin, ds, 0.1, 0.5, -0.5, kmmnn_variant="kappa2")
-    fb = f1_geometric(kin, ds, 0.1, 0.5, -0.5, kmmnn_variant="x2")
+    fa = f1_geometric(kin, ds, 0.1, 0.5, -0.5)
+    fb = _f1_quadruple_sum(kin, ds, 0.1, 0.5, -0.5, immnn=immnn_x2)
     assert abs(fa - fb) > 1e-8
 
 
@@ -366,8 +368,6 @@ def test_cross_section_is_squared_amplitude():
 
 
 def test_invalid_inputs_raise():
-    with pytest.raises(ValueError):
-        _g(0.5, 1.0, (0.0,), variant="bogus")
     with pytest.raises(ValueError):
         _g(0.5, 1.0, (0.0,), eta=-0.1)
     with pytest.raises(ValueError):

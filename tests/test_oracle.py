@@ -9,11 +9,13 @@ comparison lives behind the "oracle" marker; the acceptance suite runs the
 reduced grid on every invocation.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
+from references import immnn_x2, matches_oracle
 
 from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
 from bumpscatter.geoamp import (
@@ -28,11 +30,10 @@ from bumpscatter.oracle import (
     OracleValue,
     QuadratureConvergenceError,
     QuadratureSpec,
-    VerificationRecord,
-    VerificationReport,
     _adaptive,
     _smooth_integrand,
     _Wave,
+    _wave_x_factor,
     assemble_f1_oracle,
     default_verification_grid,
     integrate_I0,
@@ -41,6 +42,11 @@ from bumpscatter.oracle import (
     integrate_Jmn,
     integrate_Jmn_mollified,
     verify_all,
+)
+from bumpscatter.surface import (
+    BumpProfile,
+    CurvatureCoefficients,
+    operator_coeffs_first_order,
 )
 
 
@@ -99,6 +105,45 @@ def test_radial_second_derivative_identity_symbolic():
         assert sp.simplify(sp.expand_trig(sp.expand(second))) == 0
 
 
+def _polar_integrand(bra, ket, g):
+    """bra * (L ket) with L in polar form, a d2/dr2 + (b/r) d/dr + c.
+
+    The radial derivatives come from the identities r dh/dr = x h_x + y h_y
+    and r^2 d2h/dr2 = x^2 h_xx + 2xy h_xy + y^2 h_yy; for the exponential
+    kets this differs from the oracle's Cartesian integrand only in
+    floating-point grouping.
+    """
+    beta = g.beta
+    gamma = math.sqrt(max(g.bigK**2 - beta**2, 0.0))
+    profile = BumpProfile(delta=math.sqrt(g.eta))
+    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
+
+    def f(X, Y):
+        R = np.hypot(X, Y)
+        oc = operator_coeffs_first_order(R, profile, cc)
+        sg = 1.0 if ket.kind == "plane" else np.sign(X - ket.kink)
+        hx = 1j * beta * sg
+        hy = 1j * gamma
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dr1 = np.where(R > 0.0, (X * hx + Y * hy) / R, 0.0)
+            dr2 = np.where(
+                R > 0.0,
+                (
+                    X * X * (-(beta**2))
+                    + 2.0 * X * Y * (-(beta * gamma) * sg)
+                    + Y * Y * (-(gamma**2))
+                )
+                / (R * R),
+                0.0,
+            )
+        factor = oc.a * dr2 + np.where(R > 0.0, oc.b * dr1 / R, 0.0) + oc.c
+        bra_v = _wave_x_factor(bra, beta, X, True) * np.exp(-1j * gamma * Y)
+        ket_v = _wave_x_factor(ket, beta, X, False) * np.exp(1j * gamma * Y)
+        return bra_v * factor * ket_v
+
+    return f
+
+
 def test_cartesian_and_polar_routes_agree_pointwise():
     g = _g(s=0.6, bigK=1.4, alphas=(0.7,))
     rng = np.random.default_rng(7)
@@ -113,8 +158,8 @@ def test_cartesian_and_polar_routes_agree_pointwise():
         ),
     ]
     for bra, ket in pairs:
-        fc = _smooth_integrand(bra, ket, g, route="cartesian")(X, Y)
-        fp = _smooth_integrand(bra, ket, g, route="polar")(X, Y)
+        fc = _smooth_integrand(bra, ket, g)(X, Y)
+        fp = _polar_integrand(bra, ket, g)(X, Y)
         scale = np.max(np.abs(fc))
         assert np.max(np.abs(fc - fp)) <= 1e-10 * scale
 
@@ -285,11 +330,15 @@ def test_verify_all_judges_structural_zero_against_resolution():
     for r in report.records:
         assert r.judged == "resolution"
         assert abs(r.oracle) <= r.resolution <= 1e-14
-        primary = "kappa2" if r.coefficient == "Immnn" else "default"
-        assert r.closed[primary] == 0.0
+        assert r.closed == 0.0
         assert "judged=resolution" in r.line()
     # the x2 transcription does not vanish for every quadruple here
-    assert any("x2" not in r.matched_variants for r in report.records)
+    g = _g(s=0.0, bigK=1.0, alphas=(-3.0, 0.0, 3.0), lambda2=0.5)
+    assert any(
+        not matches_oracle(immnn_x2(g, *r.indices), r)
+        for r in report.records
+        if r.coefficient == "Immnn"
+    )
     # no relative error is meaningful here, so none enters the worst-case
     assert report.worst() == {}
     assert "resolution_judged=100 resolution_failed=0" in report.to_text()
@@ -312,24 +361,9 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point():
     report = verify_all(grid=grid, rtol=1e-18)
     assert report.n_failed > 0
     for r in report.records:
-        primary = "kappa2" if r.coefficient == "Immnn" else "default"
         assert r.judged == "relative"
         assert abs(r.oracle) > 1e9 * r.resolution
-        assert r.passed == (r.rel_err[primary] <= 1e-18)
-
-
-def test_worst_reports_the_primary_variant_error():
-    # x2 fits this record better than kappa2, but kappa2 decides passed.
-    rec = VerificationRecord(
-        coefficient="Immnn", s=0.3, bigK=1.0, lambda1=0.5, lambda2=-0.5,
-        alphas=(-3.0, 3.0), indices=(0, 1, 1, 0), oracle=1.0 + 0j,
-        err_est=1e-14, closed={"kappa2": 1.0 + 2e-7, "x2": 1.0 + 1e-9},
-        rel_err={"kappa2": 2e-7, "x2": 1e-9}, passed=True,
-        matched_variants=("kappa2", "x2"), primary="kappa2",
-        judged="relative", resolution=1e-15,
-    )
-    report = VerificationReport(records=[rec])
-    assert report.worst() == {"Immnn": 2e-7}
+        assert r.passed == (r.rel_err <= 1e-18)
 
 
 def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
@@ -338,7 +372,7 @@ def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
     # Stand-in integrals with a distinct error estimate per label.
     err_of = {}
 
-    def fake_pair(bra, ket, g, spec, what, route="cartesian"):
+    def fake_pair(bra, ket, g, spec, what):
         err_of[what] = 1e-9 * (1 + len(err_of))
         return OracleValue(value=0.1 + 0.2j, err_est=err_of[what], panels=1,
                            abs_integral=1.0)
@@ -361,16 +395,61 @@ def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
     assert ov.err_est == pytest.approx(pref * expected, rel=1e-12)
 
 
+def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
+    import bumpscatter.oracle as oracle_mod
+
+    # Stand-in integrals with a distinct value per label.
+    value_of = {}
+
+    def fake_pair(bra, ket, g, spec, what):
+        k = len(value_of)
+        value_of[what] = complex(math.cos(1.3 * k), math.sin(0.7 * k + 0.2))
+        return OracleValue(value=value_of[what], err_est=0.0, panels=1,
+                           abs_integral=1.0)
+
+    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
+    ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
+    ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
+    ain = build_defect_matrix(kin.kx, ds).inverse
+    aout = build_defect_matrix(kin.kx_out, ds).inverse
+    a = ds.positions
+    beta = _g(s=kin.s, bigK=kin.bigK, alphas=a).beta
+    n = ds.n
+    singles = sum(
+        aout[m, k] * value_of[f"Imn[{m},{k}]"] + ain[m, k] * value_of[f"Jmn[{m},{k}]"]
+        for m in range(n)
+        for k in range(n)
+    )
+    quads = sum(
+        aout[m, mp] * ain[k, kp] * cmath.exp(1j * beta * (a[mp] + a[kp]))
+        * value_of[f"I4 base[{m},{k}]"]
+        for m in range(n)
+        for mp in range(n)
+        for k in range(n)
+        for kp in range(n)
+    )
+    pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK)
+    expected = pref * (value_of["I0"] - 1j * singles - quads)
+    assert abs(ov.value - expected) <= 1e-13 * abs(expected)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive grid (heavy; deselected by default, run with `pytest -m oracle`)
 
 
 @pytest.mark.oracle
 def test_full_default_grid_all_coefficients_pass():
-    report = verify_all(grid=default_verification_grid())
+    grid = default_verification_grid()
+    report = verify_all(grid=grid)
     assert report.all_passed, report.to_text()
-    # The alternative step-term transcription must fail somewhere on the
-    # grid, otherwise the switch has no discriminating power.
-    quad_records = [r for r in report.records if r.coefficient == "Immnn"]
-    assert all("kappa2" in r.matched_variants for r in quad_records)
-    assert any("x2" not in r.matched_variants for r in quad_records)
+    # The rejected x2 transcription of the step term must fail somewhere on
+    # the grid, otherwise the oracle has no discriminating power.
+    alphas = tuple(sorted(grid["alphas"]))
+    x2_failures = sum(
+        not matches_oracle(immnn_x2(_g(r.s, r.bigK, alphas, grid["eta"],
+                                       r.lambda1, r.lambda2), *r.indices), r)
+        for r in report.records
+        if r.coefficient == "Immnn"
+    )
+    assert x2_failures > 0
