@@ -22,8 +22,13 @@ differentiated; the bra enters as a plain factor.  A kinked ket
 additionally contributes a line term: h_xx of e^{i beta |x - a|} carries
 2 i beta * delta(x - a), which becomes a 1D integral along the defect line,
 
-    C_line = int dy  bra(a, y) * psi_a(a, y) * a^2 * 2 i beta
-             * phase_ket * e^{i gamma y}.
+    C_line = int dy  bra(a, y) * psi_a(a, y) * a^2 * 2 i beta * e^{i gamma y}.
+
+Phase rule: a phase position a' enters a defining integral only as the
+constant factor e^{i beta a'}.  Every family is integrated with its phase
+positions at 0, once per kink (Imn, Jmn) or kink pair (Immnn), and the exact
+phase multiplies the result outside the quadrature, as geoamp builds its
+public closed forms from kink-only helpers.
 
 The integrator is a global-adaptive tensor-product Gauss-Legendre scheme:
 the domain [-r_max, r_max]^2 starts as a grid of panels whose edges include
@@ -43,8 +48,9 @@ evaluates both and reports coefficient-by-coefficient agreement.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,7 +132,8 @@ class OracleValue:
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Panel budget exhausted before the error target was met."""
+    """Panel budget exhausted before the error target was met; value and
+    err_est are the partial result of the integral the message names."""
 
     def __init__(self, message: str, value: complex, err_est: float):
         super().__init__(message)
@@ -207,7 +214,7 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleVal
         if len(heap) >= spec.max_panels:
             raise QuadratureConvergenceError(
                 f"{what}: error estimate {err:.3g} above target after "
-                f"{len(heap)} panels",
+                f"{len(heap)} panels; partial value of {what} = {tot:.6g}",
                 tot,
                 err,
             )
@@ -242,37 +249,41 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleVal
 
 @dataclass(frozen=True)
 class _Wave:
-    """One side of the matrix element.
+    """One side of the matrix element, with its phase position at 0.
 
     kind "plane": x factor e^{i beta x} (ket) / e^{i beta x} (bra; the bra
     as used here is already the conjugated dual, whose plane part is also
     e^{+i beta x} in the rotated frame).  kind "defect": ket factor
-    e^{+i beta |x - kink|}, bra factor e^{-i beta |x - kink|}, each times
-    the constant phase e^{i beta phase_pos}.
+    e^{+i beta |x - kink|}, bra factor e^{-i beta |x - kink|}.
     """
 
     kind: str
     kink: float = 0.0
-    phase_pos: float = 0.0
+
+
+_PLANE = _Wave("plane")
 
 
 def _wave_x_factor(w: _Wave, beta: float, X, is_bra: bool):
     if w.kind == "plane":
         return np.exp(1j * beta * X)
     sign = -1.0 if is_bra else 1.0
-    const = np.exp(1j * beta * w.phase_pos)
-    return const * np.exp(sign * 1j * beta * np.abs(X - w.kink))
+    return np.exp(sign * 1j * beta * np.abs(X - w.kink))
 
 
-def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
-    """Vectorized bra * (L ket) smooth-part integrand on arrays X, Y."""
+def _integrand_inputs(g: GeoCoefficientInputs):
+    """beta, gamma, bump profile and curvature weights shared by the integrands."""
     beta = g.beta
     gam2 = g.bigK**2 - beta**2
     if gam2 < -1e-12:
         raise ValueError(f"|s| > 1 is outside the scattering kinematics (s={g.s})")
-    gamma = math.sqrt(max(gam2, 0.0))
-    profile = BumpProfile(delta=math.sqrt(g.eta))
-    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
+    return (beta, math.sqrt(max(gam2, 0.0)), BumpProfile(delta=math.sqrt(g.eta)),
+            CurvatureCoefficients(g.lambda1, g.lambda2))
+
+
+def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
+    """Vectorized bra * (L ket) smooth-part integrand on arrays X, Y."""
+    beta, gamma, profile, cc = _integrand_inputs(g)
 
     def f(X, Y):
         X = np.asarray(X, dtype=float)
@@ -303,12 +314,9 @@ def _delta_line_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
     """1D y-integrand of the kinked ket's line term (None for plane kets)."""
     if ket.kind != "defect":
         return None
-    beta = g.beta
-    gamma = math.sqrt(max(g.bigK**2 - beta**2, 0.0))
-    profile = BumpProfile(delta=math.sqrt(g.eta))
-    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
+    beta, gamma, profile, cc = _integrand_inputs(g)
     a = ket.kink
-    const = np.exp(1j * beta * ket.phase_pos) * 2j * beta * a * a
+    const = 2j * beta * a * a
 
     def f(Y):
         Y = np.asarray(Y, dtype=float)
@@ -328,6 +336,16 @@ def _combine(a: OracleValue, b: OracleValue) -> OracleValue:
         panels=a.panels + b.panels,
         abs_integral=a.abs_integral + b.abs_integral,
     )
+
+
+def _phase(g: GeoCoefficientInputs, *positions: float) -> complex:
+    """Exact phase e^{i beta (sum of positions)} of the given phase positions."""
+    return complex(np.exp(1j * g.beta * sum(positions)))
+
+
+def _phased(ov: OracleValue, phase: complex) -> OracleValue:
+    """A kink-only integral times its exact unimodular phase."""
+    return replace(ov, value=phase * ov.value)
 
 
 def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
@@ -351,39 +369,53 @@ def _integrate_pair(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs,
     return out
 
 
+def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec, family: str,
+                   bra: int | None = None, ket: int | None = None) -> OracleValue:
+    """Integral of bra kink `bra` against ket kink `ket`, phase positions 0;
+    None puts the plane wave on that side.  Labeled family[kink indices]."""
+    def wave(k):
+        return _PLANE if k is None else _Wave("defect", kink=g.alphas[k])
+    kinks = ",".join(str(k) for k in (bra, ket) if k is not None)
+    return _integrate_pair(wave(bra), wave(ket), g, spec, f"{family}[{kinks}]")
+
+
+def _kink_integrals(g: GeoCoefficientInputs, spec: QuadratureSpec):
+    """The lists I~_n and J~_n and the nested list B[m][n] of g's kinks."""
+    idx = range(len(g.alphas))
+    return ([_kink_integral(g, spec, "Imn", bra=n) for n in idx],
+            [_kink_integral(g, spec, "Jmn", ket=n) for n in idx],
+            [[_kink_integral(g, spec, "I4 base", bra=m, ket=n) for n in idx] for m in idx])
+
+
 # -- public coefficient oracles ---------------------------------------------
 
 
 def integrate_I0(g: GeoCoefficientInputs,
                  spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
     """Quadrature of the plane x plane defining integral."""
-    return _integrate_pair(_Wave("plane"), _Wave("plane"), g, spec, "I0")
+    return _integrate_pair(_PLANE, _PLANE, g, spec, "I0")
 
 
 def integrate_Imn(g: GeoCoefficientInputs, m: int, n: int,
                   spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the dual-defect (phase m, kink n) x plane integral."""
-    bra = _Wave("defect", kink=g.alphas[n], phase_pos=g.alphas[m])
-    return _integrate_pair(bra, _Wave("plane"), g, spec, f"Imn[{m},{n}]")
+    """Quadrature of the dual-defect (phase m, kink n) x plane integral:
+    e^{i beta a_m} times the kink-only integral Imn[n]."""
+    return _phased(_kink_integral(g, spec, "Imn", bra=n), _phase(g, g.alphas[m]))
 
 
 def integrate_Jmn(g: GeoCoefficientInputs, m: int, n: int,
                   spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the plane x defect (phase m, kink n) integral."""
-    ket = _Wave("defect", kink=g.alphas[n], phase_pos=g.alphas[m])
-    return _integrate_pair(_Wave("plane"), ket, g, spec, f"Jmn[{m},{n}]")
+    """Quadrature of the plane x defect (phase m, kink n) integral:
+    e^{i beta a_m} times the kink-only integral Jmn[n]."""
+    return _phased(_kink_integral(g, spec, "Jmn", ket=n), _phase(g, g.alphas[m]))
 
 
 def integrate_Immnn(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int,
                     spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the dual-defect x defect integral (kinks m, n).
-
-    The phase positions enter the defining integral only through the
-    constant factor e^{i beta (a_m' + a_n')}, which is applied exactly.
-    """
-    bra = _Wave("defect", kink=g.alphas[m], phase_pos=g.alphas[mp])
-    ket = _Wave("defect", kink=g.alphas[n], phase_pos=g.alphas[np_])
-    return _integrate_pair(bra, ket, g, spec, f"Immnn[{m},{mp},{n},{np_}]")
+    """Quadrature of the dual-defect x defect integral (kinks m, n):
+    e^{i beta (a_m' + a_n')} times the kink-only integral I4 base[m,n]."""
+    return _phased(_kink_integral(g, spec, "I4 base", bra=m, ket=n),
+                   _phase(g, g.alphas[mp], g.alphas[np_]))
 
 
 def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: float,
@@ -392,22 +424,17 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
     given width, evaluated as a genuine 2D integral.
 
     Used to confirm the sharp line term: the mollified value approaches it
-    as O(width^2).  Returns smooth part + mollified line term.
+    as O(width^2).  Returns e^{i beta a_m} times smooth part + mollified
+    line term of kink n.
     """
-    ket = _Wave("defect", kink=g.alphas[n], phase_pos=g.alphas[m])
-    bra = _Wave("plane")
-    a = ket.kink
+    a = g.alphas[n]
     base = _adaptive(
-        _smooth_integrand(bra, ket, g),
+        _smooth_integrand(_PLANE, _Wave("defect", kink=a), g),
         *_panel_edges(g, spec, [a]),
         spec,
-        f"Jmn[{m},{n}] smooth",
+        f"Jmn[{n}] smooth",
     )
-    beta = g.beta
-    gamma = math.sqrt(max(g.bigK**2 - beta**2, 0.0))
-    profile = BumpProfile(delta=math.sqrt(g.eta))
-    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
-    const = np.exp(1j * beta * ket.phase_pos) * 2j * beta
+    beta, gamma, profile, cc = _integrand_inputs(g)
 
     def f(X, Y):
         X = np.asarray(X, dtype=float)
@@ -416,25 +443,12 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
         oc = operator_coeffs_first_order(R, profile, cc)
         moll = np.exp(-((X - a) / width) ** 2) / (width * math.sqrt(math.pi))
         bra_v = np.exp(1j * beta * X) * np.exp(-1j * gamma * Y)
-        return const * bra_v * oc.a_over_r2 * X * X * moll * np.exp(1j * gamma * Y)
+        return 2j * beta * bra_v * oc.a_over_r2 * X * X * moll * np.exp(1j * gamma * Y)
 
     # the mollifier support needs panel edges at a +- few widths
     edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
     line = _adaptive(f, *edges, spec, "mollified line")
-    return _combine(base, line)
-
-
-def _kink_pair_integrals(g: GeoCoefficientInputs, spec: QuadratureSpec):
-    """Four-index base integrals B[m][n] of bra kink m and ket kink n, with
-    zero phase positions."""
-    return [
-        [
-            _integrate_pair(_Wave("defect", kink=am), _Wave("defect", kink=an),
-                            g, spec, f"I4 base[{m},{n}]")
-            for n, an in enumerate(g.alphas)
-        ]
-        for m, am in enumerate(g.alphas)
-    ]
+    return _phased(_combine(base, line), _phase(g, g.alphas[m]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,61 +467,48 @@ def assemble_f1_oracle(
     """f1 with every coefficient taken from quadrature instead of closed form.
 
     Shares only the defect-matrix algebra with the engine; all scattering
-    coefficients are integrated.  The four-index family is integrated once
-    per kink pair and re-phased exactly (the phase positions multiply the
-    defining integral by a constant unimodular factor).
+    coefficients are integrated.  This is the engine's bilinear form with
+    quadrature moments in place of closed forms: with e_n = e^{i beta a_n},
+    u = Ainv^T e and w = Ainv e, the bracket is
 
-    With e_n = e^{i beta a_n} and w = Ainv e, the four-index sum is
-    w_out^T B w_in over the base integrals B[m, n] of kinks (m, n).
+        I0 - i (u_out . I~ + u_in . J~) - w_out^T B w_in,
 
-    err_est and abs_integral weigh each coefficient's estimate by the
-    modulus of its assembly weight: |Ainv_out[m,n]| for Imn, |Ainv_in[m,n]|
-    for Jmn, and sum_{m',n'} |Ainv_out[m,m'] Ainv_in[n,n']|
-    = (sum_m' |Ainv_out[m,m']|) (sum_n' |Ainv_in[n,n']|) for B[m, n].
+    where I~_n, J~_n and B[m, n] are integrated once per kink or kink pair
+    with every phase position at 0, and u and w carry the exact phases.
+
+    err_est and abs_integral weigh each integral's estimate by the summed
+    modulus of its assembly weights: sum_m |Ainv_out[m,n]| for I~_n,
+    sum_m |Ainv_in[m,n]| for J~_n, and sum_{m',n'} |Ainv_out[m,m']
+    Ainv_in[n,n']| = (sum_m' |Ainv_out[m,m']|) (sum_n' |Ainv_in[n,n']|)
+    for B[m, n].
     """
     g = GeoCoefficientInputs(
         s=kin.s, bigK=kin.bigK, alphas=defects.positions,
         eta=eta, lambda1=lambda1, lambda2=lambda2,
     )
-    n = defects.n
-    total_err = 0.0
-    panels = 0
     i0 = integrate_I0(g, spec)
-    bracket = i0.value
-    total_err += i0.err_est
-    panels += i0.panels
-    # |f| integral of the assembled bracket, each term weighted by the
-    # modulus of its coefficient
-    total_abs = i0.abs_integral
-    if n > 0:
+    bracket, total_err, total_abs, panels = i0.value, i0.err_est, i0.abs_integral, i0.panels
+    if defects.n > 0:
         ainv_in = build_defect_matrix(kin.kx, defects).inverse
         ainv_out = build_defect_matrix(kin.kx_out, defects).inverse
-        base4 = _kink_pair_integrals(g, spec)
-        panels += sum(ov.panels for row in base4 for ov in row)
-        singles = 0.0 + 0.0j
-        for m in range(n):
-            for nn in range(n):
-                o_i = integrate_Imn(g, m, nn, spec)
-                o_j = integrate_Jmn(g, m, nn, spec)
-                singles += ainv_out[m, nn] * o_i.value + ainv_in[m, nn] * o_j.value
-                total_err += (abs(ainv_out[m, nn]) * o_i.err_est
-                              + abs(ainv_in[m, nn]) * o_j.err_est)
-                total_abs += (abs(ainv_out[m, nn]) * o_i.abs_integral
-                              + abs(ainv_in[m, nn]) * o_j.abs_integral)
-                panels += o_i.panels + o_j.panels
-        b_val, b_err, b_abs = (
-            np.array([[getattr(ov, k) for ov in row] for row in base4])
-            for k in ("value", "err_est", "abs_integral")
-        )
         e = np.exp(1j * g.beta * np.array(g.alphas))
-        quads = complex((ainv_out @ e) @ b_val @ (ainv_in @ e))
-        weight = np.outer(np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1))
-        total_err += float((weight * b_err).sum())
-        total_abs += float((weight * b_abs).sum())
-        bracket = bracket - 1j * singles - quads
+        u_out, u_in, w_out, w_in = ainv_out.T @ e, ainv_in.T @ e, ainv_out @ e, ainv_in @ e
+        col_out, col_in = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
+        row_out, row_in = np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1)
+        bra, ket, pairs = _kink_integrals(g, spec)
+        idx = range(defects.n)
+        # (coefficient, weight of its estimates, integral) of every term
+        terms = [(-1j * u_out[n], col_out[n], bra[n]) for n in idx]
+        terms += [(-1j * u_in[n], col_in[n], ket[n]) for n in idx]
+        terms += [(-w_out[m] * w_in[n], row_out[m] * row_in[n], pairs[m][n])
+                  for m in idx for n in idx]
+        bracket += sum(c * ov.value for c, _, ov in terms)
+        total_err += sum(w * ov.err_est for _, w, ov in terms)
+        total_abs += sum(w * ov.abs_integral for _, w, ov in terms)
+        panels += sum(ov.panels for *_, ov in terms)
     pref = -0.5 * complex(np.exp(1j * math.pi / 4.0)) / math.sqrt(2.0 * math.pi * kin.bigK)
-    return OracleValue(value=pref * bracket, err_est=abs(pref) * total_err, panels=panels,
-                       abs_integral=abs(pref) * total_abs)
+    return OracleValue(value=complex(pref * bracket), err_est=float(abs(pref) * total_err),
+                       panels=panels, abs_integral=float(abs(pref) * total_abs))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +651,8 @@ def verify_all(
     eta = grid.get("eta", 0.1)
     npos = len(alphas)
 
-    def emit(coefficient, indices, oval, ov, closed, base):
+    def emit(coefficient, indices, ov, closed, base):
+        oval = ov.value
         resolution = ov.resolution(spec)
         rel = _rel_err(closed, oval, atol)
         if abs(oval) <= resolution:
@@ -677,24 +679,15 @@ def verify_all(
                 )
                 base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
                 ov = integrate_I0(g, spec)
-                emit("I0", (), ov.value, ov, I0_closed(g), base)
-                for m in range(npos):
-                    for n in range(npos):
-                        ov = integrate_Imn(g, m, n, spec)
-                        emit("Imn", (m, n), ov.value, ov, Imn_closed(g, m, n), base)
-                        ov = integrate_Jmn(g, m, n, spec)
-                        emit("Jmn", (m, n), ov.value, ov, Jmn_closed(g, m, n), base)
-                # four-index family: integrate once per kink pair, apply the
-                # exact phase per quadruple
-                base4 = _kink_pair_integrals(g, spec)
-                for m in range(npos):
-                    for mp in range(npos):
-                        for n in range(npos):
-                            for np_ in range(npos):
-                                bv = base4[m][n]
-                                phase = complex(np.exp(
-                                    1j * g.beta * (alphas[mp] + alphas[np_])
-                                ))
-                                emit("Immnn", (m, mp, n, np_), phase * bv.value,
-                                     bv, Immnn_closed(g, m, mp, n, np_), base)
+                emit("I0", (), ov, I0_closed(g), base)
+                # every family once per kink (pair), each record re-phased exactly
+                bra, ket, pairs = _kink_integrals(g, spec)
+                for m, n in itertools.product(range(npos), repeat=2):
+                    phase = _phase(g, alphas[m])
+                    emit("Imn", (m, n), _phased(bra[n], phase), Imn_closed(g, m, n), base)
+                    emit("Jmn", (m, n), _phased(ket[n], phase), Jmn_closed(g, m, n), base)
+                for m, mp, n, np_ in itertools.product(range(npos), repeat=4):
+                    emit("Immnn", (m, mp, n, np_),
+                         _phased(pairs[m][n], _phase(g, alphas[mp], alphas[np_])),
+                         Immnn_closed(g, m, mp, n, np_), base)
     return report

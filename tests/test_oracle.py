@@ -11,6 +11,7 @@ reduced grid on every invocation.
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,11 +152,8 @@ def test_cartesian_and_polar_routes_agree_pointwise():
     Y = rng.uniform(-8.0, 8.0, 1000)
     pairs = [
         (_Wave("plane"), _Wave("plane")),
-        (_Wave("plane"), _Wave("defect", kink=0.7, phase_pos=0.7)),
-        (
-            _Wave("defect", kink=0.7, phase_pos=0.7),
-            _Wave("defect", kink=0.7, phase_pos=0.7),
-        ),
+        (_Wave("plane"), _Wave("defect", kink=0.7)),
+        (_Wave("defect", kink=0.7), _Wave("defect", kink=0.7)),
     ]
     for bra, ket in pairs:
         fc = _smooth_integrand(bra, ket, g)(X, Y)
@@ -235,6 +233,11 @@ def test_quadrature_convergence_error_carries_partial_result():
     err = exc_info.value
     assert np.isfinite(err.err_est)
     assert np.isfinite(abs(err.value))
+    # the message names the integral and states both parts of the partial result
+    message = str(err)
+    assert message.startswith("Imn[1]: ")
+    assert f"error estimate {err.err_est:.3g}" in message
+    assert f"partial value of Imn[1] = {err.value:.6g}" in message
 
 
 def test_quadrature_spec_resolves_box_from_offsets():
@@ -384,9 +387,10 @@ def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
     ain = np.abs(build_defect_matrix(kin.kx, ds).inverse)
     aout = np.abs(build_defect_matrix(kin.kx_out, ds).inverse)
     n = ds.n
+    # the kink-only integrals Imn[k], Jmn[k] serve every phase position m
     expected = err_of["I0"] + sum(
-        aout[m, k] * err_of[f"Imn[{m},{k}]"]
-        + ain[m, k] * err_of[f"Jmn[{m},{k}]"]
+        aout[m, k] * err_of[f"Imn[{k}]"]
+        + ain[m, k] * err_of[f"Jmn[{k}]"]
         + aout[m].sum() * ain[k].sum() * err_of[f"I4 base[{m},{k}]"]
         for m in range(n)
         for k in range(n)
@@ -416,8 +420,10 @@ def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
     a = ds.positions
     beta = _g(s=kin.s, bigK=kin.bigK, alphas=a).beta
     n = ds.n
+    # Imn = e^{i beta a_m} Imn[k] and Jmn = e^{i beta a_m} Jmn[k]
     singles = sum(
-        aout[m, k] * value_of[f"Imn[{m},{k}]"] + ain[m, k] * value_of[f"Jmn[{m},{k}]"]
+        cmath.exp(1j * beta * a[m])
+        * (aout[m, k] * value_of[f"Imn[{k}]"] + ain[m, k] * value_of[f"Jmn[{k}]"])
         for m in range(n)
         for k in range(n)
     )
@@ -432,6 +438,32 @@ def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
     pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK)
     expected = pref * (value_of["I0"] - 1j * singles - quads)
     assert abs(ov.value - expected) <= 1e-13 * abs(expected)
+
+
+def test_oracle_integrates_each_kink_family_once_per_kink(monkeypatch):
+    import bumpscatter.oracle as oracle_mod
+
+    labels = []
+
+    def fake_pair(bra, ket, g, spec, what):
+        labels.append(what)
+        return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)
+
+    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    # N = 3: one plane integral, 3 + 3 kink integrals and 9 kink pairs,
+    # where one integral per (m, n) would make 1 + 9 + 9 + 9 = 28
+    expected = {"I0": 1, "Imn": 3, "Jmn": 3, "I4 base": 9}
+    grid = dict(_ZERO_POINT_GRID, lambdas=((0.5, -0.5),))
+    kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
+    ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
+    for run in (lambda: verify_all(grid=grid),
+                lambda: assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)):
+        labels.clear()
+        run()
+        assert len(labels) == 16
+        assert len(set(labels)) == 16
+        families = Counter(what.split("[")[0] for what in labels)
+        assert families == expected
 
 
 # ---------------------------------------------------------------------------
