@@ -36,7 +36,12 @@ import numpy as np
 from . import __version__
 from .defects import DefectSet, Kinematics, SingularMatrixError
 from .feasibility import assess, parse_energy, parse_length
-from .geoamp import SingularAngleError, cross_section, f1_geometric
+from .geoamp import (
+    GeoCoefficientInputs,
+    SingularAngleError,
+    cross_section,
+    f1_geometric,
+)
 from .oracle import (
     QuadratureConvergenceError,
     default_verification_grid,
@@ -133,13 +138,33 @@ def _nudge_theta_deg(theta_deg: float, theta0_deg: float):
     return theta_deg, False
 
 
+def _engine_inputs(args, positions, couplings, bigK, thetas_deg) -> DefectSet:
+    """Build the defect set, the kinematics and the coefficient inputs of a
+    scan once, before any row, so that a bad flag value is a usage error.
+
+    Only the ValueError of these constructors is mapped; OverflowError (a
+    defect beyond the stable window) and the SingularAngleError of the rows
+    stay numerical failures.
+    """
+    try:
+        defects = DefectSet(positions, couplings)
+        for th in thetas_deg:
+            Kinematics(bigK, math.radians(args.theta0_deg), math.radians(th))
+        GeoCoefficientInputs(
+            s=0.0, bigK=bigK, alphas=defects.positions, eta=args.eta,
+            lambda1=args.lambda1, lambda2=args.lambda2,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    return defects
+
+
 @dataclass(frozen=True)
 class _RowTask:
     bigK: float
     theta_deg: float
     theta0_deg: float
-    positions: tuple
-    couplings: tuple
+    defects: DefectSet
     eta: float
     lambda1: float
     lambda2: float
@@ -151,8 +176,7 @@ def _compute_row(task: _RowTask):
         theta0=math.radians(task.theta0_deg),
         theta=math.radians(task.theta_deg),
     )
-    defects = DefectSet(task.positions, task.couplings)
-    f1 = f1_geometric(kin, defects, task.eta, task.lambda1, task.lambda2)
+    f1 = f1_geometric(kin, task.defects, task.eta, task.lambda1, task.lambda2)
     return (
         task.bigK,
         task.theta_deg,
@@ -193,7 +217,9 @@ def _common_headers(args_mode, theta0_deg, defects, couplings, eta, l1, l2):
         "eta": _f17(eta),
         "lambda1": _f17(l1),
         "lambda2": _f17(l2),
-        # the transcription of the four-index step term behind the numbers
+        # constant: nothing is selected by it, since one kernel computes
+        # every kink coefficient; kept only so CSV bytes stay as they were
+        # until ROADMAP item 5 replaces the header
         "kmmnn_variant": "kappa2",
     }
     if theta0_deg != 0.0:
@@ -235,11 +261,11 @@ def _cmd_sweep(args) -> int:
     kgrid = _parse_grid(args.kgrid, "--kgrid")
     if np.any(kgrid <= 0.0):
         raise _UsageError("--kgrid must be strictly positive")
+    defects = _engine_inputs(args, positions, couplings, float(kgrid[0]), thetas)
     tasks = [
         _RowTask(
             bigK=float(k), theta_deg=float(th), theta0_deg=args.theta0_deg,
-            positions=tuple(positions), couplings=tuple(couplings),
-            eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
+            defects=defects, eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
         )
         for th in thetas
         for k in kgrid
@@ -273,11 +299,11 @@ def _cmd_angular(args) -> int:
                 file=sys.stderr,
             )
         thetas.append(nudged)
+    defects = _engine_inputs(args, positions, couplings, args.ksigma, thetas)
     tasks = [
         _RowTask(
             bigK=args.ksigma, theta_deg=th, theta0_deg=args.theta0_deg,
-            positions=tuple(positions), couplings=tuple(couplings),
-            eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
+            defects=defects, eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
         )
         for th in thetas
     ]

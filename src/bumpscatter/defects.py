@@ -65,8 +65,8 @@ __all__ = [
     "psi0_dual",
 ]
 
-# Defect positions closer than this (units of sigma) are rejected: the
-# closed forms and the linear system both assume distinct lines.
+# Defect positions closer than this (units of sigma) are rejected: N lines
+# must sit at N distinct positions.
 MIN_SEPARATION = 1e-9
 
 # theta0 must keep k_x = K cos(theta0) bounded away from zero.
@@ -88,10 +88,10 @@ class SingularMatrixError(np.linalg.LinAlgError):
 class DefectSet:
     """Positions alpha_n (units of sigma) and couplings z_n of the N lines.
 
-    Positions are stored sorted ascending, couplings permuted alongside;
-    the piecewise closed forms of the geometric coefficients assume
-    position-ordered labels, and sorting makes index order and position
-    order coincide.  Couplings equal to exactly zero describe absent
+    Positions are stored sorted ascending, couplings permuted alongside,
+    so that index order and position order coincide.  The geometric
+    coefficients do not depend on it: their kernel cuts the x axis at the
+    kinks itself.  Couplings equal to exactly zero describe absent
     defects and are dropped with a warning.  N = 0 (free flat plane) is a
     valid configuration.
     """

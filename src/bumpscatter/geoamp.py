@@ -19,40 +19,39 @@ e_n = e^{i beta alpha_n},
 
     I[m,n] = e_m I~_n,   J[m,n] = e_m J~_n,   I4[m,m',n,n'] = e_m' e_n' C[m,n],
 
-where I~_n and J~_n are the two-index forms with alpha_m = 0 and C is the
-four-index core of the kink pair (m, n).  The first two hold in exact
-arithmetic (e^{x + i beta alpha_m} = e_m e^x) and to about 4e-16 in
-floating point; the third holds by construction.
-The bracket is therefore one bilinear form over per-kink moments,
+where I~_n, J~_n and C[m,n] are the coefficients of a bra kink at alpha_n,
+a ket kink at alpha_n and the kink pair (alpha_m, alpha_n), every phase
+position at 0.  The first two hold in exact arithmetic
+(e^{x + i beta alpha_m} = e_m e^x) and to about 4e-16 in floating point;
+the third holds by construction.  The bracket is therefore one bilinear
+form over per-kink coefficients,
 
     I0 - i (u_out . I~ + u_in . J~) - w_out^T C w_in,
     u = Ainv^T e,   w = Ainv e,
 
-which costs N + N + N^2 closed-form evaluations instead of 2N^2 + N^4.
+which costs N + N + N^2 kernel evaluations instead of 2N^2 + N^4.
 Both orientations of each inverse are used: the LU solve does not return
 an exactly symmetric inverse.
 
-All four families reduce, in the frame rotated to the momentum-transfer
-direction, to one master shape
+In the frame rotated to the momentum-transfer direction every kink
+coefficient is one shape, computed by one kernel (_kink_coefficient):
 
-    sqrt(pi) * eta * [ sum_regions phase * int e^{-x^2 + i c x} P(x) dx
+    sqrt(pi) * eta * [ sum_regions phase * int e^{-x^2 + i q x} p_kx(x) dx
                        + delta-line term ],
 
-with P a quartic polynomial in x whose coefficients depend only on
-beta = s K (s = sin((theta - theta0)/2)), K, lambda1, lambda2.  Carrying
-out the Gaussian moments in closed form gives the expressions below.  They
-are assembled from three guarded primitives (specfun.eexp, exp_erf,
-exp_erfc) so no intermediate exponential can overflow: every exponent that
-appears has non-positive real part by construction.
+with p_kx the quartic that the operator leaves after the Gaussian y
+integral, kx = +-beta (beta = s K, s = sin((theta - theta0)/2)) the ket's
+slope on the region and q in {0, +-2 beta}.  The x integrals are half-line
+Gaussian moments: an erfc for the zeroth and a two-term recursion for the
+rest.  The erfc goes through the fused, overflow-safe specfun.exp_erfc;
+every other exponent in the kernel has a non-positive real part, so no
+intermediate exponential can overflow.  I0 keeps its own closed form.
 
 Validation status (enforced by the test suite and the quadrature oracle in
-bumpscatter.oracle): each closed form below matches adaptive quadrature of
-its defining integral to better than 1e-6 relative across the acceptance
-grid, and matches a 40-digit semi-analytic reduction at random points.
-The four-index step term is coded in the one transcription the oracle
-confirms ("kappa2", named in every CSV header); the circulating "x2"
-transcription, which fails validation, lives only in the test suite as a
-reference that keeps the discrimination reproducible.
+bumpscatter.oracle): every coefficient matches adaptive quadrature of its
+defining integral to better than 1e-6 relative across the acceptance grid,
+and the kink coefficients match a 50-digit quadrature to 1e-12 relative
+on points with K up to 5 and defects up to |alpha| = 6.
 
 Special directions: at theta = theta0 and theta = pi - theta0 the
 zeroth-order amplitude is a delta spike (see defects.f0_distributional)
@@ -65,8 +64,8 @@ order of the arithmetic alone moves it: a term-by-term O(N^4) sum and the
 bilinear form differ by up to 3.5e-5 relative there (K = 0.025, defects
 at -3 and 0).  Against a 40-digit evaluation of the same terms from the
 same double-precision inverse matrices, the bilinear form is off by at
-most 3.1e-7 on the theta = 90 deg rows of the stock figure presets; the error of the inverses themselves is not
-part of that figure.
+most 4.9e-7 on the theta = 90 deg rows of the stock figure presets; the
+error of the inverses themselves is not part of that figure.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from .defects import (
     SingularMatrixError,
     build_defect_matrix,
 )
-from .specfun import SAFE_REAL_WINDOW, eexp, erf_c, erfc_c, exp_erf, exp_erfc
+from .specfun import SAFE_REAL_WINDOW, eexp, exp_erfc
 
 __all__ = [
     "GeoCoefficientInputs",
@@ -133,6 +132,10 @@ class GeoCoefficientInputs:
             raise ValueError(f"eta must be a finite non-negative number, got {self.eta!r}")
         if not (np.isfinite(self.s) and np.isfinite(self.bigK) and self.bigK > 0.0):
             raise ValueError("s must be finite and K positive")
+        if not (np.isfinite(self.lambda1) and np.isfinite(self.lambda2)):
+            raise ValueError(
+                f"lambda1 and lambda2 must be finite, got {self.lambda1!r}, {self.lambda2!r}"
+            )
         for a in self.alphas:
             if abs(a) > SAFE_REAL_WINDOW:
                 raise OverflowError(
@@ -144,8 +147,6 @@ class GeoCoefficientInputs:
     def beta(self) -> float:
         return self.s * self.bigK
 
-    # -- shared polynomial brackets ----------------------------------------
-
     @property
     def p2(self) -> float:
         """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2)."""
@@ -154,16 +155,6 @@ class GeoCoefficientInputs:
             self.bigK**2 * (4.0 * self.lambda1 * self.s**2 - 1.0)
             + self.lambda2 * (b**4 + 2.0)
         )
-
-    @property
-    def cn(self) -> float:
-        """Step bracket: K^2 ((1 + 4 l1) s^2 - 1) + 2 l2 + l2 beta^4 = p2 + beta^2."""
-        return self.p2 + self.beta**2
-
-    @property
-    def r2(self) -> float:
-        """Far bracket: (s^2 - 1) K^2 + 2 l2."""
-        return (self.s**2 - 1.0) * self.bigK**2 + 2.0 * self.lambda2
 
 
 def I0_closed(g: GeoCoefficientInputs) -> complex:
@@ -180,25 +171,7 @@ def Imn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
 
     The phase position enters only as the factor e^{i beta a_m}.
     """
-    return eexp(1j * g.beta * g.alphas[m]) * _imn_kink(g, g.alphas[n])
-
-
-def _imn_kink(g: GeoCoefficientInputs, an: float) -> complex:
-    """Imn with its phase position at 0, for a kink at an."""
-    b = g.beta
-    l1, l2 = g.lambda1, g.lambda2
-    k2 = g.bigK**2
-    # Gaussian bracket at the kink position.
-    b1 = (
-        -2j * an * an * l2
-        + 2.0 * an * (l2 - 2.0) * b
-        + 1j * (8.0 * l1 + l2 + 2.0 * l2 * b * b)
-    )
-    t1 = SQPI * b * eexp(-an * an + 1j * b * an) * b1
-    t2 = 2.0 * math.pi * g.p2 * exp_erf(-b * b - 1j * b * an, an - 1j * b)
-    t3 = -2.0 * math.pi * (k2 - 2.0 * l2) * exp_erfc(1j * b * an, an)
-    t4 = 2.0 * math.pi * g.p2 * eexp(-b * b - 1j * b * an)
-    return 0.125 * g.eta * (t1 + t2 + t3 + t4)
+    return eexp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, bra=g.alphas[n])
 
 
 def Jmn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
@@ -207,203 +180,113 @@ def Jmn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
     Includes the delta-line contribution of the kinked ket.  The phase
     position enters only as the factor e^{i beta a_m}.
     """
-    return eexp(1j * g.beta * g.alphas[m]) * _jmn_kink(g, g.alphas[n])
-
-
-def _jmn_kink(g: GeoCoefficientInputs, an: float) -> complex:
-    """Jmn with its phase position at 0, for a kink at an."""
-    b = g.beta
-    l1, l2 = g.lambda1, g.lambda2
-    k2 = g.bigK**2
-    c1 = (
-        -4.0
-        + 8.0 * l1
-        + l2
-        + 2.0 * b * b * l2
-        - 2j * an * b * (l2 - 2.0)
-        - 2.0 * an * an * (4.0 + l2)
-    )
-    t1 = 2.0 * SQPI * g.p2 * exp_erfc(-1j * b * an - b * b, an - 1j * b)
-    t2 = -2.0 * SQPI * (k2 - 2.0 * l2) * exp_erf(1j * b * an, an)
-    t3 = -2.0 * SQPI * (k2 - 2.0 * l2) * eexp(1j * b * an)
-    t4 = -1j * b * c1 * eexp(-an * an + 1j * b * an)
-    return 0.125 * g.eta * SQPI * (t1 + t2 + t3 + t4)
-
-
-# ---------------------------------------------------------------------------
-# Four-index coefficient: dual defect wave (kink am, phase am') against
-# defect wave (kink an, phase an').  The closed form splits on the relative
-# position of the two kinks; every piece below is O(eta) and multiplied by
-# the common phase e^{i beta (am' + an')}.
-# ---------------------------------------------------------------------------
-
-
-def _piece_q(g: GeoCoefficientInputs, an: float) -> complex:
-    """Coincident-kink oscillatory piece (kinks at the same position)."""
-    b = g.beta
-    a_term = SQPI * b * (erfc_c(an) - 2.0) + eexp(-an * an) * (
-        -2j * an * an + 2.0 * an * b + 1j
-    )
-    b_term = -1j * b * SQPI * erfc_c(an) + eexp(-an * an) * (
-        -2j * b * an + 2.0 * an * an - 1.0
-    )
-    return 0.25 * SQPI * g.eta * b * (a_term - 1j * b_term)
-
-
-def _piece_t(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Oscillatory piece for bra kink left of ket kink (am < an)."""
-    b = g.beta
-    t1 = b * eexp(1j * b * (an - am)) * (
-        SQPI * (erfc_c(am) - 2.0) + 2.0 * am * eexp(-am * am)
-    )
-    t2 = SQPI * b * (
-        exp_erf(-b * b + 1j * b * (am + an), am + 1j * b)
-        - exp_erf(-b * b + 1j * b * (am + an), an + 1j * b)
-    )
-    t3 = -SQPI * b * erfc_c(an) * eexp(1j * b * (am - an))
-    t4 = -(4j * an * an + 2.0 * an * b - 2j) * eexp(-an * an + 1j * b * (am - an))
-    return 0.25 * SQPI * g.eta * b * (t1 + t2 + t3 + t4)
-
-
-def _piece_s(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Oscillatory piece for bra kink right of ket kink (am > an)."""
-    b = g.beta
-    t1 = b * SQPI * exp_erfc(-b * b - 1j * b * (am + an), am - 1j * b)
-    t2 = b * SQPI * exp_erf(-b * b - 1j * b * (am + an), an - 1j * b)
-    t3 = b * SQPI * (erfc_c(an) - 2.0) * eexp(1j * b * (an - am))
-    t4 = -b * SQPI * eexp(-b * b - 1j * b * (am + an))
-    t5 = -b * eexp(1j * b * (am - an)) * (
-        SQPI * erfc_c(am) + 2.0 * am * eexp(-am * am)
-    )
-    t6 = 2.0 * (-2j * an * an + an * b + 1j) * eexp(-an * an + 1j * b * (an - am))
-    return 0.25 * SQPI * g.eta * b * (t1 + t2 + t3 + t4 + t5 + t6)
-
-
-def _piece_l(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Curvature-weighted piece common to both kink orders (ket kink an)."""
-    b = g.beta
-    l1, l2 = g.lambda1, g.lambda2
-    r2 = g.r2
-    inner = (
-        2.0 * math.pi * r2 * (
-            exp_erf(1j * b * (an - am), an) + exp_erfc(1j * b * (am - an), an)
-        )
-        + SQPI * (
-            an * ((2.0 * an * an - 3.0) * l2 - 8.0 * l1)
-            * eexp(-an * an + 1j * b * (am - an))
-            + 2.0 * SQPI * r2 * eexp(1j * b * (an - am))
-            + (8.0 * an * l1 + 3.0 * an * l2 - 2.0 * an**3 * l2)
-            * eexp(-an * an + 1j * b * (an - am))
-        )
-    )
-    return 0.125 * g.eta * inner
-
-
-def _piece_k(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Step piece for am < an.
-
-    Both erf(alpha + i beta) terms carry the step bracket cn built on K^2
-    (the "kappa2" transcription, the one the quadrature oracle confirms).
-    """
-    b = g.beta
-    l1, l2 = g.lambda1, g.lambda2
-    cn = g.cn
-    em = -8.0 * l1 + (2.0 * am * am - 3.0) * l2
-    en = -8.0 * l1 + (2.0 * an * an - 3.0) * l2
-    bn = (
-        8.0 * an * l1
-        - 2.0 * an**3 * l2
-        + an * (3.0 + 2.0 * b * b) * l2
-        + 2j * an * an * b * (8.0 + l2)
-        - 1j * b * (8.0 * l1 + l2 + 2.0 * b * b * l2)
-    )
-    bm = (
-        2.0 * am**3 * l2
-        - 2j * am * am * b * l2
-        + 1j * b * (8.0 * l1 + l2 + 2.0 * b * b * l2)
-        - am * (8.0 * l1 + (3.0 + 2.0 * b * b) * l2)
-    )
-    inner = (
-        -am * em * eexp(-am * am - 1j * b * (am - an))
-        + an * en * eexp(-an * an - 1j * b * (am - an))
-        + bn * eexp(-an * an + 1j * b * (am - an))
-        + bm * eexp(-am * am - 1j * b * (am - an))
-        + 2.0 * SQPI * g.r2 * eexp(-1j * b * (am - an)) * (erf_c(am) - erf_c(an))
-        - 2.0 * SQPI * cn * exp_erf(-b * b + 1j * b * (am + an), am + 1j * b)
-        + 2.0 * SQPI * cn * exp_erf(-b * b + 1j * b * (am + an), an + 1j * b)
-    )
-    return 0.125 * SQPI * g.eta * inner
-
-
-def _piece_h(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Step piece for am > an (re-derived; see docs/derivation notes)."""
-    b = g.beta
-    l1, l2 = g.lambda1, g.lambda2
-    cn = g.cn
-    r2 = g.r2
-    line1 = 0.25 * math.pi * g.eta * cn * (
-        exp_erf(-b * b - 1j * b * (am + an), am - 1j * b)
-        - exp_erf(-b * b - 1j * b * (am + an), an - 1j * b)
-    )
-    line2 = 0.25 * math.pi * g.eta * r2 * eexp(1j * b * (am - an)) * (
-        erf_c(an) - erf_c(am)
-    )
-    g_n_plus = an * (8.0 * l1 + 3.0 * l2 - 2.0 * an * an * l2)
-    g_m = b * (2.0 * am * b * l2 + 1j * (
-        2.0 * b * b * l2 + 8.0 * l1 + l2 - 2.0 * am * am * l2
-    ))
-    g_n_minus = (
-        2.0 * an**3 * l2
-        - 2.0 * an * b * b * l2
-        - 8.0 * an * l1
-        - 3.0 * an * l2
-        + 1j * (
-            2.0 * an * an * b * l2
-            + 16.0 * an * an * b
-            - 2.0 * b**3 * l2
-            - 8.0 * b * l1
-            - b * l2
-        )
-    )
-    line3 = 0.125 * SQPI * g.eta * (
-        g_n_plus * eexp(-an * an + 1j * b * (am - an))
-        + g_m * eexp(-am * am + 1j * b * (am - an))
-        + g_n_minus * eexp(-an * an - 1j * b * (am - an))
-    )
-    return line1 + line2 + line3
-
-
-def _delta_line_term(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Delta-line contribution of the kinked ket against the kinked bra."""
-    b = g.beta
-    return (
-        2j * SQPI * g.eta * b * an * an
-        * eexp(-an * an - 1j * b * abs(an - am))
-    )
+    return eexp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, ket=g.alphas[n])
 
 
 def Immnn_closed(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int) -> complex:
     """Dual-defect-wave (kink m, phase m') x defect-wave (kink n, phase n').
 
     The phase indices enter only through the common factor
-    e^{i beta (am' + an')}; the rest is the kink-only core _immnn_kink.
+    e^{i beta (am' + an')}; the rest is the kink-pair coefficient.
     """
     phase = eexp(1j * g.beta * (g.alphas[mp] + g.alphas[np_]))
-    return phase * _immnn_kink(g, g.alphas[m], g.alphas[n])
+    return phase * _kink_coefficient(g, g.alphas[m], g.alphas[n])
 
 
-def _immnn_kink(g: GeoCoefficientInputs, am: float, an: float) -> complex:
-    """Four-index core for a bra kink at am and a ket kink at an.
+# ---------------------------------------------------------------------------
+# Gaussian half-line moment kernel
+# ---------------------------------------------------------------------------
 
-    Splits on the relative position of the two kinks.  The coincident-kink
-    branch carries the explicit delta-line term (for distinct kinks that
-    contribution is already inside the step pieces).
+
+def _half_line(c, q: float, a: float, side: float) -> complex:
+    """sum_k c[k] M_k for the moments M_k = int x^k e^{-x^2 + i q x} dx over
+    x > a (side = 1) or x < a (side = -1), k = 0..4.
+
+    M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
+    (x^k e^{-x^2 + i q x})' by parts,
+    M_{k+1} = (side a^k e^{-a^2 + i q a} + k M_{k-1} + i q M_k) / 2.
+    The empty half-lines beyond +-inf give 0.
     """
-    if am == an:
-        return _piece_q(g, an) + _piece_l(g, an, an) + _delta_line_term(g, an, an)
-    if am < an:
-        return _piece_t(g, am, an) + _piece_k(g, am, an) + _piece_l(g, am, an)
-    return _piece_s(g, am, an) + _piece_h(g, am, an) + _piece_l(g, am, an)
+    if math.isinf(a):
+        return 0.0
+    iq = 1j * q
+    m0 = 0.5 * SQPI * exp_erfc(-0.25 * q * q, side * (a - 0.5 * iq))
+    edge = side * cmath.exp(a * (iq - a))
+    m1 = 0.5 * (edge + iq * m0)
+    edge *= a
+    m2 = 0.5 * (edge + m0 + iq * m1)
+    edge *= a
+    m3 = 0.5 * (edge + 2.0 * m1 + iq * m2)
+    edge *= a
+    m4 = 0.5 * (edge + 3.0 * m2 + iq * m3)
+    return c[0] * m0 + c[1] * m1 + c[2] * m2 + c[3] * m3 + c[4] * m4
+
+
+def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
+                      ket: float | None = None) -> complex:
+    """Coefficient of a bra kink at `bra` against a ket kink at `ket`, with
+    every phase position at 0; None puts the plane wave on that side.
+
+    The y integral of the defining integral is Gaussian, which leaves
+
+        eta sqrt(pi) [ sum_regions int e^{-x^2} bra(x) ket(x) p_kx(x) dx
+                       + 2 i beta a^2 e^{-a^2} bra(a) ],
+
+    the last term only for a ket kink at a (the delta line of its second
+    derivative).  The regions are the x intervals cut at the kinks; on each,
+    kx = +-beta is the ket's slope and bra(x) ket(x) = phase e^{i q x}, with
+    bra factors e^{i beta x} (plane) or e^{-i beta |x - a|} (kink) and ket
+    factors e^{i beta x} or e^{i beta |x - a|}.  The quartic is L applied to
+    the ket piece after the y integral, gamma^2 = K^2 - beta^2:
+
+        p_kx(x) = (-4 gamma^2 + 8 l1 + 11 l2)/8 + (3 i kx/2) x
+                  - (kx^2 + 2 l1 + 3 l2/2) x^2 - i kx x^3 + (l2/2) x^4.
+
+    q is 0 or 2 kx, and the full-line integral of e^{-x^2 + i q x} p_kx has
+    a closed form: sqrt(pi) (l2 - K^2/2) at q = 0, and I0 / (eta sqrt(pi))
+    = sqrt(pi) e^{-beta^2} p2 / 2 at q = 2 kx.  An interval in x <= 0 is
+    the difference of two left half-lines, one in x >= 0 of two right
+    half-lines, and one across 0 is the full line minus the two outer
+    half-lines.  No half-line then holds the bulk of the Gaussian, so the
+    result keeps its relative accuracy where the full-line integral
+    cancels (K^2 = 2 l2 at q = 0).  At beta = 0 every kink factor and the
+    line term are trivial and the coefficient is I0 exactly.
+    """
+    b = g.beta
+    if b == 0.0:
+        return I0_closed(g)
+    l1, l2 = g.lambda1, g.lambda2
+    c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
+    c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
+    c4 = 0.5 * l2
+    edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
+    total = 0j
+    for lo, hi in zip(edges, edges[1:]):
+        # x momentum and constant phase of bra(x) ket(x) on (lo, hi)
+        q, phase, kx = 2.0 * b, 0.0, b
+        if bra is not None:
+            sb = 1.0 if lo >= bra else -1.0
+            q -= (1.0 + sb) * b
+            phase += sb * bra
+        if ket is not None:
+            sg = 1.0 if lo >= ket else -1.0
+            kx = sg * b
+            q += kx - b
+            phase -= sg * ket
+        c = (c0, 1.5j * kx, c2, -1j * kx, c4)
+        if hi <= 0.0:
+            part = _half_line(c, q, hi, -1.0) - _half_line(c, q, lo, -1.0)
+        elif lo >= 0.0:
+            part = _half_line(c, q, lo, 1.0) - _half_line(c, q, hi, 1.0)
+        else:  # across 0: the full line minus the two outer half-lines
+            full = (SQPI * (l2 - 0.5 * g.bigK**2) if q == 0.0
+                    else 0.5 * SQPI * math.exp(-b * b) * g.p2)
+            part = full - _half_line(c, q, lo, -1.0) - _half_line(c, q, hi, 1.0)
+        total += cmath.exp(1j * b * phase) * part
+    if ket is not None:
+        x_bra = b * ket if bra is None else -b * abs(ket - bra)
+        total += 2j * b * ket * ket * cmath.exp(-ket * ket + 1j * x_bra)
+    return g.eta * SQPI * total
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +353,12 @@ def _f1_direct(
         w_out = [sum(row[n] * e[n] for n in idx) for row in ainv_out]
         w_in = [sum(row[n] * e[n] for n in idx) for row in ainv_in]
         singles = _kahan_sum(
-            u_out[n] * _imn_kink(g, alphas[n]) + u_in[n] * _jmn_kink(g, alphas[n])
+            u_out[n] * _kink_coefficient(g, bra=alphas[n])
+            + u_in[n] * _kink_coefficient(g, ket=alphas[n])
             for n in idx
         )
         quads = _kahan_sum(
-            w_out[m] * _immnn_kink(g, alphas[m], alphas[n]) * w_in[n]
+            w_out[m] * _kink_coefficient(g, alphas[m], alphas[n]) * w_in[n]
             for m in idx
             for n in idx
         )

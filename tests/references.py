@@ -1,12 +1,18 @@
 """Test-side references that the engine no longer carries.
 
 ``immnn_x2`` is the rejected "x2" transcription of the four-index step
-term.  The engine codes only the "kappa2" transcription; this reference
-keeps the oracle's discrimination between the two reproducible.
+term of the hand-expanded closed forms.  The engine's moment kernel agrees
+with the other one, "kappa2"; this reference keeps the oracle's
+discrimination between the two reproducible.
+
+``kink_coefficient_mp`` is a 50-digit quadrature of the kink-family
+defining integrals, independent of the engine's moment recursion.
 """
 
 import cmath
 import math
+
+import mpmath as mp
 
 from bumpscatter.geoamp import Immnn_closed
 from bumpscatter.specfun import exp_erf
@@ -43,3 +49,45 @@ def matches_oracle(closed, record, rtol=1e-6, atol=1e-10):
     if record.judged == "resolution":
         return diff <= record.resolution
     return diff / max(abs(record.oracle), atol) <= rtol
+
+
+def kink_coefficient_mp(g, bra=None, ket=None):
+    """Kink coefficient of a bra kink at bra against a ket kink at ket (None:
+    plane wave), phase positions 0, by mp.quad at 50 digits.
+
+    The y integral is done by Gaussian moments (<y^2> = 1/2, <y^4> = 3/4
+    against e^{-y^2}/sqrt(pi)) of the first-order operator of
+    bumpscatter.surface with sigma = 1: a/r^2 = eta e^{-r^2},
+    b/r^2 = eta e^{-r^2} (2 - r^2) and
+    c = eta e^{-r^2} (-2 l1 (r^2 - 1) + (l2/2) (r^2 - 2)^2), applied to the
+    ket piece e^{i (kx x + gamma y)}, kx = +-beta its x slope.  The x
+    integral is split at the kinks; a ket kink at a adds its delta-line
+    term 2 i beta a^2 e^{-a^2} bra(a).
+    """
+    with mp.workdps(50):
+        b = mp.mpf(g.beta)
+        gam2 = mp.mpf(g.bigK) ** 2 - b * b
+        l1, l2 = mp.mpf(g.lambda1), mp.mpf(g.lambda2)
+        y2, y4 = mp.mpf(1) / 2, mp.mpf(3) / 4
+
+        def bra_x(x):
+            if bra is None:
+                return mp.expj(b * x)
+            return mp.expj(-b * abs(x - bra))
+
+        def integrand(x):
+            kx = b if ket is None or x >= ket else -b
+            ket_x = mp.expj(b * x) if ket is None else mp.expj(b * abs(x - ket))
+            r2 = x * x
+            a_part = -(kx * kx * r2 + gam2 * y2)
+            b_part = 1j * kx * x * (2 - r2 - y2)
+            c_part = (-2 * l1 * (r2 + y2 - 1)
+                      + l2 / 2 * ((r2 - 2) ** 2 + 2 * (r2 - 2) * y2 + y4))
+            return mp.exp(-r2) * bra_x(x) * (a_part + b_part + c_part) * ket_x
+
+        cuts = sorted({mp.mpf(a) for a in (bra, ket) if a is not None})
+        total = mp.quad(integrand, [-mp.inf, *cuts, mp.inf])
+        if ket is not None:
+            a = mp.mpf(ket)
+            total += 2j * b * a * a * mp.exp(-a * a) * bra_x(a)
+        return complex(mp.mpf(g.eta) * mp.sqrt(mp.pi) * total)

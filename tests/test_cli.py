@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bumpscatter import cli
 from bumpscatter.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -26,7 +27,7 @@ from bumpscatter.cli import (
     main,
 )
 from bumpscatter.defects import DefectSet, Kinematics
-from bumpscatter.geoamp import cross_section, f1_geometric
+from bumpscatter.geoamp import SingularAngleError, cross_section, f1_geometric
 
 
 def _read(path):
@@ -136,6 +137,42 @@ def test_option_value_starting_with_dash_needs_equals_form(tmp_path, capsys):
     assert main(base + ["--defects", "-3,3"]) == EXIT_USAGE
     capsys.readouterr()
     assert main(base + ["--defects=-3,3"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("sweep", "--eta=nan"),
+        ("sweep", "--eta=-1"),
+        ("sweep", "--theta0-deg=95"),
+        ("sweep", "--defects=1,1"),
+        ("sweep", "--lambda1=nan"),
+        ("sweep", "--lambda2=inf"),
+        ("angular", "--ksigma=nan"),
+    ],
+)
+def test_bad_engine_flag_is_usage_error(tmp_path, capsys, command, flag):
+    # Every engine input is built once before the rows, so a bad value ends
+    # as a usage error and no CSV is written.
+    out = tmp_path / "x.csv"
+    scan = (["--theta-deg", "30", "--kgrid", "0.5:1:2"] if command == "sweep"
+            else ["--ksigma", "1", "--thetagrid", "10:170:3"])
+    assert main([command, *scan, "--out", str(out), flag]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_singular_angle_error_from_rows_stays_numerical(tmp_path, capsys, monkeypatch):
+    # SingularAngleError is a ValueError; only the input constructors'
+    # ValueError is a usage error.
+    def refuse(*args):
+        raise SingularAngleError("on a delta-supported ray")
+
+    monkeypatch.setattr(cli, "f1_geometric", refuse)
+    code = main(["sweep", "--theta-deg", "30", "--kgrid", "0.5:1:2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from references import immnn_x2
+from references import immnn_x2, kink_coefficient_mp
 
 from bumpscatter import geoamp
 from bumpscatter.defects import (
@@ -110,22 +110,54 @@ def test_four_index_coefficient_frozen_all_branches():
     )
 
 
+@pytest.mark.parametrize(
+    "family, s, bigK, lambdas, alphas, indices",
+    [
+        # bra kink only, and ket kink only
+        ("Imn", 0.5, 1.3, (0.5, -0.5), (-1.1, 2.3), (0, 1)),
+        ("Jmn", -0.8, 2.5, (0.0, -0.5), (-4.0, 0.7), (1, 0)),
+        # the ket kink far left at large K, where erf(a) + 1 cancels
+        ("Jmn", 1.0, 5.0, (0.3, -0.1), (-5.5,), (0, 0)),
+        ("Imn", 0.9, 5.0, (0.5, 0.5), (-6.0, 6.0), (0, 1)),
+        # kink pairs: am < an, am == an, am > an
+        ("Immnn", 0.7, 2.0, (0.5, -0.5), (-3.0, 3.0), (0, 1, 1, 0)),
+        ("Immnn", 0.6, 4.0, (0.5, 0.0), (-2.0, 1.5), (1, 0, 1, 1)),
+        ("Immnn", 0.95, 5.0, (0.3, -0.1), (-6.0, 5.5), (1, 1, 0, 0)),
+        ("Immnn", -0.4, 1.0, (0.0, -0.5), (-5.0, 6.0), (0, 1, 1, 0)),
+    ],
+)
+def test_kink_families_match_fifty_digit_quadrature(family, s, bigK, lambdas, alphas, indices):
+    g = _g(s, bigK, alphas, lambda1=lambdas[0], lambda2=lambdas[1])
+    a = g.alphas
+    if family == "Immnn":
+        m, mp, n, np_ = indices
+        closed = Immnn_closed(g, m, mp, n, np_)
+        ref = cmath.exp(1j * g.beta * (a[mp] + a[np_])) * kink_coefficient_mp(g, a[m], a[n])
+    else:
+        m, n = indices
+        closed = (Imn_closed if family == "Imn" else Jmn_closed)(g, m, n)
+        kink = {"bra": a[n]} if family == "Imn" else {"ket": a[n]}
+        ref = cmath.exp(1j * g.beta * a[m]) * kink_coefficient_mp(g, **kink)
+    np.testing.assert_allclose(closed, ref, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Structural identities
 
 
 def test_zero_momentum_transfer_collapses_all_families():
     # At s = 0 the kink phases disappear and every coefficient reduces to
-    # the same Gaussian moment, i.e. the no-defect value.
+    # the same Gaussian moment, i.e. the no-defect value.  The kernel's
+    # beta = 0 rule makes this exact.
     g = _g(0.0, 2.0, (-2.0, -0.5), lambda1=0.5, lambda2=0.5)
     ref = I0_closed(g)
     np.testing.assert_allclose(ref, -0.47123889803846902 + 0j, rtol=RTOL)
     for m in (0, 1):
         for n in (0, 1):
-            np.testing.assert_allclose(Imn_closed(g, m, n), ref, rtol=1e-13)
-            np.testing.assert_allclose(Jmn_closed(g, m, n), ref, rtol=1e-13)
-    np.testing.assert_allclose(Immnn_closed(g, 0, 1, 1, 0), ref, rtol=1e-13)
-    np.testing.assert_allclose(Immnn_closed(g, 1, 1, 1, 1), ref, rtol=1e-13)
+            assert Imn_closed(g, m, n) == ref
+            assert Jmn_closed(g, m, n) == ref
+    assert Immnn_closed(g, 0, 1, 1, 0) == ref
+    assert Immnn_closed(g, 1, 1, 1, 1) == ref
 
 
 def test_no_defect_coefficient_substitutions():
@@ -239,25 +271,30 @@ def test_bilinear_assembly_matches_quadruple_sum(kin, positions, couplings):
 
 
 def test_assembly_costs_n_squared_core_evaluations(monkeypatch):
-    # One f1 at N = 4 evaluates N two-index factors of each family and N^2
-    # four-index cores, from one incoming and one outgoing defect matrix.
-    calls = {"_imn_kink": 0, "_jmn_kink": 0, "_immnn_kink": 0, "build": 0}
+    # One f1 at N = 4 evaluates N bra-kink and N ket-kink coefficients and
+    # N^2 kink pairs, from one incoming and one outgoing defect matrix.
+    calls = {"bra only": 0, "ket only": 0, "pair": 0, "build": 0}
+    kernel = geoamp._kink_coefficient
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_kernel(g, bra=None, ket=None):
+        if bra is None:
+            calls["ket only"] += 1
+        elif ket is None:
+            calls["bra only"] += 1
+        else:
+            calls["pair"] += 1
+        return kernel(g, bra, ket)
 
-    for name in ("_imn_kink", "_jmn_kink", "_immnn_kink"):
-        monkeypatch.setattr(geoamp, name, counted(name, getattr(geoamp, name)))
-    monkeypatch.setattr(
-        geoamp, "build_defect_matrix", counted("build", build_defect_matrix)
-    )
+    def counted_build(*args):
+        calls["build"] += 1
+        return build_defect_matrix(*args)
+
+    monkeypatch.setattr(geoamp, "_kink_coefficient", counted_kernel)
+    monkeypatch.setattr(geoamp, "build_defect_matrix", counted_build)
     kin = Kinematics(bigK=1.1, theta0=0.0, theta=2.2)
     ds = DefectSet([-2.0, -0.5, 1.0, 2.5], [1.0, 1.0, 1.0, 1.0])
     f1_geometric(kin, ds, 0.1, 0.5, -0.5)
-    assert calls == {"_imn_kink": 4, "_jmn_kink": 4, "_immnn_kink": 16, "build": 2}
+    assert calls == {"bra only": 4, "ket only": 4, "pair": 16, "build": 2}
 
 
 def test_amplitude_is_linear_in_eta():
@@ -374,3 +411,7 @@ def test_invalid_inputs_raise():
         _g(0.5, -1.0, (0.0,))
     with pytest.raises(ValueError):
         _g(float("nan"), 1.0, (0.0,))
+    with pytest.raises(ValueError):
+        _g(0.5, 1.0, (0.0,), lambda1=float("nan"))
+    with pytest.raises(ValueError):
+        _g(0.5, 1.0, (0.0,), lambda2=float("inf"))
