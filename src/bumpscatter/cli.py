@@ -28,8 +28,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,39 +157,14 @@ def _engine_inputs(args, positions, couplings, bigK, thetas_deg) -> DefectSet:
     return defects
 
 
-@dataclass(frozen=True)
-class _RowTask:
-    bigK: float
-    theta_deg: float
-    theta0_deg: float
-    defects: DefectSet
-    eta: float
-    lambda1: float
-    lambda2: float
-
-
-def _compute_row(task: _RowTask):
+def _row(args, defects: DefectSet, bigK: float, theta_deg: float):
     kin = Kinematics(
-        bigK=task.bigK,
-        theta0=math.radians(task.theta0_deg),
-        theta=math.radians(task.theta_deg),
+        bigK=bigK,
+        theta0=math.radians(args.theta0_deg),
+        theta=math.radians(theta_deg),
     )
-    f1 = f1_geometric(kin, task.defects, task.eta, task.lambda1, task.lambda2)
-    return (
-        task.bigK,
-        task.theta_deg,
-        task.theta0_deg,
-        f1.real,
-        f1.imag,
-        abs(f1) ** 2,
-    )
-
-
-def _run_rows(tasks, workers: int):
-    if workers <= 1:
-        return [_compute_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_row, tasks, chunksize=8))
+    f1 = f1_geometric(kin, defects, args.eta, args.lambda1, args.lambda2)
+    return (bigK, theta_deg, args.theta0_deg, f1.real, f1.imag, abs(f1) ** 2)
 
 
 def _format_complex(z: complex) -> str:
@@ -262,15 +235,7 @@ def _cmd_sweep(args) -> int:
     if np.any(kgrid <= 0.0):
         raise _UsageError("--kgrid must be strictly positive")
     defects = _engine_inputs(args, positions, couplings, float(kgrid[0]), thetas)
-    tasks = [
-        _RowTask(
-            bigK=float(k), theta_deg=float(th), theta0_deg=args.theta0_deg,
-            defects=defects, eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
-        )
-        for th in thetas
-        for k in kgrid
-    ]
-    rows = _run_rows(tasks, args.workers)
+    rows = [_row(args, defects, float(k), float(th)) for th in thetas for k in kgrid]
     headers = _common_headers(
         "kscan", args.theta0_deg, positions, couplings,
         args.eta, args.lambda1, args.lambda2,
@@ -300,14 +265,7 @@ def _cmd_angular(args) -> int:
             )
         thetas.append(nudged)
     defects = _engine_inputs(args, positions, couplings, args.ksigma, thetas)
-    tasks = [
-        _RowTask(
-            bigK=args.ksigma, theta_deg=th, theta0_deg=args.theta0_deg,
-            defects=defects, eta=args.eta, lambda1=args.lambda1, lambda2=args.lambda2,
-        )
-        for th in thetas
-    ]
-    rows = _run_rows(tasks, args.workers)
+    rows = [_row(args, defects, args.ksigma, th) for th in thetas]
     headers = _common_headers(
         "anglescan", args.theta0_deg, positions, couplings,
         args.eta, args.lambda1, args.lambda2,
@@ -421,6 +379,9 @@ def _mirror_asymmetry_lines():
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise _UsageError(f"{flag} must be finite and non-negative, got {value!r}")
     grid = default_verification_grid() if args.full else reduced_verification_grid()
     n_done = [0]
 
@@ -500,8 +461,7 @@ def _cmd_preset(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     defects = _PRESET_DEFECTS[name]
     ns = argparse.Namespace(
-        defects=defects, couplings=None, theta0_deg=0.0, eta=0.1,
-        workers=args.workers, svg=None,
+        defects=defects, couplings=None, theta0_deg=0.0, eta=0.1, svg=None,
     )
     written = []
     if _preset_is_kscan(name):
@@ -548,8 +508,6 @@ def _add_engine_flags(p):
                    help="Gaussian-curvature weight (default 0.5)")
     p.add_argument("--lambda2", type=float, default=-0.5,
                    help="squared-mean-curvature weight (default -0.5)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for sweep rows (default 1)")
 
 
 def _build_parser() -> _Parser:
@@ -609,7 +567,6 @@ def _build_parser() -> _Parser:
     pr = sub.add_parser("preset", help="canned figure-family parameter sets")
     pr.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
     pr.add_argument("--out", required=True, help="output directory")
-    pr.add_argument("--workers", type=int, default=1)
     pr.set_defaults(func=_cmd_preset)
 
     return p

@@ -10,26 +10,28 @@ profile chi.
 
 Writing the outgoing solution as
 
-    chi(x) = e^{i k_x x} - i * sum_{m,n} e^{i k_x alpha_m} Ainv[m, n]
-                                         e^{i k_x |x - alpha_n|},
+    chi(x) = e^{i k_x x} - i * sum_n w_n e^{i k_x |x - alpha_n|},
+    w = Ainv e,   e_n = e^{i k_x alpha_n},
 
 the N x N linear system that fixes the scattered amplitudes has the
 symmetric matrix
 
     A[m, n] = 2 k_x delta_{mn} / z_m + i e^{i k_x |alpha_m - alpha_n|}.
 
-The same matrix evaluated at the outgoing momentum also drives the dual
+Because A is symmetric, every quantity below needs only weights
+w = Ainv b for one vector b (DefectMatrix.weights), never Ainv^T.  The
+same matrix evaluated at the outgoing momentum also drives the dual
 (reciprocal) state psi0_dual whose conjugate serves as the bra in
 first-order perturbation theory:
 
-    chi_dual(x) = e^{i k_x x} + i * sum_{m,n} e^{i k_x alpha_m}
-                  conj(Ainv)[m, n] e^{-i k_x |x - alpha_n|}.
+    chi_dual(x) = e^{i k_x x} + i * sum_n conj(w~_n) e^{-i k_x |x - alpha_n|},
+    w~ = Ainv conj(e).
 
 Far-field transmission and mirror-reflection coefficients follow from the
 |x| -> inf limits:
 
-    t_plus  = -i * sum_{m,n} Ainv[m, n] cos(k_x (alpha_m - alpha_n))
-    t_minus = -i * sum_{m,n} Ainv[m, n] e^{i k_x (alpha_m + alpha_n)}
+    t_plus  = -i conj(e) . w,
+    t_minus = -i e . w,
 
 and for purely real couplings flux conservation pins
 |1 + t_plus|^2 + |t_minus|^2 = 1.
@@ -72,7 +74,8 @@ MIN_SEPARATION = 1e-9
 # theta0 must keep k_x = K cos(theta0) bounded away from zero.
 THETA0_MARGIN = 1e-6
 
-# Condition number beyond which the defect matrix is treated as singular.
+# 1-norm condition number ||A||_1 ||Ainv||_1 beyond which the defect matrix
+# is treated as singular.
 COND_LIMIT = 1e15
 
 
@@ -215,40 +218,47 @@ class Kinematics:
 
 @dataclass(frozen=True)
 class DefectMatrix:
-    """The symmetric defect matrix, its inverse, and a condition estimate."""
+    """The symmetric defect matrix, its inverse, and its 1-norm condition
+    number ||A||_1 ||Ainv||_1."""
 
     matrix: np.ndarray
     inverse: np.ndarray
     cond: float
+
+    def weights(self, b) -> np.ndarray:
+        """w = Ainv b.  A is symmetric, so w also stands for Ainv^T b."""
+        return self.inverse @ b
 
 
 def build_defect_matrix(kx: float, defects: DefectSet) -> DefectMatrix:
     """Assemble and invert A[m,n] = 2 kx delta_mn / z_m + i e^{i kx |am - an|}.
 
     kx may have either sign (the outgoing-frame matrix uses K cos(theta));
-    the inverse is computed by LU factorization with partial pivoting.
-    Raises SingularMatrixError, carrying the condition-number estimate,
-    when the matrix is numerically singular.
+    the inverse is computed by LU factorization with partial pivoting, and
+    the condition number is the exact 1-norm one of that inverse.
+    Raises SingularMatrixError, carrying the condition number, when the
+    matrix is numerically singular.
     """
     n = defects.n
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return DefectMatrix(matrix=empty, inverse=empty, cond=1.0)
     alphas = defects.alphas
-    z = defects.z
     sep = np.abs(alphas[:, None] - alphas[None, :])
     a = 1j * np.exp(1j * kx * sep)
-    a[np.diag_indices(n)] += 2.0 * kx / z
-    cond = float(np.linalg.cond(a))
+    a[np.diag_indices(n)] += 2.0 * kx / defects.z
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"defect matrix is singular: {exc}", float("inf")
+        ) from exc
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
             f"defect matrix is singular to working precision (cond ~ {cond:.3g})",
             cond,
         )
-    try:
-        inv = np.linalg.solve(a, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"defect matrix solve failed: {exc}", cond) from exc
     return DefectMatrix(matrix=a, inverse=inv, cond=cond)
 
 
@@ -266,20 +276,13 @@ class TCoefficients:
 
 
 def t_coefficients(kx: float, defects: DefectSet) -> TCoefficients:
-    """Transmission and reflection coefficients of the defect array.
-
-    t_plus uses the manifestly symmetric cosine form (the odd sine parts
-    cancel pairwise because Ainv is symmetric).
-    """
-    if defects.n == 0:
-        return TCoefficients(t_plus=0.0 + 0.0j, t_minus=0.0 + 0.0j)
-    ainv = build_defect_matrix(kx, defects).inverse
-    alphas = defects.alphas
-    diff = alphas[:, None] - alphas[None, :]
-    tot = alphas[:, None] + alphas[None, :]
-    t_plus = complex(-1j * np.sum(ainv * np.cos(kx * diff)))
-    t_minus = complex(-1j * np.sum(ainv * np.exp(1j * kx * tot)))
-    return TCoefficients(t_plus=t_plus, t_minus=t_minus)
+    """Transmission and reflection coefficients of the defect array:
+    t_plus = -i conj(e) . w and t_minus = -i e . w with w = Ainv e."""
+    e = np.exp(1j * kx * defects.alphas)
+    w = build_defect_matrix(kx, defects).weights(e)
+    return TCoefficients(
+        t_plus=complex(-1j * (np.conj(e) @ w)), t_minus=complex(-1j * (e @ w))
+    )
 
 
 @dataclass(frozen=True)
@@ -325,41 +328,28 @@ def f0_distributional(kin: Kinematics, defects: DefectSet) -> F0Distribution:
     )
 
 
-def _scatter_weights(kx: float, defects: DefectSet) -> np.ndarray:
-    """u[n] = sum_m e^{i kx alpha_m} Ainv[m, n]; chi = e^{ikx x} - i sum u_n e^{ikx|x-an|}."""
-    if defects.n == 0:
-        return np.zeros(0, dtype=complex)
-    ainv = build_defect_matrix(kx, defects).inverse
-    phases = np.exp(1j * kx * defects.alphas)
-    return phases @ ainv
-
-
 def chi_profile(x, kx: float, defects: DefectSet):
     """1D transverse profile chi(x) of psi0 (psi0 = chi(x) e^{i ky y} / 2 pi)."""
     x = np.asarray(x, dtype=float)
-    u = _scatter_weights(kx, defects)
+    w = build_defect_matrix(kx, defects).weights(np.exp(1j * kx * defects.alphas))
     out = np.exp(1j * kx * x).astype(complex)
-    for un, an in zip(u, defects.alphas):
-        out = out - 1j * un * np.exp(1j * kx * np.abs(x - an))
+    for wn, an in zip(w, defects.alphas):
+        out = out - 1j * wn * np.exp(1j * kx * np.abs(x - an))
     return out
 
 
 def chi_dual_profile(x, kx: float, defects: DefectSet):
     """Transverse profile of the dual state psi0_dual.
 
-    chi_dual(x) = e^{i kx x} + i sum_{m,n} e^{i kx am} conj(Ainv)[m,n]
-    e^{-i kx |x - an|}.  Its complex conjugate is the bra of first-order
+    chi_dual(x) = e^{i kx x} + i sum_n conj(w~_n) e^{-i kx |x - an|} with
+    w~ = Ainv conj(e).  Its complex conjugate is the bra of first-order
     perturbation theory.
     """
     x = np.asarray(x, dtype=float)
-    if defects.n == 0:
-        return np.exp(1j * kx * x).astype(complex)
-    ainv = build_defect_matrix(kx, defects).inverse
-    phases = np.exp(1j * kx * defects.alphas)
-    u = phases @ np.conj(ainv)
+    w = build_defect_matrix(kx, defects).weights(np.exp(-1j * kx * defects.alphas))
     out = np.exp(1j * kx * x).astype(complex)
-    for un, an in zip(u, defects.alphas):
-        out = out + 1j * un * np.exp(-1j * kx * np.abs(x - an))
+    for wn, an in zip(np.conj(w), defects.alphas):
+        out = out + 1j * wn * np.exp(-1j * kx * np.abs(x - an))
     return out
 
 

@@ -26,12 +26,11 @@ position at 0.  The first two hold in exact arithmetic
 the third holds by construction.  The bracket is therefore one bilinear
 form over per-kink coefficients,
 
-    I0 - i (u_out . I~ + u_in . J~) - w_out^T C w_in,
-    u = Ainv^T e,   w = Ainv e,
+    I0 - i (w_out . I~ + w_in . J~) - w_out^T C w_in,   w = Ainv e,
 
-which costs N + N + N^2 kernel evaluations instead of 2N^2 + N^4.
-Both orientations of each inverse are used: the LU solve does not return
-an exactly symmetric inverse.
+which costs N + N + N^2 kernel evaluations instead of 2N^2 + N^4.  The
+single sums contract Ainv^T e; A is symmetric, so w = Ainv e serves
+there too (DefectMatrix.weights).
 
 In the frame rotated to the momentum-transfer direction every kink
 coefficient is one shape, computed by one kernel (_kink_coefficient):
@@ -64,7 +63,7 @@ order of the arithmetic alone moves it: a term-by-term O(N^4) sum and the
 bilinear form differ by up to 3.5e-5 relative there (K = 0.025, defects
 at -3 and 0).  Against a 40-digit evaluation of the same terms from the
 same double-precision inverse matrices, the bilinear form is off by at
-most 4.9e-7 on the theta = 90 deg rows of the stock figure presets; the
+most 3.8e-7 on the theta = 90 deg rows of the stock figure presets; the
 error of the inverses themselves is not part of that figure.
 """
 
@@ -100,7 +99,8 @@ SQPI = math.sqrt(math.pi)
 
 # Offset of the averaged pair of angles used to cross theta = +-90 deg.
 ANGLE_REG_EPS = 1e-6
-# Condition number of the outgoing defect matrix that triggers averaging.
+# 1-norm condition number of the outgoing defect matrix that triggers
+# averaging.
 REG_COND_LIMIT = 1e12
 # Angles closer than this (radians) to the delta-supported directions are
 # rejected by cross_section.
@@ -130,8 +130,11 @@ class GeoCoefficientInputs:
     def __post_init__(self):
         if self.eta < 0.0 or not np.isfinite(self.eta):
             raise ValueError(f"eta must be a finite non-negative number, got {self.eta!r}")
-        if not (np.isfinite(self.s) and np.isfinite(self.bigK) and self.bigK > 0.0):
-            raise ValueError("s must be finite and K positive")
+        if not (abs(self.s) <= 1.0 and np.isfinite(self.bigK) and self.bigK > 0.0):
+            raise ValueError(
+                f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
+                f"K={self.bigK!r}"
+            )
         if not (np.isfinite(self.lambda1) and np.isfinite(self.lambda2)):
             raise ValueError(
                 f"lambda1 and lambda2 must be finite, got {self.lambda1!r}, {self.lambda2!r}"
@@ -334,8 +337,8 @@ def _f1_direct(
 ) -> complex:
     """f1 at one angle; dm_out is the outgoing defect matrix if already built.
 
-    With e_n = e^{i beta a_n}, u = Ainv^T e and w = Ainv e, the bracket is
-    I0 - i (u_out . I~ + u_in . J~) - w_out^T C w_in over the kink-only
+    With e_n = e^{i beta a_n} and w = Ainv e, the bracket is
+    I0 - i (w_out . I~ + w_in . J~) - w_out^T C w_in over the kink-only
     factors I~_n, J~_n and C[m, n].
     """
     g = geo_inputs(kin, defects, eta, lambda1, lambda2)
@@ -343,18 +346,14 @@ def _f1_direct(
     if defects.n > 0:
         if dm_out is None:
             dm_out = build_defect_matrix(kin.kx_out, defects)
-        ainv_out = dm_out.inverse.tolist()
-        ainv_in = build_defect_matrix(kin.kx, defects).inverse.tolist()
         alphas = g.alphas
         idx = range(len(alphas))
-        e = [eexp(1j * g.beta * a) for a in alphas]
-        u_out = [sum(ainv_out[m][n] * e[m] for m in idx) for n in idx]
-        u_in = [sum(ainv_in[m][n] * e[m] for m in idx) for n in idx]
-        w_out = [sum(row[n] * e[n] for n in idx) for row in ainv_out]
-        w_in = [sum(row[n] * e[n] for n in idx) for row in ainv_in]
+        e = np.array([eexp(1j * g.beta * a) for a in alphas])
+        w_out = dm_out.weights(e).tolist()
+        w_in = build_defect_matrix(kin.kx, defects).weights(e).tolist()
         singles = _kahan_sum(
-            u_out[n] * _kink_coefficient(g, bra=alphas[n])
-            + u_in[n] * _kink_coefficient(g, ket=alphas[n])
+            w_out[n] * _kink_coefficient(g, bra=alphas[n])
+            + w_in[n] * _kink_coefficient(g, ket=alphas[n])
             for n in idx
         )
         quads = _kahan_sum(
@@ -373,16 +372,15 @@ def f1_geometric(
     eta: float,
     lambda1: float,
     lambda2: float,
-    regularize: bool = True,
 ) -> complex:
     """First-order geometric scattering amplitude f1(theta).
 
     Exactly linear in eta.  Near theta = +-90 deg with N >= 2 defects the
-    outgoing defect matrix degenerates; with regularize=True (default) f1
-    is evaluated as the average over theta +- 1e-6 rad, which cancels the
-    leading divergence (the averaged value changes by < 1e-4 relative when
-    the offset shrinks tenfold; the test suite checks this).  With
-    regularize=False the SingularMatrixError propagates.
+    outgoing defect matrix degenerates (it is singular or its condition
+    number exceeds REG_COND_LIMIT); f1 is then evaluated as the average
+    over theta +- 1e-6 rad, which cancels the leading divergence (the
+    averaged value changes by < 1e-4 relative when the offset shrinks
+    tenfold; the test suite checks this).
     """
     dm_out = None
     if defects.n >= 2:
@@ -392,13 +390,6 @@ def f1_geometric(
         except SingularMatrixError:
             bad = True
         if bad:
-            if not regularize:
-                raise SingularMatrixError(
-                    "outgoing defect matrix is near-singular at "
-                    f"theta = {kin.theta!r}; pass regularize=True to average "
-                    "across the singular direction",
-                    float("inf"),
-                )
             up = replace(kin, theta=kin.theta + ANGLE_REG_EPS)
             dn = replace(kin, theta=kin.theta - ANGLE_REG_EPS)
             fu = _f1_direct(up, defects, eta, lambda1, lambda2)

@@ -274,9 +274,8 @@ def _wave_x_factor(w: _Wave, beta: float, X, is_bra: bool):
 def _integrand_inputs(g: GeoCoefficientInputs):
     """beta, gamma, bump profile and curvature weights shared by the integrands."""
     beta = g.beta
+    # GeoCoefficientInputs rejects |s| > 1, so gam2 < 0 only by rounding.
     gam2 = g.bigK**2 - beta**2
-    if gam2 < -1e-12:
-        raise ValueError(f"|s| > 1 is outside the scattering kinematics (s={g.s})")
     return (beta, math.sqrt(max(gam2, 0.0)), BumpProfile(delta=math.sqrt(g.eta)),
             CurvatureCoefficients(g.lambda1, g.lambda2))
 
@@ -469,12 +468,14 @@ def assemble_f1_oracle(
     Shares only the defect-matrix algebra with the engine; all scattering
     coefficients are integrated.  This is the engine's bilinear form with
     quadrature moments in place of closed forms: with e_n = e^{i beta a_n},
-    u = Ainv^T e and w = Ainv e, the bracket is
+    v = Ainv^T e and w = Ainv e, the bracket is
 
-        I0 - i (u_out . I~ + u_in . J~) - w_out^T B w_in,
+        I0 - i (v_out . I~ + v_in . J~) - w_out^T B w_in,
 
     where I~_n, J~_n and B[m, n] are integrated once per kink or kink pair
-    with every phase position at 0, and u and w carry the exact phases.
+    with every phase position at 0, and v and w carry the exact phases.
+    The engine contracts w in place of v (A is symmetric); keeping both
+    orientations of the inverse here checks that reduction too.
 
     err_est and abs_integral weigh each integral's estimate by the summed
     modulus of its assembly weights: sum_m |Ainv_out[m,n]| for I~_n,
@@ -492,14 +493,14 @@ def assemble_f1_oracle(
         ainv_in = build_defect_matrix(kin.kx, defects).inverse
         ainv_out = build_defect_matrix(kin.kx_out, defects).inverse
         e = np.exp(1j * g.beta * np.array(g.alphas))
-        u_out, u_in, w_out, w_in = ainv_out.T @ e, ainv_in.T @ e, ainv_out @ e, ainv_in @ e
+        v_out, v_in, w_out, w_in = ainv_out.T @ e, ainv_in.T @ e, ainv_out @ e, ainv_in @ e
         col_out, col_in = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
         row_out, row_in = np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1)
         bra, ket, pairs = _kink_integrals(g, spec)
         idx = range(defects.n)
         # (coefficient, weight of its estimates, integral) of every term
-        terms = [(-1j * u_out[n], col_out[n], bra[n]) for n in idx]
-        terms += [(-1j * u_in[n], col_in[n], ket[n]) for n in idx]
+        terms = [(-1j * v_out[n], col_out[n], bra[n]) for n in idx]
+        terms += [(-1j * v_in[n], col_in[n], ket[n]) for n in idx]
         terms += [(-w_out[m] * w_in[n], row_out[m] * row_in[n], pairs[m][n])
                   for m in idx for n in idx]
         bracket += sum(c * ov.value for c, _, ov in terms)

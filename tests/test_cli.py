@@ -238,15 +238,6 @@ def test_angular_nudges_delta_supported_angles(tmp_path, capsys):
     assert all(np.isfinite(r[5]) for r in rows)
 
 
-def test_angular_parallel_workers_give_identical_bytes(tmp_path):
-    args = ["angular", "--defects=-3,3", "--ksigma", "1",
-            "--thetagrid", "10:170:9"]
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert main(args + ["--out", str(out1), "--workers", "1"]) == EXIT_OK
-    assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_OK
-    assert _read(out1) == _read(out2)
-
-
 def test_nonzero_theta0_marks_extrapolation(tmp_path):
     out = tmp_path / "a.csv"
     assert main([
@@ -329,6 +320,19 @@ def test_verify_absurd_tolerance_exit_code(capsys):
     code = main(["verify", "--rtol", "1e-18"])
     assert code == EXIT_VERIFY
     assert "all_passed=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag", ["--rtol=nan", "--rtol=-1", "--rtol=inf", "--atol=nan", "--atol=-1e-10"]
+)
+def test_bad_verify_tolerance_is_usage_error(capsys, monkeypatch, flag):
+    # A tolerance no record can meet is refused before the grid runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_all ran on a bad tolerance")
+
+    monkeypatch.setattr(cli, "verify_all", refuse)
+    assert main(["verify", flag]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,7 @@ def test_matrix_is_symmetric_and_inverse_is_accurate():
         ds = DefectSet(alphas, z)
         dm = build_defect_matrix(1.7, ds)
         np.testing.assert_array_equal(dm.matrix, dm.matrix.T)
+        np.testing.assert_allclose(dm.cond, np.linalg.cond(dm.matrix, 1), rtol=1e-12)
         resid = dm.matrix @ dm.inverse - np.eye(n)
         assert np.max(np.abs(resid)) <= 1e-12 * max(dm.cond, 1.0)
         assert np.max(np.abs(resid)) <= 1e-10
@@ -171,6 +172,20 @@ def test_unitarity_for_real_couplings(data, n, kx):
     ds = DefectSet(alphas, z)
     tc = t_coefficients(kx, ds)
     assert abs(tc.unitarity - 1.0) <= 1e-10
+
+
+def test_t_coefficients_match_explicit_double_sums():
+    # t+ = -i ebar.w and t- = -i e.w against the double sums over Ainv,
+    # with complex couplings so no reality helps either side.
+    kx = 1.3
+    ds = DefectSet([-1.2, 0.4, 2.1], [0.8 + 0.3j, 1.7, 2.2 - 0.5j])
+    ainv = build_defect_matrix(kx, ds).inverse
+    a = ds.alphas
+    tc = t_coefficients(kx, ds)
+    t_plus = -1j * np.sum(ainv * np.cos(kx * (a[:, None] - a[None, :])))
+    t_minus = -1j * np.sum(ainv * np.exp(1j * kx * (a[:, None] + a[None, :])))
+    np.testing.assert_allclose(tc.t_plus, t_plus, rtol=1e-13)
+    np.testing.assert_allclose(tc.t_minus, t_minus, rtol=1e-13)
 
 
 def test_unitarity_fails_for_absorbing_coupling():
@@ -304,6 +319,13 @@ def test_dual_profile_reduces_to_conjugate_reversal_for_single_defect():
         build_defect_matrix(kx, ds).inverse[0, 0]
     ) * np.exp(1j * kx * ds.positions[0]) * np.exp(-1j * kx * np.abs(x - ds.positions[0]))
     np.testing.assert_allclose(dual, rev, rtol=1e-13)
+    # N = 3: the weights conj(Ainv ebar) equal the explicit e @ conj(Ainv).
+    ds = DefectSet([-1.5, 0.2, 1.8], [1.9, 0.7, 2.4])
+    u = np.exp(1j * kx * ds.alphas) @ np.conj(build_defect_matrix(kx, ds).inverse)
+    ref = np.exp(1j * kx * x) + 1j * sum(
+        un * np.exp(-1j * kx * np.abs(x - an)) for un, an in zip(u, ds.alphas)
+    )
+    np.testing.assert_allclose(chi_dual_profile(x, kx, ds), ref, rtol=1e-13)
 
 
 def test_zero_coupling_suppression_matches_free_plane():
