@@ -35,6 +35,7 @@ from . import __version__
 from .defects import DefectSet, Kinematics, SingularMatrixError
 from .feasibility import assess, parse_energy, parse_length
 from .geoamp import (
+    SINGULAR_ANGLE_TOL,
     GeoCoefficientInputs,
     SingularAngleError,
     cross_section,
@@ -55,9 +56,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
-# Grid angles within this of a delta-supported direction get nudged ...
-SINGULAR_TOL_DEG = 1e-6
-# ... by this much (degrees).
+# Angle-scan points within geoamp.SINGULAR_ANGLE_TOL of a delta-supported
+# direction are moved this far off it (degrees).
 NUDGE_DEG = 1e-5
 
 COLUMNS = "ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec"
@@ -118,19 +118,12 @@ def _parse_couplings(text: str, count: int):
     return out
 
 
-def _circular_dist_deg(a: float, b: float) -> float:
-    return abs(math.remainder(a - b, 360.0))
-
-
-def _singular_dirs_deg(theta0_deg: float):
-    return (theta0_deg, 180.0 - theta0_deg)
-
-
 def _nudge_theta_deg(theta_deg: float, theta0_deg: float):
-    """Push a grid angle off the delta-supported directions (<= 1e-5 deg)."""
-    for special in _singular_dirs_deg(theta0_deg):
+    """Push an angle within SINGULAR_ANGLE_TOL of a delta-supported direction
+    (theta0 or its mirror) NUDGE_DEG off it; returns (angle, nudged)."""
+    for special in (theta0_deg, 180.0 - theta0_deg):
         d = math.remainder(theta_deg - special, 360.0)
-        if abs(d) < SINGULAR_TOL_DEG:
+        if abs(d) < math.degrees(SINGULAR_ANGLE_TOL):
             shift = NUDGE_DEG if d >= 0.0 else -NUDGE_DEG
             return theta_deg + shift - d, True
     return theta_deg, False
@@ -179,23 +172,23 @@ def _csv_text(headers: dict, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _common_headers(args_mode, theta0_deg, defects, couplings, eta, l1, l2):
+def _common_headers(args, mode, positions, couplings):
     headers = {
         "tool": "bumpscatter",
         "version": __version__,
-        "mode": args_mode,
-        "theta0_deg": _f17(theta0_deg),
-        "defects": ",".join(_f17(p) for p in defects) or "none",
+        "mode": mode,
+        "theta0_deg": _f17(args.theta0_deg),
+        "defects": ",".join(_f17(p) for p in positions) or "none",
         "couplings": ",".join(_format_complex(z) for z in couplings) or "none",
-        "eta": _f17(eta),
-        "lambda1": _f17(l1),
-        "lambda2": _f17(l2),
+        "eta": _f17(args.eta),
+        "lambda1": _f17(args.lambda1),
+        "lambda2": _f17(args.lambda2),
         # constant: nothing is selected by it, since one kernel computes
         # every kink coefficient; kept only so CSV bytes stay as they were
         # until ROADMAP item 5 replaces the header
         "kmmnn_variant": "kappa2",
     }
-    if theta0_deg != 0.0:
+    if args.theta0_deg != 0.0:
         headers["note"] = (
             "nonzero theta0: first-order coefficients validated on the "
             "theta0=0 family; treat as extrapolation"
@@ -216,46 +209,46 @@ def _write_out(path: str, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sweep(args) -> int:
+def _scan(args, mode: str, points, keys: dict) -> int:
+    """Body of sweep and angular: one CSV row per (K, theta_deg) point, the
+    run headers plus the command's own keys, and the optional SVG."""
     positions = _parse_floats(args.defects, "--defects")
     couplings = _parse_couplings(args.couplings, len(positions))
+    thetas = dict.fromkeys(th for _, th in points)
+    defects = _engine_inputs(args, positions, couplings, points[0][0], thetas)
+    rows = [_row(args, defects, k, th) for k, th in points]
+    headers = {**_common_headers(args, mode, positions, couplings), **keys}
+    _write_out(args.out, _csv_text(headers, rows))
+    if args.svg:
+        _write_out(args.svg, _svg(mode, _curves(headers, rows)))
+    return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
     thetas = _parse_floats(args.theta_deg, "--theta-deg")
     if not thetas:
         raise _UsageError("sweep needs --theta-deg (one or more, comma separated)")
     for th in thetas:
-        for special in _singular_dirs_deg(args.theta0_deg):
-            if _circular_dist_deg(th, special) < SINGULAR_TOL_DEG:
-                raise _UsageError(
-                    f"theta = {th} deg lies on a delta-supported direction "
-                    f"(theta0 = {args.theta0_deg}, mirror = "
-                    f"{180 - args.theta0_deg}); the first-order cross section "
-                    "is not defined there"
-                )
+        if _nudge_theta_deg(th, args.theta0_deg)[1]:
+            raise _UsageError(
+                f"theta = {th} deg lies on a delta-supported direction "
+                f"(theta0 = {args.theta0_deg}, mirror = "
+                f"{180 - args.theta0_deg}); the first-order cross section "
+                "is not defined there"
+            )
     kgrid = _parse_grid(args.kgrid, "--kgrid")
     if np.any(kgrid <= 0.0):
         raise _UsageError("--kgrid must be strictly positive")
-    defects = _engine_inputs(args, positions, couplings, float(kgrid[0]), thetas)
-    rows = [_row(args, defects, float(k), float(th)) for th in thetas for k in kgrid]
-    headers = _common_headers(
-        "kscan", args.theta0_deg, positions, couplings,
-        args.eta, args.lambda1, args.lambda2,
-    )
-    headers["kgrid"] = args.kgrid
-    headers["thetas_deg"] = ",".join(_f17(t) for t in thetas)
-    _write_out(args.out, _csv_text(headers, rows))
-    if args.svg:
-        _write_out(args.svg, _svg("kscan", _curves(headers, rows)))
-    return EXIT_OK
+    points = [(float(k), th) for th in thetas for k in kgrid]
+    keys = {"kgrid": args.kgrid, "thetas_deg": ",".join(_f17(t) for t in thetas)}
+    return _scan(args, "kscan", points, keys)
 
 
 def _cmd_angular(args) -> int:
-    positions = _parse_floats(args.defects, "--defects")
-    couplings = _parse_couplings(args.couplings, len(positions))
     if args.ksigma <= 0.0:
         raise _UsageError("--ksigma must be positive")
-    tgrid = _parse_grid(args.thetagrid, "--thetagrid")
-    thetas = []
-    for th in tgrid:
+    points = []
+    for th in _parse_grid(args.thetagrid, "--thetagrid"):
         nudged, warned = _nudge_theta_deg(float(th), args.theta0_deg)
         if warned:
             print(
@@ -263,19 +256,9 @@ def _cmd_angular(args) -> int:
                 f"direction; nudged to {nudged:.10g} deg",
                 file=sys.stderr,
             )
-        thetas.append(nudged)
-    defects = _engine_inputs(args, positions, couplings, args.ksigma, thetas)
-    rows = [_row(args, defects, args.ksigma, th) for th in thetas]
-    headers = _common_headers(
-        "anglescan", args.theta0_deg, positions, couplings,
-        args.eta, args.lambda1, args.lambda2,
-    )
-    headers["ksigma"] = _f17(args.ksigma)
-    headers["thetagrid"] = args.thetagrid
-    _write_out(args.out, _csv_text(headers, rows))
-    if args.svg:
-        _write_out(args.svg, _svg("anglescan", _curves(headers, rows)))
-    return EXIT_OK
+        points.append((args.ksigma, nudged))
+    keys = {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid}
+    return _scan(args, "anglescan", points, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -459,32 +442,25 @@ def _cmd_preset(args) -> int:
         )
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    defects = _PRESET_DEFECTS[name]
-    ns = argparse.Namespace(
-        defects=defects, couplings=None, theta0_deg=0.0, eta=0.1, svg=None,
-    )
-    written = []
+    engine = [f"--defects={_PRESET_DEFECTS[name]}"]
+    svg = os.path.join(outdir, f"{name}.svg")
     if _preset_is_kscan(name):
-        ns.lambda1, ns.lambda2 = 0.5, -0.5
-        ns.theta_deg = _SIX_THETAS
-        ns.kgrid = _KGRID
-        ns.out = os.path.join(outdir, f"{name}.csv")
-        ns.svg = os.path.join(outdir, f"{name}.svg")
-        _cmd_sweep(ns)
-        written += [ns.out, ns.svg]
+        csv = os.path.join(outdir, f"{name}.csv")
+        runs = [["sweep", *engine, f"--theta-deg={_SIX_THETAS}", f"--kgrid={_KGRID}",
+                 f"--out={csv}", f"--svg={svg}"]]
+        written = [csv, svg]
     else:
-        csvs = []
-        for (l1, l2) in _LAMBDA_COMBOS:
-            ns.lambda1, ns.lambda2 = l1, l2
-            ns.ksigma = 1.0
-            ns.thetagrid = _THETAGRID
-            ns.out = os.path.join(outdir, f"{name}.lam_{l1:g}_{l2:g}.csv")
-            ns.svg = None
-            _cmd_angular(ns)
-            csvs.append(ns.out)
-        svg_path = os.path.join(outdir, f"{name}.svg")
-        _cmd_plot(argparse.Namespace(inputs=csvs, out=svg_path))
-        written += csvs + [svg_path]
+        written = [os.path.join(outdir, f"{name}.lam_{l1:g}_{l2:g}.csv")
+                   for l1, l2 in _LAMBDA_COMBOS]
+        runs = [["angular", *engine, f"--lambda1={l1!r}", f"--lambda2={l2!r}",
+                 "--ksigma=1", f"--thetagrid={_THETAGRID}", f"--out={csv}"]
+                for (l1, l2), csv in zip(_LAMBDA_COMBOS, written)]
+        runs.append(["plot", f"--out={svg}", "--", *written])
+        written.append(svg)
+    parser = _build_parser()
+    for argv in runs:
+        sub = parser.parse_args(argv)
+        sub.func(sub)
     for path in written:
         print(path)
     return EXIT_OK

@@ -3,37 +3,37 @@
 The bump changes the metric seen by the particle; to first order in
 eta = (delta/sigma)^2 the scattering amplitude picks up the correction
 
-    f1 = -(1/2) sqrt(i / (2 pi K)) * [ I0
-         - i sum_{m,n} ( Ainv_out[m,n] * I[m,n] + Ainv_in[m,n] * J[m,n] )
-         - sum_{m,m',n,n'} Ainv_out[m,m'] Ainv_in[n,n'] * I4[m,m',n,n'] ],
+    f1 = -(1/2) sqrt(i / (2 pi K)) * <chi_out| L |chi_in>,
 
-where Ainv_in is the inverse defect matrix at the incident momentum
-k_x = K cos(theta0), Ainv_out the one at the outgoing momentum
-K cos(theta), and the four coefficient families are matrix elements of the
-curvature-induced operator between the plane-wave / defect-wave parts of
-the exact unperturbed states (bra built from the dual state, ket from the
-incident state).  sqrt(i) is the principal root e^{i pi/4}.
+the matrix element of the curvature-induced operator L between the exact
+unperturbed states: the dual state at the outgoing momentum K cos(theta)
+(bra) and the incident state at k_x = K cos(theta0) (ket); sqrt(i) is
+e^{i pi/4}.  In the frame rotated to the momentum transfer each state is
+a plane wave plus N kinks, e^{i beta x} - i sum_n w_n e^{i beta |x - a_n|}
+(the bra's kinks conjugated), with w = Ainv e, e_n = e^{i beta a_n} and
+Ainv the inverse defect matrix at that state's momentum.  Number the
+pieces 0 for the plane wave and n + 1 for the kink at a_n: the bra's
+amplitudes are u = (1, -i w_out), the ket's v = (1, -i w_in), and with
+T[a][b] the coefficient of bra piece a against ket piece b (every phase
+position at 0) the bracket is one bilinear form over an (N+1) x (N+1)
+table,
 
-The phase indices enter only as unimodular factors.  With
-e_n = e^{i beta alpha_n},
+    sum_{a,b} u_a T[a][b] v_b,   T = [[I0, J~_n], [I~_m, C[m, n]]],
 
-    I[m,n] = e_m I~_n,   J[m,n] = e_m J~_n,   I4[m,m',n,n'] = e_m' e_n' C[m,n],
+which costs 1 + 2N + N^2 coefficient evaluations per angle.  The terms are
+added by one math.fsum over the real parts and one over the imaginary
+parts, which is exactly rounded and so independent of their order.  A is
+symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).  The
+public coefficient families carry the phase positions as unimodular
+factors,
 
-where I~_n, J~_n and C[m,n] are the coefficients of a bra kink at alpha_n,
-a ket kink at alpha_n and the kink pair (alpha_m, alpha_n), every phase
-position at 0.  The first two hold in exact arithmetic
-(e^{x + i beta alpha_m} = e_m e^x) and to about 4e-16 in floating point;
-the third holds by construction.  The bracket is therefore one bilinear
-form over per-kink coefficients,
+    I[m,n] = e_m I~_n,   J[m,n] = e_m J~_n,   I4[m,m',n,n'] = e_m' e_n' C[m,n];
 
-    I0 - i (w_out . I~ + w_in . J~) - w_out^T C w_in,   w = Ainv e,
+the first two hold in exact arithmetic (e^{x + i beta a_m} = e_m e^x) and
+to about 4e-16 in floating point, the third by construction.
 
-which costs N + N + N^2 kernel evaluations instead of 2N^2 + N^4.  The
-single sums contract Ainv^T e; A is symmetric, so w = Ainv e serves
-there too (DefectMatrix.weights).
-
-In the frame rotated to the momentum-transfer direction every kink
-coefficient is one shape, computed by one kernel (_kink_coefficient):
+Every entry but T[0][0] is one shape, computed by one kernel
+(_kink_coefficient(g, bra, ket), a kink position or None on each side):
 
     sqrt(pi) * eta * [ sum_regions phase * int e^{-x^2 + i q x} p_kx(x) dx
                        + delta-line term ],
@@ -59,12 +59,8 @@ refuses those angles.  At |cos theta| -> 0 with N >= 2 the outgoing defect
 matrix degenerates (all entries approach i); f1 is then evaluated by
 averaging theta +- 1e-6 rad, which cancels the leading divergence.  The
 average cancels terms about 1e6 times larger than the result, so the
-order of the arithmetic alone moves it: a term-by-term O(N^4) sum and the
-bilinear form differ by up to 3.5e-5 relative there (K = 0.025, defects
-at -3 and 0).  Against a 40-digit evaluation of the same terms from the
-same double-precision inverse matrices, the bilinear form is off by at
-most 3.8e-7 on the theta = 90 deg rows of the stock figure presets; the
-error of the inverses themselves is not part of that figure.
+order of the arithmetic alone moves it; docs/math_to_code.md section 3
+gives the measured size of that effect on the stock figure presets.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ from .defects import (
     SingularMatrixError,
     build_defect_matrix,
 )
-from .specfun import SAFE_REAL_WINDOW, eexp, exp_erfc
+from .specfun import SAFE_REAL_WINDOW, exp_erfc
 
 __all__ = [
     "GeoCoefficientInputs",
@@ -102,9 +98,10 @@ ANGLE_REG_EPS = 1e-6
 # 1-norm condition number of the outgoing defect matrix that triggers
 # averaging.
 REG_COND_LIMIT = 1e12
-# Angles closer than this (radians) to the delta-supported directions are
-# rejected by cross_section.
-SINGULAR_ANGLE_TOL = 1e-9
+# Angles closer than this (radians; 1e-6 deg) to the delta-supported
+# directions are refused by cross_section and by the CLI's K scan, and
+# nudged off them by its angle scan.
+SINGULAR_ANGLE_TOL = math.radians(1e-6)
 
 
 class SingularAngleError(ValueError):
@@ -160,13 +157,13 @@ class GeoCoefficientInputs:
         )
 
 
-def I0_closed(g: GeoCoefficientInputs) -> complex:
+def I0_closed(g: GeoCoefficientInputs) -> float:
     """Plane-wave x plane-wave coefficient.
 
     I0 = (pi eta / 2) e^{-beta^2} [ K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2) ].
     """
     b = g.beta
-    return 0.5 * math.pi * g.eta * eexp(-b * b) * g.p2
+    return 0.5 * math.pi * g.eta * math.exp(-b * b) * g.p2
 
 
 def Imn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
@@ -174,7 +171,7 @@ def Imn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
 
     The phase position enters only as the factor e^{i beta a_m}.
     """
-    return eexp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, bra=g.alphas[n])
+    return cmath.exp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, bra=g.alphas[n])
 
 
 def Jmn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
@@ -183,7 +180,7 @@ def Jmn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
     Includes the delta-line contribution of the kinked ket.  The phase
     position enters only as the factor e^{i beta a_m}.
     """
-    return eexp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, ket=g.alphas[n])
+    return cmath.exp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, ket=g.alphas[n])
 
 
 def Immnn_closed(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int) -> complex:
@@ -192,7 +189,7 @@ def Immnn_closed(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int) -> 
     The phase indices enter only through the common factor
     e^{i beta (am' + an')}; the rest is the kink-pair coefficient.
     """
-    phase = eexp(1j * g.beta * (g.alphas[mp] + g.alphas[np_]))
+    phase = cmath.exp(1j * g.beta * (g.alphas[mp] + g.alphas[np_]))
     return phase * _kink_coefficient(g, g.alphas[m], g.alphas[n])
 
 
@@ -297,18 +294,6 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _kahan_sum(terms) -> complex:
-    """Compensated (Kahan) summation over an iterable of complex terms."""
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for t in terms:
-        y = t - comp
-        new = total + y
-        comp = (new - total) - y
-        total = new
-    return total
-
-
 def geo_inputs(
     kin: Kinematics,
     defects: DefectSet,
@@ -337,31 +322,24 @@ def _f1_direct(
 ) -> complex:
     """f1 at one angle; dm_out is the outgoing defect matrix if already built.
 
-    With e_n = e^{i beta a_n} and w = Ainv e, the bracket is
-    I0 - i (w_out . I~ + w_in . J~) - w_out^T C w_in over the kink-only
-    factors I~_n, J~_n and C[m, n].
+    The bracket is sum_ab u_a T[a][b] v_b over the plane (0) and kink (n + 1)
+    pieces, as in the module docstring, summed exactly by math.fsum.
     """
     g = geo_inputs(kin, defects, eta, lambda1, lambda2)
-    bracket = I0_closed(g)
+    w_out = w_in = []
     if defects.n > 0:
         if dm_out is None:
             dm_out = build_defect_matrix(kin.kx_out, defects)
-        alphas = g.alphas
-        idx = range(len(alphas))
-        e = np.array([eexp(1j * g.beta * a) for a in alphas])
+        e = np.array([cmath.exp(1j * g.beta * a) for a in g.alphas])
         w_out = dm_out.weights(e).tolist()
         w_in = build_defect_matrix(kin.kx, defects).weights(e).tolist()
-        singles = _kahan_sum(
-            w_out[n] * _kink_coefficient(g, bra=alphas[n])
-            + w_in[n] * _kink_coefficient(g, ket=alphas[n])
-            for n in idx
-        )
-        quads = _kahan_sum(
-            w_out[m] * _kink_coefficient(g, alphas[m], alphas[n]) * w_in[n]
-            for m in idx
-            for n in idx
-        )
-        bracket = bracket - 1j * singles - quads
+    u = [1.0] + [-1j * w for w in w_out]
+    v = [1.0] + [-1j * w for w in w_in]
+    pieces = (None, *g.alphas)
+    table = [[I0_closed(g) if bra is None and ket is None
+              else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
+    terms = [ua * t * vb for ua, row in zip(u, table) for t, vb in zip(row, v)]
+    bracket = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
     pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK)
     return pref * bracket
 

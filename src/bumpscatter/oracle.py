@@ -5,8 +5,9 @@ defining integral of the shape
 
     C = int dx dy  bra(x, y) * (L ket)(x, y),
 
-where bra and ket are the plane-wave or defect-wave factors of the exact
-unperturbed states (the bra side already conjugated: its y factor is
+where bra and ket are the plane-wave or kink pieces of the exact
+unperturbed states, named as in geoamp by a kink position or None for the
+plane wave (the bra side already conjugated: its y factor is
 e^{-i gamma y}, its kink factor e^{-i beta |x - a|}), and L is the
 first-order curvature operator from bumpscatter.surface applied in
 Cartesian form,
@@ -25,10 +26,10 @@ additionally contributes a line term: h_xx of e^{i beta |x - a|} carries
     C_line = int dy  bra(a, y) * psi_a(a, y) * a^2 * 2 i beta * e^{i gamma y}.
 
 Phase rule: a phase position a' enters a defining integral only as the
-constant factor e^{i beta a'}.  Every family is integrated with its phase
-positions at 0, once per kink (Imn, Jmn) or kink pair (Immnn), and the exact
-phase multiplies the result outside the quadrature, as geoamp builds its
-public closed forms from kink-only helpers.
+constant factor e^{i beta a'}.  Every integral is taken with its phase
+positions at 0, once per entry of the (N+1) x (N+1) table of plane (0) and
+kink (n + 1) pieces that geoamp contracts (_kink_integrals), and the exact
+phase multiplies the result outside the quadrature.
 
 The integrator is a global-adaptive tensor-product Gauss-Legendre scheme:
 the domain [-r_max, r_max]^2 starts as a grid of panels whose edges include
@@ -247,30 +248,6 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleVal
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Wave:
-    """One side of the matrix element, with its phase position at 0.
-
-    kind "plane": x factor e^{i beta x} (ket) / e^{i beta x} (bra; the bra
-    as used here is already the conjugated dual, whose plane part is also
-    e^{+i beta x} in the rotated frame).  kind "defect": ket factor
-    e^{+i beta |x - kink|}, bra factor e^{-i beta |x - kink|}.
-    """
-
-    kind: str
-    kink: float = 0.0
-
-
-_PLANE = _Wave("plane")
-
-
-def _wave_x_factor(w: _Wave, beta: float, X, is_bra: bool):
-    if w.kind == "plane":
-        return np.exp(1j * beta * X)
-    sign = -1.0 if is_bra else 1.0
-    return np.exp(sign * 1j * beta * np.abs(X - w.kink))
-
-
 def _integrand_inputs(g: GeoCoefficientInputs):
     """beta, gamma, bump profile and curvature weights shared by the integrands."""
     beta = g.beta
@@ -280,8 +257,13 @@ def _integrand_inputs(g: GeoCoefficientInputs):
             CurvatureCoefficients(g.lambda1, g.lambda2))
 
 
-def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
-    """Vectorized bra * (L ket) smooth-part integrand on arrays X, Y."""
+def _smooth_integrand(bra, ket, g: GeoCoefficientInputs):
+    """Vectorized bra * (L ket) smooth-part integrand on arrays X, Y.
+
+    bra and ket are kink positions, or None for the plane wave: x factor
+    e^{i beta x} on either side, e^{-i beta |x - bra|} for a bra kink (the
+    conjugated dual) and e^{i beta |x - ket|} for a ket kink.
+    """
     beta, gamma, profile, cc = _integrand_inputs(g)
 
     def f(X, Y):
@@ -289,10 +271,7 @@ def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
         Y = np.asarray(Y, dtype=float)
         R = np.hypot(X, Y)
         oc = operator_coeffs_first_order(R, profile, cc)
-        if ket.kind == "plane":
-            sg = 1.0
-        else:
-            sg = np.sign(X - ket.kink)
+        sg = 1.0 if ket is None else np.sign(X - ket)
         hx = 1j * beta * sg
         hy = 1j * gamma
         quad_part = oc.a_over_r2 * (
@@ -302,26 +281,28 @@ def _smooth_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
         )
         grad_part = oc.b_over_r2 * (X * hx + Y * hy)
         factor = quad_part + grad_part + oc.c
-        bra_v = _wave_x_factor(bra, beta, X, True) * np.exp(-1j * gamma * Y)
-        ket_v = _wave_x_factor(ket, beta, X, False) * np.exp(1j * gamma * Y)
+        bra_x = (np.exp(1j * beta * X) if bra is None
+                 else np.exp(-1j * beta * np.abs(X - bra)))
+        ket_x = np.exp(1j * beta * (X if ket is None else np.abs(X - ket)))
+        bra_v = bra_x * np.exp(-1j * gamma * Y)
+        ket_v = ket_x * np.exp(1j * gamma * Y)
         return bra_v * factor * ket_v
 
     return f
 
 
-def _delta_line_integrand(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs):
-    """1D y-integrand of the kinked ket's line term (None for plane kets)."""
-    if ket.kind != "defect":
-        return None
+def _delta_line_integrand(bra, ket: float, g: GeoCoefficientInputs):
+    """1D y-integrand of the line term of a ket kink at `ket`."""
     beta, gamma, profile, cc = _integrand_inputs(g)
-    a = ket.kink
-    const = 2j * beta * a * a
+    const = 2j * beta * ket * ket
+    bra_x = (np.exp(1j * beta * np.array(ket)) if bra is None
+             else np.exp(-1j * beta * np.abs(np.array(ket) - bra)))
 
     def f(Y):
         Y = np.asarray(Y, dtype=float)
-        R = np.hypot(a, Y)
+        R = np.hypot(ket, Y)
         oc = operator_coeffs_first_order(R, profile, cc)
-        bra_v = _wave_x_factor(bra, beta, np.array(a), True) * np.exp(-1j * gamma * Y)
+        bra_v = bra_x * np.exp(-1j * gamma * Y)
         return const * bra_v * oc.a_over_r2 * np.exp(1j * gamma * Y)
 
     return f
@@ -356,34 +337,41 @@ def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
     return edges_x, [-rmax, 0.0, rmax]
 
 
-def _integrate_pair(bra: _Wave, ket: _Wave, g: GeoCoefficientInputs,
+def _integrate_pair(bra, ket, g: GeoCoefficientInputs,
                     spec: QuadratureSpec, what: str) -> OracleValue:
-    kinks = [w.kink for w in (bra, ket) if w.kind == "defect"]
+    """Integral of bra piece `bra` against ket piece `ket` (kink positions,
+    or None for the plane wave), labeled `what`."""
+    kinks = [k for k in (bra, ket) if k is not None]
     edges_x, edges_y = _panel_edges(g, spec, kinks)
     out = _adaptive(_smooth_integrand(bra, ket, g), edges_x, edges_y, spec, what)
-    line = _delta_line_integrand(bra, ket, g)
-    if line is not None:
-        extra = _adaptive(line, edges_y, None, spec, what + " (line term)")
+    if ket is not None:
+        extra = _adaptive(_delta_line_integrand(bra, ket, g), edges_y, None, spec,
+                          what + " (line term)")
         out = _combine(out, extra)
     return out
 
 
-def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec, family: str,
-                   bra: int | None = None, ket: int | None = None) -> OracleValue:
-    """Integral of bra kink `bra` against ket kink `ket`, phase positions 0;
-    None puts the plane wave on that side.  Labeled family[kink indices]."""
-    def wave(k):
-        return _PLANE if k is None else _Wave("defect", kink=g.alphas[k])
-    kinks = ",".join(str(k) for k in (bra, ket) if k is not None)
-    return _integrate_pair(wave(bra), wave(ket), g, spec, f"{family}[{kinks}]")
+def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec,
+                   bra: float | None = None, ket: float | None = None) -> OracleValue:
+    """Integral of a bra kink at `bra` against a ket kink at `ket`, every
+    phase position at 0; None puts the plane wave on that side.  Labeled
+    I0, Imn[n], Jmn[n] or I4 base[m,n] by the kink indices in g.alphas."""
+    index = g.alphas.index
+    if bra is None:
+        label = "I0" if ket is None else f"Jmn[{index(ket)}]"
+    elif ket is None:
+        label = f"Imn[{index(bra)}]"
+    else:
+        label = f"I4 base[{index(bra)},{index(ket)}]"
+    return _integrate_pair(bra, ket, g, spec, label)
 
 
 def _kink_integrals(g: GeoCoefficientInputs, spec: QuadratureSpec):
-    """The lists I~_n and J~_n and the nested list B[m][n] of g's kinks."""
-    idx = range(len(g.alphas))
-    return ([_kink_integral(g, spec, "Imn", bra=n) for n in idx],
-            [_kink_integral(g, spec, "Jmn", ket=n) for n in idx],
-            [[_kink_integral(g, spec, "I4 base", bra=m, ket=n) for n in idx] for m in idx])
+    """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
+    kink at alpha_n: T[0][0] is I0, T[n+1][0] the bra kink I~_n, T[0][n+1]
+    the ket kink J~_n and T[m+1][n+1] the kink pair B[m, n]."""
+    pieces = (None, *g.alphas)
+    return [[_kink_integral(g, spec, bra, ket) for ket in pieces] for bra in pieces]
 
 
 # -- public coefficient oracles ---------------------------------------------
@@ -392,28 +380,28 @@ def _kink_integrals(g: GeoCoefficientInputs, spec: QuadratureSpec):
 def integrate_I0(g: GeoCoefficientInputs,
                  spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
     """Quadrature of the plane x plane defining integral."""
-    return _integrate_pair(_PLANE, _PLANE, g, spec, "I0")
+    return _kink_integral(g, spec)
 
 
 def integrate_Imn(g: GeoCoefficientInputs, m: int, n: int,
                   spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
     """Quadrature of the dual-defect (phase m, kink n) x plane integral:
     e^{i beta a_m} times the kink-only integral Imn[n]."""
-    return _phased(_kink_integral(g, spec, "Imn", bra=n), _phase(g, g.alphas[m]))
+    return _phased(_kink_integral(g, spec, bra=g.alphas[n]), _phase(g, g.alphas[m]))
 
 
 def integrate_Jmn(g: GeoCoefficientInputs, m: int, n: int,
                   spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
     """Quadrature of the plane x defect (phase m, kink n) integral:
     e^{i beta a_m} times the kink-only integral Jmn[n]."""
-    return _phased(_kink_integral(g, spec, "Jmn", ket=n), _phase(g, g.alphas[m]))
+    return _phased(_kink_integral(g, spec, ket=g.alphas[n]), _phase(g, g.alphas[m]))
 
 
 def integrate_Immnn(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int,
                     spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
     """Quadrature of the dual-defect x defect integral (kinks m, n):
     e^{i beta (a_m' + a_n')} times the kink-only integral I4 base[m,n]."""
-    return _phased(_kink_integral(g, spec, "I4 base", bra=m, ket=n),
+    return _phased(_kink_integral(g, spec, g.alphas[m], g.alphas[n]),
                    _phase(g, g.alphas[mp], g.alphas[np_]))
 
 
@@ -428,7 +416,7 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
     """
     a = g.alphas[n]
     base = _adaptive(
-        _smooth_integrand(_PLANE, _Wave("defect", kink=a), g),
+        _smooth_integrand(None, a, g),
         *_panel_edges(g, spec, [a]),
         spec,
         f"Jmn[{n}] smooth",
@@ -466,50 +454,50 @@ def assemble_f1_oracle(
     """f1 with every coefficient taken from quadrature instead of closed form.
 
     Shares only the defect-matrix algebra with the engine; all scattering
-    coefficients are integrated.  This is the engine's bilinear form with
-    quadrature moments in place of closed forms: with e_n = e^{i beta a_n},
-    v = Ainv^T e and w = Ainv e, the bracket is
+    coefficients are integrated.  This is the engine's bilinear form over
+    the (N+1) x (N+1) table T of _kink_integrals, 0 the plane wave and
+    n + 1 the kink at alpha_n.  With e_n = e^{i beta a_n}, v = Ainv^T e and
+    w = Ainv e, each entry is weighted by
 
-        I0 - i (v_out . I~ + v_in . J~) - w_out^T B w_in,
+        1 for T[0][0] = I0,   -i v_out[n] for the bra kink T[n+1][0],
+        -i v_in[n] for the ket kink T[0][n+1],
+        -w_out[m] w_in[n] for the kink pair T[m+1][n+1],
 
-    where I~_n, J~_n and B[m, n] are integrated once per kink or kink pair
-    with every phase position at 0, and v and w carry the exact phases.
-    The engine contracts w in place of v (A is symmetric); keeping both
-    orientations of the inverse here checks that reduction too.
+    and the weighted entries are added by math.fsum.  The engine contracts
+    w in place of v (A is symmetric); keeping both orientations of the
+    inverse here checks that reduction too.
 
     err_est and abs_integral weigh each integral's estimate by the summed
-    modulus of its assembly weights: sum_m |Ainv_out[m,n]| for I~_n,
-    sum_m |Ainv_in[m,n]| for J~_n, and sum_{m',n'} |Ainv_out[m,m']
+    modulus of its assembly weights: sum_m |Ainv_out[m,n]| for a bra kink,
+    sum_m |Ainv_in[m,n]| for a ket kink, and sum_{m',n'} |Ainv_out[m,m']
     Ainv_in[n,n']| = (sum_m' |Ainv_out[m,m']|) (sum_n' |Ainv_in[n,n']|)
-    for B[m, n].
+    for a kink pair.
     """
     g = GeoCoefficientInputs(
         s=kin.s, bigK=kin.bigK, alphas=defects.positions,
         eta=eta, lambda1=lambda1, lambda2=lambda2,
     )
-    i0 = integrate_I0(g, spec)
-    bracket, total_err, total_abs, panels = i0.value, i0.err_est, i0.abs_integral, i0.panels
-    if defects.n > 0:
+    n = defects.n
+    coef = np.ones((n + 1, n + 1), dtype=complex)
+    weight = np.ones((n + 1, n + 1))
+    if n > 0:
         ainv_in = build_defect_matrix(kin.kx, defects).inverse
         ainv_out = build_defect_matrix(kin.kx_out, defects).inverse
         e = np.exp(1j * g.beta * np.array(g.alphas))
-        v_out, v_in, w_out, w_in = ainv_out.T @ e, ainv_in.T @ e, ainv_out @ e, ainv_in @ e
-        col_out, col_in = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
-        row_out, row_in = np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1)
-        bra, ket, pairs = _kink_integrals(g, spec)
-        idx = range(defects.n)
-        # (coefficient, weight of its estimates, integral) of every term
-        terms = [(-1j * v_out[n], col_out[n], bra[n]) for n in idx]
-        terms += [(-1j * v_in[n], col_in[n], ket[n]) for n in idx]
-        terms += [(-w_out[m] * w_in[n], row_out[m] * row_in[n], pairs[m][n])
-                  for m in idx for n in idx]
-        bracket += sum(c * ov.value for c, _, ov in terms)
-        total_err += sum(w * ov.err_est for _, w, ov in terms)
-        total_abs += sum(w * ov.abs_integral for _, w, ov in terms)
-        panels += sum(ov.panels for *_, ov in terms)
+        coef[1:, 0], coef[0, 1:] = -1j * (ainv_out.T @ e), -1j * (ainv_in.T @ e)
+        coef[1:, 1:] = -np.outer(ainv_out @ e, ainv_in @ e)
+        weight[1:, 0], weight[0, 1:] = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
+        weight[1:, 1:] = np.outer(np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1))
+    cells = [(coef[a, b], weight[a, b], ov)
+             for a, row in enumerate(_kink_integrals(g, spec)) for b, ov in enumerate(row)]
+    values = [c * ov.value for c, _, ov in cells]
+    bracket = complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
+    total_err = math.fsum(w * ov.err_est for _, w, ov in cells)
+    total_abs = math.fsum(w * ov.abs_integral for _, w, ov in cells)
     pref = -0.5 * complex(np.exp(1j * math.pi / 4.0)) / math.sqrt(2.0 * math.pi * kin.bigK)
     return OracleValue(value=complex(pref * bracket), err_est=float(abs(pref) * total_err),
-                       panels=panels, abs_integral=float(abs(pref) * total_abs))
+                       panels=sum(ov.panels for *_, ov in cells),
+                       abs_integral=float(abs(pref) * total_abs))
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +667,17 @@ def verify_all(
                     lambda1=l1, lambda2=l2,
                 )
                 base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
-                ov = integrate_I0(g, spec)
-                emit("I0", (), ov, I0_closed(g), base)
-                # every family once per kink (pair), each record re-phased exactly
-                bra, ket, pairs = _kink_integrals(g, spec)
+                # every integral once per table entry, each record re-phased exactly
+                table = _kink_integrals(g, spec)
+                emit("I0", (), table[0][0], I0_closed(g), base)
                 for m, n in itertools.product(range(npos), repeat=2):
                     phase = _phase(g, alphas[m])
-                    emit("Imn", (m, n), _phased(bra[n], phase), Imn_closed(g, m, n), base)
-                    emit("Jmn", (m, n), _phased(ket[n], phase), Jmn_closed(g, m, n), base)
+                    emit("Imn", (m, n), _phased(table[n + 1][0], phase),
+                         Imn_closed(g, m, n), base)
+                    emit("Jmn", (m, n), _phased(table[0][n + 1], phase),
+                         Jmn_closed(g, m, n), base)
                 for m, mp, n, np_ in itertools.product(range(npos), repeat=4):
                     emit("Immnn", (m, mp, n, np_),
-                         _phased(pairs[m][n], _phase(g, alphas[mp], alphas[np_])),
+                         _phased(table[m + 1][n + 1], _phase(g, alphas[mp], alphas[np_])),
                          Immnn_closed(g, m, mp, n, np_), base)
     return report

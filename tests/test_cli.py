@@ -127,6 +127,33 @@ def test_sweep_rejects_delta_supported_angle(tmp_path, capsys):
     assert "delta-supported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta0_deg, special_deg", [(10.0, 10.0), (10.0, 170.0)])
+def test_sweep_and_cross_section_share_the_delta_supported_window(
+        tmp_path, capsys, theta0_deg, special_deg):
+    # One window, geoamp.SINGULAR_ANGLE_TOL (1e-6 deg), decides both the
+    # sweep rejection and the cross_section refusal, on the incidence ray
+    # and on its mirror.
+    ds = DefectSet([3.0], [1.0])
+
+    def sweep(theta_deg):
+        return main(["sweep", f"--theta0-deg={theta0_deg}", "--defects=3",
+                     f"--theta-deg={theta_deg!r}", "--kgrid=1:1:1",
+                     "--out", str(tmp_path / "x.csv")])
+
+    def xsec(theta_deg):
+        kin = Kinematics(1.0, math.radians(theta0_deg), math.radians(theta_deg))
+        return cross_section(kin, ds, 0.1, 0.5, -0.5)
+
+    inside = special_deg + 5e-7
+    assert sweep(inside) == EXIT_USAGE
+    assert "delta-supported" in capsys.readouterr().err
+    with pytest.raises(SingularAngleError):
+        xsec(inside)
+    outside = special_deg + 2e-6
+    assert sweep(outside) == EXIT_OK
+    assert math.isfinite(xsec(outside))
+
+
 def test_option_value_starting_with_dash_needs_equals_form(tmp_path, capsys):
     # argparse cannot treat "-3,3" after a space as a value; the documented
     # workaround is --defects=-3,3.

@@ -33,8 +33,6 @@ from bumpscatter.oracle import (
     QuadratureSpec,
     _adaptive,
     _smooth_integrand,
-    _Wave,
-    _wave_x_factor,
     assemble_f1_oracle,
     default_verification_grid,
     integrate_I0,
@@ -122,7 +120,7 @@ def _polar_integrand(bra, ket, g):
     def f(X, Y):
         R = np.hypot(X, Y)
         oc = operator_coeffs_first_order(R, profile, cc)
-        sg = 1.0 if ket.kind == "plane" else np.sign(X - ket.kink)
+        sg = 1.0 if ket is None else np.sign(X - ket)
         hx = 1j * beta * sg
         hy = 1j * gamma
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -138,9 +136,9 @@ def _polar_integrand(bra, ket, g):
                 0.0,
             )
         factor = oc.a * dr2 + np.where(R > 0.0, oc.b * dr1 / R, 0.0) + oc.c
-        bra_v = _wave_x_factor(bra, beta, X, True) * np.exp(-1j * gamma * Y)
-        ket_v = _wave_x_factor(ket, beta, X, False) * np.exp(1j * gamma * Y)
-        return bra_v * factor * ket_v
+        bra_x = np.exp(1j * beta * (X if bra is None else -np.abs(X - bra)))
+        ket_x = np.exp(1j * beta * (X if ket is None else np.abs(X - ket)))
+        return bra_x * np.exp(-1j * gamma * Y) * factor * ket_x * np.exp(1j * gamma * Y)
 
     return f
 
@@ -150,11 +148,8 @@ def test_cartesian_and_polar_routes_agree_pointwise():
     rng = np.random.default_rng(7)
     X = rng.uniform(-8.0, 8.0, 1000)
     Y = rng.uniform(-8.0, 8.0, 1000)
-    pairs = [
-        (_Wave("plane"), _Wave("plane")),
-        (_Wave("plane"), _Wave("defect", kink=0.7)),
-        (_Wave("defect", kink=0.7), _Wave("defect", kink=0.7)),
-    ]
+    # bra and ket pieces: a kink position, or None for the plane wave
+    pairs = [(None, None), (None, 0.7), (0.7, 0.7)]
     for bra, ket in pairs:
         fc = _smooth_integrand(bra, ket, g)(X, Y)
         fp = _polar_integrand(bra, ket, g)(X, Y)
