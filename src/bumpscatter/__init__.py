@@ -28,10 +28,8 @@ from .defects import (  # noqa: F401
 from .geoamp import (  # noqa: F401
     GeoCoefficientInputs,
     I0_closed,
-    Immnn_closed,
-    Imn_closed,
-    Jmn_closed,
     SingularAngleError,
+    coefficient_table,
     cross_section,
     f1_geometric,
 )

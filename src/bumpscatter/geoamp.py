@@ -20,17 +20,11 @@ table,
 
     sum_{a,b} u_a T[a][b] v_b,   T = [[I0, J~_n], [I~_m, C[m, n]]],
 
-which costs 1 + 2N + N^2 coefficient evaluations per angle.  The terms are
-added by one math.fsum over the real parts and one over the imaginary
-parts, which is exactly rounded and so independent of their order.  A is
-symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).  The
-public coefficient families carry the phase positions as unimodular
-factors,
-
-    I[m,n] = e_m I~_n,   J[m,n] = e_m J~_n,   I4[m,m',n,n'] = e_m' e_n' C[m,n];
-
-the first two hold in exact arithmetic (e^{x + i beta a_m} = e_m e^x) and
-to about 4e-16 in floating point, the third by construction.
+which costs 1 + 2N + N^2 coefficient evaluations per angle
+(coefficient_table).  The terms are added by one math.fsum over the real
+parts and one over the imaginary parts, which is exactly rounded and so
+independent of their order.  A is symmetric, so w = Ainv e is also
+Ainv^T e (DefectMatrix.weights).
 
 Every entry but T[0][0] is one shape, computed by one kernel
 (_kink_coefficient(g, bra, ket), a kink position or None on each side):
@@ -83,9 +77,7 @@ from .specfun import SAFE_REAL_WINDOW, exp_erfc
 __all__ = [
     "GeoCoefficientInputs",
     "I0_closed",
-    "Imn_closed",
-    "Jmn_closed",
-    "Immnn_closed",
+    "coefficient_table",
     "f1_geometric",
     "cross_section",
     "SingularAngleError",
@@ -164,33 +156,6 @@ def I0_closed(g: GeoCoefficientInputs) -> float:
     """
     b = g.beta
     return 0.5 * math.pi * g.eta * math.exp(-b * b) * g.p2
-
-
-def Imn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
-    """Dual-defect-wave (phase index m, kink index n) x plane-wave coefficient.
-
-    The phase position enters only as the factor e^{i beta a_m}.
-    """
-    return cmath.exp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, bra=g.alphas[n])
-
-
-def Jmn_closed(g: GeoCoefficientInputs, m: int, n: int) -> complex:
-    """Plane-wave x defect-wave (phase index m, kink index n) coefficient.
-
-    Includes the delta-line contribution of the kinked ket.  The phase
-    position enters only as the factor e^{i beta a_m}.
-    """
-    return cmath.exp(1j * g.beta * g.alphas[m]) * _kink_coefficient(g, ket=g.alphas[n])
-
-
-def Immnn_closed(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int) -> complex:
-    """Dual-defect-wave (kink m, phase m') x defect-wave (kink n, phase n').
-
-    The phase indices enter only through the common factor
-    e^{i beta (am' + an')}; the rest is the kink-pair coefficient.
-    """
-    phase = cmath.exp(1j * g.beta * (g.alphas[mp] + g.alphas[np_]))
-    return phase * _kink_coefficient(g, g.alphas[m], g.alphas[n])
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +259,16 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
 # ---------------------------------------------------------------------------
 
 
+def coefficient_table(g: GeoCoefficientInputs) -> list:
+    """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
+    kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
+    the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
+    pair C[m, n]."""
+    pieces = (None, *g.alphas)
+    return [[I0_closed(g) if bra is None and ket is None
+             else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
+
+
 def geo_inputs(
     kin: Kinematics,
     defects: DefectSet,
@@ -335,10 +310,7 @@ def _f1_direct(
         w_in = build_defect_matrix(kin.kx, defects).weights(e).tolist()
     u = [1.0] + [-1j * w for w in w_out]
     v = [1.0] + [-1j * w for w in w_in]
-    pieces = (None, *g.alphas)
-    table = [[I0_closed(g) if bra is None and ket is None
-              else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
-    terms = [ua * t * vb for ua, row in zip(u, table) for t, vb in zip(row, v)]
+    terms = [ua * t * vb for ua, row in zip(u, coefficient_table(g)) for t, vb in zip(row, v)]
     bracket = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
     pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK)
     return pref * bracket

@@ -28,8 +28,9 @@ additionally contributes a line term: h_xx of e^{i beta |x - a|} carries
 Phase rule: a phase position a' enters a defining integral only as the
 constant factor e^{i beta a'}.  Every integral is taken with its phase
 positions at 0, once per entry of the (N+1) x (N+1) table of plane (0) and
-kink (n + 1) pieces that geoamp contracts (_kink_integrals), and the exact
-phase multiplies the result outside the quadrature.
+kink (n + 1) pieces that geoamp contracts (integral_table, the quadrature
+twin of geoamp.coefficient_table), and the exact phase multiplies the
+result outside the quadrature.
 
 The integrator is a global-adaptive tensor-product Gauss-Legendre scheme:
 the domain [-r_max, r_max]^2 starts as a grid of panels whose edges include
@@ -43,7 +44,7 @@ exactly rounded and so independent of the order the panels end up in.
 
 This module is intentionally independent of the closed forms: it never
 calls geoamp internals, only mirrors the defining integrals.  verify_all
-evaluates both and reports coefficient-by-coefficient agreement.
+evaluates both tables and reports coefficient-by-coefficient agreement.
 """
 
 from __future__ import annotations
@@ -51,28 +52,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .defects import DefectSet, Kinematics, build_defect_matrix
-from .geoamp import (
-    GeoCoefficientInputs,
-    I0_closed,
-    Immnn_closed,
-    Imn_closed,
-    Jmn_closed,
-)
+from .geoamp import GeoCoefficientInputs, coefficient_table
 from .surface import BumpProfile, CurvatureCoefficients, operator_coeffs_first_order
 
 __all__ = [
     "QuadratureSpec",
     "OracleValue",
     "QuadratureConvergenceError",
-    "integrate_I0",
-    "integrate_Imn",
-    "integrate_Jmn",
-    "integrate_Immnn",
+    "integral_table",
     "integrate_Jmn_mollified",
     "assemble_f1_oracle",
     "VerificationRecord",
@@ -323,11 +315,6 @@ def _phase(g: GeoCoefficientInputs, *positions: float) -> complex:
     return complex(np.exp(1j * g.beta * sum(positions)))
 
 
-def _phased(ov: OracleValue, phase: complex) -> OracleValue:
-    """A kink-only integral times its exact unimodular phase."""
-    return replace(ov, value=phase * ov.value)
-
-
 def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
     """Base panel edges: x breaks at 0 and at the points inside the box,
     y breaks at 0."""
@@ -366,53 +353,24 @@ def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec,
     return _integrate_pair(bra, ket, g, spec, label)
 
 
-def _kink_integrals(g: GeoCoefficientInputs, spec: QuadratureSpec):
+def integral_table(g: GeoCoefficientInputs, spec: QuadratureSpec = QuadratureSpec()):
     """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
-    kink at alpha_n: T[0][0] is I0, T[n+1][0] the bra kink I~_n, T[0][n+1]
-    the ket kink J~_n and T[m+1][n+1] the kink pair B[m, n]."""
+    kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
+    the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
+    pair C[m, n].  Entry by entry the quadrature of geoamp.coefficient_table."""
     pieces = (None, *g.alphas)
     return [[_kink_integral(g, spec, bra, ket) for ket in pieces] for bra in pieces]
 
 
-# -- public coefficient oracles ---------------------------------------------
-
-
-def integrate_I0(g: GeoCoefficientInputs,
-                 spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the plane x plane defining integral."""
-    return _kink_integral(g, spec)
-
-
-def integrate_Imn(g: GeoCoefficientInputs, m: int, n: int,
-                  spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the dual-defect (phase m, kink n) x plane integral:
-    e^{i beta a_m} times the kink-only integral Imn[n]."""
-    return _phased(_kink_integral(g, spec, bra=g.alphas[n]), _phase(g, g.alphas[m]))
-
-
-def integrate_Jmn(g: GeoCoefficientInputs, m: int, n: int,
-                  spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the plane x defect (phase m, kink n) integral:
-    e^{i beta a_m} times the kink-only integral Jmn[n]."""
-    return _phased(_kink_integral(g, spec, ket=g.alphas[n]), _phase(g, g.alphas[m]))
-
-
-def integrate_Immnn(g: GeoCoefficientInputs, m: int, mp: int, n: int, np_: int,
-                    spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Quadrature of the dual-defect x defect integral (kinks m, n):
-    e^{i beta (a_m' + a_n')} times the kink-only integral I4 base[m,n]."""
-    return _phased(_kink_integral(g, spec, g.alphas[m], g.alphas[n]),
-                   _phase(g, g.alphas[mp], g.alphas[np_]))
-
-
-def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: float,
+def integrate_Jmn_mollified(g: GeoCoefficientInputs, n: int, width: float,
                             spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Line term of Jmn with delta(x - a) replaced by a Gaussian of the
-    given width, evaluated as a genuine 2D integral.
+    """Ket kink n against the plane wave (the table entry T[0][n+1]) with
+    its line term's delta(x - a) replaced by a Gaussian of the given
+    width, evaluated as a genuine 2D integral.
 
     Used to confirm the sharp line term: the mollified value approaches it
-    as O(width^2).  Returns e^{i beta a_m} times smooth part + mollified
-    line term of kink n.
+    as O(width^2).  Returns the smooth part plus the mollified line term,
+    with the phase position at 0.
     """
     a = g.alphas[n]
     base = _adaptive(
@@ -435,7 +393,7 @@ def integrate_Jmn_mollified(g: GeoCoefficientInputs, m: int, n: int, width: floa
     # the mollifier support needs panel edges at a +- few widths
     edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
     line = _adaptive(f, *edges, spec, "mollified line")
-    return _phased(_combine(base, line), _phase(g, g.alphas[m]))
+    return _combine(base, line)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +413,7 @@ def assemble_f1_oracle(
 
     Shares only the defect-matrix algebra with the engine; all scattering
     coefficients are integrated.  This is the engine's bilinear form over
-    the (N+1) x (N+1) table T of _kink_integrals, 0 the plane wave and
+    the (N+1) x (N+1) table T of integral_table, 0 the plane wave and
     n + 1 the kink at alpha_n.  With e_n = e^{i beta a_n}, v = Ainv^T e and
     w = Ainv e, each entry is weighted by
 
@@ -489,7 +447,7 @@ def assemble_f1_oracle(
         weight[1:, 0], weight[0, 1:] = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
         weight[1:, 1:] = np.outer(np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1))
     cells = [(coef[a, b], weight[a, b], ov)
-             for a, row in enumerate(_kink_integrals(g, spec)) for b, ov in enumerate(row)]
+             for a, row in enumerate(integral_table(g, spec)) for b, ov in enumerate(row)]
     values = [c * ov.value for c, _, ov in cells]
     bracket = complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
     total_err = math.fsum(w * ov.err_est for _, w, ov in cells)
@@ -619,6 +577,17 @@ def verify_all(
 ) -> VerificationReport:
     """Compare every closed-form coefficient against quadrature on a grid.
 
+    Per grid point, geoamp.coefficient_table and integral_table each build
+    the (N+1) x (N+1) table once.  The records keep the four coefficient
+    families of the index-tuple expansion of f1: I0 = T[0][0] and, with
+    e_n = e^{i beta a_n},
+
+        Imn[m, n] = e_m T[n+1][0],   Jmn[m, n] = e_m T[0][n+1],
+        Immnn[m, m', n, n'] = e_m' e_n' T[m+1][n+1],
+
+    each record multiplying its closed and its oracle entry by the same
+    phase.
+
     Pass rule, per closed value c against the oracle value q:
 
     * relative: if |q| > R, c matches when |c - q| / max(|q|, atol) <= rtol.
@@ -640,8 +609,10 @@ def verify_all(
     eta = grid.get("eta", 0.1)
     npos = len(alphas)
 
-    def emit(coefficient, indices, ov, closed, base):
+    def emit(coefficient, indices, ov, closed, base, phase=None):
         oval = ov.value
+        if phase is not None:
+            oval, closed = phase * oval, phase * closed
         resolution = ov.resolution(spec)
         rel = _rel_err(closed, oval, atol)
         if abs(oval) <= resolution:
@@ -667,17 +638,13 @@ def verify_all(
                     lambda1=l1, lambda2=l2,
                 )
                 base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
-                # every integral once per table entry, each record re-phased exactly
-                table = _kink_integrals(g, spec)
-                emit("I0", (), table[0][0], I0_closed(g), base)
+                closed, table = coefficient_table(g), integral_table(g, spec)
+                emit("I0", (), table[0][0], closed[0][0], base)
                 for m, n in itertools.product(range(npos), repeat=2):
                     phase = _phase(g, alphas[m])
-                    emit("Imn", (m, n), _phased(table[n + 1][0], phase),
-                         Imn_closed(g, m, n), base)
-                    emit("Jmn", (m, n), _phased(table[0][n + 1], phase),
-                         Jmn_closed(g, m, n), base)
+                    emit("Imn", (m, n), table[n + 1][0], closed[n + 1][0], base, phase)
+                    emit("Jmn", (m, n), table[0][n + 1], closed[0][n + 1], base, phase)
                 for m, mp, n, np_ in itertools.product(range(npos), repeat=4):
-                    emit("Immnn", (m, mp, n, np_),
-                         _phased(table[m + 1][n + 1], _phase(g, alphas[mp], alphas[np_])),
-                         Immnn_closed(g, m, mp, n, np_), base)
+                    emit("Immnn", (m, mp, n, np_), table[m + 1][n + 1],
+                         closed[m + 1][n + 1], base, _phase(g, alphas[mp], alphas[np_]))
     return report

@@ -4,20 +4,19 @@ Every closed-form coefficient in this package is assembled from terms of the
 shape  exp(X) * erf(w),  exp(X) * erfc(w)  or a bare guarded exponential.
 Evaluating the two factors separately is catastrophic once Re(X) or Re(w**2)
 grows: the exponential overflows while the error function underflows, even
-though the product is O(1).  This module provides the three error functions
-on complex arguments plus fused product helpers that route everything
-through the scaled function erfcx(w) = exp(w**2) * erfc(w), which stays
-bounded on the right half plane.
+though the product is O(1).  This module provides the scaled function
+erfcx(w) = exp(w**2) * erfc(w), which stays bounded on the right half
+plane, on complex arguments, a guarded exponential, and fused product
+helpers that route everything through erfcx.
 
 Symmetry contracts (exact by construction, not merely to rounding):
 
-    erf(-z) == -erf(z)          erf(conj(z)) == conj(erf(z))
-    erfc(-z) == 2 - erfc(z)     erfc(conj(z)) == conj(erfc(z))
     erfcx(conj(z)) == conj(erfcx(z))
+    exp_erf(x, -w) == -exp_erf(x, w)
 
-The wrappers reduce every argument to the closed first quadrant before
-calling the scipy kernel, then map the result back, so the identities above
-hold bit for bit.
+erfcx_c reduces its argument to the closed first quadrant before calling
+the scipy kernel and maps the result back, and exp_erf reduces w to the
+right half plane, so both identities hold bit for bit.
 
 The reflection  erfcx(-z) = 2*exp(z**2) - erfcx(z)  is the one genuinely
 overflow-prone step: exp(z**2) overflows in double precision once
@@ -35,8 +34,6 @@ import numpy as np
 import scipy.special as _sp
 
 __all__ = [
-    "erf_c",
-    "erfc_c",
     "erfcx_c",
     "eexp",
     "exp_erf",
@@ -60,36 +57,6 @@ def _as_complex(z) -> complex:
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError(f"non-finite argument: {z!r}")
     return w
-
-
-def erf_c(z) -> complex:
-    """Error function on the complex plane.
-
-    Accurate to ~1e-13 relative for |z| <= 10 and ~1e-11 for |z| <= 50.
-    Oddness and conjugate symmetry are exact: the argument is reduced to the
-    first quadrant before the kernel call.
-    """
-    w = _as_complex(z)
-    if w.imag < 0.0:
-        return erf_c(w.conjugate()).conjugate()
-    if w.real < 0.0:
-        return -erf_c(-w.conjugate()).conjugate()
-    return complex(_sp.erf(w))
-
-
-def erfc_c(z) -> complex:
-    """Complementary error function, erfc(z) = 1 - erf(z), on complex z.
-
-    The reflection erfc(-z) = 2 - erfc(z) and conjugate symmetry are exact
-    by argument reduction.  For large positive Re z the result underflows
-    gracefully to 0; use erfcx_c for scaled evaluation.
-    """
-    w = _as_complex(z)
-    if w.imag < 0.0:
-        return erfc_c(w.conjugate()).conjugate()
-    if w.real < 0.0:
-        return 2.0 - erfc_c(-w.conjugate()).conjugate()
-    return complex(_sp.erfc(w))
 
 
 def erfcx_c(z) -> complex:

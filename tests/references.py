@@ -14,7 +14,7 @@ import math
 
 import mpmath as mp
 
-from bumpscatter.geoamp import Immnn_closed
+from bumpscatter.geoamp import coefficient_table
 from bumpscatter.specfun import exp_erf
 
 
@@ -28,17 +28,19 @@ def immnn_x2(g, m, mp, n, np_):
              * exp_erf(-beta^2 + i beta (am + an), am + i beta)
              * e^{i beta (am' + an')};
 
-    otherwise the two transcriptions coincide.
+    otherwise the two transcriptions coincide.  kappa2 is the engine's
+    kink-pair entry of geoamp.coefficient_table times its phase.
     """
-    kappa2 = Immnn_closed(g, m, mp, n, np_)
+    b = g.beta
+    phase = cmath.exp(1j * b * (g.alphas[mp] + g.alphas[np_]))
+    kappa2 = phase * coefficient_table(g)[m + 1][n + 1]
     am, an = g.alphas[m], g.alphas[n]
     if not am < an:
         return kappa2
-    b = g.beta
     step = (
         (am * am - g.bigK**2) * ((1.0 + 4.0 * g.lambda1) * g.s**2 - 1.0)
         * exp_erf(-b * b + 1j * b * (am + an), am + 1j * b)
-        * cmath.exp(1j * b * (g.alphas[mp] + g.alphas[np_]))
+        * phase
     )
     return kappa2 - 0.25 * math.pi * g.eta * step
 

@@ -4,13 +4,15 @@ The frozen complex literals below were produced by an independent 40-digit
 semi-analytic reduction of the defining integrals (mpmath, one analytic
 Gaussian integration followed by adaptive 1D quadrature), not by the package
 itself.  They pin every family and every piecewise branch of the four-index
-coefficient.  Structural identities (forward collapse, eta scaling, weak
-coupling limits) then tie the full assembly to those pinned values.
+coefficient, each as its phase times one entry of the coefficient table.
+Structural identities (forward collapse, eta scaling, weak coupling limits)
+then tie the full assembly to those pinned values.
 """
 
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from references import immnn_x2, kink_coefficient_mp
@@ -26,10 +28,8 @@ from bumpscatter.geoamp import (
     GeoCoefficientInputs,
     REG_COND_LIMIT,
     I0_closed,
-    Immnn_closed,
-    Imn_closed,
-    Jmn_closed,
     SingularAngleError,
+    coefficient_table,
     cross_section,
     f1_geometric,
     geo_inputs,
@@ -43,6 +43,16 @@ def _g(s, bigK, alphas, eta=0.1, lambda1=0.5, lambda2=-0.5):
         s=s, bigK=bigK, alphas=tuple(alphas), eta=eta,
         lambda1=lambda1, lambda2=lambda2,
     )
+
+
+def _phased(g, entry, *phase_indices):
+    """Table entry (bra piece, ket piece) times e^{i beta (sum of the phase
+    positions)}: Imn[m, n] is _phased(g, (n + 1, 0), m), Jmn[m, n] is
+    _phased(g, (0, n + 1), m) and Immnn[m, m', n, n'] is
+    _phased(g, (m + 1, n + 1), m', n')."""
+    a, b = entry
+    phase = cmath.exp(1j * g.beta * sum(g.alphas[i] for i in phase_indices))
+    return phase * coefficient_table(g)[a][b]
 
 
 # ---------------------------------------------------------------------------
@@ -63,24 +73,24 @@ def test_no_defect_coefficient_frozen():
 def test_two_index_coefficients_frozen():
     gA = _g(0.5, 1.3, (-1.1, 2.3))
     np.testing.assert_allclose(
-        Imn_closed(gA, 0, 1),
+        _phased(gA, (2, 0), 0),
         0.11789777508713939 + 0.15984319862128379j, rtol=RTOL,
     )
     np.testing.assert_allclose(
-        Imn_closed(gA, 1, 0),
+        _phased(gA, (1, 0), 1),
         -0.30026255275470098 - 0.26206901713963909j, rtol=RTOL,
     )
     np.testing.assert_allclose(
-        Jmn_closed(gA, 0, 1),
+        _phased(gA, (0, 2), 0),
         -0.30186119067103878 - 0.29480034340769246j, rtol=RTOL,
     )
     gB = _g(1.0, 0.8, (0.0, 3.0), eta=0.05, lambda1=0.0, lambda2=-0.5)
     np.testing.assert_allclose(
-        Imn_closed(gB, 0, 1),
+        _phased(gB, (2, 0), 0),
         0.056340089987212648 + 0.051589656711318474j, rtol=RTOL,
     )
     np.testing.assert_allclose(
-        Jmn_closed(gB, 1, 0),
+        _phased(gB, (0, 1), 1),
         0.074270228334897465 - 0.070819576196999051j, rtol=RTOL,
     )
 
@@ -89,24 +99,24 @@ def test_four_index_coefficient_frozen_all_branches():
     # Bra kink below ket kink.
     g1 = _g(0.5, 1.3, (-1.1, -0.4, 1.7, 2.3))
     np.testing.assert_allclose(
-        Immnn_closed(g1, 0, 1, 3, 2),
+        _phased(g1, (1, 4), 1, 2),
         0.035852601215118227 - 0.22458866569958005j, rtol=RTOL,
     )
     # Coincident bra and ket kinks (the branch with the delta-line term).
     g2 = _g(0.5, 1.3, (-2.0, -1.1, 0.6))
     np.testing.assert_allclose(
-        Immnn_closed(g2, 1, 2, 1, 0),
+        _phased(g2, (2, 2), 2, 0),
         -0.21295348294919494 + 0.36965615517354294j, rtol=RTOL,
     )
     # Bra kink above ket kink.
     g3 = _g(0.5, 1.3, (-2.0, -1.1, 0.6, 2.3))
     np.testing.assert_allclose(
-        Immnn_closed(g3, 3, 2, 1, 0),
+        _phased(g3, (4, 2), 2, 0),
         0.048392675433779099 + 0.16395162712811578j, rtol=RTOL,
     )
     g4 = _g(1.0, 0.8, (0.0, 3.0), eta=0.05, lambda1=0.0, lambda2=-0.5)
     np.testing.assert_allclose(
-        Immnn_closed(g4, 1, 1, 1, 1),
+        _phased(g4, (2, 2), 1, 1),
         -0.011187530996687386 + 0.12831855305234879j, rtol=RTOL,
     )
 
@@ -128,17 +138,20 @@ def test_four_index_coefficient_frozen_all_branches():
     ],
 )
 def test_kink_families_match_fifty_digit_quadrature(family, s, bigK, lambdas, alphas, indices):
+    # The record's phase is exact and common to both sides, so the table
+    # entry is compared unphased; the phase indices only name the record.
     g = _g(s, bigK, alphas, lambda1=lambdas[0], lambda2=lambdas[1])
     a = g.alphas
+    table = coefficient_table(g)
     if family == "Immnn":
-        m, mp, n, np_ = indices
-        closed = Immnn_closed(g, m, mp, n, np_)
-        ref = cmath.exp(1j * g.beta * (a[mp] + a[np_])) * kink_coefficient_mp(g, a[m], a[n])
+        m, _, n, _ = indices
+        closed, ref = table[m + 1][n + 1], kink_coefficient_mp(g, a[m], a[n])
+    elif family == "Imn":
+        n = indices[1]
+        closed, ref = table[n + 1][0], kink_coefficient_mp(g, bra=a[n])
     else:
-        m, n = indices
-        closed = (Imn_closed if family == "Imn" else Jmn_closed)(g, m, n)
-        kink = {"bra": a[n]} if family == "Imn" else {"ket": a[n]}
-        ref = cmath.exp(1j * g.beta * a[m]) * kink_coefficient_mp(g, **kink)
+        n = indices[1]
+        closed, ref = table[0][n + 1], kink_coefficient_mp(g, ket=a[n])
     np.testing.assert_allclose(closed, ref, rtol=1e-12)
 
 
@@ -153,12 +166,8 @@ def test_zero_momentum_transfer_collapses_all_families():
     g = _g(0.0, 2.0, (-2.0, -0.5), lambda1=0.5, lambda2=0.5)
     ref = I0_closed(g)
     np.testing.assert_allclose(ref, -0.47123889803846902 + 0j, rtol=RTOL)
-    for m in (0, 1):
-        for n in (0, 1):
-            assert Imn_closed(g, m, n) == ref
-            assert Jmn_closed(g, m, n) == ref
-    assert Immnn_closed(g, 0, 1, 1, 0) == ref
-    assert Immnn_closed(g, 1, 1, 1, 1) == ref
+    # every phase is e^0 = 1 exactly, so each family equals its table entry
+    assert all(t == ref for row in coefficient_table(g) for t in row)
 
 
 def test_no_defect_coefficient_substitutions():
@@ -223,19 +232,26 @@ def _kahan(terms):
     return total
 
 
-def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2, immnn=Immnn_closed):
-    """Reference f1: the public coefficients summed over every index tuple.
+def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2, immnn=None):
+    """Reference f1: the phased table entries summed over every index tuple.
 
-    Costs 2N^2 two-index and N^4 four-index evaluations; the engine's
-    bilinear form over kink-only factors must reproduce it.  immnn is the
-    four-index coefficient to sum.
+    Sums 2N^2 two-index and N^4 four-index terms, Imn[m, k] = e_m T[k+1][0],
+    Jmn[m, k] = e_m T[0][k+1] and Immnn[m, m', k, k'] = e_m' e_k' T[m+1][k+1]
+    with e_n = e^{i beta a_n}; the engine's bilinear form over the table
+    must reproduce it.  immnn(g, m, m', k, k') is the four-index coefficient
+    to sum, by default the table's.
     """
     g = geo_inputs(kin, ds, eta, lambda1, lambda2)
     n = ds.n
+    table = coefficient_table(g)
+    e = [cmath.exp(1j * g.beta * a) for a in g.alphas]
+    if immnn is None:
+        def immnn(g, m, mp, k, kp):
+            return cmath.exp(1j * g.beta * (g.alphas[mp] + g.alphas[kp])) * table[m + 1][k + 1]
     ainv_in = build_defect_matrix(kin.kx, ds).inverse
     ainv_out = build_defect_matrix(kin.kx_out, ds).inverse
     singles = _kahan(
-        ainv_out[m, k] * Imn_closed(g, m, k) + ainv_in[m, k] * Jmn_closed(g, m, k)
+        e[m] * (ainv_out[m, k] * table[k + 1][0] + ainv_in[m, k] * table[0][k + 1])
         for m in range(n)
         for k in range(n)
     )
@@ -246,7 +262,7 @@ def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2, immnn=Immnn_closed):
         for k in range(n)
         for kp in range(n)
     )
-    bracket = I0_closed(g) - 1j * singles - quads
+    bracket = table[0][0] - 1j * singles - quads
     return -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK) * bracket
 
 
@@ -354,11 +370,59 @@ def test_right_angle_single_defect_needs_no_averaging():
     np.testing.assert_allclose(f_reg, f_direct, rtol=1e-12)
 
 
+def _f1_reference_mp(kin, ds, eta, lambda1, lambda2):
+    """f1 and sum_ab |u_a T[a][b] v_b| at 50 digits from the engine's double
+    inputs: kink_coefficient_mp entries and an mpmath solve A w = e for the
+    weights, with A built from the same double kx, kx_out and couplings."""
+    g = geo_inputs(kin, ds, eta, lambda1, lambda2)
+    pieces = (None, *g.alphas)
+    with mp.workdps(50):
+        beta = mp.mpf(g.beta)
+        e = mp.matrix([mp.expj(beta * mp.mpf(a)) for a in g.alphas])
+
+        def amplitudes(kx):
+            kx = mp.mpf(kx)
+            a_mat = mp.matrix(ds.n, ds.n)
+            for m, am in enumerate(g.alphas):
+                for n, an in enumerate(g.alphas):
+                    a_mat[m, n] = 1j * mp.expj(kx * abs(mp.mpf(am) - mp.mpf(an)))
+                z = complex(ds.z[m])
+                a_mat[m, m] += 2 * kx / mp.mpc(z.real, z.imag)
+            w = mp.lu_solve(a_mat, e)
+            return [mp.mpf(1)] + [-1j * w[n] for n in range(ds.n)]
+
+        u, v = amplitudes(kin.kx_out), amplitudes(kin.kx)
+        terms = [u[a] * mp.mpc(kink_coefficient_mp(g, bra, ket)) * v[b]
+                 for a, bra in enumerate(pieces) for b, ket in enumerate(pieces)]
+        pref = -mp.expj(mp.pi / 4) / (2 * mp.sqrt(2 * mp.pi * mp.mpf(kin.bigK)))
+        bracket = mp.fsum(terms)
+        return (complex(pref * bracket), float(abs(pref)),
+                float(mp.fsum(abs(t) for t in terms)), float(abs(bracket)))
+
+
+@pytest.mark.parametrize("bigK, alpha", [(0.05, 3.0), (1.0, -3.0)])
+def test_bracket_forward_error_is_bounded_where_it_cancels(bigK, alpha):
+    # N = 1 at theta = 90 deg: the outgoing weight nearly cancels the plane
+    # wave, so the (N+1)^2 terms u_a T[a][b] v_b can be far larger than
+    # their sum.  The error of f1 is bounded by the terms' size, not by |f1|:
+    # |f1 - f1_ref| <= 8 eps |pref| sum_ab |u_a T[a][b] v_b|.  K = 0.05 with
+    # a defect at +3 cancels by 5e6; K = 1 at -3 barely cancels.
+    kin = Kinematics(bigK=bigK, theta0=0.0, theta=math.radians(90.0))
+    ds = DefectSet([alpha], [1.0])
+    ref, pref, sum_abs, bracket = _f1_reference_mp(kin, ds, 0.1, 0.5, -0.5)
+    f1 = f1_geometric(kin, ds, 0.1, 0.5, -0.5)
+    eps = np.finfo(float).eps
+    assert abs(f1 - ref) <= 8.0 * eps * pref * sum_abs
+    if (bigK, alpha) == (0.05, 3.0):
+        # the case is one that really cancels
+        assert sum_abs / bracket > 1e6
+
+
 def test_step_term_variants_differ():
     # The engine's kappa2 step term and the test-side x2 reference must not
     # agree once the bra kink sits strictly below the ket kink.
     g = _g(0.6, 1.1, (-1.5, 0.0, 2.0))
-    a = Immnn_closed(g, 0, 1, 2, 1)
+    a = _phased(g, (1, 3), 1, 1)
     b = immnn_x2(g, 0, 1, 2, 1)
     assert abs(a - b) > 1e-6 * max(abs(a), abs(b))
     # The full amplitude inherits the difference: swap x2 into the

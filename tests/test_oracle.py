@@ -18,27 +18,19 @@ import pytest
 import sympy as sp
 from references import immnn_x2, matches_oracle
 
+from bumpscatter import geoamp
 from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
-from bumpscatter.geoamp import (
-    GeoCoefficientInputs,
-    I0_closed,
-    Immnn_closed,
-    Imn_closed,
-    Jmn_closed,
-    f1_geometric,
-)
+from bumpscatter.geoamp import GeoCoefficientInputs, coefficient_table, f1_geometric
 from bumpscatter.oracle import (
     OracleValue,
     QuadratureConvergenceError,
     QuadratureSpec,
     _adaptive,
+    _kink_integral,
     _smooth_integrand,
     assemble_f1_oracle,
     default_verification_grid,
-    integrate_I0,
-    integrate_Immnn,
-    integrate_Imn,
-    integrate_Jmn,
+    integral_table,
     integrate_Jmn_mollified,
     verify_all,
 )
@@ -162,17 +154,14 @@ def test_cartesian_and_polar_routes_agree_pointwise():
 
 
 def test_closed_forms_match_quadrature_spot():
+    # every entry of the table: the plane wave, each kink on either side
+    # and every kink pair
     g = _g()
-    for closed, oracle in (
-        (I0_closed(g), integrate_I0(g)),
-        (Imn_closed(g, 0, 1), integrate_Imn(g, 0, 1)),
-        (Jmn_closed(g, 1, 0), integrate_Jmn(g, 1, 0)),
-        (Immnn_closed(g, 0, 1, 1, 0), integrate_Immnn(g, 0, 1, 1, 0)),
-        (Immnn_closed(g, 1, 0, 1, 1), integrate_Immnn(g, 1, 0, 1, 1)),
-    ):
-        rel = abs(closed - oracle.value) / max(abs(oracle.value), 1e-10)
-        assert rel <= 1e-6
-        assert oracle.err_est <= 1e-6
+    for closed_row, oracle_row in zip(coefficient_table(g), integral_table(g)):
+        for closed, oracle in zip(closed_row, oracle_row):
+            rel = abs(closed - oracle.value) / max(abs(oracle.value), 1e-10)
+            assert rel <= 1e-6
+            assert oracle.err_est <= 1e-6
 
 
 def test_mollified_line_term_converges_quadratically():
@@ -180,10 +169,10 @@ def test_mollified_line_term_converges_quadratically():
     # closed form as width -> 0 with O(width^2) error: the errors at widths
     # 0.02 / 0.01 / 0.005 shrink by ~4x per halving.
     g = _g()
-    ref = Jmn_closed(g, 0, 1)
+    ref = coefficient_table(g)[0][2]
     errs = []
     for w in (0.02, 0.01, 0.005):
-        val = integrate_Jmn_mollified(g, 0, 1, w)
+        val = integrate_Jmn_mollified(g, 1, w)
         errs.append(abs(val.value - ref))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
@@ -209,12 +198,12 @@ def test_assembly_oracle_matches_closed_amplitude():
 
 def test_error_estimate_is_honest_under_refinement():
     g = _g()
-    loose = integrate_Imn(g, 0, 1)
+    loose = _kink_integral(g, QuadratureSpec(), bra=g.alphas[1])
     strict_spec = QuadratureSpec(
         r_max=QuadratureSpec().resolve_r_max(g.alphas) + 4.0,
         rel_tol=QuadratureSpec().rel_tol / 10.0,
     )
-    strict = integrate_Imn(g, 0, 1, strict_spec)
+    strict = _kink_integral(g, strict_spec, bra=g.alphas[1])
     # Enlarging the box and tightening the tolerance must not move the
     # value by more than a few times the reported error estimate.
     assert abs(strict.value - loose.value) <= 10.0 * loose.err_est
@@ -224,7 +213,7 @@ def test_quadrature_convergence_error_carries_partial_result():
     g = _g()
     bad_spec = QuadratureSpec(rel_tol=1e-14, max_panels=8)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        integrate_Imn(g, 0, 1, bad_spec)
+        _kink_integral(g, bad_spec, bra=g.alphas[1])
     err = exc_info.value
     assert np.isfinite(err.err_est)
     assert np.isfinite(abs(err.value))
@@ -347,7 +336,12 @@ def test_verify_all_resolution_rule_rejects_resolvable_offset(monkeypatch):
 
     grid = dict(_ZERO_POINT_GRID, alphas=(0.0,))
     for closed, passes in ((1e-12, False), (1e-15, True)):
-        monkeypatch.setattr(oracle_mod, "I0_closed", lambda g, c=closed: c)
+        def offset_table(g, c=closed):
+            table = coefficient_table(g)
+            table[0][0] = c
+            return table
+
+        monkeypatch.setattr(oracle_mod, "coefficient_table", offset_table)
         i0 = verify_all(grid=grid).records[0]
         assert i0.coefficient == "I0"
         assert i0.judged == "resolution"
@@ -459,6 +453,35 @@ def test_oracle_integrates_each_kink_family_once_per_kink(monkeypatch):
         assert len(set(labels)) == 16
         families = Counter(what.split("[")[0] for what in labels)
         assert families == expected
+
+
+def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monkeypatch):
+    import bumpscatter.oracle as oracle_mod
+
+    # N = 3 at one grid point: the 100 records read one closed table of
+    # 1 + 2N + N^2 = 16 entries, where one closed-form call per record
+    # would make 1 + 2N^2 + N^4 = 100.  The quadrature side is stubbed.
+    calls = Counter()
+    kernel, plane = geoamp._kink_coefficient, geoamp.I0_closed
+
+    def counted_kernel(g, bra=None, ket=None):
+        calls["kernel"] += 1
+        return kernel(g, bra, ket)
+
+    def counted_plane(g):
+        calls["I0"] += 1
+        return plane(g)
+
+    def fake_pair(bra, ket, g, spec, what):
+        return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)
+
+    monkeypatch.setattr(geoamp, "_kink_coefficient", counted_kernel)
+    monkeypatch.setattr(geoamp, "I0_closed", counted_plane)
+    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    grid = dict(_ZERO_POINT_GRID, s=(0.7,), lambdas=((0.5, -0.5),))
+    report = verify_all(grid=grid)
+    assert len(report.records) == 100
+    assert calls == {"kernel": 15, "I0": 1}
 
 
 # ---------------------------------------------------------------------------

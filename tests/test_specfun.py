@@ -1,8 +1,6 @@
 """Accuracy and safety tests for the complex error-function wrappers.
 
-The reference values come from mpmath at 50 significant digits.  In addition
-to mpmath's own erf/erfc, an independent Maclaurin-series oracle is summed in
-mpmath precision so the reference is not a single implementation.
+The reference values come from mpmath at 50 significant digits.
 """
 
 import cmath
@@ -15,8 +13,6 @@ from mpmath import mp
 from bumpscatter.specfun import (
     SAFE_REAL_WINDOW,
     eexp,
-    erf_c,
-    erfc_c,
     erfcx_c,
     exp_erf,
     exp_erfc,
@@ -32,35 +28,6 @@ def _fifty_digits():
 
 def _mpc(z: complex) -> "mp.mpc":
     return mp.mpc(z.real, z.imag)
-
-
-def _erf_series(z: complex) -> "mp.mpc":
-    """Maclaurin series for erf summed adaptively in mpmath precision.
-
-    erf(z) = (2/sqrt(pi)) * sum_n (-1)^n z^(2n+1) / (n! (2n+1)).
-    Terms are generated by the recurrence u_n = u_{n-1} * (-z^2) / n.  The
-    alternating terms peak near exp(|z|^2) before decaying, so that many
-    digits cancel; the sum therefore runs with guard digits proportional to
-    |z|^2 and stops once the term falls 55 digits below the peak.
-    """
-    w0 = complex(z)
-    guard = int(0.4343 * abs(w0) ** 2) + 80
-    with mp.workdps(mp.dps + guard):
-        w = _mpc(w0)
-        u = w
-        total = w  # n = 0 term: z / 1
-        peak = max(abs(u), mp.mpf(1))
-        zsq = -w * w
-        for n in range(1, 20000):
-            u = u * zsq / n
-            term = u / (2 * n + 1)
-            total += term
-            peak = max(peak, abs(term))
-            if abs(term) < mp.mpf("1e-70") * peak:
-                break
-        else:  # pragma: no cover - series budget exceeded
-            raise RuntimeError("erf series did not converge")
-        return 2 / mp.sqrt(mp.pi) * total
 
 
 def _mp_erfcx(z: complex) -> "mp.mpc":
@@ -79,27 +46,15 @@ def _disk_points(rng, radius: float, count: int):
     return [complex(a * math.cos(p), a * math.sin(p)) for a, p in zip(r, ph)]
 
 
-def test_series_oracle_agrees_with_mpmath():
-    # Sanity check of the test's own series oracle before it is trusted.
-    for z in (0.3, 2.0 - 1.5j, -4.0 + 3.0j, 7.0 + 0.25j):
-        assert abs(_erf_series(z) - mp.erf(_mpc(complex(z)))) < mp.mpf("1e-40")
-
-
 def test_frozen_values():
-    np.testing.assert_allclose(erf_c(1.0), 0.8427007929497149 + 0j, rtol=1e-14)
-    np.testing.assert_allclose(erf_c(1j), 1.6504257587975428j, rtol=1e-14)
     np.testing.assert_allclose(erfcx_c(3.0).real, 0.17900115118138998, rtol=1e-14)
     np.testing.assert_allclose(erfcx_c(10.0).real, 0.05614099274382259, rtol=1e-14)
-    assert erf_c(0.0) == 0.0 + 0.0j
-    assert erfc_c(0.0) == 1.0 + 0.0j
     assert erfcx_c(0.0) == 1.0 + 0.0j
 
 
 def test_accuracy_disk_radius_10():
     rng = np.random.default_rng(101)
     for z in _disk_points(rng, 10.0, 250):
-        assert _relerr(erf_c(z), _erf_series(z)) <= 1e-13
-        assert _relerr(erfc_c(z), mp.erfc(_mpc(z))) <= 1e-13
         ref = _mp_erfcx(z)
         if abs(complex(ref)) < 1e280:
             assert _relerr(erfcx_c(z), ref) <= 1e-13
@@ -108,17 +63,10 @@ def test_accuracy_disk_radius_10():
 def test_accuracy_disk_radius_50():
     # Looser tolerance on the big disk; points whose reference value is not
     # representable in double precision are skipped, and left-half-plane
-    # erfcx points may legitimately raise OverflowError.
+    # points may legitimately raise OverflowError.
     rng = np.random.default_rng(202)
     checked = 0
     for z in _disk_points(rng, 50.0, 250):
-        ref_erf = mp.erf(_mpc(z))
-        if abs(complex(ref_erf)) < 1e280:
-            assert _relerr(erf_c(z), ref_erf) <= 1e-11
-            checked += 1
-        ref_erfc = mp.erfc(_mpc(z))
-        if abs(complex(ref_erfc)) < 1e280:
-            assert _relerr(erfc_c(z), ref_erfc) <= 1e-11
         ref_erfcx = _mp_erfcx(z)
         try:
             got = erfcx_c(z)
@@ -127,40 +75,20 @@ def test_accuracy_disk_radius_50():
             continue
         if abs(complex(ref_erfcx)) < 1e280:
             assert _relerr(got, ref_erfcx) <= 1e-11
+            checked += 1
     assert checked > 100
-
-
-def test_real_axis_against_series():
-    for x in np.linspace(-6.0, 6.0, 61):
-        z = complex(x, 0.0)
-        assert _relerr(erf_c(z), _erf_series(z)) <= 1e-13
-        assert abs(erf_c(z).imag) == 0.0
 
 
 def test_symmetries_bit_exact():
     rng = np.random.default_rng(303)
     for z in _disk_points(rng, 8.0, 200):
-        assert erf_c(-z) == -erf_c(z)
-        assert erf_c(z.conjugate()) == erf_c(z).conjugate()
-        assert erfc_c(z.conjugate()) == erfc_c(z).conjugate()
         assert erfcx_c(z.conjugate()) == erfcx_c(z).conjugate()
-        # The erfc reflection is computed as 2 - erfc(w) for Re w >= 0, so
-        # the identity is bitwise in that reduction direction.
-        w = z if z.real >= 0.0 else -z
-        assert erfc_c(-w) == 2.0 - erfc_c(w)
-
-
-def test_erf_plus_erfc_is_one():
-    rng = np.random.default_rng(404)
-    for z in _disk_points(rng, 6.0, 100):
-        total = erf_c(z) + erfc_c(z)
-        assert abs(total - 1.0) <= 1e-13 * max(abs(erf_c(z)), 1.0)
 
 
 def test_erfc_equals_scaled_form():
     rng = np.random.default_rng(505)
     for z in _disk_points(rng, 5.0, 100):
-        lhs = erfc_c(z)
+        lhs = complex(mp.erfc(_mpc(z)))
         rhs = cmath.exp(-z * z) * erfcx_c(z)
         np.testing.assert_allclose(rhs, lhs, rtol=1e-12, atol=1e-300)
 
@@ -214,7 +142,7 @@ def test_erfcx_left_plane_overflow_raises():
 
 
 def test_non_finite_inputs_raise():
-    for fn in (erf_c, erfc_c, erfcx_c, eexp):
+    for fn in (erfcx_c, eexp):
         with pytest.raises(ValueError):
             fn(float("nan"))
         with pytest.raises(ValueError):
