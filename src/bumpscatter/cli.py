@@ -39,7 +39,7 @@ from .geoamp import (
     GeoCoefficientInputs,
     SingularAngleError,
     cross_section,
-    f1_geometric,
+    f1_scan,
 )
 from .oracle import (
     QuadratureConvergenceError,
@@ -131,11 +131,12 @@ def _nudge_theta_deg(theta_deg: float, theta0_deg: float):
 
 def _engine_inputs(args, positions, couplings, bigK, thetas_deg) -> DefectSet:
     """Build the defect set, the kinematics and the coefficient inputs of a
-    scan once, before any row, so that a bad flag value is a usage error.
+    scan once, before the engine call, so that a bad flag value is a usage
+    error.
 
     Only the ValueError of these constructors is mapped; OverflowError (a
-    defect beyond the stable window) and the SingularAngleError of the rows
-    stay numerical failures.
+    defect beyond the stable window) and the SingularAngleError of the
+    engine stay numerical failures.
     """
     try:
         defects = DefectSet(positions, couplings)
@@ -148,16 +149,6 @@ def _engine_inputs(args, positions, couplings, bigK, thetas_deg) -> DefectSet:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return defects
-
-
-def _row(args, defects: DefectSet, bigK: float, theta_deg: float):
-    kin = Kinematics(
-        bigK=bigK,
-        theta0=math.radians(args.theta0_deg),
-        theta=math.radians(theta_deg),
-    )
-    f1 = f1_geometric(kin, defects, args.eta, args.lambda1, args.lambda2)
-    return (bigK, theta_deg, args.theta0_deg, f1.real, f1.imag, abs(f1) ** 2)
 
 
 def _format_complex(z: complex) -> str:
@@ -210,13 +201,18 @@ def _write_out(path: str, text: str):
 
 
 def _scan(args, mode: str, points, keys: dict) -> int:
-    """Body of sweep and angular: one CSV row per (K, theta_deg) point, the
-    run headers plus the command's own keys, and the optional SVG."""
+    """Body of sweep and angular: one engine call for every (K, theta_deg)
+    point, one CSV row per point, the run headers plus the command's own
+    keys, and the optional SVG."""
     positions = _parse_floats(args.defects, "--defects")
     couplings = _parse_couplings(args.couplings, len(positions))
     thetas = dict.fromkeys(th for _, th in points)
     defects = _engine_inputs(args, positions, couplings, points[0][0], thetas)
-    rows = [_row(args, defects, k, th) for k, th in points]
+    f1 = f1_scan([k for k, _ in points], math.radians(args.theta0_deg),
+                 [math.radians(th) for _, th in points],
+                 defects, args.eta, args.lambda1, args.lambda2)
+    rows = [(k, th, args.theta0_deg, f.real, f.imag, abs(f) ** 2)
+            for (k, th), f in zip(points, f1)]
     headers = {**_common_headers(args, mode, positions, couplings), **keys}
     _write_out(args.out, _csv_text(headers, rows))
     if args.svg:

@@ -45,6 +45,7 @@ delta-function weights, never as a pointwise function of angle.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,14 +165,14 @@ class Kinematics:
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.bigK) and self.bigK > 0.0):
+        if not (math.isfinite(self.bigK) and self.bigK > 0.0):
             raise ValueError(f"K must be positive, got {self.bigK!r}")
-        if not np.isfinite(self.theta0) or abs(self.theta0) >= math.pi / 2 - THETA0_MARGIN:
+        if not math.isfinite(self.theta0) or abs(self.theta0) >= math.pi / 2 - THETA0_MARGIN:
             raise ValueError(
                 f"theta0 must satisfy |theta0| < pi/2 - {THETA0_MARGIN}, "
                 f"got {self.theta0!r}"
             )
-        if not np.isfinite(self.theta):
+        if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
         # normalize theta into [-pi/2, 3*pi/2)
         th = math.remainder(self.theta - math.pi / 2, 2.0 * math.pi) + math.pi / 2
@@ -219,18 +220,38 @@ class Kinematics:
 @dataclass(frozen=True)
 class DefectMatrix:
     """The symmetric defect matrix, its inverse, and its 1-norm condition
-    number ||A||_1 ||Ainv||_1."""
+    number ||A||_1 ||Ainv||_1; for a 1-D kx, stacked along a leading axis
+    with one condition number per point."""
 
     matrix: np.ndarray
     inverse: np.ndarray
-    cond: float
+    cond: float | np.ndarray
+
+    def __getitem__(self, index) -> DefectMatrix:
+        """The points of a stacked matrix selected by index."""
+        return DefectMatrix(self.matrix[index], self.inverse[index], self.cond[index])
 
     def weights(self, b) -> np.ndarray:
-        """w = Ainv b.  A is symmetric, so w also stands for Ainv^T b."""
-        return self.inverse @ b
+        """w = Ainv b, one row of b per point for a stacked matrix.  A is
+        symmetric, so w also stands for Ainv^T b."""
+        return (self.inverse @ np.asarray(b)[..., None])[..., 0]
+
+    def require_regular(self) -> DefectMatrix:
+        """self, after raising SingularMatrixError, carrying the condition
+        number, if the matrix at any point is numerically singular: its
+        condition number is past COND_LIMIT or not finite."""
+        conds = np.atleast_1d(self.cond)
+        bad = ~(conds <= COND_LIMIT)
+        if bad.any():
+            cond = float(conds[bad][0])
+            raise SingularMatrixError(
+                f"defect matrix is singular to working precision (cond ~ {cond:.3g})",
+                cond,
+            )
+        return self
 
 
-def build_defect_matrix(kx: float, defects: DefectSet) -> DefectMatrix:
+def build_defect_matrix(kx, defects: DefectSet) -> DefectMatrix:
     """Assemble and invert A[m,n] = 2 kx delta_mn / z_m + i e^{i kx |am - an|}.
 
     kx may have either sign (the outgoing-frame matrix uses K cos(theta));
@@ -238,28 +259,37 @@ def build_defect_matrix(kx: float, defects: DefectSet) -> DefectMatrix:
     the condition number is the exact 1-norm one of that inverse.
     Raises SingularMatrixError, carrying the condition number, when the
     matrix is numerically singular.
+
+    kx may also be a 1-D array: the matrices, inverses and condition numbers
+    are then stacked per point.  Instead of raising, a stack gives an
+    exactly singular matrix cond = inf and a NaN inverse, and leaves the
+    decision to the caller: require_regular applies the scalar rule to
+    every point.
     """
+    kxs = np.asarray(kx, dtype=float)
+    if kxs.ndim == 0:
+        dm = build_defect_matrix(kxs[None], defects).require_regular()
+        return DefectMatrix(dm.matrix[0], dm.inverse[0], float(dm.cond[0]))
     n = defects.n
     if n == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return DefectMatrix(matrix=empty, inverse=empty, cond=1.0)
+        empty = np.zeros((kxs.size, 0, 0), dtype=complex)
+        return DefectMatrix(empty, empty, np.ones(kxs.size))
     alphas = defects.alphas
     sep = np.abs(alphas[:, None] - alphas[None, :])
-    a = 1j * np.exp(1j * kx * sep)
-    a[np.diag_indices(n)] += 2.0 * kx / defects.z
+    a = 1j * np.exp(1j * kxs[:, None, None] * sep)
+    a[:, np.arange(n), np.arange(n)] += 2.0 * kxs[:, None] / defects.z
     try:
         inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"defect matrix is singular: {exc}", float("inf")
-        ) from exc
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(
-            f"defect matrix is singular to working precision (cond ~ {cond:.3g})",
-            cond,
-        )
-    return DefectMatrix(matrix=a, inverse=inv, cond=cond)
+    except np.linalg.LinAlgError:
+        # numpy refuses the whole stack for one exactly singular matrix
+        inv = np.full_like(a, np.nan)
+        for i, ai in enumerate(a):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(ai)
+    # 1-norms: the largest column sum of |entries|
+    cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    cond[np.isnan(cond)] = np.inf
+    return DefectMatrix(a, inv, cond)
 
 
 @dataclass(frozen=True)

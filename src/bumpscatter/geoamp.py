@@ -20,11 +20,25 @@ table,
 
     sum_{a,b} u_a T[a][b] v_b,   T = [[I0, J~_n], [I~_m, C[m, n]]],
 
-which costs 1 + 2N + N^2 coefficient evaluations per angle
-(coefficient_table).  The terms are added by one math.fsum over the real
-parts and one over the imaginary parts, which is exactly rounded and so
-independent of their order.  A is symmetric, so w = Ainv e is also
-Ainv^T e (DefectMatrix.weights).
+of 1 + 2N + N^2 coefficients (coefficient_table).  The terms are added
+by one math.fsum over the real parts and one over the imaginary parts,
+which is exactly rounded and so independent of their order.  A is
+symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).
+
+Evaluation is array-first.  f1_scan takes a whole K or theta scan: its
+GeoCoefficientInputs holds one s and K per point, every table entry is an
+array over the points, and the scan costs one pass over its half-line
+integrals, 1 + 2N + N^2 kernel calls and one incoming and one outgoing
+stacked defect build, whatever its length.  The points averaged across
+theta = +-90 deg (below) are a masked subset that costs the same again,
+once.  Only the per-point contraction stays in Python: the products
+u_a T[a][b] v_b, the two fsums and the prefactor are Python complex
+arithmetic, whose rounding numpy's complex arithmetic does not
+reproduce.  f1_geometric is the one-point case of the same evaluation,
+so a scan and one call per point give the same numbers bit for bit.  The
+array evaluation has a fixed cost per call, so a one-point call costs
+more than the per-row engine it replaced and a scan of about four points
+or more less (docs/math_to_code.md section 3 gives the measurements).
 
 Every entry but T[0][0] is one shape, computed by one kernel
 (_kink_coefficient(g, bra, ket), a kink position or None on each side):
@@ -36,7 +50,10 @@ with p_kx the quartic that the operator leaves after the Gaussian y
 integral, kx = +-beta (beta = s K, s = sin((theta - theta0)/2)) the ket's
 slope on the region and q in {0, +-2 beta}.  The x integrals are half-line
 Gaussian moments: an erfc for the zeroth and a two-term recursion for the
-rest.  The erfc goes through the fused, overflow-safe specfun.exp_erfc;
+rest.  A half-line integral depends only on the defect, the side, q / beta
+and the sign of kx, so the at most 12 N of them are computed together
+once per GeoCoefficientInputs (half_lines) and the kernel combines them.
+The erfc goes through the fused, overflow-safe specfun.exp_erfc;
 every other exponent in the kernel has a non-positive real part, so no
 intermediate exponential can overflow.  I0 keeps its own closed form.
 
@@ -62,6 +79,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,15 +87,15 @@ from .defects import (
     DefectMatrix,
     DefectSet,
     Kinematics,
-    SingularMatrixError,
     build_defect_matrix,
 )
-from .specfun import SAFE_REAL_WINDOW, exp_erfc
+from .specfun import SAFE_REAL_WINDOW, exp_erfc, unbox
 
 __all__ = [
     "GeoCoefficientInputs",
     "I0_closed",
     "coefficient_table",
+    "f1_scan",
     "f1_geometric",
     "cross_section",
     "SingularAngleError",
@@ -106,11 +124,13 @@ class GeoCoefficientInputs:
 
     s, bigK enter through beta = s*K; alphas are the sigma-scaled defect
     positions (ascending); eta scales every coefficient linearly; lambda1
-    and lambda2 weigh the two curvature contributions.
+    and lambda2 weigh the two curvature contributions.  s and bigK are
+    floats, or 1-D arrays of one length for a scan: every coefficient is
+    then an array with one value per point.
     """
 
-    s: float
-    bigK: float
+    s: float | np.ndarray
+    bigK: float | np.ndarray
     alphas: tuple
     eta: float
     lambda1: float
@@ -119,7 +139,7 @@ class GeoCoefficientInputs:
     def __post_init__(self):
         if self.eta < 0.0 or not np.isfinite(self.eta):
             raise ValueError(f"eta must be a finite non-negative number, got {self.eta!r}")
-        if not (abs(self.s) <= 1.0 and np.isfinite(self.bigK) and self.bigK > 0.0):
+        if not np.all((np.abs(self.s) <= 1.0) & np.isfinite(self.bigK) & (self.bigK > 0.0)):
             raise ValueError(
                 f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
                 f"K={self.bigK!r}"
@@ -135,27 +155,52 @@ class GeoCoefficientInputs:
                     f"stable window ({SAFE_REAL_WINDOW})"
                 )
 
-    @property
-    def beta(self) -> float:
+    @cached_property
+    def beta(self):
         return self.s * self.bigK
 
-    @property
-    def p2(self) -> float:
-        """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2)."""
-        b = self.beta
-        return (
-            self.bigK**2 * (4.0 * self.lambda1 * self.s**2 - 1.0)
-            + self.lambda2 * (b**4 + 2.0)
-        )
+    @cached_property
+    def p2(self):
+        """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2).
+
+        Evaluated point by point with Python's float pow, which numpy's
+        power does not match bit for bit, so that I0, and with it every
+        N = 0 amplitude, keeps its value bit for bit, alone or in a scan."""
+        l1, l2 = self.lambda1, self.lambda2
+
+        def p2(s, k):
+            return k**2 * (4.0 * l1 * s**2 - 1.0) + l2 * ((s * k) ** 4 + 2.0)
+
+        if np.ndim(self.s) == 0:
+            return p2(self.s, self.bigK)
+        return np.array([p2(s, k) for s, k in zip(self.s.tolist(), self.bigK.tolist())])
+
+    @cached_property
+    def full_lines(self) -> tuple:
+        """The full-line integrals of e^{-x^2 + i q x} p_kx (see
+        _kink_coefficient) at q = 0 and at q = 2 kx."""
+        return (SQPI * (self.lambda2 - 0.5 * self.bigK**2),
+                0.5 * SQPI * _gauss(self.beta) * self.p2)
+
+    @cached_property
+    def half_lines(self) -> dict:
+        """Every half-line integral the kink coefficients of these inputs
+        use (see _half_line_table), computed together once."""
+        return _half_line_table(self)
 
 
-def I0_closed(g: GeoCoefficientInputs) -> float:
+def _gauss(b):
+    """e^{-b^2} for a float or real array.  numpy's real exp differs from
+    math.exp in the last bit on some inputs, its complex exp does not."""
+    return np.exp(np.asarray(-b * b, dtype=complex)).real
+
+
+def I0_closed(g: GeoCoefficientInputs):
     """Plane-wave x plane-wave coefficient.
 
     I0 = (pi eta / 2) e^{-beta^2} [ K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2) ].
     """
-    b = g.beta
-    return 0.5 * math.pi * g.eta * math.exp(-b * b) * g.p2
+    return unbox(0.5 * math.pi * g.eta * _gauss(g.beta) * g.p2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +208,30 @@ def I0_closed(g: GeoCoefficientInputs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _half_line(c, q: float, a: float, side: float) -> complex:
+def _half_line_table(g: GeoCoefficientInputs) -> dict:
     """sum_k c[k] M_k for the moments M_k = int x^k e^{-x^2 + i q x} dx over
-    x > a (side = 1) or x < a (side = -1), k = 0..4.
+    x > a (side = 1) or x < a (side = -1), k = 0..4, and the quartic's
+    coefficients c of _kink_coefficient, keyed (a, side, qb, sg) for q =
+    qb beta and kx = sg beta: every defect a, both sides, qb in {-2, 0, 2}
+    and sg = +-1.  Each value is a number, or an array over g's points.
 
     M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
     (x^k e^{-x^2 + i q x})' by parts,
     M_{k+1} = (side a^k e^{-a^2 + i q a} + k M_{k-1} + i q M_k) / 2.
-    The empty half-lines beyond +-inf give 0.
+    All of them are one array pass: one exp_erfc call and one recursion
+    over a (defect, side, qb[, point]) array, whatever N and the scan's
+    length.  No exponent here has a positive real part, so no element can
+    overflow.
     """
-    if math.isinf(a):
-        return 0.0
+    b = np.asarray(g.beta, dtype=float)
+    point_axes = (1,) * b.ndim
+    a = np.array(g.alphas, dtype=float).reshape((-1, 1, 1) + point_axes)
+    side = np.array([-1.0, 1.0]).reshape((1, 2, 1) + point_axes)
+    qbs = (-2.0, 0.0, 2.0)
+    q = np.array(qbs).reshape((1, 1, 3) + point_axes) * b
     iq = 1j * q
     m0 = 0.5 * SQPI * exp_erfc(-0.25 * q * q, side * (a - 0.5 * iq))
-    edge = side * cmath.exp(a * (iq - a))
+    edge = side * np.exp(a * (iq - a))
     m1 = 0.5 * (edge + iq * m0)
     edge *= a
     m2 = 0.5 * (edge + m0 + iq * m1)
@@ -184,13 +239,27 @@ def _half_line(c, q: float, a: float, side: float) -> complex:
     m3 = 0.5 * (edge + 2.0 * m1 + iq * m2)
     edge *= a
     m4 = 0.5 * (edge + 3.0 * m2 + iq * m3)
-    return c[0] * m0 + c[1] * m1 + c[2] * m2 + c[3] * m3 + c[4] * m4
+    l1, l2 = g.lambda1, g.lambda2
+    c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
+    c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
+    c4 = 0.5 * l2
+    table = {}
+    for sg in (-1.0, 1.0):
+        kx = sg * b
+        c1, c3 = 1.5j * kx, -1j * kx
+        h = c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
+        for i, al in enumerate(g.alphas):
+            for j, sd in enumerate((-1.0, 1.0)):
+                for k, qb in enumerate(qbs):
+                    table[al, sd, qb, sg] = h[i, j, k]
+    return table
 
 
 def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
-                      ket: float | None = None) -> complex:
+                      ket: float | None = None):
     """Coefficient of a bra kink at `bra` against a ket kink at `ket`, with
-    every phase position at 0; None puts the plane wave on that side.
+    every phase position at 0; None puts the plane wave on that side.  One
+    value per point of g.
 
     The y integral of the defining integral is Gaussian, which leaves
 
@@ -218,40 +287,39 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
     line term are trivial and the coefficient is I0 exactly.
     """
     b = g.beta
-    if b == 0.0:
-        return I0_closed(g)
-    l1, l2 = g.lambda1, g.lambda2
-    c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
-    c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
-    c4 = 0.5 * l2
     edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
     total = 0j
     for lo, hi in zip(edges, edges[1:]):
-        # x momentum and constant phase of bra(x) ket(x) on (lo, hi)
-        q, phase, kx = 2.0 * b, 0.0, b
+        # x momentum q = qb * beta, constant phase of bra(x) ket(x) and
+        # ket slope kx = sg * beta on (lo, hi)
+        qb, phase, sg = 2.0, 0.0, 1.0
         if bra is not None:
             sb = 1.0 if lo >= bra else -1.0
-            q -= (1.0 + sb) * b
+            qb -= 1.0 + sb
             phase += sb * bra
         if ket is not None:
             sg = 1.0 if lo >= ket else -1.0
-            kx = sg * b
-            q += kx - b
+            qb += sg - 1.0
             phase -= sg * ket
-        c = (c0, 1.5j * kx, c2, -1j * kx, c4)
+        # the half-line integrals over x < lo and x > hi (0 beyond +-inf),
+        # and over x < hi and x > lo
+        left, right = (0.0 if math.isinf(a) else g.half_lines[a, side, qb, sg]
+                       for a, side in ((lo, -1.0), (hi, 1.0)))
         if hi <= 0.0:
-            part = _half_line(c, q, hi, -1.0) - _half_line(c, q, lo, -1.0)
+            part = g.half_lines[hi, -1.0, qb, sg] - left
         elif lo >= 0.0:
-            part = _half_line(c, q, lo, 1.0) - _half_line(c, q, hi, 1.0)
+            part = g.half_lines[lo, 1.0, qb, sg] - right
         else:  # across 0: the full line minus the two outer half-lines
-            full = (SQPI * (l2 - 0.5 * g.bigK**2) if q == 0.0
-                    else 0.5 * SQPI * math.exp(-b * b) * g.p2)
-            part = full - _half_line(c, q, lo, -1.0) - _half_line(c, q, hi, 1.0)
-        total += cmath.exp(1j * b * phase) * part
+            part = g.full_lines[qb != 0.0] - left - right
+        total += np.exp(1j * b * phase) * part
     if ket is not None:
         x_bra = b * ket if bra is None else -b * abs(ket - bra)
-        total += 2j * b * ket * ket * cmath.exp(-ket * ket + 1j * x_bra)
-    return g.eta * SQPI * total
+        total += 2j * b * ket * ket * np.exp(-ket * ket + 1j * x_bra)
+    out = g.eta * SQPI * total
+    at_zero = b == 0.0
+    if np.any(at_zero):
+        out = np.where(at_zero, I0_closed(g), out)
+    return unbox(out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,57 +331,102 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
-    pair C[m, n]."""
+    pair C[m, n].  Each entry is a number, or an array with one value per
+    point when g holds a scan."""
     pieces = (None, *g.alphas)
     return [[I0_closed(g) if bra is None and ket is None
              else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
 
 
-def geo_inputs(
-    kin: Kinematics,
-    defects: DefectSet,
-    eta: float,
-    lambda1: float,
-    lambda2: float,
-) -> GeoCoefficientInputs:
-    """Bundle kinematics + geometry into closed-form coefficient inputs."""
-    return GeoCoefficientInputs(
-        s=kin.s,
-        bigK=kin.bigK,
-        alphas=defects.positions,
-        eta=eta,
-        lambda1=lambda1,
-        lambda2=lambda2,
-    )
-
-
 def _f1_direct(
-    kin: Kinematics,
+    kins: list,
     defects: DefectSet,
     eta: float,
     lambda1: float,
     lambda2: float,
     dm_out: DefectMatrix | None = None,
-) -> complex:
-    """f1 at one angle; dm_out is the outgoing defect matrix if already built.
+) -> list:
+    """f1 at each point of kins, never averaged; dm_out is the stacked
+    outgoing defect matrix of those points if already built.
 
-    The bracket is sum_ab u_a T[a][b] v_b over the plane (0) and kink (n + 1)
-    pieces, as in the module docstring, summed exactly by math.fsum.
+    One array evaluation for all points: one coefficient table and one
+    incoming and one outgoing defect build.  Each point's bracket is
+    sum_ab u_a T[a][b] v_b over the plane (0) and kink (n + 1) pieces, as
+    in the module docstring, summed exactly by math.fsum; the prefactor
+    multiplies it in Python complex arithmetic.
     """
-    g = geo_inputs(kin, defects, eta, lambda1, lambda2)
-    w_out = w_in = []
+    if not kins:
+        return []
+    bigK = [k.bigK for k in kins]
+    g = GeoCoefficientInputs(
+        s=np.array([k.s for k in kins]), bigK=np.array(bigK), alphas=defects.positions,
+        eta=eta, lambda1=lambda1, lambda2=lambda2,
+    )
+    u = v = np.ones((len(kins), 1))
     if defects.n > 0:
         if dm_out is None:
-            dm_out = build_defect_matrix(kin.kx_out, defects)
-        e = np.array([cmath.exp(1j * g.beta * a) for a in g.alphas])
-        w_out = dm_out.weights(e).tolist()
-        w_in = build_defect_matrix(kin.kx, defects).weights(e).tolist()
-    u = [1.0] + [-1j * w for w in w_out]
-    v = [1.0] + [-1j * w for w in w_in]
-    terms = [ua * t * vb for ua, row in zip(u, coefficient_table(g)) for t, vb in zip(row, v)]
-    bracket = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
-    pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK)
-    return pref * bracket
+            dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
+        dm_in = build_defect_matrix(np.array([k.kx for k in kins]), defects)
+        e = np.exp(1j * g.beta[:, None] * defects.alphas)
+        u = np.hstack([u, -1j * dm_out.require_regular().weights(e)])
+        v = np.hstack([v, -1j * dm_in.require_regular().weights(e)])
+    table = np.moveaxis(np.array(coefficient_table(g), dtype=complex), -1, 0).tolist()
+    f1 = []
+    for k, u_p, t_p, v_p in zip(bigK, u.tolist(), table, v.tolist()):
+        terms = [ua * t * vb for ua, row in zip(u_p, t_p) for t, vb in zip(row, v_p)]
+        bracket = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
+        pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * k)
+        f1.append(pref * bracket)
+    return f1
+
+
+def _f1_points(
+    kins: list,
+    defects: DefectSet,
+    eta: float,
+    lambda1: float,
+    lambda2: float,
+) -> list:
+    """f1 at each point of kins: f1_scan after validation.
+
+    With N >= 2 the outgoing matrices are built once for every point; a
+    point whose matrix is singular or past REG_COND_LIMIT is evaluated as
+    the average over theta +- ANGLE_REG_EPS, and all such points take one
+    more array evaluation of their flanking angles together.
+    """
+    if defects.n < 2:
+        return _f1_direct(kins, defects, eta, lambda1, lambda2)
+    dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
+    averaged = ~(dm_out.cond <= REG_COND_LIMIT)
+    direct = iter(_f1_direct([k for k, a in zip(kins, averaged) if not a],
+                             defects, eta, lambda1, lambda2, dm_out[~averaged]))
+    hard = [k for k, a in zip(kins, averaged) if a]
+    flanks = _f1_direct([replace(k, theta=k.theta + d)
+                         for d in (ANGLE_REG_EPS, -ANGLE_REG_EPS) for k in hard],
+                        defects, eta, lambda1, lambda2)
+    mean = iter([0.5 * (fu + fd) for fu, fd in zip(flanks, flanks[len(hard):])])
+    return [next(mean) if a else next(direct) for a in averaged]
+
+
+def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
+            lambda1: float, lambda2: float) -> list:
+    """First-order geometric amplitude f1 at every point of a scan.
+
+    bigK and theta are equal-length 1-D arrays (a scalar stands for a
+    constant one); point i is Kinematics(bigK[i], theta0, theta[i]), built
+    and validated as such.  The whole scan is one array evaluation: one
+    table of 1 + 2N + N^2 coefficient arrays, one incoming and one
+    outgoing stacked defect build, plus the same again for the points
+    averaged across theta = +-90 deg (see f1_geometric).
+    Returns the amplitudes as a list of Python complex numbers;
+    f1_geometric is the one-point case.
+    """
+    bigK, theta = np.broadcast_arrays(np.asarray(bigK, dtype=float),
+                                      np.asarray(theta, dtype=float))
+    if bigK.ndim != 1:
+        raise ValueError(f"bigK and theta must be 1-D, got shape {bigK.shape}")
+    kins = [Kinematics(k, theta0, th) for k, th in zip(bigK.tolist(), theta.tolist())]
+    return _f1_points(kins, defects, eta, lambda1, lambda2)
 
 
 def f1_geometric(
@@ -330,22 +443,10 @@ def f1_geometric(
     number exceeds REG_COND_LIMIT); f1 is then evaluated as the average
     over theta +- 1e-6 rad, which cancels the leading divergence (the
     averaged value changes by < 1e-4 relative when the offset shrinks
-    tenfold; the test suite checks this).
+    tenfold; the test suite checks this).  The one-point case of f1_scan:
+    the same evaluation gives the same number.
     """
-    dm_out = None
-    if defects.n >= 2:
-        try:
-            dm_out = build_defect_matrix(kin.kx_out, defects)
-            bad = dm_out.cond > REG_COND_LIMIT
-        except SingularMatrixError:
-            bad = True
-        if bad:
-            up = replace(kin, theta=kin.theta + ANGLE_REG_EPS)
-            dn = replace(kin, theta=kin.theta - ANGLE_REG_EPS)
-            fu = _f1_direct(up, defects, eta, lambda1, lambda2)
-            fd = _f1_direct(dn, defects, eta, lambda1, lambda2)
-            return 0.5 * (fu + fd)
-    return _f1_direct(kin, defects, eta, lambda1, lambda2, dm_out)
+    return _f1_points([kin], defects, eta, lambda1, lambda2)[0]
 
 
 def cross_section(

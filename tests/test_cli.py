@@ -27,7 +27,7 @@ from bumpscatter.cli import (
     main,
 )
 from bumpscatter.defects import DefectSet, Kinematics
-from bumpscatter.geoamp import SingularAngleError, cross_section, f1_geometric
+from bumpscatter.geoamp import SingularAngleError, cross_section, f1_geometric, f1_scan
 
 
 def _read(path):
@@ -195,7 +195,7 @@ def test_singular_angle_error_from_rows_stays_numerical(tmp_path, capsys, monkey
     def refuse(*args):
         raise SingularAngleError("on a delta-supported ray")
 
-    monkeypatch.setattr(cli, "f1_geometric", refuse)
+    monkeypatch.setattr(cli, "f1_scan", refuse)
     code = main(["sweep", "--theta-deg", "30", "--kgrid", "0.5:1:2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_NUMERICAL
@@ -248,6 +248,23 @@ def test_sweep_rows_match_engine_exactly(tmp_path):
     # %.17g round-trips doubles, so the file stores the exact values.
     assert re_f1 == f1.real and im_f1 == f1.imag
     assert xsec == cross_section(kin, ds, 0.1, 0.5, -0.5)
+
+
+def test_scan_is_one_engine_call(tmp_path, monkeypatch):
+    # sweep and angular hand every point of the command to one f1_scan call.
+    calls = []
+
+    def counted(bigK, theta0, theta, *rest):
+        calls.append(len(theta))
+        return f1_scan(bigK, theta0, theta, *rest)
+
+    monkeypatch.setattr(cli, "f1_scan", counted)
+    out = tmp_path / "a.csv"
+    assert main(["sweep", "--defects=-3,3", "--theta-deg", "30,90",
+                 "--kgrid", "0.5:2:4", "--out", str(out)]) == EXIT_OK
+    assert main(["angular", "--defects=-3,3", "--ksigma", "1",
+                 "--thetagrid", "10:170:9", "--out", str(out)]) == EXIT_OK
+    assert calls == [8, 9]
 
 
 def test_angular_nudges_delta_supported_angles(tmp_path, capsys):

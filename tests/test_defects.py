@@ -147,6 +147,35 @@ def test_singular_matrix_raises_with_condition_estimate():
     assert exc_info.value.cond > COND_LIMIT
 
 
+def test_stacked_build_equals_scalar_builds():
+    # A 1-D kx stacks one matrix, inverse and condition number per point.
+    ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.7 - 0.2j, 2.0])
+    kx = np.array([0.7, -0.3, 0.7, 1.9])
+    dm = build_defect_matrix(kx, ds)
+    assert dm.inverse.shape == (4, 3, 3) and dm.cond.shape == (4,)
+    b = np.exp(1j * kx[:, None] * ds.alphas)
+    w = dm.weights(b)
+    for i, k in enumerate(kx.tolist()):
+        one = build_defect_matrix(k, ds)
+        assert np.array_equal(dm.matrix[i], one.matrix)
+        assert np.array_equal(dm.inverse[i], one.inverse)
+        assert dm.cond[i] == one.cond
+        np.testing.assert_allclose(w[i], one.weights(b[i]), rtol=1e-15)
+    assert build_defect_matrix(kx, DefectSet()).cond.tolist() == [1.0] * 4
+
+
+def test_stacked_build_marks_singular_points_instead_of_raising():
+    # z = 2 i kx makes the single-defect matrix exactly zero at kx = 1 only.
+    ds = DefectSet([0.0], [2.0j])
+    dm = build_defect_matrix(np.array([0.5, 1.0, 0.5]), ds)
+    assert dm.cond[1] == np.inf and np.isnan(dm.inverse[1]).all()
+    assert np.isfinite(dm.cond[[0, 2]]).all()
+    with pytest.raises(SingularMatrixError) as exc_info:
+        dm.require_regular()
+    assert exc_info.value.cond > COND_LIMIT
+    assert dm[[0, 2]].require_regular().cond.tolist() == [dm.cond[0]] * 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.data(),

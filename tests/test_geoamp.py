@@ -32,7 +32,7 @@ from bumpscatter.geoamp import (
     coefficient_table,
     cross_section,
     f1_geometric,
-    geo_inputs,
+    f1_scan,
 )
 
 RTOL = 1e-12
@@ -241,7 +241,7 @@ def _f1_quadruple_sum(kin, ds, eta, lambda1, lambda2, immnn=None):
     must reproduce it.  immnn(g, m, m', k, k') is the four-index coefficient
     to sum, by default the table's.
     """
-    g = geo_inputs(kin, ds, eta, lambda1, lambda2)
+    g = _g(kin.s, kin.bigK, ds.positions, eta, lambda1, lambda2)
     n = ds.n
     table = coefficient_table(g)
     e = [cmath.exp(1j * g.beta * a) for a in g.alphas]
@@ -314,6 +314,72 @@ def test_assembly_costs_n_squared_core_evaluations(monkeypatch):
     assert calls == {"bra only": 4, "ket only": 4, "pair": 16, "build": 2}
 
 
+@pytest.mark.parametrize("thetas_deg, expected", [
+    # away from 90 deg: one table (one exp_erfc call for all its half-line
+    # integrals and 1 + 2N + N^2 kernel calls), one incoming and one
+    # outgoing build, whatever the scan's length
+    ((20.0, 45.0, 70.0, 110.0, 135.0, 160.0),
+     {"I0": 1, "kernel": 8, "build": 2, "erfc": 1}),
+    # a theta = 90 deg point adds the same again for its averaged flanks
+    ((20.0, 45.0, 70.0, 90.0, 110.0, 135.0, 160.0),
+     {"I0": 2, "kernel": 16, "build": 4, "erfc": 2}),
+])
+def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
+    calls = dict.fromkeys(expected, 0)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geoamp, "I0_closed", counted("I0", I0_closed))
+    monkeypatch.setattr(geoamp, "_kink_coefficient",
+                        counted("kernel", geoamp._kink_coefficient))
+    monkeypatch.setattr(geoamp, "build_defect_matrix",
+                        counted("build", build_defect_matrix))
+    monkeypatch.setattr(geoamp, "exp_erfc", counted("erfc", geoamp.exp_erfc))
+    ds = DefectSet([-3.0, 3.0], [1.0, 1.0])
+    f1 = f1_scan(1.0, 0.0, np.radians(thetas_deg), ds, 0.1, 0.5, -0.5)
+    assert len(f1) == len(thetas_deg)
+    assert calls == expected
+
+
+@pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0), (-3.1, -1.0, 0.2, 2.8)])
+def test_scan_equals_one_point_calls_bit_for_bit(positions):
+    # f1_geometric is the one-point case of f1_scan: a K scan at three
+    # angles (90 deg among them), and an angle scan holding 90 deg, the
+    # nudged forward and mirror angles of the CLI, and near-90 deg angles,
+    # give the same numbers as one call per point.
+    ds = DefectSet(positions, [1.0] * len(positions))
+    ks = np.linspace(0.025, 5.0, 25)
+    k_scan = (np.tile(ks, 3), np.repeat(np.radians([30.0, 90.0, 175.0]), ks.size))
+    angles = np.radians([1e-5, 30.0, 89.9, 90.0, 90.1, 150.0, 180.0 + 1e-5])
+    for bigK, theta in (k_scan, (np.ones(angles.size), angles)):
+        f1 = f1_scan(bigK, 0.0, theta, ds, 0.1, 0.5, -0.5)
+        ref = [f1_geometric(Kinematics(k, 0.0, th), ds, 0.1, 0.5, -0.5)
+               for k, th in zip(bigK.tolist(), theta.tolist())]
+        assert all(type(f) is complex for f in f1)
+        assert f1 == ref
+
+
+def test_scan_validates_like_its_points():
+    ds = DefectSet([0.5], [1.0])
+    with pytest.raises(ValueError):
+        f1_scan([1.0, -1.0], 0.0, [0.5, 0.6], ds, 0.1, 0.5, -0.5)
+    with pytest.raises(ValueError):
+        f1_scan(1.0, math.pi / 2, [0.5, 0.6], ds, 0.1, 0.5, -0.5)
+    with pytest.raises(ValueError):
+        f1_scan(1.0, 0.0, [0.5, float("nan")], ds, 0.1, 0.5, -0.5)
+    with pytest.raises(ValueError):
+        f1_scan([1.0, 2.0, 3.0], 0.0, [0.5, 0.6], ds, 0.1, 0.5, -0.5)
+    with pytest.raises(ValueError):
+        f1_scan(1.0, 0.0, [0.5, 0.6], ds, -0.1, 0.5, -0.5)
+    with pytest.raises(OverflowError):
+        f1_scan(1.0, 0.0, [0.5, 0.6], DefectSet([30.0], [1.0]), 0.1, 0.5, -0.5)
+    assert f1_scan([], 0.0, [], ds, 0.1, 0.5, -0.5) == []
+
+
 def test_amplitude_is_linear_in_eta():
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.2)
     ds = DefectSet([-1.0, 2.0], [1.5, 0.7])
@@ -365,7 +431,7 @@ def test_right_angle_single_defect_needs_no_averaging():
     # N = 1 keeps the outgoing matrix well conditioned at 90 degrees.
     kin = Kinematics(bigK=1.0, theta0=0.0, theta=math.pi / 2)
     ds = DefectSet([0.5], [1.0])
-    f_direct = geoamp._f1_direct(kin, ds, 0.1, 0.5, -0.5)
+    (f_direct,) = geoamp._f1_direct([kin], ds, 0.1, 0.5, -0.5)
     f_reg = f1_geometric(kin, ds, 0.1, 0.5, -0.5)
     np.testing.assert_allclose(f_reg, f_direct, rtol=1e-12)
 
@@ -374,7 +440,7 @@ def _f1_reference_mp(kin, ds, eta, lambda1, lambda2):
     """f1 and sum_ab |u_a T[a][b] v_b| at 50 digits from the engine's double
     inputs: kink_coefficient_mp entries and an mpmath solve A w = e for the
     weights, with A built from the same double kx, kx_out and couplings."""
-    g = geo_inputs(kin, ds, eta, lambda1, lambda2)
+    g = _g(kin.s, kin.bigK, ds.positions, eta, lambda1, lambda2)
     pieces = (None, *g.alphas)
     with mp.workdps(50):
         beta = mp.mpf(g.beta)

@@ -151,3 +151,53 @@ def test_non_finite_inputs_raise():
         exp_erfc(float("inf"), 1.0)
     with pytest.raises(ValueError):
         exp_erf(1.0, float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# Arrays: elementwise, bit for bit
+
+
+def _array_points(rng, count):
+    """Complex points in every quadrant, some deep in the left half plane
+    (the erfcx reflection) and some exponents below the underflow flush."""
+    z = np.array(_disk_points(rng, 8.0, count))
+    x = rng.uniform(-20.0, 5.0, count) + 1j * rng.uniform(-10.0, 10.0, count)
+    x[::7] -= 800.0
+    return z, x
+
+
+def test_array_results_equal_scalar_results_bit_for_bit():
+    z, x = _array_points(np.random.default_rng(707), 300)
+    cases = [(erfcx_c, (z,)), (eexp, (x,)), (exp_erfc, (x, z)), (exp_erf, (x, z)),
+             (exp_erfc, (-1.5, z))]
+    for fn, args in cases:
+        got = fn(*args)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        for i in range(z.size):
+            one = fn(*(a if np.ndim(a) == 0 else complex(a[i]) for a in args))
+            assert type(one) is complex
+            assert got[i] == one, (fn.__name__, i)
+    assert eexp(x)[::7].tolist() == [0j] * len(x[::7])
+
+
+def test_array_symmetries_bit_exact():
+    z, x = _array_points(np.random.default_rng(808), 300)
+    assert np.array_equal(erfcx_c(z.conj()), erfcx_c(z).conj())
+    assert np.array_equal(exp_erf(x, -z), -exp_erf(x, z))
+
+
+def test_array_guards_act_on_single_elements():
+    ok = np.array([0.5 + 0.5j, 1.0, -2.0 + 1.0j])
+    bad = -(SAFE_REAL_WINDOW + 1.0)
+    with pytest.raises(OverflowError):
+        erfcx_c(np.append(ok, bad))
+    with pytest.raises(OverflowError):
+        eexp(np.append(ok, 710.0))
+    with pytest.raises(OverflowError):
+        exp_erfc(np.append(ok, 800.0), np.append(ok, 1.0))
+    for fn, args in ((erfcx_c, (np.append(ok, np.nan),)),
+                     (eexp, (np.append(ok, complex(1.0, np.inf)),)),
+                     (exp_erfc, (ok, np.append(ok[1:], np.inf))),
+                     (exp_erf, (np.append(ok[1:], np.nan), ok))):
+        with pytest.raises(ValueError):
+            fn(*args)
