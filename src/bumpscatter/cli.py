@@ -4,7 +4,8 @@ Commands
 --------
 sweep        cross section vs k*sigma at fixed scattering angle(s)
 angular      cross section vs scattering angle at fixed k*sigma
-verify       closed forms vs quadrature oracle; nonzero exit on mismatch
+verify       closed forms vs quadrature oracle; nonzero exit on mismatch;
+             also reports the measured reciprocity defect of f1
 feasibility  SI-unit validity estimates for the delta-line idealization
 plot         render sweep/angular CSV file(s) to a deterministic SVG
 preset       canned parameter sets reproducing the standard figure family
@@ -38,7 +39,7 @@ from .geoamp import (
     SINGULAR_ANGLE_TOL,
     GeoCoefficientInputs,
     SingularAngleError,
-    cross_section,
+    f1_geometric,
     f1_scan,
 )
 from .oracle import (
@@ -326,34 +327,36 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mirror_asymmetry_lines():
-    """Measured (not asserted) xsec change under alpha -> -alpha.
+# Cases and (theta0, theta) pairs in degrees of the reciprocity section of
+# the verify report: N = 0 is the control.
+RECIPROCITY_CASES = (((), ()), ((3.0,), (1.0,)), ((-1.0, 3.0), (1.0, 0.7)))
+RECIPROCITY_ANGLES_DEG = ((0.0, 30.0), (20.0, -30.0), (-10.0, 60.0), (45.0, 10.0))
 
-    Reports both plausible readings of mirror symmetry for a single offset
-    defect at theta0 = 0: the same-angle comparison and the reflected-angle
-    (180 deg - theta) comparison.  Neither is an exact invariance of the
-    first-order amplitude; these lines quantify by how much.
+
+def _reciprocity_lines():
+    """Measured (not gated) reciprocity defect of f1.
+
+    With the defect lines fixed at x = alpha_n, reciprocity composed with
+    the mirror x -> -x gives f(K; theta0 -> theta; alpha, z) =
+    f(K; -theta -> -theta0; -alpha, z).  Each line states
+    |f - f'| / max(|f|, |f'|) of the two sides at K = 1, eta = 0.1,
+    lambda = (0.5, -0.5) for every angle pair.
     """
-    out = ["mirror asymmetry (alpha -> -alpha), measured, theta=30deg:"]
-    for bigK in (0.5, 1.0, 2.0):
-        th = math.radians(30.0)
-        x_plus = cross_section(
-            Kinematics(bigK, 0.0, th), DefectSet([3.0], [1.0]), 0.1, 0.5, -0.5
-        )
-        x_minus = cross_section(
-            Kinematics(bigK, 0.0, th), DefectSet([-3.0], [1.0]), 0.1, 0.5, -0.5
-        )
-        x_minus_refl = cross_section(
-            Kinematics(bigK, 0.0, math.pi - th),
-            DefectSet([-3.0], [1.0]), 0.1, 0.5, -0.5,
-        )
-        rel_same = abs(x_plus - x_minus) / max(x_plus, x_minus)
-        rel_refl = abs(x_plus - x_minus_refl) / max(x_plus, x_minus_refl)
-        out.append(
-            f"  K={bigK:g}: xsec(+3,theta)={x_plus:.9e} "
-            f"xsec(-3,theta)={x_minus:.9e} rel_same={rel_same:.3e} "
-            f"xsec(-3,180-theta)={x_minus_refl:.9e} rel_reflected={rel_refl:.3e}"
-        )
+    out = ["reciprocity f(K; theta0->theta; alpha, z) vs f(K; -theta->-theta0; "
+           "-alpha, z), measured, K=1, N=0 the control:"]
+    for positions, couplings in RECIPROCITY_CASES:
+        there, back = DefectSet(positions, couplings), DefectSet(
+            [-a for a in positions], couplings)
+        cells = []
+        for th0, th in RECIPROCITY_ANGLES_DEG:
+            f = f1_geometric(Kinematics(1.0, math.radians(th0), math.radians(th)),
+                             there, 0.1, 0.5, -0.5)
+            f_rev = f1_geometric(Kinematics(1.0, math.radians(-th), math.radians(-th0)),
+                                 back, 0.1, 0.5, -0.5)
+            cells.append(f"({th0:g},{th:g})={abs(f - f_rev) / max(abs(f), abs(f_rev)):.3e}")
+        out.append(f"  N={len(positions)} alphas={','.join(f'{a:g}' for a in positions)} "
+                   f"z={','.join(f'{z.real:g}' for z in there.couplings)}: "
+                   + " ".join(cells))
     return out
 
 
@@ -371,7 +374,7 @@ def _cmd_verify(args) -> int:
 
     report = verify_all(grid, rtol=args.rtol, atol=args.atol, progress=progress)
     text = report.to_text()
-    extra = "\n".join(_mirror_asymmetry_lines())
+    extra = "\n".join(_reciprocity_lines())
     full_text = text + "\n" + extra + "\n"
     if args.out:
         _write_out(args.out, full_text)

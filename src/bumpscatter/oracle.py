@@ -32,15 +32,30 @@ kink (n + 1) pieces that geoamp contracts (integral_table, the quadrature
 twin of geoamp.coefficient_table), and the exact phase multiplies the
 result outside the quadrature.
 
-The integrator is a global-adaptive tensor-product Gauss-Legendre scheme:
-the domain [-r_max, r_max]^2 starts as a grid of panels whose edges include
-every defect position and x = 0 / y = 0 (so integrand kinks always lie on
-panel boundaries), each panel is scored by the difference between its
-order-p and order-2p evaluations, and the worst panel is bisected along
-its longer side until the summed error estimate meets the tolerance.  The
-reported err_est is that summed two-level difference.  Panel contributions
-are summed with math.fsum (real and imaginary parts separately), which is
-exactly rounded and so independent of the order the panels end up in.
+The table factors.  The bra and ket y factors cancel, and L ket is the ket
+times F0 + sg F1 (sg = sign(x - a) for a kink at a, 1 for the plane wave;
+F0, F1 are the same for every piece).  Panel edges include x = 0, y = 0
+and every defect position, so integrand kinks lie on panel boundaries and
+sg is constant on each panel, where entry (a, b) is
+
+    T_ab = sum_i wx_i B_a(x_i) K_b(x_i) (G0_i + sg_b G1_i),
+
+B_a and K_b the bra and ket x factors and G0, G1 the y-contracted F0, F1:
+one operator evaluation per panel and order, one matrix product for the
+whole table, and int |f| = int |F0 + sg_b F1|, two values per panel.  The
+line integral int psi_a(a, y) dy of a ket kink does not depend on the bra,
+so one 1D tree integrates the N of them.
+
+The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
+of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
+Espelid and Genz, ACM TOMS 17, 1991).  Each panel scores every entry by the
+difference of its order-p and order-2p values; an entry is converged when
+its summed difference, the reported err_est, meets
+max(rel_tol |T_ab|, abs_floor), and until every entry is, the panel with
+the largest error-to-target ratio over the unconverged entries is bisected
+across its longer side.  Panel contributions are summed with math.fsum
+(real and imaginary parts separately), which is exactly rounded and so
+independent of the order the panels end up in.
 
 This module is intentionally independent of the closed forms: it never
 calls geoamp internals, only mirrors the defining integrals.  verify_all
@@ -49,7 +64,6 @@ evaluates both tables and reports coefficient-by-coefficient agreement.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,7 +79,6 @@ __all__ = [
     "OracleValue",
     "QuadratureConvergenceError",
     "integral_table",
-    "integrate_Jmn_mollified",
     "assemble_f1_oracle",
     "VerificationRecord",
     "VerificationReport",
@@ -82,8 +95,9 @@ class QuadratureSpec:
     r_max = None means 12 + max|alpha| (the integrand carries e^{-r^2}, so
     the tail beyond ~10 is far below double precision).  rel_tol is the
     target for the summed two-level error estimate relative to the result;
-    abs_floor protects coefficients that are legitimately ~0.  max_panels
-    bounds the refinement; exceeding it raises QuadratureConvergenceError.
+    abs_floor protects coefficients that are legitimately ~0.  Both hold per
+    entry of a table.  max_panels bounds each shared panel tree; exceeding
+    it raises QuadratureConvergenceError.
     panel_order is the base Gauss-Legendre order p (the value estimate uses
     2p).
     """
@@ -148,91 +162,80 @@ def _leggauss(n: int):
     return _GL_CACHE[n]
 
 
+def _nodes(a, b, order):
+    """Gauss-Legendre nodes of [a, b] and their weights, scaled to [a, b]."""
+    t, w = _leggauss(order)
+    return 0.5 * (a + b) + 0.5 * (b - a) * t, 0.5 * (b - a) * w
+
+
 def _eval_panel_2d(f, ax, bx, ay, by, p):
     """Order-p and order-2p tensor evaluations of one rectangle.
 
-    Returns the order-2p value, the two-level error and the order-2p
-    integral of |f| over the rectangle.
+    f(x, wx, y, wy) integrates the vector of integrands over the tensor
+    nodes x, y with weights wx, wy and returns the values and the
+    integrals of their moduli.  Returns the order-2p values, the two-level
+    errors and the order-2p integrals of |f|.
     """
-    scale = 0.25 * (bx - ax) * (by - ay)
-    out = []
-    for order in (p, 2 * p):
-        x, wx = _leggauss(order)
-        xm = 0.5 * (ax + bx) + 0.5 * (bx - ax) * x
-        ym = 0.5 * (ay + by) + 0.5 * (by - ay) * x
-        F = f(xm[:, None], ym[None, :])
-        out.append(scale * complex(wx @ F @ wx))
-    q_lo, q_hi = out
-    return q_hi, abs(q_hi - q_lo), scale * float(wx @ np.abs(F) @ wx)
+    q_lo, _ = f(*_nodes(ax, bx, p), *_nodes(ay, by, p))
+    q_hi, mag = f(*_nodes(ax, bx, 2 * p), *_nodes(ay, by, 2 * p))
+    return q_hi, np.abs(q_hi - q_lo), mag
 
 
 def _eval_panel_1d(f, a, b, p):
-    scale = 0.5 * (b - a)
-    out = []
-    for order in (p, 2 * p):
-        x, w = _leggauss(order)
-        xm = 0.5 * (a + b) + 0.5 * (b - a) * x
-        F = f(xm)
-        out.append(scale * complex(w @ F))
-    q_lo, q_hi = out
-    return q_hi, abs(q_hi - q_lo), scale * float(w @ np.abs(F))
+    """The 1D twin of _eval_panel_2d; f(y, wy) as there."""
+    q_lo, _ = f(*_nodes(a, b, p))
+    q_hi, mag = f(*_nodes(a, b, 2 * p))
+    return q_hi, np.abs(q_hi - q_lo), mag
 
 
-def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, what: str) -> OracleValue:
-    """Global-adaptive integration; edges_y=None selects the 1D path."""
+def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
+    """The vector of integrals f (see _eval_panel_2d), one entry per label,
+    on one shared global-adaptive panel tree as in the module docstring
+    (x is bisected on a tie); edges_y=None selects the 1D path.  The stop
+    test reads numpy sums; the returned sums are math.fsum.  Returns one
+    OracleValue per label, each with the tree's panel count."""
     p = spec.panel_order
-    two_d = edges_y is not None
-    heap = []
-    seq = 0
-    if two_d:
-        for ax, bx in zip(edges_x, edges_x[1:]):
-            for ay, by in zip(edges_y, edges_y[1:]):
-                val, err, mag = _eval_panel_2d(f, ax, bx, ay, by, p)
-                heapq.heappush(heap, (-err, seq, ax, bx, ay, by, val, mag))
-                seq += 1
-    else:
-        for a, b in zip(edges_x, edges_x[1:]):
-            val, err, mag = _eval_panel_1d(f, a, b, p)
-            heapq.heappush(heap, (-err, seq, a, b, 0.0, 0.0, val, mag))
-            seq += 1
+    edges = (edges_x,) if edges_y is None else (edges_x, edges_y)
+    # a cell is one interval per axis
+    cells = list(itertools.product(*(itertools.pairwise(e) for e in edges)))
 
-    def totals():
-        tot = complex(math.fsum(e[6].real for e in heap),
-                      math.fsum(e[6].imag for e in heap))
-        err = math.fsum(-e[0] for e in heap)
-        return tot, err
+    def evaluate(cell):
+        if edges_y is None:
+            return _eval_panel_1d(f, *cell[0], p)
+        return _eval_panel_2d(f, *cell[0], *cell[1], p)
 
-    tot, err = totals()
-    while err > max(spec.rel_tol * abs(tot), spec.abs_floor):
-        if len(heap) >= spec.max_panels:
+    panels = [evaluate(c) for c in cells]
+    while True:
+        vals, errs, _ = (np.array(part) for part in zip(*panels))
+        err = errs.sum(axis=0)
+        target = np.maximum(spec.rel_tol * np.abs(vals.sum(axis=0)), spec.abs_floor)
+        unconverged = err > target
+        if not unconverged.any():
+            break
+        if len(cells) >= spec.max_panels:
+            k = int(np.argmax(np.where(unconverged, err / target, -1.0)))
+            what, column = labels[k], vals[:, k]
+            tot = complex(math.fsum(column.real), math.fsum(column.imag))
             raise QuadratureConvergenceError(
-                f"{what}: error estimate {err:.3g} above target after "
-                f"{len(heap)} panels; partial value of {what} = {tot:.6g}",
+                f"{what}: error estimate {err[k]:.3g} above target after "
+                f"{len(cells)} panels; partial value of {what} = {tot:.6g}",
                 tot,
-                err,
+                float(err[k]),
             )
-        neg_err, _, ax, bx, ay, by, _, _ = heapq.heappop(heap)
-        if two_d:
-            if (bx - ax) >= (by - ay):
-                mid = 0.5 * (ax + bx)
-                kids = [(ax, mid, ay, by), (mid, bx, ay, by)]
-            else:
-                mid = 0.5 * (ay + by)
-                kids = [(ax, bx, ay, mid), (ax, bx, mid, by)]
-            for cax, cbx, cay, cby in kids:
-                val, perr, mag = _eval_panel_2d(f, cax, cbx, cay, cby, p)
-                heapq.heappush(heap, (-perr, seq, cax, cbx, cay, cby, val, mag))
-                seq += 1
-        else:
-            mid = 0.5 * (ax + bx)
-            for ca, cb in ((ax, mid), (mid, bx)):
-                val, perr, mag = _eval_panel_1d(f, ca, cb, p)
-                heapq.heappush(heap, (-perr, seq, ca, cb, 0.0, 0.0, val, mag))
-                seq += 1
-        tot, err = totals()
+        worst = int(np.argmax((errs[:, unconverged] / target[unconverged]).max(axis=1)))
+        cell = cells.pop(worst)
+        del panels[worst]
+        k = max(range(len(cell)), key=lambda i: cell[i][1] - cell[i][0])
+        a, b = cell[k]
+        kids = [cell[:k] + (half,) + cell[k + 1:] for half in ((a, 0.5 * (a + b)),
+                                                               (0.5 * (a + b), b))]
+        cells += kids
+        panels += [evaluate(c) for c in kids]
 
-    return OracleValue(value=tot, err_est=err, panels=len(heap),
-                       abs_integral=math.fsum(e[7] for e in heap))
+    vals, errs, mags = (np.array(part) for part in zip(*panels))
+    return [OracleValue(value=complex(math.fsum(v.real), math.fsum(v.imag)),
+                        err_est=math.fsum(e), panels=len(cells), abs_integral=math.fsum(m))
+            for v, e, m in zip(vals.T, errs.T, mags.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,65 +252,66 @@ def _integrand_inputs(g: GeoCoefficientInputs):
             CurvatureCoefficients(g.lambda1, g.lambda2))
 
 
-def _smooth_integrand(bra, ket, g: GeoCoefficientInputs):
-    """Vectorized bra * (L ket) smooth-part integrand on arrays X, Y.
+def _operator_parts(g: GeoCoefficientInputs):
+    """(X, Y) -> (F0, F1): L applied to a ket piece, over the ket.
 
-    bra and ket are kink positions, or None for the plane wave: x factor
-    e^{i beta x} on either side, e^{-i beta |x - bra|} for a bra kink (the
-    conjugated dual) and e^{i beta |x - ket|} for a ket kink.
+    The ket's x slope is beta * sg (sg = 1 for the plane wave, sign(x - a)
+    for a kink at a) and its y slope gamma, so L ket / ket = F0 + sg F1
+    with
+        F0 = a/r^2 (-beta^2 x^2 - gamma^2 y^2) + b/r^2 i gamma y + c,
+        F1 = a/r^2 (-2 beta gamma x y) + b/r^2 i beta x.
     """
     beta, gamma, profile, cc = _integrand_inputs(g)
 
-    def f(X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        R = np.hypot(X, Y)
-        oc = operator_coeffs_first_order(R, profile, cc)
-        sg = 1.0 if ket is None else np.sign(X - ket)
-        hx = 1j * beta * sg
-        hy = 1j * gamma
-        quad_part = oc.a_over_r2 * (
-            X * X * (-(beta**2))
-            + 2.0 * X * Y * (-(beta * gamma) * sg)
-            + Y * Y * (-(gamma**2))
-        )
-        grad_part = oc.b_over_r2 * (X * hx + Y * hy)
-        factor = quad_part + grad_part + oc.c
-        bra_x = (np.exp(1j * beta * X) if bra is None
-                 else np.exp(-1j * beta * np.abs(X - bra)))
-        ket_x = np.exp(1j * beta * (X if ket is None else np.abs(X - ket)))
-        bra_v = bra_x * np.exp(-1j * gamma * Y)
-        ket_v = ket_x * np.exp(1j * gamma * Y)
-        return bra_v * factor * ket_v
+    def parts(X, Y):
+        oc = operator_coeffs_first_order(np.hypot(X, Y), profile, cc)
+        f0 = (oc.a_over_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y)
+              + oc.b_over_r2 * (1j * gamma * Y) + oc.c)
+        f1 = oc.a_over_r2 * (-2.0 * beta * gamma * X * Y) + oc.b_over_r2 * (1j * beta * X)
+        return f0, f1
+
+    return parts
+
+
+def _x_factors(pieces, x, beta, sign):
+    """One row per piece: e^{i beta x} for the plane wave (None) and
+    e^{sign i beta |x - a|} for a kink at a."""
+    return np.exp(1j * beta * np.array(
+        [x if a is None else sign * np.abs(x - a) for a in pieces]))
+
+
+def _table_integrand(bras, kets, g: GeoCoefficientInputs):
+    """Panel integrator of bra * (L ket) for every bra in bras against
+    every ket in kets, flattened row by row: the factored table of the
+    module docstring, with sg_b read at the panel's midpoint."""
+    beta = g.beta
+    parts = _operator_parts(g)
+
+    def f(x, wx, y, wy):
+        f0, f1 = parts(x[:, None], y[None, :])
+        mid = 0.5 * (x[0] + x[-1])
+        sg = np.array([1.0 if b is None else math.copysign(1.0, mid - b) for b in kets])
+        ket = _x_factors(kets, x, beta, 1.0) * (f0 @ wy + sg[:, None] * (f1 @ wy))
+        table = (_x_factors(bras, x, beta, -1.0) * wx) @ ket.T
+        mags = wx @ np.abs(f0 + f1) @ wy, wx @ np.abs(f0 - f1) @ wy
+        mag = np.where(sg > 0.0, *mags)
+        return table.ravel(), np.broadcast_to(mag, table.shape).ravel()
 
     return f
 
 
-def _delta_line_integrand(bra, ket: float, g: GeoCoefficientInputs):
-    """1D y-integrand of the line term of a ket kink at `ket`."""
-    beta, gamma, profile, cc = _integrand_inputs(g)
-    const = 2j * beta * ket * ket
-    bra_x = (np.exp(1j * beta * np.array(ket)) if bra is None
-             else np.exp(-1j * beta * np.abs(np.array(ket) - bra)))
+def _line_integrand(kinks, g: GeoCoefficientInputs):
+    """Panel integrator of int a/r^2(a, y) dy along each defect line x = a
+    in kinks: a ket kink at a adds 2 i beta a^2 bra(a) times it to the
+    entry of every bra."""
+    _, _, profile, cc = _integrand_inputs(g)
+    a = np.asarray(kinks, dtype=float)[:, None]
 
-    def f(Y):
-        Y = np.asarray(Y, dtype=float)
-        R = np.hypot(ket, Y)
-        oc = operator_coeffs_first_order(R, profile, cc)
-        bra_v = bra_x * np.exp(-1j * gamma * Y)
-        return const * bra_v * oc.a_over_r2 * np.exp(1j * gamma * Y)
+    def f(y, wy):
+        F = operator_coeffs_first_order(np.hypot(a, y[None, :]), profile, cc).a_over_r2
+        return F @ wy, np.abs(F) @ wy
 
     return f
-
-
-def _combine(a: OracleValue, b: OracleValue) -> OracleValue:
-    """Sum of two integrals, with their error estimates and |f| integrals."""
-    return OracleValue(
-        value=a.value + b.value,
-        err_est=a.err_est + b.err_est,
-        panels=a.panels + b.panels,
-        abs_integral=a.abs_integral + b.abs_integral,
-    )
 
 
 def _phase(g: GeoCoefficientInputs, *positions: float) -> complex:
@@ -324,76 +328,64 @@ def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
     return edges_x, [-rmax, 0.0, rmax]
 
 
+def _integrate_table(bras, kets, g: GeoCoefficientInputs, spec: QuadratureSpec,
+                     labels) -> list:
+    """Integrals of every bra piece against every ket piece (kink
+    positions, or None for the plane wave), labeled by the rows of labels:
+    the smooth parts on one shared 2D tree, the line terms of the ket kinks
+    on one shared 1D tree."""
+    edges_x, edges_y = _panel_edges(g, spec, [k for k in (*bras, *kets) if k is not None])
+    smooth = _adaptive(_table_integrand(bras, kets, g), edges_x, edges_y, spec,
+                       [what for row in labels for what in row])
+    table = [smooth[i * len(kets):(i + 1) * len(kets)] for i in range(len(bras))]
+    cols = [j for j, ket in enumerate(kets) if ket is not None]
+    if cols:
+        at = np.array([kets[j] for j in cols])
+        lines = _adaptive(_line_integrand(at, g), edges_y, None, spec,
+                          [labels[0][j] + " (line term)" for j in cols])
+        weights = 2j * g.beta * at**2 * _x_factors(bras, at, g.beta, -1.0)
+        for row, row_weights in zip(table, weights):
+            for j, w, line in zip(cols, row_weights, lines):
+                ov = row[j]
+                row[j] = OracleValue(
+                    ov.value + complex(w * line.value), ov.err_est + abs(w) * line.err_est,
+                    ov.panels + line.panels, ov.abs_integral + abs(w) * line.abs_integral)
+    return table
+
+
 def _integrate_pair(bra, ket, g: GeoCoefficientInputs,
                     spec: QuadratureSpec, what: str) -> OracleValue:
     """Integral of bra piece `bra` against ket piece `ket` (kink positions,
-    or None for the plane wave), labeled `what`."""
-    kinks = [k for k in (bra, ket) if k is not None]
-    edges_x, edges_y = _panel_edges(g, spec, kinks)
-    out = _adaptive(_smooth_integrand(bra, ket, g), edges_x, edges_y, spec, what)
-    if ket is not None:
-        extra = _adaptive(_delta_line_integrand(bra, ket, g), edges_y, None, spec,
-                          what + " (line term)")
-        out = _combine(out, extra)
-    return out
+    or None for the plane wave), labeled `what`: the one-entry table."""
+    return _integrate_table((bra,), (ket,), g, spec, [[what]])[0][0]
+
+
+def _label(g: GeoCoefficientInputs, bra, ket) -> str:
+    """I0, Imn[n], Jmn[n] or I4 base[m,n] by the kink indices in g.alphas."""
+    index = g.alphas.index
+    if bra is None:
+        return "I0" if ket is None else f"Jmn[{index(ket)}]"
+    if ket is None:
+        return f"Imn[{index(bra)}]"
+    return f"I4 base[{index(bra)},{index(ket)}]"
 
 
 def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec,
                    bra: float | None = None, ket: float | None = None) -> OracleValue:
     """Integral of a bra kink at `bra` against a ket kink at `ket`, every
-    phase position at 0; None puts the plane wave on that side.  Labeled
-    I0, Imn[n], Jmn[n] or I4 base[m,n] by the kink indices in g.alphas."""
-    index = g.alphas.index
-    if bra is None:
-        label = "I0" if ket is None else f"Jmn[{index(ket)}]"
-    elif ket is None:
-        label = f"Imn[{index(bra)}]"
-    else:
-        label = f"I4 base[{index(bra)},{index(ket)}]"
-    return _integrate_pair(bra, ket, g, spec, label)
+    phase position at 0; None puts the plane wave on that side."""
+    return _integrate_pair(bra, ket, g, spec, _label(g, bra, ket))
 
 
 def integral_table(g: GeoCoefficientInputs, spec: QuadratureSpec = QuadratureSpec()):
     """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
-    pair C[m, n].  Entry by entry the quadrature of geoamp.coefficient_table."""
+    pair C[m, n].  The quadrature of geoamp.coefficient_table, all entries
+    on one shared panel tree."""
     pieces = (None, *g.alphas)
-    return [[_kink_integral(g, spec, bra, ket) for ket in pieces] for bra in pieces]
-
-
-def integrate_Jmn_mollified(g: GeoCoefficientInputs, n: int, width: float,
-                            spec: QuadratureSpec = QuadratureSpec()) -> OracleValue:
-    """Ket kink n against the plane wave (the table entry T[0][n+1]) with
-    its line term's delta(x - a) replaced by a Gaussian of the given
-    width, evaluated as a genuine 2D integral.
-
-    Used to confirm the sharp line term: the mollified value approaches it
-    as O(width^2).  Returns the smooth part plus the mollified line term,
-    with the phase position at 0.
-    """
-    a = g.alphas[n]
-    base = _adaptive(
-        _smooth_integrand(None, a, g),
-        *_panel_edges(g, spec, [a]),
-        spec,
-        f"Jmn[{n}] smooth",
-    )
-    beta, gamma, profile, cc = _integrand_inputs(g)
-
-    def f(X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        R = np.hypot(X, Y)
-        oc = operator_coeffs_first_order(R, profile, cc)
-        moll = np.exp(-((X - a) / width) ** 2) / (width * math.sqrt(math.pi))
-        bra_v = np.exp(1j * beta * X) * np.exp(-1j * gamma * Y)
-        return 2j * beta * bra_v * oc.a_over_r2 * X * X * moll * np.exp(1j * gamma * Y)
-
-    # the mollifier support needs panel edges at a +- few widths
-    edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
-    line = _adaptive(f, *edges, spec, "mollified line")
-    return _combine(base, line)
+    labels = [[_label(g, bra, ket) for ket in pieces] for bra in pieces]
+    return _integrate_table(pieces, pieces, g, spec, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +421,8 @@ def assemble_f1_oracle(
     modulus of its assembly weights: sum_m |Ainv_out[m,n]| for a bra kink,
     sum_m |Ainv_in[m,n]| for a ket kink, and sum_{m',n'} |Ainv_out[m,m']
     Ainv_in[n,n']| = (sum_m' |Ainv_out[m,m']|) (sum_n' |Ainv_in[n,n']|)
-    for a kink pair.
+    for a kink pair.  panels counts the table's shared trees once: every
+    ket-kink entry carries the 2D and the 1D tree.
     """
     g = GeoCoefficientInputs(
         s=kin.s, bigK=kin.bigK, alphas=defects.positions,
@@ -454,7 +447,7 @@ def assemble_f1_oracle(
     total_abs = math.fsum(w * ov.abs_integral for _, w, ov in cells)
     pref = -0.5 * complex(np.exp(1j * math.pi / 4.0)) / math.sqrt(2.0 * math.pi * kin.bigK)
     return OracleValue(value=complex(pref * bracket), err_est=float(abs(pref) * total_err),
-                       panels=sum(ov.panels for *_, ov in cells),
+                       panels=max(ov.panels for *_, ov in cells),
                        abs_integral=float(abs(pref) * total_abs))
 
 

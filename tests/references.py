@@ -7,15 +7,27 @@ discrimination between the two reproducible.
 
 ``kink_coefficient_mp`` is a 50-digit quadrature of the kink-family
 defining integrals, independent of the engine's moment recursion.
+
+``jmn_mollified`` is the oracle's ket-kink entry with its delta line
+smeared into a narrow Gaussian, a check that the sharp line term is right.
 """
 
 import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 
 from bumpscatter.geoamp import coefficient_table
+from bumpscatter.oracle import (
+    QuadratureSpec,
+    _adaptive,
+    _integrand_inputs,
+    _operator_parts,
+    _panel_edges,
+)
 from bumpscatter.specfun import exp_erf
+from bumpscatter.surface import operator_coeffs_first_order
 
 
 def immnn_x2(g, m, mp, n, np_):
@@ -93,3 +105,33 @@ def kink_coefficient_mp(g, bra=None, ket=None):
             a = mp.mpf(ket)
             total += 2j * b * a * a * mp.exp(-a * a) * bra_x(a)
         return complex(mp.mpf(g.eta) * mp.sqrt(mp.pi) * total)
+
+
+def jmn_mollified(g, n, width, spec=QuadratureSpec()):
+    """Ket kink n against the plane wave (the table entry T[0][n+1], phase
+    position at 0) with its line term's delta(x - a) replaced by a Gaussian
+    of the given width, so that the whole entry is one 2D integral.
+
+    The smooth part and the mollified line term are a vector of two
+    integrals on the oracle's shared panel tree; the result is their sum.
+    It approaches the sharp entry as O(width^2).
+    """
+    a = g.alphas[n]
+    beta, _, profile, cc = _integrand_inputs(g)
+    parts = _operator_parts(g)
+
+    def f(x, wx, y, wy):
+        X, Y = x[:, None], y[None, :]
+        f0, f1 = parts(X, Y)
+        plane_ket = np.exp(1j * beta * (X + np.abs(X - a)))
+        smooth = plane_ket * (f0 + np.sign(X - a) * f1)
+        oc = operator_coeffs_first_order(np.hypot(X, Y), profile, cc)
+        moll = np.exp(-(((X - a) / width) ** 2)) / (width * math.sqrt(math.pi))
+        line = 2j * beta * np.exp(1j * beta * X) * oc.a_over_r2 * X * X * moll
+        F = np.stack([smooth, line])
+        return F @ wy @ wx, np.abs(F) @ wy @ wx
+
+    # the mollifier support needs panel edges at a +- a few widths
+    edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
+    smooth, line = _adaptive(f, *edges, spec, [f"Jmn[{n}] smooth", "mollified line"])
+    return smooth.value + line.value

@@ -354,7 +354,8 @@ def test_verify_reduced_grid_passes(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "all_passed=True" in out
-    assert "mirror asymmetry" in out
+    assert "reciprocity f(K; theta0->theta; alpha, z)" in out
+    assert "  N=0 alphas= z=: " in out
     text = report_path.read_text()
     assert "coefficient=Immnn" in text
     assert "pass=False" not in text

@@ -391,6 +391,39 @@ def test_amplitude_is_linear_in_eta():
     assert f1_geometric(kin, ds, 0.0, 0.5, -0.5) == 0.0
 
 
+# Reciprocity composed with the mirror x -> -x: with the defect lines fixed
+# at x = alpha_n, f(K; theta0 -> theta; alpha, z) = f(K; -theta -> -theta0;
+# -alpha, z).  Both sides keep |theta0| < 90 deg and cos(theta) > 0.
+_RECIPROCITY_ANGLES_DEG = ((0.0, 30.0), (20.0, -30.0), (-10.0, 60.0), (45.0, 10.0))
+
+
+def _reciprocity_defect(positions, couplings, theta0_deg, theta_deg):
+    """|f - f'| / max(|f|, |f'|) of the two sides at K = 1, eta = 0.1,
+    lambda = (0.5, -0.5)."""
+    th0, th = math.radians(theta0_deg), math.radians(theta_deg)
+    f = f1_geometric(Kinematics(1.0, th0, th), DefectSet(positions, couplings),
+                     0.1, 0.5, -0.5)
+    f_rev = f1_geometric(Kinematics(1.0, -th, -th0),
+                         DefectSet([-a for a in positions], couplings), 0.1, 0.5, -0.5)
+    return abs(f - f_rev) / max(abs(f), abs(f_rev))
+
+
+def test_reciprocity_holds_without_defects():
+    # the control: not exactly 0, about 4e-16 at (20, -30)
+    for th0, th in _RECIPROCITY_ANGLES_DEG:
+        assert _reciprocity_defect((), (), th0, th) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("positions, couplings", [
+    ((3.0,), (1.0,)),
+    ((-1.0, 3.0), (1.0, 0.7)),
+], ids=["N1", "N2"])
+def test_reciprocity_holds_with_defects(positions, couplings):
+    for th0, th in _RECIPROCITY_ANGLES_DEG:
+        assert _reciprocity_defect(positions, couplings, th0, th) <= 1e-12
+
+
 def test_weak_coupling_limit_matches_flat_plane():
     kin = Kinematics(bigK=1.0, theta0=0.0, theta=2.5)
     free = f1_geometric(kin, DefectSet(), 0.1, 0.5, -0.5)

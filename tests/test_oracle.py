@@ -5,8 +5,7 @@ The oracle exists to validate the closed-form coefficients from their
 defining integrals, so most tests here are self-checks of the quadrature
 machinery (error estimates, route equivalence, the symbolic operator
 identities it relies on) plus spot comparisons.  The exhaustive grid
-comparison lives behind the "oracle" marker; the acceptance suite runs the
-reduced grid on every invocation.
+comparison carries the "oracle" marker for selection and runs by default.
 """
 
 import cmath
@@ -16,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import sympy as sp
-from references import immnn_x2, matches_oracle
+from references import immnn_x2, jmn_mollified, matches_oracle
 
 from bumpscatter import geoamp
 from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
@@ -27,11 +26,11 @@ from bumpscatter.oracle import (
     QuadratureSpec,
     _adaptive,
     _kink_integral,
-    _smooth_integrand,
+    _label,
+    _operator_parts,
     assemble_f1_oracle,
     default_verification_grid,
     integral_table,
-    integrate_Jmn_mollified,
     verify_all,
 )
 from bumpscatter.surface import (
@@ -135,6 +134,22 @@ def _polar_integrand(bra, ket, g):
     return f
 
 
+def _cartesian_integrand(bra, ket, g):
+    """The oracle's bra * (L ket), built from its operator parts F0 + sg F1
+    with the y factors of bra and ket cancelled."""
+    beta = g.beta
+    parts = _operator_parts(g)
+
+    def f(X, Y):
+        f0, f1 = parts(X, Y)
+        sg = 1.0 if ket is None else np.sign(X - ket)
+        bra_x = np.exp(1j * beta * (X if bra is None else -np.abs(X - bra)))
+        ket_x = np.exp(1j * beta * (X if ket is None else np.abs(X - ket)))
+        return bra_x * (f0 + sg * f1) * ket_x
+
+    return f
+
+
 def test_cartesian_and_polar_routes_agree_pointwise():
     g = _g(s=0.6, bigK=1.4, alphas=(0.7,))
     rng = np.random.default_rng(7)
@@ -143,7 +158,7 @@ def test_cartesian_and_polar_routes_agree_pointwise():
     # bra and ket pieces: a kink position, or None for the plane wave
     pairs = [(None, None), (None, 0.7), (0.7, 0.7)]
     for bra, ket in pairs:
-        fc = _smooth_integrand(bra, ket, g)(X, Y)
+        fc = _cartesian_integrand(bra, ket, g)(X, Y)
         fp = _polar_integrand(bra, ket, g)(X, Y)
         scale = np.max(np.abs(fc))
         assert np.max(np.abs(fc - fp)) <= 1e-10 * scale
@@ -172,8 +187,7 @@ def test_mollified_line_term_converges_quadratically():
     ref = coefficient_table(g)[0][2]
     errs = []
     for w in (0.02, 0.01, 0.005):
-        val = integrate_Jmn_mollified(g, 1, w)
-        errs.append(abs(val.value - ref))
+        errs.append(abs(jmn_mollified(g, 1, w) - ref))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
     assert errs[2] <= 2e-6
@@ -209,6 +223,21 @@ def test_error_estimate_is_honest_under_refinement():
     assert abs(strict.value - loose.value) <= 10.0 * loose.err_est
 
 
+@pytest.mark.parametrize("g", [
+    _g(),
+    _g(s=0.7, bigK=1.0, alphas=(-3.0, 0.0, 3.0)),
+], ids=["N2", "N3"])
+def test_shared_table_matches_one_entry_integrals(g):
+    # Every entry of the shared tree agrees with the entry integrated on
+    # its own tree, within the two error estimates.
+    pieces = (None, *g.alphas)
+    spec = QuadratureSpec()
+    for bra, row in zip(pieces, integral_table(g, spec)):
+        for ket, shared in zip(pieces, row):
+            alone = _kink_integral(g, spec, bra, ket)
+            assert abs(shared.value - alone.value) <= shared.err_est + alone.err_est
+
+
 def test_quadrature_convergence_error_carries_partial_result():
     g = _g()
     bad_spec = QuadratureSpec(rel_tol=1e-14, max_panels=8)
@@ -222,6 +251,26 @@ def test_quadrature_convergence_error_carries_partial_result():
     assert message.startswith("Imn[1]: ")
     assert f"error estimate {err.err_est:.3g}" in message
     assert f"partial value of Imn[1] = {err.value:.6g}" in message
+
+
+def test_table_convergence_error_names_worst_entry():
+    g = _g()
+    bad_spec = QuadratureSpec(rel_tol=1e-14, max_panels=8)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        integral_table(g, bad_spec)
+    err = exc_info.value
+    what = str(err).split(":")[0]
+    labels = {"I0", "Imn[0]", "Imn[1]", "Jmn[0]", "Jmn[1]",
+              *(f"I4 base[{m},{n}]" for m in range(2) for n in range(2))}
+    assert what in labels
+    assert f"error estimate {err.err_est:.3g}" in str(err)
+    assert f"partial value of {what} = {err.value:.6g}" in str(err)
+    # the partial value is that entry's, not another's
+    closed = coefficient_table(g)
+    pieces = (None, *g.alphas)
+    index = {_label(g, bra, ket): closed[i][j]
+             for i, bra in enumerate(pieces) for j, ket in enumerate(pieces)}
+    assert abs(err.value - index[what]) <= 1e-3 * abs(index[what])
 
 
 def test_quadrature_spec_resolves_box_from_offsets():
@@ -299,10 +348,12 @@ _ZERO_POINT_GRID = {
 def test_adaptive_accumulates_integral_of_modulus():
     # x e^{-r^2} integrates to 0, its modulus to int |x| e^{-x^2} dx
     # * int e^{-y^2} dy = sqrt(pi).
-    ov = _adaptive(
-        lambda X, Y: X * np.exp(-X * X - Y * Y),
-        [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0], QuadratureSpec(), "odd gaussian",
-    )
+    def odd_gaussian(x, wx, y, wy):
+        F = x[:, None] * np.exp(-x[:, None] ** 2 - y[None, :] ** 2)
+        return np.array([wx @ F @ wy]), np.array([wx @ np.abs(F) @ wy])
+
+    [ov] = _adaptive(odd_gaussian, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
+                     QuadratureSpec(), ["odd gaussian"])
     assert abs(ov.value) <= 1e-15
     assert ov.abs_integral == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert ov.resolution(QuadratureSpec()) == pytest.approx(
@@ -358,18 +409,26 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point():
         assert r.passed == (r.rel_err <= 1e-18)
 
 
+def _fake_table(entry):
+    """Stand-in for the table integrator: entry(label) for every label."""
+    def fake(bras, kets, g, spec, labels):
+        return [[entry(what) for what in row] for row in labels]
+
+    return fake
+
+
 def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
     import bumpscatter.oracle as oracle_mod
 
     # Stand-in integrals with a distinct error estimate per label.
     err_of = {}
 
-    def fake_pair(bra, ket, g, spec, what):
+    def fake_entry(what):
         err_of[what] = 1e-9 * (1 + len(err_of))
         return OracleValue(value=0.1 + 0.2j, err_est=err_of[what], panels=1,
                            abs_integral=1.0)
 
-    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    monkeypatch.setattr(oracle_mod, "_integrate_table", _fake_table(fake_entry))
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
     ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
     ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
@@ -394,13 +453,13 @@ def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
     # Stand-in integrals with a distinct value per label.
     value_of = {}
 
-    def fake_pair(bra, ket, g, spec, what):
+    def fake_entry(what):
         k = len(value_of)
         value_of[what] = complex(math.cos(1.3 * k), math.sin(0.7 * k + 0.2))
         return OracleValue(value=value_of[what], err_est=0.0, panels=1,
                            abs_integral=1.0)
 
-    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    monkeypatch.setattr(oracle_mod, "_integrate_table", _fake_table(fake_entry))
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
     ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
     ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
@@ -429,30 +488,38 @@ def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
     assert abs(ov.value - expected) <= 1e-13 * abs(expected)
 
 
-def test_oracle_integrates_each_kink_family_once_per_kink(monkeypatch):
+def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
     import bumpscatter.oracle as oracle_mod
 
-    labels = []
+    trees = []
+    adaptive = oracle_mod._adaptive
 
-    def fake_pair(bra, ket, g, spec, what):
-        labels.append(what)
-        return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)
+    def spy(f, edges_x, edges_y, spec, labels):
+        out = adaptive(f, edges_x, edges_y, spec, labels)
+        trees.append(("2d" if edges_y is not None else "1d", list(labels), out[0].panels))
+        return out
 
-    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
-    # N = 3: one plane integral, 3 + 3 kink integrals and 9 kink pairs,
-    # where one integral per (m, n) would make 1 + 9 + 9 + 9 = 28
+    monkeypatch.setattr(oracle_mod, "_adaptive", spy)
+    # N = 3: one 2D tree carries the plane integral, 3 + 3 kink integrals
+    # and 9 kink pairs, where one tree per entry would make 16; one 1D tree
+    # carries the 3 line integrals of the ket kinks
     expected = {"I0": 1, "Imn": 3, "Jmn": 3, "I4 base": 9}
     grid = dict(_ZERO_POINT_GRID, lambdas=((0.5, -0.5),))
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
     ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
     for run in (lambda: verify_all(grid=grid),
                 lambda: assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)):
-        labels.clear()
-        run()
+        trees.clear()
+        out = run()
+        assert [kind for kind, *_ in trees] == ["2d", "1d"]
+        (_, labels, panels_2d), (_, lines, panels_1d) = trees
         assert len(labels) == 16
         assert len(set(labels)) == 16
         families = Counter(what.split("[")[0] for what in labels)
         assert families == expected
+        assert lines == [f"Jmn[{n}] (line term)" for n in range(3)]
+    # the assembly reports the shared trees' panels once
+    assert out.panels == panels_2d + panels_1d
 
 
 def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monkeypatch):
@@ -472,12 +539,12 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
         calls["I0"] += 1
         return plane(g)
 
-    def fake_pair(bra, ket, g, spec, what):
+    def fake_entry(what):
         return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)
 
     monkeypatch.setattr(geoamp, "_kink_coefficient", counted_kernel)
     monkeypatch.setattr(geoamp, "I0_closed", counted_plane)
-    monkeypatch.setattr(oracle_mod, "_integrate_pair", fake_pair)
+    monkeypatch.setattr(oracle_mod, "_integrate_table", _fake_table(fake_entry))
     grid = dict(_ZERO_POINT_GRID, s=(0.7,), lambdas=((0.5, -0.5),))
     report = verify_all(grid=grid)
     assert len(report.records) == 100
@@ -485,7 +552,7 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive grid (heavy; deselected by default, run with `pytest -m oracle`)
+# Exhaustive grid (selectable with `pytest -m oracle`)
 
 
 @pytest.mark.oracle
@@ -496,10 +563,9 @@ def test_full_default_grid_all_coefficients_pass():
     # The rejected x2 transcription of the step term must fail somewhere on
     # the grid, otherwise the oracle has no discriminating power.
     alphas = tuple(sorted(grid["alphas"]))
-    x2_failures = sum(
+    assert any(
         not matches_oracle(immnn_x2(_g(r.s, r.bigK, alphas, grid["eta"],
                                        r.lambda1, r.lambda2), *r.indices), r)
         for r in report.records
         if r.coefficient == "Immnn"
     )
-    assert x2_failures > 0
