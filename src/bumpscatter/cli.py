@@ -39,6 +39,7 @@ from .geoamp import (
     SINGULAR_ANGLE_TOL,
     GeoCoefficientInputs,
     SingularAngleError,
+    delta_ray_offset,
     f1_geometric,
     f1_scan,
 )
@@ -57,8 +58,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
-# Angle-scan points within geoamp.SINGULAR_ANGLE_TOL of a delta-supported
-# direction are moved this far off it (degrees).
+# Angle-scan points with |geoamp.delta_ray_offset| below
+# geoamp.SINGULAR_ANGLE_TOL are moved this far off the ray (degrees).
 NUDGE_DEG = 1e-5
 
 COLUMNS = "ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec"
@@ -89,8 +90,6 @@ def _parse_grid(text: str, what: str):
         raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
         raise _UsageError(f"bad {what} {text!r}")
-    if n == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, n)
 
 
@@ -117,17 +116,6 @@ def _parse_couplings(text: str, count: int):
             f"{count} defect position(s) but {len(out)} coupling(s)"
         )
     return out
-
-
-def _nudge_theta_deg(theta_deg: float, theta0_deg: float):
-    """Push an angle within SINGULAR_ANGLE_TOL of a delta-supported direction
-    (theta0 or its mirror) NUDGE_DEG off it; returns (angle, nudged)."""
-    for special in (theta0_deg, 180.0 - theta0_deg):
-        d = math.remainder(theta_deg - special, 360.0)
-        if abs(d) < math.degrees(SINGULAR_ANGLE_TOL):
-            shift = NUDGE_DEG if d >= 0.0 else -NUDGE_DEG
-            return theta_deg + shift - d, True
-    return theta_deg, False
 
 
 def _engine_inputs(args, positions, couplings, bigK, thetas_deg) -> DefectSet:
@@ -226,7 +214,8 @@ def _cmd_sweep(args) -> int:
     if not thetas:
         raise _UsageError("sweep needs --theta-deg (one or more, comma separated)")
     for th in thetas:
-        if _nudge_theta_deg(th, args.theta0_deg)[1]:
+        ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
+        if abs(ray) < SINGULAR_ANGLE_TOL:
             raise _UsageError(
                 f"theta = {th} deg lies on a delta-supported direction "
                 f"(theta0 = {args.theta0_deg}, mirror = "
@@ -246,14 +235,17 @@ def _cmd_angular(args) -> int:
         raise _UsageError("--ksigma must be positive")
     points = []
     for th in _parse_grid(args.thetagrid, "--thetagrid"):
-        nudged, warned = _nudge_theta_deg(float(th), args.theta0_deg)
-        if warned:
+        th = float(th)
+        ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
+        if abs(ray) < SINGULAR_ANGLE_TOL:
+            nudged = th - math.degrees(ray) + (NUDGE_DEG if ray >= 0.0 else -NUDGE_DEG)
             print(
                 f"warning: theta = {th:g} deg sits on a delta-supported "
                 f"direction; nudged to {nudged:.10g} deg",
                 file=sys.stderr,
             )
-        points.append((args.ksigma, nudged))
+            th = nudged
+        points.append((args.ksigma, th))
     keys = {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid}
     return _scan(args, "anglescan", points, keys)
 
@@ -286,22 +278,30 @@ def _svg(mode: str, curves: list) -> str:
 
 
 def _read_csv(path: str):
+    """Headers and rows of a sweep or angular CSV; an input that is missing,
+    unreadable, malformed or empty is a usage error."""
     headers = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    headers[k.strip()] = v.strip()
-                continue
-            rows.append(tuple(float(v) for v in line.split(",")))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        k, v = body.split("=", 1)
+                        headers[k.strip()] = v.strip()
+                    continue
+                row = tuple(float(v) for v in line.split(","))
+                if len(row) != len(COLUMNS.split(",")):
+                    raise ValueError(f"row {line!r} does not have the columns {COLUMNS}")
+                rows.append(row)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise _UsageError(f"{path}: no data rows")
     return headers, rows
 
 
@@ -318,7 +318,11 @@ def _cmd_plot(args) -> int:
                 f"cannot mix modes in one plot: {mode} vs {m} ({path})"
             )
         curve_list += _curves(headers, rows)
-    _write_out(args.out, _svg(mode, curve_list))
+    try:
+        svg = _svg(mode, curve_list)
+    except ValueError as exc:
+        raise _UsageError(f"cannot plot {', '.join(args.inputs)}: {exc}") from exc
+    _write_out(args.out, svg)
     return EXIT_OK
 
 
@@ -365,14 +369,7 @@ def _cmd_verify(args) -> int:
         if not (math.isfinite(value) and value >= 0.0):
             raise _UsageError(f"{flag} must be finite and non-negative, got {value!r}")
     grid = default_verification_grid() if args.full else reduced_verification_grid()
-    n_done = [0]
-
-    def progress(_rec):
-        n_done[0] += 1
-        if args.progress and n_done[0] % 500 == 0:
-            print(f"  ... {n_done[0]} records", file=sys.stderr)
-
-    report = verify_all(grid, rtol=args.rtol, atol=args.atol, progress=progress)
+    report = verify_all(grid, rtol=args.rtol, atol=args.atol)
     text = report.to_text()
     extra = "\n".join(_reciprocity_lines())
     full_text = text + "\n" + extra + "\n"
@@ -520,8 +517,6 @@ def _build_parser() -> _Parser:
                     help="floor on the relative-error denominator (not a "
                          "numpy-style absolute tolerance)")
     pv.add_argument("--out", default=None, help="write the full record report here")
-    pv.add_argument("--progress", action="store_true",
-                    help="print a progress line every 500 records")
     pv.set_defaults(func=_cmd_verify)
 
     pf = sub.add_parser("feasibility", help="delta-line validity estimates (SI)")

@@ -36,9 +36,9 @@ u_a T[a][b] v_b, the two fsums and the prefactor are Python complex
 arithmetic, whose rounding numpy's complex arithmetic does not
 reproduce.  f1_geometric is the one-point case of the same evaluation,
 so a scan and one call per point give the same numbers bit for bit.  The
-array evaluation has a fixed cost per call, so a one-point call costs
-more than the per-row engine it replaced and a scan of about four points
-or more less (docs/math_to_code.md section 3 gives the measurements).
+array evaluation has a fixed cost per call: at N = 2 a one-point call
+costs about a fifth of a 179-point angle scan (docs/math_to_code.md
+section 3 gives the measurements).
 
 Every entry but T[0][0] is one shape, computed by one kernel
 (_kink_coefficient(g, bra, ket), a kink position or None on each side):
@@ -65,13 +65,15 @@ on points with K up to 5 and defects up to |alpha| = 6.
 
 Special directions: at theta = theta0 and theta = pi - theta0 the
 zeroth-order amplitude is a delta spike (see defects.f0_distributional)
-and the first-order cross section is not defined pointwise; cross_section
-refuses those angles.  At |cos theta| -> 0 with N >= 2 the outgoing defect
-matrix degenerates (all entries approach i); f1 is then evaluated by
-averaging theta +- 1e-6 rad, which cancels the leading divergence.  The
-average cancels terms about 1e6 times larger than the result, so the
-order of the arithmetic alone moves it; docs/math_to_code.md section 3
-gives the measured size of that effect on the stock figure presets.
+and the first-order cross section is not defined pointwise;
+delta_ray_offset measures an angle's distance to them, and cross_section
+refuses the angles within SINGULAR_ANGLE_TOL.  At |cos theta| -> 0 with
+N >= 2 the outgoing defect matrix degenerates (all entries approach i);
+f1 is then evaluated by averaging theta +- 1e-6 rad, which cancels the
+leading divergence.  The average cancels terms about 1e6 times larger
+than the result, so the order of the arithmetic alone moves it;
+docs/math_to_code.md section 3 gives the measured size of that effect on
+the stock figure presets.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ __all__ = [
     "f1_scan",
     "f1_geometric",
     "cross_section",
+    "delta_ray_offset",
     "SingularAngleError",
 ]
 
@@ -108,9 +111,9 @@ ANGLE_REG_EPS = 1e-6
 # 1-norm condition number of the outgoing defect matrix that triggers
 # averaging.
 REG_COND_LIMIT = 1e12
-# Angles closer than this (radians; 1e-6 deg) to the delta-supported
-# directions are refused by cross_section and by the CLI's K scan, and
-# nudged off them by its angle scan.
+# Angles with |delta_ray_offset| below this (radians; 1e-6 deg) are
+# refused by cross_section and by the CLI's K scan, and nudged off the ray
+# by its angle scan.
 SINGULAR_ANGLE_TOL = math.radians(1e-6)
 
 
@@ -449,6 +452,13 @@ def f1_geometric(
     return _f1_points([kin], defects, eta, lambda1, lambda2)[0]
 
 
+def delta_ray_offset(theta0: float, theta: float) -> float:
+    """Signed angle theta - ray in [-pi, pi] (radians) to the nearer of the
+    delta-supported rays theta0 and pi - theta0 (theta0 on a tie)."""
+    return min((math.remainder(theta - ray, 2.0 * math.pi)
+                for ray in (theta0, math.pi - theta0)), key=abs)
+
+
 def cross_section(
     kin: Kinematics,
     defects: DefectSet,
@@ -462,13 +472,11 @@ def cross_section(
     where the zeroth-order amplitude concentrates; use
     defects.f0_distributional for those weights.
     """
-    th = kin.theta
-    for special in (kin.theta0, math.pi - kin.theta0):
-        if abs(math.remainder(th - special, 2.0 * math.pi)) < SINGULAR_ANGLE_TOL:
-            raise SingularAngleError(
-                f"theta = {th!r} lies on a delta-supported direction of the "
-                "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
-                "there (use defects.f0_distributional for the spike weights)"
-            )
+    if abs(delta_ray_offset(kin.theta0, kin.theta)) < SINGULAR_ANGLE_TOL:
+        raise SingularAngleError(
+            f"theta = {kin.theta!r} lies on a delta-supported direction of the "
+            "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
+            "there (use defects.f0_distributional for the spike weights)"
+        )
     f1 = f1_geometric(kin, defects, eta, lambda1, lambda2)
     return abs(f1) ** 2

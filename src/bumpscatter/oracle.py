@@ -51,7 +51,7 @@ of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
 Espelid and Genz, ACM TOMS 17, 1991).  Each panel scores every entry by the
 difference of its order-p and order-2p values; an entry is converged when
 its summed difference, the reported err_est, meets
-max(rel_tol |T_ab|, abs_floor), and until every entry is, the panel with
+max(rel_tol |T_ab|, ABS_FLOOR), and until every entry is, the panel with
 the largest error-to-target ratio over the unconverged entries is bisected
 across its longer side.  Panel contributions are summed with math.fsum
 (real and imaginary parts separately), which is exactly rounded and so
@@ -87,6 +87,11 @@ __all__ = [
     "reduced_verification_grid",
 ]
 
+# Base Gauss-Legendre order p of a panel (the value estimate uses 2p).
+PANEL_ORDER = 12
+# Error target of an entry whose value is legitimately ~0.
+ABS_FLOOR = 1e-13
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -94,19 +99,15 @@ class QuadratureSpec:
 
     r_max = None means 12 + max|alpha| (the integrand carries e^{-r^2}, so
     the tail beyond ~10 is far below double precision).  rel_tol is the
-    target for the summed two-level error estimate relative to the result;
-    abs_floor protects coefficients that are legitimately ~0.  Both hold per
-    entry of a table.  max_panels bounds each shared panel tree; exceeding
-    it raises QuadratureConvergenceError.
-    panel_order is the base Gauss-Legendre order p (the value estimate uses
-    2p).
+    target for the summed two-level error estimate relative to the result,
+    held per entry of a table (an entry also converges once its estimate
+    is below ABS_FLOOR).  max_panels bounds each shared panel tree;
+    exceeding it raises QuadratureConvergenceError.
     """
 
     r_max: float | None = None
     rel_tol: float = 1e-8
-    abs_floor: float = 1e-13
     max_panels: int = 6000
-    panel_order: int = 12
 
     def resolve_r_max(self, alphas=()) -> float:
         if self.r_max is not None:
@@ -133,9 +134,9 @@ class OracleValue:
     panels: int
     abs_integral: float
 
-    def resolution(self, spec: QuadratureSpec) -> float:
+    def resolution(self) -> float:
         """Roundoff floor 2p * eps * abs_integral of this value."""
-        return 2 * spec.panel_order * _EPS * self.abs_integral
+        return 2 * PANEL_ORDER * _EPS * self.abs_integral
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -194,21 +195,20 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
     (x is bisected on a tie); edges_y=None selects the 1D path.  The stop
     test reads numpy sums; the returned sums are math.fsum.  Returns one
     OracleValue per label, each with the tree's panel count."""
-    p = spec.panel_order
     edges = (edges_x,) if edges_y is None else (edges_x, edges_y)
     # a cell is one interval per axis
     cells = list(itertools.product(*(itertools.pairwise(e) for e in edges)))
 
     def evaluate(cell):
         if edges_y is None:
-            return _eval_panel_1d(f, *cell[0], p)
-        return _eval_panel_2d(f, *cell[0], *cell[1], p)
+            return _eval_panel_1d(f, *cell[0], PANEL_ORDER)
+        return _eval_panel_2d(f, *cell[0], *cell[1], PANEL_ORDER)
 
     panels = [evaluate(c) for c in cells]
     while True:
         vals, errs, _ = (np.array(part) for part in zip(*panels))
         err = errs.sum(axis=0)
-        target = np.maximum(spec.rel_tol * np.abs(vals.sum(axis=0)), spec.abs_floor)
+        target = np.maximum(spec.rel_tol * np.abs(vals.sum(axis=0)), ABS_FLOOR)
         unconverged = err > target
         if not unconverged.any():
             break
@@ -500,8 +500,6 @@ class VerificationReport:
     """All records of a verify run plus aggregate outcome."""
 
     records: list = field(default_factory=list)
-    rtol: float = 1e-6
-    atol: float = 1e-10
 
     @property
     def all_passed(self) -> bool:
@@ -556,17 +554,11 @@ def reduced_verification_grid():
     }
 
 
-def _rel_err(closed: complex, oracle: complex, atol: float) -> float:
-    scale = max(abs(oracle), atol)
-    return abs(closed - oracle) / scale
-
-
 def verify_all(
     grid: dict | None = None,
     spec: QuadratureSpec = QuadratureSpec(),
     rtol: float = 1e-6,
     atol: float = 1e-10,
-    progress=None,
 ) -> VerificationReport:
     """Compare every closed-form coefficient against quadrature on a grid.
 
@@ -591,13 +583,13 @@ def verify_all(
       |c - q| <= R; rtol and atol play no part.
 
     R = 2p * eps * int|f| is the oracle's roundoff floor
-    (OracleValue.resolution, p = spec.panel_order), about 2.6e-15 at the
+    (OracleValue.resolution, p = PANEL_ORDER), about 2.6e-15 at the
     grid point s = 0, K = 1, lambdas = (0.5, 0.5), whose exact value is 0.
 
     Records land in deterministic grid order.
     """
     grid = grid or default_verification_grid()
-    report = VerificationReport(rtol=rtol, atol=atol)
+    report = VerificationReport()
     alphas = tuple(sorted(grid["alphas"]))
     eta = grid.get("eta", 0.1)
     npos = len(alphas)
@@ -606,22 +598,19 @@ def verify_all(
         oval = ov.value
         if phase is not None:
             oval, closed = phase * oval, phase * closed
-        resolution = ov.resolution(spec)
-        rel = _rel_err(closed, oval, atol)
+        resolution = ov.resolution()
+        rel = abs(closed - oval) / max(abs(oval), atol)
         if abs(oval) <= resolution:
             judged = "resolution"
             ok = abs(closed - oval) <= resolution
         else:
             judged = "relative"
             ok = rel <= rtol
-        rec = VerificationRecord(
+        report.records.append(VerificationRecord(
             coefficient=coefficient, indices=indices, oracle=oval,
             err_est=ov.err_est, closed=closed, rel_err=rel, passed=ok,
             judged=judged, resolution=resolution, **base,
-        )
-        report.records.append(rec)
-        if progress is not None:
-            progress(rec)
+        ))
 
     for s in grid["s"]:
         for bigK in grid["bigK"]:

@@ -5,7 +5,8 @@ byte-identical output.  Matplotlib embeds timestamps, library versions,
 and font metrics in its SVG, so this module hand-rolls the small subset we
 need: linear axes with nice tick values, a polyline per curve, a fixed
 color/dash palette, and a legend.  All coordinates are formatted with %.6g
-so the output is stable across runs and platforms.
+so the output is stable across runs and platforms.  Label and axis text
+is XML-escaped, so it may contain &, < and >.
 
 Curves are (label, xs, ys) triples; every curve needs at least two points
 (a line plot of fewer is meaningless and almost certainly an upstream grid
@@ -24,6 +25,8 @@ MARGIN_L = 78
 MARGIN_R = 24
 MARGIN_T = 34
 MARGIN_B = 56
+# Tick count the nice-number scheme aims for on each axis.
+TICKS = 6
 
 PALETTE = [
     ("#000000", ""),
@@ -41,7 +44,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
+def _escape(text: str) -> str:
+    """Text as XML character data: &, < and > replaced by their entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _nice_ticks(lo: float, hi: float):
     """Round tick positions covering [lo, hi] (simple nice-number scheme)."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("cannot build axis from non-finite range")
@@ -49,11 +57,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
         pad = 1.0 if lo == 0.0 else abs(lo) * 0.5
         lo, hi = lo - pad, hi + pad
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= TICKS:
             break
     start = math.floor(lo / step) * step
     ticks = []
@@ -66,7 +74,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     return ticks
 
 
-def render_svg(curves, xlabel: str, ylabel: str, title: str = "") -> str:
+def render_svg(curves, xlabel: str, ylabel: str) -> str:
     """Render curves [(label, xs, ys), ...] to an SVG document string."""
     if not curves:
         raise ValueError("no curves to plot")
@@ -149,22 +157,17 @@ def render_svg(curves, xlabel: str, ylabel: str, title: str = "") -> str:
         )
         parts.append(
             f'<text x="{_fmt(lx + 32)}" y="{_fmt(Y + 4)}" font-size="12" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
     # labels
     parts.append(
         f'<text x="{_fmt(0.5 * (px0 + px1))}" y="{HEIGHT - 14}" font-size="14" '
-        f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="20" y="{_fmt(0.5 * (py0 + py1))}" font-size="14" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 20 {_fmt(0.5 * (py0 + py1))})">{ylabel}</text>'
+        f'transform="rotate(-90 20 {_fmt(0.5 * (py0 + py1))})">{_escape(ylabel)}</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{_fmt(0.5 * (px0 + px1))}" y="20" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{title}</text>'
-        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

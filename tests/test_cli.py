@@ -8,6 +8,7 @@ output files byte for byte.
 import math
 import os
 import re
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +21,19 @@ from bumpscatter.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     _f17,
-    _nudge_theta_deg,
     _parse_couplings,
     _parse_floats,
     _parse_grid,
     main,
 )
 from bumpscatter.defects import DefectSet, Kinematics
-from bumpscatter.geoamp import SingularAngleError, cross_section, f1_geometric, f1_scan
+from bumpscatter.geoamp import (
+    SingularAngleError,
+    cross_section,
+    delta_ray_offset,
+    f1_geometric,
+    f1_scan,
+)
 
 
 def _read(path):
@@ -78,13 +84,22 @@ def test_parse_floats_and_couplings():
         _parse_couplings("1", 2)  # wrong count
 
 
-def test_nudge_theta():
-    nudged, warned = _nudge_theta_deg(0.0, 0.0)
-    assert warned and nudged == pytest.approx(1e-5)
-    nudged, warned = _nudge_theta_deg(180.0, 0.0)
-    assert warned and nudged == pytest.approx(180.0 + 1e-5)
-    nudged, warned = _nudge_theta_deg(30.0, 0.0)
-    assert not warned and nudged == 30.0
+def test_nudge_theta(tmp_path, capsys):
+    # angular moves a point within SINGULAR_ANGLE_TOL of either ray
+    # (theta0 = 10 deg and its mirror, by geoamp.delta_ray_offset) NUDGE_DEG
+    # off the ray on the side it lies, and leaves every other point alone.
+    out = tmp_path / "a.csv"
+    for grid, want in (("10:170:5", [10.0 + 1e-5, 50.0, 90.0, 130.0, 170.0 + 1e-5]),
+                       ("9.9999995:170.0000005:2", [10.0 - 1e-5, 170.0 + 1e-5])):
+        assert main(["angular", "--theta0-deg=10", "--ksigma=1", f"--thetagrid={grid}",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.count("nudged") == 2
+        thetas = [r[1] for r in _rows(out)]
+        np.testing.assert_allclose(thetas, want, rtol=0.0, atol=1e-12)
+        offsets = [abs(delta_ray_offset(math.radians(10.0), math.radians(th)))
+                   for th in thetas]
+        near = [o for o in offsets if o < 0.1]
+        assert near == pytest.approx([math.radians(cli.NUDGE_DEG)] * 2, rel=1e-6)
 
 
 def test_f17_round_trips_doubles():
@@ -333,6 +348,34 @@ def test_plot_multiple_angular_csvs(tmp_path):
     text = _read(svg).decode()
     assert text.count("<polyline") >= 2
     assert "theta (deg)" in text
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "",
+    "# mode=kscan\n",
+    "0.5,30,0,1,1,x\n0.6,30,0,1,1,2\n",
+    "0.5,30,0\n0.6,30,0\n",
+    "0.5,30,0,1,1,2\n",
+], ids=["missing", "empty", "headers-only", "not-a-number", "short-row", "one-row"])
+def test_plot_bad_input_is_usage_error(tmp_path, capsys, content):
+    csv, svg = tmp_path / "in.csv", tmp_path / "out.svg"
+    if content is not None:
+        csv.write_text(content)
+    assert main(["plot", str(csv), "--out", str(svg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not svg.exists()
+
+
+def test_plot_escapes_label_text(tmp_path):
+    csv, svg = tmp_path / "in.csv", tmp_path / "out.svg"
+    csv.write_text("# mode=anglescan\n# lambda1=<0.5&\n# lambda2=-0.5\n"
+                   "10,10,0,1,1,2\n20,20,0,1,1,3\n")
+    assert main(["plot", str(csv), "--out", str(svg)]) == EXIT_OK
+    doc = xml.dom.minidom.parse(str(svg))
+    texts = ["".join(node.data for node in text.childNodes)
+             for text in doc.getElementsByTagName("text")]
+    assert "l1 = <0.5&, l2 = -0.5" in texts
 
 
 def test_sweep_inline_svg(tmp_path):

@@ -31,6 +31,7 @@ from bumpscatter.geoamp import (
     SingularAngleError,
     coefficient_table,
     cross_section,
+    delta_ray_offset,
     f1_geometric,
     f1_scan,
 )
@@ -559,6 +560,20 @@ def test_cross_section_refuses_delta_supported_rays():
     # Just off the rays it is an ordinary number.
     val = cross_section(Kinematics(1.0, 0.2, 0.21), ds, 0.1, 0.5, -0.5)
     assert val >= 0.0
+
+
+@pytest.mark.parametrize("theta0", [0.0, 0.2, -0.4])
+def test_delta_ray_offset_measures_the_nearer_ray(theta0):
+    # zero on the forward ray, on the mirror ray and a turn further round
+    for ray in (theta0, math.pi - theta0, theta0 + 2.0 * math.pi):
+        assert abs(delta_ray_offset(theta0, ray)) <= 1e-15
+    # signed: positive past the ray, negative before it
+    for ray in (theta0, math.pi - theta0):
+        assert delta_ray_offset(theta0, ray + 1e-3) == pytest.approx(1e-3, rel=1e-9)
+        assert delta_ray_offset(theta0, ray - 1e-3) == pytest.approx(-1e-3, rel=1e-9)
+    # an ordinary angle is measured to the nearer ray
+    assert delta_ray_offset(theta0, theta0 + 0.5) == pytest.approx(0.5, rel=1e-12)
+    assert delta_ray_offset(theta0, math.pi - theta0 - 0.5) == pytest.approx(-0.5, rel=1e-12)
 
 
 def test_cross_section_is_squared_amplitude():

@@ -320,19 +320,6 @@ def test_verify_all_reports_failures_under_absurd_tolerance():
     assert "pass=False" in report.to_text()
 
 
-def test_verify_all_progress_callback_sees_every_record():
-    grid = {
-        "s": (0.0,),
-        "bigK": (1.0,),
-        "lambdas": ((0.5, 0.5),),
-        "alphas": (-3.0, 3.0),
-        "eta": 0.1,
-    }
-    seen = []
-    report = verify_all(grid=grid, progress=seen.append)
-    assert len(seen) == len(report.records)
-
-
 # s = 0, K = 1, lambdas = (0.5, 0.5): the bracket K^2 (4 l1 s^2 - 1)
 # + l2 (beta^4 + 2) vanishes, so every coefficient is exactly 0 and the
 # oracle returns rounding noise of order eps * int|f|.
@@ -356,7 +343,7 @@ def test_adaptive_accumulates_integral_of_modulus():
                      QuadratureSpec(), ["odd gaussian"])
     assert abs(ov.value) <= 1e-15
     assert ov.abs_integral == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert ov.resolution(QuadratureSpec()) == pytest.approx(
+    assert ov.resolution() == pytest.approx(
         24 * np.finfo(float).eps * math.sqrt(math.pi), rel=1e-12
     )
 

@@ -16,11 +16,11 @@ def _curve(label="c", n=20, scale=1.0, phase=0.0):
 class TestRenderSvg:
     def test_document_structure(self):
         svg = render_svg([_curve("alpha"), _curve("beta", scale=2.0, phase=1.0)],
-                         xlabel="x axis", ylabel="y axis", title="two curves")
+                         xlabel="x axis", ylabel="y axis")
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<polyline") == 2
-        for text in ("x axis", "y axis", "two curves", "alpha", "beta"):
+        for text in ("x axis", "y axis", "alpha", "beta"):
             assert text in svg
 
     def test_deterministic(self):
