@@ -26,9 +26,11 @@ byte-identical (no timestamps).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -193,6 +195,11 @@ def _scan(args, mode: str, points, keys: dict) -> int:
     """Body of sweep and angular: one engine call for every (K, theta_deg)
     point, one CSV row per point, the run headers plus the command's own
     keys, and the optional SVG."""
+    if args.svg:
+        # The curves of _curves: one per angle for a K scan, else one.
+        sizes = Counter(th for _, th in points).values() if mode == "kscan" else [len(points)]
+        if min(sizes) < 2:
+            raise _UsageError(f"--svg needs at least 2 points per curve, got {min(sizes)}")
     positions = _parse_floats(args.defects, "--defects")
     couplings = _parse_couplings(args.couplings, len(positions))
     thetas = dict.fromkeys(th for _, th in points)
@@ -482,7 +489,9 @@ def _add_engine_flags(p):
                    help="squared-mean-curvature weight (default -0.5)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     p = _Parser(prog="bumpscatter",
                 description="Geometric scattering from a Gaussian bump with "
                             "parallel line defects")

@@ -15,8 +15,21 @@ Symmetry contracts (exact by construction, not merely to rounding):
     exp_erf(x, -w) == -exp_erf(x, w)
 
 erfcx_c reduces its argument to the closed first quadrant before calling
-the scipy kernel and maps the result back, and exp_erf reduces w to the
-right half plane, so both identities hold bit for bit.
+the first-quadrant kernel and maps the result back, and exp_erf reduces w
+to the right half plane, so both identities hold bit for bit.
+
+The first-quadrant kernel is Weideman's rational series for the Faddeeva
+function (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1994) with N = 40
+terms, erfcx(w) = Faddeeva(i w).  With d = L + w and Z = (L - w) / d,
+
+    erfcx(w) = 2 p(Z) / d / d + 1 / (sqrt(pi) d),
+
+p the degree-39 polynomial of _WEIDEMAN_COEFFS by Horner's rule.  d is
+divided out twice, never as d*d, which would overflow for |w| > ~1e154.
+erfcx(0) = 1 exactly, by a masked rule.  Against 40-digit mpmath on the
+closed first quadrant the relative error measured at most 7.9e-16 for
+|w| <= 50 and 2.5e-16 from there out to |w| = 1e307; the tests bound it
+by 2e-15.
 
 The reflection  erfcx(-z) = 2*exp(z**2) - erfcx(z)  is the one genuinely
 overflow-prone step: exp(z**2) overflows in double precision once
@@ -37,7 +50,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as _sp
 
 __all__ = [
     "erfcx_c",
@@ -50,6 +62,29 @@ __all__ = [
 # Largest |Re z| for which the erfcx reflection term exp(z**2) is guaranteed
 # representable regardless of Im z (26**2 = 676 < log(DBL_MAX) ~ 709.78).
 SAFE_REAL_WINDOW = 26.0
+
+# Weideman's series: N terms, scale L = sqrt(N / sqrt(2)), and the
+# coefficients a_N, ..., a_1 of p(Z) = sum a_n Z**(n-1), highest power first
+# (the cosine sums of section 4 of docs/math_to_code.md at 40 digits).
+_WEIDEMAN_N = 40
+_WEIDEMAN_L = math.sqrt(_WEIDEMAN_N / math.sqrt(2.0))
+_WEIDEMAN_COEFFS = (
+    -1.8996949473949271e-15, 1.1280735623644021e-15, 1.1357687198999241e-14,
+    -5.4093102828821422e-15, -7.0740862602868550e-14, 1.3725620586715500e-14,
+    4.5329666782606727e-13, 1.2031458219387989e-13, -2.9076883421828669e-12,
+    -2.7276023158200452e-12, 1.7714495214011192e-11, 3.4727267093045500e-11,
+    -9.0551244509282923e-11, -3.5632339865976533e-10, 2.1086006347066517e-10,
+    3.0177805400090707e-09, 3.2497465180436973e-09, -1.8315616783040462e-08,
+    -6.3517734850442905e-08, 1.4198642399935674e-08, 5.9121369518994944e-07,
+    1.4835661132200781e-06, -1.0660138984947143e-06, -1.8007447144750956e-05,
+    -5.5913092642483181e-05, -3.9393631454895690e-05, 4.3980701598696681e-04,
+    2.7054056330737914e-03, 1.0048186242783424e-02, 2.9202916471241867e-02,
+    7.1823617790743366e-02, 1.5504263802479495e-01, 2.9989437996150065e-01,
+    5.2665289882770860e-01, 8.4721745765938183e-01, 1.2563815675765133e+00,
+    1.7253830848179779e+00, 2.2015137948783119e+00, 2.6160541527618602e+00,
+    2.8996245093897053e+00,
+)
+_RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
 # exp() overflow threshold for the real part of a complex exponent.
 _EXP_OVERFLOW = math.log(np.finfo(float).max)  # ~709.78
@@ -79,6 +114,22 @@ def _as_complex(*args) -> tuple:
     return shape, ws
 
 
+def _erfcx_q1(w: np.ndarray) -> np.ndarray:
+    """erfcx on a finite complex array in the closed first quadrant."""
+    d = _WEIDEMAN_L + w
+    z = (_WEIDEMAN_L - w) / d
+    p = z * _WEIDEMAN_COEFFS[0] + _WEIDEMAN_COEFFS[1]
+    for a in _WEIDEMAN_COEFFS[2:]:
+        # Not in place: numpy rounds an in-place complex *= on a one-element
+        # array differently from a long one, which breaks array == scalar.
+        p = p * z + a
+    out = 2.0 * p / d / d + _RSQRT_PI / d
+    zero = w == 0.0
+    if zero.any():
+        out[zero] = 1.0  # the series gives 1 only to rounding
+    return out
+
+
 def _erfcx(w: np.ndarray) -> np.ndarray:
     """erfcx_c on a finite complex array."""
     lower = w.imag < 0.0
@@ -87,9 +138,9 @@ def _erfcx(w: np.ndarray) -> np.ndarray:
         w = np.where(lower, w.conj(), w)  # into the upper half plane
     left = w.real < 0.0
     if not left.any():
-        out = _sp.erfcx(w)
+        out = _erfcx_q1(w)
     else:
-        out = _sp.erfcx(np.where(left, -w.conj(), w))  # first quadrant
+        out = _erfcx_q1(np.where(left, -w.conj(), w))  # first quadrant
         zsq = w[left] * w[left]
         over = zsq.real > _EXP_OVERFLOW
         if over.any():

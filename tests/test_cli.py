@@ -8,6 +8,8 @@ output files byte for byte.
 import math
 import os
 import re
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -387,6 +389,24 @@ def test_sweep_inline_svg(tmp_path):
     assert svg.exists() and _read(svg).decode().startswith("<svg")
 
 
+@pytest.mark.parametrize("command, scan", [
+    ("sweep", ["--theta-deg", "30,60", "--kgrid", "1:1:1"]),
+    ("angular", ["--ksigma", "1", "--thetagrid", "30:30:1"]),
+])
+def test_inline_svg_of_one_point_curves_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                       command, scan):
+    # A line plot needs two points per curve: refused before the engine
+    # runs, and neither the CSV nor the SVG is written.
+    def refuse(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(cli, "f1_scan", refuse)
+    csv, svg = tmp_path / "one.csv", tmp_path / "one.svg"
+    assert main([command, *scan, "--out", str(csv), "--svg", str(svg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not csv.exists() and not svg.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -490,3 +510,24 @@ def test_preset_free_bump_kscan_matches_golden_bytes(tmp_path):
         assert got == want, f"{name} drifted from the golden copy"
     svg = (tmp_path / "fig5-left.svg").read_text()
     assert svg.count("<polyline") == 6
+
+
+def test_preset_runs_without_scipy(tmp_path):
+    # The package needs numpy only: with scipy made unimportable, a fresh
+    # interpreter imports the CLI and runs a two-defect preset.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from bumpscatter import cli\n"
+        f"code = cli.main(['preset', 'fig2-right', '--out', {str(tmp_path)!r}])\n"
+        "print('scipy.special' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == EXIT_OK, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+    assert sorted(os.listdir(tmp_path)) == ["fig2-right.csv", "fig2-right.svg"]
