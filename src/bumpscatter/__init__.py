@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 from .defects import (  # noqa: F401
     DefectSet,
     F0Distribution,
+    InputError,
     Kinematics,
     SingularMatrixError,
     TCoefficients,

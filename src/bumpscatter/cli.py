@@ -18,9 +18,10 @@ with '# key=value' header lines followed by rows
     ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec
 
 with every float printed to 17 significant digits, so reruns are
-byte-identical (no timestamps).  Exit codes: 0 success, 1 usage error,
-2 numerical failure (non-convergence, singular matrix, overflow),
-3 verification failure.
+byte-identical (no timestamps).  Exit codes: 0 success, 1 usage error (a
+defects.InputError: a flag, a CSV or an engine input outside its domain;
+no file is written), 2 numerical failure (non-convergence, singular
+matrix, overflow), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .defects import DefectSet, Kinematics, SingularMatrixError
+from .defects import DefectSet, InputError, Kinematics, SingularMatrixError
 from .feasibility import assess, parse_energy, parse_length
 from .geoamp import (
     SINGULAR_ANGLE_TOL,
-    GeoCoefficientInputs,
     SingularAngleError,
     delta_ray_offset,
     f1_geometric,
@@ -67,15 +67,12 @@ NUDGE_DEG = 1e-5
 COLUMNS = "ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse that signals usage problems as exit code 1, not 2."""
+    """argparse that signals usage problems as InputError (exit 1), not
+    argparse's exit 2."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _f17(x: float) -> str:
@@ -85,13 +82,13 @@ def _f17(x: float) -> str:
 def _parse_grid(text: str, what: str):
     parts = str(text).split(":")
     if len(parts) != 3:
-        raise _UsageError(f"{what} must be lo:hi:n, got {text!r}")
+        raise InputError(f"{what} must be lo:hi:n, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} {text!r}: {exc}") from exc
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _UsageError(f"bad {what} {text!r}")
+        raise InputError(f"bad {what} {text!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -99,9 +96,12 @@ def _parse_floats(text: str, what: str):
     if text is None or str(text).strip() == "":
         return []
     try:
-        return [float(v) for v in str(text).split(",")]
+        values = [float(v) for v in str(text).split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"bad {what} {text!r}: values must be finite")
+    return values
 
 
 def _parse_couplings(text: str, count: int):
@@ -112,34 +112,12 @@ def _parse_couplings(text: str, count: int):
         try:
             out.append(complex(tok.strip().replace("i", "j")))
         except ValueError as exc:
-            raise _UsageError(f"bad coupling {tok!r}: {exc}") from exc
+            raise InputError(f"bad coupling {tok!r}: {exc}") from exc
     if len(out) != count:
-        raise _UsageError(
+        raise InputError(
             f"{count} defect position(s) but {len(out)} coupling(s)"
         )
     return out
-
-
-def _engine_inputs(args, positions, couplings, bigK, thetas_deg) -> DefectSet:
-    """Build the defect set, the kinematics and the coefficient inputs of a
-    scan once, before the engine call, so that a bad flag value is a usage
-    error.
-
-    Only the ValueError of these constructors is mapped; OverflowError (a
-    defect beyond the stable window) and the SingularAngleError of the
-    engine stay numerical failures.
-    """
-    try:
-        defects = DefectSet(positions, couplings)
-        for th in thetas_deg:
-            Kinematics(bigK, math.radians(args.theta0_deg), math.radians(th))
-        GeoCoefficientInputs(
-            s=0.0, bigK=bigK, alphas=defects.positions, eta=args.eta,
-            lambda1=args.lambda1, lambda2=args.lambda2,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return defects
 
 
 def _format_complex(z: complex) -> str:
@@ -199,11 +177,10 @@ def _scan(args, mode: str, points, keys: dict) -> int:
         # The curves of _curves: one per angle for a K scan, else one.
         sizes = Counter(th for _, th in points).values() if mode == "kscan" else [len(points)]
         if min(sizes) < 2:
-            raise _UsageError(f"--svg needs at least 2 points per curve, got {min(sizes)}")
+            raise InputError(f"--svg needs at least 2 points per curve, got {min(sizes)}")
     positions = _parse_floats(args.defects, "--defects")
     couplings = _parse_couplings(args.couplings, len(positions))
-    thetas = dict.fromkeys(th for _, th in points)
-    defects = _engine_inputs(args, positions, couplings, points[0][0], thetas)
+    defects = DefectSet(positions, couplings)
     f1 = f1_scan([k for k, _ in points], math.radians(args.theta0_deg),
                  [math.radians(th) for _, th in points],
                  defects, args.eta, args.lambda1, args.lambda2)
@@ -219,27 +196,23 @@ def _scan(args, mode: str, points, keys: dict) -> int:
 def _cmd_sweep(args) -> int:
     thetas = _parse_floats(args.theta_deg, "--theta-deg")
     if not thetas:
-        raise _UsageError("sweep needs --theta-deg (one or more, comma separated)")
+        raise InputError("sweep needs --theta-deg (one or more, comma separated)")
     for th in thetas:
         ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
         if abs(ray) < SINGULAR_ANGLE_TOL:
-            raise _UsageError(
+            raise InputError(
                 f"theta = {th} deg lies on a delta-supported direction "
                 f"(theta0 = {args.theta0_deg}, mirror = "
                 f"{180 - args.theta0_deg}); the first-order cross section "
                 "is not defined there"
             )
     kgrid = _parse_grid(args.kgrid, "--kgrid")
-    if np.any(kgrid <= 0.0):
-        raise _UsageError("--kgrid must be strictly positive")
     points = [(float(k), th) for th in thetas for k in kgrid]
     keys = {"kgrid": args.kgrid, "thetas_deg": ",".join(_f17(t) for t in thetas)}
     return _scan(args, "kscan", points, keys)
 
 
 def _cmd_angular(args) -> int:
-    if args.ksigma <= 0.0:
-        raise _UsageError("--ksigma must be positive")
     points = []
     for th in _parse_grid(args.thetagrid, "--thetagrid"):
         th = float(th)
@@ -306,9 +279,9 @@ def _read_csv(path: str):
                     raise ValueError(f"row {line!r} does not have the columns {COLUMNS}")
                 rows.append(row)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise _UsageError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     return headers, rows
 
 
@@ -321,14 +294,14 @@ def _cmd_plot(args) -> int:
         if mode is None:
             mode = m
         elif m != mode:
-            raise _UsageError(
+            raise InputError(
                 f"cannot mix modes in one plot: {mode} vs {m} ({path})"
             )
         curve_list += _curves(headers, rows)
     try:
         svg = _svg(mode, curve_list)
     except ValueError as exc:
-        raise _UsageError(f"cannot plot {', '.join(args.inputs)}: {exc}") from exc
+        raise InputError(f"cannot plot {', '.join(args.inputs)}: {exc}") from exc
     _write_out(args.out, svg)
     return EXIT_OK
 
@@ -374,7 +347,7 @@ def _reciprocity_lines():
 def _cmd_verify(args) -> int:
     for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
         if not (math.isfinite(value) and value >= 0.0):
-            raise _UsageError(f"{flag} must be finite and non-negative, got {value!r}")
+            raise InputError(f"{flag} must be finite and non-negative, got {value!r}")
     grid = default_verification_grid() if args.full else reduced_verification_grid()
     report = verify_all(grid, rtol=args.rtol, atol=args.atol)
     text = report.to_text()
@@ -407,7 +380,7 @@ def _cmd_feasibility(args) -> int:
             sigma_m=parse_length(args.sigma),
         )
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     for line in rep.lines():
         print(line)
     return EXIT_OK
@@ -440,7 +413,7 @@ def _preset_is_kscan(name: str) -> bool:
 def _cmd_preset(args) -> int:
     name = args.name
     if name not in _PRESET_DEFECTS:
-        raise _UsageError(
+        raise InputError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
     outdir = args.out
@@ -556,7 +529,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "InputError",
     "DefectSet",
     "Kinematics",
     "DefectMatrix",
@@ -78,6 +79,12 @@ THETA0_MARGIN = 1e-6
 # 1-norm condition number ||A||_1 ||Ainv||_1 beyond which the defect matrix
 # is treated as singular.
 COND_LIMIT = 1e15
+
+
+class InputError(ValueError):
+    """An input outside its domain: a bad position, coupling, wavenumber,
+    angle, eta or curvature weight.  The caller's fault, never a numerical
+    failure; the CLI reports it as a usage error (exit 1)."""
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -107,13 +114,13 @@ class DefectSet:
         positions = [float(p) for p in positions]
         couplings = [complex(z) for z in couplings]
         if len(positions) != len(couplings):
-            raise ValueError(
+            raise InputError(
                 f"{len(positions)} positions but {len(couplings)} couplings"
             )
         if not all(math.isfinite(p) for p in positions):
-            raise ValueError("defect positions must be finite")
+            raise InputError("defect positions must be finite")
         if not all(cmath.isfinite(z) for z in couplings):
-            raise ValueError("defect couplings must be finite")
+            raise InputError("defect couplings must be finite")
         keep = [i for i, z in enumerate(couplings) if z != 0.0]
         if len(keep) < len(positions):
             dropped = [positions[i] for i in range(len(positions)) if i not in keep]
@@ -124,7 +131,7 @@ class DefectSet:
         pos = tuple(positions[i] for i in order)
         for p, q in zip(pos, pos[1:]):
             if q - p <= MIN_SEPARATION:
-                raise ValueError(
+                raise InputError(
                     f"defect positions {p} and {q} are not distinct "
                     f"(separation <= {MIN_SEPARATION})"
                 )
@@ -166,14 +173,14 @@ class Kinematics:
 
     def __post_init__(self):
         if not (math.isfinite(self.bigK) and self.bigK > 0.0):
-            raise ValueError(f"K must be positive, got {self.bigK!r}")
+            raise InputError(f"K must be positive and finite, got {self.bigK!r}")
         if not math.isfinite(self.theta0) or abs(self.theta0) >= math.pi / 2 - THETA0_MARGIN:
-            raise ValueError(
+            raise InputError(
                 f"theta0 must satisfy |theta0| < pi/2 - {THETA0_MARGIN}, "
                 f"got {self.theta0!r}"
             )
         if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+            raise InputError(f"theta must be finite, got {self.theta!r}")
         # normalize theta into [-pi/2, 3*pi/2)
         th = math.remainder(self.theta - math.pi / 2, 2.0 * math.pi) + math.pi / 2
         if th >= 1.5 * math.pi:

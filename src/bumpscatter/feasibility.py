@@ -116,9 +116,11 @@ def assess(v0_joule: float, rho_m: float, energy_joule: float,
     """Evaluate the delta-line validity scales.
 
     k = sqrt(2 m E) / hbar, xi = V0 rho, sigma_z = 2 m sigma xi / hbar^2.
+    Every input must be positive and finite (NaN and inf raise ValueError).
     """
-    if min(v0_joule, rho_m, energy_joule, mass_ratio, sigma_m) <= 0.0:
-        raise ValueError("v0, rho, energy, mass ratio, and sigma must be positive")
+    values = (v0_joule, rho_m, energy_joule, mass_ratio, sigma_m)
+    if not all(0.0 < v < math.inf for v in values):
+        raise ValueError("v0, rho, energy, mass ratio, and sigma must be positive and finite")
     mass = mass_ratio * M_E
     k = math.sqrt(2.0 * mass * energy_joule) / HBAR
     xi = v0_joule * rho_m

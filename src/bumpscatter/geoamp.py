@@ -88,6 +88,7 @@ import numpy as np
 from .defects import (
     DefectMatrix,
     DefectSet,
+    InputError,
     Kinematics,
     build_defect_matrix,
 )
@@ -141,14 +142,14 @@ class GeoCoefficientInputs:
 
     def __post_init__(self):
         if self.eta < 0.0 or not np.isfinite(self.eta):
-            raise ValueError(f"eta must be a finite non-negative number, got {self.eta!r}")
+            raise InputError(f"eta must be a finite non-negative number, got {self.eta!r}")
         if not np.all((np.abs(self.s) <= 1.0) & np.isfinite(self.bigK) & (self.bigK > 0.0)):
-            raise ValueError(
+            raise InputError(
                 f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
                 f"K={self.bigK!r}"
             )
         if not (np.isfinite(self.lambda1) and np.isfinite(self.lambda2)):
-            raise ValueError(
+            raise InputError(
                 f"lambda1 and lambda2 must be finite, got {self.lambda1!r}, {self.lambda2!r}"
             )
         for a in self.alphas:
@@ -416,18 +417,21 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     """First-order geometric amplitude f1 at every point of a scan.
 
     bigK and theta are equal-length 1-D arrays (a scalar stands for a
-    constant one); point i is Kinematics(bigK[i], theta0, theta[i]), built
-    and validated as such.  The whole scan is one array evaluation: one
-    table of 1 + 2N + N^2 coefficient arrays, one incoming and one
-    outgoing stacked defect build, plus the same again for the points
-    averaged across theta = +-90 deg (see f1_geometric).
+    constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  Every
+    input is checked before any point is evaluated: a shape, point, eta or
+    curvature weight outside its domain raises defects.InputError, a
+    defect past |alpha| = 26 OverflowError.  The whole scan is one array
+    evaluation: one table of 1 + 2N + N^2 coefficient arrays, one incoming
+    and one outgoing stacked defect build, plus the same again for the
+    points averaged across theta = +-90 deg (see f1_geometric).
     Returns the amplitudes as a list of Python complex numbers;
     f1_geometric is the one-point case.
     """
-    bigK, theta = np.broadcast_arrays(np.asarray(bigK, dtype=float),
-                                      np.asarray(theta, dtype=float))
-    if bigK.ndim != 1:
-        raise ValueError(f"bigK and theta must be 1-D, got shape {bigK.shape}")
+    bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
+    if max(bigK.ndim, theta.ndim) != 1 or len({bigK.size, theta.size} - {1}) > 1:
+        raise InputError(f"bigK and theta must broadcast to one 1-D shape, got "
+                         f"shapes {bigK.shape} and {theta.shape}")
+    bigK, theta = np.broadcast_arrays(bigK, theta)
     kins = [Kinematics(k, theta0, th) for k, th in zip(bigK.tolist(), theta.tolist())]
     return _f1_points(kins, defects, eta, lambda1, lambda2)
 
@@ -455,6 +459,8 @@ def f1_geometric(
 def delta_ray_offset(theta0: float, theta: float) -> float:
     """Signed angle theta - ray in [-pi, pi] (radians) to the nearer of the
     delta-supported rays theta0 and pi - theta0 (theta0 on a tie)."""
+    if not (math.isfinite(theta0) and math.isfinite(theta)):
+        raise InputError(f"angles must be finite, got theta0={theta0!r}, theta={theta!r}")
     return min((math.remainder(theta - ray, 2.0 * math.pi)
                 for ray in (theta0, math.pi - theta0)), key=abs)
 

@@ -1,13 +1,15 @@
 """Overflow-safe complex error functions and guarded exponential products.
 
-Every closed-form coefficient in this package is assembled from terms of the
-shape  exp(X) * erf(w),  exp(X) * erfc(w)  or a bare guarded exponential.
-Evaluating the two factors separately is catastrophic once Re(X) or Re(w**2)
-grows: the exponential overflows while the error function underflows, even
-though the product is O(1).  This module provides the scaled function
+The engine needs one fused product, exp(X) * erfc(w): every erfc of the
+half-line Gaussian moments in geoamp goes through exp_erfc, and the engine
+calls no other kernel of this module.  Evaluating the two factors
+separately is catastrophic once Re(X) or Re(w**2) grows: the exponential
+overflows while the error function underflows, even though the product
+is O(1).  This module provides the scaled function
 erfcx(w) = exp(w**2) * erfc(w), which stays bounded on the right half
-plane, on complex arguments, a guarded exponential, and fused product
-helpers that route everything through erfcx.
+plane, on complex arguments, and exp_erfc built on it.  The guarded
+exponential eexp, the fused exp_erf and erfcx_c itself are public API as
+well; the tests and the benchmark's microbenchmarks call them.
 
 Symmetry contracts (exact by construction, not merely to rounding):
 

@@ -7,12 +7,11 @@ failing build green.
 """
 
 import math
-import time
 
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import full_grid_report, record_criterion
 
 from bumpscatter.cli import main
 from bumpscatter.defects import (
@@ -30,12 +29,7 @@ from bumpscatter.geoamp import (
     cross_section,
     f1_geometric,
 )
-from bumpscatter.oracle import (
-    QuadratureSpec,
-    default_verification_grid,
-    integral_table,
-    verify_all,
-)
+from bumpscatter.oracle import QuadratureSpec, integral_table
 
 pytestmark = pytest.mark.acceptance
 
@@ -66,9 +60,7 @@ def _peak_cross_section(positions):
 
 def test_criterion_1_closed_forms_match_quadrature():
     try:
-        t0 = time.perf_counter()
-        report = verify_all(default_verification_grid(), rtol=1e-6, atol=1e-10)
-        elapsed = time.perf_counter() - t0
+        report, elapsed = full_grid_report()
         worst = max(report.worst().values())
         ok = report.all_passed and elapsed <= 3600.0
         detail = (

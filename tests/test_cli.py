@@ -196,14 +196,55 @@ def test_option_value_starting_with_dash_needs_equals_form(tmp_path, capsys):
     ],
 )
 def test_bad_engine_flag_is_usage_error(tmp_path, capsys, command, flag):
-    # Every engine input is built once before the rows, so a bad value ends
-    # as a usage error and no CSV is written.
+    # f1_scan checks every engine input before it evaluates any point and
+    # raises InputError, so a bad value ends as a usage error and no CSV is
+    # written.
     out = tmp_path / "x.csv"
     scan = (["--theta-deg", "30", "--kgrid", "0.5:1:2"] if command == "sweep"
             else ["--ksigma", "1", "--thetagrid", "10:170:3"])
     assert main([command, *scan, "--out", str(out), flag]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("sweep", "--kgrid=0:1:2"),
+        ("sweep", "--kgrid=-1:1:3"),
+        ("sweep", "--theta-deg=inf"),
+        ("sweep", "--theta-deg=-inf"),
+        ("sweep", "--theta-deg=30,inf"),
+        ("sweep", "--theta0-deg=inf"),
+        ("sweep", "--defects=nan"),
+        ("angular", "--ksigma=0"),
+        ("angular", "--ksigma=-1"),
+        ("angular", "--ksigma=inf"),
+        ("angular", "--theta0-deg=-inf"),
+    ],
+)
+def test_out_of_domain_grid_or_angle_is_usage_error(tmp_path, capsys, command, flag):
+    # K <= 0 is refused by Kinematics inside f1_scan, a non-finite angle by
+    # the flag parser or by delta_ray_offset: one InputError, exit 1, no file.
+    out = tmp_path / "x.csv"
+    scan = (["--theta-deg=30", "--kgrid=0.5:1:2"] if command == "sweep"
+            else ["--ksigma=1", "--thetagrid=10:170:3"])
+    assert main([command, *scan, "--out", str(out), flag]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_only_input_errors_are_usage_errors(tmp_path, monkeypatch):
+    # main maps InputError to exit 1 and nothing else: a plain ValueError
+    # from the engine is a fault of the program and propagates.
+    def broken(*args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "f1_scan", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["sweep", "--theta-deg=30", "--kgrid=0.5:1:2",
+              "--out", str(tmp_path / "x.csv")])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_singular_angle_error_from_rows_stays_numerical(tmp_path, capsys, monkeypatch):
@@ -470,6 +511,17 @@ def test_feasibility_rejects_unknown_units(capsys):
         "--energy", "1e-3eV", "--mass-ratio", "0.01",
     ])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", [["--mass-ratio", "nan"], ["--v0", "1e400eV"]])
+def test_feasibility_rejects_non_finite_inputs(capsys, bad):
+    # 1e400eV parses to inf; neither it nor NaN may pass as a valid scale.
+    argv = ["feasibility", "--v0", "1eV", "--rho", "1nm", "--energy", "1e-3eV",
+            "--mass-ratio", "0.01", *bad]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

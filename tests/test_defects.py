@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from bumpscatter.defects import (
     COND_LIMIT,
     DefectSet,
+    InputError,
     Kinematics,
     SingularMatrixError,
     build_defect_matrix,
@@ -108,6 +109,22 @@ def test_kinematics_validation():
         Kinematics(bigK=1.0, theta0=-math.pi / 2 + 1e-9, theta=1.0)
     with pytest.raises(ValueError):
         Kinematics(bigK=1.0, theta0=0.0, theta=float("nan"))
+
+
+def test_input_checks_raise_the_typed_input_error():
+    import bumpscatter
+
+    assert bumpscatter.InputError is InputError
+    assert issubclass(InputError, ValueError)
+    for make in (lambda: DefectSet([0.0, 0.0], [1.0, 1.0]),
+                 lambda: DefectSet([0.0], [1.0, 2.0]),
+                 lambda: DefectSet([math.inf], [1.0]),
+                 lambda: DefectSet([0.0], [complex("nan")]),
+                 lambda: Kinematics(bigK=math.inf, theta0=0.0, theta=1.0),
+                 lambda: Kinematics(bigK=1.0, theta0=math.pi / 2, theta=1.0),
+                 lambda: Kinematics(bigK=1.0, theta0=0.0, theta=math.inf)):
+        with pytest.raises(InputError):
+            make()
 
 
 # ---------------------------------------------------------------------------

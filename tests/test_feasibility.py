@@ -109,3 +109,11 @@ class TestAssess:
             assess(0.0, 1e-9, 1e-22, 0.01, 5e-8)
         with pytest.raises(ValueError, match="positive"):
             assess(1e-19, 1e-9, 1e-22, -0.01, 5e-8)
+
+    def test_non_finite_inputs_raise(self):
+        for bad in (math.nan, math.inf):
+            for i in range(5):
+                args = [1e-19, 1e-9, 1e-22, 0.01, 5e-8]
+                args[i] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    assess(*args)

@@ -20,6 +20,7 @@ from references import immnn_x2, kink_coefficient_mp
 from bumpscatter import geoamp
 from bumpscatter.defects import (
     DefectSet,
+    InputError,
     Kinematics,
     SingularMatrixError,
     build_defect_matrix,
@@ -381,6 +382,36 @@ def test_scan_validates_like_its_points():
     assert f1_scan([], 0.0, [], ds, 0.1, 0.5, -0.5) == []
 
 
+@pytest.mark.parametrize("bigK, theta0, theta, eta", [
+    ([1.0, -1.0], 0.0, [0.5, 0.6], 0.1),          # a point with K <= 0
+    (1.0, math.pi / 2, [0.5, 0.6], 0.1),          # theta0 at grazing incidence
+    (1.0, 0.0, [0.5, float("nan")], 0.1),         # a non-finite angle
+    ([1.0, 2.0, 3.0], 0.0, [0.5, 0.6], 0.1),      # shapes that do not broadcast
+    ([[1.0, 2.0]], 0.0, [0.5, 0.6], 0.1),         # not 1-D
+    (1.0, 0.0, 0.5, 0.1),                         # not 1-D
+    (1.0, 0.0, [0.5, 0.6], -0.1),                 # eta < 0
+])
+def test_scan_input_errors_are_input_errors(bigK, theta0, theta, eta):
+    # Every input check of a scan raises the one typed InputError.
+    ds = DefectSet([0.5], [1.0])
+    with pytest.raises(InputError):
+        f1_scan(bigK, theta0, theta, ds, eta, 0.5, -0.5)
+
+
+def test_scan_defect_past_the_window_is_no_input_error():
+    # |alpha| > 26 is a numerical limit of the kernels, not a bad input.
+    with pytest.raises(OverflowError) as info:
+        f1_scan(1.0, 0.0, [0.5, 0.6], DefectSet([30.0], [1.0]), 0.1, 0.5, -0.5)
+    assert not isinstance(info.value, InputError)
+    assert not issubclass(SingularAngleError, InputError)
+
+
+def test_delta_ray_offset_refuses_non_finite_angles():
+    for theta0, theta in ((math.inf, 0.5), (0.0, -math.inf), (math.nan, 0.5)):
+        with pytest.raises(InputError):
+            delta_ray_offset(theta0, theta)
+
+
 def test_amplitude_is_linear_in_eta():
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.2)
     ds = DefectSet([-1.0, 2.0], [1.5, 0.7])
@@ -598,3 +629,13 @@ def test_invalid_inputs_raise():
         _g(0.5, 1.0, (0.0,), lambda2=float("inf"))
     with pytest.raises(ValueError):
         _g(1.5, 1.0, (0.0,))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eta": -0.1}, {"eta": float("nan")}, {"bigK": -1.0}, {"bigK": float("inf")},
+    {"s": float("nan")}, {"s": 1.5}, {"lambda1": float("nan")}, {"lambda2": float("inf")},
+])
+def test_coefficient_input_errors_are_input_errors(kwargs):
+    args = {"s": 0.5, "bigK": 1.0, "alphas": (0.0,), **kwargs}
+    with pytest.raises(InputError):
+        _g(**args)

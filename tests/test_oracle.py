@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import full_grid_report
 from references import immnn_x2, jmn_mollified, matches_oracle
 
 from bumpscatter import geoamp
@@ -545,7 +546,7 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
 @pytest.mark.oracle
 def test_full_default_grid_all_coefficients_pass():
     grid = default_verification_grid()
-    report = verify_all(grid=grid)
+    report, _ = full_grid_report()
     assert report.all_passed, report.to_text()
     # The rejected x2 transcription of the step term must fail somewhere on
     # the grid, otherwise the oracle has no discriminating power.
