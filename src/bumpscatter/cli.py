@@ -350,14 +350,11 @@ def _cmd_verify(args) -> int:
             raise InputError(f"{flag} must be finite and non-negative, got {value!r}")
     grid = default_verification_grid() if args.full else reduced_verification_grid()
     report = verify_all(grid, rtol=args.rtol, atol=args.atol)
-    text = report.to_text()
     extra = "\n".join(_reciprocity_lines())
-    full_text = text + "\n" + extra + "\n"
     if args.out:
-        _write_out(args.out, full_text)
+        _write_out(args.out, report.to_text() + "\n" + extra + "\n")
         print(f"report written to {args.out}")
-    summary = [ln for ln in text.splitlines() if ln.startswith(("summary", "worst"))]
-    print("\n".join(summary))
+    print("\n".join(report.summary_lines()))
     print(extra)
     if not report.all_passed:
         print("VERIFICATION FAILED", file=sys.stderr)

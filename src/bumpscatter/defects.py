@@ -234,10 +234,6 @@ class DefectMatrix:
     inverse: np.ndarray
     cond: float | np.ndarray
 
-    def __getitem__(self, index) -> DefectMatrix:
-        """The points of a stacked matrix selected by index."""
-        return DefectMatrix(self.matrix[index], self.inverse[index], self.cond[index])
-
     def weights(self, b) -> np.ndarray:
         """w = Ainv b, one row of b per point for a stacked matrix.  A is
         symmetric, so w also stands for Ainv^T b."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["FeasibilityReport", "assess", "parse_energy", "parse_length"]
 
@@ -116,15 +116,19 @@ def assess(v0_joule: float, rho_m: float, energy_joule: float,
     """Evaluate the delta-line validity scales.
 
     k = sqrt(2 m E) / hbar, xi = V0 rho, sigma_z = 2 m sigma xi / hbar^2.
-    Every input must be positive and finite (NaN and inf raise ValueError).
+    Every input must be positive and finite (NaN and inf raise ValueError),
+    and so must k and every derived scale: inputs whose products overflow
+    or whose k underflows to 0 raise ValueError too.
     """
     values = (v0_joule, rho_m, energy_joule, mass_ratio, sigma_m)
     if not all(0.0 < v < math.inf for v in values):
         raise ValueError("v0, rho, energy, mass ratio, and sigma must be positive and finite")
     mass = mass_ratio * M_E
     k = math.sqrt(2.0 * mass * energy_joule) / HBAR
+    if not k > 0.0:
+        raise ValueError("k = sqrt(2 m E) / hbar underflows to 0 for these inputs")
     xi = v0_joule * rho_m
-    return FeasibilityReport(
+    rep = FeasibilityReport(
         v0_joule=v0_joule,
         rho_m=rho_m,
         energy_joule=energy_joule,
@@ -138,3 +142,7 @@ def assess(v0_joule: float, rho_m: float, energy_joule: float,
         k_sigma=k * sigma_m,
         sigma_z=2.0 * mass * sigma_m * xi / HBAR**2,
     )
+    bad = [f.name for f in fields(rep) if not math.isfinite(getattr(rep, f.name))]
+    if bad:
+        raise ValueError(f"derived scales overflow for these inputs: {', '.join(bad)}")
+    return rep

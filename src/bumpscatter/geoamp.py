@@ -29,9 +29,10 @@ Evaluation is array-first.  f1_scan takes a whole K or theta scan: its
 GeoCoefficientInputs holds one s and K per point, every table entry is an
 array over the points, and the scan costs one pass over its half-line
 integrals, 1 + 2N + N^2 kernel calls and one incoming and one outgoing
-stacked defect build, whatever its length.  The points averaged across
-theta = +-90 deg (below) are a masked subset that costs the same again,
-once.  Only the per-point contraction stays in Python: the products
+stacked defect build, whatever its length.  A point averaged across
+theta = +-90 deg (below) is replaced by its two flanking angles in the
+same evaluation, which costs one more outgoing build and no second
+table.  Only the per-point contraction stays in Python: the products
 u_a T[a][b] v_b, the two fsums and the prefactor are Python complex
 arithmetic, whose rounding numpy's complex arithmetic does not
 reproduce.  f1_geometric is the one-point case of the same evaluation,
@@ -85,13 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .defects import (
-    DefectMatrix,
-    DefectSet,
-    InputError,
-    Kinematics,
-    build_defect_matrix,
-)
+from .defects import DefectSet, InputError, Kinematics, build_defect_matrix
 from .specfun import SAFE_REAL_WINDOW, exp_erfc, unbox
 
 __all__ = [
@@ -342,25 +337,37 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
              else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
 
 
-def _f1_direct(
+def _f1_points(
     kins: list,
     defects: DefectSet,
     eta: float,
     lambda1: float,
     lambda2: float,
-    dm_out: DefectMatrix | None = None,
 ) -> list:
-    """f1 at each point of kins, never averaged; dm_out is the stacked
-    outgoing defect matrix of those points if already built.
+    """f1 at each point of kins: f1_scan after validation.
 
     One array evaluation for all points: one coefficient table and one
-    incoming and one outgoing defect build.  Each point's bracket is
-    sum_ab u_a T[a][b] v_b over the plane (0) and kink (n + 1) pieces, as
-    in the module docstring, summed exactly by math.fsum; the prefactor
-    multiplies it in Python complex arithmetic.
+    incoming and one outgoing stacked defect build.  With N >= 2, a point
+    whose outgoing matrix is singular or past REG_COND_LIMIT is replaced in
+    the point list by its flanks theta +- ANGLE_REG_EPS, and the outgoing
+    matrices are built once more for that list; the point's value is the
+    mean of its flanks'.  Each point's bracket is sum_ab u_a T[a][b] v_b
+    over the plane (0) and kink (n + 1) pieces, as in the module
+    docstring, summed exactly by math.fsum; the prefactor multiplies it in
+    Python complex arithmetic.
     """
     if not kins:
         return []
+    averaged = [False] * len(kins)
+    if defects.n > 0:
+        dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
+        if defects.n >= 2:
+            averaged = (~(dm_out.cond <= REG_COND_LIMIT)).tolist()
+        if any(averaged):
+            kins = [p for k, a in zip(kins, averaged)
+                    for p in ((replace(k, theta=k.theta + ANGLE_REG_EPS),
+                               replace(k, theta=k.theta - ANGLE_REG_EPS)) if a else (k,))]
+            dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
     bigK = [k.bigK for k in kins]
     g = GeoCoefficientInputs(
         s=np.array([k.s for k in kins]), bigK=np.array(bigK), alphas=defects.positions,
@@ -368,8 +375,6 @@ def _f1_direct(
     )
     u = v = np.ones((len(kins), 1))
     if defects.n > 0:
-        if dm_out is None:
-            dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
         dm_in = build_defect_matrix(np.array([k.kx for k in kins]), defects)
         e = np.exp(1j * g.beta[:, None] * defects.alphas)
         u = np.hstack([u, -1j * dm_out.require_regular().weights(e)])
@@ -381,35 +386,8 @@ def _f1_direct(
         bracket = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
         pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * k)
         f1.append(pref * bracket)
-    return f1
-
-
-def _f1_points(
-    kins: list,
-    defects: DefectSet,
-    eta: float,
-    lambda1: float,
-    lambda2: float,
-) -> list:
-    """f1 at each point of kins: f1_scan after validation.
-
-    With N >= 2 the outgoing matrices are built once for every point; a
-    point whose matrix is singular or past REG_COND_LIMIT is evaluated as
-    the average over theta +- ANGLE_REG_EPS, and all such points take one
-    more array evaluation of their flanking angles together.
-    """
-    if defects.n < 2:
-        return _f1_direct(kins, defects, eta, lambda1, lambda2)
-    dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
-    averaged = ~(dm_out.cond <= REG_COND_LIMIT)
-    direct = iter(_f1_direct([k for k, a in zip(kins, averaged) if not a],
-                             defects, eta, lambda1, lambda2, dm_out[~averaged]))
-    hard = [k for k, a in zip(kins, averaged) if a]
-    flanks = _f1_direct([replace(k, theta=k.theta + d)
-                         for d in (ANGLE_REG_EPS, -ANGLE_REG_EPS) for k in hard],
-                        defects, eta, lambda1, lambda2)
-    mean = iter([0.5 * (fu + fd) for fu, fd in zip(flanks, flanks[len(hard):])])
-    return [next(mean) if a else next(direct) for a in averaged]
+    points = iter(f1)
+    return [0.5 * (next(points) + next(points)) if a else next(points) for a in averaged]
 
 
 def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
@@ -422,8 +400,9 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     curvature weight outside its domain raises defects.InputError, a
     defect past |alpha| = 26 OverflowError.  The whole scan is one array
     evaluation: one table of 1 + 2N + N^2 coefficient arrays, one incoming
-    and one outgoing stacked defect build, plus the same again for the
-    points averaged across theta = +-90 deg (see f1_geometric).
+    and one outgoing stacked defect build, and one more outgoing build if
+    a point is averaged across theta = +-90 deg (see f1_geometric); its
+    flanking angles join the same table.
     Returns the amplitudes as a list of Python complex numbers;
     f1_geometric is the one-point case.
     """
@@ -450,8 +429,10 @@ def f1_geometric(
     number exceeds REG_COND_LIMIT); f1 is then evaluated as the average
     over theta +- 1e-6 rad, which cancels the leading divergence (the
     averaged value changes by < 1e-4 relative when the offset shrinks
-    tenfold; the test suite checks this).  The one-point case of f1_scan:
-    the same evaluation gives the same number.
+    tenfold; the test suite checks this).  The two flanking angles take
+    the point's place in the one evaluation, which then makes three
+    defect builds instead of two.  The one-point case of f1_scan: the
+    same evaluation gives the same number.
     """
     return _f1_points([kin], defects, eta, lambda1, lambda2)[0]
 

@@ -518,18 +518,22 @@ class VerificationReport:
             out[r.coefficient] = max(out.get(r.coefficient, 0.0), r.rel_err)
         return out
 
-    def to_text(self) -> str:
-        lines = [r.line() for r in self.records]
+    def summary_lines(self) -> list:
+        """The aggregate lines: one summary line, then the worst relative
+        error of each family."""
         by_floor = [r for r in self.records if r.judged == "resolution"]
-        lines.append(
+        return [
             f"summary records={len(self.records)} failed={self.n_failed} "
             f"all_passed={self.all_passed} "
             f"resolution_judged={len(by_floor)} "
-            f"resolution_failed={sum(0 if r.passed else 1 for r in by_floor)}"
-        )
-        for fam, err in sorted(self.worst().items()):
-            lines.append(f"worst coefficient={fam} rel_err={err:.3e}")
-        return "\n".join(lines)
+            f"resolution_failed={sum(0 if r.passed else 1 for r in by_floor)}",
+            *(f"worst coefficient={fam} rel_err={err:.3e}"
+              for fam, err in sorted(self.worst().items())),
+        ]
+
+    def to_text(self) -> str:
+        """One line per record, then the summary lines."""
+        return "\n".join([*(r.line() for r in self.records), *self.summary_lines()])
 
 
 def default_verification_grid():

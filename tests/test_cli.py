@@ -248,8 +248,8 @@ def test_only_input_errors_are_usage_errors(tmp_path, monkeypatch):
 
 
 def test_singular_angle_error_from_rows_stays_numerical(tmp_path, capsys, monkeypatch):
-    # SingularAngleError is a ValueError; only the input constructors'
-    # ValueError is a usage error.
+    # SingularAngleError is a ValueError, but only InputError is a usage
+    # error: any other ValueError stays a numerical failure.
     def refuse(*args):
         raise SingularAngleError("on a delta-supported ray")
 
@@ -511,6 +511,20 @@ def test_feasibility_rejects_unknown_units(capsys):
         "--energy", "1e-3eV", "--mass-ratio", "0.01",
     ])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    # sigma_z overflows to inf
+    ["--v0", "1e300J", "--rho", "1e300m", "--energy", "1e-3eV",
+     "--mass-ratio", "0.01", "--sigma", "1e301m"],
+    # k underflows to 0
+    ["--v0", "1eV", "--rho", "1nm", "--energy", "1e-320J", "--mass-ratio", "0.01"],
+])
+def test_feasibility_rejects_non_finite_scales(capsys, argv):
+    assert main(["feasibility", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad", [["--mass-ratio", "nan"], ["--v0", "1e400eV"]])

@@ -190,7 +190,8 @@ def test_stacked_build_marks_singular_points_instead_of_raising():
     with pytest.raises(SingularMatrixError) as exc_info:
         dm.require_regular()
     assert exc_info.value.cond > COND_LIMIT
-    assert dm[[0, 2]].require_regular().cond.tolist() == [dm.cond[0]] * 2
+    regular = build_defect_matrix(np.array([0.5, 0.5]), ds)
+    assert regular.require_regular().cond.tolist() == [dm.cond[0]] * 2
 
 
 @settings(max_examples=200, deadline=None)

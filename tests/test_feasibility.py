@@ -117,3 +117,13 @@ class TestAssess:
                 args[i] = bad
                 with pytest.raises(ValueError, match="finite"):
                     assess(*args)
+
+    def test_overflowing_scales_raise(self):
+        # finite inputs whose products overflow: sigma_z = inf
+        with pytest.raises(ValueError, match="overflow.*sigma_z"):
+            assess(1e300, 1e300, 1e-3 * EV, 0.01, 1e301)
+
+    def test_underflowing_k_raises(self):
+        # 2 m E underflows to 0, so k = 0 and the de Broglie wavelength 1/0
+        with pytest.raises(ValueError, match="underflows"):
+            assess(EV, 1e-9, 1e-320, 0.01, 5e-8)

@@ -322,9 +322,10 @@ def test_assembly_costs_n_squared_core_evaluations(monkeypatch):
     # outgoing build, whatever the scan's length
     ((20.0, 45.0, 70.0, 110.0, 135.0, 160.0),
      {"I0": 1, "kernel": 8, "build": 2, "erfc": 1}),
-    # a theta = 90 deg point adds the same again for its averaged flanks
+    # a theta = 90 deg point is replaced by its two averaged flanks in the
+    # same table; only the outgoing build is made again, for the new points
     ((20.0, 45.0, 70.0, 90.0, 110.0, 135.0, 160.0),
-     {"I0": 2, "kernel": 16, "build": 4, "erfc": 2}),
+     {"I0": 1, "kernel": 8, "build": 3, "erfc": 1}),
 ])
 def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
     calls = dict.fromkeys(expected, 0)
@@ -357,12 +358,20 @@ def test_scan_equals_one_point_calls_bit_for_bit(positions):
     ks = np.linspace(0.025, 5.0, 25)
     k_scan = (np.tile(ks, 3), np.repeat(np.radians([30.0, 90.0, 175.0]), ks.size))
     angles = np.radians([1e-5, 30.0, 89.9, 90.0, 90.1, 150.0, 180.0 + 1e-5])
-    for bigK, theta in (k_scan, (np.ones(angles.size), angles)):
+    # a K scan whose every point sits at 90 deg (averaged at N >= 2)
+    right_angle = (ks, np.full(ks.size, math.pi / 2))
+    for bigK, theta in (k_scan, (np.ones(angles.size), angles), right_angle):
         f1 = f1_scan(bigK, 0.0, theta, ds, 0.1, 0.5, -0.5)
         ref = [f1_geometric(Kinematics(k, 0.0, th), ds, 0.1, 0.5, -0.5)
                for k, th in zip(bigK.tolist(), theta.tolist())]
         assert all(type(f) is complex for f in f1)
         assert f1 == ref
+
+
+@pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0)])
+def test_empty_scan_returns_no_points(positions):
+    ds = DefectSet(positions, [1.0] * len(positions))
+    assert f1_scan([], 0.0, [], ds, 0.1, 0.5, -0.5) == []
 
 
 def test_scan_validates_like_its_points():
@@ -492,13 +501,21 @@ def test_right_angle_is_averaged_for_degenerate_outgoing_matrix():
     np.testing.assert_allclose(f_reg, mid, rtol=1e-3)
 
 
-def test_right_angle_single_defect_needs_no_averaging():
-    # N = 1 keeps the outgoing matrix well conditioned at 90 degrees.
+def test_right_angle_single_defect_needs_no_averaging(monkeypatch):
+    # N = 1 keeps the outgoing matrix well conditioned at 90 degrees: the
+    # point is evaluated at 90 degrees itself, with one outgoing and one
+    # incoming build and no flanking angle.
+    built = []
+
+    def recorded(kx, defects):
+        built.append(np.asarray(kx).tolist())
+        return build_defect_matrix(kx, defects)
+
+    monkeypatch.setattr(geoamp, "build_defect_matrix", recorded)
     kin = Kinematics(bigK=1.0, theta0=0.0, theta=math.pi / 2)
-    ds = DefectSet([0.5], [1.0])
-    (f_direct,) = geoamp._f1_direct([kin], ds, 0.1, 0.5, -0.5)
-    f_reg = f1_geometric(kin, ds, 0.1, 0.5, -0.5)
-    np.testing.assert_allclose(f_reg, f_direct, rtol=1e-12)
+    f1 = f1_geometric(kin, DefectSet([0.5], [1.0]), 0.1, 0.5, -0.5)
+    assert math.isfinite(abs(f1))
+    assert sorted(built) == sorted([[kin.kx_out], [kin.kx]])
 
 
 def _f1_reference_mp(kin, ds, eta, lambda1, lambda2):

@@ -321,6 +321,23 @@ def test_verify_all_reports_failures_under_absurd_tolerance():
     assert "pass=False" in report.to_text()
 
 
+def test_summary_lines_end_the_text_report():
+    grid = {
+        "s": (0.7,),
+        "bigK": (1.0,),
+        "lambdas": ((0.5, -0.5),),
+        "alphas": (3.0,),
+        "eta": 0.1,
+    }
+    report = verify_all(grid=grid, rtol=1e-18)
+    summary = report.summary_lines()
+    assert summary[0].startswith(f"summary records={len(report.records)} ")
+    assert "all_passed=False" in summary[0]
+    assert [ln.split()[1] for ln in summary[1:]] == [
+        f"coefficient={fam}" for fam in sorted(report.worst())]
+    assert report.to_text().splitlines() == [r.line() for r in report.records] + summary
+
+
 # s = 0, K = 1, lambdas = (0.5, 0.5): the bracket K^2 (4 l1 s^2 - 1)
 # + l2 (beta^4 + 2) vanishes, so every coefficient is exactly 0 and the
 # oracle returns rounding noise of order eps * int|f|.
