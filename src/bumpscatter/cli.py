@@ -145,7 +145,7 @@ def _common_headers(args, mode, positions, couplings):
         "lambda2": _f17(args.lambda2),
         # constant: nothing is selected by it, since one kernel computes
         # every kink coefficient; kept only so CSV bytes stay as they were
-        # until ROADMAP item 5 replaces the header
+        # until ROADMAP item 1(e) replaces the header
         "kmmnn_variant": "kappa2",
     }
     if args.theta0_deg != 0.0:

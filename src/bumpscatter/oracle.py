@@ -41,10 +41,11 @@ sg is constant on each panel, where entry (a, b) is
     T_ab = sum_i wx_i B_a(x_i) K_b(x_i) (G0_i + sg_b G1_i),
 
 B_a and K_b the bra and ket x factors and G0, G1 the y-contracted F0, F1:
-one operator evaluation per panel and order, one matrix product for the
-whole table, and int |f| = int |F0 + sg_b F1|, two values per panel.  The
-line integral int psi_a(a, y) dy of a ket kink does not depend on the bra,
-so one 1D tree integrates the N of them.
+one matrix product per panel for the whole table, and int |f| =
+int |F0 + sg_b F1|, two values per panel.  The line integral
+int psi_a(a, y) dy of a ket kink depends on neither the bra nor beta, K
+and the curvature weights, so one 1D tree integrates the N of them for
+every grid point of a call.
 
 The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
 of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
@@ -53,9 +54,14 @@ difference of its order-p and order-2p values; an entry is converged when
 its summed difference, the reported err_est, meets
 max(rel_tol |T_ab|, ABS_FLOOR), and until every entry is, the panel with
 the largest error-to-target ratio over the unconverged entries is bisected
-across its longer side.  Panel contributions are summed with math.fsum
-(real and imaginary parts separately), which is exactly rounded and so
-independent of the order the panels end up in.
+across its longer side.  The trees of the grid points of one call (one
+per grid point) are refined in lockstep: each round every unconverged tree
+bisects its worst panel, and the new panels of all trees are evaluated
+together, at most PANEL_BATCH panels per operator evaluation and Gauss
+order.  A tree reads only its own panels, so it is the tree it would be
+alone.  Panel contributions are summed with math.fsum (real and imaginary
+parts separately), which is exactly rounded and so independent of the
+order the panels end up in.
 
 This module is intentionally independent of the closed forms: it never
 calls geoamp internals, only mirrors the defining integrals.  verify_all
@@ -91,6 +97,10 @@ __all__ = [
 PANEL_ORDER = 12
 # Error target of an entry whose value is legitimately ~0.
 ABS_FLOOR = 1e-13
+# Most panels per integrand call.  A call holds a few 2p x 2p grids per
+# panel, so the cap bounds its temporaries and with them the peak memory;
+# larger batches save little more time.
+PANEL_BATCH = 12
 
 
 @dataclass(frozen=True)
@@ -163,79 +173,101 @@ def _leggauss(n: int):
     return _GL_CACHE[n]
 
 
-def _nodes(a, b, order):
-    """Gauss-Legendre nodes of [a, b] and their weights, scaled to [a, b]."""
+def _nodes(bounds, order):
+    """Gauss-Legendre nodes and weights of each interval (a, b) in the
+    rows of bounds, scaled to it: one row of nodes per interval."""
     t, w = _leggauss(order)
+    a, b = bounds[:, :1], bounds[:, 1:]
     return 0.5 * (a + b) + 0.5 * (b - a) * t, 0.5 * (b - a) * w
 
 
-def _eval_panel_2d(f, ax, bx, ay, by, p):
-    """Order-p and order-2p tensor evaluations of one rectangle.
+def _eval_panel_2d(f, trees, cells, p):
+    """Order-p and order-2p tensor evaluations of a batch of rectangles.
 
-    f(x, wx, y, wy) integrates the vector of integrands over the tensor
-    nodes x, y with weights wx, wy and returns the values and the
-    integrals of their moduli.  Returns the order-2p values, the two-level
-    errors and the order-2p integrals of |f|.
+    cells[k] holds the x and y bounds of panel k and trees[k] the tree it
+    belongs to.  f(trees, x, wx, y, wy) integrates the vector of integrands
+    of each panel k over the tensor nodes x[k], y[k] with weights wx[k],
+    wy[k] and returns the values and the integrals of their moduli, one row
+    per panel.  Returns the order-2p values, the two-level errors and the
+    order-2p integrals of |f|, one row per panel.
     """
-    q_lo, _ = f(*_nodes(ax, bx, p), *_nodes(ay, by, p))
-    q_hi, mag = f(*_nodes(ax, bx, 2 * p), *_nodes(ay, by, 2 * p))
+    q_lo, _ = f(trees, *_nodes(cells[:, 0], p), *_nodes(cells[:, 1], p))
+    q_hi, mag = f(trees, *_nodes(cells[:, 0], 2 * p), *_nodes(cells[:, 1], 2 * p))
     return q_hi, np.abs(q_hi - q_lo), mag
 
 
-def _eval_panel_1d(f, a, b, p):
-    """The 1D twin of _eval_panel_2d; f(y, wy) as there."""
-    q_lo, _ = f(*_nodes(a, b, p))
-    q_hi, mag = f(*_nodes(a, b, 2 * p))
+def _eval_panel_1d(f, trees, cells, p):
+    """The 1D twin of _eval_panel_2d; f(trees, y, wy) as there."""
+    q_lo, _ = f(trees, *_nodes(cells[:, 0], p))
+    q_hi, mag = f(trees, *_nodes(cells[:, 0], 2 * p))
     return q_hi, np.abs(q_hi - q_lo), mag
 
 
-def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
-    """The vector of integrals f (see _eval_panel_2d), one entry per label,
-    on one shared global-adaptive panel tree as in the module docstring
-    (x is bisected on a tie); edges_y=None selects the 1D path.  The stop
-    test reads numpy sums; the returned sums are math.fsum.  Returns one
-    OracleValue per label, each with the tree's panel count."""
+def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
+    """n_trees vectors of integrals f (see _eval_panel_2d), one entry per
+    label, each on its own global-adaptive panel tree as in the module
+    docstring (x is bisected on a tie); every tree starts from the same
+    edges, and edges_y=None selects the 1D path.
+
+    The trees are refined in lockstep.  In each round every unconverged
+    tree bisects its worst panel, and the new panels of all trees are
+    evaluated together, at most PANEL_BATCH panels per evaluator call.  A
+    tree's decisions read only its own panels, kept in the order a lone
+    tree keeps them, so each tree is the one it would be alone.  The stop
+    test reads numpy sums; the returned sums are math.fsum.  Returns, per
+    tree, one OracleValue per label, each with that tree's panel count.
+    """
     edges = (edges_x,) if edges_y is None else (edges_x, edges_y)
-    # a cell is one interval per axis
-    cells = list(itertools.product(*(itertools.pairwise(e) for e in edges)))
-
-    def evaluate(cell):
-        if edges_y is None:
-            return _eval_panel_1d(f, *cell[0], PANEL_ORDER)
-        return _eval_panel_2d(f, *cell[0], *cell[1], PANEL_ORDER)
-
-    panels = [evaluate(c) for c in cells]
-    while True:
-        vals, errs, _ = (np.array(part) for part in zip(*panels))
-        err = errs.sum(axis=0)
-        target = np.maximum(spec.rel_tol * np.abs(vals.sum(axis=0)), ABS_FLOOR)
-        unconverged = err > target
-        if not unconverged.any():
-            break
-        if len(cells) >= spec.max_panels:
-            k = int(np.argmax(np.where(unconverged, err / target, -1.0)))
-            what, column = labels[k], vals[:, k]
-            tot = complex(math.fsum(column.real), math.fsum(column.imag))
-            raise QuadratureConvergenceError(
-                f"{what}: error estimate {err[k]:.3g} above target after "
-                f"{len(cells)} panels; partial value of {what} = {tot:.6g}",
-                tot,
-                float(err[k]),
-            )
-        worst = int(np.argmax((errs[:, unconverged] / target[unconverged]).max(axis=1)))
-        cell = cells.pop(worst)
-        del panels[worst]
-        k = max(range(len(cell)), key=lambda i: cell[i][1] - cell[i][0])
-        a, b = cell[k]
-        kids = [cell[:k] + (half,) + cell[k + 1:] for half in ((a, 0.5 * (a + b)),
-                                                               (0.5 * (a + b), b))]
-        cells += kids
-        panels += [evaluate(c) for c in kids]
-
-    vals, errs, mags = (np.array(part) for part in zip(*panels))
-    return [OracleValue(value=complex(math.fsum(v.real), math.fsum(v.imag)),
-                        err_est=math.fsum(e), panels=len(cells), abs_integral=math.fsum(m))
-            for v, e, m in zip(vals.T, errs.T, mags.T)]
+    evaluate = _eval_panel_1d if edges_y is None else _eval_panel_2d
+    # a cell is one (lo, hi) interval per axis
+    base = np.array(list(itertools.product(*(itertools.pairwise(e) for e in edges))))
+    cells = [base] * n_trees
+    # per live tree, one row per cell: the real and imaginary parts of the
+    # order-2p values, the two-level errors and the |f| integrals; a
+    # converged tree's OracleValues replace them
+    rows = [np.empty((0, 4, len(labels)))] * n_trees
+    todo = dict.fromkeys(range(n_trees), base)  # cells still to evaluate, per tree
+    while todo:
+        trees = np.repeat(list(todo), [len(c) for c in todo.values()])
+        batch = np.concatenate(list(todo.values()))
+        new = np.concatenate([
+            np.stack([q.real, q.imag, err, mag], axis=1)
+            for q, err, mag in (evaluate(f, trees[i:i + PANEL_BATCH], batch[i:i + PANEL_BATCH],
+                                         PANEL_ORDER)
+                                for i in range(0, len(batch), PANEL_BATCH))])
+        cuts = np.cumsum([len(c) for c in todo.values()])[:-1]
+        for t, block in zip(todo, np.split(new, cuts)):
+            rows[t] = np.concatenate([rows[t], block])
+        live, todo = list(todo), {}
+        for t in live:
+            re, im, errs, mags = rows[t].transpose(1, 0, 2)
+            err = errs.sum(axis=0)
+            target = np.maximum(spec.rel_tol * np.hypot(re.sum(axis=0), im.sum(axis=0)),
+                                ABS_FLOOR)
+            unconverged = err > target
+            if not unconverged.any():
+                rows[t] = [OracleValue(complex(math.fsum(a), math.fsum(b)), math.fsum(e),
+                                       len(cells[t]), math.fsum(m))
+                           for a, b, e, m in zip(re.T, im.T, errs.T, mags.T)]
+                continue
+            if len(cells[t]) >= spec.max_panels:
+                k = int(np.argmax(np.where(unconverged, err / target, -1.0)))
+                what, tot = labels[k], complex(math.fsum(re[:, k]), math.fsum(im[:, k]))
+                raise QuadratureConvergenceError(
+                    f"{what}: error estimate {err[k]:.3g} above target after "
+                    f"{len(cells[t])} panels; partial value of {what} = {tot:.6g}",
+                    tot,
+                    float(err[k]),
+                )
+            worst = int(np.argmax((errs[:, unconverged] / target[unconverged]).max(axis=1)))
+            cell = cells[t][worst]
+            k = int(np.argmax(cell[:, 1] - cell[:, 0]))
+            kids = np.array([cell, cell])
+            kids[0, k, 1] = kids[1, k, 0] = 0.5 * (cell[k, 0] + cell[k, 1])
+            cells[t] = np.concatenate([cells[t][:worst], cells[t][worst + 1:], kids])
+            rows[t] = np.concatenate([rows[t][:worst], rows[t][worst + 1:]])
+            todo[t] = kids
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +275,19 @@ def _adaptive(f, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _integrand_inputs(g: GeoCoefficientInputs):
-    """beta, gamma, bump profile and curvature weights shared by the integrands."""
-    beta = g.beta
+def _integrand_inputs(gs):
+    """beta, gamma, lambda1 and lambda2 of each grid point in gs, as arrays
+    indexed by tree, and the bump profile they share (gs share eta)."""
+    beta = np.array([g.beta for g in gs])
     # GeoCoefficientInputs rejects |s| > 1, so gam2 < 0 only by rounding.
-    gam2 = g.bigK**2 - beta**2
-    return (beta, math.sqrt(max(gam2, 0.0)), BumpProfile(delta=math.sqrt(g.eta)),
-            CurvatureCoefficients(g.lambda1, g.lambda2))
+    gamma = np.array([math.sqrt(max(g.bigK**2 - g.beta**2, 0.0)) for g in gs])
+    lambdas = np.array([(g.lambda1, g.lambda2) for g in gs])
+    return beta, gamma, lambdas[:, 0], lambdas[:, 1], BumpProfile(delta=math.sqrt(gs[0].eta))
 
 
-def _operator_parts(g: GeoCoefficientInputs):
-    """(X, Y) -> (F0, F1): L applied to a ket piece, over the ket.
+def _operator_parts(gs):
+    """(t, X, Y) -> (F0, F1): L applied to a ket piece, over the ket, at the
+    points X, Y of grid point gs[t] (t broadcasts against X and Y).
 
     The ket's x slope is beta * sg (sg = 1 for the plane wave, sign(x - a)
     for a kink at a) and its y slope gamma, so L ket / ket = F0 + sg F1
@@ -261,55 +295,67 @@ def _operator_parts(g: GeoCoefficientInputs):
         F0 = a/r^2 (-beta^2 x^2 - gamma^2 y^2) + b/r^2 i gamma y + c,
         F1 = a/r^2 (-2 beta gamma x y) + b/r^2 i beta x.
     """
-    beta, gamma, profile, cc = _integrand_inputs(g)
+    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(gs)
 
-    def parts(X, Y):
-        oc = operator_coeffs_first_order(np.hypot(X, Y), profile, cc)
-        f0 = (oc.a_over_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y)
-              + oc.b_over_r2 * (1j * gamma * Y) + oc.c)
-        f1 = oc.a_over_r2 * (-2.0 * beta * gamma * X * Y) + oc.b_over_r2 * (1j * beta * X)
+    def parts(t, X, Y):
+        beta, gamma = betas[t], gammas[t]
+        oc = operator_coeffs_first_order(
+            np.hypot(X, Y), profile, CurvatureCoefficients(lambda1[t], lambda2[t]))
+        f0, f1 = np.empty((2, *oc.r.shape), complex)
+        f0.real = oc.a_over_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + oc.c
+        f0.imag = oc.b_over_r2 * (gamma * Y)
+        f1.real = oc.a_over_r2 * (-2.0 * beta * gamma * X * Y)
+        f1.imag = oc.b_over_r2 * (beta * X)
         return f0, f1
 
     return parts
 
 
 def _x_factors(pieces, x, beta, sign):
-    """One row per piece: e^{i beta x} for the plane wave (None) and
-    e^{sign i beta |x - a|} for a kink at a."""
-    return np.exp(1j * beta * np.array(
-        [x if a is None else sign * np.abs(x - a) for a in pieces]))
+    """e^{i beta x} for the plane wave (None) and e^{sign i beta |x - a|}
+    for a kink at a, stacked over the pieces on the second-last axis."""
+    return np.exp(1j * beta * np.stack(
+        [x if a is None else sign * np.abs(x - a) for a in pieces], axis=-2))
 
 
-def _table_integrand(bras, kets, g: GeoCoefficientInputs):
+def _table_integrand(bras, kets, gs):
     """Panel integrator of bra * (L ket) for every bra in bras against
-    every ket in kets, flattened row by row: the factored table of the
-    module docstring, with sg_b read at the panel's midpoint."""
-    beta = g.beta
-    parts = _operator_parts(g)
+    every ket in kets, flattened row by row, each panel at the grid point
+    gs[t] of its tree t: the factored table of the module docstring, with
+    sg_b read at the panel's midpoint."""
+    betas = _integrand_inputs(gs)[0]
+    parts = _operator_parts(gs)
 
-    def f(x, wx, y, wy):
-        f0, f1 = parts(x[:, None], y[None, :])
-        mid = 0.5 * (x[0] + x[-1])
-        sg = np.array([1.0 if b is None else math.copysign(1.0, mid - b) for b in kets])
-        ket = _x_factors(kets, x, beta, 1.0) * (f0 @ wy + sg[:, None] * (f1 @ wy))
-        table = (_x_factors(bras, x, beta, -1.0) * wx) @ ket.T
-        mags = wx @ np.abs(f0 + f1) @ wy, wx @ np.abs(f0 - f1) @ wy
+    def f(t, x, wx, y, wy):
+        f0, f1 = parts(t[:, None, None], x[:, :, None], y[:, None, :])
+        mid = 0.5 * (x[:, 0] + x[:, -1])
+        sg = np.stack([np.ones_like(mid) if b is None else np.copysign(1.0, mid - b)
+                       for b in kets], axis=-1)
+        beta = betas[t][:, None, None]
+        g0, g1 = ((part @ wy[:, :, None]).transpose(0, 2, 1) for part in (f0, f1))
+        ket = _x_factors(kets, x, beta, 1.0) * (g0 + sg[:, :, None] * g1)
+        table = (_x_factors(bras, x, beta, -1.0) * wx[:, None, :]) @ ket.transpose(0, 2, 1)
+        mags = ((wx[:, None, :] @ np.abs(part) @ wy[:, :, None])[:, :, 0]
+                for part in (f0 + f1, f0 - f1))
         mag = np.where(sg > 0.0, *mags)
-        return table.ravel(), np.broadcast_to(mag, table.shape).ravel()
+        return (table.reshape(len(t), -1),
+                np.broadcast_to(mag[:, None, :], table.shape).reshape(len(t), -1))
 
     return f
 
 
-def _line_integrand(kinks, g: GeoCoefficientInputs):
+def _line_integrand(kinks, eta):
     """Panel integrator of int a/r^2(a, y) dy along each defect line x = a
     in kinks: a ket kink at a adds 2 i beta a^2 bra(a) times it to the
-    entry of every bra."""
-    _, _, profile, cc = _integrand_inputs(g)
+    entry of every bra.  a/r^2 depends on the bump (eta) alone, not on
+    beta, K or the curvature weights, so one tree serves every grid point."""
+    profile = BumpProfile(delta=math.sqrt(eta))
     a = np.asarray(kinks, dtype=float)[:, None]
 
-    def f(y, wy):
-        F = operator_coeffs_first_order(np.hypot(a, y[None, :]), profile, cc).a_over_r2
-        return F @ wy, np.abs(F) @ wy
+    def f(t, y, wy):
+        F = operator_coeffs_first_order(np.hypot(a, y[:, None, :]), profile,
+                                        CurvatureCoefficients(0.0, 0.0)).a_over_r2
+        return (F @ wy[:, :, None])[:, :, 0], (np.abs(F) @ wy[:, :, None])[:, :, 0]
 
     return f
 
@@ -328,21 +374,25 @@ def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
     return edges_x, [-rmax, 0.0, rmax]
 
 
-def _integrate_table(bras, kets, g: GeoCoefficientInputs, spec: QuadratureSpec,
-                     labels) -> list:
+def _integrate_tables(bras, kets, gs, spec: QuadratureSpec, labels) -> list:
     """Integrals of every bra piece against every ket piece (kink
-    positions, or None for the plane wave), labeled by the rows of labels:
-    the smooth parts on one shared 2D tree, the line terms of the ket kinks
-    on one shared 1D tree."""
-    edges_x, edges_y = _panel_edges(g, spec, [k for k in (*bras, *kets) if k is not None])
-    smooth = _adaptive(_table_integrand(bras, kets, g), edges_x, edges_y, spec,
+    positions, or None for the plane wave), labeled by the rows of labels,
+    one table per grid point of gs (they share alphas and eta): the smooth
+    parts on one 2D tree per grid point, refined in lockstep, the line
+    terms of the ket kinks on one 1D tree that every grid point shares."""
+    g0 = gs[0]
+    edges_x, edges_y = _panel_edges(g0, spec, [k for k in (*bras, *kets) if k is not None])
+    smooth = _adaptive(_table_integrand(bras, kets, gs), len(gs), edges_x, edges_y, spec,
                        [what for row in labels for what in row])
-    table = [smooth[i * len(kets):(i + 1) * len(kets)] for i in range(len(bras))]
+    tables = [[entries[i * len(kets):(i + 1) * len(kets)] for i in range(len(bras))]
+              for entries in smooth]
     cols = [j for j, ket in enumerate(kets) if ket is not None]
-    if cols:
-        at = np.array([kets[j] for j in cols])
-        lines = _adaptive(_line_integrand(at, g), edges_y, None, spec,
-                          [labels[0][j] + " (line term)" for j in cols])
+    if not cols:
+        return tables
+    at = np.array([kets[j] for j in cols])
+    [lines] = _adaptive(_line_integrand(at, g0.eta), 1, edges_y, None, spec,
+                        [labels[0][j] + " (line term)" for j in cols])
+    for g, table in zip(gs, tables):
         weights = 2j * g.beta * at**2 * _x_factors(bras, at, g.beta, -1.0)
         for row, row_weights in zip(table, weights):
             for j, w, line in zip(cols, row_weights, lines):
@@ -350,14 +400,14 @@ def _integrate_table(bras, kets, g: GeoCoefficientInputs, spec: QuadratureSpec,
                 row[j] = OracleValue(
                     ov.value + complex(w * line.value), ov.err_est + abs(w) * line.err_est,
                     ov.panels + line.panels, ov.abs_integral + abs(w) * line.abs_integral)
-    return table
+    return tables
 
 
 def _integrate_pair(bra, ket, g: GeoCoefficientInputs,
                     spec: QuadratureSpec, what: str) -> OracleValue:
     """Integral of bra piece `bra` against ket piece `ket` (kink positions,
     or None for the plane wave), labeled `what`: the one-entry table."""
-    return _integrate_table((bra,), (ket,), g, spec, [[what]])[0][0]
+    return _integrate_tables((bra,), (ket,), [g], spec, [[what]])[0][0][0]
 
 
 def _label(g: GeoCoefficientInputs, bra, ket) -> str:
@@ -377,15 +427,21 @@ def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec,
     return _integrate_pair(bra, ket, g, spec, _label(g, bra, ket))
 
 
+def _integral_tables(gs, spec: QuadratureSpec) -> list:
+    """integral_table of every grid point of gs (they share alphas and
+    eta), all trees refined in one lockstep loop."""
+    pieces = (None, *gs[0].alphas)
+    labels = [[_label(gs[0], bra, ket) for ket in pieces] for bra in pieces]
+    return _integrate_tables(pieces, pieces, gs, spec, labels)
+
+
 def integral_table(g: GeoCoefficientInputs, spec: QuadratureSpec = QuadratureSpec()):
     """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
     pair C[m, n].  The quadrature of geoamp.coefficient_table, all entries
-    on one shared panel tree."""
-    pieces = (None, *g.alphas)
-    labels = [[_label(g, bra, ket) for ket in pieces] for bra in pieces]
-    return _integrate_table(pieces, pieces, g, spec, labels)
+    on one shared panel tree: the one-grid-point case of _integral_tables."""
+    return _integral_tables([g], spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +623,8 @@ def verify_all(
     """Compare every closed-form coefficient against quadrature on a grid.
 
     Per grid point, geoamp.coefficient_table and integral_table each build
-    the (N+1) x (N+1) table once.  The records keep the four coefficient
+    the (N+1) x (N+1) table once; the quadrature tables of all grid points
+    come from one lockstep call (see the module docstring).  The records keep the four coefficient
     families of the index-tuple expansion of f1: I0 = T[0][0] and, with
     e_n = e^{i beta a_n},
 
@@ -616,21 +673,20 @@ def verify_all(
             judged=judged, resolution=resolution, **base,
         ))
 
-    for s in grid["s"]:
-        for bigK in grid["bigK"]:
-            for (l1, l2) in grid["lambdas"]:
-                g = GeoCoefficientInputs(
-                    s=s, bigK=bigK, alphas=alphas, eta=eta,
-                    lambda1=l1, lambda2=l2,
-                )
-                base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
-                closed, table = coefficient_table(g), integral_table(g, spec)
-                emit("I0", (), table[0][0], closed[0][0], base)
-                for m, n in itertools.product(range(npos), repeat=2):
-                    phase = _phase(g, alphas[m])
-                    emit("Imn", (m, n), table[n + 1][0], closed[n + 1][0], base, phase)
-                    emit("Jmn", (m, n), table[0][n + 1], closed[0][n + 1], base, phase)
-                for m, mp, n, np_ in itertools.product(range(npos), repeat=4):
-                    emit("Immnn", (m, mp, n, np_), table[m + 1][n + 1],
-                         closed[m + 1][n + 1], base, _phase(g, alphas[mp], alphas[np_]))
+    points = list(itertools.product(grid["s"], grid["bigK"], grid["lambdas"]))
+    gs = [GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=eta, lambda1=l1, lambda2=l2)
+          for s, bigK, (l1, l2) in points]
+    if not gs:
+        return report
+    for (s, bigK, (l1, l2)), g, table in zip(points, gs, _integral_tables(gs, spec)):
+        base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
+        closed = coefficient_table(g)
+        emit("I0", (), table[0][0], closed[0][0], base)
+        for m, n in itertools.product(range(npos), repeat=2):
+            phase = _phase(g, alphas[m])
+            emit("Imn", (m, n), table[n + 1][0], closed[n + 1][0], base, phase)
+            emit("Jmn", (m, n), table[0][n + 1], closed[0][n + 1], base, phase)
+        for m, mp, n, np_ in itertools.product(range(npos), repeat=4):
+            emit("Immnn", (m, mp, n, np_), table[m + 1][n + 1],
+                 closed[m + 1][n + 1], base, _phase(g, alphas[mp], alphas[np_]))
     return report

@@ -114,19 +114,30 @@ class BumpProfile:
         s2 = self.sigma**2
         return (self.delta / s2) * (r * r / s2 - 1.0) * self._gauss(r)
 
+    def slopes(self, r):
+        """(f'(r), f'(r)/r, f''(r)) from one Gaussian evaluation, each equal
+        bit for bit to d1, d1_over_r and d2."""
+        r = np.asarray(r, dtype=float)
+        s2 = self.sigma**2
+        gauss = self._gauss(r)
+        return (-(self.delta / s2) * r * gauss, -(self.delta / s2) * gauss,
+                (self.delta / s2) * (r * r / s2 - 1.0) * gauss)
+
 
 @dataclass(frozen=True)
 class CurvatureCoefficients:
     """Weights of the curvature-induced potential 2*l1*K + 2*l2*M**2.
 
     The thin-layer confinement values are lambda1 = 0.5, lambda2 = -0.5.
+    Either weight may be an array that broadcasts against r, one weight per
+    point.
     """
 
     lambda1: float
     lambda2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda1) and np.isfinite(self.lambda2)):
+        if not (np.all(np.isfinite(self.lambda1)) and np.all(np.isfinite(self.lambda2))):
             raise ValueError("curvature coefficients must be finite")
 
 
@@ -201,9 +212,7 @@ def operator_coeffs_first_order(r, profile: BumpProfile, cc: CurvatureCoefficien
     i.e. O(eta) relative to the coefficients themselves.
     """
     r = np.asarray(r, dtype=float)
-    g = np.asarray(profile.d1(r), dtype=float)
-    gr = np.asarray(profile.d1_over_r(r), dtype=float)
-    g2 = np.asarray(profile.d2(r), dtype=float)
+    g, gr, g2 = profile.slopes(r)
     a = g * g
     b = g * g + r * g * g2
     c = 2.0 * cc.lambda1 * gr * g2 + 0.5 * cc.lambda2 * (gr + g2) ** 2

@@ -27,7 +27,7 @@ from bumpscatter.oracle import (
     _panel_edges,
 )
 from bumpscatter.specfun import exp_erf
-from bumpscatter.surface import operator_coeffs_first_order
+from bumpscatter.surface import CurvatureCoefficients, operator_coeffs_first_order
 
 
 def immnn_x2(g, m, mp, n, np_):
@@ -117,21 +117,23 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     It approaches the sharp entry as O(width^2).
     """
     a = g.alphas[n]
-    beta, _, profile, cc = _integrand_inputs(g)
-    parts = _operator_parts(g)
+    beta, profile = g.beta, _integrand_inputs([g])[-1]
+    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
+    parts = _operator_parts([g])
 
-    def f(x, wx, y, wy):
-        X, Y = x[:, None], y[None, :]
-        f0, f1 = parts(X, Y)
+    def f(t, x, wx, y, wy):
+        X, Y = x[:, :, None], y[:, None, :]
+        f0, f1 = parts(t[:, None, None], X, Y)
         plane_ket = np.exp(1j * beta * (X + np.abs(X - a)))
         smooth = plane_ket * (f0 + np.sign(X - a) * f1)
         oc = operator_coeffs_first_order(np.hypot(X, Y), profile, cc)
         moll = np.exp(-(((X - a) / width) ** 2)) / (width * math.sqrt(math.pi))
         line = 2j * beta * np.exp(1j * beta * X) * oc.a_over_r2 * X * X * moll
-        F = np.stack([smooth, line])
-        return F @ wy @ wx, np.abs(F) @ wy @ wx
+        F = np.stack([smooth, line], axis=1)
+        return [((G @ wy[:, None, :, None])[..., 0] @ wx[:, :, None])[..., 0]
+                for G in (F, np.abs(F))]
 
     # the mollifier support needs panel edges at a +- a few widths
     edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
-    smooth, line = _adaptive(f, *edges, spec, [f"Jmn[{n}] smooth", "mollified line"])
+    [[smooth, line]] = _adaptive(f, 1, *edges, spec, [f"Jmn[{n}] smooth", "mollified line"])
     return smooth.value + line.value

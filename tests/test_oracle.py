@@ -9,6 +9,7 @@ comparison carries the "oracle" marker for selection and runs by default.
 """
 
 import cmath
+import itertools
 import math
 from collections import Counter
 
@@ -24,14 +25,17 @@ from bumpscatter.geoamp import GeoCoefficientInputs, coefficient_table, f1_geome
 from bumpscatter.oracle import (
     OracleValue,
     QuadratureConvergenceError,
+    PANEL_BATCH,
     QuadratureSpec,
     _adaptive,
+    _integral_tables,
     _kink_integral,
     _label,
     _operator_parts,
     assemble_f1_oracle,
     default_verification_grid,
     integral_table,
+    reduced_verification_grid,
     verify_all,
 )
 from bumpscatter.surface import (
@@ -139,10 +143,10 @@ def _cartesian_integrand(bra, ket, g):
     """The oracle's bra * (L ket), built from its operator parts F0 + sg F1
     with the y factors of bra and ket cancelled."""
     beta = g.beta
-    parts = _operator_parts(g)
+    parts = _operator_parts([g])
 
     def f(X, Y):
-        f0, f1 = parts(X, Y)
+        f0, f1 = parts(0, X, Y)
         sg = 1.0 if ket is None else np.sign(X - ket)
         bra_x = np.exp(1j * beta * (X if bra is None else -np.abs(X - bra)))
         ket_x = np.exp(1j * beta * (X if ket is None else np.abs(X - ket)))
@@ -307,6 +311,13 @@ def test_verify_all_micro_grid_passes():
     assert all(v <= 1e-6 for v in worst.values())
 
 
+def test_verify_all_of_an_empty_grid_has_no_records():
+    grid = {"s": (), "bigK": (1.0,), "lambdas": ((0.5, -0.5),), "alphas": (0.0,), "eta": 0.1}
+    report = verify_all(grid=grid)
+    assert report.records == []
+    assert report.all_passed
+
+
 def test_verify_all_reports_failures_under_absurd_tolerance():
     grid = {
         "s": (0.7,),
@@ -353,12 +364,13 @@ _ZERO_POINT_GRID = {
 def test_adaptive_accumulates_integral_of_modulus():
     # x e^{-r^2} integrates to 0, its modulus to int |x| e^{-x^2} dx
     # * int e^{-y^2} dy = sqrt(pi).
-    def odd_gaussian(x, wx, y, wy):
-        F = x[:, None] * np.exp(-x[:, None] ** 2 - y[None, :] ** 2)
-        return np.array([wx @ F @ wy]), np.array([wx @ np.abs(F) @ wy])
+    def odd_gaussian(t, x, wx, y, wy):
+        F = x[:, :, None] * np.exp(-x[:, :, None] ** 2 - y[:, None, :] ** 2)
+        return ((wx[:, None, :] @ F @ wy[:, :, None])[:, :, 0],
+                (wx[:, None, :] @ np.abs(F) @ wy[:, :, None])[:, :, 0])
 
-    [ov] = _adaptive(odd_gaussian, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
-                     QuadratureSpec(), ["odd gaussian"])
+    [[ov]] = _adaptive(odd_gaussian, 1, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
+                       QuadratureSpec(), ["odd gaussian"])
     assert abs(ov.value) <= 1e-15
     assert ov.abs_integral == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert ov.resolution() == pytest.approx(
@@ -415,9 +427,10 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point():
 
 
 def _fake_table(entry):
-    """Stand-in for the table integrator: entry(label) for every label."""
-    def fake(bras, kets, g, spec, labels):
-        return [[entry(what) for what in row] for row in labels]
+    """Stand-in for the table integrator: entry(label) for every label of
+    every grid point."""
+    def fake(bras, kets, gs, spec, labels):
+        return [[[entry(what) for what in row] for row in labels] for _ in gs]
 
     return fake
 
@@ -433,7 +446,7 @@ def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
         return OracleValue(value=0.1 + 0.2j, err_est=err_of[what], panels=1,
                            abs_integral=1.0)
 
-    monkeypatch.setattr(oracle_mod, "_integrate_table", _fake_table(fake_entry))
+    monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
     ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
     ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
@@ -464,7 +477,7 @@ def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
         return OracleValue(value=value_of[what], err_est=0.0, panels=1,
                            abs_integral=1.0)
 
-    monkeypatch.setattr(oracle_mod, "_integrate_table", _fake_table(fake_entry))
+    monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
     ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
     ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
@@ -499,9 +512,9 @@ def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
     trees = []
     adaptive = oracle_mod._adaptive
 
-    def spy(f, edges_x, edges_y, spec, labels):
-        out = adaptive(f, edges_x, edges_y, spec, labels)
-        trees.append(("2d" if edges_y is not None else "1d", list(labels), out[0].panels))
+    def spy(f, n_trees, edges_x, edges_y, spec, labels):
+        out = adaptive(f, n_trees, edges_x, edges_y, spec, labels)
+        trees.append(("2d" if edges_y is not None else "1d", list(labels), out[0][0].panels))
         return out
 
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
@@ -549,11 +562,119 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
 
     monkeypatch.setattr(geoamp, "_kink_coefficient", counted_kernel)
     monkeypatch.setattr(geoamp, "I0_closed", counted_plane)
-    monkeypatch.setattr(oracle_mod, "_integrate_table", _fake_table(fake_entry))
+    monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
     grid = dict(_ZERO_POINT_GRID, s=(0.7,), lambdas=((0.5, -0.5),))
     report = verify_all(grid=grid)
     assert len(report.records) == 100
     assert calls == {"kernel": 15, "I0": 1}
+
+
+# ---------------------------------------------------------------------------
+# Lockstep refinement of the trees of several grid points
+
+
+def _grid_inputs(grid):
+    """The inputs of every grid point, in verify_all's order."""
+    alphas = tuple(sorted(grid["alphas"]))
+    return [_g(s, bigK, alphas, grid["eta"], l1, l2)
+            for s, bigK, (l1, l2) in itertools.product(grid["s"], grid["bigK"], grid["lambdas"])]
+
+
+def test_lockstep_tables_equal_one_table_at_a_time():
+    # The 48 trees of the acceptance grid refined together are the trees
+    # each grid point grows alone: the same panels, every value within its
+    # err_est.
+    gs = _grid_inputs(default_verification_grid())
+    for g, together in zip(gs, _integral_tables(gs, QuadratureSpec())):
+        for row_together, row_alone in zip(together, integral_table(g)):
+            for both, alone in zip(row_together, row_alone):
+                assert both.panels == alone.panels
+                assert abs(both.value - alone.value) <= both.err_est
+
+
+def test_full_grid_makes_few_integrand_calls(monkeypatch):
+    import bumpscatter.oracle as oracle_mod
+
+    calls, batch = Counter(), []
+    for name in ("_eval_panel_2d", "_eval_panel_1d"):
+        def counted(f, trees, cells, p, _evaluate=getattr(oracle_mod, name), _name=name):
+            calls[_name] += 1
+            batch.append(len(cells))
+            return _evaluate(f, trees, cells, p)
+
+        monkeypatch.setattr(oracle_mod, name, counted)
+    verify_all(default_verification_grid())
+    # each evaluator call makes one integrand call per Gauss order, p and
+    # 2p; one evaluator call per panel made 6,172 integrand calls
+    assert 2 * sum(calls.values()) < 600
+    assert calls["_eval_panel_1d"] > 0
+    assert max(batch) == PANEL_BATCH
+
+
+def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry():
+    # Alone, easy converges on 24 2D panels and hard needs 44; with room
+    # for 30, only hard's tree overruns, wherever it sits in the batch.
+    alphas = (-3.0, 0.0, 3.0)
+    easy = _g(s=0.0, bigK=1.0, alphas=alphas)
+    hard = _g(s=1.0, bigK=2.0, alphas=alphas, lambda2=0.5)
+    spec = QuadratureSpec(max_panels=30)
+    integral_table(easy, spec)
+    pieces = (None, *alphas)
+
+    def closed_by_label(g):
+        closed = coefficient_table(g)
+        return {_label(g, bra, ket): closed[i][j]
+                for i, bra in enumerate(pieces) for j, ket in enumerate(pieces)}
+
+    closed_easy, closed_hard = closed_by_label(easy), closed_by_label(hard)
+    for gs in ([easy, hard], [hard, easy]):
+        with pytest.raises(QuadratureConvergenceError) as exc_info:
+            _integral_tables(gs, spec)
+        err = exc_info.value
+        what = str(err).split(":")[0]
+        assert what in closed_hard
+        assert f"error estimate {err.err_est:.3g} above target after 30 panels" in str(err)
+        assert f"partial value of {what} = {err.value:.6g}" in str(err)
+        # the partial value is hard's entry, not easy's
+        assert abs(err.value - closed_hard[what]) <= 1e-3 * abs(closed_hard[what])
+        assert abs(err.value - closed_easy[what]) > 1e-3 * abs(closed_hard[what])
+
+
+def test_one_line_tree_serves_every_grid_point(monkeypatch):
+    import bumpscatter.oracle as oracle_mod
+
+    lines = []
+    adaptive = oracle_mod._adaptive
+
+    def spy(f, n_trees, edges_x, edges_y, spec, labels):
+        out = adaptive(f, n_trees, edges_x, edges_y, spec, labels)
+        if edges_y is None:
+            lines.append((n_trees, edges_x, labels, out))
+        return out
+
+    monkeypatch.setattr(oracle_mod, "_adaptive", spy)
+    grid = reduced_verification_grid()
+    gs = _grid_inputs(grid)
+    tables = _integral_tables(gs, QuadratureSpec())
+    [(n_trees, edges, labels, [shared])] = lines
+    assert n_trees == 1
+    kinks = np.array(gs[0].alphas)[:, None]
+    for g, table in zip(gs, tables):
+        # the line integrals of this table alone, with its own curvature
+        # weights, equal the shared ones bit for bit
+        profile = BumpProfile(delta=math.sqrt(g.eta))
+        cc = CurvatureCoefficients(g.lambda1, g.lambda2)
+
+        def own_lines(t, y, wy, profile=profile, cc=cc):
+            F = operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile, cc).a_over_r2
+            return (F @ wy[:, :, None])[:, :, 0], (np.abs(F) @ wy[:, :, None])[:, :, 0]
+
+        [own] = adaptive(own_lines, 1, edges, None, QuadratureSpec(), labels)
+        assert own == shared
+        # every ket-kink entry counts the 2D tree and the shared line tree
+        panels_2d = table[0][0].panels
+        assert all(ov.panels == panels_2d + (shared[0].panels if j > 0 else 0)
+                   for row in table for j, ov in enumerate(row))
 
 
 # ---------------------------------------------------------------------------

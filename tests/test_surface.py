@@ -151,6 +151,55 @@ def test_first_order_c_decouples_lambda_terms():
     assert np.array_equal(a1, a2)
 
 
+def test_slopes_equal_the_profile_methods_bit_for_bit():
+    p = BumpProfile(delta=0.3, sigma=1.2)
+    r = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 9.0, 299)]).reshape(7, 43)
+    for radius in (r, 1.3, 0.0):
+        g, gr, g2 = p.slopes(radius)
+        assert np.array_equal(g, p.d1(radius))
+        assert np.array_equal(gr, p.d1_over_r(radius))
+        assert np.array_equal(g2, p.d2(radius))
+
+
+def test_first_order_operator_takes_one_gaussian(monkeypatch):
+    p = BumpProfile(delta=0.3, sigma=1.2)
+    cc = CurvatureCoefficients(0.5, -0.5)
+    r = np.linspace(0.0, 6.0, 101)
+    calls = []
+    gauss = BumpProfile._gauss
+
+    def counted(self, radius):
+        calls.append(radius)
+        return gauss(self, radius)
+
+    monkeypatch.setattr(BumpProfile, "_gauss", counted)
+    oc = operator_coeffs_first_order(r, p, cc)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # every field equals its formula over the three profile methods
+    g, gr, g2 = p.d1(r), p.d1_over_r(r), p.d2(r)
+    assert np.array_equal(oc.a, g * g)
+    assert np.array_equal(oc.b, g * g + r * g * g2)
+    assert np.array_equal(oc.c, 2.0 * 0.5 * gr * g2 + 0.5 * -0.5 * (gr + g2) ** 2)
+    assert np.array_equal(oc.a_over_r2, gr * gr)
+    assert np.array_equal(oc.b_over_r2, gr * gr + gr * g2)
+
+
+def test_curvature_weights_broadcast_per_point():
+    p = BumpProfile(delta=0.3, sigma=1.0)
+    lambda1 = np.array([0.5, 0.0, 0.25])
+    lambda2 = np.array([-0.5, 0.5, 0.0])
+    r = np.linspace(0.0, 4.0, 9)
+    c = operator_coeffs_first_order(
+        r, p, CurvatureCoefficients(lambda1[:, None], lambda2[:, None])).c
+    assert c.shape == (3, 9)
+    for row, l1, l2 in zip(c, lambda1, lambda2):
+        scalar = operator_coeffs_first_order(r, p, CurvatureCoefficients(float(l1), float(l2)))
+        assert np.array_equal(row, scalar.c)
+    with pytest.raises(ValueError):
+        CurvatureCoefficients(np.array([0.5, np.inf]), 0.0)
+
+
 def test_eta_soft_limit_warns():
     with pytest.warns(UserWarning, match="eta"):
         BumpProfile(delta=0.6, sigma=1.0)  # eta = 0.36
