@@ -216,6 +216,12 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
     tree keeps them, so each tree is the one it would be alone.  The stop
     test reads numpy sums; the returned sums are math.fsum.  Returns, per
     tree, one OracleValue per label, each with that tree's panel count.
+
+    A tree that reaches spec.max_panels unconverged raises
+    QuadratureConvergenceError with its worst entry.  Every unconverged
+    tree gains one panel per round, so the trees that overrun all do so in
+    the same round, and the error names the first of them: the tree a loop
+    over the trees, one at a time, would fail on.
     """
     edges = (edges_x,) if edges_y is None else (edges_x, edges_y)
     evaluate = _eval_panel_1d if edges_y is None else _eval_panel_2d
@@ -301,11 +307,15 @@ def _operator_parts(gs):
         beta, gamma = betas[t], gammas[t]
         oc = operator_coeffs_first_order(
             np.hypot(X, Y), profile, CurvatureCoefficients(lambda1[t], lambda2[t]))
-        f0, f1 = np.empty((2, *oc.r.shape), complex)
-        f0.real = oc.a_over_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + oc.c
-        f0.imag = oc.b_over_r2 * (gamma * Y)
-        f1.real = oc.a_over_r2 * (-2.0 * beta * gamma * X * Y)
-        f1.imag = oc.b_over_r2 * (beta * X)
+        # only these three are read; dropping oc frees r, a and b before F0
+        # and F1 are built, which lowers a batch's peak memory
+        a_r2, b_r2, c = oc.a_over_r2, oc.b_over_r2, oc.c
+        del oc
+        f0, f1 = np.empty((2, *a_r2.shape), complex)
+        f0.real = a_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + c
+        f0.imag = b_r2 * (gamma * Y)
+        f1.real = a_r2 * (-2.0 * beta * gamma * X * Y)
+        f1.imag = b_r2 * (beta * X)
         return f0, f1
 
     return parts
@@ -624,9 +634,11 @@ def verify_all(
 
     Per grid point, geoamp.coefficient_table and integral_table each build
     the (N+1) x (N+1) table once; the quadrature tables of all grid points
-    come from one lockstep call (see the module docstring).  The records keep the four coefficient
-    families of the index-tuple expansion of f1: I0 = T[0][0] and, with
-    e_n = e^{i beta a_n},
+    come from one lockstep call (see the module docstring).  An invalid
+    grid point raises before any quadrature, and a QuadratureConvergenceError
+    names the first grid point, in grid order, whose tree overruns.  The
+    records keep the four coefficient families of the index-tuple expansion
+    of f1: I0 = T[0][0] and, with e_n = e^{i beta a_n},
 
         Imn[m, n] = e_m T[n+1][0],   Jmn[m, n] = e_m T[0][n+1],
         Immnn[m, m', n, n'] = e_m' e_n' T[m+1][n+1],

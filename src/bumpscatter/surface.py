@@ -99,29 +99,26 @@ class BumpProfile:
         """f(r)."""
         return self.delta * self._gauss(r)
 
-    def d1(self, r):
-        """f'(r)."""
-        r = np.asarray(r, dtype=float)
-        return -(self.delta / self.sigma**2) * r * self._gauss(r)
-
-    def d1_over_r(self, r):
-        """f'(r)/r, continued analytically through r = 0."""
-        return -(self.delta / self.sigma**2) * self._gauss(r)
-
-    def d2(self, r):
-        """f''(r)."""
-        r = np.asarray(r, dtype=float)
-        s2 = self.sigma**2
-        return (self.delta / s2) * (r * r / s2 - 1.0) * self._gauss(r)
-
     def slopes(self, r):
-        """(f'(r), f'(r)/r, f''(r)) from one Gaussian evaluation, each equal
-        bit for bit to d1, d1_over_r and d2."""
+        """(f'(r), f'(r)/r, f''(r)) from one Gaussian evaluation; f'/r is
+        continued analytically through r = 0."""
         r = np.asarray(r, dtype=float)
         s2 = self.sigma**2
         gauss = self._gauss(r)
         return (-(self.delta / s2) * r * gauss, -(self.delta / s2) * gauss,
                 (self.delta / s2) * (r * r / s2 - 1.0) * gauss)
+
+    def d1(self, r):
+        """f'(r)."""
+        return self.slopes(r)[0]
+
+    def d1_over_r(self, r):
+        """f'(r)/r, continued analytically through r = 0."""
+        return self.slopes(r)[1]
+
+    def d2(self, r):
+        """f''(r)."""
+        return self.slopes(r)[2]
 
 
 @dataclass(frozen=True)
@@ -130,11 +127,11 @@ class CurvatureCoefficients:
 
     The thin-layer confinement values are lambda1 = 0.5, lambda2 = -0.5.
     Either weight may be an array that broadcasts against r, one weight per
-    point.
+    point; such an instance can be neither hashed nor compared with ==.
     """
 
-    lambda1: float
-    lambda2: float
+    lambda1: float | np.ndarray
+    lambda2: float | np.ndarray
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.lambda1)) and np.all(np.isfinite(self.lambda2))):

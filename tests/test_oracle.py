@@ -582,14 +582,11 @@ def _grid_inputs(grid):
 
 def test_lockstep_tables_equal_one_table_at_a_time():
     # The 48 trees of the acceptance grid refined together are the trees
-    # each grid point grows alone: the same panels, every value within its
-    # err_est.
+    # each grid point grows alone, bit for bit: value, err_est, panels and
+    # the integral of |f|.
     gs = _grid_inputs(default_verification_grid())
     for g, together in zip(gs, _integral_tables(gs, QuadratureSpec())):
-        for row_together, row_alone in zip(together, integral_table(g)):
-            for both, alone in zip(row_together, row_alone):
-                assert both.panels == alone.panels
-                assert abs(both.value - alone.value) <= both.err_est
+        assert together == integral_table(g)
 
 
 def test_full_grid_makes_few_integrand_calls(monkeypatch):
@@ -638,6 +635,28 @@ def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry():
         # the partial value is hard's entry, not easy's
         assert abs(err.value - closed_hard[what]) <= 1e-3 * abs(closed_hard[what])
         assert abs(err.value - closed_easy[what]) > 1e-3 * abs(closed_hard[what])
+
+
+def test_overrun_of_several_trees_names_the_first_grid_point():
+    # With room for 20 panels both trees overrun.  Every unconverged tree
+    # gains one panel per round, so they overrun in the same round, and the
+    # error is the one the first grid point raises alone: the one a loop
+    # over the grid points, one at a time, would report.
+    alphas = (-3.0, 0.0, 3.0)
+    easy = _g(s=0.0, bigK=1.0, alphas=alphas)
+    hard = _g(s=1.0, bigK=2.0, alphas=alphas, lambda2=0.5)
+    spec = QuadratureSpec(max_panels=20)
+    named = []
+    for gs in ([easy, hard], [hard, easy]):
+        with pytest.raises(QuadratureConvergenceError) as alone:
+            _integral_tables(gs[:1], spec)
+        with pytest.raises(QuadratureConvergenceError) as together:
+            _integral_tables(gs, spec)
+        assert str(together.value) == str(alone.value)
+        assert together.value.value == alone.value.value
+        assert together.value.err_est == alone.value.err_est
+        named.append(str(together.value))
+    assert named[0] != named[1]
 
 
 def test_one_line_tree_serves_every_grid_point(monkeypatch):

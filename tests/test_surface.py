@@ -151,16 +151,6 @@ def test_first_order_c_decouples_lambda_terms():
     assert np.array_equal(a1, a2)
 
 
-def test_slopes_equal_the_profile_methods_bit_for_bit():
-    p = BumpProfile(delta=0.3, sigma=1.2)
-    r = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 9.0, 299)]).reshape(7, 43)
-    for radius in (r, 1.3, 0.0):
-        g, gr, g2 = p.slopes(radius)
-        assert np.array_equal(g, p.d1(radius))
-        assert np.array_equal(gr, p.d1_over_r(radius))
-        assert np.array_equal(g2, p.d2(radius))
-
-
 def test_first_order_operator_takes_one_gaussian(monkeypatch):
     p = BumpProfile(delta=0.3, sigma=1.2)
     cc = CurvatureCoefficients(0.5, -0.5)
