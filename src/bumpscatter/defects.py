@@ -362,12 +362,18 @@ def f0_distributional(kin: Kinematics, defects: DefectSet) -> F0Distribution:
 
 
 def chi_profile(x, kx: float, defects: DefectSet):
-    """1D transverse profile chi(x) of psi0 (psi0 = chi(x) e^{i ky y} / 2 pi)."""
+    """1D transverse profile chi(x) of psi0 (psi0 = chi(x) e^{i ky y} / 2 pi).
+
+    chi(x) = e^{i kx x} - i sum_n v_n e^{i |kx| |x - an|} with
+    v = A(|kx|)^{-1} e^{i kx alpha}: the outgoing state for either sign of
+    kx, whose scattered kinks all run away from the lines.
+    """
     x = np.asarray(x, dtype=float)
-    w = build_defect_matrix(kx, defects).weights(np.exp(1j * kx * defects.alphas))
+    k = abs(kx)
+    w = build_defect_matrix(k, defects).weights(np.exp(1j * kx * defects.alphas))
     out = np.exp(1j * kx * x).astype(complex)
     for wn, an in zip(w, defects.alphas):
-        out = out - 1j * wn * np.exp(1j * kx * np.abs(x - an))
+        out = out - 1j * wn * np.exp(1j * k * np.abs(x - an))
     return out
 
 

@@ -291,9 +291,10 @@ def _integrand_inputs(gs):
     return beta, gamma, lambdas[:, 0], lambdas[:, 1], BumpProfile(delta=math.sqrt(gs[0].eta))
 
 
-def _operator_parts(gs):
+def _operator_parts(betas, gammas, lambda1, lambda2, profile):
     """(t, X, Y) -> (F0, F1): L applied to a ket piece, over the ket, at the
-    points X, Y of grid point gs[t] (t broadcasts against X and Y).
+    points X, Y of tree t, from the per-tree arrays and the profile that
+    _integrand_inputs returns (t broadcasts against X and Y).
 
     The ket's x slope is beta * sg (sg = 1 for the plane wave, sign(x - a)
     for a kink at a) and its y slope gamma, so L ket / ket = F0 + sg F1
@@ -301,16 +302,11 @@ def _operator_parts(gs):
         F0 = a/r^2 (-beta^2 x^2 - gamma^2 y^2) + b/r^2 i gamma y + c,
         F1 = a/r^2 (-2 beta gamma x y) + b/r^2 i beta x.
     """
-    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(gs)
-
     def parts(t, X, Y):
         beta, gamma = betas[t], gammas[t]
         oc = operator_coeffs_first_order(
             np.hypot(X, Y), profile, CurvatureCoefficients(lambda1[t], lambda2[t]))
-        # only these three are read; dropping oc frees r, a and b before F0
-        # and F1 are built, which lowers a batch's peak memory
         a_r2, b_r2, c = oc.a_over_r2, oc.b_over_r2, oc.c
-        del oc
         f0, f1 = np.empty((2, *a_r2.shape), complex)
         f0.real = a_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + c
         f0.imag = b_r2 * (gamma * Y)
@@ -333,8 +329,8 @@ def _table_integrand(bras, kets, gs):
     every ket in kets, flattened row by row, each panel at the grid point
     gs[t] of its tree t: the factored table of the module docstring, with
     sg_b read at the panel's midpoint."""
-    betas = _integrand_inputs(gs)[0]
-    parts = _operator_parts(gs)
+    inputs = _integrand_inputs(gs)
+    betas, parts = inputs[0], _operator_parts(*inputs)
 
     def f(t, x, wx, y, wy):
         f0, f1 = parts(t[:, None, None], x[:, :, None], y[:, None, :])

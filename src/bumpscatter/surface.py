@@ -1,9 +1,10 @@
-"""Surface geometry of the Gaussian bump and the induced radial operator.
+"""Surface geometry of the Gaussian bump and the induced operator.
 
 The scattering surface is the rotationally symmetric graph z = f(r) with
 
-    f(r) = delta * exp(-r**2 / (2 sigma**2)),
+    f(r) = delta * exp(-r**2 / 2),
 
+in sigma-scaled units (the bump width sigma is the unit of length),
 embedded in flat 3D space.  A particle confined to a thin layer around the
 surface feels, after the normal degree of freedom is frozen out, an extra
 in-plane operator built from two ingredients:
@@ -16,22 +17,24 @@ in-plane operator built from two ingredients:
     the two contributions can be switched on and off independently.
 
 In polar coordinates the full perturbation acting on a wave h reads
+L h = a h_rr + (b/r) h_r + c h.  With r h_r = x h_x + y h_y and
+r**2 h_rr = x**2 h_xx + 2xy h_xy + y**2 h_yy this is the Cartesian operator
 
-    L h = a(r) d2h/dr2 + b(r) (1/r) dh/dr + c(r) h,
+    L h = a/r**2 (x**2 h_xx + 2xy h_xy + y**2 h_yy)
+        + b/r**2 (x h_x + y h_y) + c h,
 
-and this module evaluates the coefficient triple (a, b, c) in two forms:
-exact in the bump height, and truncated at first order in the smallness
-parameter  eta = (delta/sigma)**2  (the form the closed-form scattering
+and this module evaluates its coefficient triple (a/r**2, b/r**2, c) in two
+forms: exact in the bump height, and truncated at first order in the
+smallness parameter  eta = delta**2  (the form the closed-form scattering
 coefficients are built on).  All evaluators are origin-regular: they use
 the analytic ratio f'(r)/r instead of dividing by r, so r = 0 is an
 ordinary point.  They accept numpy arrays.
 
-Exact coefficient forms (g := f'(r)):
+Exact coefficient forms (g := f'(r), w := 1 + g**2):
 
-    a_exact = G**2,   b_exact = G**2 + r*G*G',   with G = g/sqrt(1+g**2)
-    K = (g/r) * f'' / (1+g**2)**2
-    M = (1/2) * [ (g/r) + f'' ] ... more precisely
-    M = (1/2) * [ (g/r)/sqrt(1+g**2) + f''/(1+g**2)**(3/2) ]
+    a = G**2 = g**2/w,   b = G**2 + r*G*G' = a + r*g*f''/w**2
+    K = (g/r) * f'' / w**2
+    M = (1/2) * [ (g/r)/sqrt(w) + f''/w**(3/2) ]
     c_exact = 2*lambda1*K + 2*lambda2*M**2
 
 First order in eta:
@@ -63,23 +66,20 @@ ETA_SOFT_LIMIT = 0.3
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Gaussian bump profile f(r) = delta * exp(-r**2 / (2 sigma**2)).
+    """Gaussian bump profile f(r) = delta * exp(-r**2 / 2), sigma-scaled.
 
-    delta is the peak height, sigma the width; eta = (delta/sigma)**2 is the
+    delta is the peak height in units of the width; eta = delta**2 is the
     perturbative smallness parameter of the geometric scattering series.
     """
 
     delta: float
-    sigma: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if self.eta > ETA_SOFT_LIMIT:
             warnings.warn(
-                f"eta = (delta/sigma)^2 = {self.eta:.3g} exceeds {ETA_SOFT_LIMIT}; "
+                f"eta = delta^2 = {self.eta:.3g} exceeds {ETA_SOFT_LIMIT}; "
                 "first-order geometric amplitudes are unreliable this far from "
                 "the perturbative regime",
                 stacklevel=2,
@@ -87,13 +87,13 @@ class BumpProfile:
 
     @property
     def eta(self) -> float:
-        return (self.delta / self.sigma) ** 2
+        return self.delta**2
 
     # -- profile and derivatives (vectorized, origin-regular) --------------
 
     def _gauss(self, r):
         r = np.asarray(r, dtype=float)
-        return np.exp(-r * r / (2.0 * self.sigma**2))
+        return np.exp(-r * r / 2.0)
 
     def value(self, r):
         """f(r)."""
@@ -103,22 +103,9 @@ class BumpProfile:
         """(f'(r), f'(r)/r, f''(r)) from one Gaussian evaluation; f'/r is
         continued analytically through r = 0."""
         r = np.asarray(r, dtype=float)
-        s2 = self.sigma**2
         gauss = self._gauss(r)
-        return (-(self.delta / s2) * r * gauss, -(self.delta / s2) * gauss,
-                (self.delta / s2) * (r * r / s2 - 1.0) * gauss)
-
-    def d1(self, r):
-        """f'(r)."""
-        return self.slopes(r)[0]
-
-    def d1_over_r(self, r):
-        """f'(r)/r, continued analytically through r = 0."""
-        return self.slopes(r)[1]
-
-    def d2(self, r):
-        """f''(r)."""
-        return self.slopes(r)[2]
+        return (-self.delta * r * gauss, -self.delta * gauss,
+                self.delta * (r * r - 1.0) * gauss)
 
 
 @dataclass(frozen=True)
@@ -140,19 +127,14 @@ class CurvatureCoefficients:
 
 @dataclass(frozen=True)
 class RadialOperatorCoefficients:
-    """Coefficient triple of L = a d2/dr2 + b (1/r) d/dr + c at radius r.
-
-    a_over_r2 and b_over_r2 are the origin-regular ratios a/r**2 and b/r**2
-    needed when the operator is applied in Cartesian form; for the Gaussian
-    bump both stay finite at r = 0.
+    """Coefficients of the Cartesian operator at radius r: the
+    origin-regular ratios a/r**2 and b/r**2 of L = a d2/dr2 + b (1/r) d/dr
+    + c, and c.  For the Gaussian bump all three stay finite at r = 0.
     """
 
-    r: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
     a_over_r2: np.ndarray
     b_over_r2: np.ndarray
+    c: np.ndarray
 
 
 def curvatures(r, profile: BumpProfile):
@@ -161,11 +143,9 @@ def curvatures(r, profile: BumpProfile):
     Uses the graph-of-revolution formulas through G = f'/sqrt(1+f'^2);
     the ratio f'/r is evaluated analytically so the axis r = 0 is regular:
     K(0) = f''(0)**2 and M(0) = f''(0) for any smooth even-slope profile
-    (for the Gaussian bump, K(0) = delta**2/sigma**4, M(0) = -delta/sigma**2).
+    (for the Gaussian bump, K(0) = delta**2, M(0) = -delta).
     """
-    g = np.asarray(profile.d1(r), dtype=float)
-    gr = np.asarray(profile.d1_over_r(r), dtype=float)
-    g2 = np.asarray(profile.d2(r), dtype=float)
+    g, gr, g2 = profile.slopes(r)
     w = 1.0 + g * g
     K = gr * g2 / (w * w)
     M = 0.5 * (gr / np.sqrt(w) + g2 / w**1.5)
@@ -173,51 +153,35 @@ def curvatures(r, profile: BumpProfile):
 
 
 def operator_coeffs_exact(r, profile: BumpProfile, cc: CurvatureCoefficients):
-    """Exact radial operator coefficients (all orders in the bump height).
+    """Exact operator coefficients (all orders in the bump height).
 
     a = G**2, b = G**2 + r G G', c = 2*lambda1*K + 2*lambda2*M**2 with
     G = f'/sqrt(1+f'^2).  The c path deliberately goes through curvatures()
     so it is an independent code path from the G-based a and b.
     """
-    r = np.asarray(r, dtype=float)
-    g = np.asarray(profile.d1(r), dtype=float)
-    gr = np.asarray(profile.d1_over_r(r), dtype=float)
-    g2 = np.asarray(profile.d2(r), dtype=float)
+    g, gr, g2 = profile.slopes(r)
     w = 1.0 + g * g
-    G2 = g * g / w
     G2_over_r2 = gr * gr / w
-    # r G G' = r * (g/sqrt(w)) * (g2 / w**1.5) = r g g2 / w**2
-    rGGp = r * g * g2 / (w * w)
     K, M = curvatures(r, profile)
-    c = 2.0 * cc.lambda1 * K + 2.0 * cc.lambda2 * M * M
     return RadialOperatorCoefficients(
-        r=r,
-        a=G2,
-        b=G2 + rGGp,
-        c=c,
         a_over_r2=G2_over_r2,
+        # r G G' / r**2 = (g/r) g2 / w**2
         b_over_r2=G2_over_r2 + gr * g2 / (w * w),
+        c=2.0 * cc.lambda1 * K + 2.0 * cc.lambda2 * M * M,
     )
 
 
 def operator_coeffs_first_order(r, profile: BumpProfile, cc: CurvatureCoefficients):
-    """Radial operator coefficients truncated at first order in eta.
+    """Operator coefficients truncated at first order in eta.
 
     This is the form the closed-form scattering coefficients integrate:
     a = f'^2, b = f'^2 + r f' f'', c = 2*l1*(f'/r)*f'' + (l2/2)*(f'/r + f'')**2.
     The truncation error relative to the exact coefficients is O(eta^2),
     i.e. O(eta) relative to the coefficients themselves.
     """
-    r = np.asarray(r, dtype=float)
-    g, gr, g2 = profile.slopes(r)
-    a = g * g
-    b = g * g + r * g * g2
-    c = 2.0 * cc.lambda1 * gr * g2 + 0.5 * cc.lambda2 * (gr + g2) ** 2
+    _, gr, g2 = profile.slopes(r)
     return RadialOperatorCoefficients(
-        r=r,
-        a=a,
-        b=b,
-        c=c,
         a_over_r2=gr * gr,
         b_over_r2=gr * gr + gr * g2,
+        c=2.0 * cc.lambda1 * gr * g2 + 0.5 * cc.lambda2 * (gr + g2) ** 2,
     )

@@ -117,9 +117,10 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     It approaches the sharp entry as O(width^2).
     """
     a = g.alphas[n]
-    beta, profile = g.beta, _integrand_inputs([g])[-1]
+    inputs = _integrand_inputs([g])
+    beta, profile = g.beta, inputs[-1]
     cc = CurvatureCoefficients(g.lambda1, g.lambda2)
-    parts = _operator_parts([g])
+    parts = _operator_parts(*inputs)
 
     def f(t, x, wx, y, wy):
         X, Y = x[:, :, None], y[:, None, :]

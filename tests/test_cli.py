@@ -249,7 +249,8 @@ def test_only_input_errors_are_usage_errors(tmp_path, monkeypatch):
 
 def test_singular_angle_error_from_rows_stays_numerical(tmp_path, capsys, monkeypatch):
     # SingularAngleError is a ValueError, but only InputError is a usage
-    # error: any other ValueError stays a numerical failure.
+    # error: SingularAngleError is one of the numerical failures main names,
+    # while a plain ValueError propagates (see the test above).
     def refuse(*args):
         raise SingularAngleError("on a delta-supported ray")
 

@@ -2,12 +2,16 @@
 
 The physics checks are equation-level: the profile must satisfy the 1D
 Helmholtz equation away from the lines, the derivative jump condition at
-each line, and flux conservation of the far-field coefficients.  Those
-conditions pin the solution uniquely, so they are a full functional test of
-the linear-system route without re-deriving it.
+each line, an outgoing far field, and flux conservation of the far-field
+coefficients.  Those conditions pin the solution uniquely, so they are a
+full functional test of the linear-system route without re-deriving it.
+The state is also the bra of first-order perturbation theory: an ODE
+integration of a weakly perturbed 1D problem checks that without the
+linear system.
 """
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -321,6 +325,120 @@ def test_chi_far_field_limits_match_t_coefficients():
     np.testing.assert_allclose(
         complex(chi_profile(x_left, kx, ds)), expect_left, rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("q", [0.9, -0.9])
+def test_chi_is_outgoing_for_either_sign_of_kx(q):
+    # Beyond the lines the scattered part is C e^{i |q| |x|} alone: sampled a
+    # quarter wave apart its envelope is the same, where an incoming
+    # e^{-i |q| |x|} would flip its sign.
+    ds = DefectSet([-1.0, 2.5], [1.3 + 0.4j, 0.7 - 0.2j])
+    k = abs(q)
+    for side in (1.0, -1.0):
+        x = side * np.array([300.0, 300.0 + 0.5 * math.pi / k])
+        envelope = (chi_profile(x, q, ds) - np.exp(1j * q * x)) * np.exp(-1j * k * np.abs(x))
+        np.testing.assert_allclose(envelope[1], envelope[0], rtol=1e-12)
+    # Transmission is reciprocal, also for complex couplings: downstream,
+    # either way, chi is (1 + t_plus) e^{i q x}.
+    x_far = math.copysign(300.0, q)
+    np.testing.assert_allclose(
+        complex(chi_profile(x_far, q, ds)),
+        (1.0 + t_coefficients(k, ds).t_plus) * cmath.exp(1j * q * x_far), rtol=1e-12)
+
+
+# The 1D problem -chi'' + sum_n z_n delta(x - a_n) chi + eps V chi = k^2 chi:
+# the eps-derivatives of its exact transmitted and reflected amplitudes are
+#     dt+/deps = -(i/2k) int chi+(x; -k) V chi+(x; k) dx,
+#     dt-/deps = -(i/2k) int chi+(x; +k) V chi+(x; k) dx,
+# with the outgoing state chi+ = chi_profile, unconjugated, as the bra.
+_K_1D = 0.9
+_DEFECTS_1D = DefectSet([-1.0, 2.5], [1.3 + 0.4j, 0.7 - 0.2j])
+_BOX_1D = (-8.0, 9.0)  # V < 1e-30 outside
+_EPS_1D = 2e-5
+
+
+def _v_1d(x):
+    return np.exp(-((x - 0.4) ** 2)) * (1.0 + 0.3 * x)
+
+
+def _ode_amplitudes(eps, step=0.005):
+    """(t+, t-) of the 1D problem for each eps in the array eps.
+
+    Fixed-step RK4 from the purely transmitted wave e^{ikx} at the right
+    edge of the box to its left edge, with the jump chi'(a-) = chi'(a+) -
+    z chi(a) at each line; there chi = A e^{ikx} + B e^{-ikx}, and the
+    incident wave normalized to 1 gives 1 + t+ = 1/A and t- = B/A.
+    """
+    k, (lo, hi) = _K_1D, _BOX_1D
+
+    def rhs(x, c, d):
+        return d, (eps * _v_1d(x) - k * k) * c
+
+    c = np.full(eps.shape, cmath.exp(1j * k * hi))
+    d = 1j * k * c
+    x = hi
+    for a, z in [*zip(_DEFECTS_1D.alphas[::-1], _DEFECTS_1D.z[::-1]), (lo, 0.0)]:
+        n = round((x - a) / step)
+        h = (a - x) / n
+        for i in range(n):
+            xi = x + i * h
+            k1 = rhs(xi, c, d)
+            k2 = rhs(xi + 0.5 * h, c + 0.5 * h * k1[0], d + 0.5 * h * k1[1])
+            k3 = rhs(xi + 0.5 * h, c + 0.5 * h * k2[0], d + 0.5 * h * k2[1])
+            k4 = rhs(xi + h, c + h * k3[0], d + h * k3[1])
+            c = c + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            d = d + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        x = a
+        d = d - z * c
+    A = 0.5 * (c + d / (1j * k)) * cmath.exp(-1j * k * lo)
+    B = 0.5 * (c - d / (1j * k)) * cmath.exp(1j * k * lo)
+    return 1.0 / A - 1.0, B / A
+
+
+@functools.cache
+def _amplitude_derivatives():
+    """Central differences (dt+/deps, dt-/deps) at eps = +-_EPS_1D."""
+    tp, tm = _ode_amplitudes(np.array([_EPS_1D, -_EPS_1D]))
+    return (tp[0] - tp[1]) / (2.0 * _EPS_1D), (tm[0] - tm[1]) / (2.0 * _EPS_1D)
+
+
+def _born_1d(bra):
+    """-(i/2k) int bra(x) V chi+(x; k) dx by order-20 Gauss-Legendre on
+    panels of width 1/2 with edges at the lines."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.union1d(np.arange(_BOX_1D[0], _BOX_1D[1] + 0.25, 0.5), _DEFECTS_1D.alphas)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    integrand = bra(x) * _v_1d(x) * chi_profile(x, _K_1D, _DEFECTS_1D)
+    return -0.5j / _K_1D * np.sum(w * integrand)
+
+
+def test_ode_reproduces_the_unperturbed_amplitudes():
+    tp, tm = _ode_amplitudes(np.zeros(1))
+    tc = t_coefficients(_K_1D, _DEFECTS_1D)
+    np.testing.assert_allclose(tp[0], tc.t_plus, rtol=1e-8)
+    np.testing.assert_allclose(tm[0], tc.t_minus, rtol=1e-8)
+
+
+def test_outgoing_state_is_the_first_order_bra():
+    dtp, dtm = _amplitude_derivatives()
+    k, ds = _K_1D, _DEFECTS_1D
+    np.testing.assert_allclose(_born_1d(lambda x: chi_profile(x, -k, ds)), dtp, rtol=1e-6)
+    np.testing.assert_allclose(_born_1d(lambda x: chi_profile(x, k, ds)), dtm, rtol=1e-6)
+    # at kx_out > 0 the dual state's conjugate is the same bra
+    np.testing.assert_allclose(
+        _born_1d(lambda x: np.conj(chi_dual_profile(x, k, ds))), dtp, rtol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="conj(chi_dual_profile) at kx_out < 0 is not the "
+                   "t- bra (0.37 off); it becomes so only if the amplitude moves to the "
+                   "lab-frame model")
+def test_dual_state_is_the_reflected_bra():
+    _, dtm = _amplitude_derivatives()
+    k, ds = _K_1D, _DEFECTS_1D
+    np.testing.assert_allclose(
+        _born_1d(lambda x: np.conj(chi_dual_profile(x, -k, ds))), dtm, rtol=1e-6)
 
 
 def test_hard_wall_suppresses_wavefunction_on_the_line():

@@ -30,6 +30,7 @@ from bumpscatter.oracle import (
     _adaptive,
     _integral_tables,
     _kink_integral,
+    _integrand_inputs,
     _label,
     _operator_parts,
     assemble_f1_oracle,
@@ -106,7 +107,8 @@ def _polar_integrand(bra, ket, g):
     The radial derivatives come from the identities r dh/dr = x h_x + y h_y
     and r^2 d2h/dr2 = x^2 h_xx + 2xy h_xy + y^2 h_yy; for the exponential
     kets this differs from the oracle's Cartesian integrand only in
-    floating-point grouping.
+    floating-point grouping.  a = f'^2 and b = f'^2 + r f' f'' are the
+    first-order polar coefficients themselves, not the oracle's ratios.
     """
     beta = g.beta
     gamma = math.sqrt(max(g.bigK**2 - beta**2, 0.0))
@@ -115,7 +117,9 @@ def _polar_integrand(bra, ket, g):
 
     def f(X, Y):
         R = np.hypot(X, Y)
-        oc = operator_coeffs_first_order(R, profile, cc)
+        g, _, g2 = profile.slopes(R)
+        a, b = g * g, g * g + R * g * g2
+        c = operator_coeffs_first_order(R, profile, cc).c
         sg = 1.0 if ket is None else np.sign(X - ket)
         hx = 1j * beta * sg
         hy = 1j * gamma
@@ -131,7 +135,7 @@ def _polar_integrand(bra, ket, g):
                 / (R * R),
                 0.0,
             )
-        factor = oc.a * dr2 + np.where(R > 0.0, oc.b * dr1 / R, 0.0) + oc.c
+        factor = a * dr2 + np.where(R > 0.0, b * dr1 / R, 0.0) + c
         bra_x = np.exp(1j * beta * (X if bra is None else -np.abs(X - bra)))
         ket_x = np.exp(1j * beta * (X if ket is None else np.abs(X - ket)))
         return bra_x * np.exp(-1j * gamma * Y) * factor * ket_x * np.exp(1j * gamma * Y)
@@ -143,7 +147,7 @@ def _cartesian_integrand(bra, ket, g):
     """The oracle's bra * (L ket), built from its operator parts F0 + sg F1
     with the y factors of bra and ket cancelled."""
     beta = g.beta
-    parts = _operator_parts([g])
+    parts = _operator_parts(*_integrand_inputs([g]))
 
     def f(X, Y):
         f0, f1 = parts(0, X, Y)

@@ -28,12 +28,12 @@ def _thirty_digits():
         yield
 
 
-def _mp_curvatures(delta: float, sigma: float, r: float):
+def _mp_curvatures(delta: float, r: float):
     """Gaussian and mean curvature of z = f(r) via mpmath differentiation."""
-    d, s = mp.mpf(delta), mp.mpf(sigma)
+    d = mp.mpf(delta)
 
     def f(x):
-        return d * mp.exp(-x * x / (2 * s * s))
+        return d * mp.exp(-x * x / 2)
 
     rr = mp.mpf(r)
     f1 = mp.diff(f, rr, 1)
@@ -45,47 +45,47 @@ def _mp_curvatures(delta: float, sigma: float, r: float):
 
 
 def test_profile_derivative_spot_values():
-    p = BumpProfile(delta=0.4, sigma=1.3)
-    s2 = 1.3**2
+    p = BumpProfile(delta=0.4)
     np.testing.assert_allclose(p.value(0.0), 0.4, rtol=1e-15)
-    np.testing.assert_allclose(
-        p.d1(1.3), -(0.4 / 1.3) * math.exp(-0.5), rtol=1e-14
-    )
-    np.testing.assert_allclose(p.d2(0.0), -0.4 / s2, rtol=1e-14)
-    np.testing.assert_allclose(p.d1_over_r(0.0), -0.4 / s2, rtol=1e-14)
-    # f'' changes sign at r = sigma.
-    assert p.d2(1.3) == 0.0
-    # d1_over_r agrees with d1/r away from the axis.
+    np.testing.assert_allclose(p.slopes(1.0)[0], -0.4 * math.exp(-0.5), rtol=1e-14)
+    _, gr0, g20 = p.slopes(0.0)
+    np.testing.assert_allclose(g20, -0.4, rtol=1e-14)
+    np.testing.assert_allclose(gr0, -0.4, rtol=1e-14)
+    # f'' changes sign at r = sigma = 1.
+    assert p.slopes(1.0)[2] == 0.0
+    # f'/r agrees with f' divided by r away from the axis.
     r = np.array([0.2, 0.9, 2.4])
-    np.testing.assert_allclose(p.d1_over_r(r), p.d1(r) / r, rtol=1e-14)
+    g, gr, _ = p.slopes(r)
+    np.testing.assert_allclose(gr, g / r, rtol=1e-14)
 
 
 def test_profile_derivatives_against_mpmath():
-    p = BumpProfile(delta=0.25, sigma=0.8)
+    p = BumpProfile(delta=0.25)
 
     def f(x):
-        return mp.mpf("0.25") * mp.exp(-x * x / (2 * mp.mpf("0.8") ** 2))
+        return mp.mpf("0.25") * mp.exp(-x * x / 2)
 
     for r in (0.1, 0.7, 1.9, 3.5):
-        np.testing.assert_allclose(p.d1(r), float(mp.diff(f, r, 1)), rtol=1e-12)
-        np.testing.assert_allclose(p.d2(r), float(mp.diff(f, r, 2)), rtol=1e-12)
+        g, _, g2 = p.slopes(r)
+        np.testing.assert_allclose(g, float(mp.diff(f, r, 1)), rtol=1e-12)
+        np.testing.assert_allclose(g2, float(mp.diff(f, r, 2)), rtol=1e-12)
 
 
 def test_curvatures_against_mpmath():
-    for delta, sigma in ((0.3, 1.0), (0.2, 0.7)):
-        p = BumpProfile(delta=delta, sigma=sigma)
+    for delta in (0.3, 0.2):
+        p = BumpProfile(delta=delta)
         for r in (0.3, 1.0, 2.5):
-            K_ref, M_ref = _mp_curvatures(delta, sigma, r)
+            K_ref, M_ref = _mp_curvatures(delta, r)
             K, M = curvatures(r, p)
             np.testing.assert_allclose(K, K_ref, rtol=1e-10, atol=1e-15)
             np.testing.assert_allclose(M, M_ref, rtol=1e-10, atol=1e-15)
 
 
 def test_curvatures_at_axis():
-    p = BumpProfile(delta=0.3, sigma=1.2)
+    p = BumpProfile(delta=0.3)
     K0, M0 = curvatures(0.0, p)
-    np.testing.assert_allclose(K0, 0.3**2 / 1.2**4, rtol=1e-13)
-    np.testing.assert_allclose(M0, -0.3 / 1.2**2, rtol=1e-13)
+    np.testing.assert_allclose(K0, 0.3**2, rtol=1e-13)
+    np.testing.assert_allclose(M0, -0.3, rtol=1e-13)
     # The axis values are the limits of the off-axis formulas.
     Ke, Me = curvatures(1e-7, p)
     np.testing.assert_allclose(Ke, K0, rtol=1e-10)
@@ -93,45 +93,52 @@ def test_curvatures_at_axis():
 
 
 def test_operator_coefficients_regular_at_origin():
-    p = BumpProfile(delta=0.1, sigma=1.0)
+    p = BumpProfile(delta=0.1)
     cc = CurvatureCoefficients(0.5, -0.5)
     for coeffs in (
         operator_coeffs_exact(np.array([0.0, 1e-10]), p, cc),
         operator_coeffs_first_order(np.array([0.0, 1e-10]), p, cc),
     ):
-        for field in (coeffs.a, coeffs.b, coeffs.c, coeffs.a_over_r2, coeffs.b_over_r2):
+        for field in (coeffs.a_over_r2, coeffs.b_over_r2, coeffs.c):
             assert np.all(np.isfinite(field))
             # Value just off the axis matches the axis value.
             scale = max(abs(field[0]), 1e-3)
             assert abs(field[1] - field[0]) <= 1e-6 * scale
     # The origin-regular ratios take their analytic limits.
     c1 = operator_coeffs_first_order(0.0, p, cc)
-    # At the axis f'(r)/r and f''(r) both tend to -delta/sigma^2.
+    # At the axis f'(r)/r and f''(r) both tend to -delta.
     np.testing.assert_allclose(c1.a_over_r2, 0.1**2, rtol=1e-13)
     np.testing.assert_allclose(c1.b_over_r2, 2.0 * 0.1**2, rtol=1e-13)
 
 
 def test_ratio_fields_match_direct_division():
-    p = BumpProfile(delta=0.2, sigma=1.1)
+    p = BumpProfile(delta=0.2)
     cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.05, 5.0, 40)
-    for coeffs in (
-        operator_coeffs_exact(r, p, cc),
-        operator_coeffs_first_order(r, p, cc),
+    g, _, g2 = p.slopes(r)
+    # the polar a and b: G^2 and G^2 + r G G' exactly, f'^2 and
+    # f'^2 + r f' f'' at first order
+    G2 = g * g / (1.0 + g * g)
+    exact_ab = (G2, G2 + r * g * g2 / (1.0 + g * g) ** 2)
+    first_ab = (g * g, g * g + r * g * g2)
+    for coeffs, (a, b) in (
+        (operator_coeffs_exact(r, p, cc), exact_ab),
+        (operator_coeffs_first_order(r, p, cc), first_ab),
     ):
-        np.testing.assert_allclose(coeffs.a_over_r2, coeffs.a / r**2, rtol=1e-12)
-        np.testing.assert_allclose(coeffs.b_over_r2, coeffs.b / r**2, rtol=1e-12)
+        np.testing.assert_allclose(coeffs.a_over_r2, a / r**2, rtol=1e-12)
+        np.testing.assert_allclose(coeffs.b_over_r2, b / r**2, rtol=1e-12)
 
 
 @pytest.mark.parametrize("eta", [1e-3, 1e-5])
 def test_first_order_truncation_is_order_eta(eta):
     delta = math.sqrt(eta)
-    p = BumpProfile(delta=delta, sigma=1.0)
+    p = BumpProfile(delta=delta)
     cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.0, 6.0, 301)
     exact = operator_coeffs_exact(r, p, cc)
     first = operator_coeffs_first_order(r, p, cc)
-    for e, f in ((exact.a, first.a), (exact.b, first.b), (exact.c, first.c)):
+    for e, f in ((exact.a_over_r2, first.a_over_r2), (exact.b_over_r2, first.b_over_r2),
+                 (exact.c, first.c)):
         # The truncated coefficients are themselves O(eta), so the O(eta^2)
         # absolute truncation error is O(eta) relative, with an eta^2
         # absolute floor where the truncated coefficient crosses zero.
@@ -139,20 +146,21 @@ def test_first_order_truncation_is_order_eta(eta):
 
 
 def test_first_order_c_decouples_lambda_terms():
-    p = BumpProfile(delta=0.1, sigma=1.0)
+    p = BumpProfile(delta=0.1)
     r = np.linspace(0.0, 4.0, 50)
     c_both = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, -0.5)).c
     c_l1 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, 0.0)).c
     c_l2 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.0, -0.5)).c
     np.testing.assert_allclose(c_l1 + c_l2, c_both, rtol=0, atol=1e-16)
     # a and b do not depend on the curvature weights at all.
-    a1 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, -0.5)).a
-    a2 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.0, 0.0)).a
-    assert np.array_equal(a1, a2)
+    o1 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, -0.5))
+    o2 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.0, 0.0))
+    assert np.array_equal(o1.a_over_r2, o2.a_over_r2)
+    assert np.array_equal(o1.b_over_r2, o2.b_over_r2)
 
 
 def test_first_order_operator_takes_one_gaussian(monkeypatch):
-    p = BumpProfile(delta=0.3, sigma=1.2)
+    p = BumpProfile(delta=0.3)
     cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.0, 6.0, 101)
     calls = []
@@ -165,18 +173,22 @@ def test_first_order_operator_takes_one_gaussian(monkeypatch):
     monkeypatch.setattr(BumpProfile, "_gauss", counted)
     oc = operator_coeffs_first_order(r, p, cc)
     assert len(calls) == 1
+    curvatures(r, p)
+    assert len(calls) == 2
+    # the exact operator's c goes through curvatures on purpose: one
+    # Gaussian for a and b, one for c
+    operator_coeffs_exact(r, p, cc)
+    assert len(calls) == 4
     monkeypatch.undo()
-    # every field equals its formula over the three profile methods
-    g, gr, g2 = p.d1(r), p.d1_over_r(r), p.d2(r)
-    assert np.array_equal(oc.a, g * g)
-    assert np.array_equal(oc.b, g * g + r * g * g2)
+    # every field equals its formula over the three slopes
+    _, gr, g2 = p.slopes(r)
     assert np.array_equal(oc.c, 2.0 * 0.5 * gr * g2 + 0.5 * -0.5 * (gr + g2) ** 2)
     assert np.array_equal(oc.a_over_r2, gr * gr)
     assert np.array_equal(oc.b_over_r2, gr * gr + gr * g2)
 
 
 def test_curvature_weights_broadcast_per_point():
-    p = BumpProfile(delta=0.3, sigma=1.0)
+    p = BumpProfile(delta=0.3)
     lambda1 = np.array([0.5, 0.0, 0.25])
     lambda2 = np.array([-0.5, 0.5, 0.0])
     r = np.linspace(0.0, 4.0, 9)
@@ -192,29 +204,26 @@ def test_curvature_weights_broadcast_per_point():
 
 def test_eta_soft_limit_warns():
     with pytest.warns(UserWarning, match="eta"):
-        BumpProfile(delta=0.6, sigma=1.0)  # eta = 0.36
+        BumpProfile(delta=0.6)  # eta = 0.36
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        BumpProfile(delta=0.5, sigma=1.0)  # eta = 0.25, no warning
+        BumpProfile(delta=0.5)  # eta = 0.25, no warning
 
 
 def test_invalid_parameters_raise():
     with pytest.raises(ValueError):
-        BumpProfile(delta=float("nan"), sigma=1.0)
-    with pytest.raises(ValueError):
-        BumpProfile(delta=0.1, sigma=0.0)
-    with pytest.raises(ValueError):
-        BumpProfile(delta=0.1, sigma=-2.0)
+        BumpProfile(delta=float("nan"))
     with pytest.raises(ValueError):
         CurvatureCoefficients(float("inf"), 0.5)
 
 
 def test_vectorization_shapes():
-    p = BumpProfile(delta=0.3, sigma=1.0)
+    p = BumpProfile(delta=0.3)
     cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.0, 3.0, 17).reshape(17, 1) * np.ones((1, 3))
     coeffs = operator_coeffs_exact(r, p, cc)
-    assert coeffs.a.shape == r.shape
+    assert coeffs.a_over_r2.shape == r.shape
+    assert coeffs.b_over_r2.shape == r.shape
     assert coeffs.c.shape == r.shape
     K, M = curvatures(r, p)
     assert K.shape == r.shape
