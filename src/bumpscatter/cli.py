@@ -65,6 +65,8 @@ EXIT_VERIFY = 3
 NUDGE_DEG = 1e-5
 
 COLUMNS = "ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec"
+# One CSV row: every column as _f17 writes it, in one %-format.
+_ROW = ",".join(["%.17g"] * len(COLUMNS.split(",")))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,8 +129,7 @@ def _format_complex(z: complex) -> str:
 def _csv_text(headers: dict, rows) -> str:
     lines = [f"# {k}={v}" for k, v in headers.items()]
     lines.append(f"# columns={COLUMNS}")
-    for row in rows:
-        lines.append(",".join(_f17(v) for v in row))
+    lines += [_ROW % row for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -154,6 +154,36 @@ class DefectSet:
         return all(z.imag == 0.0 for z in self.couplings)
 
 
+def _check_point(bigK, theta0: float, theta) -> None:
+    """Raise the InputError of the first bad input of one point."""
+    if not (math.isfinite(bigK) and bigK > 0.0):
+        raise InputError(f"K must be positive and finite, got {bigK!r}")
+    if not math.isfinite(theta0) or abs(theta0) >= math.pi / 2 - THETA0_MARGIN:
+        raise InputError(
+            f"theta0 must satisfy |theta0| < pi/2 - {THETA0_MARGIN}, got {theta0!r}"
+        )
+    if not math.isfinite(theta):
+        raise InputError(f"theta must be finite, got {theta!r}")
+
+
+def _normalized(theta: float) -> float:
+    """theta moved by whole turns into [-pi/2, 3*pi/2)."""
+    th = math.remainder(theta - math.pi / 2, 2.0 * math.pi) + math.pi / 2
+    if th >= 1.5 * math.pi:
+        th -= 2.0 * math.pi
+    return th
+
+
+def _each(fn, x):
+    """fn(x) for a float; for an array, fn on each element.  math's
+    functions keep their bits on every platform, where numpy's remainder
+    is a floored modulo and its sin and cos may take SIMD paths whose last
+    bit depends on the CPU."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    return np.array(list(map(fn, x.tolist())), dtype=float)
+
+
 @dataclass(frozen=True)
 class Kinematics:
     """Incident and outgoing directions at fixed wavenumber K (units 1/sigma).
@@ -165,63 +195,70 @@ class Kinematics:
     s = sin(Theta/2), and the rotated-frame momentum components used by the
     geometric coefficients (k and -k for the incoming/outgoing x components,
     K cos(Theta/2) shared along y).
+
+    bigK and theta are floats, or 1-D float arrays of one length for a scan
+    (theta0 is one float): every derived quantity is then an array with one
+    value per point, bit for bit the value of that point's own instance.
+    The inputs are checked once, and a bad point raises the InputError of
+    its own instance.  An instance with array fields cannot be hashed or
+    compared.
     """
 
-    bigK: float
+    bigK: float | np.ndarray
     theta0: float
-    theta: float
+    theta: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.bigK) and self.bigK > 0.0):
-            raise InputError(f"K must be positive and finite, got {self.bigK!r}")
-        if not math.isfinite(self.theta0) or abs(self.theta0) >= math.pi / 2 - THETA0_MARGIN:
-            raise InputError(
-                f"theta0 must satisfy |theta0| < pi/2 - {THETA0_MARGIN}, "
-                f"got {self.theta0!r}"
-            )
-        if not math.isfinite(self.theta):
-            raise InputError(f"theta must be finite, got {self.theta!r}")
-        # normalize theta into [-pi/2, 3*pi/2)
-        th = math.remainder(self.theta - math.pi / 2, 2.0 * math.pi) + math.pi / 2
-        if th >= 1.5 * math.pi:
-            th -= 2.0 * math.pi
-        object.__setattr__(self, "theta", th)
+        bigK, theta0, theta = self.bigK, self.theta0, self.theta
+        if np.ndim(bigK) == np.ndim(theta) == 0:
+            _check_point(bigK, theta0, theta)
+        else:
+            bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
+            if bigK.ndim != 1 or bigK.shape != theta.shape:
+                raise InputError(f"bigK and theta must be 1-D arrays of one length, "
+                                 f"got shapes {bigK.shape} and {theta.shape}")
+            if bigK.size:
+                # the first bad point, or the first point for theta0's check
+                i = int((~(np.isfinite(bigK) & (bigK > 0.0) & np.isfinite(theta))).argmax())
+                _check_point(bigK[i].item(), theta0, theta[i].item())
+            object.__setattr__(self, "bigK", bigK)
+        object.__setattr__(self, "theta", _each(_normalized, theta))
 
     @property
-    def Theta(self) -> float:
+    def Theta(self):
         return self.theta - self.theta0
 
     @property
-    def s(self) -> float:
-        return math.sin(0.5 * self.Theta)
+    def s(self):
+        return _each(math.sin, 0.5 * self.Theta)
 
     @property
-    def beta(self) -> float:
+    def beta(self):
         """Rotated-frame incident x momentum, s * K."""
         return self.s * self.bigK
 
     @property
-    def gamma(self) -> float:
+    def gamma(self):
         """Rotated-frame shared y momentum, K cos(Theta/2)."""
-        return self.bigK * math.cos(0.5 * self.Theta)
+        return self.bigK * _each(math.cos, 0.5 * self.Theta)
 
     @property
-    def kx(self) -> float:
+    def kx(self):
         """Lab-frame incident x momentum K cos(theta0) (positive)."""
         return self.bigK * math.cos(self.theta0)
 
     @property
-    def ky(self) -> float:
+    def ky(self):
         return self.bigK * math.sin(self.theta0)
 
     @property
-    def kx_out(self) -> float:
+    def kx_out(self):
         """Lab-frame outgoing x momentum K cos(theta); any sign."""
-        return self.bigK * math.cos(self.theta)
+        return self.bigK * _each(math.cos, self.theta)
 
     @property
-    def ky_out(self) -> float:
-        return self.bigK * math.sin(self.theta)
+    def ky_out(self):
+        return self.bigK * _each(math.sin, self.theta)
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,22 @@ by one math.fsum over the real parts and one over the imaginary parts,
 which is exactly rounded and so independent of their order.  A is
 symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).
 
-Evaluation is array-first.  f1_scan takes a whole K or theta scan: its
-GeoCoefficientInputs holds one s and K per point, every table entry is an
-array over the points, and the scan costs one pass over its half-line
-integrals, 1 + 2N + N^2 kernel calls and one incoming and one outgoing
-stacked defect build, whatever its length.  A point averaged across
-theta = +-90 deg (below) is replaced by its two flanking angles in the
-same evaluation, which costs one more outgoing build and no second
-table.  Only the per-point contraction stays in Python: the products
-u_a T[a][b] v_b, the two fsums and the prefactor are Python complex
-arithmetic, whose rounding numpy's complex arithmetic does not
-reproduce.  f1_geometric is the one-point case of the same evaluation,
-so a scan and one call per point give the same numbers bit for bit.  The
-array evaluation has a fixed cost per call: at N = 2 a one-point call
-costs about a fifth of a 179-point angle scan (docs/math_to_code.md
-section 3 gives the measurements).
+Evaluation is array-first.  f1_scan takes a whole K or theta scan as one
+array Kinematics: its GeoCoefficientInputs holds one s and K per point,
+every table entry is an array over the points, and the scan costs one
+pass over its half-line integrals, 1 + 2N + N^2 kernel calls and one
+incoming and one outgoing stacked defect build, whatever its length.  A
+point averaged across theta = +-90 deg (below) is replaced by its two
+flanking angles in the same evaluation, which costs one more outgoing
+build and no second table.  The contraction is array arithmetic too: the
+products u_a T[a][b] v_b and the prefactor are taken on the real and
+imaginary parts as float arrays, one rounding per operation as in
+Python's complex *, which numpy's complex arithmetic does not reproduce,
+and each bracket is the two fsums.  f1_geometric is the one-point case of
+the same evaluation, so a scan and one call per point give the same
+numbers bit for bit.  The array evaluation has a fixed cost per call: at
+N = 2 a one-point call costs about a third of a 179-point angle scan
+(docs/math_to_code.md section 3 gives the measurements).
 
 Every entry but T[0][0] is one shape, computed by one kernel
 (_kink_coefficient(g, bra, ket), a kink position or None on each side):
@@ -54,9 +55,11 @@ Gaussian moments: an erfc for the zeroth and a two-term recursion for the
 rest.  A half-line integral depends only on the defect, the side, q / beta
 and the sign of kx, so the at most 12 N of them are computed together
 once per GeoCoefficientInputs (half_lines) and the kernel combines them.
-The erfc goes through the fused, overflow-safe specfun.exp_erfc;
-every other exponent in the kernel has a non-positive real part, so no
-intermediate exponential can overflow.  I0 keeps its own closed form.
+Their moments need only two of the three q values, q = 2 beta and q = 0:
+the q = -2 beta moments are the exact conjugates.  The erfc goes through
+the fused, overflow-safe specfun.exp_erfc; every other exponent in the
+kernel has a non-positive real part, so no intermediate exponential can
+overflow.  I0 keeps its own closed form.
 
 Validation status (enforced by the test suite and the quadrature oracle in
 bumpscatter.oracle): every coefficient matches adaptive quadrature of its
@@ -102,6 +105,9 @@ __all__ = [
 
 SQPI = math.sqrt(math.pi)
 
+# -(1/2) e^{i pi/4}, the constant factor of f1's prefactor.
+_PREF = -0.5 * cmath.exp(1j * math.pi / 4.0)
+
 # Offset of the averaged pair of angles used to cross theta = +-90 deg.
 ANGLE_REG_EPS = 1e-6
 # 1-norm condition number of the outgoing defect matrix that triggers
@@ -138,7 +144,7 @@ class GeoCoefficientInputs:
     def __post_init__(self):
         if self.eta < 0.0 or not np.isfinite(self.eta):
             raise InputError(f"eta must be a finite non-negative number, got {self.eta!r}")
-        if not np.all((np.abs(self.s) <= 1.0) & np.isfinite(self.bigK) & (self.bigK > 0.0)):
+        if not ((np.abs(self.s) <= 1.0) & np.isfinite(self.bigK) & (self.bigK > 0.0)).all():
             raise InputError(
                 f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
                 f"K={self.bigK!r}"
@@ -217,17 +223,20 @@ def _half_line_table(g: GeoCoefficientInputs) -> dict:
     M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
     (x^k e^{-x^2 + i q x})' by parts,
     M_{k+1} = (side a^k e^{-a^2 + i q a} + k M_{k-1} + i q M_k) / 2.
-    All of them are one array pass: one exp_erfc call and one recursion
-    over a (defect, side, qb[, point]) array, whatever N and the scan's
-    length.  No exponent here has a positive real part, so no element can
-    overflow.
+    Only two values of q are distinct: at qb = 0 the moments do not depend
+    on beta, and at qb = -2 they are the conjugates of those at qb = 2
+    (exactly: erfcx's conjugate symmetry holds bit for bit).  So the
+    moments are one array pass, one exp_erfc call and one recursion over a
+    (defect, side, point) array of q = 2 beta at the points plus one
+    column of q = 0: 2N(P + 1) elements for P points.  No exponent here has
+    a positive real part, so no element can overflow.
     """
     b = np.asarray(g.beta, dtype=float)
-    point_axes = (1,) * b.ndim
-    a = np.array(g.alphas, dtype=float).reshape((-1, 1, 1) + point_axes)
-    side = np.array([-1.0, 1.0]).reshape((1, 2, 1) + point_axes)
-    qbs = (-2.0, 0.0, 2.0)
-    q = np.array(qbs).reshape((1, 1, 3) + point_axes) * b
+    p = b.size
+    q = np.zeros((1, 1, p + 1))
+    q[..., :p] = 2.0 * b.reshape(-1)
+    a = np.array(g.alphas, dtype=float).reshape(-1, 1, 1)
+    side = np.array([-1.0, 1.0]).reshape(1, 2, 1)
     iq = 1j * q
     m0 = 0.5 * SQPI * exp_erfc(-0.25 * q * q, side * (a - 0.5 * iq))
     edge = side * np.exp(a * (iq - a))
@@ -238,6 +247,14 @@ def _half_line_table(g: GeoCoefficientInputs) -> dict:
     m3 = 0.5 * (edge + 2.0 * m1 + iq * m2)
     edge *= a
     m4 = 0.5 * (edge + 3.0 * m2 + iq * m3)
+    # (moment, defect, side, qb, point) for qb in (-2, 0, 2), the q = 0
+    # column repeated at every point; a float beta drops the point axis
+    m = np.array([m0, m1, m2, m3, m4])
+    moments = np.empty(m.shape[:3] + (3, p), dtype=complex)
+    np.conjugate(m[..., :p], out=moments[..., 0, :])
+    moments[..., 1, :] = m[..., p:]
+    moments[..., 2, :] = m[..., :p]
+    m0, m1, m2, m3, m4 = moments.reshape(m.shape[:3] + (3,) + b.shape)
     l1, l2 = g.lambda1, g.lambda2
     c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
     c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
@@ -249,7 +266,7 @@ def _half_line_table(g: GeoCoefficientInputs) -> dict:
         h = c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
         for i, al in enumerate(g.alphas):
             for j, sd in enumerate((-1.0, 1.0)):
-                for k, qb in enumerate(qbs):
+                for k, qb in enumerate((-2.0, 0.0, 2.0)):
                     table[al, sd, qb, sg] = h[i, j, k]
     return table
 
@@ -286,6 +303,7 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
     line term are trivial and the coefficient is I0 exactly.
     """
     b = g.beta
+    ib = 1j * b
     edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
     total = 0j
     for lo, hi in zip(edges, edges[1:]):
@@ -310,13 +328,13 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
             part = g.half_lines[lo, 1.0, qb, sg] - right
         else:  # across 0: the full line minus the two outer half-lines
             part = g.full_lines[qb != 0.0] - left - right
-        total += np.exp(1j * b * phase) * part
+        total += np.exp(ib * phase) * part
     if ket is not None:
         x_bra = b * ket if bra is None else -b * abs(ket - bra)
         total += 2j * b * ket * ket * np.exp(-ket * ket + 1j * x_bra)
     out = g.eta * SQPI * total
-    at_zero = b == 0.0
-    if np.any(at_zero):
+    at_zero = np.equal(b, 0.0)
+    if at_zero.any():
         out = np.where(at_zero, I0_closed(g), out)
     return unbox(out)
 
@@ -337,56 +355,79 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
              else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
 
 
+def _products(ar, ai, br, bi) -> tuple:
+    """(ar + i ai)(br + i bi) on float arrays as (real, imag), each operation
+    rounded once: the product Python's complex * computes."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _contract(u: np.ndarray, table: np.ndarray, v: np.ndarray, bigK: np.ndarray) -> list:
+    """pref(K) sum_ab u_a T[a][b] v_b at every point, as Python complex
+    numbers, with pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K).
+
+    u and v are (piece, point) and table (bra piece, ket piece, point)
+    complex arrays.  Each product is taken left to right in real arithmetic
+    on the real and imaginary parts (_products), which is what Python's
+    complex * computes and numpy's complex * does not reproduce; each
+    bracket is one math.fsum over the real parts of its terms and one over
+    the imaginary parts.  So the result does not depend on the platform's
+    complex arithmetic or on the order of the terms.
+    """
+    terms = _products(*_products(u.real[:, None], u.imag[:, None], table.real, table.imag),
+                      v.real[None], v.imag[None])
+    br, bi = (list(map(math.fsum, t.reshape(-1, len(bigK)).T.tolist())) for t in terms)
+    d = np.sqrt(2.0 * math.pi * bigK)
+    fr, fi = _products(_PREF.real / d, _PREF.imag / d, np.array(br), np.array(bi))
+    return list(map(complex, fr.tolist(), fi.tolist()))
+
+
 def _f1_points(
-    kins: list,
+    kin: Kinematics,
     defects: DefectSet,
     eta: float,
     lambda1: float,
     lambda2: float,
 ) -> list:
-    """f1 at each point of kins: f1_scan after validation.
+    """f1 at each point of kin (one point, or a scan): f1_scan after
+    validation.
 
     One array evaluation for all points: one coefficient table and one
     incoming and one outgoing stacked defect build.  With N >= 2, a point
-    whose outgoing matrix is singular or past REG_COND_LIMIT is replaced in
-    the point list by its flanks theta +- ANGLE_REG_EPS, and the outgoing
-    matrices are built once more for that list; the point's value is the
-    mean of its flanks'.  Each point's bracket is sum_ab u_a T[a][b] v_b
-    over the plane (0) and kink (n + 1) pieces, as in the module
-    docstring, summed exactly by math.fsum; the prefactor multiplies it in
-    Python complex arithmetic.
+    whose outgoing matrix is singular or past REG_COND_LIMIT is replaced by
+    its flanks theta +- ANGLE_REG_EPS (an array Kinematics with the flanks
+    in its place), and the outgoing matrices are built once more for those
+    points; the point's value is the mean of its flanks'.  Each point's
+    bracket sum_ab u_a T[a][b] v_b over the plane (0) and kink (n + 1)
+    pieces, as in the module docstring, and the prefactor are _contract's
+    real array arithmetic and math.fsum.
     """
-    if not kins:
+    bigK = np.array(kin.bigK, dtype=float, ndmin=1)
+    if not bigK.size:
         return []
-    averaged = [False] * len(kins)
+    averaged = [False] * bigK.size
     if defects.n > 0:
-        dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
+        dm_out = build_defect_matrix(np.array(kin.kx_out, ndmin=1), defects)
         if defects.n >= 2:
             averaged = (~(dm_out.cond <= REG_COND_LIMIT)).tolist()
         if any(averaged):
-            kins = [p for k, a in zip(kins, averaged)
-                    for p in ((replace(k, theta=k.theta + ANGLE_REG_EPS),
-                               replace(k, theta=k.theta - ANGLE_REG_EPS)) if a else (k,))]
-            dm_out = build_defect_matrix(np.array([k.kx_out for k in kins]), defects)
-    bigK = [k.bigK for k in kins]
+            flanks = [p for th, a in zip(np.array(kin.theta, ndmin=1).tolist(), averaged)
+                      for p in ((th + ANGLE_REG_EPS, th - ANGLE_REG_EPS) if a else (th,))]
+            bigK = np.repeat(bigK, [2 if a else 1 for a in averaged])
+            kin = replace(kin, bigK=bigK, theta=np.array(flanks))
+            dm_out = build_defect_matrix(kin.kx_out, defects)
     g = GeoCoefficientInputs(
-        s=np.array([k.s for k in kins]), bigK=np.array(bigK), alphas=defects.positions,
+        s=np.array(kin.s, ndmin=1), bigK=bigK, alphas=defects.positions,
         eta=eta, lambda1=lambda1, lambda2=lambda2,
     )
-    u = v = np.ones((len(kins), 1))
+    # amplitudes (piece, point) of the bra (u) and the ket (v)
+    u = v = np.ones((1, bigK.size), dtype=complex)
     if defects.n > 0:
-        dm_in = build_defect_matrix(np.array([k.kx for k in kins]), defects)
+        dm_in = build_defect_matrix(np.array(kin.kx, ndmin=1), defects)
         e = np.exp(1j * g.beta[:, None] * defects.alphas)
-        u = np.hstack([u, -1j * dm_out.require_regular().weights(e)])
-        v = np.hstack([v, -1j * dm_in.require_regular().weights(e)])
-    table = np.moveaxis(np.array(coefficient_table(g), dtype=complex), -1, 0).tolist()
-    f1 = []
-    for k, u_p, t_p, v_p in zip(bigK, u.tolist(), table, v.tolist()):
-        terms = [ua * t * vb for ua, row in zip(u_p, t_p) for t, vb in zip(row, v_p)]
-        bracket = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
-        pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * k)
-        f1.append(pref * bracket)
-    points = iter(f1)
+        u = np.concatenate([u, -1j * dm_out.require_regular().weights(e).T])
+        v = np.concatenate([v, -1j * dm_in.require_regular().weights(e).T])
+    table = np.array(coefficient_table(g), dtype=complex)
+    points = iter(_contract(u, table, v, bigK))
     return [0.5 * (next(points) + next(points)) if a else next(points) for a in averaged]
 
 
@@ -399,10 +440,11 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     input is checked before any point is evaluated: a shape, point, eta or
     curvature weight outside its domain raises defects.InputError, a
     defect past |alpha| = 26 OverflowError.  The whole scan is one array
-    evaluation: one table of 1 + 2N + N^2 coefficient arrays, one incoming
-    and one outgoing stacked defect build, and one more outgoing build if
-    a point is averaged across theta = +-90 deg (see f1_geometric); its
-    flanking angles join the same table.
+    Kinematics and one array evaluation: one table of 1 + 2N + N^2
+    coefficient arrays, one incoming and one outgoing stacked defect
+    build, and one more outgoing build if a point is averaged across
+    theta = +-90 deg (see f1_geometric); its flanking angles join the same
+    table.
     Returns the amplitudes as a list of Python complex numbers;
     f1_geometric is the one-point case.
     """
@@ -411,8 +453,7 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
         raise InputError(f"bigK and theta must broadcast to one 1-D shape, got "
                          f"shapes {bigK.shape} and {theta.shape}")
     bigK, theta = np.broadcast_arrays(bigK, theta)
-    kins = [Kinematics(k, theta0, th) for k, th in zip(bigK.tolist(), theta.tolist())]
-    return _f1_points(kins, defects, eta, lambda1, lambda2)
+    return _f1_points(Kinematics(bigK, theta0, theta), defects, eta, lambda1, lambda2)
 
 
 def f1_geometric(
@@ -432,9 +473,12 @@ def f1_geometric(
     tenfold; the test suite checks this).  The two flanking angles take
     the point's place in the one evaluation, which then makes three
     defect builds instead of two.  The one-point case of f1_scan: the
-    same evaluation gives the same number.
+    same evaluation gives the same number.  An array kin raises
+    InputError; f1_scan and cross_section take scans.
     """
-    return _f1_points([kin], defects, eta, lambda1, lambda2)[0]
+    if np.ndim(kin.theta):
+        raise InputError("f1_geometric takes one point; evaluate a scan with f1_scan")
+    return _f1_points(kin, defects, eta, lambda1, lambda2)[0]
 
 
 def delta_ray_offset(theta0: float, theta: float) -> float:
@@ -452,18 +496,22 @@ def cross_section(
     eta: float,
     lambda1: float,
     lambda2: float,
-) -> float:
-    """Differential cross section |f1|^2 (sigma-scaled units).
+):
+    """Differential cross section |f1|^2 (sigma-scaled units): a float, or
+    for an array kin a list with one float per point, from one f1_scan
+    evaluation.
 
     Not defined on the delta-supported directions theta0 and pi - theta0
     where the zeroth-order amplitude concentrates; use
-    defects.f0_distributional for those weights.
+    defects.f0_distributional for those weights.  SingularAngleError if
+    any point lies within SINGULAR_ANGLE_TOL of them.
     """
-    if abs(delta_ray_offset(kin.theta0, kin.theta)) < SINGULAR_ANGLE_TOL:
-        raise SingularAngleError(
-            f"theta = {kin.theta!r} lies on a delta-supported direction of the "
-            "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
-            "there (use defects.f0_distributional for the spike weights)"
-        )
-    f1 = f1_geometric(kin, defects, eta, lambda1, lambda2)
-    return abs(f1) ** 2
+    for theta in np.array(kin.theta, ndmin=1).tolist():
+        if abs(delta_ray_offset(kin.theta0, theta)) < SINGULAR_ANGLE_TOL:
+            raise SingularAngleError(
+                f"theta = {theta!r} lies on a delta-supported direction of the "
+                "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
+                "there (use defects.f0_distributional for the spike weights)"
+            )
+    xsec = [abs(f) ** 2 for f in _f1_points(kin, defects, eta, lambda1, lambda2)]
+    return xsec if np.ndim(kin.theta) else xsec[0]

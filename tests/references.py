@@ -10,6 +10,12 @@ defining integrals, independent of the engine's moment recursion.
 
 ``jmn_mollified`` is the oracle's ket-kink entry with its delta line
 smeared into a narrow Gaussian, a check that the sharp line term is right.
+
+``contraction_py`` is the amplitude's contraction in Python floats, one
+rounding per written operation, and ``half_line_table_per_qb`` the
+half-line table evaluated at each of its three q values, as the engine did
+before it shared the work between them; both pin the engine's array
+arithmetic bit for bit.
 """
 
 import cmath
@@ -26,7 +32,7 @@ from bumpscatter.oracle import (
     _operator_parts,
     _panel_edges,
 )
-from bumpscatter.specfun import exp_erf
+from bumpscatter.specfun import exp_erf, exp_erfc
 from bumpscatter.surface import CurvatureCoefficients, operator_coeffs_first_order
 
 
@@ -138,3 +144,64 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
     [[smooth, line]] = _adaptive(f, 1, *edges, spec, [f"Jmn[{n}] smooth", "mollified line"])
     return smooth.value + line.value
+
+
+def contraction_py(u, table, v, bigK):
+    """pref(K) sum_ab u_a T[a][b] v_b per point in Python floats, pref(K) =
+    -(1/2) e^{i pi/4} / sqrt(2 pi K): each complex product written out as
+    (ar br - ai bi, ar bi + ai br), taken left to right, and each bracket
+    one math.fsum over the real parts and one over the imaginary parts.
+    u, v are (point, piece) and table (point, piece, piece) sequences of
+    complex numbers."""
+    c = -0.5 * cmath.exp(1j * math.pi / 4.0)
+    out = []
+    for u_p, t_p, v_p, k in zip(u, table, v, bigK):
+        re, im = [], []
+        for ua, row in zip(u_p, t_p):
+            for t, vb in zip(row, v_p):
+                pr = ua.real * t.real - ua.imag * t.imag
+                pi = ua.real * t.imag + ua.imag * t.real
+                re.append(pr * vb.real - pi * vb.imag)
+                im.append(pr * vb.imag + pi * vb.real)
+        br, bi = math.fsum(re), math.fsum(im)
+        d = math.sqrt(2.0 * math.pi * k)
+        cr, ci = c.real / d, c.imag / d
+        out.append(complex(cr * br - ci * bi, cr * bi + ci * br))
+    return out
+
+
+def half_line_table_per_qb(g):
+    """geoamp._half_line_table evaluated at q = qb beta for each qb in
+    (-2, 0, 2) on one (defect, side, qb[, point]) array: three exp_erfc
+    arguments per defect, side and point where the engine computes two."""
+    sqpi = math.sqrt(math.pi)
+    b = np.asarray(g.beta, dtype=float)
+    point_axes = (1,) * b.ndim
+    a = np.array(g.alphas, dtype=float).reshape((-1, 1, 1) + point_axes)
+    side = np.array([-1.0, 1.0]).reshape((1, 2, 1) + point_axes)
+    qbs = (-2.0, 0.0, 2.0)
+    q = np.array(qbs).reshape((1, 1, 3) + point_axes) * b
+    iq = 1j * q
+    m0 = 0.5 * sqpi * exp_erfc(-0.25 * q * q, side * (a - 0.5 * iq))
+    edge = side * np.exp(a * (iq - a))
+    m1 = 0.5 * (edge + iq * m0)
+    edge *= a
+    m2 = 0.5 * (edge + m0 + iq * m1)
+    edge *= a
+    m3 = 0.5 * (edge + 2.0 * m1 + iq * m2)
+    edge *= a
+    m4 = 0.5 * (edge + 3.0 * m2 + iq * m3)
+    l1, l2 = g.lambda1, g.lambda2
+    c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
+    c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
+    c4 = 0.5 * l2
+    table = {}
+    for sg in (-1.0, 1.0):
+        kx = sg * b
+        c1, c3 = 1.5j * kx, -1j * kx
+        h = c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
+        for i, al in enumerate(g.alphas):
+            for j, sd in enumerate((-1.0, 1.0)):
+                for k, qb in enumerate(qbs):
+                    table[al, sd, qb, sg] = h[i, j, k]
+    return table

@@ -47,14 +47,10 @@ def _peak_cross_section(positions):
     """Largest |f1|^2 over the preset K grid at theta = 30 deg, theta0 = 0."""
     if positions not in _PEAK_CACHE:
         defects = DefectSet(positions, tuple(1.0 for _ in positions))
-        best = 0.0
-        for big_k in K_GRID:
-            kin = Kinematics(bigK=float(big_k), theta0=0.0, theta=THETA_30)
-            best = max(
-                best,
-                cross_section(kin, defects, eta=0.1, lambda1=0.5, lambda2=-0.5),
-            )
-        _PEAK_CACHE[positions] = best
+        # one cross_section call evaluates the whole K scan
+        kin = Kinematics(bigK=K_GRID, theta0=0.0, theta=np.full(K_GRID.size, THETA_30))
+        _PEAK_CACHE[positions] = max(
+            cross_section(kin, defects, eta=0.1, lambda1=0.5, lambda2=-0.5))
     return _PEAK_CACHE[positions]
 
 

@@ -115,6 +115,39 @@ def test_kinematics_validation():
         Kinematics(bigK=1.0, theta0=0.0, theta=float("nan"))
 
 
+def test_array_kinematics_equals_its_points_bit_for_bit():
+    # One array instance holds the same numbers as one instance per point,
+    # angles outside [-pi/2, 3pi/2) and on its ends included.
+    rng = np.random.default_rng(7)
+    theta = np.concatenate([rng.uniform(-9.0, 9.0, 40),
+                            [-0.5 * math.pi, 1.5 * math.pi, -1.5 * math.pi, 0.0, -0.0]])
+    bigK = rng.uniform(0.01, 5.0, theta.size)
+    kin = Kinematics(bigK, 0.3, theta)
+    points = [Kinematics(k, 0.3, th) for k, th in zip(bigK.tolist(), theta.tolist())]
+    for name in ("theta", "Theta", "s", "beta", "gamma", "kx", "ky", "kx_out", "ky_out"):
+        values = getattr(kin, name)
+        assert isinstance(values, np.ndarray) and values.shape == theta.shape
+        assert [x.hex() for x in values.tolist()] == [getattr(p, name).hex() for p in points]
+
+
+def test_array_kinematics_raises_the_first_bad_points_error():
+    theta = np.array([0.1, 0.2, float("nan"), 0.4])
+    bigK = np.array([1.0, 1.0, 1.0, -2.0])
+    for bad_k, bad_theta, i in ((bigK, theta, 2), (bigK[[0, 1, 3, 2]], theta, 2),
+                                (np.ones(4), theta, 2), (bigK, np.zeros(4), 3)):
+        with pytest.raises(InputError) as info:
+            Kinematics(bad_k, 0.0, bad_theta)
+        with pytest.raises(InputError) as point:
+            Kinematics(float(bad_k[i]), 0.0, float(bad_theta[i]))
+        assert str(info.value) == str(point.value)
+    with pytest.raises(InputError, match="theta0"):
+        Kinematics(np.ones(2), math.pi / 2, np.zeros(2))
+    with pytest.raises(InputError, match="1-D"):
+        Kinematics(np.ones(2), 0.0, np.zeros(3))
+    # no point, no point to refuse
+    assert Kinematics(np.ones(0), math.pi / 2, np.zeros(0)).s.size == 0
+
+
 def test_input_checks_raise_the_typed_input_error():
     import bumpscatter
 

@@ -15,7 +15,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from references import immnn_x2, kink_coefficient_mp
+from references import (
+    contraction_py,
+    half_line_table_per_qb,
+    immnn_x2,
+    kink_coefficient_mp,
+)
 
 from bumpscatter import geoamp
 from bumpscatter.defects import (
@@ -341,14 +346,26 @@ def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
                         counted("kernel", geoamp._kink_coefficient))
     monkeypatch.setattr(geoamp, "build_defect_matrix",
                         counted("build", build_defect_matrix))
-    monkeypatch.setattr(geoamp, "exp_erfc", counted("erfc", geoamp.exp_erfc))
+    erfc = counted("erfc", geoamp.exp_erfc)
+    sizes = []
+
+    def sized_erfc(x, w):
+        sizes.append(np.broadcast(x, w).size)
+        return erfc(x, w)
+
+    monkeypatch.setattr(geoamp, "exp_erfc", sized_erfc)
     ds = DefectSet([-3.0, 3.0], [1.0, 1.0])
     f1 = f1_scan(1.0, 0.0, np.radians(thetas_deg), ds, 0.1, 0.5, -0.5)
     assert len(f1) == len(thetas_deg)
     assert calls == expected
+    # 2N(P + 1) erfc arguments for P evaluated points (a 90 deg point is
+    # two): q = 2 beta at each point and q = 0 once, per defect and side
+    points = len(thetas_deg) + thetas_deg.count(90.0)
+    assert sizes == [2 * ds.n * (points + 1)]
 
 
-@pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0), (-3.1, -1.0, 0.2, 2.8)])
+@pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0), (-3.1, -1.0, 0.2, 2.8),
+                                       tuple(np.linspace(-7.0, 7.0, 8))])
 def test_scan_equals_one_point_calls_bit_for_bit(positions):
     # f1_geometric is the one-point case of f1_scan: a K scan at three
     # angles (90 deg among them), and an angle scan holding 90 deg, the
@@ -366,6 +383,55 @@ def test_scan_equals_one_point_calls_bit_for_bit(positions):
                for k, th in zip(bigK.tolist(), theta.tolist())]
         assert all(type(f) is complex for f in f1)
         assert f1 == ref
+
+
+def _random_complex(rng, shape, lo, hi):
+    """Complex array whose parts have random signs and log-uniform
+    magnitudes in [lo, hi], one part in eight a signed zero."""
+    z = np.empty(shape, dtype=complex)
+    for part in (z.real, z.imag):  # written in place: z = re + 1j * im would drop -0.0
+        x = rng.choice([-1.0, 1.0], shape) * np.exp(rng.uniform(np.log(lo), np.log(hi), shape))
+        part[...] = np.where(rng.random(shape) < 0.125, np.copysign(0.0, x), x)
+    return z
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 8])
+def test_contraction_is_the_python_float_reference_bit_for_bit(n):
+    # The amplitude's contraction in numpy float arithmetic equals the same
+    # operations written out on Python floats, on every platform: table
+    # entries from 1e-150 to 1e150, the weights of u and v from 1e-75 to
+    # 1e75 (no product overflows), and signed zeros.
+    rng = np.random.default_rng(1000 + n)
+    points = 50
+    u = _random_complex(rng, (points, n + 1), 1e-75, 1e75)
+    v = _random_complex(rng, (points, n + 1), 1e-75, 1e75)
+    table = _random_complex(rng, (points, n + 1, n + 1), 1e-150, 1e150)
+    bigK = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), points))
+    got = geoamp._contract(u.T, table.transpose(1, 2, 0), v.T, bigK)
+    ref = contraction_py(u.tolist(), table.tolist(), v.tolist(), bigK.tolist())
+    assert all(type(f) is complex for f in got)
+    assert [(f.real.hex(), f.imag.hex()) for f in got] == [
+        (f.real.hex(), f.imag.hex()) for f in ref]
+
+
+@pytest.mark.parametrize("positions", [(0.0,), (-3.0, 3.0), (-2.6, -0.4, 0.0, 1.3, 5.5)])
+def test_half_line_table_equals_the_per_qb_evaluation_bit_for_bit(positions):
+    # The q = -2 beta moments are the conjugates of the q = 2 beta ones and
+    # the q = 0 moments are computed once: the table is the one the three
+    # q values give one by one, signed zeros included, at beta of either
+    # sign and at beta = 0, for a scan and for one point.
+    rng = np.random.default_rng(len(positions))
+    s = np.concatenate([rng.uniform(-1.0, 1.0, 30), [0.0, -0.0, 1.0, -1.0]])
+    bigK = rng.uniform(0.01, 5.0, s.size)
+    for g in (_g(s, bigK, positions), _g(float(s[0]), float(bigK[0]), positions),
+              _g(0.0, 1.0, positions)):
+        got, ref = geoamp._half_line_table(g), half_line_table_per_qb(g)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            assert np.shape(got[key]) == np.shape(value)
+            bits = [np.ascontiguousarray(np.atleast_1d(x), dtype=complex).view(np.int64).tolist()
+                    for x in (got[key], value)]
+            assert bits[0] == bits[1], key
 
 
 @pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0)])
@@ -608,6 +674,25 @@ def test_cross_section_refuses_delta_supported_rays():
     # Just off the rays it is an ordinary number.
     val = cross_section(Kinematics(1.0, 0.2, 0.21), ds, 0.1, 0.5, -0.5)
     assert val >= 0.0
+
+
+def test_cross_section_takes_a_scan():
+    # An array Kinematics gives |f1|^2 per point from one f1_scan call, and
+    # SingularAngleError if any of its points lies on a delta ray.
+    ds = DefectSet([-3.0, 3.0], [1.0, 1.0])
+    bigK = np.linspace(0.5, 2.0, 5)
+    theta = np.radians([10.0, 60.0, 90.0, 120.0, 170.0])
+    xsec = cross_section(Kinematics(bigK, 0.2, theta), ds, 0.1, 0.5, -0.5)
+    assert xsec == [abs(f) ** 2 for f in f1_scan(bigK, 0.2, theta, ds, 0.1, 0.5, -0.5)]
+    assert xsec == [cross_section(Kinematics(k, 0.2, th), ds, 0.1, 0.5, -0.5)
+                    for k, th in zip(bigK.tolist(), theta.tolist())]
+    for ray in (0.2, math.pi - 0.2):
+        with pytest.raises(SingularAngleError):
+            cross_section(Kinematics(bigK, 0.2, np.append(theta[:-1], ray)),
+                          ds, 0.1, 0.5, -0.5)
+    # f1_geometric is one point: a scan there is refused, not cut short
+    with pytest.raises(InputError):
+        f1_geometric(Kinematics(bigK, 0.2, theta), ds, 0.1, 0.5, -0.5)
 
 
 @pytest.mark.parametrize("theta0", [0.0, 0.2, -0.4])
