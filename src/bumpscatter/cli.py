@@ -31,6 +31,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -53,7 +54,7 @@ from .oracle import (
 )
 from .svgplot import render_svg
 
-__all__ = ["main"]
+__all__ = ["AngleNudgeWarning", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,6 +64,13 @@ EXIT_VERIFY = 3
 # Angle-scan points with |geoamp.delta_ray_offset| below
 # geoamp.SINGULAR_ANGLE_TOL are moved this far off the ray (degrees).
 NUDGE_DEG = 1e-5
+
+
+class AngleNudgeWarning(UserWarning):
+    """An angle-scan point sat on a delta-supported ray and was moved
+    NUDGE_DEG off it.  Python's default filter shows each distinct message
+    once per process."""
+
 
 COLUMNS = "ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec"
 # One CSV row: every column as _f17 writes it, in one %-format.
@@ -220,10 +228,10 @@ def _cmd_angular(args) -> int:
         ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
         if abs(ray) < SINGULAR_ANGLE_TOL:
             nudged = th - math.degrees(ray) + (NUDGE_DEG if ray >= 0.0 else -NUDGE_DEG)
-            print(
+            warnings.warn(
                 f"warning: theta = {th:g} deg sits on a delta-supported "
                 f"direction; nudged to {nudged:.10g} deg",
-                file=sys.stderr,
+                AngleNudgeWarning,
             )
             th = nudged
         points.append((args.ksigma, th))

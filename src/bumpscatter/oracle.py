@@ -41,11 +41,25 @@ sg is constant on each panel, where entry (a, b) is
     T_ab = sum_i wx_i B_a(x_i) K_b(x_i) (G0_i + sg_b G1_i),
 
 B_a and K_b the bra and ket x factors and G0, G1 the y-contracted F0, F1:
-one matrix product per panel for the whole table, and int |f| =
-int |F0 + sg_b F1|, two values per panel.  The line integral
-int psi_a(a, y) dy of a ket kink depends on neither the bra nor beta, K
-and the curvature weights, so one 1D tree integrates the N of them for
-every grid point of a call.
+one matrix product per panel for the whole table.  G0 and G1 are linear
+in seven y contractions that depend on the panel's cell alone (c is
+lambda1 c1 + lambda2 c2 at first order):
+
+    G0 = -beta^2 x^2 int a - gamma^2 int a y^2 + lambda1 int c1
+         + lambda2 int c2 + i gamma int b y,
+    G1 = -2 beta gamma x int a y + i beta x int b
+
+(a = psi_a, b = psi_b).  The trees of a call share most of their cells,
+so the operator is evaluated once per distinct cell and Gauss order: the
+seven contractions and the x nodes and weights, O(p) numbers, are kept
+for the life of the call's integrand, no 2D grid with them, and a tree's
+panel costs O(p (N + 1)).  int |f| of entry (a, b) is int |F0 + sg_b F1|
+= int |c - a u^2 + i b u|, u = sg_b beta x + gamma y, two values per
+panel; only the order-2p values of the final panels are read, so they
+are taken once, after every tree has converged, with each distinct final
+cell's 2D grid built once.  The line integral int psi_a(a, y) dy of a ket
+kink depends on neither the bra nor beta, K and the curvature weights, so
+one 1D tree integrates the N of them for every grid point of a call.
 
 The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
 of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
@@ -57,8 +71,7 @@ the largest error-to-target ratio over the unconverged entries is bisected
 across its longer side.  The trees of the grid points of one call (one
 per grid point) are refined in lockstep: each round every unconverged tree
 bisects its worst panel, and the new panels of all trees are evaluated
-together, at most PANEL_BATCH panels per operator evaluation and Gauss
-order.  A tree reads only its own panels, so it is the tree it would be
+together, at most PANEL_BATCH panels per integrand call and Gauss order.  A tree reads only its own panels, so it is the tree it would be
 alone.  Panel contributions are summed with math.fsum (real and imaginary
 parts separately), which is exactly rounded and so independent of the
 order the panels end up in.
@@ -72,7 +85,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,10 +112,13 @@ __all__ = [
 PANEL_ORDER = 12
 # Error target of an entry whose value is legitimately ~0.
 ABS_FLOOR = 1e-13
-# Most panels per integrand call.  A call holds a few 2p x 2p grids per
-# panel, so the cap bounds its temporaries and with them the peak memory;
-# larger batches save little more time.
-PANEL_BATCH = 12
+# Most panels per integrand call.  A table panel's own work is O(p (N + 1))
+# (see _table_integrand), so the cap bounds the call count more than the
+# memory; larger batches save little more time.
+PANEL_BATCH = 48
+# Most 2p x 2p grids of cells or panels held at once: the operator on new
+# cells, and |f| on final panels.  Their temporaries set the peak memory.
+GRID_BATCH = 12
 
 
 @dataclass(frozen=True)
@@ -130,9 +148,9 @@ class QuadratureSpec:
 class OracleValue:
     """A quadrature result with its two-level error estimate.
 
-    abs_integral is the integral of |integrand| over the same panels, taken
-    from the order-2p panel values.  It sets the roundoff floor of the
-    result: each panel value is two length-2p dot products, so summing the
+    abs_integral is the integral of |integrand| over the same panels, at
+    order 2p, taken once on the final panels of the converged tree.  It
+    sets the roundoff floor of the result: each panel value is two length-2p dot products, so summing the
     panels loses up to about 2p * eps * abs_integral (the gamma_4p bound of
     Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  A
     value no larger than that floor cannot be told apart from zero;
@@ -181,41 +199,54 @@ def _nodes(bounds, order):
     return 0.5 * (a + b) + 0.5 * (b - a) * t, 0.5 * (b - a) * w
 
 
-def _eval_panel_2d(f, trees, cells, p):
-    """Order-p and order-2p tensor evaluations of a batch of rectangles.
+class _Integrand(NamedTuple):
+    """A vector of integrals in the form _adaptive takes.
 
-    cells[k] holds the x and y bounds of panel k and trees[k] the tree it
-    belongs to.  f(trees, x, wx, y, wy) integrates the vector of integrands
-    of each panel k over the tensor nodes x[k], y[k] with weights wx[k],
-    wy[k] and returns the values and the integrals of their moduli, one row
-    per panel.  Returns the order-2p values, the two-level errors and the
-    order-2p integrals of |f|, one row per panel.
+    values(trees, cells, order) returns, one row per panel, the
+    order x order tensor Gauss-Legendre values (order nodes on a 1D cell)
+    of every integral over cells[k], at the grid point of tree trees[k];
+    cells[k] holds one (lo, hi) row per axis.  moduli takes the same
+    arguments and returns the same rule applied to the moduli of the
+    integrands.
     """
-    q_lo, _ = f(trees, *_nodes(cells[:, 0], p), *_nodes(cells[:, 1], p))
-    q_hi, mag = f(trees, *_nodes(cells[:, 0], 2 * p), *_nodes(cells[:, 1], 2 * p))
-    return q_hi, np.abs(q_hi - q_lo), mag
+
+    values: Callable
+    moduli: Callable
+
+
+def _eval_panel_2d(f, trees, cells, p):
+    """Order-p and order-2p evaluations of the rectangles cells, trees[k]
+    the tree of cells[k], by f.values (see _Integrand).  Returns the
+    order-2p values and the two-level errors, one row per panel.
+    """
+    q_lo = f.values(trees, cells, p)
+    q_hi = f.values(trees, cells, 2 * p)
+    return q_hi, np.abs(q_hi - q_lo)
 
 
 def _eval_panel_1d(f, trees, cells, p):
-    """The 1D twin of _eval_panel_2d; f(trees, y, wy) as there."""
-    q_lo, _ = f(trees, *_nodes(cells[:, 0], p))
-    q_hi, mag = f(trees, *_nodes(cells[:, 0], 2 * p))
-    return q_hi, np.abs(q_hi - q_lo), mag
+    """The 1D twin of _eval_panel_2d, for intervals; a separate name so
+    that the two kinds of call can be counted apart."""
+    q_lo = f.values(trees, cells, p)
+    q_hi = f.values(trees, cells, 2 * p)
+    return q_hi, np.abs(q_hi - q_lo)
 
 
 def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
-    """n_trees vectors of integrals f (see _eval_panel_2d), one entry per
-    label, each on its own global-adaptive panel tree as in the module
-    docstring (x is bisected on a tie); every tree starts from the same
-    edges, and edges_y=None selects the 1D path.
+    """n_trees vectors of integrals f (an _Integrand), one entry per label,
+    each on its own global-adaptive panel tree as in the module docstring
+    (x is bisected on a tie); every tree starts from the same edges, and
+    edges_y=None selects the 1D path.
 
     The trees are refined in lockstep.  In each round every unconverged
     tree bisects its worst panel, and the new panels of all trees are
     evaluated together, at most PANEL_BATCH panels per evaluator call.  A
     tree's decisions read only its own panels, kept in the order a lone
-    tree keeps them, so each tree is the one it would be alone.  The stop
-    test reads numpy sums; the returned sums are math.fsum.  Returns, per
-    tree, one OracleValue per label, each with that tree's panel count.
+    tree keeps them, so each tree is the one it would be alone.  Once every
+    tree has converged, one f.moduli call at order 2p integrates |f| over
+    the final panels of all trees.  The stop test reads numpy sums; the
+    returned sums are math.fsum.  Returns, per tree, one OracleValue per
+    label, each with that tree's panel count.
 
     A tree that reaches spec.max_panels unconverged raises
     QuadratureConvergenceError with its worst entry.  Every unconverged
@@ -228,33 +259,29 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
     # a cell is one (lo, hi) interval per axis
     base = np.array(list(itertools.product(*(itertools.pairwise(e) for e in edges))))
     cells = [base] * n_trees
-    # per live tree, one row per cell: the real and imaginary parts of the
-    # order-2p values, the two-level errors and the |f| integrals; a
-    # converged tree's OracleValues replace them
-    rows = [np.empty((0, 4, len(labels)))] * n_trees
+    # per tree, one row per cell: the real and imaginary parts of the
+    # order-2p values and the two-level errors
+    rows = [np.empty((0, 3, len(labels)))] * n_trees
     todo = dict.fromkeys(range(n_trees), base)  # cells still to evaluate, per tree
     while todo:
         trees = np.repeat(list(todo), [len(c) for c in todo.values()])
         batch = np.concatenate(list(todo.values()))
         new = np.concatenate([
-            np.stack([q.real, q.imag, err, mag], axis=1)
-            for q, err, mag in (evaluate(f, trees[i:i + PANEL_BATCH], batch[i:i + PANEL_BATCH],
-                                         PANEL_ORDER)
-                                for i in range(0, len(batch), PANEL_BATCH))])
+            np.stack([q.real, q.imag, err], axis=1)
+            for q, err in (evaluate(f, trees[i:i + PANEL_BATCH], batch[i:i + PANEL_BATCH],
+                                    PANEL_ORDER)
+                           for i in range(0, len(batch), PANEL_BATCH))])
         cuts = np.cumsum([len(c) for c in todo.values()])[:-1]
         for t, block in zip(todo, np.split(new, cuts)):
             rows[t] = np.concatenate([rows[t], block])
         live, todo = list(todo), {}
         for t in live:
-            re, im, errs, mags = rows[t].transpose(1, 0, 2)
+            re, im, errs = rows[t].transpose(1, 0, 2)
             err = errs.sum(axis=0)
             target = np.maximum(spec.rel_tol * np.hypot(re.sum(axis=0), im.sum(axis=0)),
                                 ABS_FLOOR)
             unconverged = err > target
             if not unconverged.any():
-                rows[t] = [OracleValue(complex(math.fsum(a), math.fsum(b)), math.fsum(e),
-                                       len(cells[t]), math.fsum(m))
-                           for a, b, e, m in zip(re.T, im.T, errs.T, mags.T)]
                 continue
             if len(cells[t]) >= spec.max_panels:
                 k = int(np.argmax(np.where(unconverged, err / target, -1.0)))
@@ -273,7 +300,11 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
             cells[t] = np.concatenate([cells[t][:worst], cells[t][worst + 1:], kids])
             rows[t] = np.concatenate([rows[t][:worst], rows[t][worst + 1:]])
             todo[t] = kids
-    return rows
+    sizes = [len(c) for c in cells]
+    mags = f.moduli(np.repeat(np.arange(n_trees), sizes), np.concatenate(cells), 2 * PANEL_ORDER)
+    return [[OracleValue(complex(math.fsum(a), math.fsum(b)), math.fsum(e), len(c), math.fsum(m))
+             for a, b, e, m in zip(*r.transpose(1, 2, 0), mag.T)]
+            for r, c, mag in zip(rows, cells, np.split(mags, np.cumsum(sizes)[:-1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +322,51 @@ def _integrand_inputs(gs):
     return beta, gamma, lambdas[:, 0], lambdas[:, 1], BumpProfile(delta=math.sqrt(gs[0].eta))
 
 
-def _operator_parts(betas, gammas, lambda1, lambda2, profile):
-    """(t, X, Y) -> (F0, F1): L applied to a ket piece, over the ket, at the
-    points X, Y of tree t, from the per-tree arrays and the profile that
-    _integrand_inputs returns (t broadcasts against X and Y).
+# The first-order c is linear in the curvature weights: its values at
+# (lambda1, lambda2) = (1, 0) and (0, 1), 2 f'/r f'' and (f'/r + f'')^2 / 2,
+# stacked on a leading axis by one operator evaluation.
+_UNIT_WEIGHTS = CurvatureCoefficients(np.array([1.0, 0.0]).reshape(2, 1, 1, 1),
+                                      np.array([0.0, 1.0]).reshape(2, 1, 1, 1))
 
-    The ket's x slope is beta * sg (sg = 1 for the plane wave, sign(x - a)
-    for a kink at a) and its y slope gamma, so L ket / ket = F0 + sg F1
-    with
-        F0 = a/r^2 (-beta^2 x^2 - gamma^2 y^2) + b/r^2 i gamma y + c,
-        F1 = a/r^2 (-2 beta gamma x y) + b/r^2 i beta x.
+
+def _cell_grids(profile, cells, order):
+    """The order x order tensor grid of each 2D cell: its nodes x, y and
+    weights wx, wy, one row per cell, and on the grid a/r^2, b/r^2 and the
+    curvature parts c1, c2 of c = lambda1 c1 + lambda2 c2."""
+    (x, wx), (y, wy) = _nodes(cells[:, 0], order), _nodes(cells[:, 1], order)
+    oc = operator_coeffs_first_order(np.hypot(x[:, :, None], y[:, None, :]), profile,
+                                     _UNIT_WEIGHTS)
+    return x, wx, y, wy, oc.a_over_r2, oc.b_over_r2, *oc.c
+
+
+def _cell_basis(profile, cells, order):
+    """Everything of a cell's order-`order` panel value that no tree
+    changes, one (9, order) row block per cell: x, wx, then the y
+    contractions against wy of a, a y, a y^2, b, b y, c1 and c2
+    (a = a/r^2, b = b/r^2, c1, c2 as in _cell_grids)."""
+    x, wx, y, wy, a, b, c1, c2 = _cell_grids(profile, cells, order)
+    y, wy = y[:, None, :], wy[:, :, None]
+    ay = a * y
+    return np.stack([x, wx, *((v @ wy)[..., 0] for v in (a, ay, ay * y, b, b * y, c1, c2))],
+                    axis=1)
+
+
+def _combine(basis, beta, gamma, lambda1, lambda2):
+    """(G0, G1), the y-contracted F0 and F1 on the x nodes of each panel,
+    from its cell's _cell_basis rows and its tree's beta, gamma and
+    curvature weights (one per panel, broadcast against the nodes):
+
+        G0 = -beta^2 x^2 int a - gamma^2 int a y^2 + lambda1 int c1
+             + lambda2 int c2 + i gamma int b y,
+        G1 = -2 beta gamma x int a y + i beta x int b.
     """
-    def parts(t, X, Y):
-        beta, gamma = betas[t], gammas[t]
-        oc = operator_coeffs_first_order(
-            np.hypot(X, Y), profile, CurvatureCoefficients(lambda1[t], lambda2[t]))
-        a_r2, b_r2, c = oc.a_over_r2, oc.b_over_r2, oc.c
-        f0, f1 = np.empty((2, *a_r2.shape), complex)
-        f0.real = a_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + c
-        f0.imag = b_r2 * (gamma * Y)
-        f1.real = a_r2 * (-2.0 * beta * gamma * X * Y)
-        f1.imag = b_r2 * (beta * X)
-        return f0, f1
-
-    return parts
+    x, _, a, ay, ay2, b, by, c1, c2 = basis.transpose(1, 0, 2)
+    g0, g1 = np.empty((2, *x.shape), complex)
+    g0.real = -(beta**2) * x * x * a - gamma**2 * ay2 + lambda1 * c1 + lambda2 * c2
+    g0.imag = gamma * by
+    g1.real = -2.0 * beta * gamma * x * ay
+    g1.imag = beta * x * b
+    return g0, g1
 
 
 def _x_factors(pieces, x, beta, sign):
@@ -324,51 +376,100 @@ def _x_factors(pieces, x, beta, sign):
         [x if a is None else sign * np.abs(x - a) for a in pieces], axis=-2))
 
 
+def _ket_signs(kets, cells):
+    """sg of every ket on every panel: 1 for the plane wave, the sign of
+    x - a on the panel for a kink at a (read at the panel's midpoint)."""
+    mid = 0.5 * (cells[:, 0, 0] + cells[:, 0, 1])
+    return np.stack([np.ones_like(mid) if b is None else np.copysign(1.0, mid - b)
+                     for b in kets], axis=-1)
+
+
 def _table_integrand(bras, kets, gs):
-    """Panel integrator of bra * (L ket) for every bra in bras against
-    every ket in kets, flattened row by row, each panel at the grid point
-    gs[t] of its tree t: the factored table of the module docstring, with
-    sg_b read at the panel's midpoint."""
-    inputs = _integrand_inputs(gs)
-    betas, parts = inputs[0], _operator_parts(*inputs)
+    """The integrand of bra * (L ket) for every bra in bras against every
+    ket in kets, flattened row by row, each panel at the grid point gs[t]
+    of its tree t: the factored table of the module docstring.
 
-    def f(t, x, wx, y, wy):
-        f0, f1 = parts(t[:, None, None], x[:, :, None], y[:, None, :])
-        mid = 0.5 * (x[:, 0] + x[:, -1])
-        sg = np.stack([np.ones_like(mid) if b is None else np.copysign(1.0, mid - b)
-                       for b in kets], axis=-1)
-        beta = betas[t][:, None, None]
-        g0, g1 = ((part @ wy[:, :, None]).transpose(0, 2, 1) for part in (f0, f1))
-        ket = _x_factors(kets, x, beta, 1.0) * (g0 + sg[:, :, None] * g1)
+    A panel's values split into its cell's _cell_basis, which no tree
+    changes and which is kept, per cell and Gauss order, for the life of
+    the integrand, and its tree's _combine of it: O(p (N + 1)) per panel.
+    The moduli |F0 + sg F1| = |c - a u^2 + i b u|, u = sg beta x + gamma y,
+    take the 2D grid: it is built once per distinct cell of a call and not
+    kept."""
+    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(gs)
+    basis = {}  # (cell bounds, order) -> its _cell_basis rows
+
+    def values(t, cells, order):
+        keys = [(c.tobytes(), order) for c in cells]
+        new = {k: c for k, c in zip(keys, cells) if k not in basis}
+        if new:
+            todo = np.array(list(new.values()))
+            basis.update(zip(new, itertools.chain.from_iterable(
+                _cell_basis(profile, todo[i:i + GRID_BATCH], order)
+                for i in range(0, len(todo), GRID_BATCH))))
+        rows = np.array([basis[k] for k in keys])
+        g0, g1 = _combine(rows, *(v[t][:, None] for v in (betas, gammas, lambda1, lambda2)))
+        x, wx, beta = rows[:, 0], rows[:, 1], betas[t][:, None, None]
+        sg = _ket_signs(kets, cells)[:, :, None]
+        ket = _x_factors(kets, x, beta, 1.0) * (g0[:, None] + sg * g1[:, None])
         table = (_x_factors(bras, x, beta, -1.0) * wx[:, None, :]) @ ket.transpose(0, 2, 1)
-        mags = ((wx[:, None, :] @ np.abs(part) @ wy[:, :, None])[:, :, 0]
-                for part in (f0 + f1, f0 - f1))
-        mag = np.where(sg > 0.0, *mags)
-        return (table.reshape(len(t), -1),
-                np.broadcast_to(mag[:, None, :], table.shape).reshape(len(t), -1))
+        return table.reshape(len(t), -1)
 
-    return f
+    def moduli(t, cells, order):
+        distinct, cell_of, counts = np.unique(cells.reshape(len(cells), -1), axis=0,
+                                              return_inverse=True, return_counts=True)
+        cell_of = cell_of.ravel()
+        by_cell = np.argsort(cell_of, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        # runs of whole distinct cells, at most GRID_BATCH panels each
+        # unless one cell has more: the grids of a run's cells are built
+        # once, and its panels take them GRID_BATCH at a time
+        runs, lo = [], 0
+        for hi in range(1, len(counts) + 1):
+            if hi == len(counts) or starts[hi + 1] - starts[lo] > GRID_BATCH:
+                runs.append((lo, hi))
+                lo = hi
+        out = np.empty((len(cells), 2))  # int |F0 + F1| and int |F0 - F1|
+        for lo, hi in runs:
+            x, wx, y, wy, a, b, c1, c2 = _cell_grids(profile, distinct[lo:hi].reshape(-1, 2, 2),
+                                                     order)
+            run = by_cell[starts[lo]:starts[hi]]
+            for i in range(0, len(run), GRID_BATCH):
+                panels = run[i:i + GRID_BATCH]
+                k, tt = cell_of[panels] - lo, t[panels][:, None, None]
+                c = lambda1[tt] * c1[k]
+                c += lambda2[tt] * c2[k]
+                bx, gy = betas[tt] * x[k][:, :, None], gammas[tt] * y[k][:, None, :]
+                f = np.empty(c.shape, complex)
+                for j, sign in enumerate((1.0, -1.0)):
+                    u = sign * bx + gy
+                    np.multiply(b[k], u, out=f.imag)
+                    u *= u
+                    u *= a[k]
+                    np.subtract(c, u, out=f.real)  # f = c - a u^2 + i b u
+                    np.abs(f, out=u)
+                    out[panels, j] = (wx[k][:, None, :] @ u @ wy[k][:, :, None])[:, 0, 0]
+        mag = np.where(_ket_signs(kets, cells) > 0.0, out[:, :1], out[:, 1:])
+        return np.broadcast_to(mag[:, None, :], (len(t), len(bras), len(kets))).reshape(len(t), -1)
+
+    return _Integrand(values, moduli)
 
 
 def _line_integrand(kinks, eta):
-    """Panel integrator of int a/r^2(a, y) dy along each defect line x = a
-    in kinks: a ket kink at a adds 2 i beta a^2 bra(a) times it to the
-    entry of every bra.  a/r^2 depends on the bump (eta) alone, not on
-    beta, K or the curvature weights, so one tree serves every grid point."""
+    """The integrand of int a/r^2(a, y) dy along each defect line x = a in
+    kinks: a ket kink at a adds 2 i beta a^2 bra(a) times it to the entry
+    of every bra.  a/r^2 depends on the bump (eta) alone, not on beta, K or
+    the curvature weights, so one tree serves every grid point.  It is not
+    negative, so each integral is also the integral of its modulus."""
     profile = BumpProfile(delta=math.sqrt(eta))
     a = np.asarray(kinks, dtype=float)[:, None]
 
-    def f(t, y, wy):
+    def psi(t, cells, order):
+        y, wy = _nodes(cells[:, 0], order)
         F = operator_coeffs_first_order(np.hypot(a, y[:, None, :]), profile,
                                         CurvatureCoefficients(0.0, 0.0)).a_over_r2
-        return (F @ wy[:, :, None])[:, :, 0], (np.abs(F) @ wy[:, :, None])[:, :, 0]
+        return (F @ wy[:, :, None])[:, :, 0]
 
-    return f
-
-
-def _phase(g: GeoCoefficientInputs, *positions: float) -> complex:
-    """Exact phase e^{i beta (sum of positions)} of the given phase positions."""
-    return complex(np.exp(1j * g.beta * sum(positions)))
+    return _Integrand(psi, psi)
 
 
 def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
@@ -628,19 +729,23 @@ def verify_all(
 ) -> VerificationReport:
     """Compare every closed-form coefficient against quadrature on a grid.
 
-    Per grid point, geoamp.coefficient_table and integral_table each build
-    the (N+1) x (N+1) table once; the quadrature tables of all grid points
-    come from one lockstep call (see the module docstring).  An invalid
-    grid point raises before any quadrature, and a QuadratureConvergenceError
-    names the first grid point, in grid order, whose tree overruns.  The
-    records keep the four coefficient families of the index-tuple expansion
-    of f1: I0 = T[0][0] and, with e_n = e^{i beta a_n},
+    The closed (N+1) x (N+1) tables come from geoamp.coefficient_table on
+    one array GeoCoefficientInputs per curvature setting, holding its
+    grid points' s and K: the array path f1_scan runs, which can differ
+    from a float-input evaluation in the last bit.  The quadrature tables
+    of all grid points come from one lockstep call (see the module
+    docstring).  An invalid grid point raises before any quadrature, and
+    a QuadratureConvergenceError names the first grid point, in grid
+    order, whose tree overruns.  The records keep the four coefficient
+    families of the index-tuple expansion of f1: I0 = T[0][0] and, with
+    e_n = e^{i beta a_n},
 
         Imn[m, n] = e_m T[n+1][0],   Jmn[m, n] = e_m T[0][n+1],
         Immnn[m, m', n, n'] = e_m' e_n' T[m+1][n+1],
 
     each record multiplying its closed and its oracle entry by the same
-    phase.
+    phase, e^{i beta (sum of its phase positions)} from one array of the
+    phases of a grid point.
 
     Pass rule, per closed value c against the oracle value q:
 
@@ -686,15 +791,27 @@ def verify_all(
           for s, bigK, (l1, l2) in points]
     if not gs:
         return report
-    for (s, bigK, (l1, l2)), g, table in zip(points, gs, _integral_tables(gs, spec)):
+    # the closed tables: one array evaluation per curvature setting, whose
+    # points are every len(lambdas)-th grid point
+    closed = [None] * len(points)
+    stride = len(grid["lambdas"])
+    for j, (l1, l2) in enumerate(grid["lambdas"]):
+        s, bigK = np.array([p[:2] for p in points[j::stride]], dtype=float).T
+        g = GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=eta, lambda1=l1, lambda2=l2)
+        closed[j::stride] = np.moveaxis(np.array(coefficient_table(g), dtype=complex), -1,
+                                        0).tolist()
+    # the phase positions of the records: a_m, then a_m' + a_n'
+    positions = np.array([sum(p) for p in itertools.chain(
+        itertools.product(alphas), itertools.product(alphas, repeat=2))])
+    for (s, bigK, (l1, l2)), g, table, closed_table in zip(
+            points, gs, _integral_tables(gs, spec), closed):
         base = dict(s=s, bigK=bigK, lambda1=l1, lambda2=l2, alphas=alphas)
-        closed = coefficient_table(g)
-        emit("I0", (), table[0][0], closed[0][0], base)
+        phases = np.exp(1j * g.beta * positions).tolist()
+        emit("I0", (), table[0][0], closed_table[0][0], base)
         for m, n in itertools.product(range(npos), repeat=2):
-            phase = _phase(g, alphas[m])
-            emit("Imn", (m, n), table[n + 1][0], closed[n + 1][0], base, phase)
-            emit("Jmn", (m, n), table[0][n + 1], closed[0][n + 1], base, phase)
+            emit("Imn", (m, n), table[n + 1][0], closed_table[n + 1][0], base, phases[m])
+            emit("Jmn", (m, n), table[0][n + 1], closed_table[0][n + 1], base, phases[m])
         for m, mp, n, np_ in itertools.product(range(npos), repeat=4):
             emit("Immnn", (m, mp, n, np_), table[m + 1][n + 1],
-                 closed[m + 1][n + 1], base, _phase(g, alphas[mp], alphas[np_]))
+                 closed_table[m + 1][n + 1], base, phases[npos + mp * npos + np_])
     return report

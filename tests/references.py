@@ -8,6 +8,12 @@ discrimination between the two reproducible.
 ``kink_coefficient_mp`` is a 50-digit quadrature of the kink-family
 defining integrals, independent of the engine's moment recursion.
 
+``operator_parts`` is L applied to a ket piece point by point, the form
+the oracle's per-cell y contractions are checked against, and
+``table_moduli_per_panel`` the integral of |f| over one panel at a time
+from it.  ``tensor_integrand`` wraps a pointwise vector of integrands for
+the oracle's integrator.
+
 ``jmn_mollified`` is the oracle's ket-kink entry with its delta line
 smeared into a narrow Gaussian, a check that the sharp line term is right.
 
@@ -28,8 +34,10 @@ from bumpscatter.geoamp import coefficient_table
 from bumpscatter.oracle import (
     QuadratureSpec,
     _adaptive,
+    _Integrand,
     _integrand_inputs,
-    _operator_parts,
+    _ket_signs,
+    _nodes,
     _panel_edges,
 )
 from bumpscatter.specfun import exp_erf, exp_erfc
@@ -113,6 +121,70 @@ def kink_coefficient_mp(g, bra=None, ket=None):
         return complex(mp.mpf(g.eta) * mp.sqrt(mp.pi) * total)
 
 
+def operator_parts(betas, gammas, lambda1, lambda2, profile):
+    """(t, X, Y) -> (F0, F1): L applied to a ket piece, over the ket, at the
+    points X, Y of tree t, from the per-tree arrays and the profile that
+    oracle._integrand_inputs returns (t broadcasts against X and Y).
+
+    The ket's x slope is beta * sg (sg = 1 for the plane wave, sign(x - a)
+    for a kink at a) and its y slope gamma, so L ket / ket = F0 + sg F1
+    with
+        F0 = a/r^2 (-beta^2 x^2 - gamma^2 y^2) + b/r^2 i gamma y + c,
+        F1 = a/r^2 (-2 beta gamma x y) + b/r^2 i beta x,
+    evaluated point by point: the form the oracle's per-cell contractions
+    are checked against.
+    """
+    def parts(t, X, Y):
+        beta, gamma = betas[t], gammas[t]
+        oc = operator_coeffs_first_order(
+            np.hypot(X, Y), profile, CurvatureCoefficients(lambda1[t], lambda2[t]))
+        a_r2, b_r2, c = oc.a_over_r2, oc.b_over_r2, oc.c
+        f0, f1 = np.empty((2, *a_r2.shape), complex)
+        f0.real = a_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + c
+        f0.imag = b_r2 * (gamma * Y)
+        f1.real = a_r2 * (-2.0 * beta * gamma * X * Y)
+        f1.imag = b_r2 * (beta * X)
+        return f0, f1
+
+    return parts
+
+
+def tensor_integrand(F):
+    """The oracle integrand (an _Integrand) of a pointwise vector of
+    integrands: F(trees, *nodes) takes the Gauss-Legendre nodes of each
+    panel, one row per panel and axis, and returns the integrands on the
+    tensor grid, (panel, entry, *node axes).  The values and the moduli
+    are the tensor rule applied to F and to |F|."""
+    def rule(modulus):
+        def integrate(trees, cells, order):
+            nodes = [_nodes(cells[:, k], order) for k in range(cells.shape[1])]
+            out = F(trees, *(x for x, _ in nodes))
+            if modulus:
+                out = np.abs(out)
+            for _, w in reversed(nodes):
+                out = (out @ w.reshape(len(w), *(1,) * (out.ndim - 3), -1, 1))[..., 0]
+            return out
+
+        return integrate
+
+    return _Integrand(rule(False), rule(True))
+
+
+def table_moduli_per_panel(kets, gs, trees, cells, order):
+    """int |F0 + sg F1| of each panel, cells[k] at the grid point
+    gs[trees[k]], one column per ket (sg = _ket_signs): the tensor rule on
+    the complex sum of operator_parts, one panel at a time."""
+    parts = operator_parts(*_integrand_inputs(gs))
+    sg = _ket_signs(kets, cells)
+    out = np.empty((len(cells), len(kets)))
+    for k, (t, cell) in enumerate(zip(trees, cells)):
+        (x, wx), (y, wy) = (_nodes(cell[i][None], order) for i in (0, 1))
+        f0, f1 = parts(t, x[0][:, None], y[0][None, :])
+        for j, s in enumerate(sg[k]):
+            out[k, j] = wx[0] @ np.abs(f0 + s * f1) @ wy[0]
+    return out
+
+
 def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     """Ket kink n against the plane wave (the table entry T[0][n+1], phase
     position at 0) with its line term's delta(x - a) replaced by a Gaussian
@@ -126,9 +198,9 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     inputs = _integrand_inputs([g])
     beta, profile = g.beta, inputs[-1]
     cc = CurvatureCoefficients(g.lambda1, g.lambda2)
-    parts = _operator_parts(*inputs)
+    parts = operator_parts(*inputs)
 
-    def f(t, x, wx, y, wy):
+    def F(t, x, y):
         X, Y = x[:, :, None], y[:, None, :]
         f0, f1 = parts(t[:, None, None], X, Y)
         plane_ket = np.exp(1j * beta * (X + np.abs(X - a)))
@@ -136,13 +208,12 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
         oc = operator_coeffs_first_order(np.hypot(X, Y), profile, cc)
         moll = np.exp(-(((X - a) / width) ** 2)) / (width * math.sqrt(math.pi))
         line = 2j * beta * np.exp(1j * beta * X) * oc.a_over_r2 * X * X * moll
-        F = np.stack([smooth, line], axis=1)
-        return [((G @ wy[:, None, :, None])[..., 0] @ wx[:, :, None])[..., 0]
-                for G in (F, np.abs(F))]
+        return np.stack([smooth, line], axis=1)
 
     # the mollifier support needs panel edges at a +- a few widths
     edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
-    [[smooth, line]] = _adaptive(f, 1, *edges, spec, [f"Jmn[{n}] smooth", "mollified line"])
+    [[smooth, line]] = _adaptive(tensor_integrand(F), 1, *edges, spec,
+                                 [f"Jmn[{n}] smooth", "mollified line"])
     return smooth.value + line.value
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from bumpscatter import cli
 from bumpscatter.cli import (
+    AngleNudgeWarning,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -86,16 +87,17 @@ def test_parse_floats_and_couplings():
         _parse_couplings("1", 2)  # wrong count
 
 
-def test_nudge_theta(tmp_path, capsys):
+def test_nudge_theta(tmp_path):
     # angular moves a point within SINGULAR_ANGLE_TOL of either ray
     # (theta0 = 10 deg and its mirror, by geoamp.delta_ray_offset) NUDGE_DEG
     # off the ray on the side it lies, and leaves every other point alone.
     out = tmp_path / "a.csv"
     for grid, want in (("10:170:5", [10.0 + 1e-5, 50.0, 90.0, 130.0, 170.0 + 1e-5]),
                        ("9.9999995:170.0000005:2", [10.0 - 1e-5, 170.0 + 1e-5])):
-        assert main(["angular", "--theta0-deg=10", "--ksigma=1", f"--thetagrid={grid}",
-                     "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err.count("nudged") == 2
+        with pytest.warns(AngleNudgeWarning, match="nudged") as nudges:
+            assert main(["angular", "--theta0-deg=10", "--ksigma=1", f"--thetagrid={grid}",
+                         "--out", str(out)]) == EXIT_OK
+        assert len(nudges) == 2
         thetas = [r[1] for r in _rows(out)]
         np.testing.assert_allclose(thetas, want, rtol=0.0, atol=1e-12)
         offsets = [abs(delta_ray_offset(math.radians(10.0), math.radians(th)))
@@ -326,15 +328,16 @@ def test_scan_is_one_engine_call(tmp_path, monkeypatch):
     assert calls == [8, 9]
 
 
-def test_angular_nudges_delta_supported_angles(tmp_path, capsys):
+def test_angular_nudges_delta_supported_angles(tmp_path):
     out = tmp_path / "a.csv"
-    code = main([
-        "angular", "--defects=-3,3", "--ksigma", "1",
-        "--thetagrid", "0:180:3", "--out", str(out),
-    ])
+    with pytest.warns(AngleNudgeWarning, match="nudged") as nudges:
+        code = main([
+            "angular", "--defects=-3,3", "--ksigma", "1",
+            "--thetagrid", "0:180:3", "--out", str(out),
+        ])
     assert code == EXIT_OK
-    err = capsys.readouterr().err
-    assert err.count("nudged") == 2  # theta = 0 and theta = 180
+    assert [str(w.message).split(" deg")[0] for w in nudges] == [
+        "warning: theta = 0", "warning: theta = 180"]
     rows = _rows(out)
     thetas = [r[1] for r in rows]
     np.testing.assert_allclose(thetas, [1e-5, 90.0, 180.0 + 1e-5])

@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 import sympy as sp
 from conftest import full_grid_report
-from references import immnn_x2, jmn_mollified, matches_oracle
+from references import (
+    immnn_x2,
+    jmn_mollified,
+    matches_oracle,
+    operator_parts,
+    table_moduli_per_panel,
+    tensor_integrand,
+)
 
 from bumpscatter import geoamp
 from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
@@ -28,11 +35,14 @@ from bumpscatter.oracle import (
     PANEL_BATCH,
     QuadratureSpec,
     _adaptive,
+    _cell_basis,
+    _combine,
+    _Integrand,
     _integral_tables,
     _kink_integral,
     _integrand_inputs,
     _label,
-    _operator_parts,
+    _nodes,
     assemble_f1_oracle,
     default_verification_grid,
     integral_table,
@@ -144,10 +154,12 @@ def _polar_integrand(bra, ket, g):
 
 
 def _cartesian_integrand(bra, ket, g):
-    """The oracle's bra * (L ket), built from its operator parts F0 + sg F1
-    with the y factors of bra and ket cancelled."""
+    """The oracle's bra * (L ket), built from the operator parts F0 + sg F1
+    with the y factors of bra and ket cancelled, point by point; the
+    oracle's per-cell contractions of F0 and F1 are checked against them
+    below."""
     beta = g.beta
-    parts = _operator_parts(*_integrand_inputs([g]))
+    parts = operator_parts(*_integrand_inputs([g]))
 
     def f(X, Y):
         f0, f1 = parts(0, X, Y)
@@ -171,6 +183,66 @@ def test_cartesian_and_polar_routes_agree_pointwise():
         fp = _polar_integrand(bra, ket, g)(X, Y)
         scale = np.max(np.abs(fc))
         assert np.max(np.abs(fc - fp)) <= 1e-10 * scale
+
+
+def _random_panels(gs, n, seed):
+    """n random rectangles inside the oracle's box, each on a random tree
+    of gs."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-15.0, 11.0, (n, 2))
+    cells = np.stack([lo, lo + rng.uniform(0.05, 4.0, (n, 2))], axis=-1)
+    return rng.integers(0, len(gs), n), cells
+
+
+def test_cell_basis_combines_to_contracted_operator_parts():
+    # The oracle keeps per cell only the y contractions no tree changes
+    # and combines them per tree; that is the y contraction of the
+    # pointwise F0 and F1 the polar route above is checked against.
+    gs = _grid_inputs(reduced_verification_grid())
+    inputs = _integrand_inputs(gs)
+    betas, gammas, lambda1, lambda2, profile = inputs
+    parts = operator_parts(*inputs)
+    t, cells = _random_panels(gs, 40, seed=3)
+    for order in (12, 24):
+        per_tree = (v[t][:, None] for v in (betas, gammas, lambda1, lambda2))
+        combined = _combine(_cell_basis(profile, cells, order), *per_tree)
+        (x, _), (y, wy) = _nodes(cells[:, 0], order), _nodes(cells[:, 1], order)
+        pointwise = parts(t[:, None, None], x[:, :, None], y[:, None, :])
+        for got, f in zip(combined, pointwise):
+            want = (f @ wy[:, :, None])[..., 0]
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_final_panel_moduli_match_the_per_panel_sum(monkeypatch):
+    # int |f| is taken once, on the final panels, from |c - a u^2 + i b u|
+    # with the 2D grid built once per distinct cell; per panel it is the
+    # tensor rule on |F0 + sg F1| of the pointwise operator parts.
+    import bumpscatter.oracle as oracle_mod
+
+    gs = _grid_inputs(dict(reduced_verification_grid(), lambdas=((0.5, -0.5), (0.5, 0.5))))
+    seen = []
+    adaptive = oracle_mod._adaptive
+
+    def spy(f, n_trees, edges_x, edges_y, spec, labels):
+        def moduli(t, cells, order, inner=f.moduli):
+            out = inner(t, cells, order)
+            seen.append((t, cells, order, out))
+            return out
+
+        if edges_y is not None:
+            f = _Integrand(f.values, moduli)
+        return adaptive(f, n_trees, edges_x, edges_y, spec, labels)
+
+    monkeypatch.setattr(oracle_mod, "_adaptive", spy)
+    tables = _integral_tables(gs, QuadratureSpec())
+    [(t, cells, order, out)] = seen
+    pieces = (None, *gs[0].alphas)
+    assert order == 2 * oracle_mod.PANEL_ORDER
+    assert len(cells) == sum(table[0][0].panels for table in tables)
+    want = table_moduli_per_panel(pieces, gs, t, cells, order)
+    got = out.reshape(len(cells), len(pieces), len(pieces))
+    for row in got.transpose(1, 0, 2):
+        assert np.all(np.abs(row - want) <= 1e-13 * want)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +440,11 @@ _ZERO_POINT_GRID = {
 def test_adaptive_accumulates_integral_of_modulus():
     # x e^{-r^2} integrates to 0, its modulus to int |x| e^{-x^2} dx
     # * int e^{-y^2} dy = sqrt(pi).
-    def odd_gaussian(t, x, wx, y, wy):
+    def odd_gaussian(t, x, y):
         F = x[:, :, None] * np.exp(-x[:, :, None] ** 2 - y[:, None, :] ** 2)
-        return ((wx[:, None, :] @ F @ wy[:, :, None])[:, :, 0],
-                (wx[:, None, :] @ np.abs(F) @ wy[:, :, None])[:, :, 0])
+        return F[:, None]
 
-    [[ov]] = _adaptive(odd_gaussian, 1, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
+    [[ov]] = _adaptive(tensor_integrand(odd_gaussian), 1, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
                        QuadratureSpec(), ["odd gaussian"])
     assert abs(ov.value) <= 1e-15
     assert ov.abs_integral == pytest.approx(math.sqrt(math.pi), rel=1e-12)
@@ -410,7 +481,7 @@ def test_verify_all_resolution_rule_rejects_resolvable_offset(monkeypatch):
     for closed, passes in ((1e-12, False), (1e-15, True)):
         def offset_table(g, c=closed):
             table = coefficient_table(g)
-            table[0][0] = c
+            table[0][0] = np.full(np.shape(g.s), c)
             return table
 
         monkeypatch.setattr(oracle_mod, "coefficient_table", offset_table)
@@ -418,6 +489,41 @@ def test_verify_all_resolution_rule_rejects_resolvable_offset(monkeypatch):
         assert i0.coefficient == "I0"
         assert i0.judged == "resolution"
         assert i0.passed is passes
+
+
+def test_verify_all_closed_values_are_the_array_tables_bit_for_bit():
+    # verify_all takes its closed values from one array table per
+    # curvature setting, the path f1_scan runs, and each record's phase
+    # from one table per grid point: the records carry exactly the array
+    # entries times e^{i beta (sum of phase positions)}.
+    grid = default_verification_grid()
+    alphas = tuple(sorted(grid["alphas"]))
+    report, _ = full_grid_report()
+    points = list(itertools.product(grid["s"], grid["bigK"], grid["lambdas"]))
+    tables = {}
+    for lambdas in grid["lambdas"]:
+        s, bigK = np.array([p[:2] for p in points if p[2] == lambdas]).T
+        g = GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=grid["eta"],
+                                 lambda1=lambdas[0], lambda2=lambdas[1])
+        table = np.array(coefficient_table(g), dtype=complex)
+        for i, (si, ki) in enumerate(zip(s, bigK)):
+            tables[si, ki, lambdas] = table[..., i]
+    for r in report.records:
+        table = tables[r.s, r.bigK, (r.lambda1, r.lambda2)]
+        if r.coefficient == "I0":
+            entry, positions = table[0, 0], ()
+        elif r.coefficient == "Imn":
+            entry, positions = table[r.indices[1] + 1, 0], (alphas[r.indices[0]],)
+        elif r.coefficient == "Jmn":
+            entry, positions = table[0, r.indices[1] + 1], (alphas[r.indices[0]],)
+        else:
+            m, mp, n, np_ = r.indices
+            entry, positions = table[m + 1, n + 1], (alphas[mp], alphas[np_])
+        expected = complex(entry)
+        if positions:
+            expected *= complex(np.exp(1j * _g(r.s, r.bigK).beta * sum(positions)))
+        assert r.closed == expected
+        assert math.copysign(1.0, r.closed.imag) == math.copysign(1.0, expected.imag)
 
 
 def test_verify_all_keeps_relative_failures_away_from_zero_point():
@@ -606,10 +712,31 @@ def test_full_grid_makes_few_integrand_calls(monkeypatch):
         monkeypatch.setattr(oracle_mod, name, counted)
     verify_all(default_verification_grid())
     # each evaluator call makes one integrand call per Gauss order, p and
-    # 2p; one evaluator call per panel made 6,172 integrand calls
-    assert 2 * sum(calls.values()) < 600
+    # 2p; one evaluator call per panel made 6,172 integrand calls, and
+    # batches of at most 12 panels made 452
+    assert 2 * sum(calls.values()) <= 136
     assert calls["_eval_panel_1d"] > 0
     assert max(batch) == PANEL_BATCH
+
+
+def test_full_grid_evaluates_the_operator_once_per_cell(monkeypatch):
+    # The 2,606 panels the full grid evaluates lie on 86 distinct cells:
+    # the operator is evaluated once per cell and Gauss order, and once
+    # more at order 2p on each distinct final cell for int |f|.  Evaluating
+    # it on every panel at both orders took 1,877,400 points.
+    points = Counter()
+    slopes = BumpProfile.slopes
+
+    def counted(self, r):
+        points["slopes"] += np.size(r)
+        return slopes(self, r)
+
+    monkeypatch.setattr(BumpProfile, "slopes", counted)
+    verify_all(default_verification_grid())
+    assert points["slopes"] <= 1_877_400 // 2
+    # 86 cells at orders 12 and 24, 68 final cells at order 24 and the
+    # line tree's 1,512 points: 102,600
+    assert points["slopes"] <= 110_000
 
 
 def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry():
@@ -688,11 +815,11 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
         profile = BumpProfile(delta=math.sqrt(g.eta))
         cc = CurvatureCoefficients(g.lambda1, g.lambda2)
 
-        def own_lines(t, y, wy, profile=profile, cc=cc):
-            F = operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile, cc).a_over_r2
-            return (F @ wy[:, :, None])[:, :, 0], (np.abs(F) @ wy[:, :, None])[:, :, 0]
+        def own_lines(t, y, profile=profile, cc=cc):
+            return operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile,
+                                               cc).a_over_r2
 
-        [own] = adaptive(own_lines, 1, edges, None, QuadratureSpec(), labels)
+        [own] = adaptive(tensor_integrand(own_lines), 1, edges, None, QuadratureSpec(), labels)
         assert own == shared
         # every ket-kink entry counts the 2D tree and the shared line tree
         panels_2d = table[0][0].panels
