@@ -17,6 +17,10 @@ the oracle's integrator.
 ``jmn_mollified`` is the oracle's ket-kink entry with its delta line
 smeared into a narrow Gaussian, a check that the sharp line term is right.
 
+``adaptive_per_tree`` is the oracle's lockstep integrator written as a
+Python loop over the trees, each tree's rows and cells in arrays of their
+own: the form the array-state integrator is checked against.
+
 ``contraction_py`` is the amplitude's contraction in Python floats, one
 rounding per written operation, and ``half_line_table_per_qb`` the
 half-line table evaluated at each of its three q values, as the engine did
@@ -25,13 +29,20 @@ arithmetic bit for bit.
 """
 
 import cmath
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 
+from bumpscatter import oracle
 from bumpscatter.geoamp import coefficient_table
 from bumpscatter.oracle import (
+    ABS_FLOOR,
+    PANEL_BATCH,
+    PANEL_ORDER,
+    OracleValue,
+    QuadratureConvergenceError,
     QuadratureSpec,
     _adaptive,
     _Integrand,
@@ -215,6 +226,61 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     [[smooth, line]] = _adaptive(tensor_integrand(F), 1, *edges, spec,
                                  [f"Jmn[{n}] smooth", "mollified line"])
     return smooth.value + line.value
+
+
+def adaptive_per_tree(f, n_trees, edges_x, edges_y, spec, labels):
+    """oracle._adaptive with its lockstep state held per tree: every round
+    a Python loop over the live trees runs the stop test, the max_panels
+    check and the split of each, re-concatenating the tree's row and cell
+    arrays.  Same arguments, batches, evaluator calls and results."""
+    edges = (edges_x,) if edges_y is None else (edges_x, edges_y)
+    evaluate = oracle._eval_panel_1d if edges_y is None else oracle._eval_panel_2d
+    base = np.array(list(itertools.product(*(itertools.pairwise(e) for e in edges))))
+    cells = [base] * n_trees
+    rows = [np.empty((0, 3, len(labels)))] * n_trees
+    todo = dict.fromkeys(range(n_trees), base)
+    while todo:
+        trees = np.repeat(list(todo), [len(c) for c in todo.values()])
+        batch = np.concatenate(list(todo.values()))
+        new = np.concatenate([
+            np.stack([q.real, q.imag, err], axis=1)
+            for q, err in (evaluate(f, trees[i:i + PANEL_BATCH], batch[i:i + PANEL_BATCH],
+                                    PANEL_ORDER)
+                           for i in range(0, len(batch), PANEL_BATCH))])
+        cuts = np.cumsum([len(c) for c in todo.values()])[:-1]
+        for t, block in zip(todo, np.split(new, cuts)):
+            rows[t] = np.concatenate([rows[t], block])
+        live, todo = list(todo), {}
+        for t in live:
+            re, im, errs = rows[t].transpose(1, 0, 2)
+            err = errs.sum(axis=0)
+            target = np.maximum(spec.rel_tol * np.hypot(re.sum(axis=0), im.sum(axis=0)),
+                                ABS_FLOOR)
+            unconverged = err > target
+            if not unconverged.any():
+                continue
+            if len(cells[t]) >= spec.max_panels:
+                k = int(np.argmax(np.where(unconverged, err / target, -1.0)))
+                what, tot = labels[k], complex(math.fsum(re[:, k]), math.fsum(im[:, k]))
+                raise QuadratureConvergenceError(
+                    f"{what}: error estimate {err[k]:.3g} above target after "
+                    f"{len(cells[t])} panels; partial value of {what} = {tot:.6g}",
+                    tot,
+                    float(err[k]),
+                )
+            worst = int(np.argmax((errs[:, unconverged] / target[unconverged]).max(axis=1)))
+            cell = cells[t][worst]
+            k = int(np.argmax(cell[:, 1] - cell[:, 0]))
+            kids = np.array([cell, cell])
+            kids[0, k, 1] = kids[1, k, 0] = 0.5 * (cell[k, 0] + cell[k, 1])
+            cells[t] = np.concatenate([cells[t][:worst], cells[t][worst + 1:], kids])
+            rows[t] = np.concatenate([rows[t][:worst], rows[t][worst + 1:]])
+            todo[t] = kids
+    sizes = [len(c) for c in cells]
+    mags = f.moduli(np.repeat(np.arange(n_trees), sizes), np.concatenate(cells), 2 * PANEL_ORDER)
+    return [[OracleValue(complex(math.fsum(a), math.fsum(b)), math.fsum(e), len(c), math.fsum(m))
+             for a, b, e, m in zip(*r.transpose(1, 2, 0), mag.T)]
+            for r, c, mag in zip(rows, cells, np.split(mags, np.cumsum(sizes)[:-1]))]
 
 
 def contraction_py(u, table, v, bigK):

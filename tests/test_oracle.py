@@ -9,6 +9,7 @@ comparison carries the "oracle" marker for selection and runs by default.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -18,6 +19,7 @@ import pytest
 import sympy as sp
 from conftest import full_grid_report
 from references import (
+    adaptive_per_tree,
     immnn_x2,
     jmn_mollified,
     matches_oracle,
@@ -34,6 +36,7 @@ from bumpscatter.oracle import (
     QuadratureConvergenceError,
     PANEL_BATCH,
     QuadratureSpec,
+    VerificationRecord,
     _adaptive,
     _cell_basis,
     _combine,
@@ -43,6 +46,7 @@ from bumpscatter.oracle import (
     _integrand_inputs,
     _label,
     _nodes,
+    _slot_sums,
     assemble_f1_oracle,
     default_verification_grid,
     integral_table,
@@ -491,6 +495,74 @@ def test_verify_all_resolution_rule_rejects_resolvable_offset(monkeypatch):
         assert i0.passed is passes
 
 
+def _record_grids():
+    """The records of the full grid, of a failing grid (rtol 1e-18) and of
+    the structural-zero grid, each with its rtol and atol."""
+    tight = {"s": (0.7,), "bigK": (1.0,), "lambdas": ((0.5, -0.5),), "alphas": (-3.0, 3.0),
+             "eta": 0.1}
+    yield full_grid_report()[0].records, 1e-6, 1e-10
+    yield verify_all(grid=tight, rtol=1e-18).records, 1e-18, 1e-10
+    yield verify_all(grid=_ZERO_POINT_GRID).records, 1e-6, 1e-10
+
+
+def test_pass_rule_arrays_equal_the_scalar_rule():
+    # verify_all judges its records as arrays; each record's rel_err,
+    # judged and passed are what the scalar rule gives for its oracle,
+    # closed and resolution, bit for bit.
+    judged = Counter()
+    for records, rtol, atol in _record_grids():
+        for r in records:
+            diff = abs(r.closed - r.oracle)
+            assert r.rel_err == diff / max(abs(r.oracle), atol)
+            assert r.judged == ("resolution" if abs(r.oracle) <= r.resolution else "relative")
+            assert r.passed == matches_oracle(r.closed, r, rtol, atol)
+            assert r.passed == (diff <= r.resolution if r.judged == "resolution"
+                                else r.rel_err <= rtol)
+            judged[r.judged, r.passed] += 1
+    # the three grids reach every branch of the rule but a failing
+    # resolution verdict, which test_verify_all_resolution_rule_rejects_
+    # resolvable_offset covers
+    assert set(judged) == {("relative", True), ("relative", False), ("resolution", True)}
+
+
+def test_records_hold_python_scalars():
+    report, _ = full_grid_report()
+    types = {"coefficient": str, "s": float, "bigK": float, "lambda1": float,
+             "lambda2": float, "alphas": tuple, "indices": tuple, "oracle": complex,
+             "err_est": float, "closed": complex, "rel_err": float, "passed": bool,
+             "judged": str, "resolution": float, "panels": int}
+    assert set(types) == {f.name for f in dataclasses.fields(VerificationRecord)}
+    for r in report.records:
+        for name, kind in types.items():
+            assert type(getattr(r, name)) is kind, (name, r.line())
+        assert all(type(a) is float for a in r.alphas)
+        assert all(type(i) is int for i in r.indices)
+    # and so do the table entries, the ket kinks' with their line terms
+    for row in integral_table(_g()):
+        for ov in row:
+            assert [type(v) for v in dataclasses.astuple(ov)] == [complex, float, int, float]
+
+
+def test_records_carry_the_oracle_entry_panel_count():
+    grid = {"s": (0.7,), "bigK": (1.0,), "lambdas": ((0.5, -0.5),), "alphas": (-3.0, 3.0),
+            "eta": 0.1}
+    table = integral_table(_g(0.7, 1.0, (-3.0, 3.0)))
+    line = table[0][1].panels - table[0][0].panels
+    assert line > 0
+    for r in verify_all(grid=grid).records:
+        if r.coefficient == "I0":
+            entry = table[0][0]
+        elif r.coefficient in ("Imn", "Jmn"):
+            n = r.indices[1] + 1
+            entry = table[n][0] if r.coefficient == "Imn" else table[0][n]
+        else:
+            entry = table[r.indices[0] + 1][r.indices[2] + 1]
+        assert r.panels == entry.panels
+        # a ket kink's entry counts the 2D tree and the line tree
+        assert r.panels == table[0][0].panels + (line if r.coefficient in ("Jmn", "Immnn")
+                                                 else 0)
+
+
 def test_verify_all_closed_values_are_the_array_tables_bit_for_bit():
     # verify_all takes its closed values from one array table per
     # curvature setting, the path f1_scan runs, and each record's phase
@@ -697,6 +769,74 @@ def test_lockstep_tables_equal_one_table_at_a_time():
     gs = _grid_inputs(default_verification_grid())
     for g, together in zip(gs, _integral_tables(gs, QuadratureSpec())):
         assert together == integral_table(g)
+
+
+def _final_cells_spy(monkeypatch, adaptive):
+    """Route oracle._adaptive to adaptive, recording the final panels
+    (trees and cells) each call hands to f.moduli."""
+    import bumpscatter.oracle as oracle_mod
+
+    finals = []
+
+    def spy(f, *args):
+        def moduli(t, cells, order, inner=f.moduli):
+            finals.append((t, cells))
+            return inner(t, cells, order)
+
+        return adaptive(_Integrand(f.values, moduli), *args)
+
+    monkeypatch.setattr(oracle_mod, "_adaptive", spy)
+    return finals
+
+
+def test_array_adaptive_equals_the_per_tree_loop(monkeypatch):
+    # The array-state lockstep integrator and the per-tree loop it
+    # replaced give the same OracleValues and the same final panels, in
+    # the same order, on the full grid's 48 trees and its line tree.
+    import bumpscatter.oracle as oracle_mod
+
+    gs = _grid_inputs(default_verification_grid())
+    both = (oracle_mod._adaptive, adaptive_per_tree)
+    runs = []
+    for adaptive in both:
+        finals = _final_cells_spy(monkeypatch, adaptive)
+        runs.append((_integral_tables(gs, QuadratureSpec()), finals))
+    (tables, finals), (want_tables, want_finals) = runs
+    assert tables == want_tables
+    assert len(finals) == len(want_finals) == 2
+    for (t, cells), (want_t, want_cells) in zip(finals, want_finals):
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(cells, want_cells)
+    # overruns: the same message and partial value, with one or both
+    # trees overrunning, in either order
+    alphas = (-3.0, 0.0, 3.0)
+    easy = _g(s=0.0, bigK=1.0, alphas=alphas)
+    hard = _g(s=1.0, bigK=2.0, alphas=alphas, lambda2=0.5)
+    for max_panels in (20, 30):
+        for pair in ([easy, hard], [hard, easy]):
+            errors = []
+            for adaptive in both:
+                monkeypatch.setattr(oracle_mod, "_adaptive", adaptive)
+                with pytest.raises(QuadratureConvergenceError) as exc_info:
+                    _integral_tables(pair, QuadratureSpec(max_panels=max_panels))
+                err = exc_info.value
+                errors.append((str(err), err.value, err.err_est))
+            assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("labels", [1, 2, 3, 16])
+def test_slot_sums_are_each_trees_own_sums_bit_for_bit(labels):
+    # One sum over the slot axis of the lockstep state is, per tree, the
+    # sum numpy takes of that tree's rows alone, as the per-tree loop took
+    # it: in slot order for several labels, pairwise for one.
+    rng = np.random.default_rng(labels)
+    for n_trees, n in ((1, 9), (2, 17), (48, 44), (48, 130)):
+        rows = rng.standard_normal((n_trees, n, 3, labels))
+        rows *= np.exp(rng.uniform(-30.0, 30.0, rows.shape))
+        got = _slot_sums(rows)
+        for t in range(n_trees):
+            alone = [part.sum(axis=0) for part in rows[t].copy().transpose(1, 0, 2)]
+            assert np.array_equal(got[:, t], alone)
 
 
 def test_full_grid_makes_few_integrand_calls(monkeypatch):
