@@ -64,6 +64,10 @@ EXIT_VERIFY = 3
 # Angle-scan points with |geoamp.delta_ray_offset| below
 # geoamp.SINGULAR_ANGLE_TOL are moved this far off the ray (degrees).
 NUDGE_DEG = 1e-5
+# Radius (radians) of the array pass that picks the angle-scan points the
+# exact ray rule is applied to: far outside SINGULAR_ANGLE_TOL, so that its
+# rounding cannot drop a point the rule would nudge.
+RAY_CANDIDATE_RAD = 1e-6
 
 
 class AngleNudgeWarning(UserWarning):
@@ -222,10 +226,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_angular(args) -> int:
-    points = []
-    for th in _parse_grid(args.thetagrid, "--thetagrid"):
-        th = float(th)
-        ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
+    theta0 = math.radians(args.theta0_deg)
+    thetas = _parse_grid(args.thetagrid, "--thetagrid")
+    # One array pass keeps the points within RAY_CANDIDATE_RAD of a delta
+    # ray; the exact rule, delta_ray_offset, then decides on those alone.
+    rad = np.radians(thetas)
+    if math.isfinite(theta0) and np.isfinite(rad).all():
+        off = [np.abs(np.remainder(rad - ray + math.pi, 2.0 * math.pi) - math.pi)
+               for ray in (theta0, math.pi - theta0)]
+        near = np.minimum(*off) < RAY_CANDIDATE_RAD
+    else:  # the rule raises its InputError on the first non-finite angle
+        near = np.ones(thetas.size, dtype=bool)
+    points = [(args.ksigma, th) for th in thetas.tolist()]
+    for i in np.flatnonzero(near).tolist():
+        th = points[i][1]
+        ray = delta_ray_offset(theta0, math.radians(th))
         if abs(ray) < SINGULAR_ANGLE_TOL:
             nudged = th - math.degrees(ray) + (NUDGE_DEG if ray >= 0.0 else -NUDGE_DEG)
             warnings.warn(
@@ -233,8 +248,7 @@ def _cmd_angular(args) -> int:
                 f"direction; nudged to {nudged:.10g} deg",
                 AngleNudgeWarning,
             )
-            th = nudged
-        points.append((args.ksigma, th))
+            points[i] = (args.ksigma, nudged)
     keys = {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid}
     return _scan(args, "anglescan", points, keys)
 
@@ -271,6 +285,7 @@ def _read_csv(path: str):
     unreadable, malformed or empty is a usage error."""
     headers = {}
     rows = []
+    columns = len(COLUMNS.split(","))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -283,8 +298,8 @@ def _read_csv(path: str):
                         k, v = body.split("=", 1)
                         headers[k.strip()] = v.strip()
                     continue
-                row = tuple(float(v) for v in line.split(","))
-                if len(row) != len(COLUMNS.split(",")):
+                row = tuple(map(float, line.split(",")))
+                if len(row) != columns:
                     raise ValueError(f"row {line!r} does not have the columns {COLUMNS}")
                 rows.append(row)
     except (OSError, ValueError) as exc:

@@ -271,6 +271,10 @@ class DefectMatrix:
     inverse: np.ndarray
     cond: float | np.ndarray
 
+    def __getitem__(self, index) -> DefectMatrix:
+        """The matrices of a stack at the points index selects."""
+        return DefectMatrix(self.matrix[index], self.inverse[index], self.cond[index])
+
     def weights(self, b) -> np.ndarray:
         """w = Ainv b, one row of b per point for a stacked matrix.  A is
         symmetric, so w also stands for Ainv^T b."""

@@ -28,11 +28,13 @@ symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).
 Evaluation is array-first.  f1_scan takes a whole K or theta scan as one
 array Kinematics: its GeoCoefficientInputs holds one s and K per point,
 every table entry is an array over the points, and the scan costs one
-pass over its half-line integrals, 1 + 2N + N^2 kernel calls and one
-incoming and one outgoing stacked defect build, whatever its length.  A
-point averaged across theta = +-90 deg (below) is replaced by its two
-flanking angles in the same evaluation, which costs one more outgoing
-build and no second table.  The contraction is array arithmetic too: the
+pass over its half-line integrals, 1 + 2N + N^2 kernel calls, one
+outgoing stacked defect build and one incoming build of the distinct
+values of kx = K cos(theta0) (one matrix for an angle scan), whatever its
+length.  A point averaged across theta = +-90 deg (below) is replaced by
+its two flanking angles in the same evaluation, which costs one more
+outgoing build, of the flanks alone, and no second table.  The
+contraction is array arithmetic too: the
 products u_a T[a][b] v_b and the prefactor are taken on the real and
 imaginary parts as float arrays, one rounding per operation as in
 Python's complex *, which numpy's complex arithmetic does not reproduce,
@@ -53,12 +55,16 @@ integral, kx = +-beta (beta = s K, s = sin((theta - theta0)/2)) the ket's
 slope on the region and q in {0, +-2 beta}.  The x integrals are half-line
 Gaussian moments: an erfc for the zeroth and a two-term recursion for the
 rest.  A half-line integral depends only on the defect, the side, q / beta
-and the sign of kx, so the at most 12 N of them are computed together
-once per GeoCoefficientInputs (half_lines) and the kernel combines them.
-Their moments need only two of the three q values, q = 2 beta and q = 0:
-the q = -2 beta moments are the exact conjugates.  The erfc goes through
-the fused, overflow-safe specfun.exp_erfc; every other exponent in the
-kernel has a non-positive real part, so no intermediate exponential can
+and the sign of kx, and the kernel reads four (q / beta, kx / beta) pairs
+of them, so the 8 N it uses are computed together once per
+GeoCoefficientInputs (half_lines) as one (defect, side, pair) array and
+the kernel combines them.  Their moments need only two of the three q
+values, q = 2 beta and q = 0: the q = -2 beta moments are the exact
+conjugates.  The two sides of a defect take erfc at w and -w and share
+one erfcx, which is evaluated once per distinct |alpha| on the first
+quadrant (specfun.erfcx_c) and combined with guarded exponentials
+(specfun.eexp) as specfun.exp_erfc would; every exponent in the kernel
+has a non-positive real part, so no intermediate exponential can
 overflow.  I0 keeps its own closed form.
 
 Validation status (enforced by the test suite and the quadrature oracle in
@@ -84,13 +90,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .defects import DefectSet, InputError, Kinematics, build_defect_matrix
-from .specfun import SAFE_REAL_WINDOW, exp_erfc, unbox
+from .defects import DefectMatrix, DefectSet, InputError, Kinematics, build_defect_matrix
+from .specfun import SAFE_REAL_WINDOW, eexp, erfcx_c, unbox
 
 __all__ = [
     "GeoCoefficientInputs",
@@ -168,17 +174,20 @@ class GeoCoefficientInputs:
     def p2(self):
         """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2).
 
-        Evaluated point by point with Python's float pow, which numpy's
-        power does not match bit for bit, so that I0, and with it every
-        N = 0 amplitude, keeps its value bit for bit, alone or in a scan."""
+        The powers are libm's pow, as Python's float ** and math.pow take
+        it, which numpy's power does not match bit for bit; the rest is one
+        IEEE operation at a time in the written order.  So I0, and with it
+        every N = 0 amplitude, keeps its value bit for bit, alone or in a
+        scan."""
         l1, l2 = self.lambda1, self.lambda2
-
-        def p2(s, k):
+        s, k = self.s, self.bigK
+        if np.ndim(s) == 0:
             return k**2 * (4.0 * l1 * s**2 - 1.0) + l2 * ((s * k) ** 4 + 2.0)
-
-        if np.ndim(self.s) == 0:
-            return p2(self.s, self.bigK)
-        return np.array([p2(s, k) for s, k in zip(self.s.tolist(), self.bigK.tolist())])
+        n = s.size
+        powers = map(math.pow, [*k.tolist(), *s.tolist(), *(s * k).tolist()],
+                     [2.0] * (2 * n) + [4.0] * n)
+        k2, s2, b4 = np.array(list(powers)).reshape(3, -1)
+        return k2 * (4.0 * l1 * s2 - 1.0) + l2 * (b4 + 2.0)
 
     @cached_property
     def full_lines(self) -> tuple:
@@ -188,7 +197,7 @@ class GeoCoefficientInputs:
                 0.5 * SQPI * _gauss(self.beta) * self.p2)
 
     @cached_property
-    def half_lines(self) -> dict:
+    def half_lines(self) -> np.ndarray:
         """Every half-line integral the kink coefficients of these inputs
         use (see _half_line_table), computed together once."""
         return _half_line_table(self)
@@ -213,12 +222,17 @@ def I0_closed(g: GeoCoefficientInputs):
 # ---------------------------------------------------------------------------
 
 
-def _half_line_table(g: GeoCoefficientInputs) -> dict:
+# The (q / beta, kx / beta) pairs a kink coefficient reads, in the order of
+# the last axis of _half_line_table: q = 2 kx, or q = 0 for either sign of kx.
+_PAIRS = {(2.0, 1.0): 0, (0.0, 1.0): 1, (0.0, -1.0): 2, (-2.0, -1.0): 3}
+
+
+def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
     """sum_k c[k] M_k for the moments M_k = int x^k e^{-x^2 + i q x} dx over
-    x > a (side = 1) or x < a (side = -1), k = 0..4, and the quartic's
-    coefficients c of _kink_coefficient, keyed (a, side, qb, sg) for q =
-    qb beta and kx = sg beta: every defect a, both sides, qb in {-2, 0, 2}
-    and sg = +-1.  Each value is a number, or an array over g's points.
+    x < a (side 0) or x > a (side 1), k = 0..4, and the quartic's
+    coefficients c of _kink_coefficient, as one (defect, side, pair) array
+    [with a last axis over g's points]: defect i is at g.alphas[i], and
+    pair _PAIRS[qb, sg] has q = qb beta and kx = sg beta.
 
     M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
     (x^k e^{-x^2 + i q x})' by parts,
@@ -226,19 +240,41 @@ def _half_line_table(g: GeoCoefficientInputs) -> dict:
     Only two values of q are distinct: at qb = 0 the moments do not depend
     on beta, and at qb = -2 they are the conjugates of those at qb = 2
     (exactly: erfcx's conjugate symmetry holds bit for bit).  So the
-    moments are one array pass, one exp_erfc call and one recursion over a
-    (defect, side, point) array of q = 2 beta at the points plus one
-    column of q = 0: 2N(P + 1) elements for P points.  No exponent here has
-    a positive real part, so no element can overflow.
+    moments are one recursion over a (defect, side, point) array of
+    q = 2 beta at the points plus one column of q = 0.
+
+    The two sides of a defect take erfc at w = a - i q/2 and at -w, and
+    share one erfcx: R = e^{x - w^2} erfcx(r) for r the one of +-w in the
+    right half plane, and 2 e^x - R for the other (x = -q^2/4), the
+    operations specfun.exp_erfc makes.  At a = 0 both lie on the imaginary
+    axis and take erfcx(|q|/2 i) or its conjugate.  erfcx is evaluated once
+    per distinct |a| and point, on the first quadrant: n(P + 1) arguments
+    for n distinct |a| and P points.  No exponent here has a positive real
+    part, so no element can overflow.
     """
     b = np.asarray(g.beta, dtype=float)
     p = b.size
-    q = np.zeros((1, 1, p + 1))
-    q[..., :p] = 2.0 * b.reshape(-1)
-    a = np.array(g.alphas, dtype=float).reshape(-1, 1, 1)
-    side = np.array([-1.0, 1.0]).reshape(1, 2, 1)
+    q = np.zeros(p + 1)
+    q[:p] = 2.0 * b.reshape(-1)
+    alphas = np.array(g.alphas, dtype=float)
     iq = 1j * q
-    m0 = 0.5 * SQPI * exp_erfc(-0.25 * q * q, side * (a - 0.5 * iq))
+    x = -0.25 * q * q
+    w = alphas[:, None] - 0.5 * iq
+    abs_a = sorted({abs(a) for a in g.alphas})
+    r = np.empty((len(abs_a), p + 1), dtype=complex)
+    r.real, r.imag = np.array(abs_a)[:, None], 0.5 * np.abs(q)
+    cx = erfcx_c(r)[[abs_a.index(abs(a)) for a in g.alphas]]
+    # e^{x - w^2} at each defect and, in the last row, e^x
+    e = eexp(np.vstack([x - w * w, x]))
+    # R = e^{x - w^2} erfcx(r) for r = -w (side 0) and w (side 1) taken into
+    # the right half plane, |a| + i q/2 and |a| - i q/2: cx or its conjugate
+    r_side = e[:-1, None] * np.where(np.stack([q < 0.0, q > 0.0]), cx.conj()[:, None],
+                                     cx[:, None])
+    a = alphas.reshape(-1, 1, 1)
+    side = np.array([-1.0, 1.0]).reshape(1, 2, 1)
+    # a side whose argument is in the left half plane takes 2 e^x - R
+    m0 = 0.5 * SQPI * np.where(side * a < 0.0, 2.0 * e[-1] - r_side[:, ::-1], r_side)
+    iq = iq[None, None]
     edge = side * np.exp(a * (iq - a))
     m1 = 0.5 * (edge + iq * m0)
     edge *= a
@@ -247,28 +283,25 @@ def _half_line_table(g: GeoCoefficientInputs) -> dict:
     m3 = 0.5 * (edge + 2.0 * m1 + iq * m2)
     edge *= a
     m4 = 0.5 * (edge + 3.0 * m2 + iq * m3)
-    # (moment, defect, side, qb, point) for qb in (-2, 0, 2), the q = 0
-    # column repeated at every point; a float beta drops the point axis
-    m = np.array([m0, m1, m2, m3, m4])
-    moments = np.empty(m.shape[:3] + (3, p), dtype=complex)
-    np.conjugate(m[..., :p], out=moments[..., 0, :])
-    moments[..., 1, :] = m[..., p:]
-    moments[..., 2, :] = m[..., :p]
-    m0, m1, m2, m3, m4 = moments.reshape(m.shape[:3] + (3,) + b.shape)
     l1, l2 = g.lambda1, g.lambda2
     c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
     c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
     c4 = 0.5 * l2
-    table = {}
-    for sg in (-1.0, 1.0):
-        kx = sg * b
-        c1, c3 = 1.5j * kx, -1j * kx
-        h = c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 + c4 * m4
-        for i, al in enumerate(g.alphas):
-            for j, sd in enumerate((-1.0, 1.0)):
-                for k, qb in enumerate((-2.0, 0.0, 2.0)):
-                    table[al, sd, qb, sg] = h[i, j, k]
-    return table
+    kx = np.array([1.0, -1.0])[:, None] * b  # sg = 1, -1
+    c1, c3 = 1.5j * kx, -1j * kx
+
+    def weighted(m, j):  # sum_k c[k] M_k at kx = sg[j] beta
+        return c0 * m[0] + c1[j] * m[1] + c2 * m[2] + c3[j] * m[3] + c4 * m[4]
+
+    # (defect, side, pair, point) in the order of _PAIRS; a float beta
+    # drops the point axis
+    moments = (m0, m1, m2, m3, m4)
+    at_2b = [m[..., :p] for m in moments]
+    table = np.empty(m0.shape[:2] + (len(_PAIRS), p), dtype=complex)
+    table[:, :, 0] = weighted(at_2b, 0)
+    table[:, :, 1:3] = weighted([m[..., None, p:] for m in moments], slice(None))
+    table[:, :, 3] = weighted([m.conj() for m in at_2b], 1)
+    return table.reshape(table.shape[:3] + b.shape)
 
 
 def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
@@ -304,6 +337,7 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
     """
     b = g.beta
     ib = 1j * b
+    table, defect = g.half_lines, g.alphas.index
     edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
     total = 0j
     for lo, hi in zip(edges, edges[1:]):
@@ -319,13 +353,14 @@ def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
             qb += sg - 1.0
             phase -= sg * ket
         # the half-line integrals over x < lo and x > hi (0 beyond +-inf),
-        # and over x < hi and x > lo
-        left, right = (0.0 if math.isinf(a) else g.half_lines[a, side, qb, sg]
-                       for a, side in ((lo, -1.0), (hi, 1.0)))
+        # and over x < hi and x > lo (side 0 is x < a, side 1 x > a)
+        pair = _PAIRS[qb, sg]
+        left = 0.0 if math.isinf(lo) else table[defect(lo), 0, pair]
+        right = 0.0 if math.isinf(hi) else table[defect(hi), 1, pair]
         if hi <= 0.0:
-            part = g.half_lines[hi, -1.0, qb, sg] - left
+            part = table[defect(hi), 0, pair] - left
         elif lo >= 0.0:
-            part = g.half_lines[lo, 1.0, qb, sg] - right
+            part = table[defect(lo), 1, pair] - right
         else:  # across 0: the full line minus the two outer half-lines
             part = g.full_lines[qb != 0.0] - left - right
         total += np.exp(ib * phase) * part
@@ -391,44 +426,58 @@ def _f1_points(
     """f1 at each point of kin (one point, or a scan): f1_scan after
     validation.
 
-    One array evaluation for all points: one coefficient table and one
-    incoming and one outgoing stacked defect build.  With N >= 2, a point
-    whose outgoing matrix is singular or past REG_COND_LIMIT is replaced by
-    its flanks theta +- ANGLE_REG_EPS (an array Kinematics with the flanks
-    in its place), and the outgoing matrices are built once more for those
-    points; the point's value is the mean of its flanks'.  Each point's
-    bracket sum_ab u_a T[a][b] v_b over the plane (0) and kink (n + 1)
-    pieces, as in the module docstring, and the prefactor are _contract's
-    real array arithmetic and math.fsum.
+    One array evaluation for all points: one coefficient table, one
+    outgoing stacked defect build and one incoming build per distinct
+    kx = K cos(theta0) (a single matrix for an angle scan).  With N >= 2, a
+    point whose outgoing matrix is singular or past REG_COND_LIMIT is
+    replaced by its flanks theta +- ANGLE_REG_EPS: the flanks alone make an
+    array Kinematics and one more outgoing build, and are spliced into the
+    points in its place; the point's value is the mean of its flanks'.
+    Each point's bracket sum_ab u_a T[a][b] v_b over the plane (0) and kink
+    (n + 1) pieces, as in the module docstring, and the prefactor are
+    _contract's real array arithmetic and math.fsum.
     """
     bigK = np.array(kin.bigK, dtype=float, ndmin=1)
     if not bigK.size:
         return []
-    averaged = [False] * bigK.size
+    s = np.array(kin.s, ndmin=1)
+    averaged = np.zeros(bigK.size, dtype=bool)
     if defects.n > 0:
+        kx = np.array(kin.kx, ndmin=1)
         dm_out = build_defect_matrix(np.array(kin.kx_out, ndmin=1), defects)
         if defects.n >= 2:
-            averaged = (~(dm_out.cond <= REG_COND_LIMIT)).tolist()
-        if any(averaged):
-            flanks = [p for th, a in zip(np.array(kin.theta, ndmin=1).tolist(), averaged)
-                      for p in ((th + ANGLE_REG_EPS, th - ANGLE_REG_EPS) if a else (th,))]
-            bigK = np.repeat(bigK, [2 if a else 1 for a in averaged])
-            kin = replace(kin, bigK=bigK, theta=np.array(flanks))
-            dm_out = build_defect_matrix(kin.kx_out, defects)
+            averaged = ~(dm_out.cond <= REG_COND_LIMIT)
+        if averaged.any():
+            theta = np.array(kin.theta, ndmin=1)[averaged]
+            flanks = Kinematics(np.repeat(bigK[averaged], 2), kin.theta0, np.stack(
+                [theta + ANGLE_REG_EPS, theta - ANGLE_REG_EPS], axis=1).reshape(-1))
+            # position j of the evaluation holds entry at[j] of [points, flanks]
+            at = np.arange(bigK.size).repeat(1 + averaged)
+            at[averaged.repeat(1 + averaged)] = bigK.size + np.arange(flanks.bigK.size)
+
+            def splice(points, flank_values):
+                return np.concatenate([points, flank_values])[at]
+
+            s, bigK, kx = splice(s, flanks.s), splice(bigK, flanks.bigK), splice(kx, flanks.kx)
+            dm_flanks = build_defect_matrix(flanks.kx_out, defects)
+            dm_out = DefectMatrix(splice(dm_out.matrix, dm_flanks.matrix),
+                                  splice(dm_out.inverse, dm_flanks.inverse),
+                                  splice(dm_out.cond, dm_flanks.cond))
     g = GeoCoefficientInputs(
-        s=np.array(kin.s, ndmin=1), bigK=bigK, alphas=defects.positions,
-        eta=eta, lambda1=lambda1, lambda2=lambda2,
+        s=s, bigK=bigK, alphas=defects.positions, eta=eta, lambda1=lambda1, lambda2=lambda2,
     )
     # amplitudes (piece, point) of the bra (u) and the ket (v)
     u = v = np.ones((1, bigK.size), dtype=complex)
     if defects.n > 0:
-        dm_in = build_defect_matrix(np.array(kin.kx, ndmin=1), defects)
+        kx, at = np.unique(kx, return_inverse=True)
+        dm_in = build_defect_matrix(kx, defects)[at]
         e = np.exp(1j * g.beta[:, None] * defects.alphas)
         u = np.concatenate([u, -1j * dm_out.require_regular().weights(e).T])
         v = np.concatenate([v, -1j * dm_in.require_regular().weights(e).T])
     table = np.array(coefficient_table(g), dtype=complex)
     points = iter(_contract(u, table, v, bigK))
-    return [0.5 * (next(points) + next(points)) if a else next(points) for a in averaged]
+    return [0.5 * (next(points) + next(points)) if a else next(points)
+            for a in averaged.tolist()]
 
 
 def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
@@ -441,8 +490,9 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     curvature weight outside its domain raises defects.InputError, a
     defect past |alpha| = 26 OverflowError.  The whole scan is one array
     Kinematics and one array evaluation: one table of 1 + 2N + N^2
-    coefficient arrays, one incoming and one outgoing stacked defect
-    build, and one more outgoing build if a point is averaged across
+    coefficient arrays, one outgoing stacked defect build, one incoming
+    build of the scan's distinct kx = K cos(theta0), and one more outgoing
+    build, of the flanks alone, if a point is averaged across
     theta = +-90 deg (see f1_geometric); its flanking angles join the same
     table.
     Returns the amplitudes as a list of Python complex numbers;

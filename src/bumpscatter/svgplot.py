@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["render_svg"]
 
 WIDTH = 720
@@ -74,6 +76,21 @@ def _nice_ticks(lo: float, hi: float):
     return ticks
 
 
+def _scale(v, lo: float, hi: float, p_lo: float, p_hi: float):
+    """Pixel coordinate of the value v, a float or an array, on an axis
+    from lo to hi drawn from pixel p_lo to pixel p_hi."""
+    return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
+
+
+def _points(xs, ys, x_axis: tuple, y_axis: tuple) -> str:
+    """The polyline points "x,y x,y ..." of one curve, each pixel
+    coordinate in %.6g; an axis is _scale's (lo, hi, p_lo, p_hi).  The
+    coordinates are taken on float arrays, the same IEEE operations in the
+    same order as on one float, so they keep their bits."""
+    sx, sy = _scale(xs, *x_axis).tolist(), _scale(ys, *y_axis).tolist()
+    return " ".join(map("%.6g,%.6g".__mod__, zip(sx, sy)))
+
+
 def render_svg(curves, xlabel: str, ylabel: str) -> str:
     """Render curves [(label, xs, ys), ...] to an SVG document string."""
     if not curves:
@@ -86,23 +103,19 @@ def render_svg(curves, xlabel: str, ylabel: str) -> str:
                 f"curve {label!r} has {len(xs)} point(s); a line plot needs "
                 "at least 2 (check the sweep grid)"
             )
-    all_x = [x for _, xs, _ in curves for x in xs]
-    all_y = [y for _, _, ys in curves for y in ys]
-    if not all(math.isfinite(v) for v in all_x + all_y):
+    data = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+            for label, xs, ys in curves]
+    all_x = np.concatenate([xs for _, xs, _ in data])
+    all_y = np.concatenate([ys for _, _, ys in data])
+    if not (np.isfinite(all_x).all() and np.isfinite(all_y).all()):
         raise ValueError("non-finite data point in plot input")
-    xt = _nice_ticks(min(all_x), max(all_x))
-    y_lo = min(min(all_y), 0.0)
-    yt = _nice_ticks(y_lo, max(all_y))
-    x0, x1 = xt[0], xt[-1]
-    y0, y1 = yt[0], yt[-1]
+    xt = _nice_ticks(all_x.min().item(), all_x.max().item())
+    y_lo = min(all_y.min().item(), 0.0)
+    yt = _nice_ticks(y_lo, all_y.max().item())
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
-
-    def sx(x):
-        return px0 + (x - x0) / (x1 - x0) * (px1 - px0)
-
-    def sy(y):
-        return py0 + (y - y0) / (y1 - y0) * (py1 - py0)
+    x_axis = (xt[0], xt[-1], px0, px1)
+    y_axis = (yt[0], yt[-1], py0, py1)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -116,7 +129,7 @@ def render_svg(curves, xlabel: str, ylabel: str) -> str:
     )
     # grid + ticks + tick labels
     for t in xt:
-        X = _fmt(sx(t))
+        X = _fmt(_scale(t, *x_axis))
         parts.append(
             f'<line x1="{X}" y1="{_fmt(py0)}" x2="{X}" y2="{_fmt(py1)}" '
             f'stroke="#dddddd" stroke-width="0.7"/>'
@@ -126,7 +139,7 @@ def render_svg(curves, xlabel: str, ylabel: str) -> str:
             f'text-anchor="middle" font-family="sans-serif">{_fmt(t)}</text>'
         )
     for t in yt:
-        Y = _fmt(sy(t))
+        Y = _fmt(_scale(t, *y_axis))
         parts.append(
             f'<line x1="{_fmt(px0)}" y1="{Y}" x2="{_fmt(px1)}" y2="{Y}" '
             f'stroke="#dddddd" stroke-width="0.7"/>'
@@ -136,9 +149,9 @@ def render_svg(curves, xlabel: str, ylabel: str) -> str:
             f'dominant-baseline="middle" font-family="sans-serif">{_fmt(t)}</text>'
         )
     # curves
-    for i, (label, xs, ys) in enumerate(curves):
+    for i, (label, xs, ys) in enumerate(data):
         color, dash = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        pts = _points(xs, ys, x_axis, y_axis)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

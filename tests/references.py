@@ -23,20 +23,28 @@ own: the form the array-state integrator is checked against.
 
 ``contraction_py`` is the amplitude's contraction in Python floats, one
 rounding per written operation, and ``half_line_table_per_qb`` the
-half-line table evaluated at each of its three q values, as the engine did
-before it shared the work between them; both pin the engine's array
-arithmetic bit for bit.
+half-line table evaluated at each of its three q values and at both sides
+of every defect, one exp_erfc argument each, as the engine did before it
+shared the work between them; both pin the engine's array arithmetic bit
+for bit.
+
+``svg_coordinates_per_point`` and ``svg_points_per_point`` are the SVG
+renderer's polyline coordinates and text computed one point at a time on
+Python floats, and ``angular_points_per_point`` the
+angle scan's ray rule applied to every grid point: the forms the array
+coordinates and the ray prefilter of the CLI are checked against.
 """
 
 import cmath
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 
-from bumpscatter import oracle
-from bumpscatter.geoamp import coefficient_table
+from bumpscatter import cli, oracle
+from bumpscatter.geoamp import SINGULAR_ANGLE_TOL, coefficient_table, delta_ray_offset
 from bumpscatter.oracle import (
     ABS_FLOOR,
     PANEL_BATCH,
@@ -53,6 +61,7 @@ from bumpscatter.oracle import (
 )
 from bumpscatter.specfun import exp_erf, exp_erfc
 from bumpscatter.surface import CurvatureCoefficients, operator_coeffs_first_order
+from bumpscatter.svgplot import _fmt
 
 
 def immnn_x2(g, m, mp, n, np_):
@@ -309,8 +318,10 @@ def contraction_py(u, table, v, bigK):
 
 def half_line_table_per_qb(g):
     """geoamp._half_line_table evaluated at q = qb beta for each qb in
-    (-2, 0, 2) on one (defect, side, qb[, point]) array: three exp_erfc
-    arguments per defect, side and point where the engine computes two."""
+    (-2, 0, 2) on one (defect, side, qb[, point]) array, keyed (a, side,
+    qb, sg) for both signs sg of kx: three exp_erfc arguments per defect,
+    side and point, where the engine evaluates one erfcx per distinct |a|
+    and point."""
     sqpi = math.sqrt(math.pi)
     b = np.asarray(g.beta, dtype=float)
     point_axes = (1,) * b.ndim
@@ -342,3 +353,38 @@ def half_line_table_per_qb(g):
                 for k, qb in enumerate(qbs):
                     table[al, sd, qb, sg] = h[i, j, k]
     return table
+
+
+def svg_coordinates_per_point(xs, ys, x_axis, y_axis):
+    """The pixel coordinates of svgplot._points, one point at a time on
+    Python floats: two lists."""
+    (x0, x1, px0, px1), (y0, y1, py0, py1) = x_axis, y_axis
+    return ([px0 + (float(x) - x0) / (x1 - x0) * (px1 - px0) for x in xs],
+            [py0 + (float(y) - y0) / (y1 - y0) * (py1 - py0) for y in ys])
+
+
+def svg_points_per_point(xs, ys, x_axis, y_axis):
+    """svgplot._points one point at a time: each coordinate formatted by
+    svgplot._fmt."""
+    sx, sy = svg_coordinates_per_point(xs, ys, x_axis, y_axis)
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(sx, sy))
+
+
+def angular_points_per_point(args):
+    """The (ksigma, theta_deg) points of an angular command: every grid
+    point checked by delta_ray_offset, a point on a ray nudged NUDGE_DEG off
+    it with an AngleNudgeWarning."""
+    points = []
+    for th in cli._parse_grid(args.thetagrid, "--thetagrid"):
+        th = float(th)
+        ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
+        if abs(ray) < SINGULAR_ANGLE_TOL:
+            nudged = th - math.degrees(ray) + (cli.NUDGE_DEG if ray >= 0.0 else -cli.NUDGE_DEG)
+            warnings.warn(
+                f"warning: theta = {th:g} deg sits on a delta-supported "
+                f"direction; nudged to {nudged:.10g} deg",
+                cli.AngleNudgeWarning,
+            )
+            th = nudged
+        points.append((args.ksigma, th))
+    return points

@@ -10,11 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from references import angular_points_per_point
 
 from bumpscatter import cli
 from bumpscatter.cli import (
@@ -601,3 +603,45 @@ def test_preset_runs_without_scipy(tmp_path):
     assert res.returncode == EXIT_OK, res.stderr
     assert res.stdout.splitlines()[-1] == "False"
     assert sorted(os.listdir(tmp_path)) == ["fig2-right.csv", "fig2-right.svg"]
+
+
+def _ray_grids():
+    """(grid, points nudged) for two-point angle grids at theta0 = 20 deg
+    and at its mirror 160 deg, exactly and at +-1e-9, +-1e-7 and +-2e-6 rad
+    from them, and for one grid of whole degrees through both: only the
+    points within SINGULAR_ANGLE_TOL (1.7e-8 rad) of a ray are nudged."""
+    grids = [("0:180:181", 2)]
+    for off in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 2e-6, -2e-6):
+        lo, hi = 20.0 + math.degrees(off), 160.0 + math.degrees(off)
+        grids.append((f"{lo!r}:{hi!r}:2", 2 if abs(off) < 1e-8 else 0))
+    return grids
+
+
+@pytest.mark.parametrize("grid, nudged", _ray_grids())
+def test_ray_prefilter_decides_like_the_scalar_rule(tmp_path, grid, nudged):
+    # angular applies delta_ray_offset only to the points an array pass
+    # finds within RAY_CANDIDATE_RAD of a ray: it nudges, warns and writes
+    # exactly what the rule applied to every point does.
+    argv = ["angular", "--theta0-deg=20", "--defects=-3,3", "--ksigma=1",
+            f"--thetagrid={grid}", "--out", str(tmp_path / "got.csv")]
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_OK
+    args = cli._build_parser().parse_args([*argv[:-1], str(tmp_path / "ref.csv")])
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always")
+        points = angular_points_per_point(args)
+    cli._scan(args, "anglescan", points,
+              {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid})
+    assert [(w.category, str(w.message)) for w in got_warnings] == [
+        (w.category, str(w.message)) for w in ref_warnings]
+    assert sum(w.category is AngleNudgeWarning for w in got_warnings) == nudged
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("theta0", ["inf", "-inf", "nan"])
+def test_angular_with_a_non_finite_theta0_writes_nothing(tmp_path, theta0):
+    out = tmp_path / "a.csv"
+    assert main(["angular", f"--theta0-deg={theta0}", "--ksigma=1",
+                 "--thetagrid=0:180:7", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()

@@ -322,22 +322,25 @@ def test_assembly_costs_n_squared_core_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize("thetas_deg, expected", [
-    # away from 90 deg: one table (one exp_erfc call for all its half-line
-    # integrals and 1 + 2N + N^2 kernel calls), one incoming and one
-    # outgoing build, whatever the scan's length
+    # away from 90 deg: one table (one erfcx_c call for all its half-line
+    # integrals and 1 + 2N + N^2 kernel calls), one incoming build (of the
+    # scan's one kx) and one outgoing build, whatever the scan's length
     ((20.0, 45.0, 70.0, 110.0, 135.0, 160.0),
-     {"I0": 1, "kernel": 8, "build": 2, "erfc": 1}),
+     {"I0": 1, "kernel": 8, "build": 2, "erfcx": 1}),
     # a theta = 90 deg point is replaced by its two averaged flanks in the
-    # same table; only the outgoing build is made again, for the new points
+    # same table; only the outgoing build is made again, for the flanks
     ((20.0, 45.0, 70.0, 90.0, 110.0, 135.0, 160.0),
-     {"I0": 1, "kernel": 8, "build": 3, "erfc": 1}),
+     {"I0": 1, "kernel": 8, "build": 3, "erfcx": 1}),
 ])
 def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
-    calls = dict.fromkeys(expected, 0)
+    calls = {}
+    sizes, kx_sizes = [], []
 
-    def counted(key, fn):
+    def counted(key, fn, sizes=None):
         def wrapper(*args):
             calls[key] += 1
+            if sizes is not None:
+                sizes.append(np.size(args[0]))
             return fn(*args)
         return wrapper
 
@@ -345,33 +348,40 @@ def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
     monkeypatch.setattr(geoamp, "_kink_coefficient",
                         counted("kernel", geoamp._kink_coefficient))
     monkeypatch.setattr(geoamp, "build_defect_matrix",
-                        counted("build", build_defect_matrix))
-    erfc = counted("erfc", geoamp.exp_erfc)
-    sizes = []
-
-    def sized_erfc(x, w):
-        sizes.append(np.broadcast(x, w).size)
-        return erfc(x, w)
-
-    monkeypatch.setattr(geoamp, "exp_erfc", sized_erfc)
-    ds = DefectSet([-3.0, 3.0], [1.0, 1.0])
-    f1 = f1_scan(1.0, 0.0, np.radians(thetas_deg), ds, 0.1, 0.5, -0.5)
-    assert len(f1) == len(thetas_deg)
-    assert calls == expected
-    # 2N(P + 1) erfc arguments for P evaluated points (a 90 deg point is
-    # two): q = 2 beta at each point and q = 0 once, per defect and side
+                        counted("build", build_defect_matrix, kx_sizes))
+    monkeypatch.setattr(geoamp, "erfcx_c", counted("erfcx", geoamp.erfcx_c, sizes))
+    # n(P + 1) erfcx arguments for n distinct |alpha| and P evaluated points
+    # (a 90 deg point is two): q = 2 beta at each point and q = 0 once;
+    # both sides of a defect, and defects at -a and a, share theirs
     points = len(thetas_deg) + thetas_deg.count(90.0)
-    assert sizes == [2 * ds.n * (points + 1)]
+    for positions, distinct_abs in (((-3.0, 3.0), 1), ((-3.0, 0.0), 2)):
+        calls.update(dict.fromkeys(expected, 0))
+        sizes.clear()
+        kx_sizes.clear()
+        ds = DefectSet(positions, [1.0, 1.0])
+        f1 = f1_scan(1.0, 0.0, np.radians(thetas_deg), ds, 0.1, 0.5, -0.5)
+        assert len(f1) == len(thetas_deg)
+        assert calls == expected
+        assert sizes == [distinct_abs * (points + 1)]
+        # outgoing at every point, outgoing at the flanks, incoming at the
+        # scan's one kx
+        assert kx_sizes == [len(thetas_deg)] + [2] * thetas_deg.count(90.0) + [1]
 
 
 @pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0), (-3.1, -1.0, 0.2, 2.8),
-                                       tuple(np.linspace(-7.0, 7.0, 8))])
+                                       tuple(np.linspace(-7.0, 7.0, 8)), (0.0,),
+                                       (-3.0, 0.0), (-1.0, 2.5)])
 def test_scan_equals_one_point_calls_bit_for_bit(positions):
     # f1_geometric is the one-point case of f1_scan: a K scan at three
     # angles (90 deg among them), and an angle scan holding 90 deg, the
     # nudged forward and mirror angles of the CLI, and near-90 deg angles,
-    # give the same numbers as one call per point.
-    ds = DefectSet(positions, [1.0] * len(positions))
+    # give the same numbers as one call per point.  The K scan repeats each
+    # K at three angles and the angle scan has one K, so their incoming
+    # matrices are shared between points; a defect at 0 (the fig1-mid and
+    # fig2-left layouts) has both half-line sides in the right half plane;
+    # the last layout has complex couplings.
+    couplings = {(-1.0, 2.5): (0.8 - 0.3j, 1.2 + 0.5j)}.get(positions, [1.0] * len(positions))
+    ds = DefectSet(positions, couplings)
     ks = np.linspace(0.025, 5.0, 25)
     k_scan = (np.tile(ks, 3), np.repeat(np.radians([30.0, 90.0, 175.0]), ks.size))
     angles = np.radians([1e-5, 30.0, 89.9, 90.0, 90.1, 150.0, 180.0 + 1e-5])
@@ -414,24 +424,29 @@ def test_contraction_is_the_python_float_reference_bit_for_bit(n):
         (f.real.hex(), f.imag.hex()) for f in ref]
 
 
-@pytest.mark.parametrize("positions", [(0.0,), (-3.0, 3.0), (-2.6, -0.4, 0.0, 1.3, 5.5)])
+@pytest.mark.parametrize("positions", [(0.0,), (-3.0, 3.0), (-2.6, -0.4, 0.0, 1.3, 5.5),
+                                       (-3.0, 0.0), (-1.5, -0.0, 1.5)])
 def test_half_line_table_equals_the_per_qb_evaluation_bit_for_bit(positions):
-    # The q = -2 beta moments are the conjugates of the q = 2 beta ones and
-    # the q = 0 moments are computed once: the table is the one the three
-    # q values give one by one, signed zeros included, at beta of either
-    # sign and at beta = 0, for a scan and for one point.
+    # The q = -2 beta moments are the conjugates of the q = 2 beta ones, the
+    # q = 0 moments are computed once, the two sides of a defect share one
+    # erfcx and so do defects at -a and a: each of the four (qb, sg) pairs
+    # the array holds, at every defect and side, is the value the three q
+    # values give one by one, signed zeros included, at beta of either sign
+    # and at beta = 0, for a scan and for one point.
     rng = np.random.default_rng(len(positions))
     s = np.concatenate([rng.uniform(-1.0, 1.0, 30), [0.0, -0.0, 1.0, -1.0]])
     bigK = rng.uniform(0.01, 5.0, s.size)
     for g in (_g(s, bigK, positions), _g(float(s[0]), float(bigK[0]), positions),
               _g(0.0, 1.0, positions)):
         got, ref = geoamp._half_line_table(g), half_line_table_per_qb(g)
-        assert got.keys() == ref.keys()
-        for key, value in ref.items():
-            assert np.shape(got[key]) == np.shape(value)
-            bits = [np.ascontiguousarray(np.atleast_1d(x), dtype=complex).view(np.int64).tolist()
-                    for x in (got[key], value)]
-            assert bits[0] == bits[1], key
+        assert got.shape == (len(positions), 2, len(geoamp._PAIRS)) + np.shape(g.beta)
+        for i, a in enumerate(g.alphas):
+            for j, side in enumerate((-1.0, 1.0)):
+                for (qb, sg), k in geoamp._PAIRS.items():
+                    value = ref[a, side, qb, sg]
+                    bits = [np.ascontiguousarray(np.atleast_1d(x), dtype=complex)
+                            .view(np.int64).tolist() for x in (got[i, j, k], value)]
+                    assert bits[0] == bits[1], (a, side, qb, sg)
 
 
 @pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0)])
