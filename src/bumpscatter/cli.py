@@ -5,7 +5,8 @@ Commands
 sweep        cross section vs k*sigma at fixed scattering angle(s)
 angular      cross section vs scattering angle at fixed k*sigma
 verify       closed forms vs quadrature oracle; nonzero exit on mismatch;
-             also reports the measured reciprocity defect of f1
+             also reports the measured reciprocity defect of f1 (--json
+             PATH writes every record and the summary counts as JSON)
 feasibility  SI-unit validity estimates for the delta-line idealization
 plot         render sweep/angular CSV file(s) to a deterministic SVG
 preset       canned parameter sets reproducing the standard figure family
@@ -27,12 +28,14 @@ matrix, overflow), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys
 import warnings
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -43,8 +46,9 @@ from .geoamp import (
     SINGULAR_ANGLE_TOL,
     SingularAngleError,
     delta_ray_offset,
+    f1_arrays,
     f1_geometric,
-    f1_scan,
+    modulus_squared,
 )
 from .oracle import (
     QuadratureConvergenceError,
@@ -77,8 +81,9 @@ class AngleNudgeWarning(UserWarning):
 
 
 COLUMNS = "ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec"
-# One CSV row: every column as _f17 writes it, in one %-format.
-_ROW = ",".join(["%.17g"] * len(COLUMNS.split(",")))
+# One CSV row from the text of its first three columns and the values of
+# the other three, each as _f17 writes it.
+_ROW = "%s,%s,%s,%.17g,%.17g,%.17g"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,10 +143,24 @@ def _format_complex(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}i"
 
 
-def _csv_text(headers: dict, rows) -> str:
+def _formatted(values: np.ndarray) -> list:
+    """Every element of a float array as _ROW formats it, each distinct
+    value formatted once.  np.unique takes -0.0 and 0.0 for one value, so
+    the zeros get their signs afterwards."""
+    distinct, at = np.unique(values, return_inverse=True)
+    text = np.array(list(map("%.17g".__mod__, distinct.tolist())), dtype=object)[at]
+    zero = values == 0.0
+    text[zero] = np.where(np.signbit(values[zero]), "-0", "0")
+    return text.tolist()
+
+
+def _csv_text(headers: dict, rows: np.ndarray) -> str:
+    """The CSV of a table: its headers, then one line per row of the float
+    array rows (a column per name of COLUMNS)."""
     lines = [f"# {k}={v}" for k, v in headers.items()]
     lines.append(f"# columns={COLUMNS}")
-    lines += [_ROW % row for row in rows]
+    cols = rows.T
+    lines += map(_ROW.__mod__, zip(*map(_formatted, cols[:3]), *cols[3:].tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -182,28 +201,29 @@ def _write_out(path: str, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _scan(args, mode: str, points, keys: dict) -> int:
-    """Body of sweep and angular: one engine call for every (K, theta_deg)
-    point, one CSV row per point, the run headers plus the command's own
-    keys, and the optional SVG."""
+def _scan(args, mode: str, ks: np.ndarray, thetas: np.ndarray, keys: dict) -> tuple:
+    """Body of sweep and angular: one engine call for the points
+    (ks[i], thetas[i]) (thetas in degrees), written as one CSV row per
+    point under the run headers plus the command's own keys, and the
+    optional SVG.  Returns the table (headers, rows): rows is a float array
+    with one row per point and a column per name of COLUMNS."""
     if args.svg:
         # The curves of _curves: one per angle for a K scan, else one.
-        sizes = Counter(th for _, th in points).values() if mode == "kscan" else [len(points)]
+        sizes = Counter(thetas.tolist()).values() if mode == "kscan" else [thetas.size]
         if min(sizes) < 2:
             raise InputError(f"--svg needs at least 2 points per curve, got {min(sizes)}")
     positions = _parse_floats(args.defects, "--defects")
     couplings = _parse_couplings(args.couplings, len(positions))
     defects = DefectSet(positions, couplings)
-    f1 = f1_scan([k for k, _ in points], math.radians(args.theta0_deg),
-                 [math.radians(th) for _, th in points],
-                 defects, args.eta, args.lambda1, args.lambda2)
-    rows = [(k, th, args.theta0_deg, f.real, f.imag, abs(f) ** 2)
-            for (k, th), f in zip(points, f1)]
+    re, im = f1_arrays(ks, math.radians(args.theta0_deg), np.radians(thetas),
+                       defects, args.eta, args.lambda1, args.lambda2)
+    rows = np.column_stack([ks, thetas, np.full(ks.size, args.theta0_deg), re, im,
+                            modulus_squared(re, im)])
     headers = {**_common_headers(args, mode, positions, couplings), **keys}
     _write_out(args.out, _csv_text(headers, rows))
     if args.svg:
         _write_out(args.svg, _svg(mode, _curves(headers, rows)))
-    return EXIT_OK
+    return headers, rows
 
 
 def _cmd_sweep(args) -> int:
@@ -220,12 +240,13 @@ def _cmd_sweep(args) -> int:
                 "is not defined there"
             )
     kgrid = _parse_grid(args.kgrid, "--kgrid")
-    points = [(float(k), th) for th in thetas for k in kgrid]
     keys = {"kgrid": args.kgrid, "thetas_deg": ",".join(_f17(t) for t in thetas)}
-    return _scan(args, "kscan", points, keys)
+    _scan(args, "kscan", np.tile(kgrid, len(thetas)), np.repeat(thetas, kgrid.size), keys)
+    return EXIT_OK
 
 
-def _cmd_angular(args) -> int:
+def _angular(args) -> tuple:
+    """The angular command: its table (see _scan), after writing it."""
     theta0 = math.radians(args.theta0_deg)
     thetas = _parse_grid(args.thetagrid, "--thetagrid")
     # One array pass keeps the points within RAY_CANDIDATE_RAD of a delta
@@ -237,9 +258,8 @@ def _cmd_angular(args) -> int:
         near = np.minimum(*off) < RAY_CANDIDATE_RAD
     else:  # the rule raises its InputError on the first non-finite angle
         near = np.ones(thetas.size, dtype=bool)
-    points = [(args.ksigma, th) for th in thetas.tolist()]
     for i in np.flatnonzero(near).tolist():
-        th = points[i][1]
+        th = thetas[i].item()
         ray = delta_ray_offset(theta0, math.radians(th))
         if abs(ray) < SINGULAR_ANGLE_TOL:
             nudged = th - math.degrees(ray) + (NUDGE_DEG if ray >= 0.0 else -NUDGE_DEG)
@@ -248,9 +268,14 @@ def _cmd_angular(args) -> int:
                 f"direction; nudged to {nudged:.10g} deg",
                 AngleNudgeWarning,
             )
-            points[i] = (args.ksigma, nudged)
+            thetas[i] = nudged
     keys = {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid}
-    return _scan(args, "anglescan", points, keys)
+    return _scan(args, "anglescan", np.full(thetas.size, args.ksigma), thetas, keys)
+
+
+def _cmd_angular(args) -> int:
+    _angular(args)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +283,19 @@ def _cmd_angular(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _curves(headers: dict, rows) -> list:
+def _curves(headers: dict, rows: np.ndarray) -> list:
     """Plot curves (label, xs, ys) of one sweep or angular table: one per
-    angle for a K scan, one per table for an angle scan."""
+    angle for a K scan, in the order the angles first appear, and one per
+    table for an angle scan."""
+    k, theta, xsec = rows[:, 0], rows[:, 1], rows[:, 5]
     if headers.get("mode", "kscan") == "kscan":
-        groups = {}
-        for (k, th, _, _, _, xsec) in rows:
-            ks, ys = groups.setdefault(th, ([], []))
-            ks.append(k)
-            ys.append(xsec)
-        return [(f"theta = {th:g} deg", ks, ys) for th, (ks, ys) in groups.items()]
+        return [(f"theta = {th:g} deg", k[theta == th], xsec[theta == th])
+                for th in dict.fromkeys(theta.tolist())]
     label = (
         f"l1 = {headers.get('lambda1', '?')}, "
         f"l2 = {headers.get('lambda2', '?')}"
     )
-    return [(label, [r[1] for r in rows], [r[5] for r in rows])]
+    return [(label, theta, xsec)]
 
 
 def _svg(mode: str, curves: list) -> str:
@@ -280,53 +303,59 @@ def _svg(mode: str, curves: list) -> str:
     return render_svg(curves, xlabel, "|f1|^2 / sigma")
 
 
-def _read_csv(path: str):
-    """Headers and rows of a sweep or angular CSV; an input that is missing,
-    unreadable, malformed or empty is a usage error."""
-    headers = {}
-    rows = []
+def _read_csv(path: str) -> tuple:
+    """The table (headers, rows) of a sweep or angular CSV, rows as _scan
+    returns them; an input that is missing, unreadable, malformed or empty
+    is a usage error.
+
+    Lines starting with '#' are headers, wherever they stand.  The data
+    lines are parsed in one float map when each has the columns; otherwise
+    the lines are parsed one at a time, to name the first bad one."""
     columns = len(COLUMNS.split(","))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        k, v = body.split("=", 1)
-                        headers[k.strip()] = v.strip()
-                    continue
-                row = tuple(map(float, line.split(",")))
-                if len(row) != columns:
+            lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
+        data = [line for line in lines if line[0] != "#"]
+        values = None
+        if set(map(str.count, data, repeat(","))) == {columns - 1}:
+            with contextlib.suppress(ValueError):
+                values = np.array(list(map(float, ",".join(data).split(","))))
+        if values is None:  # name the first bad line
+            for line in data:
+                if len(tuple(map(float, line.split(",")))) != columns:
                     raise ValueError(f"row {line!r} does not have the columns {COLUMNS}")
-                rows.append(row)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if not data:
         raise InputError(f"{path}: no data rows")
-    return headers, rows
+    heads = (line[1:].split("=", 1) for line in lines if line[0] == "#" and "=" in line)
+    return {k.strip(): v.strip() for k, v in heads}, values.reshape(-1, columns)
 
 
-def _cmd_plot(args) -> int:
-    curve_list = []
+def _plot(out: str, names: list, tables) -> None:
+    """Render the curves of sweep or angular tables (headers, rows), all of
+    one mode, to the SVG out; names are the tables' sources, in order."""
+    curves = []
     mode = None
-    for path in args.inputs:
-        headers, rows = _read_csv(path)
+    for name, (headers, rows) in zip(names, tables):
         m = headers.get("mode", "kscan")
         if mode is None:
             mode = m
         elif m != mode:
             raise InputError(
-                f"cannot mix modes in one plot: {mode} vs {m} ({path})"
+                f"cannot mix modes in one plot: {mode} vs {m} ({name})"
             )
-        curve_list += _curves(headers, rows)
+        curves += _curves(headers, rows)
     try:
-        svg = _svg(mode, curve_list)
+        svg = _svg(mode, curves)
     except ValueError as exc:
-        raise InputError(f"cannot plot {', '.join(args.inputs)}: {exc}") from exc
-    _write_out(args.out, svg)
+        raise InputError(f"cannot plot {', '.join(names)}: {exc}") from exc
+    _write_out(out, svg)
+
+
+def _cmd_plot(args) -> int:
+    # lazily, so that a mode mismatch is reported before a later file is read
+    _plot(args.out, args.inputs, map(_read_csv, args.inputs))
     return EXIT_OK
 
 
@@ -378,6 +407,9 @@ def _cmd_verify(args) -> int:
     if args.out:
         _write_out(args.out, report.to_text() + "\n" + extra + "\n")
         print(f"report written to {args.out}")
+    if args.json:
+        _write_out(args.json, report.to_json())
+        print(f"JSON report written to {args.json}")
     print("\n".join(report.summary_lines()))
     print(extra)
     if not report.all_passed:
@@ -441,23 +473,23 @@ def _cmd_preset(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     engine = [f"--defects={_PRESET_DEFECTS[name]}"]
     svg = os.path.join(outdir, f"{name}.svg")
+    parser = _build_parser()
     if _preset_is_kscan(name):
         csv = os.path.join(outdir, f"{name}.csv")
-        runs = [["sweep", *engine, f"--theta-deg={_SIX_THETAS}", f"--kgrid={_KGRID}",
-                 f"--out={csv}", f"--svg={svg}"]]
+        _cmd_sweep(parser.parse_args(["sweep", *engine, f"--theta-deg={_SIX_THETAS}",
+                                      f"--kgrid={_KGRID}", f"--out={csv}", f"--svg={svg}"]))
         written = [csv, svg]
     else:
+        # the four angle scans, plotted from the tables they return as
+        # `plot` would from their CSVs
         written = [os.path.join(outdir, f"{name}.lam_{l1:g}_{l2:g}.csv")
                    for l1, l2 in _LAMBDA_COMBOS]
-        runs = [["angular", *engine, f"--lambda1={l1!r}", f"--lambda2={l2!r}",
-                 "--ksigma=1", f"--thetagrid={_THETAGRID}", f"--out={csv}"]
-                for (l1, l2), csv in zip(_LAMBDA_COMBOS, written)]
-        runs.append(["plot", f"--out={svg}", "--", *written])
+        tables = [_angular(parser.parse_args(
+            ["angular", *engine, f"--lambda1={l1!r}", f"--lambda2={l2!r}",
+             "--ksigma=1", f"--thetagrid={_THETAGRID}", f"--out={csv}"]))
+            for (l1, l2), csv in zip(_LAMBDA_COMBOS, written)]
+        _plot(svg, written, tables)
         written.append(svg)
-    parser = _build_parser()
-    for argv in runs:
-        sub = parser.parse_args(argv)
-        sub.func(sub)
     for path in written:
         print(path)
     return EXIT_OK
@@ -520,6 +552,8 @@ def _build_parser() -> _Parser:
                     help="floor on the relative-error denominator (not a "
                          "numpy-style absolute tolerance)")
     pv.add_argument("--out", default=None, help="write the full record report here")
+    pv.add_argument("--json", default=None,
+                    help="write every record and the summary counts here as JSON")
     pv.set_defaults(func=_cmd_verify)
 
     pf = sub.add_parser("feasibility", help="delta-line validity estimates (SI)")

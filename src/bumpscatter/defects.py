@@ -52,6 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import unbox
+
 __all__ = [
     "InputError",
     "DefectSet",
@@ -166,19 +168,25 @@ def _check_point(bigK, theta0: float, theta) -> None:
         raise InputError(f"theta must be finite, got {theta!r}")
 
 
-def _normalized(theta: float) -> float:
-    """theta moved by whole turns into [-pi/2, 3*pi/2)."""
-    th = math.remainder(theta - math.pi / 2, 2.0 * math.pi) + math.pi / 2
-    if th >= 1.5 * math.pi:
-        th -= 2.0 * math.pi
-    return th
+def _normalized(theta):
+    """theta moved by whole turns into [-pi/2, 3*pi/2): a float, or an array
+    element by element, by one rule.  Bit for bit it is
+    math.remainder(theta - pi/2, 2 pi) + pi/2, less 2 pi from 3 pi/2 on.
+
+    fmod by 2 pi is exact, and one step of 2 pi, exact by Sterbenz's lemma,
+    brings it into [-pi, pi]: the IEEE remainder, except that an exact tie
+    at +-pi may keep the other sign, and the last step maps both to -pi/2.
+    """
+    x = np.fmod(np.asarray(theta, dtype=float) - math.pi / 2, 2.0 * math.pi)
+    r = np.where(x > math.pi, x - 2.0 * math.pi, np.where(x < -math.pi, x + 2.0 * math.pi, x))
+    th = r + math.pi / 2
+    return unbox(np.where(th >= 1.5 * math.pi, th - 2.0 * math.pi, th))
 
 
 def _each(fn, x):
-    """fn(x) for a float; for an array, fn on each element.  math's
-    functions keep their bits on every platform, where numpy's remainder
-    is a floored modulo and its sin and cos may take SIMD paths whose last
-    bit depends on the CPU."""
+    """fn(x) for a float; for an array, fn on each element.  math's sin and
+    cos keep their bits on every platform, where numpy's may take SIMD
+    paths whose last bit depends on the CPU."""
     if np.ndim(x) == 0:
         return fn(x)
     return np.array(list(map(fn, x.tolist())), dtype=float)
@@ -222,7 +230,7 @@ class Kinematics:
                 i = int((~(np.isfinite(bigK) & (bigK > 0.0) & np.isfinite(theta))).argmax())
                 _check_point(bigK[i].item(), theta0, theta[i].item())
             object.__setattr__(self, "bigK", bigK)
-        object.__setattr__(self, "theta", _each(_normalized, theta))
+        object.__setattr__(self, "theta", _normalized(theta))
 
     @property
     def Theta(self):

@@ -25,23 +25,26 @@ by one math.fsum over the real parts and one over the imaginary parts,
 which is exactly rounded and so independent of their order.  A is
 symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).
 
-Evaluation is array-first.  f1_scan takes a whole K or theta scan as one
-array Kinematics: its GeoCoefficientInputs holds one s and K per point,
-every table entry is an array over the points, and the scan costs one
-pass over its half-line integrals, 1 + 2N + N^2 kernel calls, one
-outgoing stacked defect build and one incoming build of the distinct
-values of kx = K cos(theta0) (one matrix for an angle scan), whatever its
-length.  A point averaged across theta = +-90 deg (below) is replaced by
-its two flanking angles in the same evaluation, which costs one more
-outgoing build, of the flanks alone, and no second table.  The
-contraction is array arithmetic too: the
-products u_a T[a][b] v_b and the prefactor are taken on the real and
-imaginary parts as float arrays, one rounding per operation as in
-Python's complex *, which numpy's complex arithmetic does not reproduce,
-and each bracket is the two fsums.  f1_geometric is the one-point case of
-the same evaluation, so a scan and one call per point give the same
-numbers bit for bit.  The array evaluation has a fixed cost per call: at
-N = 2 a one-point call costs about a third of a 179-point angle scan
+Evaluation is array-first.  f1_arrays takes a whole K or theta scan as
+one array Kinematics and returns f1 as two float arrays (real, imag), the
+form the CLI writes; f1_scan, f1_geometric and cross_section are thin
+adapters on the same evaluation.  Its GeoCoefficientInputs holds one s
+and K per point, every table entry is an array over the points, and the
+scan costs one pass over its half-line integrals, 1 + 2N + N^2 kernel
+calls, one outgoing stacked defect build and one incoming build of the
+distinct values of kx = K cos(theta0) (one matrix for an angle scan),
+whatever its length.  A point averaged across theta = +-90 deg (below)
+is replaced by its two flanking angles in the same evaluation, which
+costs one more outgoing build, of the flanks alone, and no second table.
+The contraction is array arithmetic too: the products u_a T[a][b] v_b
+and the prefactor are taken on the real and imaginary parts as float
+arrays, one rounding per operation as in Python's complex *, which
+numpy's complex arithmetic does not reproduce, and each bracket is the
+two fsums; an averaged point is the mean of its flanks in the same
+arithmetic.  f1_geometric is the one-point case of the same evaluation,
+so a scan and one call per point give the same numbers bit for bit.  The
+array evaluation has a fixed cost per call: at N = 2 a one-point call
+costs about a third of a 179-point angle scan
 (docs/math_to_code.md section 3 gives the measurements).
 
 Every entry but T[0][0] is one shape, computed by one kernel
@@ -89,6 +92,7 @@ the stock figure presets.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,9 +106,11 @@ __all__ = [
     "GeoCoefficientInputs",
     "I0_closed",
     "coefficient_table",
+    "f1_arrays",
     "f1_scan",
     "f1_geometric",
     "cross_section",
+    "modulus_squared",
     "delta_ray_offset",
     "SingularAngleError",
 ]
@@ -396,9 +402,9 @@ def _products(ar, ai, br, bi) -> tuple:
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _contract(u: np.ndarray, table: np.ndarray, v: np.ndarray, bigK: np.ndarray) -> list:
-    """pref(K) sum_ab u_a T[a][b] v_b at every point, as Python complex
-    numbers, with pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K).
+def _contract(u: np.ndarray, table: np.ndarray, v: np.ndarray, bigK: np.ndarray) -> tuple:
+    """pref(K) sum_ab u_a T[a][b] v_b at every point, as two float arrays
+    (real, imag), with pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K).
 
     u and v are (piece, point) and table (bra piece, ket piece, point)
     complex arrays.  Each product is taken left to right in real arithmetic
@@ -412,8 +418,7 @@ def _contract(u: np.ndarray, table: np.ndarray, v: np.ndarray, bigK: np.ndarray)
                       v.real[None], v.imag[None])
     br, bi = (list(map(math.fsum, t.reshape(-1, len(bigK)).T.tolist())) for t in terms)
     d = np.sqrt(2.0 * math.pi * bigK)
-    fr, fi = _products(_PREF.real / d, _PREF.imag / d, np.array(br), np.array(bi))
-    return list(map(complex, fr.tolist(), fi.tolist()))
+    return _products(_PREF.real / d, _PREF.imag / d, np.array(br), np.array(bi))
 
 
 def _f1_points(
@@ -422,9 +427,9 @@ def _f1_points(
     eta: float,
     lambda1: float,
     lambda2: float,
-) -> list:
-    """f1 at each point of kin (one point, or a scan): f1_scan after
-    validation.
+) -> tuple:
+    """f1 at each point of kin (one point, or a scan) as two float arrays
+    (real, imag): f1_arrays after validation.
 
     One array evaluation for all points: one coefficient table, one
     outgoing stacked defect build and one incoming build per distinct
@@ -432,14 +437,17 @@ def _f1_points(
     point whose outgoing matrix is singular or past REG_COND_LIMIT is
     replaced by its flanks theta +- ANGLE_REG_EPS: the flanks alone make an
     array Kinematics and one more outgoing build, and are spliced into the
-    points in its place; the point's value is the mean of its flanks'.
+    points in its place; the point's value is the mean of its flanks',
+    0.5 * (f_up + f_down) as Python computes it on complex numbers (through
+    3.13 a float times a complex is the complex product with 0.5 + 0j,
+    signed zeros included).
     Each point's bracket sum_ab u_a T[a][b] v_b over the plane (0) and kink
     (n + 1) pieces, as in the module docstring, and the prefactor are
     _contract's real array arithmetic and math.fsum.
     """
     bigK = np.array(kin.bigK, dtype=float, ndmin=1)
     if not bigK.size:
-        return []
+        return np.empty(0), np.empty(0)
     s = np.array(kin.s, ndmin=1)
     averaged = np.zeros(bigK.size, dtype=bool)
     if defects.n > 0:
@@ -475,14 +483,21 @@ def _f1_points(
         u = np.concatenate([u, -1j * dm_out.require_regular().weights(e).T])
         v = np.concatenate([v, -1j * dm_in.require_regular().weights(e).T])
     table = np.array(coefficient_table(g), dtype=complex)
-    points = iter(_contract(u, table, v, bigK))
-    return [0.5 * (next(points) + next(points)) if a else next(points)
-            for a in averaged.tolist()]
+    fr, fi = _contract(u, table, v, bigK)
+    if not averaged.any():
+        return fr, fi
+    # each point's first entry in the evaluation, and an averaged one's second
+    first = np.cumsum(1 + averaged) - 1 - averaged
+    re, im = fr[first], fi[first]
+    up = first[averaged]
+    re[averaged], im[averaged] = _products(0.5, 0.0, fr[up] + fr[up + 1], fi[up] + fi[up + 1])
+    return re, im
 
 
-def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
-            lambda1: float, lambda2: float) -> list:
-    """First-order geometric amplitude f1 at every point of a scan.
+def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,
+              lambda1: float, lambda2: float) -> tuple:
+    """First-order geometric amplitude f1 at every point of a scan, as two
+    float arrays (real, imag).
 
     bigK and theta are equal-length 1-D arrays (a scalar stands for a
     constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  Every
@@ -494,9 +509,8 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     build of the scan's distinct kx = K cos(theta0), and one more outgoing
     build, of the flanks alone, if a point is averaged across
     theta = +-90 deg (see f1_geometric); its flanking angles join the same
-    table.
-    Returns the amplitudes as a list of Python complex numbers;
-    f1_geometric is the one-point case.
+    table.  f1_scan, f1_geometric and cross_section take their numbers
+    from this evaluation.
     """
     bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
     if max(bigK.ndim, theta.ndim) != 1 or len({bigK.size, theta.size} - {1}) > 1:
@@ -504,6 +518,13 @@ def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
                          f"shapes {bigK.shape} and {theta.shape}")
     bigK, theta = np.broadcast_arrays(bigK, theta)
     return _f1_points(Kinematics(bigK, theta0, theta), defects, eta, lambda1, lambda2)
+
+
+def f1_scan(bigK, theta0: float, theta, defects: DefectSet, eta: float,
+            lambda1: float, lambda2: float) -> list:
+    """f1_arrays as a list of Python complex numbers."""
+    return list(map(complex, *(part.tolist() for part in f1_arrays(
+        bigK, theta0, theta, defects, eta, lambda1, lambda2))))
 
 
 def f1_geometric(
@@ -522,13 +543,21 @@ def f1_geometric(
     averaged value changes by < 1e-4 relative when the offset shrinks
     tenfold; the test suite checks this).  The two flanking angles take
     the point's place in the one evaluation, which then makes three
-    defect builds instead of two.  The one-point case of f1_scan: the
+    defect builds instead of two.  The one-point case of f1_arrays: the
     same evaluation gives the same number.  An array kin raises
-    InputError; f1_scan and cross_section take scans.
+    InputError; f1_arrays, f1_scan and cross_section take scans.
     """
     if np.ndim(kin.theta):
         raise InputError("f1_geometric takes one point; evaluate a scan with f1_scan")
-    return _f1_points(kin, defects, eta, lambda1, lambda2)[0]
+    re, im = _f1_points(kin, defects, eta, lambda1, lambda2)
+    return complex(re[0], im[0])
+
+
+def modulus_squared(re, im) -> list:
+    """|f|^2 of f = re + i im at every point, as Python's abs(f) ** 2 takes
+    it: libm's hypot (numpy's hypot; numpy's square x * x may differ from
+    pow in the last bit) and libm's pow (math.pow).  A list of floats."""
+    return list(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
 
 
 def delta_ray_offset(theta0: float, theta: float) -> float:
@@ -563,5 +592,5 @@ def cross_section(
                 "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
                 "there (use defects.f0_distributional for the spike weights)"
             )
-    xsec = [abs(f) ** 2 for f in _f1_points(kin, defects, eta, lambda1, lambda2)]
+    xsec = modulus_squared(*_f1_points(kin, defects, eta, lambda1, lambda2))
     return xsec if np.ndim(kin.theta) else xsec[0]

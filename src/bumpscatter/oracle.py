@@ -94,7 +94,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -735,22 +735,50 @@ class VerificationReport:
             out[r.coefficient] = max(out.get(r.coefficient, 0.0), r.rel_err)
         return out
 
+    def summary(self) -> dict:
+        """The aggregate counts, and under worst_rel_err the worst relative
+        error of each family (see worst)."""
+        by_floor = [r for r in self.records if r.judged == "resolution"]
+        return {
+            "records": len(self.records),
+            "failed": self.n_failed,
+            "all_passed": self.all_passed,
+            "resolution_judged": len(by_floor),
+            "resolution_failed": sum(0 if r.passed else 1 for r in by_floor),
+            "worst_rel_err": self.worst(),
+        }
+
     def summary_lines(self) -> list:
         """The aggregate lines: one summary line, then the worst relative
         error of each family."""
-        by_floor = [r for r in self.records if r.judged == "resolution"]
+        s = self.summary()
         return [
-            f"summary records={len(self.records)} failed={self.n_failed} "
-            f"all_passed={self.all_passed} "
-            f"resolution_judged={len(by_floor)} "
-            f"resolution_failed={sum(0 if r.passed else 1 for r in by_floor)}",
+            f"summary records={s['records']} failed={s['failed']} "
+            f"all_passed={s['all_passed']} "
+            f"resolution_judged={s['resolution_judged']} "
+            f"resolution_failed={s['resolution_failed']}",
             *(f"worst coefficient={fam} rel_err={err:.3e}"
-              for fam, err in sorted(self.worst().items())),
+              for fam, err in sorted(s["worst_rel_err"].items())),
         ]
 
     def to_text(self) -> str:
         """One line per record, then the summary lines."""
         return "\n".join([*(r.line() for r in self.records), *self.summary_lines()])
+
+    def to_json(self) -> str:
+        """Every field of every record (a complex value as [re, im], a tuple
+        as a list) and the summary, as JSON.  Floats are written by repr, so
+        they read back bit for bit."""
+        import json  # here, so that reports never written as JSON do not load it
+
+        def value(x):
+            if isinstance(x, complex):
+                return [x.real, x.imag]
+            return list(x) if isinstance(x, tuple) else x
+
+        records = [{f.name: value(getattr(r, f.name)) for f in fields(r)}
+                   for r in self.records]
+        return json.dumps({"summary": self.summary(), "records": records}) + "\n"
 
 
 def default_verification_grid():
@@ -801,7 +829,7 @@ def verify_all(
 
     The closed (N+1) x (N+1) tables come from geoamp.coefficient_table on
     one array GeoCoefficientInputs per curvature setting, holding its
-    grid points' s and K: the array path f1_scan runs, which can differ
+    grid points' s and K: the array path of geoamp.f1_arrays, which can differ
     from a float-input evaluation in the last bit.  The quadrature tables
     of all grid points come from one lockstep call (see the module
     docstring).  An invalid grid point raises before any quadrature, and

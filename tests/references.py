@@ -33,6 +33,13 @@ renderer's polyline coordinates and text computed one point at a time on
 Python floats, and ``angular_points_per_point`` the
 angle scan's ray rule applied to every grid point: the forms the array
 coordinates and the ray prefilter of the CLI are checked against.
+
+``normalized_per_point`` is Kinematics' normalisation of theta by
+math.remainder, one float at a time, and ``scan_per_row`` and
+``read_csv_per_line`` are the sweep / angular writer and the plot reader
+as they were before the CLI handled tables as arrays: a tuple per row,
+curves grouped in a dict, one line parsed at a time.  The array forms are
+checked against them bit for bit and byte for byte.
 """
 
 import cmath
@@ -44,7 +51,8 @@ import mpmath as mp
 import numpy as np
 
 from bumpscatter import cli, oracle
-from bumpscatter.geoamp import SINGULAR_ANGLE_TOL, coefficient_table, delta_ray_offset
+from bumpscatter.defects import DefectSet
+from bumpscatter.geoamp import SINGULAR_ANGLE_TOL, coefficient_table, delta_ray_offset, f1_scan
 from bumpscatter.oracle import (
     ABS_FLOOR,
     PANEL_BATCH,
@@ -61,7 +69,7 @@ from bumpscatter.oracle import (
 )
 from bumpscatter.specfun import exp_erf, exp_erfc
 from bumpscatter.surface import CurvatureCoefficients, operator_coeffs_first_order
-from bumpscatter.svgplot import _fmt
+from bumpscatter.svgplot import _fmt, render_svg
 
 
 def immnn_x2(g, m, mp, n, np_):
@@ -388,3 +396,77 @@ def angular_points_per_point(args):
             th = nudged
         points.append((args.ksigma, th))
     return points
+
+
+def normalized_per_point(theta):
+    """theta moved by whole turns into [-pi/2, 3 pi/2) with math.remainder,
+    for one float."""
+    th = math.remainder(theta - math.pi / 2, 2.0 * math.pi) + math.pi / 2
+    if th >= 1.5 * math.pi:
+        th -= 2.0 * math.pi
+    return th
+
+
+def sweep_points_per_point(args):
+    """The (ksigma, theta_deg) points of a sweep command, angle by angle."""
+    thetas = cli._parse_floats(args.theta_deg, "--theta-deg")
+    return [(float(k), th) for th in thetas for k in cli._parse_grid(args.kgrid, "--kgrid")]
+
+
+def curves_per_row(headers, rows):
+    """The plot curves of a table of row tuples: a K scan's rows grouped by
+    angle in a dict, an angle scan's in one curve."""
+    if headers.get("mode", "kscan") == "kscan":
+        groups = {}
+        for (k, th, _, _, _, xsec) in rows:
+            ks, ys = groups.setdefault(th, ([], []))
+            ks.append(k)
+            ys.append(xsec)
+        return [(f"theta = {th:g} deg", ks, ys) for th, (ks, ys) in groups.items()]
+    label = f"l1 = {headers.get('lambda1', '?')}, l2 = {headers.get('lambda2', '?')}"
+    return [(label, [r[1] for r in rows], [r[5] for r in rows])]
+
+
+def scan_per_row(args, mode, points, keys):
+    """The CSV (and the SVG, with args.svg) of sweep or angular from a list
+    of (ksigma, theta_deg) points: one f1_scan call, a tuple per row, each
+    row formatted with one "%.17g" per column."""
+    positions = cli._parse_floats(args.defects, "--defects")
+    couplings = cli._parse_couplings(args.couplings, len(positions))
+    f1 = f1_scan([k for k, _ in points], math.radians(args.theta0_deg),
+                 [math.radians(th) for _, th in points], DefectSet(positions, couplings),
+                 args.eta, args.lambda1, args.lambda2)
+    rows = [(k, th, args.theta0_deg, f.real, f.imag, abs(f) ** 2)
+            for (k, th), f in zip(points, f1)]
+    headers = {**cli._common_headers(args, mode, positions, couplings), **keys}
+    lines = [f"# {k}={v}" for k, v in headers.items()]
+    lines.append(f"# columns={cli.COLUMNS}")
+    lines += [",".join(["%.17g"] * 6) % row for row in rows]
+    cli._write_out(args.out, "\n".join(lines) + "\n")
+    if args.svg:
+        xlabel = "k sigma" if mode == "kscan" else "theta (deg)"
+        cli._write_out(args.svg, render_svg(curves_per_row(headers, rows), xlabel,
+                                            "|f1|^2 / sigma"))
+
+
+def read_csv_per_line(path):
+    """Headers and row tuples of a sweep or angular CSV, one line at a
+    time; a bad input raises ValueError (or OSError) with the reader's
+    text."""
+    headers, rows = {}, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    k, v = body.split("=", 1)
+                    headers[k.strip()] = v.strip()
+                continue
+            row = tuple(map(float, line.split(",")))
+            if len(row) != 6:
+                raise ValueError(f"row {line!r} does not have the columns {cli.COLUMNS}")
+            rows.append(row)
+    return headers, rows

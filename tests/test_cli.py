@@ -5,6 +5,7 @@ exit code; stdout/stderr are captured with capsys.  Determinism tests compare
 output files byte for byte.
 """
 
+import json
 import math
 import os
 import re
@@ -16,9 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from references import angular_points_per_point
+from references import (
+    angular_points_per_point,
+    read_csv_per_line,
+    scan_per_row,
+    sweep_points_per_point,
+)
 
-from bumpscatter import cli
+from bumpscatter import cli, oracle
 from bumpscatter.cli import (
     AngleNudgeWarning,
     EXIT_NUMERICAL,
@@ -31,13 +37,13 @@ from bumpscatter.cli import (
     _parse_grid,
     main,
 )
-from bumpscatter.defects import DefectSet, Kinematics
+from bumpscatter.defects import DefectSet, InputError, Kinematics
 from bumpscatter.geoamp import (
     SingularAngleError,
     cross_section,
     delta_ray_offset,
+    f1_arrays,
     f1_geometric,
-    f1_scan,
 )
 
 
@@ -200,7 +206,7 @@ def test_option_value_starting_with_dash_needs_equals_form(tmp_path, capsys):
     ],
 )
 def test_bad_engine_flag_is_usage_error(tmp_path, capsys, command, flag):
-    # f1_scan checks every engine input before it evaluates any point and
+    # f1_arrays checks every engine input before it evaluates any point and
     # raises InputError, so a bad value ends as a usage error and no CSV is
     # written.
     out = tmp_path / "x.csv"
@@ -228,7 +234,7 @@ def test_bad_engine_flag_is_usage_error(tmp_path, capsys, command, flag):
     ],
 )
 def test_out_of_domain_grid_or_angle_is_usage_error(tmp_path, capsys, command, flag):
-    # K <= 0 is refused by Kinematics inside f1_scan, a non-finite angle by
+    # K <= 0 is refused by Kinematics inside f1_arrays, a non-finite angle by
     # the flag parser or by delta_ray_offset: one InputError, exit 1, no file.
     out = tmp_path / "x.csv"
     scan = (["--theta-deg=30", "--kgrid=0.5:1:2"] if command == "sweep"
@@ -244,7 +250,7 @@ def test_only_input_errors_are_usage_errors(tmp_path, monkeypatch):
     def broken(*args):
         raise ValueError("not an input error")
 
-    monkeypatch.setattr(cli, "f1_scan", broken)
+    monkeypatch.setattr(cli, "f1_arrays", broken)
     with pytest.raises(ValueError, match="not an input error"):
         main(["sweep", "--theta-deg=30", "--kgrid=0.5:1:2",
               "--out", str(tmp_path / "x.csv")])
@@ -258,7 +264,7 @@ def test_singular_angle_error_from_rows_stays_numerical(tmp_path, capsys, monkey
     def refuse(*args):
         raise SingularAngleError("on a delta-supported ray")
 
-    monkeypatch.setattr(cli, "f1_scan", refuse)
+    monkeypatch.setattr(cli, "f1_arrays", refuse)
     code = main(["sweep", "--theta-deg", "30", "--kgrid", "0.5:1:2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_NUMERICAL
@@ -314,14 +320,14 @@ def test_sweep_rows_match_engine_exactly(tmp_path):
 
 
 def test_scan_is_one_engine_call(tmp_path, monkeypatch):
-    # sweep and angular hand every point of the command to one f1_scan call.
+    # sweep and angular hand every point of the command to one f1_arrays call.
     calls = []
 
     def counted(bigK, theta0, theta, *rest):
         calls.append(len(theta))
-        return f1_scan(bigK, theta0, theta, *rest)
+        return f1_arrays(bigK, theta0, theta, *rest)
 
-    monkeypatch.setattr(cli, "f1_scan", counted)
+    monkeypatch.setattr(cli, "f1_arrays", counted)
     out = tmp_path / "a.csv"
     assert main(["sweep", "--defects=-3,3", "--theta-deg", "30,90",
                  "--kgrid", "0.5:2:4", "--out", str(out)]) == EXIT_OK
@@ -361,6 +367,108 @@ def test_nonzero_theta0_marks_extrapolation(tmp_path):
         "--kgrid", "1:1:1", "--out", str(out2),
     ]) == EXIT_OK
     assert "note" not in _headers(out2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta-deg=5,30,90,175", "--kgrid=0.025:5:40"],
+    ["sweep", "--defects=3", "--theta-deg=30,-0,0,60", "--kgrid=0.5:2:7",
+     "--theta0-deg=20"],
+    ["sweep", "--defects=-1,2.5", "--couplings=0.8-0.3i,1.2+0.5i",
+     "--theta-deg=45,90", "--kgrid=0.1:3:25", "--lambda1=0.25"],
+    ["angular", "--ksigma=1", "--thetagrid=1:179:179"],
+    ["angular", "--defects=-3,0", "--ksigma=0.7", "--thetagrid=-180:180:61"],
+    ["angular", "--defects=-3,3", "--couplings=1+0.2i,0.6-0.4i", "--ksigma=1.3",
+     "--thetagrid=0:180:181", "--lambda2=0.5"],
+], ids=["N0-kscan", "N1-kscan-signed-zero-angles", "N2-kscan-averaged-complex",
+        "N0-angle", "N1-angle-wrapped", "N2-angle-averaged-nudged-complex"])
+def test_scan_writes_the_per_row_builders_bytes(tmp_path, argv):
+    # sweep and angular build their rows and curves as columns and format
+    # each distinct K, theta and theta0 once; the CSV and SVG bytes are those
+    # of the per-row builder (a tuple and one format per row, curves
+    # grouped in a dict).  The cases cover N = 0, 1 and 2, averaged
+    # theta = 90 deg points, points nudged off a ray and complex couplings.
+    got = [tmp_path / "got.csv", tmp_path / "got.svg"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AngleNudgeWarning)
+        assert main([*argv, f"--out={got[0]}", f"--svg={got[1]}"]) == EXIT_OK
+        ref = [tmp_path / "ref.csv", tmp_path / "ref.svg"]
+        args = cli._build_parser().parse_args([*argv, f"--out={ref[0]}", f"--svg={ref[1]}"])
+        if args.command == "sweep":
+            points = sweep_points_per_point(args)
+            thetas = cli._parse_floats(args.theta_deg, "--theta-deg")
+            keys = {"kgrid": args.kgrid, "thetas_deg": ",".join(map(_f17, thetas))}
+        else:
+            points = angular_points_per_point(args)
+            keys = {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid}
+    scan_per_row(args, "kscan" if args.command == "sweep" else "anglescan", points, keys)
+    for g, r in zip(got, ref):
+        assert g.read_bytes() == r.read_bytes(), g.name
+
+
+def test_angle_preset_plots_the_tables_it_computed(tmp_path, monkeypatch):
+    # An angle preset writes what its four angular commands and one plot
+    # command write, and plots its tables without reading its CSVs back.
+    hand = tmp_path / "hand"
+    csvs = []
+    for l1, l2 in cli._LAMBDA_COMBOS:
+        csvs.append(str(hand / f"fig4-right.lam_{l1:g}_{l2:g}.csv"))
+        assert main(["angular", "--defects=-3,3", f"--lambda1={l1!r}", f"--lambda2={l2!r}",
+                     "--ksigma=1", "--thetagrid=1:179:179", f"--out={csvs[-1]}"]) == EXIT_OK
+    assert main(["plot", *csvs, f"--out={hand / 'fig4-right.svg'}"]) == EXIT_OK
+
+    def refuse(path):
+        raise AssertionError(f"preset read {path} back")
+
+    monkeypatch.setattr(cli, "_read_csv", refuse)
+    assert main(["preset", "fig4-right", "--out", str(tmp_path / "preset")]) == EXIT_OK
+    names = sorted(os.listdir(hand))
+    assert names == sorted(os.listdir(tmp_path / "preset")) and len(names) == 5
+    for name in names:
+        assert (tmp_path / "preset" / name).read_bytes() == (hand / name).read_bytes(), name
+
+
+_ROWS = "0.5,30,0,1,1,2\n0.6,30,0,1,1,3\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (_ROWS + "0.7,30,0,1,1\n0.8,30,0,1,1,5\n",
+     "cannot read {path}: row '0.7,30,0,1,1' does not have the columns " + cli.COLUMNS),
+    (_ROWS + "0.7,30,0,1,1,4,9\n0.8,30,0,1,1\n",
+     "cannot read {path}: row '0.7,30,0,1,1,4,9' does not have the columns " + cli.COLUMNS),
+    (_ROWS + "0.7,30,0,1,x,4\n0.8,30,0\n",
+     "cannot read {path}: could not convert string to float: 'x'"),
+    (_ROWS + "0.7,30,0\n0.8,30,0,1,x,4\n",
+     "cannot read {path}: row '0.7,30,0' does not have the columns " + cli.COLUMNS),
+    (_ROWS + "0.7,30,0,1,,4\n", "cannot read {path}: could not convert string to float: ''"),
+    ("# mode=kscan\n# columns=" + cli.COLUMNS + "\n\n", "{path}: no data rows"),
+    ("", "{path}: no data rows"),
+], ids=["short-row-3", "long-row-3", "not-a-float", "short-row-before-not-a-float",
+        "empty-field", "headers-only", "empty"])
+def test_read_csv_keeps_its_error_text(tmp_path, content, message):
+    # The one-pass parse names the first bad row as the line-by-line reader
+    # did; a well-formed file reads as the same table.
+    path = tmp_path / "in.csv"
+    path.write_text(content)
+    with pytest.raises(InputError) as err:
+        cli._read_csv(str(path))
+    assert str(err.value) == message.format(path=path)
+    if not message.endswith("no data rows"):
+        with pytest.raises(ValueError) as ref:
+            read_csv_per_line(str(path))
+        assert str(err.value) == f"cannot read {path}: {ref.value}"
+
+
+def test_read_csv_reads_the_line_by_line_table(tmp_path):
+    # Headers anywhere, blank lines, spaces, CRLF line ends and float
+    # spellings: the same headers and the same values, bit for bit.
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"# mode = anglescan\r\n# lambda1=0.5\n\n  0.5, 30 ,-0,1e-320,-inf,nan \n"
+                     b"#lambda1=0.25\r\n# note\n0.6,3_0,0,1,1,3\n\n")
+    headers, rows = cli._read_csv(str(path))
+    ref_headers, ref_rows = read_csv_per_line(str(path))
+    assert headers == ref_headers == {"mode": "anglescan", "lambda1": "0.25"}
+    assert [x.hex() for x in rows.ravel().tolist()] == [
+        x.hex() for row in ref_rows for x in row]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +555,7 @@ def test_inline_svg_of_one_point_curves_is_usage_error(tmp_path, capsys, monkeyp
     def refuse(*args):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr(cli, "f1_scan", refuse)
+    monkeypatch.setattr(cli, "f1_arrays", refuse)
     csv, svg = tmp_path / "one.csv", tmp_path / "one.svg"
     assert main([command, *scan, "--out", str(csv), "--svg", str(svg)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
@@ -469,6 +577,50 @@ def test_verify_reduced_grid_passes(tmp_path, capsys):
     text = report_path.read_text()
     assert "coefficient=Immnn" in text
     assert "pass=False" not in text
+
+
+def test_verify_json_round_trips_every_record_bit_for_bit(tmp_path):
+    # Every field of every record reads back from the JSON report bit for
+    # bit (complex values as [re, im]), with the summary counts.
+    grid = {"s": (0.0, 0.7), "bigK": (1.0,), "lambdas": ((0.5, -0.5),),
+            "alphas": (-3.0, 0.0), "eta": 0.1}
+    report = oracle.verify_all(grid)
+    data = json.loads(report.to_json())
+    fields = oracle.VerificationRecord.__dataclass_fields__
+
+    def restored(d):
+        return oracle.VerificationRecord(**{
+            name: complex(*d[name]) if fields[name].type == "complex"
+            else tuple(d[name]) if fields[name].type == "tuple" else d[name]
+            for name in fields})
+
+    back = [restored(d) for d in data["records"]]
+    assert len(back) == len(report.records) == data["summary"]["records"]
+    for got, want in zip(back, report.records):
+        assert repr(got) == repr(want)
+        for name in fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b), name
+            if isinstance(a, (float, complex)):
+                assert [x.hex() for x in (a.real, a.imag)] == [
+                    x.hex() for x in (b.real, b.imag)], name
+    assert data["summary"] == {
+        "records": len(report.records), "failed": report.n_failed,
+        "all_passed": report.all_passed,
+        "resolution_judged": sum(r.judged == "resolution" for r in report.records),
+        "resolution_failed": sum(r.judged == "resolution" and not r.passed
+                                 for r in report.records),
+        "worst_rel_err": report.worst()}
+
+
+def test_verify_json_flag_writes_the_report(tmp_path, capsys):
+    path = tmp_path / "sub" / "verify.json"
+    assert main(["verify", "--json", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    summary = json.loads(path.read_text())["summary"]
+    assert (f"summary records={summary['records']} failed={summary['failed']} "
+            f"all_passed={summary['all_passed']} ") in out
+    assert f"JSON report written to {path}" in out
 
 
 def test_verify_absurd_tolerance_exit_code(capsys):
@@ -631,7 +783,8 @@ def test_ray_prefilter_decides_like_the_scalar_rule(tmp_path, grid, nudged):
     with warnings.catch_warnings(record=True) as ref_warnings:
         warnings.simplefilter("always")
         points = angular_points_per_point(args)
-    cli._scan(args, "anglescan", points,
+    ks, thetas = np.array(points).T
+    cli._scan(args, "anglescan", ks, thetas,
               {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid})
     assert [(w.category, str(w.message)) for w in got_warnings] == [
         (w.category, str(w.message)) for w in ref_warnings]

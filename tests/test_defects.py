@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from references import normalized_per_point
 
 from bumpscatter.defects import (
     COND_LIMIT,
@@ -100,6 +101,35 @@ def test_kinematics_theta_normalization():
     assert Kinematics(1.0, 0.0, 1.5 * math.pi).theta == pytest.approx(-0.5 * math.pi)
     th = Kinematics(1.0, 0.0, 0.7).theta
     assert th == pytest.approx(0.7, abs=1e-15)
+
+
+def _normalization_angles():
+    """Angles for the normalisation check: whole multiples of pi/2 and their
+    neighbours one ulp away, the 3 pi/2 boundary, +-1e300, the largest
+    doubles, subnormals, signed zeros and random angles up to 1e6."""
+    quarter = np.arange(-40, 41) * (0.5 * math.pi)
+    edge = np.array([1.5 * math.pi, -0.5 * math.pi, 3.5 * math.pi, -2.5 * math.pi])
+    rng = np.random.default_rng(22)
+    return np.concatenate([
+        quarter, np.nextafter(quarter, math.inf), np.nextafter(quarter, -math.inf),
+        edge, np.nextafter(edge, math.inf), np.nextafter(edge, -math.inf),
+        [1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+         5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308, 0.0, -0.0],
+        rng.uniform(-30.0, 30.0, 2000),
+        rng.choice([-1.0, 1.0], 500) * np.exp(rng.uniform(-700.0, 14.0, 500)),
+    ])
+
+
+def test_theta_normalization_is_math_remainder_bit_for_bit():
+    # Kinematics normalises theta on arrays, and a float by the same array
+    # rule; both give math.remainder's turn bit for bit.
+    theta = _normalization_angles()
+    want = [normalized_per_point(th).hex() for th in theta.tolist()]
+    kin = Kinematics(np.ones(theta.size), 0.0, theta)
+    assert [th.hex() for th in kin.theta.tolist()] == want
+    points = [Kinematics(1.0, 0.0, th).theta for th in theta.tolist()]
+    assert all(type(th) is float for th in points)
+    assert [th.hex() for th in points] == want
 
 
 def test_kinematics_validation():

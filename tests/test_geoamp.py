@@ -31,6 +31,7 @@ from bumpscatter.defects import (
     build_defect_matrix,
 )
 from bumpscatter.geoamp import (
+    ANGLE_REG_EPS,
     GeoCoefficientInputs,
     REG_COND_LIMIT,
     I0_closed,
@@ -40,6 +41,7 @@ from bumpscatter.geoamp import (
     delta_ray_offset,
     f1_geometric,
     f1_scan,
+    modulus_squared,
 )
 
 RTOL = 1e-12
@@ -417,7 +419,7 @@ def test_contraction_is_the_python_float_reference_bit_for_bit(n):
     v = _random_complex(rng, (points, n + 1), 1e-75, 1e75)
     table = _random_complex(rng, (points, n + 1, n + 1), 1e-150, 1e150)
     bigK = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), points))
-    got = geoamp._contract(u.T, table.transpose(1, 2, 0), v.T, bigK)
+    got = list(map(complex, *geoamp._contract(u.T, table.transpose(1, 2, 0), v.T, bigK)))
     ref = contraction_py(u.tolist(), table.tolist(), v.tolist(), bigK.tolist())
     assert all(type(f) is complex for f in got)
     assert [(f.real.hex(), f.imag.hex()) for f in got] == [
@@ -580,6 +582,32 @@ def test_right_angle_is_averaged_for_degenerate_outgoing_matrix():
     )
     mid = 0.5 * (f_lo + f_hi)
     np.testing.assert_allclose(f_reg, mid, rtol=1e-3)
+
+
+@pytest.mark.parametrize("bigK, theta0", [(1.0, 0.0), (0.3, 0.2), (2.7, -0.4)])
+def test_averaged_point_is_pythons_mean_of_its_flanks_bit_for_bit(bigK, theta0):
+    # An averaged point's value is 0.5 * (f_up + f_down) on Python complex
+    # numbers, from its flanks' own values: complex couplings, theta at
+    # +-90 deg, alone and in a scan with ordinary points.
+    ds = DefectSet([-1.0, 2.5], [0.8 - 0.3j, 1.2 + 0.5j])
+    for theta in (math.pi / 2, -math.pi / 2):
+        kin = Kinematics(bigK, theta0, theta)
+        up, down = (f1_geometric(Kinematics(bigK, theta0, kin.theta + d), ds, 0.1, 0.5, -0.5)
+                    for d in (ANGLE_REG_EPS, -ANGLE_REG_EPS))
+        want = 0.5 * (up + down)
+        got = [f1_geometric(kin, ds, 0.1, 0.5, -0.5),
+               f1_scan([bigK] * 3, theta0, [0.3, theta, 2.0], ds, 0.1, 0.5, -0.5)[1]]
+        assert [(f.real.hex(), f.imag.hex()) for f in got] == [(want.real.hex(),
+                                                               want.imag.hex())] * 2
+
+
+def test_modulus_squared_is_abs_squared_bit_for_bit():
+    # |f|^2 from the real and imaginary arrays equals Python's abs(f) ** 2,
+    # for moduli from 1e-150 to 1e150 and signed zeros.
+    rng = np.random.default_rng(23)
+    z = _random_complex(rng, 20000, 1e-150, 1e150)
+    assert [x.hex() for x in modulus_squared(z.real, z.imag)] == [
+        (abs(f) ** 2).hex() for f in z.tolist()]
 
 
 def test_right_angle_single_defect_needs_no_averaging(monkeypatch):
