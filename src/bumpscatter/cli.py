@@ -68,10 +68,6 @@ EXIT_VERIFY = 3
 # Angle-scan points with |geoamp.delta_ray_offset| below
 # geoamp.SINGULAR_ANGLE_TOL are moved this far off the ray (degrees).
 NUDGE_DEG = 1e-5
-# Radius (radians) of the array pass that picks the angle-scan points the
-# exact ray rule is applied to: far outside SINGULAR_ANGLE_TOL, so that its
-# rounding cannot drop a point the rule would nudge.
-RAY_CANDIDATE_RAD = 1e-6
 
 
 class AngleNudgeWarning(UserWarning):
@@ -230,15 +226,15 @@ def _cmd_sweep(args) -> int:
     thetas = _parse_floats(args.theta_deg, "--theta-deg")
     if not thetas:
         raise InputError("sweep needs --theta-deg (one or more, comma separated)")
-    for th in thetas:
-        ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
-        if abs(ray) < SINGULAR_ANGLE_TOL:
-            raise InputError(
-                f"theta = {th} deg lies on a delta-supported direction "
-                f"(theta0 = {args.theta0_deg}, mirror = "
-                f"{180 - args.theta0_deg}); the first-order cross section "
-                "is not defined there"
-            )
+    theta0 = math.radians(args.theta0_deg)
+    on_ray = np.abs(delta_ray_offset(theta0, np.radians(thetas))) < SINGULAR_ANGLE_TOL
+    if on_ray.any():
+        raise InputError(
+            f"theta = {thetas[int(on_ray.argmax())]} deg lies on a "
+            f"delta-supported direction (theta0 = {args.theta0_deg}, mirror = "
+            f"{180 - args.theta0_deg}); the first-order cross section "
+            "is not defined there"
+        )
     kgrid = _parse_grid(args.kgrid, "--kgrid")
     keys = {"kgrid": args.kgrid, "thetas_deg": ",".join(_f17(t) for t in thetas)}
     _scan(args, "kscan", np.tile(kgrid, len(thetas)), np.repeat(thetas, kgrid.size), keys)
@@ -249,26 +245,16 @@ def _angular(args) -> tuple:
     """The angular command: its table (see _scan), after writing it."""
     theta0 = math.radians(args.theta0_deg)
     thetas = _parse_grid(args.thetagrid, "--thetagrid")
-    # One array pass keeps the points within RAY_CANDIDATE_RAD of a delta
-    # ray; the exact rule, delta_ray_offset, then decides on those alone.
-    rad = np.radians(thetas)
-    if math.isfinite(theta0) and np.isfinite(rad).all():
-        off = [np.abs(np.remainder(rad - ray + math.pi, 2.0 * math.pi) - math.pi)
-               for ray in (theta0, math.pi - theta0)]
-        near = np.minimum(*off) < RAY_CANDIDATE_RAD
-    else:  # the rule raises its InputError on the first non-finite angle
-        near = np.ones(thetas.size, dtype=bool)
-    for i in np.flatnonzero(near).tolist():
-        th = thetas[i].item()
-        ray = delta_ray_offset(theta0, math.radians(th))
-        if abs(ray) < SINGULAR_ANGLE_TOL:
-            nudged = th - math.degrees(ray) + (NUDGE_DEG if ray >= 0.0 else -NUDGE_DEG)
-            warnings.warn(
-                f"warning: theta = {th:g} deg sits on a delta-supported "
-                f"direction; nudged to {nudged:.10g} deg",
-                AngleNudgeWarning,
-            )
-            thetas[i] = nudged
+    rays = delta_ray_offset(theta0, np.radians(thetas))
+    for i in np.flatnonzero(np.abs(rays) < SINGULAR_ANGLE_TOL).tolist():
+        th, ray = thetas[i].item(), rays[i].item()
+        nudged = th - math.degrees(ray) + (NUDGE_DEG if ray >= 0.0 else -NUDGE_DEG)
+        warnings.warn(
+            f"warning: theta = {th:g} deg sits on a delta-supported "
+            f"direction; nudged to {nudged:.10g} deg",
+            AngleNudgeWarning,
+        )
+        thetas[i] = nudged
     keys = {"ksigma": _f17(args.ksigma), "thetagrid": args.thetagrid}
     return _scan(args, "anglescan", np.full(thetas.size, args.ksigma), thetas, keys)
 

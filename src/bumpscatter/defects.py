@@ -168,18 +168,22 @@ def _check_point(bigK, theta0: float, theta) -> None:
         raise InputError(f"theta must be finite, got {theta!r}")
 
 
+def _remainder_2pi(x):
+    """x less the nearest multiple of 2 pi, element by element: fmod by 2 pi
+    and one step of 2 pi, both exact (Sterbenz's lemma), so math.remainder(x,
+    2 pi) bit for bit, except that an exact tie at +-pi may keep the other
+    sign (IEEE takes the even multiple)."""
+    x = np.fmod(x, 2.0 * math.pi)
+    return np.where(x > math.pi, x - 2.0 * math.pi, np.where(x < -math.pi, x + 2.0 * math.pi, x))
+
+
 def _normalized(theta):
     """theta moved by whole turns into [-pi/2, 3*pi/2): a float, or an array
     element by element, by one rule.  Bit for bit it is
-    math.remainder(theta - pi/2, 2 pi) + pi/2, less 2 pi from 3 pi/2 on.
-
-    fmod by 2 pi is exact, and one step of 2 pi, exact by Sterbenz's lemma,
-    brings it into [-pi, pi]: the IEEE remainder, except that an exact tie
-    at +-pi may keep the other sign, and the last step maps both to -pi/2.
+    math.remainder(theta - pi/2, 2 pi) + pi/2, less 2 pi from 3 pi/2 on:
+    _remainder_2pi, whose ties at +-pi the last step maps both to -pi/2.
     """
-    x = np.fmod(np.asarray(theta, dtype=float) - math.pi / 2, 2.0 * math.pi)
-    r = np.where(x > math.pi, x - 2.0 * math.pi, np.where(x < -math.pi, x + 2.0 * math.pi, x))
-    th = r + math.pi / 2
+    th = _remainder_2pi(np.asarray(theta, dtype=float) - math.pi / 2) + math.pi / 2
     return unbox(np.where(th >= 1.5 * math.pi, th - 2.0 * math.pi, th))
 
 

@@ -11,67 +11,37 @@ unperturbed states: the dual state at the outgoing momentum K cos(theta)
 e^{i pi/4}.  In the frame rotated to the momentum transfer each state is
 a plane wave plus N kinks, e^{i beta x} - i sum_n w_n e^{i beta |x - a_n|}
 (the bra's kinks conjugated), with w = Ainv e, e_n = e^{i beta a_n} and
-Ainv the inverse defect matrix at that state's momentum.  Number the
-pieces 0 for the plane wave and n + 1 for the kink at a_n: the bra's
-amplitudes are u = (1, -i w_out), the ket's v = (1, -i w_in), and with
-T[a][b] the coefficient of bra piece a against ket piece b (every phase
-position at 0) the bracket is one bilinear form over an (N+1) x (N+1)
-table,
+Ainv the inverse defect matrix at that state's momentum (A is symmetric,
+so w is also Ainv^T e: DefectMatrix.weights).  Number the pieces 0 for
+the plane wave and n + 1 for the kink at a_n: the bra's amplitudes are
+u = (1, -i w_out), the ket's v = (1, -i w_in), and the bracket is the
+bilinear form sum_ab u_a T[a][b] v_b over the (N+1) x (N+1) table of
+piece coefficients, every phase position at 0 (coefficient_table).
 
-    sum_{a,b} u_a T[a][b] v_b,   T = [[I0, J~_n], [I~_m, C[m, n]]],
+The bracket is evaluated in O(N) per point, without the table: between
+neighbouring defects each state is two exponentials, so it is region
+integrals of e^{-x^2 + i q x} p_kx weighted by prefix and suffix sums of
+u and v, plus one line term per defect (_bracket_terms).  p_kx is the
+quartic that L leaves after the Gaussian y integral, kx = +-beta
+(beta = s K, s = sin((theta - theta0)/2)) the ket's slope on the region
+and q in {0, +-2 beta}.  The region integrals are differences of
+half-line Gaussian moments, computed once per GeoCoefficientInputs
+(half_lines).  coefficient_table is the same kernel at unit amplitudes,
+so the oracle checks the numbers that every scan contracts.  I0 keeps
+its own closed form; it is the bracket at beta = 0 and at N = 0.
 
-of 1 + 2N + N^2 coefficients (coefficient_table).  The terms are added
-by one math.fsum over the real parts and one over the imaginary parts,
-which is exactly rounded and so independent of their order.  A is
-symmetric, so w = Ainv e is also Ainv^T e (DefectMatrix.weights).
-
-Evaluation is array-first.  f1_arrays takes a whole K or theta scan as
-one array Kinematics and returns f1 as two float arrays (real, imag), the
-form the CLI writes; f1_scan, f1_geometric and cross_section are thin
-adapters on the same evaluation.  Its GeoCoefficientInputs holds one s
-and K per point, every table entry is an array over the points, and the
-scan costs one pass over its half-line integrals, 1 + 2N + N^2 kernel
-calls, one outgoing stacked defect build and one incoming build of the
-distinct values of kx = K cos(theta0) (one matrix for an angle scan),
-whatever its length.  A point averaged across theta = +-90 deg (below)
-is replaced by its two flanking angles in the same evaluation, which
-costs one more outgoing build, of the flanks alone, and no second table.
-The contraction is array arithmetic too: the products u_a T[a][b] v_b
-and the prefactor are taken on the real and imaginary parts as float
-arrays, one rounding per operation as in Python's complex *, which
-numpy's complex arithmetic does not reproduce, and each bracket is the
-two fsums; an averaged point is the mean of its flanks in the same
-arithmetic.  f1_geometric is the one-point case of the same evaluation,
-so a scan and one call per point give the same numbers bit for bit.  The
-array evaluation has a fixed cost per call: at N = 2 a one-point call
-costs about a third of a 179-point angle scan
-(docs/math_to_code.md section 3 gives the measurements).
-
-Every entry but T[0][0] is one shape, computed by one kernel
-(_kink_coefficient(g, bra, ket), a kink position or None on each side):
-
-    sqrt(pi) * eta * [ sum_regions phase * int e^{-x^2 + i q x} p_kx(x) dx
-                       + delta-line term ],
-
-with p_kx the quartic that the operator leaves after the Gaussian y
-integral, kx = +-beta (beta = s K, s = sin((theta - theta0)/2)) the ket's
-slope on the region and q in {0, +-2 beta}.  The x integrals are half-line
-Gaussian moments: an erfc for the zeroth and a two-term recursion for the
-rest.  A half-line integral depends only on the defect, the side, q / beta
-and the sign of kx, and the kernel reads four (q / beta, kx / beta) pairs
-of them, so the 8 N it uses are computed together once per
-GeoCoefficientInputs (half_lines) as one (defect, side, pair) array and
-the kernel combines them.  Their moments need only two of the three q
-values, q = 2 beta and q = 0: the q = -2 beta moments are the exact
-conjugates.  The two sides of a defect take erfc at w and -w and share
-one erfcx, which is evaluated once per distinct |alpha| on the first
-quadrant (specfun.erfcx_c) and combined with guarded exponentials
-(specfun.eexp) as specfun.exp_erfc would; every exponent in the kernel
-has a non-positive real part, so no intermediate exponential can
-overflow.  I0 keeps its own closed form.
+Evaluation is array-first: f1_arrays takes a whole K or theta scan as one
+array Kinematics and returns f1 as two float arrays (real, imag), and
+f1_scan, f1_geometric and cross_section are adapters on it.  A scan
+costs one kernel call and the defect builds (see f1_arrays), whatever
+its length.  Every product is Python's complex *, taken on the real and
+imaginary parts as float arrays (numpy's complex * rounds differently),
+and each bracket is one math.fsum over the real parts of its terms and
+one over the imaginary parts.  So a scan and one call per point give the
+same numbers bit for bit.
 
 Validation status (enforced by the test suite and the quadrature oracle in
-bumpscatter.oracle): every coefficient matches adaptive quadrature of its
+bumpscatter.oracle): every table entry matches adaptive quadrature of its
 defining integral to better than 1e-6 relative across the acceptance grid,
 and the kink coefficients match a 50-digit quadrature to 1e-12 relative
 on points with K up to 5 and defects up to |alpha| = 6.
@@ -83,10 +53,8 @@ delta_ray_offset measures an angle's distance to them, and cross_section
 refuses the angles within SINGULAR_ANGLE_TOL.  At |cos theta| -> 0 with
 N >= 2 the outgoing defect matrix degenerates (all entries approach i);
 f1 is then evaluated by averaging theta +- 1e-6 rad, which cancels the
-leading divergence.  The average cancels terms about 1e6 times larger
-than the result, so the order of the arithmetic alone moves it;
-docs/math_to_code.md section 3 gives the measured size of that effect on
-the stock figure presets.
+leading divergence and terms up to about 1e8 times the result, so the
+order of the arithmetic alone moves it (docs/math_to_code.md section 3).
 """
 
 from __future__ import annotations
@@ -99,7 +67,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .defects import DefectMatrix, DefectSet, InputError, Kinematics, build_defect_matrix
+from .defects import (DefectMatrix, DefectSet, InputError, Kinematics, _remainder_2pi,
+                      build_defect_matrix)
 from .specfun import SAFE_REAL_WINDOW, eexp, erfcx_c, unbox
 
 __all__ = [
@@ -165,6 +134,8 @@ class GeoCoefficientInputs:
             raise InputError(
                 f"lambda1 and lambda2 must be finite, got {self.lambda1!r}, {self.lambda2!r}"
             )
+        if any(a > b for a, b in zip(self.alphas, self.alphas[1:])):
+            raise InputError(f"alphas must be ascending, got {self.alphas!r}")
         for a in self.alphas:
             if abs(a) > SAFE_REAL_WINDOW:
                 raise OverflowError(
@@ -197,15 +168,21 @@ class GeoCoefficientInputs:
 
     @cached_property
     def full_lines(self) -> tuple:
-        """The full-line integrals of e^{-x^2 + i q x} p_kx (see
-        _kink_coefficient) at q = 0 and at q = 2 kx."""
+        """The full-line integrals of e^{-x^2 + i q x} p_kx (_half_line_table)
+        at q = 0, sqrt(pi) (l2 - K^2/2), and at q = 2 kx, sqrt(pi)
+        e^{-beta^2} p2 / 2 = I0 / (eta sqrt(pi)), for regions across 0."""
         return (SQPI * (self.lambda2 - 0.5 * self.bigK**2),
                 0.5 * SQPI * _gauss(self.beta) * self.p2)
 
     @cached_property
+    def _phases(self) -> np.ndarray:
+        """e^{i beta a_n}, (defect, point); a float beta has one point."""
+        return np.exp(1j * np.array(self.beta, ndmin=1) * np.array(self.alphas)[:, None])
+
+    @cached_property
     def half_lines(self) -> np.ndarray:
-        """Every half-line integral the kink coefficients of these inputs
-        use (see _half_line_table), computed together once."""
+        """Every half-line integral the region integrals of these inputs
+        are differences of (see _half_line_table), computed together once."""
         return _half_line_table(self)
 
 
@@ -228,17 +205,23 @@ def I0_closed(g: GeoCoefficientInputs):
 # ---------------------------------------------------------------------------
 
 
-# The (q / beta, kx / beta) pairs a kink coefficient reads, in the order of
+# The (q / beta, kx / beta) pairs a region integral takes, in the order of
 # the last axis of _half_line_table: q = 2 kx, or q = 0 for either sign of kx.
 _PAIRS = {(2.0, 1.0): 0, (0.0, 1.0): 1, (0.0, -1.0): 2, (-2.0, -1.0): 3}
 
 
 def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
     """sum_k c[k] M_k for the moments M_k = int x^k e^{-x^2 + i q x} dx over
-    x < a (side 0) or x > a (side 1), k = 0..4, and the quartic's
-    coefficients c of _kink_coefficient, as one (defect, side, pair) array
-    [with a last axis over g's points]: defect i is at g.alphas[i], and
-    pair _PAIRS[qb, sg] has q = qb beta and kx = sg beta.
+    x < a (side 0) or x > a (side 1), k = 0..4, and the coefficients c of
+    the quartic that L leaves on a ket piece of x slope kx after the y
+    integral (gamma^2 = K^2 - beta^2),
+
+        p_kx(x) = (-4 gamma^2 + 8 l1 + 11 l2)/8 + (3 i kx/2) x
+                  - (kx^2 + 2 l1 + 3 l2/2) x^2 - i kx x^3 + (l2/2) x^4,
+
+    as one (defect, side, pair) array [with a last axis over g's points]:
+    defect i is at g.alphas[i], and pair _PAIRS[qb, sg] has q = qb beta and
+    kx = sg beta.
 
     M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
     (x^k e^{-x^2 + i q x})' by parts,
@@ -310,79 +293,111 @@ def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
     return table.reshape(table.shape[:3] + b.shape)
 
 
-def _kink_coefficient(g: GeoCoefficientInputs, bra: float | None = None,
-                      ket: float | None = None):
-    """Coefficient of a bra kink at `bra` against a ket kink at `ket`, with
-    every phase position at 0; None puts the plane wave on that side.  One
-    value per point of g.
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex numbers held as (real, imag) along the first axis
+    of float arrays, rounded as _products rounds: Python's complex *."""
+    out = np.empty((2,) + np.broadcast(x[0], y[0]).shape)
+    np.multiply(x[0], y[0], out=out[0])
+    out[0] -= x[1] * y[1]
+    np.multiply(x[0], y[1], out=out[1])
+    out[1] += x[1] * y[0]
+    return out
 
-    The y integral of the defining integral is Gaussian, which leaves
 
-        eta sqrt(pi) [ sum_regions int e^{-x^2} bra(x) ket(x) p_kx(x) dx
-                       + 2 i beta a^2 e^{-a^2} bra(a) ],
+def _running(start, parts: np.ndarray, reverse: bool) -> np.ndarray:
+    """start, then start plus parts[..., 0, :], parts[..., 1, :], ... along
+    axis -2 (from the last part back when reverse): one row per region."""
+    n = parts.shape[-2]
+    sums = np.empty(parts.shape[:-2] + (n + 1,) + parts.shape[-1:])
+    rows = range(n, -1, -1) if reverse else range(n + 1)
+    sums[..., rows[0], :] = start
+    for prev, row in zip(rows, rows[1:]):
+        np.add(sums[..., prev, :], parts[..., min(prev, row), :], out=sums[..., row, :])
+    return sums
 
-    the last term only for a ket kink at a (the delta line of its second
-    derivative).  The regions are the x intervals cut at the kinks; on each,
-    kx = +-beta is the ket's slope and bra(x) ket(x) = phase e^{i q x}, with
-    bra factors e^{i beta x} (plane) or e^{-i beta |x - a|} (kink) and ket
-    factors e^{i beta x} or e^{i beta |x - a|}.  The quartic is L applied to
-    the ket piece after the y integral, gamma^2 = K^2 - beta^2:
 
-        p_kx(x) = (-4 gamma^2 + 8 l1 + 11 l2)/8 + (3 i kx/2) x
-                  - (kx^2 + 2 l1 + 3 l2/2) x^2 - i kx x^3 + (l2/2) x^4.
+def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The terms of the bracket sum_ab u_a T[a][b] v_b at every point of g:
+    a float array (part, ..., term, point), part 0 the real parts and 1 the
+    imaginary parts.  u and v are the bra and ket amplitudes, complex
+    (..., piece, point) arrays whose leading axes broadcast; a float g has
+    one point.
 
-    q is 0 or 2 kx, and the full-line integral of e^{-x^2 + i q x} p_kx has
-    a closed form: sqrt(pi) (l2 - K^2/2) at q = 0, and I0 / (eta sqrt(pi))
-    = sqrt(pi) e^{-beta^2} p2 / 2 at q = 2 kx.  An interval in x <= 0 is
-    the difference of two left half-lines, one in x >= 0 of two right
-    half-lines, and one across 0 is the full line minus the two outer
-    half-lines.  No half-line then holds the bulk of the Gaussian, so the
-    result keeps its relative accuracy where the full-line integral
-    cancels (K^2 = 2 l2 at q = 0).  At beta = 0 every kink factor and the
-    line term are trivial and the coefficient is I0 exactly.
+    On region r = 0..N, between kinks r and r + 1, the states are
+    U = P_r e^{i beta x} + Q_r e^{-i beta x} and
+    V = C_r e^{i beta x} (slope +beta) + D_r e^{-i beta x} (slope -beta),
+    with P_r = u_0 + sum_{n>r} u_n e_n*, Q_r = sum_{n<=r} u_n e_n,
+    C_r = v_0 + sum_{n<=r} v_n e_n* and D_r = sum_{n>r} v_n e_n
+    (e_n = e^{i beta a_n}).  So the bracket is eta sqrt(pi) times
+
+        sum_r [P C R(r; 2, +) + Q C R(r; 0, +) + P D R(r; 0, -) + Q D R(r; -2, -)]
+        + sum_n v_n (2 i beta a_n^2 e^{-a_n^2}) (P_n e_n + Q_n e_n*),
+
+    the last sum the delta line of each ket kink against the bra's value
+    on it.  Q_0 = D_N = 0, so four of the region terms are zero and are
+    left out: 5N terms.  R(r; qb, sg) is the integral of
+    e^{-x^2 + i qb beta x} p_kx (kx = sg beta) over region r: in x <= 0 the
+    difference of two left half-lines, in x >= 0 of two right half-lines,
+    and across 0 the full line less the two outer half-lines.  No
+    half-line then holds the bulk of the Gaussian, so a region keeps its
+    relative accuracy where the full line cancels (K^2 = 2 l2 at q = 0);
+    a defect at 0 splits the bulk between its two regions, whose terms
+    can then cancel (docs/math_to_code.md section 3).
+
+    Every product is _cmul and every sum a running sum, so the terms do not
+    depend on the platform's complex arithmetic.  At beta = 0, and at every
+    point when N = 0, the kink factors and line terms are trivial: the
+    terms are P_0 C_N I0 (the sum of u times the sum of v times I0) and
+    zeros, so that the bracket is that product exactly.
     """
-    b = g.beta
-    ib = 1j * b
-    table, defect = g.half_lines, g.alphas.index
-    edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
-    total = 0j
-    for lo, hi in zip(edges, edges[1:]):
-        # x momentum q = qb * beta, constant phase of bra(x) ket(x) and
-        # ket slope kx = sg * beta on (lo, hi)
-        qb, phase, sg = 2.0, 0.0, 1.0
-        if bra is not None:
-            sb = 1.0 if lo >= bra else -1.0
-            qb -= 1.0 + sb
-            phase += sb * bra
-        if ket is not None:
-            sg = 1.0 if lo >= ket else -1.0
-            qb += sg - 1.0
-            phase -= sg * ket
-        # the half-line integrals over x < lo and x > hi (0 beyond +-inf),
-        # and over x < hi and x > lo (side 0 is x < a, side 1 x > a)
-        pair = _PAIRS[qb, sg]
-        left = 0.0 if math.isinf(lo) else table[defect(lo), 0, pair]
-        right = 0.0 if math.isinf(hi) else table[defect(hi), 1, pair]
-        if hi <= 0.0:
-            part = table[defect(hi), 0, pair] - left
-        elif lo >= 0.0:
-            part = table[defect(lo), 1, pair] - right
-        else:  # across 0: the full line minus the two outer half-lines
-            part = g.full_lines[qb != 0.0] - left - right
-        total += np.exp(ib * phase) * part
-    if ket is not None:
-        x_bra = b * ket if bra is None else -b * abs(ket - bra)
-        total += 2j * b * ket * ket * np.exp(-ket * ket + 1j * x_bra)
-    out = g.eta * SQPI * total
-    at_zero = np.equal(b, 0.0)
+    n = len(g.alphas)
+    b = np.array(g.beta, dtype=float, ndmin=1)
+    u, v = (np.stack([w.real, w.imag]) for w in (u, v))
+    at_zero = (b == 0.0) | (n == 0)
     if at_zero.any():
-        out = np.where(at_zero, I0_closed(g), out)
-    return unbox(out)
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-# ---------------------------------------------------------------------------
+        i0 = np.zeros((2,) + b.shape)
+        i0[0] = I0_closed(g)
+    if not n:  # P_0 = u_0 and C_0 = v_0
+        return _cmul(_cmul(u, v), i0)
+    e = g._phases
+    # (e_n*, e_n) on an axis before (piece, point)
+    pair = np.array([[e.real, e.real], [-e.imag, e.imag]])
+    ue, ve = (_cmul(w[..., None, 1:, :], pair) for w in (u, v))
+    bra = np.stack([_running(u[..., 0, :], ue[..., 0, :, :], True),
+                    _running(0.0, ue[..., 1, :, :], False)], axis=-3)  # P, Q
+    ket = np.stack([_running(v[..., 0, :], ve[..., 0, :, :], False),
+                    _running(0.0, ve[..., 1, :, :], True)], axis=-3)  # C, D
+    # R(r; qb, sg) as (region, pair, point), pairs in the order of _PAIRS,
+    # from the half-lines x < a and x > a at the region's edges
+    half = g.half_lines.reshape(n, 2, len(_PAIRS), -1)
+    f0, f2 = g.full_lines
+    full = np.array([f2, f0, f0, f2]).reshape(len(_PAIRS), -1)
+    regions = np.empty((n + 1,) + half.shape[2:], dtype=complex)
+    for r in range(n + 1):
+        lo, hi = half[r - 1] if r else (0.0, 0.0), half[r] if r < n else (0.0, 0.0)
+        if r < n and g.alphas[r] <= 0.0:
+            regions[r] = hi[0] - lo[0]
+        elif r and g.alphas[r - 1] >= 0.0:
+            regions[r] = lo[1] - hi[1]
+        else:
+            regions[r] = full - lo[0] - hi[1]
+    # pair i + 2 j takes bra row i and ket row j (PC, QC, PD, QD)
+    regions = g.eta * SQPI * np.stack([regions.real, regions.imag])
+    terms = _cmul(_cmul(bra[..., :, None, :, :], ket[..., None, :, :, :]),
+                  regions.reshape(2, n + 1, 2, 2, -1).transpose(0, 3, 2, 1, 4))
+    nonzero = np.ones((2, 2, n + 1), dtype=bool)
+    nonzero[1, :, 0] = nonzero[:, 1, n] = False  # Q_0 = 0, D_N = 0
+    a = np.array(g.alphas)
+    line = np.zeros((2, n, b.size))
+    line[1] = g.eta * SQPI * 2.0 * b * (a * a)[:, None] * _gauss(a)[:, None]
+    at_kinks = _cmul(bra[..., 1:, :], pair[:, ::-1]).sum(axis=-3)  # P_n e_n + Q_n e_n*
+    out = np.concatenate([terms[..., nonzero, :], _cmul(_cmul(v[..., 1:, :], at_kinks), line)],
+                         axis=-2)
+    if at_zero.any():
+        out[..., at_zero] = 0.0
+        out[..., :1, at_zero] = _cmul(_cmul(bra[..., 0, :1, :], ket[..., 0, n:, :]),
+                                      i0)[..., at_zero]
+    return out
 
 
 def coefficient_table(g: GeoCoefficientInputs) -> list:
@@ -390,35 +405,23 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
     pair C[m, n].  Each entry is a number, or an array with one value per
-    point when g holds a scan."""
-    pieces = (None, *g.alphas)
-    return [[I0_closed(g) if bra is None and ket is None
-             else _kink_coefficient(g, bra, ket) for ket in pieces] for bra in pieces]
+    point when g holds a scan.  Entry (a, b) is the math.fsum of
+    _bracket_terms at the unit amplitudes of pieces a and b: the region
+    integrals and prefix algebra that every scan contracts.  At beta = 0
+    every entry is I0 exactly."""
+    eye = np.eye(len(g.alphas) + 1, dtype=complex)[..., None]
+    terms = np.moveaxis(_bracket_terms(g, eye[:, None], eye), -2, -1)
+    re, im = np.array(list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
+                      ).reshape(terms.shape[:-1])
+    table = re.astype(complex)
+    table.imag = im
+    return table[..., 0].tolist() if np.ndim(g.beta) == 0 else [list(row) for row in table]
 
 
 def _products(ar, ai, br, bi) -> tuple:
     """(ar + i ai)(br + i bi) on float arrays as (real, imag), each operation
     rounded once: the product Python's complex * computes."""
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _contract(u: np.ndarray, table: np.ndarray, v: np.ndarray, bigK: np.ndarray) -> tuple:
-    """pref(K) sum_ab u_a T[a][b] v_b at every point, as two float arrays
-    (real, imag), with pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K).
-
-    u and v are (piece, point) and table (bra piece, ket piece, point)
-    complex arrays.  Each product is taken left to right in real arithmetic
-    on the real and imaginary parts (_products), which is what Python's
-    complex * computes and numpy's complex * does not reproduce; each
-    bracket is one math.fsum over the real parts of its terms and one over
-    the imaginary parts.  So the result does not depend on the platform's
-    complex arithmetic or on the order of the terms.
-    """
-    terms = _products(*_products(u.real[:, None], u.imag[:, None], table.real, table.imag),
-                      v.real[None], v.imag[None])
-    br, bi = (list(map(math.fsum, t.reshape(-1, len(bigK)).T.tolist())) for t in terms)
-    d = np.sqrt(2.0 * math.pi * bigK)
-    return _products(_PREF.real / d, _PREF.imag / d, np.array(br), np.array(bi))
 
 
 def _f1_points(
@@ -431,19 +434,13 @@ def _f1_points(
     """f1 at each point of kin (one point, or a scan) as two float arrays
     (real, imag): f1_arrays after validation.
 
-    One array evaluation for all points: one coefficient table, one
-    outgoing stacked defect build and one incoming build per distinct
-    kx = K cos(theta0) (a single matrix for an angle scan).  With N >= 2, a
-    point whose outgoing matrix is singular or past REG_COND_LIMIT is
-    replaced by its flanks theta +- ANGLE_REG_EPS: the flanks alone make an
-    array Kinematics and one more outgoing build, and are spliced into the
-    points in its place; the point's value is the mean of its flanks',
+    One region-kernel call, one outgoing stacked defect build and one
+    incoming build per distinct kx = K cos(theta0).  With N >= 2, a point
+    whose outgoing matrix is singular or past REG_COND_LIMIT is replaced by
+    its flanks theta +- ANGLE_REG_EPS (one more outgoing build, of the
+    flanks alone, spliced into the points in its place), and its value is
     0.5 * (f_up + f_down) as Python computes it on complex numbers (through
-    3.13 a float times a complex is the complex product with 0.5 + 0j,
-    signed zeros included).
-    Each point's bracket sum_ab u_a T[a][b] v_b over the plane (0) and kink
-    (n + 1) pieces, as in the module docstring, and the prefactor are
-    _contract's real array arithmetic and math.fsum.
+    3.13 a float times a complex is the product with 0.5 + 0j).
     """
     bigK = np.array(kin.bigK, dtype=float, ndmin=1)
     if not bigK.size:
@@ -479,11 +476,14 @@ def _f1_points(
     if defects.n > 0:
         kx, at = np.unique(kx, return_inverse=True)
         dm_in = build_defect_matrix(kx, defects)[at]
-        e = np.exp(1j * g.beta[:, None] * defects.alphas)
+        e = g._phases.T
         u = np.concatenate([u, -1j * dm_out.require_regular().weights(e).T])
         v = np.concatenate([v, -1j * dm_in.require_regular().weights(e).T])
-    table = np.array(coefficient_table(g), dtype=complex)
-    fr, fi = _contract(u, table, v, bigK)
+    # one fsum over the real parts of each point's terms and one over the
+    # imaginary parts, times pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
+    br, bi = (np.array(list(map(math.fsum, t.T.tolist()))) for t in _bracket_terms(g, u, v))
+    d = np.sqrt(2.0 * math.pi * bigK)
+    fr, fi = _products(_PREF.real / d, _PREF.imag / d, br, bi)
     if not averaged.any():
         return fr, fi
     # each point's first entry in the evaluation, and an averaged one's second
@@ -504,13 +504,11 @@ def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     input is checked before any point is evaluated: a shape, point, eta or
     curvature weight outside its domain raises defects.InputError, a
     defect past |alpha| = 26 OverflowError.  The whole scan is one array
-    Kinematics and one array evaluation: one table of 1 + 2N + N^2
-    coefficient arrays, one outgoing stacked defect build, one incoming
-    build of the scan's distinct kx = K cos(theta0), and one more outgoing
-    build, of the flanks alone, if a point is averaged across
-    theta = +-90 deg (see f1_geometric); its flanking angles join the same
-    table.  f1_scan, f1_geometric and cross_section take their numbers
-    from this evaluation.
+    Kinematics and one region-kernel call, with one outgoing stacked defect
+    build, one incoming build of the scan's distinct kx = K cos(theta0),
+    and one more outgoing build, of the flanks alone, if a point is
+    averaged across theta = +-90 deg (see f1_geometric).  f1_scan,
+    f1_geometric and cross_section take their numbers from it.
     """
     bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
     if max(bigK.ndim, theta.ndim) != 1 or len({bigK.size, theta.size} - {1}) > 1:
@@ -541,11 +539,9 @@ def f1_geometric(
     number exceeds REG_COND_LIMIT); f1 is then evaluated as the average
     over theta +- 1e-6 rad, which cancels the leading divergence (the
     averaged value changes by < 1e-4 relative when the offset shrinks
-    tenfold; the test suite checks this).  The two flanking angles take
-    the point's place in the one evaluation, which then makes three
-    defect builds instead of two.  The one-point case of f1_arrays: the
-    same evaluation gives the same number.  An array kin raises
-    InputError; f1_arrays, f1_scan and cross_section take scans.
+    tenfold; the test suite checks this).  The one-point case of
+    f1_arrays, bit for bit.  An array kin raises InputError; f1_arrays,
+    f1_scan and cross_section take scans.
     """
     if np.ndim(kin.theta):
         raise InputError("f1_geometric takes one point; evaluate a scan with f1_scan")
@@ -560,13 +556,23 @@ def modulus_squared(re, im) -> list:
     return list(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
 
 
-def delta_ray_offset(theta0: float, theta: float) -> float:
+def delta_ray_offset(theta0: float, theta):
     """Signed angle theta - ray in [-pi, pi] (radians) to the nearer of the
-    delta-supported rays theta0 and pi - theta0 (theta0 on a tie)."""
-    if not (math.isfinite(theta0) and math.isfinite(theta)):
-        raise InputError(f"angles must be finite, got theta0={theta0!r}, theta={theta!r}")
-    return min((math.remainder(theta - ray, 2.0 * math.pi)
-                for ray in (theta0, math.pi - theta0)), key=abs)
+    delta-supported rays theta0 and pi - theta0 (theta0 on a tie): a float,
+    or an array element by element.
+
+    Each offset to a ray is math.remainder(theta - ray, 2 pi) bit for bit
+    except at an exact tie of +-pi, whose sign may differ
+    (defects._remainder_2pi).  The other ray is then nearer unless
+    theta0 = +-pi/2, so for every theta0 that Kinematics accepts the result
+    is the per-point math.remainder rule's."""
+    theta = np.asarray(theta, dtype=float)
+    bad = theta[~np.isfinite(theta)]
+    if not math.isfinite(theta0) or bad.size:
+        raise InputError(f"angles must be finite, got theta0={theta0!r}"
+                         + (f", theta={bad[0].item()!r}" if bad.size else ""))
+    forward, mirror = (_remainder_2pi(theta - ray) for ray in (theta0, math.pi - theta0))
+    return unbox(np.where(np.abs(mirror) < np.abs(forward), mirror, forward))
 
 
 def cross_section(
@@ -585,12 +591,13 @@ def cross_section(
     defects.f0_distributional for those weights.  SingularAngleError if
     any point lies within SINGULAR_ANGLE_TOL of them.
     """
-    for theta in np.array(kin.theta, ndmin=1).tolist():
-        if abs(delta_ray_offset(kin.theta0, theta)) < SINGULAR_ANGLE_TOL:
-            raise SingularAngleError(
-                f"theta = {theta!r} lies on a delta-supported direction of the "
-                "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
-                "there (use defects.f0_distributional for the spike weights)"
-            )
+    on_ray = np.abs(delta_ray_offset(kin.theta0, kin.theta)) < SINGULAR_ANGLE_TOL
+    if on_ray.any():
+        theta = np.array(kin.theta, ndmin=1)[np.ravel(on_ray)][0].item()
+        raise SingularAngleError(
+            f"theta = {theta!r} lies on a delta-supported direction of the "
+            "flat-defect amplitude; pointwise |f1|^2 is not meaningful "
+            "there (use defects.f0_distributional for the spike weights)"
+        )
     xsec = modulus_squared(*_f1_points(kin, defects, eta, lambda1, lambda2))
     return xsec if np.ndim(kin.theta) else xsec[0]

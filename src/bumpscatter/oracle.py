@@ -86,7 +86,8 @@ calls them or their kernels, only mirrors the defining integrals (from
 geoamp it takes the inputs, coefficient_table for the comparison and the
 arithmetic helper _products).  verify_all evaluates both tables and
 reports coefficient-by-coefficient agreement, judging all records of a
-call as arrays.
+call as arrays.  The closed table is geoamp's region kernel at unit
+amplitudes: the numbers every scan contracts.
 """
 
 from __future__ import annotations
@@ -828,13 +829,11 @@ def verify_all(
     """Compare every closed-form coefficient against quadrature on a grid.
 
     The closed (N+1) x (N+1) tables come from geoamp.coefficient_table on
-    one array GeoCoefficientInputs per curvature setting, holding its
-    grid points' s and K: the array path of geoamp.f1_arrays, which can differ
-    from a float-input evaluation in the last bit.  The quadrature tables
-    of all grid points come from one lockstep call (see the module
-    docstring).  An invalid grid point raises before any quadrature, and
-    a QuadratureConvergenceError names the first grid point, in grid
-    order, whose tree overruns.  The records keep the four coefficient
+    one array GeoCoefficientInputs per curvature setting, holding its grid
+    points' s and K.  The quadrature tables of all grid points come from
+    one lockstep call (see the module docstring).  An invalid grid point
+    raises before any quadrature, and a QuadratureConvergenceError names
+    the first grid point, in grid order, whose tree overruns.  The records keep the four coefficient
     families of the index-tuple expansion of f1: I0 = T[0][0] and, with
     e_n = e^{i beta a_n},
 

@@ -21,8 +21,13 @@ smeared into a narrow Gaussian, a check that the sharp line term is right.
 Python loop over the trees, each tree's rows and cells in arrays of their
 own: the form the array-state integrator is checked against.
 
-``contraction_py`` is the amplitude's contraction in Python floats, one
-rounding per written operation, and ``half_line_table_per_qb`` the
+``kink_coefficient_py`` is one entry of the coefficient table by its own
+walk over the x intervals cut at its kinks, the engine's per-entry kernel
+before the region sum, and ``coefficient_table_py`` the table of them: the
+O(N^2) cross-check of the region sum.
+
+``contraction_py`` is the bracket's region-sum contraction in Python
+floats, one rounding per written operation, and ``half_line_table_per_qb`` the
 half-line table evaluated at each of its three q values and at both sides
 of every defect, one exp_erfc argument each, as the engine did before it
 shared the work between them; both pin the engine's array arithmetic bit
@@ -30,9 +35,10 @@ for bit.
 
 ``svg_coordinates_per_point`` and ``svg_points_per_point`` are the SVG
 renderer's polyline coordinates and text computed one point at a time on
-Python floats, and ``angular_points_per_point`` the
-angle scan's ray rule applied to every grid point: the forms the array
-coordinates and the ray prefilter of the CLI are checked against.
+Python floats, ``ray_offset_per_point`` the delta-ray offset of one angle
+by math.remainder, and ``angular_points_per_point`` the angle scan's ray
+rule applied to every grid point by it: the forms the array coordinates
+and the array ray rule of the CLI are checked against.
 
 ``normalized_per_point`` is Kinematics' normalisation of theta by
 math.remainder, one float at a time, and ``scan_per_row`` and
@@ -50,9 +56,9 @@ import warnings
 import mpmath as mp
 import numpy as np
 
-from bumpscatter import cli, oracle
+from bumpscatter import cli, geoamp, oracle
 from bumpscatter.defects import DefectSet
-from bumpscatter.geoamp import SINGULAR_ANGLE_TOL, coefficient_table, delta_ray_offset, f1_scan
+from bumpscatter.geoamp import SINGULAR_ANGLE_TOL, coefficient_table, f1_scan
 from bumpscatter.oracle import (
     ABS_FLOOR,
     PANEL_BATCH,
@@ -300,27 +306,122 @@ def adaptive_per_tree(f, n_trees, edges_x, edges_y, spec, labels):
             for r, c, mag in zip(rows, cells, np.split(mags, np.cumsum(sizes)[:-1]))]
 
 
-def contraction_py(u, table, v, bigK):
-    """pref(K) sum_ab u_a T[a][b] v_b per point in Python floats, pref(K) =
-    -(1/2) e^{i pi/4} / sqrt(2 pi K): each complex product written out as
-    (ar br - ai bi, ar bi + ai br), taken left to right, and each bracket
-    one math.fsum over the real parts and one over the imaginary parts.
-    u, v are (point, piece) and table (point, piece, piece) sequences of
-    complex numbers."""
-    c = -0.5 * cmath.exp(1j * math.pi / 4.0)
+def kink_coefficient_py(g, bra=None, ket=None):
+    """Coefficient of a bra kink at `bra` against a ket kink at `ket`, with
+    every phase position at 0; None puts the plane wave on that side.  One
+    value per point of g: the engine's per-entry kernel before the region
+    sum, and its O(N^2) cross-check.
+
+    The x intervals are cut at the entry's own kinks only; on each, the
+    bra and ket factors make one phase times e^{i q x} with ket slope
+    kx = +-beta, and the interval's integral of e^{-x^2 + i q x} p_kx is
+    taken from geoamp's half-line table by the side rule: an interval in
+    x <= 0 is the difference of two left half-lines, one in x >= 0 of two
+    right half-lines, and one across 0 the full line minus the two outer
+    half-lines.  A ket kink at a adds the line term
+    2 i beta a^2 e^{-a^2} bra(a).  At beta = 0 the coefficient is I0.
+    """
+    b = g.beta
+    ib = 1j * b
+    table, defect = g.half_lines, g.alphas.index
+    edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
+    total = 0j
+    for lo, hi in zip(edges, edges[1:]):
+        # x momentum q = qb * beta, constant phase of bra(x) ket(x) and
+        # ket slope kx = sg * beta on (lo, hi)
+        qb, phase, sg = 2.0, 0.0, 1.0
+        if bra is not None:
+            sb = 1.0 if lo >= bra else -1.0
+            qb -= 1.0 + sb
+            phase += sb * bra
+        if ket is not None:
+            sg = 1.0 if lo >= ket else -1.0
+            qb += sg - 1.0
+            phase -= sg * ket
+        pair = geoamp._PAIRS[qb, sg]
+        left = 0.0 if math.isinf(lo) else table[defect(lo), 0, pair]
+        right = 0.0 if math.isinf(hi) else table[defect(hi), 1, pair]
+        if hi <= 0.0:
+            part = table[defect(hi), 0, pair] - left
+        elif lo >= 0.0:
+            part = table[defect(lo), 1, pair] - right
+        else:
+            part = g.full_lines[qb != 0.0] - left - right
+        total += np.exp(ib * phase) * part
+    if ket is not None:
+        x_bra = b * ket if bra is None else -b * abs(ket - bra)
+        total += 2j * b * ket * ket * np.exp(-ket * ket + 1j * x_bra)
+    out = g.eta * math.sqrt(math.pi) * total
+    return np.where(np.equal(b, 0.0), geoamp.I0_closed(g), out)
+
+
+def coefficient_table_py(g):
+    """The (N+1) x (N+1) table of g's pieces from kink_coefficient_py,
+    (bra piece, ket piece[, point]), T[0][0] = I0."""
+    pieces = (None, *g.alphas)
+    return np.array([[geoamp.I0_closed(g) if bra is None and ket is None
+                      else kink_coefficient_py(g, bra, ket) for ket in pieces]
+                     for bra in pieces], dtype=complex)
+
+
+def _regions(g, half, full, r, p):
+    """The four region integrals R(r; qb, sg) at point p in the order of
+    geoamp._PAIRS, by the side rule, from the nested lists of g.half_lines
+    and of g.full_lines."""
+    n = len(g.alphas)
     out = []
-    for u_p, t_p, v_p, k in zip(u, table, v, bigK):
-        re, im = [], []
-        for ua, row in zip(u_p, t_p):
-            for t, vb in zip(row, v_p):
-                pr = ua.real * t.real - ua.imag * t.imag
-                pi = ua.real * t.imag + ua.imag * t.real
-                re.append(pr * vb.real - pi * vb.imag)
-                im.append(pr * vb.imag + pi * vb.real)
-        br, bi = math.fsum(re), math.fsum(im)
-        d = math.sqrt(2.0 * math.pi * k)
-        cr, ci = c.real / d, c.imag / d
-        out.append(complex(cr * br - ci * bi, cr * bi + ci * br))
+    for j in range(len(geoamp._PAIRS)):
+        lo_left, lo_right = (half[r - 1][0][j][p], half[r - 1][1][j][p]) if r else (0j, 0j)
+        hi_left, hi_right = (half[r][0][j][p], half[r][1][j][p]) if r < n else (0j, 0j)
+        if r < n and g.alphas[r] <= 0.0:
+            out.append(hi_left - lo_left)
+        elif r and g.alphas[r - 1] >= 0.0:
+            out.append(lo_right - hi_right)
+        else:  # q = 2 kx for the first and last pair, q = 0 for the middle two
+            out.append(full[j in (0, 3)][p] - lo_left - hi_right)
+    return out
+
+
+def contraction_py(g, u, v):
+    """The bracket of geoamp._bracket_terms per point in Python floats.
+
+    g holds a scan; u and v are (point, piece) lists of complex amplitudes.
+    The transcendental inputs are the engine's: the half-line and full-line
+    integrals, the phases e_n = e^{i beta a_n}, e^{-a_n^2} and I0.  The side
+    rule, the running sums P, Q, C and D, every product (Python's complex
+    *, (ar br - ai bi, ar bi + ai br), taken left to right) and the two
+    math.fsum of each bracket are written out here on Python numbers."""
+    n = len(g.alphas)
+    half = g.half_lines.tolist()
+    full = [np.broadcast_to(f, g.beta.shape).tolist() for f in g.full_lines]
+    phases = g._phases.T.tolist()
+    gauss = geoamp._gauss(np.array(g.alphas)).tolist()
+    i0 = np.broadcast_to(geoamp.I0_closed(g), g.beta.shape).tolist()
+    w = g.eta * math.sqrt(math.pi)
+    out = []
+    for p, (u_p, v_p, beta) in enumerate(zip(u, v, g.beta.tolist())):
+        e = phases[p]
+        ec = [z.conjugate() for z in e]
+        P, Q, C, D = [u_p[0]], [0j], [v_p[0]], [0j]
+        for k in range(n):
+            Q.append(Q[-1] + u_p[k + 1] * e[k])
+            C.append(C[-1] + v_p[k + 1] * ec[k])
+            P.append(P[-1] + u_p[n - k] * ec[n - k - 1])
+            D.append(D[-1] + v_p[n - k] * e[n - k - 1])
+        P.reverse()
+        D.reverse()
+        if n == 0 or beta == 0.0:
+            terms = [(P[0] * C[n]) * complex(i0[p], 0.0)]
+        else:
+            terms = [(bra * ket) * complex(w * region.real, w * region.imag)
+                     for r in range(n + 1)
+                     for (bra, ket), region in zip(((P[r], C[r]), (Q[r], C[r]), (P[r], D[r]),
+                                                    (Q[r], D[r])), _regions(g, half, full, r, p))]
+            terms += [(v_p[k + 1] * (P[k + 1] * e[k] + Q[k + 1] * ec[k]))
+                      * complex(0.0, w * 2.0 * beta * (a * a) * gauss[k])
+                      for k, a in enumerate(g.alphas)]
+        out.append(complex(math.fsum(t.real for t in terms),
+                           math.fsum(t.imag for t in terms)))
     return out
 
 
@@ -378,14 +479,21 @@ def svg_points_per_point(xs, ys, x_axis, y_axis):
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(sx, sy))
 
 
+def ray_offset_per_point(theta0, theta):
+    """geoamp.delta_ray_offset for one float angle, by math.remainder:
+    the signed offset to the nearer ray, theta0 on a tie."""
+    return min((math.remainder(theta - ray, 2.0 * math.pi)
+                for ray in (theta0, math.pi - theta0)), key=abs)
+
+
 def angular_points_per_point(args):
     """The (ksigma, theta_deg) points of an angular command: every grid
-    point checked by delta_ray_offset, a point on a ray nudged NUDGE_DEG off
-    it with an AngleNudgeWarning."""
+    point checked by ray_offset_per_point, a point on a ray nudged
+    NUDGE_DEG off it with an AngleNudgeWarning."""
     points = []
     for th in cli._parse_grid(args.thetagrid, "--thetagrid"):
         th = float(th)
-        ray = delta_ray_offset(math.radians(args.theta0_deg), math.radians(th))
+        ray = ray_offset_per_point(math.radians(args.theta0_deg), math.radians(th))
         if abs(ray) < SINGULAR_ANGLE_TOL:
             nudged = th - math.degrees(ray) + (cli.NUDGE_DEG if ray >= 0.0 else -cli.NUDGE_DEG)
             warnings.warn(

@@ -771,9 +771,9 @@ def _ray_grids():
 
 @pytest.mark.parametrize("grid, nudged", _ray_grids())
 def test_ray_prefilter_decides_like_the_scalar_rule(tmp_path, grid, nudged):
-    # angular applies delta_ray_offset only to the points an array pass
-    # finds within RAY_CANDIDATE_RAD of a ray: it nudges, warns and writes
-    # exactly what the rule applied to every point does.
+    # angular applies delta_ray_offset to all its points in one array call:
+    # it nudges, warns and writes exactly what the per-point
+    # math.remainder rule applied to every point does.
     argv = ["angular", "--theta0-deg=20", "--defects=-3,3", "--ksigma=1",
             f"--thetagrid={grid}", "--out", str(tmp_path / "got.csv")]
     with warnings.catch_warnings(record=True) as got_warnings:

@@ -16,10 +16,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 from references import (
+    coefficient_table_py,
     contraction_py,
     half_line_table_per_qb,
     immnn_x2,
     kink_coefficient_mp,
+    ray_offset_per_point,
 )
 
 from bumpscatter import geoamp
@@ -296,62 +298,51 @@ def test_bilinear_assembly_matches_quadruple_sum(kin, positions, couplings):
     )
 
 
-def test_assembly_costs_n_squared_core_evaluations(monkeypatch):
-    # One f1 at N = 4 evaluates N bra-kink and N ket-kink coefficients and
-    # N^2 kink pairs, from one incoming and one outgoing defect matrix.
-    calls = {"bra only": 0, "ket only": 0, "pair": 0, "build": 0}
-    kernel = geoamp._kink_coefficient
+def _counted(calls, key, fn, sizes=None):
+    """fn, counting its calls in calls[key] and the size of each call's
+    first argument in sizes."""
+    def wrapper(*args):
+        calls[key] += 1
+        if sizes is not None:
+            sizes.append(np.size(args[0]))
+        return fn(*args)
+    return wrapper
 
-    def counted_kernel(g, bra=None, ket=None):
-        if bra is None:
-            calls["ket only"] += 1
-        elif ket is None:
-            calls["bra only"] += 1
-        else:
-            calls["pair"] += 1
-        return kernel(g, bra, ket)
 
-    def counted_build(*args):
-        calls["build"] += 1
-        return build_defect_matrix(*args)
-
-    monkeypatch.setattr(geoamp, "_kink_coefficient", counted_kernel)
-    monkeypatch.setattr(geoamp, "build_defect_matrix", counted_build)
+def test_assembly_costs_one_region_evaluation(monkeypatch):
+    # One f1 at N = 4 makes one region-kernel call, which reads one
+    # half-line table; no per-entry kernel call and no I0 away from
+    # beta = 0; one incoming and one outgoing defect matrix.
+    calls = dict.fromkeys(("kernel", "half-lines", "I0", "build"), 0)
+    for key, name in (("kernel", "_bracket_terms"), ("half-lines", "_half_line_table"),
+                      ("I0", "I0_closed"), ("build", "build_defect_matrix")):
+        monkeypatch.setattr(geoamp, name, _counted(calls, key, getattr(geoamp, name)))
     kin = Kinematics(bigK=1.1, theta0=0.0, theta=2.2)
     ds = DefectSet([-2.0, -0.5, 1.0, 2.5], [1.0, 1.0, 1.0, 1.0])
     f1_geometric(kin, ds, 0.1, 0.5, -0.5)
-    assert calls == {"bra only": 4, "ket only": 4, "pair": 16, "build": 2}
+    assert calls == {"kernel": 1, "half-lines": 1, "I0": 0, "build": 2}
 
 
 @pytest.mark.parametrize("thetas_deg, expected", [
-    # away from 90 deg: one table (one erfcx_c call for all its half-line
-    # integrals and 1 + 2N + N^2 kernel calls), one incoming build (of the
-    # scan's one kx) and one outgoing build, whatever the scan's length
+    # away from 90 deg: one region-kernel call (one erfcx_c call for all its
+    # half-line integrals), one incoming build (of the scan's one kx) and
+    # one outgoing build, whatever the scan's length
     ((20.0, 45.0, 70.0, 110.0, 135.0, 160.0),
-     {"I0": 1, "kernel": 8, "build": 2, "erfcx": 1}),
+     {"I0": 0, "kernel": 1, "build": 2, "erfcx": 1}),
     # a theta = 90 deg point is replaced by its two averaged flanks in the
-    # same table; only the outgoing build is made again, for the flanks
+    # same kernel call; only the outgoing build is made again, for the flanks
     ((20.0, 45.0, 70.0, 90.0, 110.0, 135.0, 160.0),
-     {"I0": 1, "kernel": 8, "build": 3, "erfcx": 1}),
+     {"I0": 0, "kernel": 1, "build": 3, "erfcx": 1}),
 ])
 def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
     calls = {}
     sizes, kx_sizes = [], []
-
-    def counted(key, fn, sizes=None):
-        def wrapper(*args):
-            calls[key] += 1
-            if sizes is not None:
-                sizes.append(np.size(args[0]))
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(geoamp, "I0_closed", counted("I0", I0_closed))
-    monkeypatch.setattr(geoamp, "_kink_coefficient",
-                        counted("kernel", geoamp._kink_coefficient))
+    monkeypatch.setattr(geoamp, "I0_closed", _counted(calls, "I0", I0_closed))
+    monkeypatch.setattr(geoamp, "_bracket_terms",
+                        _counted(calls, "kernel", geoamp._bracket_terms))
     monkeypatch.setattr(geoamp, "build_defect_matrix",
-                        counted("build", build_defect_matrix, kx_sizes))
-    monkeypatch.setattr(geoamp, "erfcx_c", counted("erfcx", geoamp.erfcx_c, sizes))
+                        _counted(calls, "build", build_defect_matrix, kx_sizes))
+    monkeypatch.setattr(geoamp, "erfcx_c", _counted(calls, "erfcx", geoamp.erfcx_c, sizes))
     # n(P + 1) erfcx arguments for n distinct |alpha| and P evaluated points
     # (a 90 deg point is two): q = 2 beta at each point and q = 0 once;
     # both sides of a defect, and defects at -a and a, share theirs
@@ -409,21 +400,82 @@ def _random_complex(rng, shape, lo, hi):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 8])
 def test_contraction_is_the_python_float_reference_bit_for_bit(n):
-    # The amplitude's contraction in numpy float arithmetic equals the same
-    # operations written out on Python floats, on every platform: table
-    # entries from 1e-150 to 1e150, the weights of u and v from 1e-75 to
-    # 1e75 (no product overflows), and signed zeros.
+    # The bracket's region and line terms in numpy float arithmetic, summed
+    # by math.fsum, equal the same operations written out on Python floats,
+    # on every platform: the weights of u and v from 1e-75 to 1e75 (no
+    # product overflows), signed zeros, defects on both sides of 0 and at
+    # 0, and beta = 0 points (s = +-0), which take the I0 rule.
     rng = np.random.default_rng(1000 + n)
     points = 50
     u = _random_complex(rng, (points, n + 1), 1e-75, 1e75)
     v = _random_complex(rng, (points, n + 1), 1e-75, 1e75)
-    table = _random_complex(rng, (points, n + 1, n + 1), 1e-150, 1e150)
-    bigK = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), points))
-    got = list(map(complex, *geoamp._contract(u.T, table.transpose(1, 2, 0), v.T, bigK)))
-    ref = contraction_py(u.tolist(), table.tolist(), v.tolist(), bigK.tolist())
-    assert all(type(f) is complex for f in got)
+    s = np.concatenate([rng.uniform(-1.0, 1.0, points - 2), [0.0, -0.0]])
+    bigK = np.exp(rng.uniform(np.log(1e-2), np.log(1e1), points))
+    positions = np.sort(np.append(rng.uniform(-6.0, 6.0, n - 1), 0.0)) if n else ()
+    g = _g(s, bigK, positions)
+    re, im = geoamp._bracket_terms(g, u.T, v.T)
+    got = [complex(math.fsum(r), math.fsum(i)) for r, i in zip(re.T.tolist(), im.T.tolist())]
+    ref = contraction_py(g, u.tolist(), v.tolist())
     assert [(f.real.hex(), f.imag.hex()) for f in got] == [
         (f.real.hex(), f.imag.hex()) for f in ref]
+
+
+def _bracket_error(monkeypatch, bigK, theta0, thetas, ds):
+    """f1 over an angle scan, whether each point is averaged across
+    theta = +-90 deg, and each point's bracket error against the reference
+    table coefficient_table_py contracted with the engine's amplitudes by
+    math.fsum, in units of eps sum_ab |u_a T[a][b] v_b|; an averaged point
+    takes the mean of its flanks' errors."""
+    seen = []
+
+    def recorded(g, u, v):
+        seen.append((g, u, v, kernel(g, u, v)))
+        return seen[-1][-1]
+
+    kernel = geoamp._bracket_terms
+    monkeypatch.setattr(geoamp, "_bracket_terms", recorded)
+    fr, fi = geoamp.f1_arrays(bigK, theta0, thetas, ds, 0.1, 0.5, -0.5)
+    monkeypatch.undo()
+    [(g, u, v, (re, im))] = seen
+    terms = u[:, None] * coefficient_table_py(g) * v[None]
+    ref = [complex(math.fsum(t.real for t in row), math.fsum(t.imag for t in row))
+           for row in terms.reshape(-1, terms.shape[-1]).T.tolist()]
+    got = [complex(math.fsum(r), math.fsum(i)) for r, i in zip(re.T.tolist(), im.T.tolist())]
+    err = np.abs(np.subtract(got, ref)) / (np.finfo(float).eps * np.abs(terms).sum(axis=(0, 1)))
+    # the evaluation's points back to the scan's, as _f1_points splices them
+    averaged = np.zeros(thetas.size, dtype=bool)
+    if ds.n >= 2:
+        kx_out = Kinematics(np.full(thetas.size, bigK), theta0, thetas).kx_out
+        averaged = ~(build_defect_matrix(kx_out, ds).cond <= REG_COND_LIMIT)
+    first = np.cumsum(1 + averaged) - 1 - averaged
+    err_scan = err[first]
+    err_scan[averaged] = 0.5 * (err[first[averaged]] + err[first[averaged] + 1])
+    return fr + 1j * fi, averaged, err_scan
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+def test_region_sum_matches_the_reference_table(monkeypatch, n):
+    # The O(N) region sum against the O(N^2) per-entry table contracted
+    # with the same amplitudes: random defects and complex couplings, 179
+    # angles with theta = 90 deg among them and theta = -90 deg, and three
+    # K.  The bracket error of an ordinary point is within
+    # 8 eps sum_ab |u_a T[a][b] v_b| (measured: at most 2.3).  A point
+    # averaged across theta = +-90 deg takes the mean of its two flanks'
+    # errors in those units, bounded by 2 (measured: at most 0.83); its
+    # terms cancel by up to 1.6e8 at +90 deg, so relative to the averaged
+    # bracket that is up to 3.6e-9.
+    rng = np.random.default_rng(70 + n)
+    positions = np.sort(rng.uniform(-6.0, 6.0, n))
+    couplings = rng.uniform(0.2, 3.0, n) * np.exp(1j * rng.uniform(-1.0, 1.0, n))
+    ds = DefectSet(positions.tolist(), couplings.tolist())
+    thetas = np.radians(np.append(np.linspace(1.0, 179.0, 179), -90.0))
+    for bigK in (0.1, 1.0, 3.0):
+        f1, averaged, err = _bracket_error(monkeypatch, bigK, rng.uniform(-0.5, 0.5),
+                                           thetas, ds)
+        assert np.isfinite(f1).all()
+        assert (err[~averaged] <= 8.0).all(), err.max()
+        assert (err[averaged] <= 2.0).all(), err[averaged].max()
+        assert averaged.sum() == (2 if n >= 2 else 0)
 
 
 @pytest.mark.parametrize("positions", [(0.0,), (-3.0, 3.0), (-2.6, -0.4, 0.0, 1.3, 5.5),
@@ -752,6 +804,23 @@ def test_delta_ray_offset_measures_the_nearer_ray(theta0):
     assert delta_ray_offset(theta0, math.pi - theta0 - 0.5) == pytest.approx(-0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta0", [0.0, 0.2, -0.4, math.pi / 2 - 2e-6])
+def test_delta_ray_offset_on_arrays_is_the_per_point_rule_bit_for_bit(theta0):
+    # The array rule equals min(math.remainder(theta - ray, 2 pi), key=abs)
+    # point by point: angles many turns out, on and next to both rays and
+    # their +-pi ties, signed zeros and tiny angles.
+    rng = np.random.default_rng(5)
+    mirror = math.pi - theta0
+    special = [0.0, -0.0, 5e-324, theta0, mirror, theta0 + math.pi, theta0 - math.pi,
+               mirror + math.pi, mirror - math.pi, np.nextafter(theta0 + math.pi, 0.0)]
+    thetas = np.concatenate([special, rng.uniform(-1e3, 1e3, 500), rng.uniform(-7.0, 7.0, 500),
+                             theta0 + rng.uniform(-1e-6, 1e-6, 100)])
+    got = delta_ray_offset(theta0, thetas)
+    assert [x.hex() for x in got.tolist()] == [
+        ray_offset_per_point(theta0, th).hex() for th in thetas.tolist()]
+    assert delta_ray_offset(theta0, 0.3) == ray_offset_per_point(theta0, 0.3)
+
+
 def test_cross_section_is_squared_amplitude():
     kin = Kinematics(bigK=1.4, theta0=0.1, theta=2.0)
     ds = DefectSet([-0.5, 1.0], [1.0, 2.0])
@@ -779,6 +848,7 @@ def test_invalid_inputs_raise():
 @pytest.mark.parametrize("kwargs", [
     {"eta": -0.1}, {"eta": float("nan")}, {"bigK": -1.0}, {"bigK": float("inf")},
     {"s": float("nan")}, {"s": 1.5}, {"lambda1": float("nan")}, {"lambda2": float("inf")},
+    {"alphas": (0.5, -0.5)},  # the region kernel reads the defects in order
 ])
 def test_coefficient_input_errors_are_input_errors(kwargs):
     args = {"s": 0.5, "bigK": 1.0, "alphas": (0.0,), **kwargs}

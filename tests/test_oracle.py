@@ -726,14 +726,16 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     import bumpscatter.oracle as oracle_mod
 
     # N = 3 at one grid point: the 100 records read one closed table of
-    # 1 + 2N + N^2 = 16 entries, where one closed-form call per record
-    # would make 1 + 2N^2 + N^4 = 100.  The quadrature side is stubbed.
+    # (N+1)^2 = 16 entries, all from one call of the region kernel the scan
+    # contracts (at unit amplitudes), where one closed-form call per record
+    # would make 1 + 2N^2 + N^4 = 100.  Away from beta = 0 no entry calls
+    # I0_closed.  The quadrature side is stubbed.
     calls = Counter()
-    kernel, plane = geoamp._kink_coefficient, geoamp.I0_closed
+    kernel, plane = geoamp._bracket_terms, geoamp.I0_closed
 
-    def counted_kernel(g, bra=None, ket=None):
+    def counted_kernel(g, u, v):
         calls["kernel"] += 1
-        return kernel(g, bra, ket)
+        return kernel(g, u, v)
 
     def counted_plane(g):
         calls["I0"] += 1
@@ -742,13 +744,13 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     def fake_entry(what):
         return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)
 
-    monkeypatch.setattr(geoamp, "_kink_coefficient", counted_kernel)
+    monkeypatch.setattr(geoamp, "_bracket_terms", counted_kernel)
     monkeypatch.setattr(geoamp, "I0_closed", counted_plane)
     monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
     grid = dict(_ZERO_POINT_GRID, s=(0.7,), lambdas=((0.5, -0.5),))
     report = verify_all(grid=grid)
     assert len(report.records) == 100
-    assert calls == {"kernel": 15, "I0": 1}
+    assert calls == {"kernel": 1}
 
 
 # ---------------------------------------------------------------------------
