@@ -4,9 +4,11 @@ Commands
 --------
 sweep        cross section vs k*sigma at fixed scattering angle(s)
 angular      cross section vs scattering angle at fixed k*sigma
-verify       closed forms vs quadrature oracle; nonzero exit on mismatch;
-             also reports the measured reciprocity defect of f1 (--json
-             PATH writes every record and the summary counts as JSON)
+verify       closed forms vs quadrature oracle: the acceptance grid under
+             verify_all's one pass rule; nonzero exit on mismatch; also
+             reports the measured reciprocity defect of f1 (--json PATH
+             writes every record, rel_err included, and the summary counts
+             as JSON)
 feasibility  SI-unit validity estimates for the delta-line idealization
 plot         render sweep/angular CSV file(s) to a deterministic SVG
 preset       canned parameter sets reproducing the standard figure family
@@ -53,7 +55,6 @@ from .geoamp import (
 from .oracle import (
     QuadratureConvergenceError,
     default_verification_grid,
-    reduced_verification_grid,
     verify_all,
 )
 from .svgplot import render_svg
@@ -384,11 +385,7 @@ def _reciprocity_lines():
 
 
 def _cmd_verify(args) -> int:
-    for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InputError(f"{flag} must be finite and non-negative, got {value!r}")
-    grid = default_verification_grid() if args.full else reduced_verification_grid()
-    report = verify_all(grid, rtol=args.rtol, atol=args.atol)
+    report = verify_all(default_verification_grid())
     extra = "\n".join(_reciprocity_lines())
     if args.out:
         _write_out(args.out, report.to_text() + "\n" + extra + "\n")
@@ -528,15 +525,6 @@ def _build_parser() -> _Parser:
     pa.set_defaults(func=_cmd_angular)
 
     pv = sub.add_parser("verify", help="closed forms vs quadrature oracle")
-    pv.add_argument("--full", action="store_true",
-                    help="full acceptance grid (default: reduced grid)")
-    pv.add_argument("--rtol", type=float, default=1e-6,
-                    help="pass when |closed - oracle| / max(|oracle|, atol) <= rtol; "
-                         "oracle values within the quadrature's roundoff floor R "
-                         "are judged by |closed - oracle| <= R instead")
-    pv.add_argument("--atol", type=float, default=1e-10,
-                    help="floor on the relative-error denominator (not a "
-                         "numpy-style absolute tolerance)")
     pv.add_argument("--out", default=None, help="write the full record report here")
     pv.add_argument("--json", default=None,
                     help="write every record and the summary counts here as JSON")

@@ -156,14 +156,19 @@ class DefectSet:
         return all(z.imag == 0.0 for z in self.couplings)
 
 
-def _check_point(bigK, theta0: float, theta) -> None:
-    """Raise the InputError of the first bad input of one point."""
-    if not (math.isfinite(bigK) and bigK > 0.0):
-        raise InputError(f"K must be positive and finite, got {bigK!r}")
+def _check_theta0(theta0: float) -> None:
+    """Raise the InputError of a bad incidence angle."""
     if not math.isfinite(theta0) or abs(theta0) >= math.pi / 2 - THETA0_MARGIN:
         raise InputError(
             f"theta0 must satisfy |theta0| < pi/2 - {THETA0_MARGIN}, got {theta0!r}"
         )
+
+
+def _check_point(bigK, theta0: float, theta) -> None:
+    """Raise the InputError of the first bad input of one point."""
+    if not (math.isfinite(bigK) and bigK > 0.0):
+        raise InputError(f"K must be positive and finite, got {bigK!r}")
+    _check_theta0(theta0)
     if not math.isfinite(theta):
         raise InputError(f"theta must be finite, got {theta!r}")
 
@@ -212,8 +217,8 @@ class Kinematics:
     (theta0 is one float): every derived quantity is then an array with one
     value per point, bit for bit the value of that point's own instance.
     The inputs are checked once, and a bad point raises the InputError of
-    its own instance.  An instance with array fields cannot be hashed or
-    compared.
+    its own instance; a scan of no points still checks theta0.  An
+    instance with array fields cannot be hashed or compared.
     """
 
     bigK: float | np.ndarray
@@ -233,6 +238,8 @@ class Kinematics:
                 # the first bad point, or the first point for theta0's check
                 i = int((~(np.isfinite(bigK) & (bigK > 0.0) & np.isfinite(theta))).argmax())
                 _check_point(bigK[i].item(), theta0, theta[i].item())
+            else:
+                _check_theta0(theta0)
             object.__setattr__(self, "bigK", bigK)
         object.__setattr__(self, "theta", _normalized(theta))
 

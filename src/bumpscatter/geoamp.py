@@ -295,7 +295,8 @@ def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y for complex numbers held as (real, imag) along the first axis
-    of float arrays, rounded as _products rounds: Python's complex *."""
+    of float arrays, each operation rounded once in the order Python's
+    complex * takes them: its product bit for bit."""
     out = np.empty((2,) + np.broadcast(x[0], y[0]).shape)
     np.multiply(x[0], y[0], out=out[0])
     out[0] -= x[1] * y[1]
@@ -354,8 +355,8 @@ def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.
     b = np.array(g.beta, dtype=float, ndmin=1)
     u, v = (np.stack([w.real, w.imag]) for w in (u, v))
     at_zero = (b == 0.0) | (n == 0)
+    i0 = np.zeros((2,) + b.shape)
     if at_zero.any():
-        i0 = np.zeros((2,) + b.shape)
         i0[0] = I0_closed(g)
     if not n:  # P_0 = u_0 and C_0 = v_0
         return _cmul(_cmul(u, v), i0)
@@ -418,12 +419,6 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     return table[..., 0].tolist() if np.ndim(g.beta) == 0 else [list(row) for row in table]
 
 
-def _products(ar, ai, br, bi) -> tuple:
-    """(ar + i ai)(br + i bi) on float arrays as (real, imag), each operation
-    rounded once: the product Python's complex * computes."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _f1_points(
     kin: Kinematics,
     defects: DefectSet,
@@ -443,8 +438,6 @@ def _f1_points(
     3.13 a float times a complex is the product with 0.5 + 0j).
     """
     bigK = np.array(kin.bigK, dtype=float, ndmin=1)
-    if not bigK.size:
-        return np.empty(0), np.empty(0)
     s = np.array(kin.s, ndmin=1)
     averaged = np.zeros(bigK.size, dtype=bool)
     if defects.n > 0:
@@ -481,17 +474,15 @@ def _f1_points(
         v = np.concatenate([v, -1j * dm_in.require_regular().weights(e).T])
     # one fsum over the real parts of each point's terms and one over the
     # imaginary parts, times pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
-    br, bi = (np.array(list(map(math.fsum, t.T.tolist()))) for t in _bracket_terms(g, u, v))
-    d = np.sqrt(2.0 * math.pi * bigK)
-    fr, fi = _products(_PREF.real / d, _PREF.imag / d, br, bi)
-    if not averaged.any():
-        return fr, fi
-    # each point's first entry in the evaluation, and an averaged one's second
-    first = np.cumsum(1 + averaged) - 1 - averaged
-    re, im = fr[first], fi[first]
-    up = first[averaged]
-    re[averaged], im[averaged] = _products(0.5, 0.0, fr[up] + fr[up + 1], fi[up] + fi[up + 1])
-    return re, im
+    bracket = np.array([list(map(math.fsum, t.T.tolist())) for t in _bracket_terms(g, u, v)])
+    f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * bigK), bracket)
+    if averaged.any():
+        # each point's first entry in the evaluation, and an averaged one's second
+        first = np.cumsum(1 + averaged) - 1 - averaged
+        up = first[averaged]
+        f, flanks = f[:, first], f[:, up] + f[:, up + 1]
+        f[:, averaged] = _cmul(np.array([0.5, 0.0]), flanks)
+    return f[0], f[1]
 
 
 def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,

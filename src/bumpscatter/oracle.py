@@ -84,7 +84,7 @@ panels end up in.
 This module is intentionally independent of the closed forms: it never
 calls them or their kernels, only mirrors the defining integrals (from
 geoamp it takes the inputs, coefficient_table for the comparison and the
-arithmetic helper _products).  verify_all evaluates both tables and
+complex product _cmul).  verify_all evaluates both tables and
 reports coefficient-by-coefficient agreement, judging all records of a
 call as arrays.  The closed table is geoamp's region kernel at unit
 amplitudes: the numbers every scan contracts.
@@ -101,7 +101,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .defects import DefectSet, Kinematics, build_defect_matrix
-from .geoamp import GeoCoefficientInputs, _products, coefficient_table
+from .geoamp import GeoCoefficientInputs, _cmul, coefficient_table
 from .surface import BumpProfile, CurvatureCoefficients, operator_coeffs_first_order
 
 __all__ = [
@@ -114,7 +114,6 @@ __all__ = [
     "VerificationReport",
     "verify_all",
     "default_verification_grid",
-    "reduced_verification_grid",
 ]
 
 # Base Gauss-Legendre order p of a panel (the value estimate uses 2p).
@@ -579,13 +578,6 @@ def _label(g: GeoCoefficientInputs, bra, ket) -> str:
     return f"I4 base[{index(bra)},{index(ket)}]"
 
 
-def _kink_integral(g: GeoCoefficientInputs, spec: QuadratureSpec,
-                   bra: float | None = None, ket: float | None = None) -> OracleValue:
-    """Integral of a bra kink at `bra` against a ket kink at `ket`, every
-    phase position at 0; None puts the plane wave on that side."""
-    return _integrate_pair(bra, ket, g, spec, _label(g, bra, ket))
-
-
 def _integral_tables(gs, spec: QuadratureSpec) -> list:
     """integral_table of every grid point of gs (they share alphas and
     eta), all trees refined in one lockstep loop."""
@@ -793,26 +785,15 @@ def default_verification_grid():
     }
 
 
-def reduced_verification_grid():
-    """Smaller grid for routine runs: all s and curvature settings, K = 1."""
-    return {
-        "s": (0.0, 0.7, 1.0),
-        "bigK": (1.0,),
-        "lambdas": ((0.5, -0.5), (0.0, -0.5), (0.5, 0.5)),
-        "alphas": (-3.0, 0.0, 3.0),
-        "eta": 0.1,
-    }
-
-
 def _pass_rule(oracle, closed, phases, phased, resolution, rtol, atol):
     """verify_all's pass rule on (grid point, record) arrays.  Multiplies
     the oracle and closed values by their phases where phased, in Python's
-    complex product (geoamp._products), and returns their real and
-    imaginary parts, rel_err, passed and whether the resolution judged.
-    |z| is np.hypot, which is Python's abs of a complex bit for bit."""
+    complex product (geoamp._cmul), and returns their real and imaginary
+    parts, rel_err, passed and whether the resolution judged.  |z| is
+    np.hypot, which is Python's abs of a complex bit for bit."""
     (qr, qi), (cr, ci) = (
-        np.where(phased, _products(phases.real, phases.imag, z.real, z.imag), (z.real, z.imag))
-        for z in (oracle, closed))
+        np.where(phased, _cmul(np.stack([phases.real, phases.imag]), z), z)
+        for z in (np.stack([v.real, v.imag]) for v in (oracle, closed)))
     size, diff = np.hypot(qr, qi), np.hypot(cr - qr, ci - qi)
     rel_err = diff / np.maximum(size, atol)
     by_floor = size <= resolution
@@ -820,22 +801,19 @@ def _pass_rule(oracle, closed, phases, phased, resolution, rtol, atol):
     return qr, qi, cr, ci, rel_err, passed, by_floor
 
 
-def verify_all(
-    grid: dict | None = None,
-    spec: QuadratureSpec = QuadratureSpec(),
-    rtol: float = 1e-6,
-    atol: float = 1e-10,
-) -> VerificationReport:
-    """Compare every closed-form coefficient against quadrature on a grid.
+def verify_all(grid: dict | None = None, rtol: float = 1e-6,
+               atol: float = 1e-10) -> VerificationReport:
+    """Compare every closed-form coefficient against quadrature on a grid
+    (default_verification_grid when None), with QuadratureSpec().
 
     The closed (N+1) x (N+1) tables come from geoamp.coefficient_table on
     one array GeoCoefficientInputs per curvature setting, holding its grid
     points' s and K.  The quadrature tables of all grid points come from
     one lockstep call (see the module docstring).  An invalid grid point
     raises before any quadrature, and a QuadratureConvergenceError names
-    the first grid point, in grid order, whose tree overruns.  The records keep the four coefficient
-    families of the index-tuple expansion of f1: I0 = T[0][0] and, with
-    e_n = e^{i beta a_n},
+    the first grid point, in grid order, whose tree overruns.  The records
+    keep the four coefficient families of the index-tuple expansion of f1:
+    I0 = T[0][0] and, with e_n = e^{i beta a_n},
 
         Imn[m, n] = e_m T[n+1][0],   Jmn[m, n] = e_m T[0][n+1],
         Immnn[m, m', n, n'] = e_m' e_n' T[m+1][n+1],
@@ -846,12 +824,15 @@ def verify_all(
 
     The records are judged as (grid point, record) arrays (_pass_rule):
     the phase products in real arithmetic, Python's complex * (the
-    arithmetic of geoamp._products), the moduli by np.hypot, Python's abs
+    arithmetic of geoamp._cmul), the moduli by np.hypot, Python's abs
     of a complex bit for bit, then rel_err, judged and passed.  Each
     VerificationRecord is built from .tolist() values, so it holds Python
     numbers and the same bits as the rule applied to one record at a time.
 
-    Pass rule, per closed value c against the oracle value q:
+    Pass rule, per closed value c against the oracle value q (bumpscatter
+    verify takes the defaults, rtol = 1e-6 and atol = 1e-10, on the default
+    grid; every record keeps its rel_err, so a report can be judged under
+    another tolerance afterwards):
 
     * relative: if |q| > R, c matches when |c - q| / max(|q|, atol) <= rtol.
       atol is a floor on the relative-error scale, not a numpy-style
@@ -901,7 +882,7 @@ def verify_all(
         indices.append((m, mp, n, np_))
         entry.append((m + 1) * (npos + 1) + n + 1)
         phase.append(1 + npos + mp * npos + np_)
-    ovs = [ov for table in _integral_tables(gs, spec) for row in table for ov in row]
+    ovs = [ov for table in _integral_tables(gs, QuadratureSpec()) for row in table for ov in row]
     oracle, err_est, abs_integral, panels = (
         np.array([getattr(ov, name) for ov in ovs]).reshape(len(gs), -1)
         for name in ("value", "err_est", "abs_integral", "panels"))

@@ -566,12 +566,13 @@ def test_inline_svg_of_one_point_curves_is_usage_error(tmp_path, capsys, monkeyp
 # verify
 
 
-def test_verify_reduced_grid_passes(tmp_path, capsys):
+def test_verify_passes_on_the_acceptance_grid(tmp_path, capsys):
+    # verify is one fixed check: every record of the acceptance grid passes.
     report_path = tmp_path / "verify.txt"
     code = main(["verify", "--out", str(report_path)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "all_passed=True" in out
+    assert re.search("^summary records=4800 failed=0 all_passed=True ", out, re.M)
     assert "reciprocity f(K; theta0->theta; alpha, z)" in out
     assert "  N=0 alphas= z=: " in out
     text = report_path.read_text()
@@ -623,19 +624,24 @@ def test_verify_json_flag_writes_the_report(tmp_path, capsys):
     assert f"JSON report written to {path}" in out
 
 
-def test_verify_absurd_tolerance_exit_code(capsys):
-    code = main(["verify", "--rtol", "1e-18"])
+def test_verify_absurd_tolerance_exit_code(capsys, monkeypatch):
+    # A verification failure exits 3: verify_all run with a tolerance no
+    # record can meet.
+    monkeypatch.setattr(cli, "verify_all", lambda grid: oracle.verify_all(grid, rtol=1e-18))
+    code = main(["verify"])
     assert code == EXIT_VERIFY
     assert "all_passed=False" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "flag", ["--rtol=nan", "--rtol=-1", "--rtol=inf", "--atol=nan", "--atol=-1e-10"]
-)
+@pytest.mark.parametrize("flag", [
+    "--rtol=nan", "--rtol=-1", "--rtol=inf", "--atol=nan", "--atol=-1e-10",
+    "--full", "--rtol=1e-6", "--atol=1e-10",
+])
 def test_bad_verify_tolerance_is_usage_error(capsys, monkeypatch, flag):
-    # A tolerance no record can meet is refused before the grid runs.
+    # verify takes no grid or tolerance flag, whatever its value: argparse
+    # refuses it before the grid runs.
     def refuse(*args, **kwargs):
-        raise AssertionError("verify_all ran on a bad tolerance")
+        raise AssertionError("verify_all ran on a removed flag")
 
     monkeypatch.setattr(cli, "verify_all", refuse)
     assert main(["verify", flag]) == EXIT_USAGE

@@ -174,8 +174,10 @@ def test_array_kinematics_raises_the_first_bad_points_error():
         Kinematics(np.ones(2), math.pi / 2, np.zeros(2))
     with pytest.raises(InputError, match="1-D"):
         Kinematics(np.ones(2), 0.0, np.zeros(3))
-    # no point, no point to refuse
-    assert Kinematics(np.ones(0), math.pi / 2, np.zeros(0)).s.size == 0
+    # no point to refuse, but theta0 is the scan's own input
+    with pytest.raises(InputError, match="theta0"):
+        Kinematics(np.ones(0), math.pi / 2, np.zeros(0))
+    assert Kinematics(np.ones(0), 0.0, np.zeros(0)).s.size == 0
 
 
 def test_input_checks_raise_the_typed_input_error():

@@ -509,6 +509,25 @@ def test_empty_scan_returns_no_points(positions):
     assert f1_scan([], 0.0, [], ds, 0.1, 0.5, -0.5) == []
 
 
+@pytest.mark.parametrize("positions", [(), (0.7,)])
+@pytest.mark.parametrize("theta0, eta, lambda1, lambda2", [
+    (2.0, 0.1, 0.5, -0.5),                        # theta0 past grazing incidence
+    (0.0, -1.0, 0.5, -0.5),                       # eta < 0
+    (0.0, 0.1, math.nan, -0.5),                   # a non-finite lambda1
+    (0.0, 0.1, 0.5, math.inf),                    # a non-finite lambda2
+])
+def test_empty_scan_checks_its_inputs_like_a_one_point_scan(positions, theta0, eta,
+                                                             lambda1, lambda2):
+    # Every input is checked before any point is evaluated, so a scan of
+    # no points raises the InputError of the same scan with one point.
+    ds = DefectSet(positions, [1.0] * len(positions))
+    with pytest.raises(InputError) as one:
+        geoamp.f1_arrays([1.0], theta0, [0.3], ds, eta, lambda1, lambda2)
+    with pytest.raises(InputError) as empty:
+        geoamp.f1_arrays([], theta0, [], ds, eta, lambda1, lambda2)
+    assert str(empty.value) == str(one.value)
+
+
 def test_scan_validates_like_its_points():
     ds = DefectSet([0.5], [1.0])
     with pytest.raises(ValueError):

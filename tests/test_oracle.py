@@ -42,15 +42,14 @@ from bumpscatter.oracle import (
     _combine,
     _Integrand,
     _integral_tables,
-    _kink_integral,
     _integrand_inputs,
+    _integrate_pair,
     _label,
     _nodes,
     _slot_sums,
     assemble_f1_oracle,
     default_verification_grid,
     integral_table,
-    reduced_verification_grid,
     verify_all,
 )
 from bumpscatter.surface import (
@@ -65,6 +64,16 @@ def _g(s=0.5, bigK=1.3, alphas=(-1.1, 2.3), eta=0.1, lambda1=0.5, lambda2=-0.5):
         s=s, bigK=bigK, alphas=tuple(alphas), eta=eta,
         lambda1=lambda1, lambda2=lambda2,
     )
+
+
+# A small grid: every s but 0.3 and three curvature settings, at K = 1.
+_SMALL_GRID = {
+    "s": (0.0, 0.7, 1.0),
+    "bigK": (1.0,),
+    "lambdas": ((0.5, -0.5), (0.0, -0.5), (0.5, 0.5)),
+    "alphas": (-3.0, 0.0, 3.0),
+    "eta": 0.1,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +211,7 @@ def test_cell_basis_combines_to_contracted_operator_parts():
     # The oracle keeps per cell only the y contractions no tree changes
     # and combines them per tree; that is the y contraction of the
     # pointwise F0 and F1 the polar route above is checked against.
-    gs = _grid_inputs(reduced_verification_grid())
+    gs = _grid_inputs(_SMALL_GRID)
     inputs = _integrand_inputs(gs)
     betas, gammas, lambda1, lambda2, profile = inputs
     parts = operator_parts(*inputs)
@@ -223,7 +232,7 @@ def test_final_panel_moduli_match_the_per_panel_sum(monkeypatch):
     # tensor rule on |F0 + sg F1| of the pointwise operator parts.
     import bumpscatter.oracle as oracle_mod
 
-    gs = _grid_inputs(dict(reduced_verification_grid(), lambdas=((0.5, -0.5), (0.5, 0.5))))
+    gs = _grid_inputs(dict(_SMALL_GRID, lambdas=((0.5, -0.5), (0.5, 0.5))))
     seen = []
     adaptive = oracle_mod._adaptive
 
@@ -297,12 +306,13 @@ def test_assembly_oracle_matches_closed_amplitude():
 
 def test_error_estimate_is_honest_under_refinement():
     g = _g()
-    loose = _kink_integral(g, QuadratureSpec(), bra=g.alphas[1])
+    bra = g.alphas[1]
+    loose = _integrate_pair(bra, None, g, QuadratureSpec(), _label(g, bra, None))
     strict_spec = QuadratureSpec(
         r_max=QuadratureSpec().resolve_r_max(g.alphas) + 4.0,
         rel_tol=QuadratureSpec().rel_tol / 10.0,
     )
-    strict = _kink_integral(g, strict_spec, bra=g.alphas[1])
+    strict = _integrate_pair(bra, None, g, strict_spec, _label(g, bra, None))
     # Enlarging the box and tightening the tolerance must not move the
     # value by more than a few times the reported error estimate.
     assert abs(strict.value - loose.value) <= 10.0 * loose.err_est
@@ -319,7 +329,7 @@ def test_shared_table_matches_one_entry_integrals(g):
     spec = QuadratureSpec()
     for bra, row in zip(pieces, integral_table(g, spec)):
         for ket, shared in zip(pieces, row):
-            alone = _kink_integral(g, spec, bra, ket)
+            alone = _integrate_pair(bra, ket, g, spec, _label(g, bra, ket))
             assert abs(shared.value - alone.value) <= shared.err_est + alone.err_est
 
 
@@ -327,7 +337,7 @@ def test_quadrature_convergence_error_carries_partial_result():
     g = _g()
     bad_spec = QuadratureSpec(rel_tol=1e-14, max_panels=8)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        _kink_integral(g, bad_spec, bra=g.alphas[1])
+        _integrate_pair(g.alphas[1], None, g, bad_spec, _label(g, g.alphas[1], None))
     err = exc_info.value
     assert np.isfinite(err.err_est)
     assert np.isfinite(abs(err.value))
@@ -945,8 +955,7 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
-    grid = reduced_verification_grid()
-    gs = _grid_inputs(grid)
+    gs = _grid_inputs(_SMALL_GRID)
     tables = _integral_tables(gs, QuadratureSpec())
     [(n_trees, edges, labels, [shared])] = lines
     assert n_trees == 1
