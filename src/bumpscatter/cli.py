@@ -21,10 +21,12 @@ with '# key=value' header lines followed by rows
     ksigma,theta_deg,theta0_deg,re_f1,im_f1,xsec
 
 with every float printed to 17 significant digits, so reruns are
-byte-identical (no timestamps).  Exit codes: 0 success, 1 usage error (a
-defects.InputError: a flag, a CSV or an engine input outside its domain;
-no file is written), 2 numerical failure (non-convergence, singular
-matrix, overflow), 3 verification failure.
+byte-identical (no timestamps).  A rerun rewrites each output file in
+place (see _write_out).  Exit codes: 0 success, 1 usage error (a
+defects.InputError: a flag, a CSV or an engine input outside its domain,
+where no file is written, or an output that cannot be written, where the
+files the command wrote before the failing one stay), 2 numerical failure
+(non-convergence, singular matrix, overflow), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import sys
 import warnings
 from collections import Counter
@@ -186,11 +189,25 @@ def _common_headers(args, mode, positions, couplings):
 
 
 def _write_out(path: str, text: str):
-    d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text to path as UTF-8, making its directory if needed.
+
+    An existing file is rewritten in place, not truncated first: truncating
+    a file to zero and writing it again makes some filesystems (ext4's
+    auto_da_alloc) start writeback on close.  Only a regular file is then
+    cut to the new length, so /dev/null, FIFOs and terminals work too.  An
+    OSError is a usage error."""
+    data = text.encode("utf-8")
+    try:
+        d = os.path.dirname(path)
+        if d:
+            os.makedirs(d, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate(len(data))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +470,10 @@ def _cmd_preset(args) -> int:
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
     outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {outdir}: {exc}") from exc
     engine = [f"--defects={_PRESET_DEFECTS[name]}"]
     svg = os.path.join(outdir, f"{name}.svg")
     parser = _build_parser()

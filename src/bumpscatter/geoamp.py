@@ -44,7 +44,9 @@ Validation status (enforced by the test suite and the quadrature oracle in
 bumpscatter.oracle): every table entry matches adaptive quadrature of its
 defining integral to better than 1e-6 relative across the acceptance grid,
 and the kink coefficients match a 50-digit quadrature to 1e-12 relative
-on points with K up to 5 and defects up to |alpha| = 6.
+on points with K up to 5 and defects up to |alpha| = 6.  Beside a defect
+at 0 the region sum cancels: the worst table entry on the verification
+grid is 8.8e-12 relative against 50 digits (ROADMAP item 10).
 
 Special directions: at theta = theta0 and theta = pi - theta0 the
 zeroth-order amplitude is a delta spike (see defects.f0_distributional)
@@ -307,14 +309,16 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _running(start, parts: np.ndarray, reverse: bool) -> np.ndarray:
     """start, then start plus parts[..., 0, :], parts[..., 1, :], ... along
-    axis -2 (from the last part back when reverse): one row per region."""
-    n = parts.shape[-2]
-    sums = np.empty(parts.shape[:-2] + (n + 1,) + parts.shape[-1:])
-    rows = range(n, -1, -1) if reverse else range(n + 1)
-    sums[..., rows[0], :] = start
-    for prev, row in zip(rows, rows[1:]):
-        np.add(sums[..., prev, :], parts[..., min(prev, row), :], out=sums[..., row, :])
-    return sums
+    axis -2 (from the last part back when reverse): one row per region.
+    np.cumsum adds in sequence, so every sum is rounded as a loop of
+    adds rounds it."""
+    if reverse:
+        parts = parts[..., ::-1, :]
+    sums = np.empty(parts.shape[:-2] + (parts.shape[-2] + 1,) + parts.shape[-1:])
+    sums[..., 0, :] = start
+    sums[..., 1:, :] = parts
+    np.cumsum(sums, axis=-2, out=sums)
+    return sums[..., ::-1, :] if reverse else sums
 
 
 def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -429,11 +433,12 @@ def _f1_points(
     """f1 at each point of kin (one point, or a scan) as two float arrays
     (real, imag): f1_arrays after validation.
 
-    One region-kernel call, one outgoing stacked defect build and one
-    incoming build per distinct kx = K cos(theta0).  With N >= 2, a point
-    whose outgoing matrix is singular or past REG_COND_LIMIT is replaced by
-    its flanks theta +- ANGLE_REG_EPS (one more outgoing build, of the
-    flanks alone, spliced into the points in its place), and its value is
+    One region-kernel call and one defect build, of the outgoing matrices
+    and of the incoming ones at the distinct kx = K cos(theta0).  With
+    N >= 2, a point whose outgoing matrix is singular or past
+    REG_COND_LIMIT is replaced by its flanks theta +- ANGLE_REG_EPS (one
+    more outgoing build, of the flanks alone, spliced into the points in
+    its place; a flank has its point's kx), and its value is
     0.5 * (f_up + f_down) as Python computes it on complex numbers (through
     3.13 a float times a complex is the product with 0.5 + 0j).
     """
@@ -441,8 +446,9 @@ def _f1_points(
     s = np.array(kin.s, ndmin=1)
     averaged = np.zeros(bigK.size, dtype=bool)
     if defects.n > 0:
-        kx = np.array(kin.kx, ndmin=1)
-        dm_out = build_defect_matrix(np.array(kin.kx_out, ndmin=1), defects)
+        kx, at_in = np.unique(np.array(kin.kx, ndmin=1), return_inverse=True)
+        dm = build_defect_matrix(np.concatenate([np.array(kin.kx_out, ndmin=1), kx]), defects)
+        dm_out, dm_in = dm[:bigK.size], dm[bigK.size:]
         if defects.n >= 2:
             averaged = ~(dm_out.cond <= REG_COND_LIMIT)
         if averaged.any():
@@ -456,7 +462,8 @@ def _f1_points(
             def splice(points, flank_values):
                 return np.concatenate([points, flank_values])[at]
 
-            s, bigK, kx = splice(s, flanks.s), splice(bigK, flanks.bigK), splice(kx, flanks.kx)
+            s, bigK = splice(s, flanks.s), splice(bigK, flanks.bigK)
+            at_in = splice(at_in, at_in[averaged].repeat(2))
             dm_flanks = build_defect_matrix(flanks.kx_out, defects)
             dm_out = DefectMatrix(splice(dm_out.matrix, dm_flanks.matrix),
                                   splice(dm_out.inverse, dm_flanks.inverse),
@@ -467,11 +474,9 @@ def _f1_points(
     # amplitudes (piece, point) of the bra (u) and the ket (v)
     u = v = np.ones((1, bigK.size), dtype=complex)
     if defects.n > 0:
-        kx, at = np.unique(kx, return_inverse=True)
-        dm_in = build_defect_matrix(kx, defects)[at]
         e = g._phases.T
         u = np.concatenate([u, -1j * dm_out.require_regular().weights(e).T])
-        v = np.concatenate([v, -1j * dm_in.require_regular().weights(e).T])
+        v = np.concatenate([v, -1j * dm_in[at_in].require_regular().weights(e).T])
     # one fsum over the real parts of each point's terms and one over the
     # imaginary parts, times pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
     bracket = np.array([list(map(math.fsum, t.T.tolist())) for t in _bracket_terms(g, u, v)])
@@ -495,11 +500,11 @@ def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     input is checked before any point is evaluated: a shape, point, eta or
     curvature weight outside its domain raises defects.InputError, a
     defect past |alpha| = 26 OverflowError.  The whole scan is one array
-    Kinematics and one region-kernel call, with one outgoing stacked defect
-    build, one incoming build of the scan's distinct kx = K cos(theta0),
-    and one more outgoing build, of the flanks alone, if a point is
-    averaged across theta = +-90 deg (see f1_geometric).  f1_scan,
-    f1_geometric and cross_section take their numbers from it.
+    Kinematics and one region-kernel call, with one defect build of the
+    outgoing matrices and of the incoming ones at the scan's distinct
+    kx = K cos(theta0), and one more outgoing build, of the flanks alone,
+    if a point is averaged across theta = +-90 deg (see f1_geometric).
+    f1_scan, f1_geometric and cross_section take their numbers from it.
     """
     bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
     if max(bigK.ndim, theta.ndim) != 1 or len({bigK.size, theta.size} - {1}) > 1:
@@ -574,7 +579,7 @@ def cross_section(
     lambda2: float,
 ):
     """Differential cross section |f1|^2 (sigma-scaled units): a float, or
-    for an array kin a list with one float per point, from one f1_scan
+    for an array kin a list with one float per point, from one _f1_points
     evaluation.
 
     Not defined on the delta-supported directions theta0 and pi - theta0

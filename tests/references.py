@@ -31,7 +31,8 @@ floats, one rounding per written operation, and ``half_line_table_per_qb`` the
 half-line table evaluated at each of its three q values and at both sides
 of every defect, one exp_erfc argument each, as the engine did before it
 shared the work between them; both pin the engine's array arithmetic bit
-for bit.
+for bit.  ``running_loop`` is geoamp._running as a loop of np.add, one
+row at a time, the form its np.cumsum is checked against bit for bit.
 
 ``svg_coordinates_per_point`` and ``svg_points_per_point`` are the SVG
 renderer's polyline coordinates and text computed one point at a time on
@@ -423,6 +424,19 @@ def contraction_py(g, u, v):
         out.append(complex(math.fsum(t.real for t in terms),
                            math.fsum(t.imag for t in terms)))
     return out
+
+
+def running_loop(start, parts, reverse):
+    """geoamp._running as a loop of np.add along axis -2: start, then each
+    row the previous row plus one part, from the last part back when
+    reverse."""
+    n = parts.shape[-2]
+    sums = np.empty(parts.shape[:-2] + (n + 1,) + parts.shape[-1:])
+    rows = range(n, -1, -1) if reverse else range(n + 1)
+    sums[..., rows[0], :] = start
+    for prev, row in zip(rows, rows[1:]):
+        np.add(sums[..., prev, :], parts[..., min(prev, row), :], out=sums[..., row, :])
+    return sums
 
 
 def half_line_table_per_qb(g):

@@ -804,3 +804,101 @@ def test_angular_with_a_non_finite_theta0_writes_nothing(tmp_path, theta0):
     assert main(["angular", f"--theta0-deg={theta0}", "--ksigma=1",
                  "--thetagrid=0:180:7", "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.mark.parametrize("argv", [
+    ["angular", "--ksigma=1", "--thetagrid=1:2:2", "--out={d}"],
+    ["angular", "--ksigma=1", "--thetagrid=1:2:2", "--out={tmp}/a.csv", "--svg={d}"],
+    ["preset", "fig5-left", "--out={f}"],
+], ids=["out-is-a-directory", "svg-is-a-directory", "preset-out-is-a-file"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    # Exit 1 with a usage-error line and no traceback; a file the command
+    # wrote before the failing one stays.
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    paths = {"tmp": tmp_path, "d": tmp_path / "d", "f": tmp_path / "f"}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write ")
+    assert "Traceback" not in err
+    assert (tmp_path / "a.csv").exists() == ("--svg={d}" in argv)
+
+
+_SMALL_SCAN = ["angular", "--defects=-3,3", "--ksigma=1", "--thetagrid=10:170:9"]
+
+
+def _fresh_bytes(tmp_path):
+    """The CSV the small scan writes to a new file."""
+    fresh = tmp_path / "fresh.csv"
+    assert main([*_SMALL_SCAN, "--out", str(fresh)]) == EXIT_OK
+    return fresh.read_bytes()
+
+
+def test_rerun_over_a_longer_file_writes_exactly_the_new_bytes(tmp_path):
+    # A rewrite in place leaves no tail of the old text, and keeps the
+    # file's inode and mode.
+    want = _fresh_bytes(tmp_path)
+    out = tmp_path / "out.csv"
+    out.write_bytes(want + b"old tail\n" * 1000)
+    out.chmod(0o640)
+    before = out.stat()
+    assert main([*_SMALL_SCAN, "--out", str(out)]) == EXIT_OK
+    after = out.stat()
+    assert out.read_bytes() == want
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink") or sys.platform == "win32",
+                    reason="needs POSIX symlinks")
+def test_symlinked_output_stays_a_link(tmp_path):
+    want = _fresh_bytes(tmp_path)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    assert main([*_SMALL_SCAN, "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == want
+
+
+def test_output_to_the_null_device_exits_0(capsys):
+    assert main([*_SMALL_SCAN, "--out", os.devnull, "--svg", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_new_output_is_created_as_open_w_creates_it(tmp_path):
+    made = tmp_path / "made.csv"
+    with open(tmp_path / "reference", "w"):
+        pass
+    cli._write_out(str(made), "text\n")
+    assert made.read_bytes() == b"text\n"
+    assert made.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_no_cli_write_truncates(tmp_path, monkeypatch):
+    # Every output is opened without O_TRUNC, so a rerun rewrites it in
+    # place: the sweep and angular CSV and SVG, the plot SVG, the verify
+    # report and its JSON, and the presets' files.
+    opened = []
+    real_open = os.open
+
+    def recorded(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recorded)
+    out, svg = str(tmp_path / "a.csv"), str(tmp_path / "a.svg")
+    for argv in ([*_SMALL_SCAN, "--out", out, "--svg", svg],
+                 ["plot", out, "--out", str(tmp_path / "p.svg")],
+                 ["verify", "--out", str(tmp_path / "v.txt"), "--json", str(tmp_path / "v.json")],
+                 ["preset", "fig5-left", "--out", str(tmp_path)],
+                 ["preset", "fig5-right", "--out", str(tmp_path)]):
+        assert main(argv) == EXIT_OK
+    assert sorted(name for name, _ in opened) == sorted([
+        "a.csv", "a.svg", "p.svg", "v.txt", "v.json", "fig5-left.csv", "fig5-left.svg",
+        "fig5-right.svg", *(f"fig5-right.lam_{l1:g}_{l2:g}.csv"
+                            for l1, l2 in cli._LAMBDA_COMBOS)])
+    assert not [name for name, flags in opened if flags & os.O_TRUNC]
