@@ -6,9 +6,9 @@ sweep        cross section vs k*sigma at fixed scattering angle(s)
 angular      cross section vs scattering angle at fixed k*sigma
 verify       closed forms vs quadrature oracle: the acceptance grid under
              verify_all's one pass rule; nonzero exit on mismatch; also
-             reports the measured reciprocity defect of f1 (--json PATH
-             writes every record, rel_err included, and the summary counts
-             as JSON)
+             reports the measured reciprocity and y-mirror defects of f1
+             (--json PATH writes every record, rel_err included, the
+             summary counts and both symmetry checks as JSON)
 feasibility  SI-unit validity estimates for the delta-line idealization
 plot         render sweep/angular CSV file(s) to a deterministic SVG
 preset       canned parameter sets reproducing the standard figure family
@@ -368,47 +368,80 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Cases and (theta0, theta) pairs in degrees of the reciprocity section of
+# Cases and (theta0, theta) pairs in degrees of the symmetry sections of
 # the verify report: N = 0 is the control.
 RECIPROCITY_CASES = (((), ()), ((3.0,), (1.0,)), ((-1.0, 3.0), (1.0, 0.7)))
 RECIPROCITY_ANGLES_DEG = ((0.0, 30.0), (20.0, -30.0), (-10.0, 60.0), (45.0, 10.0))
 
+# The symmetry checks of the verify report: name, header, and the
+# (theta0, theta, alphas) of the partner side of (theta0, theta, alphas).
+_SYMMETRIES = (
+    ("reciprocity", "reciprocity f(K; theta0->theta; alpha, z) vs f(K; -theta->-theta0; "
+     "-alpha, z)", lambda th0, th, alphas: (-th, -th0, [-a for a in alphas])),
+    ("y_mirror", "y-mirror f(K; theta0->theta; alpha, z) vs f(K; -theta0->-theta; "
+     "alpha, z)", lambda th0, th, alphas: (-th0, -th, list(alphas))),
+)
 
-def _reciprocity_lines():
-    """Measured (not gated) reciprocity defect of f1.
 
-    With the defect lines fixed at x = alpha_n, reciprocity composed with
-    the mirror x -> -x gives f(K; theta0 -> theta; alpha, z) =
-    f(K; -theta -> -theta0; -alpha, z).  Each line states
-    |f - f'| / max(|f|, |f'|) of the two sides at K = 1, eta = 0.1,
-    lambda = (0.5, -0.5) for every angle pair.
+def _symmetry_defects() -> dict:
+    """Measured (not gated) symmetry defects of f1, per check, layout of
+    RECIPROCITY_CASES and angle pair of RECIPROCITY_ANGLES_DEG.
+
+    Each is |f - f'| / max(|f|, |f'|) of the two sides at K = 1,
+    eta = 0.1, lambda = (0.5, -0.5).  With the defect lines fixed at
+    x = alpha_n, reciprocity composed with the mirror x -> -x gives
+    f(K; theta0 -> theta; alpha, z) = f(K; -theta -> -theta0; -alpha, z).
+    The model is symmetric under y -> -y (the bump is round and each line
+    x = alpha_n maps to itself), so the y-mirror gives
+    f(K; theta0 -> theta; alpha, z) = f(K; -theta0 -> -theta; alpha, z).
     """
-    out = ["reciprocity f(K; theta0->theta; alpha, z) vs f(K; -theta->-theta0; "
-           "-alpha, z), measured, K=1, N=0 the control:"]
-    for positions, couplings in RECIPROCITY_CASES:
-        there, back = DefectSet(positions, couplings), DefectSet(
-            [-a for a in positions], couplings)
-        cells = []
-        for th0, th in RECIPROCITY_ANGLES_DEG:
-            f = f1_geometric(Kinematics(1.0, math.radians(th0), math.radians(th)),
-                             there, 0.1, 0.5, -0.5)
-            f_rev = f1_geometric(Kinematics(1.0, math.radians(-th), math.radians(-th0)),
-                                 back, 0.1, 0.5, -0.5)
-            cells.append(f"({th0:g},{th:g})={abs(f - f_rev) / max(abs(f), abs(f_rev)):.3e}")
-        out.append(f"  N={len(positions)} alphas={','.join(f'{a:g}' for a in positions)} "
-                   f"z={','.join(f'{z.real:g}' for z in there.couplings)}: "
-                   + " ".join(cells))
+    def f(th0, th, alphas, couplings):
+        return f1_geometric(Kinematics(1.0, math.radians(th0), math.radians(th)),
+                            DefectSet(alphas, couplings), 0.1, 0.5, -0.5)
+
+    out = {name: [] for name, *_ in _SYMMETRIES}
+    for alphas, couplings in RECIPROCITY_CASES:
+        here = [f(th0, th, alphas, couplings) for th0, th in RECIPROCITY_ANGLES_DEG]
+        for name, _, partner in _SYMMETRIES:
+            pairs = []
+            for (th0, th), a in zip(RECIPROCITY_ANGLES_DEG, here):
+                b = f(*partner(th0, th, alphas), couplings)
+                pairs.append({"theta0_deg": th0, "theta_deg": th,
+                              "defect": abs(a - b) / max(abs(a), abs(b))})
+            out[name].append({"alphas": list(alphas), "z": list(couplings), "pairs": pairs})
+    return out
+
+
+def _symmetry_lines(defects: dict) -> list:
+    """The symmetry sections of the verify report: per check a header,
+    then one line per layout with the defect of every angle pair."""
+    out = []
+    for name, header, _ in _SYMMETRIES:
+        out.append(header + ", measured, K=1, N=0 the control:")
+        for case in defects[name]:
+            out.append(f"  N={len(case['alphas'])} "
+                       f"alphas={','.join(f'{a:g}' for a in case['alphas'])} "
+                       f"z={','.join(f'{z:g}' for z in case['z'])}: "
+                       + " ".join(f"({p['theta0_deg']:g},{p['theta_deg']:g})={p['defect']:.3e}"
+                                  for p in case["pairs"]))
     return out
 
 
 def _cmd_verify(args) -> int:
     report = verify_all(default_verification_grid())
-    extra = "\n".join(_reciprocity_lines())
+    symmetry = _symmetry_defects()
+    extra = "\n".join(_symmetry_lines(symmetry))
     if args.out:
         _write_out(args.out, report.to_text() + "\n" + extra + "\n")
         print(f"report written to {args.out}")
     if args.json:
-        _write_out(args.json, report.to_json())
+        import json  # here, so that verify runs without --json do not load it
+
+        # the report's JSON object with one more key, written before its
+        # closing brace: to parse and write the 4,800 records again would
+        # cost more than writing them once
+        text = report.to_json().rstrip()
+        _write_out(args.json, f'{text[:-1]}, "symmetry": {json.dumps(symmetry)}}}\n')
         print(f"JSON report written to {args.json}")
     print("\n".join(report.summary_lines()))
     print(extra)
@@ -547,7 +580,8 @@ def _build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="closed forms vs quadrature oracle")
     pv.add_argument("--out", default=None, help="write the full record report here")
     pv.add_argument("--json", default=None,
-                    help="write every record and the summary counts here as JSON")
+                    help="write every record, the summary counts and the symmetry "
+                    "checks here as JSON")
     pv.set_defaults(func=_cmd_verify)
 
     pf = sub.add_parser("feasibility", help="delta-line validity estimates (SI)")

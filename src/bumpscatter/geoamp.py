@@ -310,15 +310,16 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _running(start, parts: np.ndarray, reverse: bool) -> np.ndarray:
     """start, then start plus parts[..., 0, :], parts[..., 1, :], ... along
     axis -2 (from the last part back when reverse): one row per region.
-    np.cumsum adds in sequence, so every sum is rounded as a loop of
-    adds rounds it."""
-    if reverse:
-        parts = parts[..., ::-1, :]
-    sums = np.empty(parts.shape[:-2] + (parts.shape[-2] + 1,) + parts.shape[-1:])
-    sums[..., 0, :] = start
-    sums[..., 1:, :] = parts
-    np.cumsum(sums, axis=-2, out=sums)
-    return sums[..., ::-1, :] if reverse else sums
+    One np.add per region: np.cumsum gives the same bits but accumulates
+    point by point, which costs more on the few rows and many points of a
+    scan."""
+    n = parts.shape[-2]
+    sums = np.empty(parts.shape[:-2] + (n + 1,) + parts.shape[-1:])
+    rows = range(n, -1, -1) if reverse else range(n + 1)
+    sums[..., rows[0], :] = start
+    for prev, row in zip(rows, rows[1:]):
+        np.add(sums[..., prev, :], parts[..., min(prev, row), :], out=sums[..., row, :])
+    return sums
 
 
 def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -95,7 +95,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -663,8 +663,7 @@ def assemble_f1_oracle(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Closed form vs quadrature at one grid point for one coefficient.
 
     judged is "relative" when rel_err decided the verdict and "resolution"
@@ -672,6 +671,7 @@ class VerificationRecord:
     so that |closed - oracle| <= resolution decided it (see verify_all).
     panels is the oracle entry's panel count (OracleValue.panels: a ket
     kink's entry counts its 2D tree and the line tree); line() omits it.
+    A named tuple: immutable, and one tuple construction per record.
     """
 
     coefficient: str
@@ -769,8 +769,7 @@ class VerificationReport:
                 return [x.real, x.imag]
             return list(x) if isinstance(x, tuple) else x
 
-        records = [{f.name: value(getattr(r, f.name)) for f in fields(r)}
-                   for r in self.records]
+        records = [{name: value(x) for name, x in zip(r._fields, r)} for r in self.records]
         return json.dumps({"summary": self.summary(), "records": records}) + "\n"
 
 
@@ -783,6 +782,11 @@ def default_verification_grid():
         "alphas": (-3.0, 0.0, 3.0),
         "eta": 0.1,
     }
+
+
+# The two values of VerificationRecord.judged, indexed by whether the
+# resolution judged: an object array, so indexing it gives the strings.
+_JUDGED = np.array(["relative", "resolution"], dtype=object)
 
 
 def _pass_rule(oracle, closed, phases, phased, resolution, rtol, atol):
@@ -825,9 +829,12 @@ def verify_all(grid: dict | None = None, rtol: float = 1e-6,
     The records are judged as (grid point, record) arrays (_pass_rule):
     the phase products in real arithmetic, Python's complex * (the
     arithmetic of geoamp._cmul), the moduli by np.hypot, Python's abs
-    of a complex bit for bit, then rel_err, judged and passed.  Each
-    VerificationRecord is built from .tolist() values, so it holds Python
-    numbers and the same bits as the rule applied to one record at a time.
+    of a complex bit for bit, then rel_err, judged and passed.  All
+    records of a call are then built in one pass, VerificationRecord._make
+    over the zipped .tolist() columns of those arrays (the complex values
+    assembled by assigning their real and imaginary parts), so each holds
+    Python numbers and the same bits as the rule applied to one record at
+    a time.
 
     Pass rule, per closed value c against the oracle value q (bumpscatter
     verify takes the defaults, rtol = 1e-6 and atol = 1e-10, on the default
@@ -889,15 +896,20 @@ def verify_all(grid: dict | None = None, rtol: float = 1e-6,
     phase = np.array(phase)
     phases = np.exp(1j * np.array([g.beta for g in gs])[:, None] * positions)[:, phase]
     resolution = 2 * PANEL_ORDER * _EPS * abs_integral[:, entry]
-    arrays = _pass_rule(oracle[:, entry], closed.reshape(len(gs), -1)[:, entry], phases,
-                        phase > 0, resolution, rtol, atol)
-    for i, (s, bigK, (l1, l2)) in enumerate(points):
-        errs, counts = err_est[i].tolist(), panels[i].tolist()
-        # positional arguments, in field order: keywords cost a third more
-        report.records.extend(
-            VerificationRecord(name, s, bigK, l1, l2, alphas, idx, complex(qr, qi), errs[k],
-                               complex(cr, ci), rel, ok, ("relative", "resolution")[by_floor], res,
-                               counts[k])
-            for name, idx, k, qr, qi, cr, ci, rel, ok, by_floor, res in zip(
-                families, indices, entry, *(v[i].tolist() for v in (*arrays, resolution))))
+    qr, qi, cr, ci, rel_err, passed, by_floor = _pass_rule(
+        oracle[:, entry], closed.reshape(len(gs), -1)[:, entry], phases, phase > 0,
+        resolution, rtol, atol)
+    # the records as columns in field order, one row per record: the
+    # complex values take their parts by assignment, which keeps every bit
+    # (a signed zero too), and .tolist() gives each field its Python type
+    values = np.empty((2, *qr.shape), dtype=complex)
+    values.real, values.imag = (qr, cr), (qi, ci)
+    per_point = np.repeat(np.array([(s, bigK, l1, l2) for s, bigK, (l1, l2) in points],
+                                   dtype=object), len(entry), axis=0)
+    report.records = list(map(VerificationRecord._make, zip(
+        families * len(gs), *per_point.T.tolist(), itertools.repeat(alphas),
+        indices * len(gs), values[0].ravel().tolist(), err_est[:, entry].ravel().tolist(),
+        values[1].ravel().tolist(), rel_err.ravel().tolist(), passed.ravel().tolist(),
+        _JUDGED[by_floor.astype(np.intp)].ravel().tolist(), resolution.ravel().tolist(),
+        panels[:, entry].ravel().tolist())))
     return report

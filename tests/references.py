@@ -31,8 +31,11 @@ floats, one rounding per written operation, and ``half_line_table_per_qb`` the
 half-line table evaluated at each of its three q values and at both sides
 of every defect, one exp_erfc argument each, as the engine did before it
 shared the work between them; both pin the engine's array arithmetic bit
-for bit.  ``running_loop`` is geoamp._running as a loop of np.add, one
-row at a time, the form its np.cumsum is checked against bit for bit.
+for bit.  ``running_cumsum`` is geoamp._running as one np.cumsum, the
+form its loop of np.add, one row at a time, is checked against bit for
+bit.  ``records_per_point`` is verify_all's record building one grid point
+at a time, the form its one pass over columns is checked against field by
+field.
 
 ``svg_coordinates_per_point`` and ``svg_points_per_point`` are the SVG
 renderer's polyline coordinates and text computed one point at a time on
@@ -426,17 +429,71 @@ def contraction_py(g, u, v):
     return out
 
 
-def running_loop(start, parts, reverse):
-    """geoamp._running as a loop of np.add along axis -2: start, then each
-    row the previous row plus one part, from the last part back when
-    reverse."""
-    n = parts.shape[-2]
-    sums = np.empty(parts.shape[:-2] + (n + 1,) + parts.shape[-1:])
-    rows = range(n, -1, -1) if reverse else range(n + 1)
-    sums[..., rows[0], :] = start
-    for prev, row in zip(rows, rows[1:]):
-        np.add(sums[..., prev, :], parts[..., min(prev, row), :], out=sums[..., row, :])
-    return sums
+def running_cumsum(start, parts, reverse):
+    """geoamp._running as one np.cumsum along axis -2 over start and the
+    parts (the parts reversed, and the sums read back reversed, when
+    reverse)."""
+    if reverse:
+        parts = parts[..., ::-1, :]
+    sums = np.empty(parts.shape[:-2] + (parts.shape[-2] + 1,) + parts.shape[-1:])
+    sums[..., 0, :] = start
+    sums[..., 1:, :] = parts
+    np.cumsum(sums, axis=-2, out=sums)
+    return sums[..., ::-1, :] if reverse else sums
+
+
+def records_per_point(grid, rtol, atol):
+    """verify_all's records built one grid point at a time, as verify_all
+    built them before it built every record of a call from columns: the
+    same tables and the same pass-rule arrays, then per grid point the
+    .tolist() rows of those arrays and one VerificationRecord per record,
+    its complex values complex(re, im) of two Python floats."""
+    alphas = tuple(sorted(grid["alphas"]))
+    npos = len(alphas)
+    points = list(itertools.product(grid["s"], grid["bigK"], grid["lambdas"]))
+    gs = [geoamp.GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=grid["eta"],
+                                      lambda1=l1, lambda2=l2)
+          for s, bigK, (l1, l2) in points]
+    closed = np.empty((len(points), npos + 1, npos + 1), dtype=complex)
+    stride = len(grid["lambdas"])
+    for j, (l1, l2) in enumerate(grid["lambdas"]):
+        s, bigK = np.array([p[:2] for p in points[j::stride]], dtype=float).T
+        g = geoamp.GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=grid["eta"],
+                                        lambda1=l1, lambda2=l2)
+        closed[j::stride] = np.moveaxis(np.array(coefficient_table(g), dtype=complex), -1, 0)
+    positions = np.array([0.0, *(sum(p) for p in itertools.chain(
+        itertools.product(alphas), itertools.product(alphas, repeat=2)))])
+    families, indices, entry, phase = ["I0"], [()], [0], [0]
+    for m, n in itertools.product(range(npos), repeat=2):
+        families += ["Imn", "Jmn"]
+        indices += [(m, n)] * 2
+        entry += [(n + 1) * (npos + 1), n + 1]
+        phase += [1 + m] * 2
+    for m, mp_, n, np_ in itertools.product(range(npos), repeat=4):
+        families.append("Immnn")
+        indices.append((m, mp_, n, np_))
+        entry.append((m + 1) * (npos + 1) + n + 1)
+        phase.append(1 + npos + mp_ * npos + np_)
+    ovs = [ov for table in oracle._integral_tables(gs, QuadratureSpec())
+           for row in table for ov in row]
+    values, err_est, abs_integral, panels = (
+        np.array([getattr(ov, name) for ov in ovs]).reshape(len(gs), -1)
+        for name in ("value", "err_est", "abs_integral", "panels"))
+    phase = np.array(phase)
+    phases = np.exp(1j * np.array([g.beta for g in gs])[:, None] * positions)[:, phase]
+    resolution = 2 * PANEL_ORDER * oracle._EPS * abs_integral[:, entry]
+    arrays = oracle._pass_rule(values[:, entry], closed.reshape(len(gs), -1)[:, entry],
+                               phases, phase > 0, resolution, rtol, atol)
+    records = []
+    for i, (s, bigK, (l1, l2)) in enumerate(points):
+        errs, counts = err_est[i].tolist(), panels[i].tolist()
+        records.extend(
+            oracle.VerificationRecord(name, s, bigK, l1, l2, alphas, idx, complex(qr, qi),
+                                      errs[k], complex(cr, ci), rel, ok,
+                                      ("relative", "resolution")[by_floor], res, counts[k])
+            for name, idx, k, qr, qi, cr, ci, rel, ok, by_floor, res in zip(
+                families, indices, entry, *(v[i].tolist() for v in (*arrays, resolution))))
+    return records
 
 
 def half_line_table_per_qb(g):

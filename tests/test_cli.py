@@ -11,12 +11,14 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import full_grid_report
 from references import (
     angular_points_per_point,
     read_csv_per_line,
@@ -31,6 +33,8 @@ from bumpscatter.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    RECIPROCITY_ANGLES_DEG,
+    RECIPROCITY_CASES,
     _f17,
     _parse_couplings,
     _parse_floats,
@@ -587,12 +591,12 @@ def test_verify_json_round_trips_every_record_bit_for_bit(tmp_path):
             "alphas": (-3.0, 0.0), "eta": 0.1}
     report = oracle.verify_all(grid)
     data = json.loads(report.to_json())
-    fields = oracle.VerificationRecord.__dataclass_fields__
+    fields = typing.get_type_hints(oracle.VerificationRecord)
 
     def restored(d):
         return oracle.VerificationRecord(**{
-            name: complex(*d[name]) if fields[name].type == "complex"
-            else tuple(d[name]) if fields[name].type == "tuple" else d[name]
+            name: complex(*d[name]) if fields[name] is complex
+            else tuple(d[name]) if fields[name] is tuple else d[name]
             for name in fields})
 
     back = [restored(d) for d in data["records"]]
@@ -622,6 +626,40 @@ def test_verify_json_flag_writes_the_report(tmp_path, capsys):
     assert (f"summary records={summary['records']} failed={summary['failed']} "
             f"all_passed={summary['all_passed']} ") in out
     assert f"JSON report written to {path}" in out
+
+
+def test_verify_reports_both_symmetry_checks(tmp_path, capsys):
+    # After the records and the summary, verify states the reciprocity and
+    # then the y-mirror defect of every layout and angle pair, in its output
+    # and at the end of --out; --json holds the same numbers under
+    # "symmetry", beside the report's own JSON, unchanged.
+    txt, path = tmp_path / "v.txt", tmp_path / "v.json"
+    assert main(["verify", "--out", str(txt), "--json", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    data = json.loads(path.read_text())
+    symmetry = data.pop("symmetry")
+    assert json.dumps(data) + "\n" == full_grid_report()[0].to_json()
+    assert list(symmetry) == ["reciprocity", "y_mirror"]
+    lines = []
+    for name, title in (("reciprocity", "reciprocity f(K; theta0->theta; alpha, z) vs "
+                                        "f(K; -theta->-theta0; -alpha, z)"),
+                        ("y_mirror", "y-mirror f(K; theta0->theta; alpha, z) vs "
+                                     "f(K; -theta0->-theta; alpha, z)")):
+        lines.append(f"{title}, measured, K=1, N=0 the control:")
+        cases = symmetry[name]
+        assert [(c["alphas"], c["z"]) for c in cases] == [
+            (list(a), list(z)) for a, z in RECIPROCITY_CASES]
+        for case in cases:
+            assert [(p["theta0_deg"], p["theta_deg"]) for p in case["pairs"]] == list(
+                RECIPROCITY_ANGLES_DEG)
+            lines.append(
+                f"  N={len(case['alphas'])} alphas={','.join(f'{a:g}' for a in case['alphas'])}"
+                f" z={','.join(f'{z:g}' for z in case['z'])}: " + " ".join(
+                    f"({p['theta0_deg']:g},{p['theta_deg']:g})={p['defect']:.3e}"
+                    for p in case["pairs"]))
+    assert out[-len(lines):] == lines
+    assert txt.read_text().splitlines()[-len(lines):] == lines
+    assert max(p["defect"] for p in symmetry["y_mirror"][0]["pairs"]) <= 1e-15
 
 
 def test_verify_absurd_tolerance_exit_code(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from references import (
     immnn_x2,
     kink_coefficient_mp,
     ray_offset_per_point,
-    running_loop,
+    running_cumsum,
 )
 
 from bumpscatter import geoamp
@@ -400,16 +400,16 @@ def _random_complex(rng, shape, lo, hi):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_running_sums_are_the_add_loop_bit_for_bit(reverse):
-    # np.cumsum adds in sequence: every prefix (or suffix) sum has the bits
-    # of a loop of np.add, for N up to 64, terms over 60 decades and both
-    # a broadcast start and a zero one.
+def test_running_sums_are_the_cumsum_bit_for_bit(reverse):
+    # np.cumsum adds in sequence: every prefix (or suffix) sum of the loop
+    # of np.add has the bits of one np.cumsum, for N up to 64, terms over
+    # 60 decades and both a broadcast start and a zero one.
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 8, 64):
         parts = rng.standard_normal((2, 3, n, 5)) * 10.0 ** rng.uniform(-30, 30, (2, 3, n, 5))
         for start in (0.0, rng.standard_normal((2, 1, 5)) * 1e20):
             got = geoamp._running(start, parts, reverse)
-            want = running_loop(start, parts, reverse)
+            want = running_cumsum(start, parts, reverse)
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -633,6 +633,35 @@ def test_reciprocity_holds_without_defects():
 def test_reciprocity_holds_with_defects(positions, couplings):
     for th0, th in _RECIPROCITY_ANGLES_DEG:
         assert _reciprocity_defect(positions, couplings, th0, th) <= 1e-12
+
+
+# The y-mirror: the model is symmetric under y -> -y (the bump is round and
+# each line x = alpha_n maps to itself), so f(K; theta0 -> theta; alpha, z)
+# = f(K; -theta0 -> -theta; alpha, z) with the same defects.
+def _y_mirror_defect(positions, couplings, theta0_deg, theta_deg):
+    """|f - f'| / max(|f|, |f'|) of the two sides at K = 1, eta = 0.1,
+    lambda = (0.5, -0.5)."""
+    th0, th = math.radians(theta0_deg), math.radians(theta_deg)
+    ds = DefectSet(positions, couplings)
+    f = f1_geometric(Kinematics(1.0, th0, th), ds, 0.1, 0.5, -0.5)
+    f_mirror = f1_geometric(Kinematics(1.0, -th0, -th), ds, 0.1, 0.5, -0.5)
+    return abs(f - f_mirror) / max(abs(f), abs(f_mirror))
+
+
+def test_y_mirror_holds_without_defects():
+    # the control: 0 but for about 4e-16 at (-10, 60)
+    for th0, th in _RECIPROCITY_ANGLES_DEG:
+        assert _y_mirror_defect((), (), th0, th) <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("positions, couplings", [
+    ((3.0,), (1.0,)),
+    ((-1.0, 3.0), (1.0, 0.7)),
+], ids=["N1", "N2"])
+def test_y_mirror_holds_with_defects(positions, couplings):
+    for th0, th in _RECIPROCITY_ANGLES_DEG:
+        assert _y_mirror_defect(positions, couplings, th0, th) <= 1e-12
 
 
 def test_weak_coupling_limit_matches_flat_plane():

@@ -24,11 +24,12 @@ from references import (
     jmn_mollified,
     matches_oracle,
     operator_parts,
+    records_per_point,
     table_moduli_per_panel,
     tensor_integrand,
 )
 
-from bumpscatter import geoamp
+from bumpscatter import geoamp, oracle
 from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
 from bumpscatter.geoamp import GeoCoefficientInputs, coefficient_table, f1_geometric
 from bumpscatter.oracle import (
@@ -505,13 +506,15 @@ def test_verify_all_resolution_rule_rejects_resolvable_offset(monkeypatch):
         assert i0.passed is passes
 
 
+_TIGHT_GRID = {"s": (0.7,), "bigK": (1.0,), "lambdas": ((0.5, -0.5),), "alphas": (-3.0, 3.0),
+               "eta": 0.1}
+
+
 def _record_grids():
     """The records of the full grid, of a failing grid (rtol 1e-18) and of
     the structural-zero grid, each with its rtol and atol."""
-    tight = {"s": (0.7,), "bigK": (1.0,), "lambdas": ((0.5, -0.5),), "alphas": (-3.0, 3.0),
-             "eta": 0.1}
     yield full_grid_report()[0].records, 1e-6, 1e-10
-    yield verify_all(grid=tight, rtol=1e-18).records, 1e-18, 1e-10
+    yield verify_all(grid=_TIGHT_GRID, rtol=1e-18).records, 1e-18, 1e-10
     yield verify_all(grid=_ZERO_POINT_GRID).records, 1e-6, 1e-10
 
 
@@ -541,7 +544,7 @@ def test_records_hold_python_scalars():
              "lambda2": float, "alphas": tuple, "indices": tuple, "oracle": complex,
              "err_est": float, "closed": complex, "rel_err": float, "passed": bool,
              "judged": str, "resolution": float, "panels": int}
-    assert set(types) == {f.name for f in dataclasses.fields(VerificationRecord)}
+    assert set(types) == set(VerificationRecord._fields)
     for r in report.records:
         for name, kind in types.items():
             assert type(getattr(r, name)) is kind, (name, r.line())
@@ -551,6 +554,58 @@ def test_records_hold_python_scalars():
     for row in integral_table(_g()):
         for ov in row:
             assert [type(v) for v in dataclasses.astuple(ov)] == [complex, float, int, float]
+
+
+@pytest.mark.parametrize("grid, rtol, judged, negated", [
+    (None, 1e-6, {"relative", "resolution"}, False),
+    (_TIGHT_GRID, 1e-18, {"relative"}, False),
+    (_ZERO_POINT_GRID, 1e-6, {"resolution"}, False),
+    (_ZERO_POINT_GRID, 1e-6, {"resolution"}, True),
+], ids=["full", "failing", "structural_zero", "negated_zeros"])
+def test_records_are_the_per_point_records_field_for_field(monkeypatch, grid, rtol, judged,
+                                                           negated):
+    # verify_all builds every record of a call in one pass over columns:
+    # each field has the Python type, the bits (float and complex parts by
+    # .hex()) and the repr of the record built one grid point at a time
+    # from Python floats, on grids that pass, fail and are judged by
+    # resolution.  No grid gives a -0.0 part, so the last case negates the
+    # values the pass rule hands on, the structural zeros among them.
+    if negated:
+        pass_rule = oracle._pass_rule
+
+        def negating(*args):
+            qr, qi, cr, ci, *rest = pass_rule(*args)
+            return (-qr, -qi, -cr, -ci, *rest)
+
+        monkeypatch.setattr(oracle, "_pass_rule", negating)
+    if grid is None:
+        grid, got = default_verification_grid(), full_grid_report()[0].records
+    else:
+        got = verify_all(grid, rtol=rtol).records
+    want = records_per_point(grid, rtol, 1e-10)
+    assert len(got) == len(want) > 0
+    assert {r.judged for r in got} == judged
+    assert any(not r.passed for r in got) == (rtol < 1e-6)
+    assert any(r.closed.imag == 0.0 and math.copysign(1.0, r.closed.imag) < 0
+               for r in got) == negated
+    for a, b in zip(got, want):
+        assert repr(a) == repr(b)
+        for name, x, y in zip(VerificationRecord._fields, a, b):
+            assert type(x) is type(y), name
+            if isinstance(x, (float, complex)):
+                assert [v.hex() for v in (x.real, x.imag)] == [
+                    v.hex() for v in (y.real, y.imag)], name
+            else:
+                assert x == y, name
+
+
+def test_records_are_immutable():
+    r = full_grid_report()[0].records[0]
+    for name in VerificationRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, name, getattr(r, name))
+    with pytest.raises(AttributeError):
+        r.extra = 0
 
 
 def test_records_carry_the_oracle_entry_panel_count():
