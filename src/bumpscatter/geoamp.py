@@ -114,15 +114,16 @@ class GeoCoefficientInputs:
     positions (ascending); eta scales every coefficient linearly; lambda1
     and lambda2 weigh the two curvature contributions.  s and bigK are
     floats, or 1-D arrays of one length for a scan: every coefficient is
-    then an array with one value per point.
+    then an array with one value per point.  lambda1 and lambda2 are
+    floats, or with array s arrays of its length: one weight per point.
     """
 
     s: float | np.ndarray
     bigK: float | np.ndarray
     alphas: tuple
     eta: float
-    lambda1: float
-    lambda2: float
+    lambda1: float | np.ndarray
+    lambda2: float | np.ndarray
 
     def __post_init__(self):
         if self.eta < 0.0 or not np.isfinite(self.eta):
@@ -132,7 +133,10 @@ class GeoCoefficientInputs:
                 f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
                 f"K={self.bigK!r}"
             )
-        if not (np.isfinite(self.lambda1) and np.isfinite(self.lambda2)):
+        if {np.shape(self.lambda1), np.shape(self.lambda2)} - {(), np.shape(self.s)}:
+            raise InputError(f"lambda1 and lambda2 must be floats or hold one weight per point "
+                             f"of s, got {self.lambda1!r}, {self.lambda2!r} for s={self.s!r}")
+        if not (np.isfinite(self.lambda1) & np.isfinite(self.lambda2)).all():
             raise InputError(
                 f"lambda1 and lambda2 must be finite, got {self.lambda1!r}, {self.lambda2!r}"
             )

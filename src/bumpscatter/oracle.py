@@ -29,8 +29,9 @@ Phase rule: a phase position a' enters a defining integral only as the
 constant factor e^{i beta a'}.  Every integral is taken with its phase
 positions at 0, once per entry of the (N+1) x (N+1) table of plane (0) and
 kink (n + 1) pieces that geoamp contracts (integral_table, the quadrature
-twin of geoamp.coefficient_table), and the exact phase multiplies the
-result outside the quadrature.
+twin of geoamp.coefficient_table, which takes the same inputs: one table
+for a float GeoCoefficientInputs, one per point for an array one), and
+the exact phase multiplies the result outside the quadrature.
 
 The table factors.  The bra and ket y factors cancel, and L ket is the ket
 times F0 + sg F1 (sg = sign(x - a) for a kink at a, 1 for the plane wave;
@@ -61,19 +62,21 @@ panel; only the order-2p values of the final panels are read, so they
 are taken once, after every tree has converged, with each distinct final
 cell's 2D grid built once.  The line integral int psi_a(a, y) dy of a ket
 kink depends on neither the bra nor beta, K and the curvature weights, so
-one 1D tree integrates the N of them for every grid point of a call.
+one 1D tree integrates the N of them for every point of a call.
 
 The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
 of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
 Espelid and Genz, ACM TOMS 17, 1991).  Each panel scores every entry by the
 difference of its order-p and order-2p values; an entry is converged when
 its summed difference, the reported err_est, meets
-max(rel_tol |T_ab|, ABS_FLOOR), and until every entry is, the panel with
+max(REL_TOL |T_ab|, ABS_FLOOR), and until every entry is, the panel with
 the largest error-to-target ratio over the unconverged entries is bisected
-across its longer side.  The trees of the grid points of one call (one
-per grid point) are refined in lockstep: each round every unconverged tree
-bisects its worst panel, and the new panels of all trees are evaluated
-together, at most PANEL_BATCH panels per integrand call and Gauss order.
+across its longer side.  The box, the error target, the panel budget and
+verify_all's pass rule are module constants; the oracle has no options.
+The trees of the points of one call (one per point) are refined in
+lockstep: each round every unconverged tree bisects its worst panel, and
+the new panels of all trees are evaluated together, at most PANEL_BATCH
+panels per integrand call and Gauss order.
 The live trees' panels are held as arrays with one row per tree, so each
 round's stop test and split are array operations over all of them.  A tree
 reads only its own panels, so it is the tree it would be alone.  Panel
@@ -84,10 +87,11 @@ panels end up in.
 This module is intentionally independent of the closed forms: it never
 calls them or their kernels, only mirrors the defining integrals (from
 geoamp it takes the inputs, coefficient_table for the comparison and the
-complex product _cmul).  verify_all evaluates both tables and
-reports coefficient-by-coefficient agreement, judging all records of a
-call as arrays.  The closed table is geoamp's region kernel at unit
-amplitudes: the numbers every scan contracts.
+complex product _cmul).  verify_all evaluates both tables on one array
+input for its whole grid and reports coefficient-by-coefficient
+agreement, judging all records of a call as arrays.  The closed table is
+geoamp's region kernel at unit amplitudes: the numbers every scan
+contracts.
 """
 
 from __future__ import annotations
@@ -105,7 +109,6 @@ from .geoamp import GeoCoefficientInputs, _cmul, coefficient_table
 from .surface import BumpProfile, CurvatureCoefficients, operator_coeffs_first_order
 
 __all__ = [
-    "QuadratureSpec",
     "OracleValue",
     "QuadratureConvergenceError",
     "integral_table",
@@ -120,6 +123,17 @@ __all__ = [
 PANEL_ORDER = 12
 # Error target of an entry whose value is legitimately ~0.
 ABS_FLOOR = 1e-13
+# An entry has converged once its summed two-level error estimate is below
+# max(REL_TOL |value|, ABS_FLOOR); a tree that needs more than MAX_PANELS
+# panels raises QuadratureConvergenceError.
+REL_TOL = 1e-8
+MAX_PANELS = 6000
+# The box's half-width beyond max|alpha|: the integrand carries e^{-r^2},
+# so the tail beyond ~10 is far below double precision.
+BOX_MARGIN = 12.0
+# rtol and atol of verify_all's pass rule.
+VERIFY_RTOL = 1e-6
+VERIFY_ATOL = 1e-10
 # Most panels per integrand call.  A table panel's own work is O(p (N + 1))
 # (see _table_integrand), so the cap bounds the call count more than the
 # memory; larger batches save little more time.
@@ -130,36 +144,14 @@ GRID_BATCH = 12
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the adaptive panel integrator.
-
-    r_max = None means 12 + max|alpha| (the integrand carries e^{-r^2}, so
-    the tail beyond ~10 is far below double precision).  rel_tol is the
-    target for the summed two-level error estimate relative to the result,
-    held per entry of a table (an entry also converges once its estimate
-    is below ABS_FLOOR).  max_panels bounds each shared panel tree;
-    exceeding it raises QuadratureConvergenceError.
-    """
-
-    r_max: float | None = None
-    rel_tol: float = 1e-8
-    max_panels: int = 6000
-
-    def resolve_r_max(self, alphas=()) -> float:
-        if self.r_max is not None:
-            return float(self.r_max)
-        biggest = max((abs(a) for a in alphas), default=0.0)
-        return 12.0 + biggest
-
-
-@dataclass(frozen=True)
 class OracleValue:
     """A quadrature result with its two-level error estimate.
 
     abs_integral is the integral of |integrand| over the same panels, at
     order 2p, taken once on the final panels of the converged tree.  It
-    sets the roundoff floor of the result: each panel value is two length-2p dot products, so summing the
-    panels loses up to about 2p * eps * abs_integral (the gamma_4p bound of
+    sets the roundoff floor of the result (_resolution): each panel value
+    is two length-2p dot products, so summing the panels loses up to
+    about 2p * eps * abs_integral (the gamma_4p bound of
     Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  A
     value no larger than that floor cannot be told apart from zero;
     verify_all judges such values against the floor instead of relatively.
@@ -171,8 +163,8 @@ class OracleValue:
     abs_integral: float
 
     def resolution(self) -> float:
-        """Roundoff floor 2p * eps * abs_integral of this value."""
-        return 2 * PANEL_ORDER * _EPS * self.abs_integral
+        """Roundoff floor of this value (_resolution)."""
+        return _resolution(self.abs_integral)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -191,6 +183,12 @@ class QuadratureConvergenceError(RuntimeError):
 
 _GL_CACHE: dict = {}
 _EPS = float(np.finfo(float).eps)
+
+
+def _resolution(abs_integral):
+    """Roundoff floor 2p * eps * abs_integral of a value, or of each value of
+    an array, whose integral of |integrand| is abs_integral."""
+    return 2 * PANEL_ORDER * _EPS * abs_integral
 
 
 def _leggauss(n: int):
@@ -212,7 +210,7 @@ class _Integrand(NamedTuple):
 
     values(trees, cells, order) returns, one row per panel, the
     order x order tensor Gauss-Legendre values (order nodes on a 1D cell)
-    of every integral over cells[k], at the grid point of tree trees[k];
+    of every integral over cells[k], at the point of tree trees[k];
     cells[k] holds one (lo, hi) row per axis.  moduli takes the same
     arguments and returns the same rule applied to the moduli of the
     integrands.
@@ -250,7 +248,7 @@ def _slot_sums(rows):
     return np.ascontiguousarray(rows.transpose(2, 0, 3, 1)).sum(axis=-1)
 
 
-def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> list:
+def _adaptive(f, n_trees, edges_x, edges_y, labels) -> list:
     """n_trees vectors of integrals f (an _Integrand), one entry per label,
     each on its own global-adaptive panel tree as in the module docstring
     (x is bisected on a tie); every tree starts from the same edges, and
@@ -276,7 +274,7 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
     integrates |f| over the final panels of all trees.  Returns, per tree,
     one OracleValue per label, each with that tree's panel count.
 
-    A tree that reaches spec.max_panels unconverged raises
+    A tree that reaches MAX_PANELS unconverged raises
     QuadratureConvergenceError with its worst entry.  The live trees all
     reach it in the same round, and the error names the first of them in
     grid order: the tree a loop over the trees, one at a time, would fail
@@ -300,7 +298,7 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
             new[i:i + PANEL_BATCH] = np.stack([q.real, q.imag, err], axis=1)
         rows = np.concatenate([rows, new.reshape(len(live), -1, *new.shape[1:])], axis=1)
         re, im, err = _slot_sums(rows)
-        target = np.maximum(spec.rel_tol * np.hypot(re, im), ABS_FLOOR)
+        target = np.maximum(REL_TOL * np.hypot(re, im), ABS_FLOOR)
         unconverged = err > target
         going = unconverged.any(axis=1)
         if not going.all():
@@ -312,7 +310,7 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
             if not len(live):
                 break
         n = cells.shape[1]
-        if n >= spec.max_panels:
+        if n >= MAX_PANELS:
             k = int(np.argmax(np.where(unconverged[0], err[0] / target[0], -1.0)))
             what = labels[k]
             tot = complex(math.fsum(rows[0, :, 0, k]), math.fsum(rows[0, :, 1, k]))
@@ -351,14 +349,18 @@ def _adaptive(f, n_trees, edges_x, edges_y, spec: QuadratureSpec, labels) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _integrand_inputs(gs):
-    """beta, gamma, lambda1 and lambda2 of each grid point in gs, as arrays
-    indexed by tree, and the bump profile they share (gs share eta)."""
-    beta = np.array([g.beta for g in gs])
-    # GeoCoefficientInputs rejects |s| > 1, so gam2 < 0 only by rounding.
-    gamma = np.array([math.sqrt(max(g.bigK**2 - g.beta**2, 0.0)) for g in gs])
-    lambdas = np.array([(g.lambda1, g.lambda2) for g in gs])
-    return beta, gamma, lambdas[:, 0], lambdas[:, 1], BumpProfile(delta=math.sqrt(gs[0].eta))
+def _integrand_inputs(g):
+    """beta, gamma, lambda1 and lambda2 of each point of g (one for a float
+    g), as arrays indexed by tree, and g's bump profile."""
+    beta = np.array(g.beta, dtype=float, ndmin=1)
+    # Per point in Python floats, K**2 libm's pow as in geoamp's p2: a
+    # point's gamma is the same in an array g as alone.  GeoCoefficientInputs
+    # rejects |s| > 1, so gam2 < 0 only by rounding.
+    gamma = np.array([math.sqrt(max(k**2 - b**2, 0.0)) for k, b in
+                      zip(np.array(g.bigK, dtype=float, ndmin=1).tolist(), beta.tolist())])
+    lambda1, lambda2 = (np.broadcast_to(np.asarray(w, dtype=float), beta.shape)
+                        for w in (g.lambda1, g.lambda2))
+    return beta, gamma, lambda1, lambda2, BumpProfile(delta=math.sqrt(g.eta))
 
 
 # The first-order c is linear in the curvature weights: its values at
@@ -431,10 +433,10 @@ def _ket_signs(kets, cells):
                      for b in kets], axis=-1)
 
 
-def _table_integrand(bras, kets, gs):
+def _table_integrand(bras, kets, g):
     """The integrand of bra * (L ket) for every bra in bras against every
-    ket in kets, flattened row by row, each panel at the grid point gs[t]
-    of its tree t: the factored table of the module docstring.
+    ket in kets, flattened row by row, each panel at the point t of g that
+    its tree t belongs to: the factored table of the module docstring.
 
     A panel's values split into its cell's _cell_basis, which no tree
     changes and which is kept, per cell and Gauss order, for the life of
@@ -442,7 +444,7 @@ def _table_integrand(bras, kets, gs):
     The moduli |F0 + sg F1| = |c - a u^2 + i b u|, u = sg beta x + gamma y,
     take the 2D grid: it is built once per distinct cell of a call and not
     kept."""
-    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(gs)
+    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(g)
     basis = {}  # (cell bounds, order) -> its _cell_basis rows
 
     def values(t, cells, order):
@@ -506,7 +508,7 @@ def _line_integrand(kinks, eta):
     """The integrand of int a/r^2(a, y) dy along each defect line x = a in
     kinks: a ket kink at a adds 2 i beta a^2 bra(a) times it to the entry
     of every bra.  a/r^2 depends on the bump (eta) alone, not on beta, K or
-    the curvature weights, so one tree serves every grid point.  It is not
+    the curvature weights, so one tree serves every point.  It is not
     negative, so each integral is also the integral of its modulus."""
     profile = BumpProfile(delta=math.sqrt(eta))
     a = np.asarray(kinks, dtype=float)[:, None]
@@ -520,24 +522,24 @@ def _line_integrand(kinks, eta):
     return _Integrand(psi, psi)
 
 
-def _panel_edges(g: GeoCoefficientInputs, spec: QuadratureSpec, points):
-    """Base panel edges: x breaks at 0 and at the points inside the box,
-    y breaks at 0."""
-    rmax = spec.resolve_r_max(g.alphas)
+def _panel_edges(g: GeoCoefficientInputs, points):
+    """Base panel edges of the box [-r, r]^2, r = BOX_MARGIN + max|alpha|:
+    x breaks at 0 and at the points inside the box, y breaks at 0."""
+    rmax = BOX_MARGIN + max((abs(a) for a in g.alphas), default=0.0)
     interior = sorted({0.0, *points})
     edges_x = [-rmax] + [v for v in interior if -rmax < v < rmax] + [rmax]
     return edges_x, [-rmax, 0.0, rmax]
 
 
-def _integrate_tables(bras, kets, gs, spec: QuadratureSpec, labels) -> list:
+def _integrate_tables(bras, kets, g, labels) -> list:
     """Integrals of every bra piece against every ket piece (kink
     positions, or None for the plane wave), labeled by the rows of labels,
-    one table per grid point of gs (they share alphas and eta): the smooth
-    parts on one 2D tree per grid point, refined in lockstep, the line
-    terms of the ket kinks on one 1D tree that every grid point shares."""
-    g0 = gs[0]
-    edges_x, edges_y = _panel_edges(g0, spec, [k for k in (*bras, *kets) if k is not None])
-    smooth = _adaptive(_table_integrand(bras, kets, gs), len(gs), edges_x, edges_y, spec,
+    one table per point of g (one for a float g): the smooth parts on one
+    2D tree per point, refined in lockstep, the line terms of the ket kinks
+    on one 1D tree that every point shares."""
+    betas = np.array(g.beta, dtype=float, ndmin=1)
+    edges_x, edges_y = _panel_edges(g, [k for k in (*bras, *kets) if k is not None])
+    smooth = _adaptive(_table_integrand(bras, kets, g), len(betas), edges_x, edges_y,
                        [what for row in labels for what in row])
     tables = [[entries[i * len(kets):(i + 1) * len(kets)] for i in range(len(bras))]
               for entries in smooth]
@@ -545,13 +547,12 @@ def _integrate_tables(bras, kets, gs, spec: QuadratureSpec, labels) -> list:
     if not cols:
         return tables
     at = np.array([kets[j] for j in cols])
-    [lines] = _adaptive(_line_integrand(at, g0.eta), 1, edges_y, None, spec,
+    [lines] = _adaptive(_line_integrand(at, g.eta), 1, edges_y, None,
                         [labels[0][j] + " (line term)" for j in cols])
-    betas = np.array([g.beta for g in gs])
     bra_at, _ = _x_factors(bras, kets, at, betas[:, None, None])
-    for g, table, bra in zip(gs, tables, bra_at):
+    for beta, table, bra in zip(betas.tolist(), tables, bra_at):
         # Python complex weights, so the merged entries hold Python numbers
-        weights = (2j * g.beta * at**2 * bra).tolist()
+        weights = (2j * beta * at**2 * bra).tolist()
         for row, row_weights in zip(table, weights):
             for j, w, line in zip(cols, row_weights, lines):
                 ov = row[j]
@@ -561,11 +562,11 @@ def _integrate_tables(bras, kets, gs, spec: QuadratureSpec, labels) -> list:
     return tables
 
 
-def _integrate_pair(bra, ket, g: GeoCoefficientInputs,
-                    spec: QuadratureSpec, what: str) -> OracleValue:
+def _integrate_pair(bra, ket, g: GeoCoefficientInputs, what: str) -> OracleValue:
     """Integral of bra piece `bra` against ket piece `ket` (kink positions,
-    or None for the plane wave), labeled `what`: the one-entry table."""
-    return _integrate_tables((bra,), (ket,), [g], spec, [[what]])[0][0][0]
+    or None for the plane wave) at the float g, labeled `what`: the
+    one-entry table."""
+    return _integrate_tables((bra,), (ket,), g, [[what]])[0][0][0]
 
 
 def _label(g: GeoCoefficientInputs, bra, ket) -> str:
@@ -578,21 +579,18 @@ def _label(g: GeoCoefficientInputs, bra, ket) -> str:
     return f"I4 base[{index(bra)},{index(ket)}]"
 
 
-def _integral_tables(gs, spec: QuadratureSpec) -> list:
-    """integral_table of every grid point of gs (they share alphas and
-    eta), all trees refined in one lockstep loop."""
-    pieces = (None, *gs[0].alphas)
-    labels = [[_label(gs[0], bra, ket) for ket in pieces] for bra in pieces]
-    return _integrate_tables(pieces, pieces, gs, spec, labels)
-
-
-def integral_table(g: GeoCoefficientInputs, spec: QuadratureSpec = QuadratureSpec()):
+def integral_table(g: GeoCoefficientInputs) -> list:
     """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
     pair C[m, n].  The quadrature of geoamp.coefficient_table, all entries
-    on one shared panel tree: the one-grid-point case of _integral_tables."""
-    return _integral_tables([g], spec)[0]
+    of a point on one shared panel tree.  A float g gives its table; an
+    array g one table per point, all trees refined in one lockstep loop,
+    each the table of that point alone."""
+    pieces = (None, *g.alphas)
+    labels = [[_label(g, bra, ket) for ket in pieces] for bra in pieces]
+    tables = _integrate_tables(pieces, pieces, g, labels)
+    return tables[0] if np.ndim(g.beta) == 0 else tables
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +604,6 @@ def assemble_f1_oracle(
     eta: float,
     lambda1: float,
     lambda2: float,
-    spec: QuadratureSpec = QuadratureSpec(),
 ) -> OracleValue:
     """f1 with every coefficient taken from quadrature instead of closed form.
 
@@ -647,7 +644,7 @@ def assemble_f1_oracle(
         weight[1:, 0], weight[0, 1:] = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
         weight[1:, 1:] = np.outer(np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1))
     cells = [(coef[a, b], weight[a, b], ov)
-             for a, row in enumerate(integral_table(g, spec)) for b, ov in enumerate(row)]
+             for a, row in enumerate(integral_table(g)) for b, ov in enumerate(row)]
     values = [c * ov.value for c, _, ov in cells]
     bracket = complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
     total_err = math.fsum(w * ov.err_est for _, w, ov in cells)
@@ -789,7 +786,7 @@ def default_verification_grid():
 _JUDGED = np.array(["relative", "resolution"], dtype=object)
 
 
-def _pass_rule(oracle, closed, phases, phased, resolution, rtol, atol):
+def _pass_rule(oracle, closed, phases, phased, resolution):
     """verify_all's pass rule on (grid point, record) arrays.  Multiplies
     the oracle and closed values by their phases where phased, in Python's
     complex product (geoamp._cmul), and returns their real and imaginary
@@ -799,23 +796,23 @@ def _pass_rule(oracle, closed, phases, phased, resolution, rtol, atol):
         np.where(phased, _cmul(np.stack([phases.real, phases.imag]), z), z)
         for z in (np.stack([v.real, v.imag]) for v in (oracle, closed)))
     size, diff = np.hypot(qr, qi), np.hypot(cr - qr, ci - qi)
-    rel_err = diff / np.maximum(size, atol)
+    rel_err = diff / np.maximum(size, VERIFY_ATOL)
     by_floor = size <= resolution
-    passed = np.where(by_floor, diff <= resolution, rel_err <= rtol)
+    passed = np.where(by_floor, diff <= resolution, rel_err <= VERIFY_RTOL)
     return qr, qi, cr, ci, rel_err, passed, by_floor
 
 
-def verify_all(grid: dict | None = None, rtol: float = 1e-6,
-               atol: float = 1e-10) -> VerificationReport:
+def verify_all(grid: dict | None = None) -> VerificationReport:
     """Compare every closed-form coefficient against quadrature on a grid
-    (default_verification_grid when None), with QuadratureSpec().
+    (default_verification_grid when None).
 
-    The closed (N+1) x (N+1) tables come from geoamp.coefficient_table on
-    one array GeoCoefficientInputs per curvature setting, holding its grid
-    points' s and K.  The quadrature tables of all grid points come from
-    one lockstep call (see the module docstring).  An invalid grid point
-    raises before any quadrature, and a QuadratureConvergenceError names
-    the first grid point, in grid order, whose tree overruns.  The records
+    One array GeoCoefficientInputs holds every grid point's s, K and
+    curvature weights.  The closed (N+1) x (N+1) tables of all grid points
+    come from one geoamp.coefficient_table call on it, and the quadrature
+    tables from one integral_table call (one lockstep loop, see the module
+    docstring).  An invalid grid point raises before any quadrature, and a
+    QuadratureConvergenceError names the first grid point, in grid order,
+    whose tree overruns.  The records
     keep the four coefficient families of the index-tuple expansion of f1:
     I0 = T[0][0] and, with e_n = e^{i beta a_n},
 
@@ -836,10 +833,10 @@ def verify_all(grid: dict | None = None, rtol: float = 1e-6,
     Python numbers and the same bits as the rule applied to one record at
     a time.
 
-    Pass rule, per closed value c against the oracle value q (bumpscatter
-    verify takes the defaults, rtol = 1e-6 and atol = 1e-10, on the default
-    grid; every record keeps its rel_err, so a report can be judged under
-    another tolerance afterwards):
+    Pass rule, per closed value c against the oracle value q, with
+    rtol = VERIFY_RTOL = 1e-6 and atol = VERIFY_ATOL = 1e-10 (every record
+    keeps its rel_err, so a report can be judged under another tolerance
+    afterwards):
 
     * relative: if |q| > R, c matches when |c - q| / max(|q|, atol) <= rtol.
       atol is a floor on the relative-error scale, not a numpy-style
@@ -849,7 +846,7 @@ def verify_all(grid: dict | None = None, rtol: float = 1e-6,
       |c - q| <= R; rtol and atol play no part.
 
     R = 2p * eps * int|f| is the oracle's roundoff floor
-    (OracleValue.resolution, p = PANEL_ORDER), about 2.6e-15 at the
+    (_resolution, p = PANEL_ORDER), about 2.6e-15 at the
     grid point s = 0, K = 1, lambdas = (0.5, 0.5), whose exact value is 0.
 
     Records land in deterministic grid order.
@@ -857,22 +854,17 @@ def verify_all(grid: dict | None = None, rtol: float = 1e-6,
     grid = grid or default_verification_grid()
     report = VerificationReport()
     alphas = tuple(sorted(grid["alphas"]))
-    eta = grid.get("eta", 0.1)
     npos = len(alphas)
-    points = list(itertools.product(grid["s"], grid["bigK"], grid["lambdas"]))
-    gs = [GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=eta, lambda1=l1, lambda2=l2)
-          for s, bigK, (l1, l2) in points]
-    if not gs:
+    points = [(s, bigK, l1, l2) for s, bigK, (l1, l2) in
+              itertools.product(grid["s"], grid["bigK"], grid["lambdas"])]
+    if not points:
         return report
-    # the closed tables, (grid point, bra piece, ket piece): one array
-    # evaluation per curvature setting, whose points are every
-    # len(lambdas)-th grid point
-    closed = np.empty((len(points), npos + 1, npos + 1), dtype=complex)
-    stride = len(grid["lambdas"])
-    for j, (l1, l2) in enumerate(grid["lambdas"]):
-        s, bigK = np.array([p[:2] for p in points[j::stride]], dtype=float).T
-        g = GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=eta, lambda1=l1, lambda2=l2)
-        closed[j::stride] = np.moveaxis(np.array(coefficient_table(g), dtype=complex), -1, 0)
+    s, bigK, l1, l2 = np.array(points, dtype=float).T
+    g = GeoCoefficientInputs(s=s, bigK=bigK, alphas=alphas, eta=grid.get("eta", 0.1),
+                             lambda1=l1, lambda2=l2)
+    # the closed tables as (grid point, flat table entry)
+    closed = np.moveaxis(np.array(coefficient_table(g), dtype=complex), -1, 0).reshape(
+        len(points), -1)
     # the records of a grid point: family, indices, flat table entry and
     # phase position, an index into positions: 0 for I0, which takes no
     # phase, then a_m and a_m' + a_n'
@@ -889,26 +881,24 @@ def verify_all(grid: dict | None = None, rtol: float = 1e-6,
         indices.append((m, mp, n, np_))
         entry.append((m + 1) * (npos + 1) + n + 1)
         phase.append(1 + npos + mp * npos + np_)
-    ovs = [ov for table in _integral_tables(gs, QuadratureSpec()) for row in table for ov in row]
+    ovs = [ov for table in integral_table(g) for row in table for ov in row]
     oracle, err_est, abs_integral, panels = (
-        np.array([getattr(ov, name) for ov in ovs]).reshape(len(gs), -1)
+        np.array([getattr(ov, name) for ov in ovs]).reshape(len(points), -1)
         for name in ("value", "err_est", "abs_integral", "panels"))
     phase = np.array(phase)
-    phases = np.exp(1j * np.array([g.beta for g in gs])[:, None] * positions)[:, phase]
-    resolution = 2 * PANEL_ORDER * _EPS * abs_integral[:, entry]
+    phases = np.exp(1j * g.beta[:, None] * positions)[:, phase]
+    resolution = _resolution(abs_integral[:, entry])
     qr, qi, cr, ci, rel_err, passed, by_floor = _pass_rule(
-        oracle[:, entry], closed.reshape(len(gs), -1)[:, entry], phases, phase > 0,
-        resolution, rtol, atol)
+        oracle[:, entry], closed[:, entry], phases, phase > 0, resolution)
     # the records as columns in field order, one row per record: the
     # complex values take their parts by assignment, which keeps every bit
     # (a signed zero too), and .tolist() gives each field its Python type
     values = np.empty((2, *qr.shape), dtype=complex)
     values.real, values.imag = (qr, cr), (qi, ci)
-    per_point = np.repeat(np.array([(s, bigK, l1, l2) for s, bigK, (l1, l2) in points],
-                                   dtype=object), len(entry), axis=0)
+    per_point = np.repeat(np.array(points, dtype=object), len(entry), axis=0)
     report.records = list(map(VerificationRecord._make, zip(
-        families * len(gs), *per_point.T.tolist(), itertools.repeat(alphas),
-        indices * len(gs), values[0].ravel().tolist(), err_est[:, entry].ravel().tolist(),
+        families * len(points), *per_point.T.tolist(), itertools.repeat(alphas),
+        indices * len(points), values[0].ravel().tolist(), err_est[:, entry].ravel().tolist(),
         values[1].ravel().tolist(), rel_err.ravel().tolist(), passed.ravel().tolist(),
         _JUDGED[by_floor.astype(np.intp)].ravel().tolist(), resolution.ravel().tolist(),
         panels[:, entry].ravel().tolist())))

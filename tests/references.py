@@ -69,7 +69,6 @@ from bumpscatter.oracle import (
     PANEL_ORDER,
     OracleValue,
     QuadratureConvergenceError,
-    QuadratureSpec,
     _adaptive,
     _Integrand,
     _integrand_inputs,
@@ -109,12 +108,13 @@ def immnn_x2(g, m, mp, n, np_):
     return kappa2 - 0.25 * math.pi * g.eta * step
 
 
-def matches_oracle(closed, record, rtol=1e-6, atol=1e-10):
-    """The verify_all pass rule applied to another closed value."""
+def matches_oracle(closed, record):
+    """The verify_all pass rule applied to another closed value, under the
+    oracle's VERIFY_RTOL and VERIFY_ATOL at the time of the call."""
     diff = abs(closed - record.oracle)
     if record.judged == "resolution":
         return diff <= record.resolution
-    return diff / max(abs(record.oracle), atol) <= rtol
+    return diff / max(abs(record.oracle), oracle.VERIFY_ATOL) <= oracle.VERIFY_RTOL
 
 
 def kink_coefficient_mp(g, bra=None, ket=None):
@@ -208,11 +208,20 @@ def tensor_integrand(F):
     return _Integrand(rule(False), rule(True))
 
 
-def table_moduli_per_panel(kets, gs, trees, cells, order):
-    """int |F0 + sg F1| of each panel, cells[k] at the grid point
-    gs[trees[k]], one column per ket (sg = _ket_signs): the tensor rule on
+def stacked_inputs(gs):
+    """One array GeoCoefficientInputs of the float points gs (they share
+    alphas and eta): s, K and the curvature weights one value per point."""
+    s, bigK, lambda1, lambda2 = (np.array([getattr(g, name) for g in gs], dtype=float)
+                                 for name in ("s", "bigK", "lambda1", "lambda2"))
+    return geoamp.GeoCoefficientInputs(s=s, bigK=bigK, alphas=gs[0].alphas, eta=gs[0].eta,
+                                       lambda1=lambda1, lambda2=lambda2)
+
+
+def table_moduli_per_panel(kets, g, trees, cells, order):
+    """int |F0 + sg F1| of each panel, cells[k] at the point trees[k] of
+    the array g, one column per ket (sg = _ket_signs): the tensor rule on
     the complex sum of operator_parts, one panel at a time."""
-    parts = operator_parts(*_integrand_inputs(gs))
+    parts = operator_parts(*_integrand_inputs(g))
     sg = _ket_signs(kets, cells)
     out = np.empty((len(cells), len(kets)))
     for k, (t, cell) in enumerate(zip(trees, cells)):
@@ -223,7 +232,7 @@ def table_moduli_per_panel(kets, gs, trees, cells, order):
     return out
 
 
-def jmn_mollified(g, n, width, spec=QuadratureSpec()):
+def jmn_mollified(g, n, width):
     """Ket kink n against the plane wave (the table entry T[0][n+1], phase
     position at 0) with its line term's delta(x - a) replaced by a Gaussian
     of the given width, so that the whole entry is one 2D integral.
@@ -233,7 +242,7 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
     It approaches the sharp entry as O(width^2).
     """
     a = g.alphas[n]
-    inputs = _integrand_inputs([g])
+    inputs = _integrand_inputs(g)
     beta, profile = g.beta, inputs[-1]
     cc = CurvatureCoefficients(g.lambda1, g.lambda2)
     parts = operator_parts(*inputs)
@@ -249,15 +258,15 @@ def jmn_mollified(g, n, width, spec=QuadratureSpec()):
         return np.stack([smooth, line], axis=1)
 
     # the mollifier support needs panel edges at a +- a few widths
-    edges = _panel_edges(g, spec, [a, a - 6.0 * width, a + 6.0 * width])
-    [[smooth, line]] = _adaptive(tensor_integrand(F), 1, *edges, spec,
+    edges = _panel_edges(g, [a, a - 6.0 * width, a + 6.0 * width])
+    [[smooth, line]] = _adaptive(tensor_integrand(F), 1, *edges,
                                  [f"Jmn[{n}] smooth", "mollified line"])
     return smooth.value + line.value
 
 
-def adaptive_per_tree(f, n_trees, edges_x, edges_y, spec, labels):
+def adaptive_per_tree(f, n_trees, edges_x, edges_y, labels):
     """oracle._adaptive with its lockstep state held per tree: every round
-    a Python loop over the live trees runs the stop test, the max_panels
+    a Python loop over the live trees runs the stop test, the MAX_PANELS
     check and the split of each, re-concatenating the tree's row and cell
     arrays.  Same arguments, batches, evaluator calls and results."""
     edges = (edges_x,) if edges_y is None else (edges_x, edges_y)
@@ -281,12 +290,12 @@ def adaptive_per_tree(f, n_trees, edges_x, edges_y, spec, labels):
         for t in live:
             re, im, errs = rows[t].transpose(1, 0, 2)
             err = errs.sum(axis=0)
-            target = np.maximum(spec.rel_tol * np.hypot(re.sum(axis=0), im.sum(axis=0)),
+            target = np.maximum(oracle.REL_TOL * np.hypot(re.sum(axis=0), im.sum(axis=0)),
                                 ABS_FLOOR)
             unconverged = err > target
             if not unconverged.any():
                 continue
-            if len(cells[t]) >= spec.max_panels:
+            if len(cells[t]) >= oracle.MAX_PANELS:
                 k = int(np.argmax(np.where(unconverged, err / target, -1.0)))
                 what, tot = labels[k], complex(math.fsum(re[:, k]), math.fsum(im[:, k]))
                 raise QuadratureConvergenceError(
@@ -442,12 +451,13 @@ def running_cumsum(start, parts, reverse):
     return sums[..., ::-1, :] if reverse else sums
 
 
-def records_per_point(grid, rtol, atol):
+def records_per_point(grid):
     """verify_all's records built one grid point at a time, as verify_all
     built them before it built every record of a call from columns: the
-    same tables and the same pass-rule arrays, then per grid point the
-    .tolist() rows of those arrays and one VerificationRecord per record,
-    its complex values complex(re, im) of two Python floats."""
+    closed tables of one call per curvature setting, the quadrature tables
+    and the same pass-rule arrays, then per grid point the .tolist() rows
+    of those arrays and one VerificationRecord per record, its complex
+    values complex(re, im) of two Python floats."""
     alphas = tuple(sorted(grid["alphas"]))
     npos = len(alphas)
     points = list(itertools.product(grid["s"], grid["bigK"], grid["lambdas"]))
@@ -474,7 +484,7 @@ def records_per_point(grid, rtol, atol):
         indices.append((m, mp_, n, np_))
         entry.append((m + 1) * (npos + 1) + n + 1)
         phase.append(1 + npos + mp_ * npos + np_)
-    ovs = [ov for table in oracle._integral_tables(gs, QuadratureSpec())
+    ovs = [ov for table in oracle.integral_table(stacked_inputs(gs))
            for row in table for ov in row]
     values, err_est, abs_integral, panels = (
         np.array([getattr(ov, name) for ov in ovs]).reshape(len(gs), -1)
@@ -483,7 +493,7 @@ def records_per_point(grid, rtol, atol):
     phases = np.exp(1j * np.array([g.beta for g in gs])[:, None] * positions)[:, phase]
     resolution = 2 * PANEL_ORDER * oracle._EPS * abs_integral[:, entry]
     arrays = oracle._pass_rule(values[:, entry], closed.reshape(len(gs), -1)[:, entry],
-                               phases, phase > 0, resolution, rtol, atol)
+                               phases, phase > 0, resolution)
     records = []
     for i, (s, bigK, (l1, l2)) in enumerate(points):
         errs, counts = err_est[i].tolist(), panels[i].tolist()

@@ -29,7 +29,7 @@ from bumpscatter.geoamp import (
     cross_section,
     f1_geometric,
 )
-from bumpscatter.oracle import QuadratureSpec, integral_table
+from bumpscatter.oracle import integral_table
 
 pytestmark = pytest.mark.acceptance
 
@@ -77,7 +77,6 @@ def test_criterion_2_smooth_coefficient_reference_values():
         eta = 0.1
         worst_direct = 0.0
         worst_quad = 0.0
-        spec = QuadratureSpec()
         # Forward direction with curvature weights off: pure kinetic term.
         for big_k in (0.5, 1.0, 2.0):
             g = GeoCoefficientInputs(s=0.0, bigK=big_k, alphas=(), eta=eta,
@@ -85,7 +84,7 @@ def test_criterion_2_smooth_coefficient_reference_values():
             expected = -math.pi * eta * big_k**2 / 2.0
             val = I0_closed(g)
             worst_direct = max(worst_direct, abs(val - expected) / abs(expected))
-            quad = integral_table(g, spec)[0][0].value
+            quad = integral_table(g)[0][0].value
             worst_quad = max(worst_quad, abs(quad - expected) / abs(expected))
         # Backscattering at K = 1 with the thin-layer weights.
         g = GeoCoefficientInputs(s=1.0, bigK=1.0, alphas=(), eta=eta,
@@ -93,7 +92,7 @@ def test_criterion_2_smooth_coefficient_reference_values():
         expected = -math.pi * eta * math.exp(-1.0) / 4.0
         val = I0_closed(g)
         worst_direct = max(worst_direct, abs(val - expected) / abs(expected))
-        quad = integral_table(g, spec)[0][0].value
+        quad = integral_table(g)[0][0].value
         worst_quad = max(worst_quad, abs(quad - expected) / abs(expected))
         ok = worst_direct <= 1e-12 and worst_quad <= 1e-6
         detail = (

@@ -54,3 +54,18 @@ def test_benchmark_driver_names_exist():
     missing = [f"{m}.{name}" for m, name in sorted(used)
                if not hasattr(importlib.import_module(f"bumpscatter.{m}"), name)]
     assert missing == []
+
+
+def test_tracer_counts_pair_integrals_by_their_label(tracing):
+    # The tracer reads an _integrate_pair call's label from its fifth
+    # positional argument or from what=; every caller passes it by keyword.
+    from bumpscatter import oracle
+    from bumpscatter.geoamp import GeoCoefficientInputs
+
+    g = GeoCoefficientInputs(s=0.7, bigK=1.0, alphas=(0.0,), eta=0.1, lambda1=0.5, lambda2=-0.5)
+    with tracing.Tracer() as tracer:
+        ov = oracle._integrate_pair(0.0, None, g, what="Imn[0]")
+    counts = tracer.totals()
+    assert counts["oracle.integrals_Imn"] == 1
+    assert counts["oracle.panels_Imn"] == ov.panels > 0
+    assert counts["oracle.integrals_other"] == 0

@@ -665,7 +665,7 @@ def test_verify_reports_both_symmetry_checks(tmp_path, capsys):
 def test_verify_absurd_tolerance_exit_code(capsys, monkeypatch):
     # A verification failure exits 3: verify_all run with a tolerance no
     # record can meet.
-    monkeypatch.setattr(cli, "verify_all", lambda grid: oracle.verify_all(grid, rtol=1e-18))
+    monkeypatch.setattr(oracle, "VERIFY_RTOL", 1e-18)
     code = main(["verify"])
     assert code == EXIT_VERIFY
     assert "all_passed=False" in capsys.readouterr().out

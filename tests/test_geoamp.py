@@ -913,6 +913,14 @@ def test_invalid_inputs_raise():
     {"eta": -0.1}, {"eta": float("nan")}, {"bigK": -1.0}, {"bigK": float("inf")},
     {"s": float("nan")}, {"s": 1.5}, {"lambda1": float("nan")}, {"lambda2": float("inf")},
     {"alphas": (0.5, -0.5)},  # the region kernel reads the defects in order
+    # per-point weights: non-finite at one point, or not one per point of s
+    {"s": np.array([0.0, 0.3, 0.7]), "bigK": np.ones(3),
+     "lambda1": np.array([0.5, math.nan, 0.5])},
+    {"s": np.array([0.0, 0.3, 0.7]), "bigK": np.ones(3),
+     "lambda2": np.array([-0.5, -0.5, math.inf])},
+    {"s": np.array([0.0, 0.3, 0.7]), "bigK": np.ones(3), "lambda1": np.array([0.5, 0.5])},
+    {"s": np.array([0.0, 0.3]), "bigK": np.ones(2), "lambda2": np.array([-0.5, -0.5, -0.5])},
+    {"lambda1": np.array([0.5])},  # an array weight with a float s
 ])
 def test_coefficient_input_errors_are_input_errors(kwargs):
     args = {"s": 0.5, "bigK": 1.0, "alphas": (0.0,), **kwargs}

@@ -25,6 +25,7 @@ from references import (
     matches_oracle,
     operator_parts,
     records_per_point,
+    stacked_inputs,
     table_moduli_per_panel,
     tensor_integrand,
 )
@@ -36,17 +37,16 @@ from bumpscatter.oracle import (
     OracleValue,
     QuadratureConvergenceError,
     PANEL_BATCH,
-    QuadratureSpec,
     VerificationRecord,
     _adaptive,
     _cell_basis,
     _combine,
     _Integrand,
-    _integral_tables,
     _integrand_inputs,
     _integrate_pair,
     _label,
     _nodes,
+    _panel_edges,
     _slot_sums,
     assemble_f1_oracle,
     default_verification_grid,
@@ -173,7 +173,7 @@ def _cartesian_integrand(bra, ket, g):
     oracle's per-cell contractions of F0 and F1 are checked against them
     below."""
     beta = g.beta
-    parts = operator_parts(*_integrand_inputs([g]))
+    parts = operator_parts(*_integrand_inputs(g))
 
     def f(X, Y):
         f0, f1 = parts(0, X, Y)
@@ -213,7 +213,7 @@ def test_cell_basis_combines_to_contracted_operator_parts():
     # and combines them per tree; that is the y contraction of the
     # pointwise F0 and F1 the polar route above is checked against.
     gs = _grid_inputs(_SMALL_GRID)
-    inputs = _integrand_inputs(gs)
+    inputs = _integrand_inputs(stacked_inputs(gs))
     betas, gammas, lambda1, lambda2, profile = inputs
     parts = operator_parts(*inputs)
     t, cells = _random_panels(gs, 40, seed=3)
@@ -237,7 +237,7 @@ def test_final_panel_moduli_match_the_per_panel_sum(monkeypatch):
     seen = []
     adaptive = oracle_mod._adaptive
 
-    def spy(f, n_trees, edges_x, edges_y, spec, labels):
+    def spy(f, n_trees, edges_x, edges_y, labels):
         def moduli(t, cells, order, inner=f.moduli):
             out = inner(t, cells, order)
             seen.append((t, cells, order, out))
@@ -245,15 +245,15 @@ def test_final_panel_moduli_match_the_per_panel_sum(monkeypatch):
 
         if edges_y is not None:
             f = _Integrand(f.values, moduli)
-        return adaptive(f, n_trees, edges_x, edges_y, spec, labels)
+        return adaptive(f, n_trees, edges_x, edges_y, labels)
 
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
-    tables = _integral_tables(gs, QuadratureSpec())
+    tables = integral_table(stacked_inputs(gs))
     [(t, cells, order, out)] = seen
     pieces = (None, *gs[0].alphas)
     assert order == 2 * oracle_mod.PANEL_ORDER
     assert len(cells) == sum(table[0][0].panels for table in tables)
-    want = table_moduli_per_panel(pieces, gs, t, cells, order)
+    want = table_moduli_per_panel(pieces, stacked_inputs(gs), t, cells, order)
     got = out.reshape(len(cells), len(pieces), len(pieces))
     for row in got.transpose(1, 0, 2):
         assert np.all(np.abs(row - want) <= 1e-13 * want)
@@ -305,15 +305,13 @@ def test_assembly_oracle_matches_closed_amplitude():
 # Quadrature machinery self-checks
 
 
-def test_error_estimate_is_honest_under_refinement():
+def test_error_estimate_is_honest_under_refinement(monkeypatch):
     g = _g()
     bra = g.alphas[1]
-    loose = _integrate_pair(bra, None, g, QuadratureSpec(), _label(g, bra, None))
-    strict_spec = QuadratureSpec(
-        r_max=QuadratureSpec().resolve_r_max(g.alphas) + 4.0,
-        rel_tol=QuadratureSpec().rel_tol / 10.0,
-    )
-    strict = _integrate_pair(bra, None, g, strict_spec, _label(g, bra, None))
+    loose = _integrate_pair(bra, None, g, what=_label(g, bra, None))
+    monkeypatch.setattr(oracle, "BOX_MARGIN", oracle.BOX_MARGIN + 4.0)
+    monkeypatch.setattr(oracle, "REL_TOL", oracle.REL_TOL / 10.0)
+    strict = _integrate_pair(bra, None, g, what=_label(g, bra, None))
     # Enlarging the box and tightening the tolerance must not move the
     # value by more than a few times the reported error estimate.
     assert abs(strict.value - loose.value) <= 10.0 * loose.err_est
@@ -327,18 +325,23 @@ def test_shared_table_matches_one_entry_integrals(g):
     # Every entry of the shared tree agrees with the entry integrated on
     # its own tree, within the two error estimates.
     pieces = (None, *g.alphas)
-    spec = QuadratureSpec()
-    for bra, row in zip(pieces, integral_table(g, spec)):
+    for bra, row in zip(pieces, integral_table(g)):
         for ket, shared in zip(pieces, row):
-            alone = _integrate_pair(bra, ket, g, spec, _label(g, bra, ket))
+            alone = _integrate_pair(bra, ket, g, what=_label(g, bra, ket))
             assert abs(shared.value - alone.value) <= shared.err_est + alone.err_est
 
 
-def test_quadrature_convergence_error_carries_partial_result():
+def _unreachable_target(monkeypatch):
+    """A relative target of 1e-14 within a budget of 8 panels."""
+    monkeypatch.setattr(oracle, "REL_TOL", 1e-14)
+    monkeypatch.setattr(oracle, "MAX_PANELS", 8)
+
+
+def test_quadrature_convergence_error_carries_partial_result(monkeypatch):
     g = _g()
-    bad_spec = QuadratureSpec(rel_tol=1e-14, max_panels=8)
+    _unreachable_target(monkeypatch)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        _integrate_pair(g.alphas[1], None, g, bad_spec, _label(g, g.alphas[1], None))
+        _integrate_pair(g.alphas[1], None, g, what=_label(g, g.alphas[1], None))
     err = exc_info.value
     assert np.isfinite(err.err_est)
     assert np.isfinite(abs(err.value))
@@ -349,11 +352,11 @@ def test_quadrature_convergence_error_carries_partial_result():
     assert f"partial value of Imn[1] = {err.value:.6g}" in message
 
 
-def test_table_convergence_error_names_worst_entry():
+def test_table_convergence_error_names_worst_entry(monkeypatch):
     g = _g()
-    bad_spec = QuadratureSpec(rel_tol=1e-14, max_panels=8)
+    _unreachable_target(monkeypatch)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        integral_table(g, bad_spec)
+        integral_table(g)
     err = exc_info.value
     what = str(err).split(":")[0]
     labels = {"I0", "Imn[0]", "Imn[1]", "Jmn[0]", "Jmn[1]",
@@ -369,12 +372,12 @@ def test_table_convergence_error_names_worst_entry():
     assert abs(err.value - index[what]) <= 1e-3 * abs(index[what])
 
 
-def test_quadrature_spec_resolves_box_from_offsets():
-    spec = QuadratureSpec()
-    assert spec.resolve_r_max((-3.0, 3.0)) == pytest.approx(15.0)
-    assert spec.resolve_r_max(()) == pytest.approx(12.0)
-    fixed = QuadratureSpec(r_max=20.0)
-    assert fixed.resolve_r_max((-3.0,)) == pytest.approx(20.0)
+def test_box_resolves_from_offsets():
+    # the base panels span [-r, r]^2, r = 12 + max|alpha|
+    for alphas, r_max in (((-3.0, 3.0), 15.0), ((), 12.0)):
+        edges_x, edges_y = _panel_edges(_g(alphas=alphas), alphas)
+        assert edges_y == [-r_max, 0.0, r_max]
+        assert (edges_x[0], edges_x[-1]) == (-r_max, r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,7 @@ def test_verify_all_of_an_empty_grid_has_no_records():
     assert report.all_passed
 
 
-def test_verify_all_reports_failures_under_absurd_tolerance():
+def test_verify_all_reports_failures_under_absurd_tolerance(monkeypatch):
     grid = {
         "s": (0.7,),
         "bigK": (1.0,),
@@ -417,13 +420,14 @@ def test_verify_all_reports_failures_under_absurd_tolerance():
         "alphas": (-3.0, 3.0),
         "eta": 0.1,
     }
-    report = verify_all(grid=grid, rtol=1e-18)
+    monkeypatch.setattr(oracle, "VERIFY_RTOL", 1e-18)
+    report = verify_all(grid=grid)
     assert not report.all_passed
     assert report.n_failed > 0
     assert "pass=False" in report.to_text()
 
 
-def test_summary_lines_end_the_text_report():
+def test_summary_lines_end_the_text_report(monkeypatch):
     grid = {
         "s": (0.7,),
         "bigK": (1.0,),
@@ -431,7 +435,8 @@ def test_summary_lines_end_the_text_report():
         "alphas": (3.0,),
         "eta": 0.1,
     }
-    report = verify_all(grid=grid, rtol=1e-18)
+    monkeypatch.setattr(oracle, "VERIFY_RTOL", 1e-18)
+    report = verify_all(grid=grid)
     summary = report.summary_lines()
     assert summary[0].startswith(f"summary records={len(report.records)} ")
     assert "all_passed=False" in summary[0]
@@ -460,7 +465,7 @@ def test_adaptive_accumulates_integral_of_modulus():
         return F[:, None]
 
     [[ov]] = _adaptive(tensor_integrand(odd_gaussian), 1, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
-                       QuadratureSpec(), ["odd gaussian"])
+                       ["odd gaussian"])
     assert abs(ov.value) <= 1e-15
     assert ov.abs_integral == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert ov.resolution() == pytest.approx(
@@ -510,25 +515,29 @@ _TIGHT_GRID = {"s": (0.7,), "bigK": (1.0,), "lambdas": ((0.5, -0.5),), "alphas":
                "eta": 0.1}
 
 
-def _record_grids():
-    """The records of the full grid, of a failing grid (rtol 1e-18) and of
-    the structural-zero grid, each with its rtol and atol."""
+def _record_grids(monkeypatch):
+    """The records of the full grid, of a failing grid (VERIFY_RTOL 1e-18)
+    and of the structural-zero grid, each with its rtol and atol, which
+    are VERIFY_RTOL and VERIFY_ATOL while it is being checked."""
     yield full_grid_report()[0].records, 1e-6, 1e-10
-    yield verify_all(grid=_TIGHT_GRID, rtol=1e-18).records, 1e-18, 1e-10
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "VERIFY_RTOL", 1e-18)
+        yield verify_all(grid=_TIGHT_GRID).records, 1e-18, 1e-10
     yield verify_all(grid=_ZERO_POINT_GRID).records, 1e-6, 1e-10
 
 
-def test_pass_rule_arrays_equal_the_scalar_rule():
+def test_pass_rule_arrays_equal_the_scalar_rule(monkeypatch):
     # verify_all judges its records as arrays; each record's rel_err,
     # judged and passed are what the scalar rule gives for its oracle,
     # closed and resolution, bit for bit.
     judged = Counter()
-    for records, rtol, atol in _record_grids():
+    for records, rtol, atol in _record_grids(monkeypatch):
+        assert (oracle.VERIFY_RTOL, oracle.VERIFY_ATOL) == (rtol, atol)
         for r in records:
             diff = abs(r.closed - r.oracle)
             assert r.rel_err == diff / max(abs(r.oracle), atol)
             assert r.judged == ("resolution" if abs(r.oracle) <= r.resolution else "relative")
-            assert r.passed == matches_oracle(r.closed, r, rtol, atol)
+            assert r.passed == matches_oracle(r.closed, r)
             assert r.passed == (diff <= r.resolution if r.judged == "resolution"
                                 else r.rel_err <= rtol)
             judged[r.judged, r.passed] += 1
@@ -578,11 +587,12 @@ def test_records_are_the_per_point_records_field_for_field(monkeypatch, grid, rt
             return (-qr, -qi, -cr, -ci, *rest)
 
         monkeypatch.setattr(oracle, "_pass_rule", negating)
+    monkeypatch.setattr(oracle, "VERIFY_RTOL", rtol)
     if grid is None:
         grid, got = default_verification_grid(), full_grid_report()[0].records
     else:
-        got = verify_all(grid, rtol=rtol).records
-    want = records_per_point(grid, rtol, 1e-10)
+        got = verify_all(grid).records
+    want = records_per_point(grid)
     assert len(got) == len(want) > 0
     assert {r.judged for r in got} == judged
     assert any(not r.passed for r in got) == (rtol < 1e-6)
@@ -629,7 +639,8 @@ def test_records_carry_the_oracle_entry_panel_count():
 
 
 def test_verify_all_closed_values_are_the_array_tables_bit_for_bit():
-    # verify_all takes its closed values from one array table per
+    # verify_all takes its closed values from one array table with a
+    # weight per grid point; the reference is one array table per
     # curvature setting, the path f1_scan runs, and each record's phase
     # from one table per grid point: the records carry exactly the array
     # entries times e^{i beta (sum of phase positions)}.
@@ -663,9 +674,10 @@ def test_verify_all_closed_values_are_the_array_tables_bit_for_bit():
         assert math.copysign(1.0, r.closed.imag) == math.copysign(1.0, expected.imag)
 
 
-def test_verify_all_keeps_relative_failures_away_from_zero_point():
+def test_verify_all_keeps_relative_failures_away_from_zero_point(monkeypatch):
     grid = dict(_ZERO_POINT_GRID, lambdas=((0.5, -0.5),), alphas=(-3.0, 3.0))
-    report = verify_all(grid=grid, rtol=1e-18)
+    monkeypatch.setattr(oracle, "VERIFY_RTOL", 1e-18)
+    report = verify_all(grid=grid)
     assert report.n_failed > 0
     for r in report.records:
         assert r.judged == "relative"
@@ -675,9 +687,9 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point():
 
 def _fake_table(entry):
     """Stand-in for the table integrator: entry(label) for every label of
-    every grid point."""
-    def fake(bras, kets, gs, spec, labels):
-        return [[[entry(what) for what in row] for row in labels] for _ in gs]
+    every point of g."""
+    def fake(bras, kets, g, labels):
+        return [[[entry(what) for what in row] for row in labels] for _ in range(np.size(g.s))]
 
     return fake
 
@@ -759,8 +771,8 @@ def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
     trees = []
     adaptive = oracle_mod._adaptive
 
-    def spy(f, n_trees, edges_x, edges_y, spec, labels):
-        out = adaptive(f, n_trees, edges_x, edges_y, spec, labels)
+    def spy(f, n_trees, edges_x, edges_y, labels):
+        out = adaptive(f, n_trees, edges_x, edges_y, labels)
         trees.append(("2d" if edges_y is not None else "1d", list(labels), out[0][0].panels))
         return out
 
@@ -794,7 +806,9 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     # (N+1)^2 = 16 entries, all from one call of the region kernel the scan
     # contracts (at unit amplitudes), where one closed-form call per record
     # would make 1 + 2N^2 + N^4 = 100.  Away from beta = 0 no entry calls
-    # I0_closed.  The quadrature side is stubbed.
+    # I0_closed.  Two s values at two curvature settings make one call
+    # too, where one call per setting would make 2.  The quadrature side is
+    # stubbed.
     calls = Counter()
     kernel, plane = geoamp._bracket_terms, geoamp.I0_closed
 
@@ -816,6 +830,10 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     report = verify_all(grid=grid)
     assert len(report.records) == 100
     assert calls == {"kernel": 1}
+    calls.clear()
+    report = verify_all(grid=dict(grid, s=(0.3, 0.7), lambdas=((0.5, -0.5), (0.0, -0.5))))
+    assert len(report.records) == 400
+    assert calls == {"kernel": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +852,7 @@ def test_lockstep_tables_equal_one_table_at_a_time():
     # each grid point grows alone, bit for bit: value, err_est, panels and
     # the integral of |f|.
     gs = _grid_inputs(default_verification_grid())
-    for g, together in zip(gs, _integral_tables(gs, QuadratureSpec())):
+    for g, together in zip(gs, integral_table(stacked_inputs(gs))):
         assert together == integral_table(g)
 
 
@@ -867,7 +885,7 @@ def test_array_adaptive_equals_the_per_tree_loop(monkeypatch):
     runs = []
     for adaptive in both:
         finals = _final_cells_spy(monkeypatch, adaptive)
-        runs.append((_integral_tables(gs, QuadratureSpec()), finals))
+        runs.append((integral_table(stacked_inputs(gs)), finals))
     (tables, finals), (want_tables, want_finals) = runs
     assert tables == want_tables
     assert len(finals) == len(want_finals) == 2
@@ -880,12 +898,13 @@ def test_array_adaptive_equals_the_per_tree_loop(monkeypatch):
     easy = _g(s=0.0, bigK=1.0, alphas=alphas)
     hard = _g(s=1.0, bigK=2.0, alphas=alphas, lambda2=0.5)
     for max_panels in (20, 30):
+        monkeypatch.setattr(oracle_mod, "MAX_PANELS", max_panels)
         for pair in ([easy, hard], [hard, easy]):
             errors = []
             for adaptive in both:
                 monkeypatch.setattr(oracle_mod, "_adaptive", adaptive)
                 with pytest.raises(QuadratureConvergenceError) as exc_info:
-                    _integral_tables(pair, QuadratureSpec(max_panels=max_panels))
+                    integral_table(stacked_inputs(pair))
                 err = exc_info.value
                 errors.append((str(err), err.value, err.err_est))
             assert errors[0] == errors[1]
@@ -946,14 +965,14 @@ def test_full_grid_evaluates_the_operator_once_per_cell(monkeypatch):
     assert points["slopes"] <= 110_000
 
 
-def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry():
+def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry(monkeypatch):
     # Alone, easy converges on 24 2D panels and hard needs 44; with room
     # for 30, only hard's tree overruns, wherever it sits in the batch.
     alphas = (-3.0, 0.0, 3.0)
     easy = _g(s=0.0, bigK=1.0, alphas=alphas)
     hard = _g(s=1.0, bigK=2.0, alphas=alphas, lambda2=0.5)
-    spec = QuadratureSpec(max_panels=30)
-    integral_table(easy, spec)
+    monkeypatch.setattr(oracle, "MAX_PANELS", 30)
+    integral_table(easy)
     pieces = (None, *alphas)
 
     def closed_by_label(g):
@@ -964,7 +983,7 @@ def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry():
     closed_easy, closed_hard = closed_by_label(easy), closed_by_label(hard)
     for gs in ([easy, hard], [hard, easy]):
         with pytest.raises(QuadratureConvergenceError) as exc_info:
-            _integral_tables(gs, spec)
+            integral_table(stacked_inputs(gs))
         err = exc_info.value
         what = str(err).split(":")[0]
         assert what in closed_hard
@@ -975,7 +994,7 @@ def test_overrun_in_one_tree_of_a_batch_names_its_worst_entry():
         assert abs(err.value - closed_easy[what]) > 1e-3 * abs(closed_hard[what])
 
 
-def test_overrun_of_several_trees_names_the_first_grid_point():
+def test_overrun_of_several_trees_names_the_first_grid_point(monkeypatch):
     # With room for 20 panels both trees overrun.  Every unconverged tree
     # gains one panel per round, so they overrun in the same round, and the
     # error is the one the first grid point raises alone: the one a loop
@@ -983,13 +1002,13 @@ def test_overrun_of_several_trees_names_the_first_grid_point():
     alphas = (-3.0, 0.0, 3.0)
     easy = _g(s=0.0, bigK=1.0, alphas=alphas)
     hard = _g(s=1.0, bigK=2.0, alphas=alphas, lambda2=0.5)
-    spec = QuadratureSpec(max_panels=20)
+    monkeypatch.setattr(oracle, "MAX_PANELS", 20)
     named = []
     for gs in ([easy, hard], [hard, easy]):
         with pytest.raises(QuadratureConvergenceError) as alone:
-            _integral_tables(gs[:1], spec)
+            integral_table(gs[0])
         with pytest.raises(QuadratureConvergenceError) as together:
-            _integral_tables(gs, spec)
+            integral_table(stacked_inputs(gs))
         assert str(together.value) == str(alone.value)
         assert together.value.value == alone.value.value
         assert together.value.err_est == alone.value.err_est
@@ -1003,15 +1022,15 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
     lines = []
     adaptive = oracle_mod._adaptive
 
-    def spy(f, n_trees, edges_x, edges_y, spec, labels):
-        out = adaptive(f, n_trees, edges_x, edges_y, spec, labels)
+    def spy(f, n_trees, edges_x, edges_y, labels):
+        out = adaptive(f, n_trees, edges_x, edges_y, labels)
         if edges_y is None:
             lines.append((n_trees, edges_x, labels, out))
         return out
 
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
     gs = _grid_inputs(_SMALL_GRID)
-    tables = _integral_tables(gs, QuadratureSpec())
+    tables = integral_table(stacked_inputs(gs))
     [(n_trees, edges, labels, [shared])] = lines
     assert n_trees == 1
     kinks = np.array(gs[0].alphas)[:, None]
@@ -1025,7 +1044,7 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
             return operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile,
                                                cc).a_over_r2
 
-        [own] = adaptive(tensor_integrand(own_lines), 1, edges, None, QuadratureSpec(), labels)
+        [own] = adaptive(tensor_integrand(own_lines), 1, edges, None, labels)
         assert own == shared
         # every ket-kink entry counts the 2D tree and the shared line tree
         panels_2d = table[0][0].panels
