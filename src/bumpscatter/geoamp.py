@@ -32,9 +32,18 @@ its own closed form; it is the bracket at beta = 0 and at N = 0.
 
 Evaluation is array-first: f1_arrays takes a whole K or theta scan as one
 array Kinematics and returns f1 as two float arrays (real, imag), and
-f1_scan, f1_geometric and cross_section are adapters on it.  A scan
-costs one kernel call and the defect builds (see f1_arrays), whatever
-its length.  Every product is Python's complex *, taken on the real and
+f1_scan, f1_geometric and cross_section are adapters on it.  A scan is
+two steps.  Its state (_scan_state) holds what depends on neither eta
+nor the curvature weights: the defect builds, amplitudes, phases, prefix
+and suffix sums, half-line moments and the powers in p2.  The
+contraction (_bracket_terms) weighs the moments by the curvature
+weights, forms the region and line terms, and sums them.  The state of
+the last scan is kept and contracted again while the next scan has the
+same K, theta, theta0 and defects, bit for bit: the four curvature
+settings of a preset build it once.  A scan costs one contraction, and
+one state build (the defect builds and one erfcx call, see f1_arrays)
+unless its state is kept, whatever its length.  Every product is
+Python's complex *, taken on the real and
 imaginary parts as float arrays (numpy's complex * rounds differently),
 and each bracket is one math.fsum over the real parts of its terms and
 one over the imaginary parts.  So a scan and one call per point give the
@@ -66,6 +75,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,41 +165,57 @@ class GeoCoefficientInputs:
 
     @cached_property
     def p2(self):
-        """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2).
-
-        The powers are libm's pow, as Python's float ** and math.pow take
-        it, which numpy's power does not match bit for bit; the rest is one
-        IEEE operation at a time in the written order.  So I0, and with it
-        every N = 0 amplitude, keeps its value bit for bit, alone or in a
-        scan."""
-        l1, l2 = self.lambda1, self.lambda2
-        s, k = self.s, self.bigK
-        if np.ndim(s) == 0:
-            return k**2 * (4.0 * l1 * s**2 - 1.0) + l2 * ((s * k) ** 4 + 2.0)
-        n = s.size
-        powers = map(math.pow, [*k.tolist(), *s.tolist(), *(s * k).tolist()],
-                     [2.0] * (2 * n) + [4.0] * n)
-        k2, s2, b4 = np.array(list(powers)).reshape(3, -1)
-        return k2 * (4.0 * l1 * s2 - 1.0) + l2 * (b4 + 2.0)
+        """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2)."""
+        return _p2(self, _powers(self.s, self.bigK))
 
     @cached_property
     def full_lines(self) -> tuple:
         """The full-line integrals of e^{-x^2 + i q x} p_kx (_half_line_table)
         at q = 0, sqrt(pi) (l2 - K^2/2), and at q = 2 kx, sqrt(pi)
         e^{-beta^2} p2 / 2 = I0 / (eta sqrt(pi)), for regions across 0."""
-        return (SQPI * (self.lambda2 - 0.5 * self.bigK**2),
-                0.5 * SQPI * _gauss(self.beta) * self.p2)
-
-    @cached_property
-    def _phases(self) -> np.ndarray:
-        """e^{i beta a_n}, (defect, point); a float beta has one point."""
-        return np.exp(1j * np.array(self.beta, ndmin=1) * np.array(self.alphas)[:, None])
+        return _full_lines(self, self.p2)
 
     @cached_property
     def half_lines(self) -> np.ndarray:
         """Every half-line integral the region integrals of these inputs
         are differences of (see _half_line_table), computed together once."""
-        return _half_line_table(self)
+        return _half_line_table(self, _half_line_moments(self.beta, self.alphas))
+
+
+def _powers(s, k):
+    """K^2, s^2 and beta^4 (beta = s K), the powers in p2, each one value or
+    one array over the points.  They are libm's pow, as Python's float **
+    and math.pow take it, which numpy's power does not match bit for bit;
+    the rest of p2 is one IEEE operation at a time in the written order
+    (_p2).  So I0, and with it every N = 0 amplitude, keeps its value bit
+    for bit, alone or in a scan."""
+    if np.ndim(s) == 0:
+        return k**2, s**2, (s * k) ** 4
+    n = s.size
+    powers = map(math.pow, [*k.tolist(), *s.tolist(), *(s * k).tolist()],
+                 [2.0] * (2 * n) + [4.0] * n)
+    return np.array(list(powers)).reshape(3, -1)
+
+
+def _p2(g: GeoCoefficientInputs, powers):
+    """g.p2 from the powers of g's points (_powers)."""
+    k2, s2, b4 = powers
+    return k2 * (4.0 * g.lambda1 * s2 - 1.0) + g.lambda2 * (b4 + 2.0)
+
+
+def _full_lines(g: GeoCoefficientInputs, p2) -> tuple:
+    """g.full_lines from g.p2."""
+    return (SQPI * (g.lambda2 - 0.5 * g.bigK**2), 0.5 * SQPI * _gauss(g.beta) * p2)
+
+
+def _plane_coefficient(g: GeoCoefficientInputs, p2):
+    """I0 of g from g.p2, one value or an array over the points."""
+    return 0.5 * math.pi * g.eta * _gauss(g.beta) * p2
+
+
+def _kink_phases(beta, alphas) -> np.ndarray:
+    """e^{i beta a_n}, (defect, point); a float beta has one point."""
+    return np.exp(1j * np.array(beta, ndmin=1) * np.array(alphas)[:, None])
 
 
 def _gauss(b):
@@ -203,7 +229,7 @@ def I0_closed(g: GeoCoefficientInputs):
 
     I0 = (pi eta / 2) e^{-beta^2} [ K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2) ].
     """
-    return unbox(0.5 * math.pi * g.eta * _gauss(g.beta) * g.p2)
+    return unbox(_plane_coefficient(g, g.p2))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +242,7 @@ def I0_closed(g: GeoCoefficientInputs):
 _PAIRS = {(2.0, 1.0): 0, (0.0, 1.0): 1, (0.0, -1.0): 2, (-2.0, -1.0): 3}
 
 
-def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
+def _half_line_table(g: GeoCoefficientInputs, moments: np.ndarray) -> np.ndarray:
     """sum_k c[k] M_k for the moments M_k = int x^k e^{-x^2 + i q x} dx over
     x < a (side 0) or x > a (side 1), k = 0..4, and the coefficients c of
     the quartic that L leaves on a ket piece of x slope kx after the y
@@ -227,57 +253,14 @@ def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
 
     as one (defect, side, pair) array [with a last axis over g's points]:
     defect i is at g.alphas[i], and pair _PAIRS[qb, sg] has q = qb beta and
-    kx = sg beta.
-
-    M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
-    (x^k e^{-x^2 + i q x})' by parts,
-    M_{k+1} = (side a^k e^{-a^2 + i q a} + k M_{k-1} + i q M_k) / 2.
-    Only two values of q are distinct: at qb = 0 the moments do not depend
-    on beta, and at qb = -2 they are the conjugates of those at qb = 2
-    (exactly: erfcx's conjugate symmetry holds bit for bit).  So the
-    moments are one recursion over a (defect, side, point) array of
-    q = 2 beta at the points plus one column of q = 0.
-
-    The two sides of a defect take erfc at w = a - i q/2 and at -w, and
-    share one erfcx: R = e^{x - w^2} erfcx(r) for r the one of +-w in the
-    right half plane, and 2 e^x - R for the other (x = -q^2/4), the
-    operations specfun.exp_erfc makes.  At a = 0 both lie on the imaginary
-    axis and take erfcx(|q|/2 i) or its conjugate.  erfcx is evaluated once
-    per distinct |a| and point, on the first quadrant: n(P + 1) arguments
-    for n distinct |a| and P points.  No exponent here has a positive real
-    part, so no element can overflow.
+    kx = sg beta.  moments are g's _half_line_moments.  Only two values of
+    q are distinct: at qb = 0 the moments do not depend on beta, and at
+    qb = -2 they are the conjugates of those at qb = 2 (exactly: erfcx's
+    conjugate symmetry holds bit for bit).  The moments do not depend on
+    the curvature weights; this weighted sum is the step that does.
     """
     b = np.asarray(g.beta, dtype=float)
     p = b.size
-    q = np.zeros(p + 1)
-    q[:p] = 2.0 * b.reshape(-1)
-    alphas = np.array(g.alphas, dtype=float)
-    iq = 1j * q
-    x = -0.25 * q * q
-    w = alphas[:, None] - 0.5 * iq
-    abs_a = sorted({abs(a) for a in g.alphas})
-    r = np.empty((len(abs_a), p + 1), dtype=complex)
-    r.real, r.imag = np.array(abs_a)[:, None], 0.5 * np.abs(q)
-    cx = erfcx_c(r)[[abs_a.index(abs(a)) for a in g.alphas]]
-    # e^{x - w^2} at each defect and, in the last row, e^x
-    e = eexp(np.vstack([x - w * w, x]))
-    # R = e^{x - w^2} erfcx(r) for r = -w (side 0) and w (side 1) taken into
-    # the right half plane, |a| + i q/2 and |a| - i q/2: cx or its conjugate
-    r_side = e[:-1, None] * np.where(np.stack([q < 0.0, q > 0.0]), cx.conj()[:, None],
-                                     cx[:, None])
-    a = alphas.reshape(-1, 1, 1)
-    side = np.array([-1.0, 1.0]).reshape(1, 2, 1)
-    # a side whose argument is in the left half plane takes 2 e^x - R
-    m0 = 0.5 * SQPI * np.where(side * a < 0.0, 2.0 * e[-1] - r_side[:, ::-1], r_side)
-    iq = iq[None, None]
-    edge = side * np.exp(a * (iq - a))
-    m1 = 0.5 * (edge + iq * m0)
-    edge *= a
-    m2 = 0.5 * (edge + m0 + iq * m1)
-    edge *= a
-    m3 = 0.5 * (edge + 2.0 * m1 + iq * m2)
-    edge *= a
-    m4 = 0.5 * (edge + 3.0 * m2 + iq * m3)
     l1, l2 = g.lambda1, g.lambda2
     c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
     c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
@@ -290,13 +273,67 @@ def _half_line_table(g: GeoCoefficientInputs) -> np.ndarray:
 
     # (defect, side, pair, point) in the order of _PAIRS; a float beta
     # drops the point axis
-    moments = (m0, m1, m2, m3, m4)
-    at_2b = [m[..., :p] for m in moments]
-    table = np.empty(m0.shape[:2] + (len(_PAIRS), p), dtype=complex)
+    at_2b = moments[..., :p]
+    table = np.empty(moments.shape[1:3] + (len(_PAIRS), p), dtype=complex)
     table[:, :, 0] = weighted(at_2b, 0)
-    table[:, :, 1:3] = weighted([m[..., None, p:] for m in moments], slice(None))
-    table[:, :, 3] = weighted([m.conj() for m in at_2b], 1)
+    table[:, :, 1:3] = weighted(moments[..., None, p:], slice(None))
+    table[:, :, 3] = weighted(at_2b.conj(), 1)
     return table.reshape(table.shape[:3] + b.shape)
+
+
+def _half_line_moments(beta, alphas) -> np.ndarray:
+    """The half-line moments M_0 .. M_4 of _half_line_table at the points
+    beta, as one (moment, defect, side, q) array: q = 2 beta at each point,
+    then q = 0 in the last column.
+
+    M_0 = (sqrt(pi)/2) e^{-q^2/4} erfc(side (a - i q/2)) and, integrating
+    (x^k e^{-x^2 + i q x})' by parts,
+    M_{k+1} = (side a^k e^{-a^2 + i q a} + k M_{k-1} + i q M_k) / 2.
+    So the moments are one recursion over a (defect, side, point) array of
+    q = 2 beta at the points plus one column of q = 0.
+
+    The two sides of a defect take erfc at w = a - i q/2 and at -w, and
+    share one erfcx: R = e^{x - w^2} erfcx(r) for r the one of +-w in the
+    right half plane, and 2 e^x - R for the other (x = -q^2/4), the
+    operations specfun.exp_erfc makes.  At a = 0 both lie on the imaginary
+    axis and take erfcx(|q|/2 i) or its conjugate.  erfcx is evaluated once
+    per distinct |a| and point, on the first quadrant: n(P + 1) arguments
+    for n distinct |a| and P points.  No exponent here has a positive real
+    part, so no element can overflow.
+    """
+    b = np.asarray(beta, dtype=float)
+    p = b.size
+    q = np.zeros(p + 1)
+    q[:p] = 2.0 * b.reshape(-1)
+    iq = 1j * q
+    x = -0.25 * q * q
+    abs_a = sorted({abs(a) for a in alphas})
+    r = np.empty((len(abs_a), p + 1), dtype=complex)
+    r.real, r.imag = np.array(abs_a)[:, None], 0.5 * np.abs(q)
+    cx = erfcx_c(r)[[abs_a.index(abs(a)) for a in alphas]]
+    alphas = np.array(alphas, dtype=float)
+    w = alphas[:, None] - 0.5 * iq
+    # e^{x - w^2} at each defect and, in the last row, e^x
+    e = eexp(np.vstack([x - w * w, x]))
+    # R = e^{x - w^2} erfcx(r) for r = -w (side 0) and w (side 1) taken into
+    # the right half plane, |a| + i q/2 and |a| - i q/2: cx or its conjugate
+    r_side = e[:-1, None] * np.where(np.stack([q < 0.0, q > 0.0]), cx.conj()[:, None],
+                                     cx[:, None])
+    a = alphas.reshape(-1, 1, 1)
+    side = np.array([-1.0, 1.0]).reshape(1, 2, 1)
+    m = np.empty((5, alphas.size, 2, p + 1), dtype=complex)
+    # a side whose argument is in the left half plane takes 2 e^x - R
+    m[0] = 0.5 * SQPI * np.where(side * a < 0.0, 2.0 * e[-1] - r_side[:, ::-1], r_side)
+    iq = iq[None, None]
+    edge = side * np.exp(a * (iq - a))
+    m[1] = 0.5 * (edge + iq * m[0])
+    edge *= a
+    m[2] = 0.5 * (edge + m[0] + iq * m[1])
+    edge *= a
+    m[3] = 0.5 * (edge + 2.0 * m[1] + iq * m[2])
+    edge *= a
+    m[4] = 0.5 * (edge + 3.0 * m[2] + iq * m[3])
+    return m
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -326,12 +363,71 @@ def _running(start, parts: np.ndarray, reverse: bool) -> np.ndarray:
     return sums
 
 
-def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _nonzero_terms(n: int) -> np.ndarray:
+    """The region terms of the bracket that are not zero, as a mask over
+    (bra row, ket row, region): Q_0 = D_N = 0 (_bracket_terms)."""
+    nonzero = np.ones((2, 2, n + 1), dtype=bool)
+    nonzero[1, :, 0] = nonzero[:, 1, n] = False
+    return nonzero
+
+
+class _ScanState(NamedTuple):
+    """What the bracket at a set of points takes from their kinematics and
+    defects, and not from eta or the curvature weights: _state builds it
+    and _bracket_terms contracts it.  Complex numbers in float arrays are
+    (real, imag) along the first axis."""
+
+    s: np.ndarray         # the points evaluated (s, K): a scan's, with each
+    bigK: np.ndarray      # averaged point's two flanks in its place
+    averaged: np.ndarray  # the scan's points taken as the mean of their flanks
+    powers: np.ndarray    # K^2, s^2 and beta^4 (_powers)
+    moments: np.ndarray   # the half-line moments (_half_line_moments)
+    products: np.ndarray  # P C, Q C, P D and Q D of each nonzero region term
+    kinks: np.ndarray     # v_n (P_n e_n + Q_n e_n*) of each line term
+    plane: np.ndarray     # P_0 C_N, the product of the bracket at beta = 0
+                          # (None if no point has beta = 0)
+
+
+def _state(s, bigK, alphas: tuple, phases: np.ndarray, u: np.ndarray, v: np.ndarray,
+           averaged=None) -> _ScanState:
+    """The _ScanState of the points (s, K) for defects at alphas, with the
+    phases e_n = e^{i beta a_n} (_kink_phases; None without defects) and
+    the bra and ket amplitudes u and v, complex (..., piece, point) arrays
+    whose leading axes broadcast (see _bracket_terms)."""
+    n = len(alphas)
+    u, v = (np.stack([w.real, w.imag]) for w in (u, v))
+    moments = products = kinks = plane = None
+    if not n:  # P_0 = u_0 and C_0 = v_0
+        plane = _cmul(u, v)
+    else:
+        e = phases
+        # (e_n*, e_n) on an axis before (piece, point)
+        pair = np.array([[e.real, e.real], [-e.imag, e.imag]])
+        ue, ve = (_cmul(w[..., None, 1:, :], pair) for w in (u, v))
+        bra = np.stack([_running(u[..., 0, :], ue[..., 0, :, :], True),
+                        _running(0.0, ue[..., 1, :, :], False)], axis=-3)  # P, Q
+        ket = np.stack([_running(v[..., 0, :], ve[..., 0, :, :], False),
+                        _running(0.0, ve[..., 1, :, :], True)], axis=-3)  # C, D
+        # (part, ..., term, point): pair i + 2 j of a region takes bra row i
+        # and ket row j (PC, QC, PD, QD)
+        products = _cmul(bra[..., :, None, :, :],
+                         ket[..., None, :, :, :])[..., _nonzero_terms(n), :]
+        at_kinks = _cmul(bra[..., 1:, :], pair[:, ::-1]).sum(axis=-3)  # P_n e_n + Q_n e_n*
+        kinks = _cmul(v[..., 1:, :], at_kinks)
+        beta = np.asarray(s * bigK)
+        if not beta.all():  # a point at beta = 0
+            plane = _cmul(bra[..., 0, :1, :], ket[..., 0, n:, :])
+        moments = _half_line_moments(beta, alphas)
+    return _ScanState(s, bigK, averaged, _powers(s, bigK), moments, products, kinks, plane)
+
+
+def _bracket_terms(g: GeoCoefficientInputs, state: _ScanState) -> np.ndarray:
     """The terms of the bracket sum_ab u_a T[a][b] v_b at every point of g:
     a float array (part, ..., term, point), part 0 the real parts and 1 the
-    imaginary parts.  u and v are the bra and ket amplitudes, complex
-    (..., piece, point) arrays whose leading axes broadcast; a float g has
-    one point.
+    imaginary parts.  state is _state at g's points and defects, for bra
+    and ket amplitudes u and v whose leading axes are those of the result;
+    a float g has one point.  This is the step that takes eta and the
+    curvature weights: one state can be contracted at any of them.
 
     On region r = 0..N, between kinks r and r + 1, the states are
     U = P_r e^{i beta x} + Q_r e^{-i beta x} and
@@ -362,25 +458,17 @@ def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.
     """
     n = len(g.alphas)
     b = np.array(g.beta, dtype=float, ndmin=1)
-    u, v = (np.stack([w.real, w.imag]) for w in (u, v))
     at_zero = (b == 0.0) | (n == 0)
+    p2 = _p2(g, state.powers)
     i0 = np.zeros((2,) + b.shape)
     if at_zero.any():
-        i0[0] = I0_closed(g)
-    if not n:  # P_0 = u_0 and C_0 = v_0
-        return _cmul(_cmul(u, v), i0)
-    e = g._phases
-    # (e_n*, e_n) on an axis before (piece, point)
-    pair = np.array([[e.real, e.real], [-e.imag, e.imag]])
-    ue, ve = (_cmul(w[..., None, 1:, :], pair) for w in (u, v))
-    bra = np.stack([_running(u[..., 0, :], ue[..., 0, :, :], True),
-                    _running(0.0, ue[..., 1, :, :], False)], axis=-3)  # P, Q
-    ket = np.stack([_running(v[..., 0, :], ve[..., 0, :, :], False),
-                    _running(0.0, ve[..., 1, :, :], True)], axis=-3)  # C, D
+        i0[0] = _plane_coefficient(g, p2)
+    if not n:
+        return _cmul(state.plane, i0)
     # R(r; qb, sg) as (region, pair, point), pairs in the order of _PAIRS,
     # from the half-lines x < a and x > a at the region's edges
-    half = g.half_lines.reshape(n, 2, len(_PAIRS), -1)
-    f0, f2 = g.full_lines
+    half = _half_line_table(g, state.moments).reshape(n, 2, len(_PAIRS), -1)
+    f0, f2 = _full_lines(g, p2)
     full = np.array([f2, f0, f0, f2]).reshape(len(_PAIRS), -1)
     regions = np.empty((n + 1,) + half.shape[2:], dtype=complex)
     for r in range(n + 1):
@@ -391,22 +479,17 @@ def _bracket_terms(g: GeoCoefficientInputs, u: np.ndarray, v: np.ndarray) -> np.
             regions[r] = lo[1] - hi[1]
         else:
             regions[r] = full - lo[0] - hi[1]
-    # pair i + 2 j takes bra row i and ket row j (PC, QC, PD, QD)
+    # (part, bra row, ket row, region, point), the nonzero terms as state.products
     regions = g.eta * SQPI * np.stack([regions.real, regions.imag])
-    terms = _cmul(_cmul(bra[..., :, None, :, :], ket[..., None, :, :, :]),
-                  regions.reshape(2, n + 1, 2, 2, -1).transpose(0, 3, 2, 1, 4))
-    nonzero = np.ones((2, 2, n + 1), dtype=bool)
-    nonzero[1, :, 0] = nonzero[:, 1, n] = False  # Q_0 = 0, D_N = 0
+    regions = regions.reshape(2, n + 1, 2, 2, -1).transpose(0, 3, 2, 1, 4)
+    terms = _cmul(state.products, regions[:, _nonzero_terms(n)])
     a = np.array(g.alphas)
     line = np.zeros((2, n, b.size))
     line[1] = g.eta * SQPI * 2.0 * b * (a * a)[:, None] * _gauss(a)[:, None]
-    at_kinks = _cmul(bra[..., 1:, :], pair[:, ::-1]).sum(axis=-3)  # P_n e_n + Q_n e_n*
-    out = np.concatenate([terms[..., nonzero, :], _cmul(_cmul(v[..., 1:, :], at_kinks), line)],
-                         axis=-2)
+    out = np.concatenate([terms, _cmul(state.kinks, line)], axis=-2)
     if at_zero.any():
         out[..., at_zero] = 0.0
-        out[..., :1, at_zero] = _cmul(_cmul(bra[..., 0, :1, :], ket[..., 0, n:, :]),
-                                      i0)[..., at_zero]
+        out[..., :1, at_zero] = _cmul(state.plane, i0)[..., at_zero]
     return out
 
 
@@ -416,11 +499,12 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
     pair C[m, n].  Each entry is a number, or an array with one value per
     point when g holds a scan.  Entry (a, b) is the math.fsum of
-    _bracket_terms at the unit amplitudes of pieces a and b: the region
-    integrals and prefix algebra that every scan contracts.  At beta = 0
-    every entry is I0 exactly."""
+    _bracket_terms at the unit amplitudes of pieces a and b, on a state
+    built for this call: the region integrals and prefix algebra that
+    every scan contracts.  At beta = 0 every entry is I0 exactly."""
     eye = np.eye(len(g.alphas) + 1, dtype=complex)[..., None]
-    terms = np.moveaxis(_bracket_terms(g, eye[:, None], eye), -2, -1)
+    state = _state(g.s, g.bigK, g.alphas, _kink_phases(g.beta, g.alphas), eye[:, None], eye)
+    terms = np.moveaxis(_bracket_terms(g, state), -2, -1)
     re, im = np.array(list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
                       ).reshape(terms.shape[:-1])
     table = re.astype(complex)
@@ -428,24 +512,16 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     return table[..., 0].tolist() if np.ndim(g.beta) == 0 else [list(row) for row in table]
 
 
-def _f1_points(
-    kin: Kinematics,
-    defects: DefectSet,
-    eta: float,
-    lambda1: float,
-    lambda2: float,
-) -> tuple:
-    """f1 at each point of kin (one point, or a scan) as two float arrays
-    (real, imag): f1_arrays after validation.
+def _scan_state(kin: Kinematics, defects: DefectSet) -> _ScanState:
+    """The _ScanState of kin's points (one point, or a scan) and defects,
+    with read-only arrays.
 
-    One region-kernel call and one defect build, of the outgoing matrices
-    and of the incoming ones at the distinct kx = K cos(theta0).  With
-    N >= 2, a point whose outgoing matrix is singular or past
-    REG_COND_LIMIT is replaced by its flanks theta +- ANGLE_REG_EPS (one
-    more outgoing build, of the flanks alone, spliced into the points in
-    its place; a flank has its point's kx), and its value is
-    0.5 * (f_up + f_down) as Python computes it on complex numbers (through
-    3.13 a float times a complex is the product with 0.5 + 0j).
+    One defect build, of the outgoing matrices and of the incoming ones at
+    the distinct kx = K cos(theta0).  With N >= 2, a point whose outgoing
+    matrix is singular or past REG_COND_LIMIT is replaced by its flanks
+    theta +- ANGLE_REG_EPS (one more outgoing build, of the flanks alone,
+    spliced into the points in its place; a flank has its point's kx), and
+    is marked averaged.
     """
     bigK = np.array(kin.bigK, dtype=float, ndmin=1)
     s = np.array(kin.s, ndmin=1)
@@ -473,19 +549,70 @@ def _f1_points(
             dm_out = DefectMatrix(splice(dm_out.matrix, dm_flanks.matrix),
                                   splice(dm_out.inverse, dm_flanks.inverse),
                                   splice(dm_out.cond, dm_flanks.cond))
-    g = GeoCoefficientInputs(
-        s=s, bigK=bigK, alphas=defects.positions, eta=eta, lambda1=lambda1, lambda2=lambda2,
-    )
     # amplitudes (piece, point) of the bra (u) and the ket (v)
     u = v = np.ones((1, bigK.size), dtype=complex)
+    phases = None
     if defects.n > 0:
-        e = g._phases.T
+        phases = _kink_phases(s * bigK, defects.positions)
+        e = phases.T
         u = np.concatenate([u, -1j * dm_out.require_regular().weights(e).T])
         v = np.concatenate([v, -1j * dm_in[at_in].require_regular().weights(e).T])
-    # one fsum over the real parts of each point's terms and one over the
-    # imaginary parts, times pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
-    bracket = np.array([list(map(math.fsum, t.T.tolist())) for t in _bracket_terms(g, u, v)])
-    f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * bigK), bracket)
+    state = _state(s, bigK, defects.positions, phases, u, v, averaged)
+    for part in state:
+        if part is not None:
+            part.setflags(write=False)
+    return state
+
+
+def _scan_key(kin: Kinematics, defects: DefectSet) -> tuple:
+    """The bits _scan_state's result depends on: kin's (normalised) K and
+    theta, theta0, and the defect positions and couplings.  Bits, not
+    values: a defect at -0.0 is not one at 0.0."""
+    return (np.array(kin.bigK, dtype=float).tobytes(), np.array(kin.theta, dtype=float).tobytes(),
+            np.array([kin.theta0, *defects.positions], dtype=float).tobytes(),
+            np.array(defects.couplings, dtype=complex).tobytes())
+
+
+# The key (_scan_key) and the state of the last points _f1_points evaluated.
+_last_scan = (None, None)
+
+
+def _f1_points(
+    kin: Kinematics,
+    defects: DefectSet,
+    eta: float,
+    lambda1: float,
+    lambda2: float,
+) -> tuple:
+    """f1 at each point of kin (one point, or a scan) as two float arrays
+    (real, imag): f1_arrays after validation.
+
+    The state of the points (_scan_state) is kept for the next call: only
+    the last one, reused while kin's K and theta, theta0 and the defects
+    are the same bits, so that scanning one set of points at other eta or
+    curvature weights (a preset's four settings) builds it once.  Each
+    call then contracts it (_bracket_terms): one math.fsum over the real
+    parts of each point's terms and one over the imaginary parts, times the
+    prefactor.  An averaged point's value is 0.5 * (f_up + f_down) of its
+    flanks, as Python computes it on complex numbers (through 3.13 a float
+    times a complex is the product with 0.5 + 0j).
+    """
+    global _last_scan
+    key = _scan_key(kin, defects)
+    last_key, state = _last_scan
+    if key != last_key:
+        _last_scan = None, None  # not kept alive while the new state is built
+        state = _scan_state(kin, defects)
+        _last_scan = key, state
+    g = GeoCoefficientInputs(
+        s=state.s, bigK=state.bigK, alphas=defects.positions, eta=eta, lambda1=lambda1,
+        lambda2=lambda2,
+    )
+    # pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
+    bracket = np.array([list(map(math.fsum, t.T.tolist())) for t in _bracket_terms(g, state)])
+    f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * state.bigK),
+              bracket)
+    averaged = state.averaged
     if averaged.any():
         # each point's first entry in the evaluation, and an averaged one's second
         first = np.cumsum(1 + averaged) - 1 - averaged
@@ -501,15 +628,18 @@ def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     float arrays (real, imag).
 
     bigK and theta are equal-length 1-D arrays (a scalar stands for a
-    constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  Every
-    input is checked before any point is evaluated: a shape, point, eta or
-    curvature weight outside its domain raises defects.InputError, a
-    defect past |alpha| = 26 OverflowError.  The whole scan is one array
-    Kinematics and one region-kernel call, with one defect build of the
-    outgoing matrices and of the incoming ones at the scan's distinct
-    kx = K cos(theta0), and one more outgoing build, of the flanks alone,
-    if a point is averaged across theta = +-90 deg (see f1_geometric).
-    f1_scan, f1_geometric and cross_section take their numbers from it.
+    constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  A
+    shape, point, eta or curvature weight outside its domain raises
+    defects.InputError, a defect past |alpha| = 26 OverflowError, before
+    any point is contracted.  The whole scan is one array Kinematics and
+    one region-kernel call.  Its state is built with one defect build of
+    the outgoing matrices and of the incoming ones at the scan's distinct
+    kx = K cos(theta0), one more outgoing build, of the flanks alone, if a
+    point is averaged across theta = +-90 deg (see f1_geometric), and one
+    erfcx call.  A call with the last call's bigK, theta, theta0 and
+    defects, bit for bit, reuses that state and only contracts it at its
+    own eta and curvature weights (_f1_points).  f1_scan, f1_geometric
+    and cross_section take their numbers from it.
     """
     bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
     if max(bigK.ndim, theta.ndim) != 1 or len({bigK.size, theta.size} - {1}) > 1:

@@ -6,11 +6,17 @@ summary so a full run ends with an explicit pass/fail roster.
 
 The full-grid oracle report is built once per session by
 ``full_grid_report`` and shared by the tests that need it.
+
+geoamp keeps the state of the last scan it evaluated; the ``cold_scans``
+fixture clears it, for tests that count what a scan builds.
 """
 
 import functools
 import time
 
+import pytest
+
+from bumpscatter import geoamp
 from bumpscatter.oracle import default_verification_grid, verify_all
 
 _CRITERION_LINES = {}
@@ -25,6 +31,18 @@ def full_grid_report():
     t0 = time.perf_counter()
     report = verify_all(default_verification_grid())
     return report, time.perf_counter() - t0
+
+
+@pytest.fixture
+def cold_scans(monkeypatch):
+    """Clear the scan state geoamp keeps (geoamp._f1_points), so that the
+    test's first scan builds its own whatever ran before, and return the
+    function that clears it again."""
+    def clear():
+        monkeypatch.setattr(geoamp, "_last_scan", (None, None))
+
+    clear()
+    return clear
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

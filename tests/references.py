@@ -407,7 +407,7 @@ def contraction_py(g, u, v):
     n = len(g.alphas)
     half = g.half_lines.tolist()
     full = [np.broadcast_to(f, g.beta.shape).tolist() for f in g.full_lines]
-    phases = g._phases.T.tolist()
+    phases = geoamp._kink_phases(g.beta, g.alphas).T.tolist()
     gauss = geoamp._gauss(np.array(g.alphas)).tolist()
     i0 = np.broadcast_to(geoamp.I0_closed(g), g.beta.shape).tolist()
     w = g.eta * math.sqrt(math.pi)

@@ -26,6 +26,7 @@ from references import (
 )
 
 from bumpscatter import geoamp
+from bumpscatter.cli import _LAMBDA_COMBOS
 from bumpscatter.defects import (
     DefectSet,
     InputError,
@@ -310,7 +311,7 @@ def _counted(calls, key, fn, sizes=None):
     return wrapper
 
 
-def test_assembly_costs_one_region_evaluation(monkeypatch):
+def test_assembly_costs_one_region_evaluation(monkeypatch, cold_scans):
     # One f1 at N = 4 makes one region-kernel call, which reads one
     # half-line table; no per-entry kernel call and no I0 away from
     # beta = 0; one defect build, of the outgoing and the incoming matrix.
@@ -335,7 +336,8 @@ def test_assembly_costs_one_region_evaluation(monkeypatch):
     ((20.0, 45.0, 70.0, 90.0, 110.0, 135.0, 160.0),
      {"I0": 0, "kernel": 1, "build": 2, "erfcx": 1}),
 ])
-def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
+def test_scan_costs_one_table_and_two_builds(monkeypatch, cold_scans, thetas_deg,
+                                            expected):
     calls = {}
     sizes, kx_sizes = [], []
     monkeypatch.setattr(geoamp, "I0_closed", _counted(calls, "I0", I0_closed))
@@ -360,6 +362,12 @@ def test_scan_costs_one_table_and_two_builds(monkeypatch, thetas_deg, expected):
         # outgoing at every point with incoming at the scan's one kx, then
         # outgoing at the flanks
         assert kx_sizes == [len(thetas_deg) + 1] + [2] * thetas_deg.count(90.0)
+        # a preset's other three curvature settings contract the same state:
+        # one region-kernel call each, no defect build and no erfcx call
+        for lambda1, lambda2 in _LAMBDA_COMBOS[1:]:
+            calls.update(dict.fromkeys(expected, 0))
+            f1_scan(1.0, 0.0, np.radians(thetas_deg), ds, 0.1, lambda1, lambda2)
+            assert calls == dict(expected, build=0, erfcx=0)
 
 
 @pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0), (-3.1, -1.0, 0.2, 2.8),
@@ -387,6 +395,71 @@ def test_scan_equals_one_point_calls_bit_for_bit(positions):
                for k, th in zip(bigK.tolist(), theta.tolist())]
         assert all(type(f) is complex for f in f1)
         assert f1 == ref
+
+
+def _bits(f1):
+    re, im = f1
+    return re.tobytes(), im.tobytes()
+
+
+@pytest.mark.parametrize("positions, couplings", [
+    ((), ()), ((0.0,), (1.0,)), ((-3.0, 3.0), (1.0, 1.0)),
+    ((-1.0, 2.5), (0.8 - 0.3j, 1.2 + 0.5j)),
+])
+def test_warm_scan_equals_a_cold_one_bit_for_bit(cold_scans, positions, couplings):
+    # A preset's angle scan at its four curvature settings and at another
+    # eta contracts the state its first scan built, and gives the numbers
+    # of a scan that builds its own: no defects, a defect at 0, and two
+    # defects (the theta = 90 deg row averaged), with complex couplings in
+    # the last layout.
+    ds = DefectSet(positions, couplings)
+    thetas = np.radians(np.linspace(1.0, 179.0, 179))
+    settings = [(0.1, l1, l2) for l1, l2 in _LAMBDA_COMBOS] + [(0.3, 0.5, -0.5)]
+    warm = [geoamp.f1_arrays(1.0, 0.0, thetas, ds, *setting) for setting in settings]
+    state = geoamp._last_scan[1]
+    assert state.averaged.sum() == (len(positions) >= 2)
+    cold = []
+    for setting in settings:
+        cold_scans()
+        cold.append(geoamp.f1_arrays(1.0, 0.0, thetas, ds, *setting))
+        assert geoamp._last_scan[1] is not state
+    assert list(map(_bits, warm)) == list(map(_bits, cold))
+
+
+def test_scan_state_is_rebuilt_when_its_points_or_defects_change(cold_scans):
+    # The state is kept while K, theta, theta0 and the defects keep their
+    # bits, and rebuilt when any one of them changes by one bit: -0.0 is
+    # not 0.0.  Each rebuilt scan gives the numbers of a cold one.
+    thetas = np.radians([20.0, 60.0, 120.0])
+    base = (np.ones(3), 0.2, thetas, DefectSet([0.0, 2.0], [1.0, 0.5j]))
+    changed = [
+        (np.ones(3), -0.2, thetas, base[3]),
+        (np.array([1.0, np.nextafter(1.0, 2.0), 1.0]), 0.2, thetas, base[3]),
+        (np.ones(3), 0.2, np.array([thetas[0], np.nextafter(thetas[1], 0.0), thetas[2]]),
+         base[3]),
+        (np.ones(3), 0.2, thetas, DefectSet([-0.0, 2.0], [1.0, 0.5j])),
+        (np.ones(3), 0.2, thetas, DefectSet([0.0, 2.0], [1.0, 0.5j + 1e-16])),
+    ]
+    for bigK, theta0, theta, ds in changed:
+        geoamp.f1_arrays(*base, 0.1, 0.5, -0.5)
+        kept = geoamp._last_scan[1]
+        geoamp.f1_arrays(*base, 0.1, 0.0, -0.5)
+        assert geoamp._last_scan[1] is kept
+        warm = geoamp.f1_arrays(bigK, theta0, theta, ds, 0.1, 0.5, -0.5)
+        assert geoamp._last_scan[1] is not kept
+        cold_scans()
+        assert _bits(warm) == _bits(geoamp.f1_arrays(bigK, theta0, theta, ds, 0.1, 0.5, -0.5))
+
+
+@pytest.mark.parametrize("positions", [(), (-3.0, 3.0)])
+def test_scan_state_arrays_are_read_only(cold_scans, positions):
+    ds = DefectSet(positions, [1.0] * len(positions))
+    geoamp.f1_arrays(1.0, 0.0, np.radians([30.0, 90.0, 150.0]), ds, 0.1, 0.5, -0.5)
+    arrays = [a for a in geoamp._last_scan[1] if a is not None]
+    assert len(arrays) == (7 if positions else 5)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
 
 
 def _random_complex(rng, shape, lo, hi):
@@ -429,7 +502,8 @@ def test_contraction_is_the_python_float_reference_bit_for_bit(n):
     bigK = np.exp(rng.uniform(np.log(1e-2), np.log(1e1), points))
     positions = np.sort(np.append(rng.uniform(-6.0, 6.0, n - 1), 0.0)) if n else ()
     g = _g(s, bigK, positions)
-    re, im = geoamp._bracket_terms(g, u.T, v.T)
+    re, im = geoamp._bracket_terms(g, geoamp._state(
+        g.s, g.bigK, g.alphas, geoamp._kink_phases(g.beta, g.alphas), u.T, v.T))
     got = [complex(math.fsum(r), math.fsum(i)) for r, i in zip(re.T.tolist(), im.T.tolist())]
     ref = contraction_py(g, u.tolist(), v.tolist())
     assert [(f.real.hex(), f.imag.hex()) for f in got] == [
@@ -442,17 +516,23 @@ def _bracket_error(monkeypatch, bigK, theta0, thetas, ds):
     table coefficient_table_py contracted with the engine's amplitudes by
     math.fsum, in units of eps sum_ab |u_a T[a][b] v_b|; an averaged point
     takes the mean of its flanks' errors."""
-    seen = []
+    seen, amplitudes = [], []
 
-    def recorded(g, u, v):
-        seen.append((g, u, v, kernel(g, u, v)))
+    def recorded(g, state):
+        seen.append((g, kernel(g, state)))
         return seen[-1][-1]
 
-    kernel = geoamp._bracket_terms
+    def recorded_state(s, bigK, alphas, phases, u, v, averaged):
+        amplitudes.append((u, v))
+        return state(s, bigK, alphas, phases, u, v, averaged)
+
+    kernel, state = geoamp._bracket_terms, geoamp._state
     monkeypatch.setattr(geoamp, "_bracket_terms", recorded)
+    monkeypatch.setattr(geoamp, "_state", recorded_state)
+    monkeypatch.setattr(geoamp, "_last_scan", (None, None))
     fr, fi = geoamp.f1_arrays(bigK, theta0, thetas, ds, 0.1, 0.5, -0.5)
     monkeypatch.undo()
-    [(g, u, v, (re, im))] = seen
+    [(g, (re, im))], [(u, v)] = seen, amplitudes
     terms = u[:, None] * coefficient_table_py(g) * v[None]
     ref = [complex(math.fsum(t.real for t in row), math.fsum(t.imag for t in row))
            for row in terms.reshape(-1, terms.shape[-1]).T.tolist()]
@@ -508,7 +588,8 @@ def test_half_line_table_equals_the_per_qb_evaluation_bit_for_bit(positions):
     bigK = rng.uniform(0.01, 5.0, s.size)
     for g in (_g(s, bigK, positions), _g(float(s[0]), float(bigK[0]), positions),
               _g(0.0, 1.0, positions)):
-        got, ref = geoamp._half_line_table(g), half_line_table_per_qb(g)
+        got = geoamp._half_line_table(g, geoamp._half_line_moments(g.beta, g.alphas))
+        ref = half_line_table_per_qb(g)
         assert got.shape == (len(positions), 2, len(geoamp._PAIRS)) + np.shape(g.beta)
         for i, a in enumerate(g.alphas):
             for j, side in enumerate((-1.0, 1.0)):
@@ -726,7 +807,7 @@ def test_modulus_squared_is_abs_squared_bit_for_bit():
         (abs(f) ** 2).hex() for f in z.tolist()]
 
 
-def test_right_angle_single_defect_needs_no_averaging(monkeypatch):
+def test_right_angle_single_defect_needs_no_averaging(monkeypatch, cold_scans):
     # N = 1 keeps the outgoing matrix well conditioned at 90 degrees: the
     # point is evaluated at 90 degrees itself, with one build of its
     # outgoing and incoming matrices and no flanking angle.

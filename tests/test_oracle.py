@@ -812,9 +812,9 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     calls = Counter()
     kernel, plane = geoamp._bracket_terms, geoamp.I0_closed
 
-    def counted_kernel(g, u, v):
+    def counted_kernel(g, state):
         calls["kernel"] += 1
-        return kernel(g, u, v)
+        return kernel(g, state)
 
     def counted_plane(g):
         calls["I0"] += 1
