@@ -25,8 +25,8 @@ u and v, plus one line term per defect (_bracket_terms).  p_kx is the
 quartic that L leaves after the Gaussian y integral, kx = +-beta
 (beta = s K, s = sin((theta - theta0)/2)) the ket's slope on the region
 and q in {0, +-2 beta}.  The region integrals are differences of
-half-line Gaussian moments, computed once per GeoCoefficientInputs
-(half_lines).  coefficient_table is the same kernel at unit amplitudes,
+half-line Gaussian moments (_half_line_moments), computed once per
+scan state.  coefficient_table is the same kernel at unit amplitudes,
 so the oracle checks the numbers that every scan contracts.  I0 keeps
 its own closed form; it is the bracket at beta = 0 and at N = 0.
 
@@ -136,8 +136,6 @@ class GeoCoefficientInputs:
     lambda2: float | np.ndarray
 
     def __post_init__(self):
-        if self.eta < 0.0 or not np.isfinite(self.eta):
-            raise InputError(f"eta must be a finite non-negative number, got {self.eta!r}")
         if not ((np.abs(self.s) <= 1.0) & np.isfinite(self.bigK) & (self.bigK > 0.0)).all():
             raise InputError(
                 f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
@@ -146,18 +144,7 @@ class GeoCoefficientInputs:
         if {np.shape(self.lambda1), np.shape(self.lambda2)} - {(), np.shape(self.s)}:
             raise InputError(f"lambda1 and lambda2 must be floats or hold one weight per point "
                              f"of s, got {self.lambda1!r}, {self.lambda2!r} for s={self.s!r}")
-        if not (np.isfinite(self.lambda1) & np.isfinite(self.lambda2)).all():
-            raise InputError(
-                f"lambda1 and lambda2 must be finite, got {self.lambda1!r}, {self.lambda2!r}"
-            )
-        if any(a > b for a, b in zip(self.alphas, self.alphas[1:])):
-            raise InputError(f"alphas must be ascending, got {self.alphas!r}")
-        for a in self.alphas:
-            if abs(a) > SAFE_REAL_WINDOW:
-                raise OverflowError(
-                    f"defect offset |alpha| = {abs(a):.3g} exceeds the validated "
-                    f"stable window ({SAFE_REAL_WINDOW})"
-                )
+        _check_settings(self.eta, self.lambda1, self.lambda2, self.alphas)
 
     @cached_property
     def beta(self):
@@ -168,18 +155,23 @@ class GeoCoefficientInputs:
         """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2)."""
         return _p2(self, _powers(self.s, self.bigK))
 
-    @cached_property
-    def full_lines(self) -> tuple:
-        """The full-line integrals of e^{-x^2 + i q x} p_kx (_half_line_table)
-        at q = 0, sqrt(pi) (l2 - K^2/2), and at q = 2 kx, sqrt(pi)
-        e^{-beta^2} p2 / 2 = I0 / (eta sqrt(pi)), for regions across 0."""
-        return _full_lines(self, self.p2)
 
-    @cached_property
-    def half_lines(self) -> np.ndarray:
-        """Every half-line integral the region integrals of these inputs
-        are differences of (see _half_line_table), computed together once."""
-        return _half_line_table(self, _half_line_moments(self.beta, self.alphas))
+def _check_settings(eta, lambda1, lambda2, alphas) -> None:
+    """The checks of GeoCoefficientInputs that do not read its points: eta,
+    the curvature weights' values, the order of the defects and their
+    window (OverflowError past |alpha| = SAFE_REAL_WINDOW)."""
+    if not (eta >= 0.0 and math.isfinite(eta)):
+        raise InputError(f"eta must be a finite non-negative number, got {eta!r}")
+    if not (np.isfinite(lambda1) & np.isfinite(lambda2)).all():
+        raise InputError(f"lambda1 and lambda2 must be finite, got {lambda1!r}, {lambda2!r}")
+    if any(a > b for a, b in zip(alphas, alphas[1:])):
+        raise InputError(f"alphas must be ascending, got {alphas!r}")
+    for a in alphas:
+        if abs(a) > SAFE_REAL_WINDOW:
+            raise OverflowError(
+                f"defect offset |alpha| = {abs(a):.3g} exceeds the validated "
+                f"stable window ({SAFE_REAL_WINDOW})"
+            )
 
 
 def _powers(s, k):
@@ -204,7 +196,10 @@ def _p2(g: GeoCoefficientInputs, powers):
 
 
 def _full_lines(g: GeoCoefficientInputs, p2) -> tuple:
-    """g.full_lines from g.p2."""
+    """The full-line integrals of e^{-x^2 + i q x} p_kx (_half_line_table)
+    at q = 0, sqrt(pi) (l2 - K^2/2), and at q = 2 kx, sqrt(pi)
+    e^{-beta^2} p2 / 2 = I0 / (eta sqrt(pi)), for regions across 0; p2 is
+    g.p2."""
     return (SQPI * (g.lambda2 - 0.5 * g.bigK**2), 0.5 * SQPI * _gauss(g.beta) * p2)
 
 
@@ -590,17 +585,21 @@ def _f1_points(
     The state of the points (_scan_state) is kept for the next call: only
     the last one, reused while kin's K and theta, theta0 and the defects
     are the same bits, so that scanning one set of points at other eta or
-    curvature weights (a preset's four settings) builds it once.  Each
-    call then contracts it (_bracket_terms): one math.fsum over the real
-    parts of each point's terms and one over the imaginary parts, times the
-    prefactor.  An averaged point's value is 0.5 * (f_up + f_down) of its
-    flanks, as Python computes it on complex numbers (through 3.13 a float
-    times a complex is the product with 0.5 + 0j).
+    curvature weights (a preset's four settings) builds it once.  eta, the
+    curvature weights and the defect window are checked before a state is
+    built (_check_settings).  Each call then contracts it (_bracket_terms):
+    one math.fsum over the real parts of each point's terms and one over
+    the imaginary parts, times the prefactor.  An averaged point's value
+    is 0.5 * (f_up + f_down) of its flanks, as Python computes it on
+    complex numbers (through 3.13 a float times a complex is the product
+    with 0.5 + 0j).
     """
     global _last_scan
     key = _scan_key(kin, defects)
     last_key, state = _last_scan
     if key != last_key:
+        # a bad setting raises before any work on the points
+        _check_settings(eta, lambda1, lambda2, defects.positions)
         _last_scan = None, None  # not kept alive while the new state is built
         state = _scan_state(kin, defects)
         _last_scan = key, state
@@ -631,15 +630,18 @@ def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  A
     shape, point, eta or curvature weight outside its domain raises
     defects.InputError, a defect past |alpha| = 26 OverflowError, before
-    any point is contracted.  The whole scan is one array Kinematics and
+    any point is evaluated.  The whole scan is one array Kinematics and
     one region-kernel call.  Its state is built with one defect build of
     the outgoing matrices and of the incoming ones at the scan's distinct
     kx = K cos(theta0), one more outgoing build, of the flanks alone, if a
     point is averaged across theta = +-90 deg (see f1_geometric), and one
     erfcx call.  A call with the last call's bigK, theta, theta0 and
     defects, bit for bit, reuses that state and only contracts it at its
-    own eta and curvature weights (_f1_points).  f1_scan, f1_geometric
-    and cross_section take their numbers from it.
+    own eta and curvature weights (_f1_points).  The state of the last
+    call stays alive until a call with other points or defects replaces
+    it: its arrays hold about 0.25 KB per point and defect (0.5 KB a point
+    at N = 2, 2 KB at N = 8).  f1_scan, f1_geometric and cross_section
+    take their numbers from it.
     """
     bigK, theta = np.asarray(bigK, dtype=float), np.asarray(theta, dtype=float)
     if max(bigK.ndim, theta.ndim) != 1 or len({bigK.size, theta.size} - {1}) > 1:

@@ -336,7 +336,7 @@ def kink_coefficient_py(g, bra=None, ket=None):
     """
     b = g.beta
     ib = 1j * b
-    table, defect = g.half_lines, g.alphas.index
+    table, defect = _half_lines(g), g.alphas.index
     edges = [-math.inf, *sorted({a for a in (bra, ket) if a is not None}), math.inf]
     total = 0j
     for lo, hi in zip(edges, edges[1:]):
@@ -359,13 +359,18 @@ def kink_coefficient_py(g, bra=None, ket=None):
         elif lo >= 0.0:
             part = table[defect(lo), 1, pair] - right
         else:
-            part = g.full_lines[qb != 0.0] - left - right
+            part = geoamp._full_lines(g, g.p2)[qb != 0.0] - left - right
         total += np.exp(ib * phase) * part
     if ket is not None:
         x_bra = b * ket if bra is None else -b * abs(ket - bra)
         total += 2j * b * ket * ket * np.exp(-ket * ket + 1j * x_bra)
     out = g.eta * math.sqrt(math.pi) * total
     return np.where(np.equal(b, 0.0), geoamp.I0_closed(g), out)
+
+
+def _half_lines(g):
+    """geoamp's half-line table of g's points and defects."""
+    return geoamp._half_line_table(g, geoamp._half_line_moments(g.beta, g.alphas))
 
 
 def coefficient_table_py(g):
@@ -379,8 +384,8 @@ def coefficient_table_py(g):
 
 def _regions(g, half, full, r, p):
     """The four region integrals R(r; qb, sg) at point p in the order of
-    geoamp._PAIRS, by the side rule, from the nested lists of g.half_lines
-    and of g.full_lines."""
+    geoamp._PAIRS, by the side rule, from the nested lists of g's half-line
+    and full-line integrals."""
     n = len(g.alphas)
     out = []
     for j in range(len(geoamp._PAIRS)):
@@ -405,8 +410,8 @@ def contraction_py(g, u, v):
     *, (ar br - ai bi, ar bi + ai br), taken left to right) and the two
     math.fsum of each bracket are written out here on Python numbers."""
     n = len(g.alphas)
-    half = g.half_lines.tolist()
-    full = [np.broadcast_to(f, g.beta.shape).tolist() for f in g.full_lines]
+    half = _half_lines(g).tolist()
+    full = [np.broadcast_to(f, g.beta.shape).tolist() for f in geoamp._full_lines(g, g.p2)]
     phases = geoamp._kink_phases(g.beta, g.alphas).T.tolist()
     gauss = geoamp._gauss(np.array(g.alphas)).tolist()
     i0 = np.broadcast_to(geoamp.I0_closed(g), g.beta.shape).tolist()

@@ -284,6 +284,16 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_far_defect_is_a_numerical_failure(tmp_path, capsys):
+    # A defect far past the window (1e200, whose square overflows) is
+    # refused by the window check before any point is evaluated.
+    code = main(["angular", "--defects=1e200", "--ksigma=1", "--thetagrid=10:170:5",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_NUMERICAL
+    assert "exceeds the validated stable window" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep / angular CSV output
 

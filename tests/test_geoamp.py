@@ -315,14 +315,16 @@ def test_assembly_costs_one_region_evaluation(monkeypatch, cold_scans):
     # One f1 at N = 4 makes one region-kernel call, which reads one
     # half-line table; no per-entry kernel call and no I0 away from
     # beta = 0; one defect build, of the outgoing and the incoming matrix.
+    # At beta = 0 (theta = theta0) the same call takes I0 once.
     calls = dict.fromkeys(("kernel", "half-lines", "I0", "build"), 0)
     for key, name in (("kernel", "_bracket_terms"), ("half-lines", "_half_line_table"),
-                      ("I0", "I0_closed"), ("build", "build_defect_matrix")):
+                      ("I0", "_plane_coefficient"), ("build", "build_defect_matrix")):
         monkeypatch.setattr(geoamp, name, _counted(calls, key, getattr(geoamp, name)))
-    kin = Kinematics(bigK=1.1, theta0=0.0, theta=2.2)
     ds = DefectSet([-2.0, -0.5, 1.0, 2.5], [1.0, 1.0, 1.0, 1.0])
-    f1_geometric(kin, ds, 0.1, 0.5, -0.5)
-    assert calls == {"kernel": 1, "half-lines": 1, "I0": 0, "build": 1}
+    for theta, i0 in ((2.2, 0), (0.0, 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        f1_geometric(Kinematics(bigK=1.1, theta0=0.0, theta=theta), ds, 0.1, 0.5, -0.5)
+        assert calls == {"kernel": 1, "half-lines": 1, "I0": i0, "build": 1}
 
 
 @pytest.mark.parametrize("thetas_deg, expected", [
@@ -340,7 +342,8 @@ def test_scan_costs_one_table_and_two_builds(monkeypatch, cold_scans, thetas_deg
                                             expected):
     calls = {}
     sizes, kx_sizes = [], []
-    monkeypatch.setattr(geoamp, "I0_closed", _counted(calls, "I0", I0_closed))
+    monkeypatch.setattr(geoamp, "_plane_coefficient",
+                        _counted(calls, "I0", geoamp._plane_coefficient))
     monkeypatch.setattr(geoamp, "_bracket_terms",
                         _counted(calls, "kernel", geoamp._bracket_terms))
     monkeypatch.setattr(geoamp, "build_defect_matrix",
@@ -368,6 +371,10 @@ def test_scan_costs_one_table_and_two_builds(monkeypatch, cold_scans, thetas_deg
             calls.update(dict.fromkeys(expected, 0))
             f1_scan(1.0, 0.0, np.radians(thetas_deg), ds, 0.1, lambda1, lambda2)
             assert calls == dict(expected, build=0, erfcx=0)
+        # a beta = 0 point (theta = theta0) in the scan takes I0, once
+        calls.update(dict.fromkeys(expected, 0))
+        f1_scan(1.0, 0.0, np.radians((0.0, *thetas_deg)), ds, 0.1, 0.5, -0.5)
+        assert calls["I0"] == 1
 
 
 @pytest.mark.parametrize("positions", [(), (0.7,), (-3.0, 3.0), (-3.1, -1.0, 0.2, 2.8),
@@ -901,6 +908,34 @@ def test_defect_offset_window_is_enforced():
     # The documented window itself is usable.
     f = f1_geometric(kin, DefectSet([25.0], [1.0]), 0.1, 0.5, -0.5)
     assert cmath.isfinite(f)
+
+
+@pytest.mark.parametrize("positions, eta, lambda1, error", [
+    ((1e200,), 0.1, 0.5, OverflowError),     # past the window, far enough to overflow
+    ((-1e200, 0.5), 0.1, 0.5, OverflowError),
+    ((0.5,), -0.1, 0.5, InputError),          # eta < 0
+    ((0.5,), math.nan, 0.5, InputError),
+    ((0.5,), 0.1, math.inf, InputError),      # a non-finite curvature weight
+])
+def test_bad_settings_raise_before_the_state_is_built(monkeypatch, cold_scans, positions,
+                                                      eta, lambda1, error):
+    # eta, the curvature weights and the defect window are checked before
+    # the scan's state is built: no defect build, no erfcx call, and the
+    # kept state is left as it was.
+    kin = Kinematics(bigK=1.0, theta0=0.0, theta=2.0)
+    f1_geometric(kin, DefectSet([0.5], [1.0]), 0.1, 0.5, -0.5)
+    kept = geoamp._last_scan
+    calls = dict.fromkeys(("build", "erfcx"), 0)
+    monkeypatch.setattr(geoamp, "build_defect_matrix",
+                        _counted(calls, "build", build_defect_matrix))
+    monkeypatch.setattr(geoamp, "erfcx_c", _counted(calls, "erfcx", geoamp.erfcx_c))
+    ds = DefectSet(positions, [1.0] * len(positions))
+    with pytest.raises(error):
+        f1_geometric(kin, ds, eta, lambda1, -0.5)
+    with pytest.raises(error):
+        f1_scan(1.0, 0.0, [0.5, 0.6], ds, eta, lambda1, -0.5)
+    assert calls == {"build": 0, "erfcx": 0}
+    assert geoamp._last_scan is kept
 
 
 def test_cross_section_refuses_delta_supported_rays():

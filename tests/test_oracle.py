@@ -805,26 +805,27 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     # N = 3 at one grid point: the 100 records read one closed table of
     # (N+1)^2 = 16 entries, all from one call of the region kernel the scan
     # contracts (at unit amplitudes), where one closed-form call per record
-    # would make 1 + 2N^2 + N^4 = 100.  Away from beta = 0 no entry calls
-    # I0_closed.  Two s values at two curvature settings make one call
-    # too, where one call per setting would make 2.  The quadrature side is
+    # would make 1 + 2N^2 + N^4 = 100.  Away from beta = 0 the kernel
+    # takes no I0 (_plane_coefficient); with an s = 0 point it takes I0
+    # once.  Two s values at two curvature settings make one call too,
+    # where one call per setting would make 2.  The quadrature side is
     # stubbed.
     calls = Counter()
-    kernel, plane = geoamp._bracket_terms, geoamp.I0_closed
+    kernel, plane = geoamp._bracket_terms, geoamp._plane_coefficient
 
     def counted_kernel(g, state):
         calls["kernel"] += 1
         return kernel(g, state)
 
-    def counted_plane(g):
+    def counted_plane(g, p2):
         calls["I0"] += 1
-        return plane(g)
+        return plane(g, p2)
 
     def fake_entry(what):
         return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)
 
     monkeypatch.setattr(geoamp, "_bracket_terms", counted_kernel)
-    monkeypatch.setattr(geoamp, "I0_closed", counted_plane)
+    monkeypatch.setattr(geoamp, "_plane_coefficient", counted_plane)
     monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
     grid = dict(_ZERO_POINT_GRID, s=(0.7,), lambdas=((0.5, -0.5),))
     report = verify_all(grid=grid)
@@ -834,6 +835,10 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     report = verify_all(grid=dict(grid, s=(0.3, 0.7), lambdas=((0.5, -0.5), (0.0, -0.5))))
     assert len(report.records) == 400
     assert calls == {"kernel": 1}
+    calls.clear()
+    report = verify_all(grid=dict(grid, s=(0.0, 0.7)))
+    assert len(report.records) == 200
+    assert calls == {"kernel": 1, "I0": 1}
 
 
 # ---------------------------------------------------------------------------
