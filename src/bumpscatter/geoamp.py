@@ -53,9 +53,10 @@ Validation status (enforced by the test suite and the quadrature oracle in
 bumpscatter.oracle): every table entry matches adaptive quadrature of its
 defining integral to better than 1e-6 relative across the acceptance grid,
 and the kink coefficients match a 50-digit quadrature to 1e-12 relative
-on points with K up to 5 and defects up to |alpha| = 6.  Beside a defect
-at 0 the region sum cancels: the worst table entry on the verification
-grid is 8.8e-12 relative against 50 digits (ROADMAP item 10).
+on points with K up to 5 and defects up to |alpha| = 6 away from 0.  A
+defect at 0 is the exception: the region sum cancels beside it, and the
+worst table entry on the verification grid (defects -3, 0, 3) is only
+8.8e-12 relative against 50 digits (ROADMAP item 10).
 
 Special directions: at theta = theta0 and theta = pi - theta0 the
 zeroth-order amplitude is a delta spike (see defects.f0_distributional)

@@ -1,16 +1,17 @@
 """Independent adaptive-quadrature oracle for the closed-form coefficients.
 
-Every closed form in bumpscatter.geoamp is a Gaussian-moment evaluation of a
-defining integral of the shape
+Every closed form in bumpscatter.geoamp is a Gaussian-moment evaluation of
+the one defining integral the oracle takes,
 
-    C = int dx dy  bra(x, y) * (L ket)(x, y),
+    <U| L |V> = int dx dy  bra(x, y) * (L ket)(x, y).
 
-where bra and ket are the plane-wave or kink pieces of the exact
-unperturbed states, named as in geoamp by a kink position or None for the
-plane wave (the bra side already conjugated: its y factor is
-e^{-i gamma y}, its kink factor e^{-i beta |x - a|}), and L is the
-first-order curvature operator from bumpscatter.surface applied in
-Cartesian form,
+A state is a combination of the pieces of the exact unperturbed states,
+the plane wave (piece 0) and the kink at alpha_n (piece n + 1), given by
+complex amplitudes: U holds one row per bra state and V one row per ket
+state, one column per piece, per tree.  The bra side is already
+conjugated: its y factor is e^{-i gamma y}, its kink factor
+e^{-i beta |x - a|}.  L is the first-order curvature operator from
+bumpscatter.surface applied in Cartesian form,
 
     L h = psi_a(r) (x^2 h_xx + 2 x y h_xy + y^2 h_yy)
         + psi_b(r) (x h_x + y h_y) + c(r) h,
@@ -25,28 +26,34 @@ additionally contributes a line term: h_xx of e^{i beta |x - a|} carries
 
     C_line = int dy  bra(a, y) * psi_a(a, y) * a^2 * 2 i beta * e^{i gamma y}.
 
-Phase rule: a phase position a' enters a defining integral only as the
-constant factor e^{i beta a'}.  Every integral is taken with its phase
-positions at 0, once per entry of the (N+1) x (N+1) table of plane (0) and
-kink (n + 1) pieces that geoamp contracts (integral_table, the quadrature
-twin of geoamp.coefficient_table, which takes the same inputs: one table
-for a float GeoCoefficientInputs, one per point for an array one), and
-the exact phase multiplies the result outside the quadrature.
+Three cases use it.  The (N+1) x (N+1) table of the pieces is the
+identity case U = V = 1 (integral_table, the quadrature twin of
+geoamp.coefficient_table, which takes the same inputs: one table for a
+float GeoCoefficientInputs, one per point for an array one).  One entry
+of it is the one-hot case (_integrate_pair).  f1 is the physical case,
+one outgoing bra state and one incoming ket state from the defect
+matrices (assemble_f1_oracle).  Phase rule: a phase position a' enters a
+defining integral only as the constant factor e^{i beta a'}, so every
+integral is taken with its phase positions at 0 and the exact phase
+multiplies the result outside the quadrature.
 
-The table factors.  The bra and ket y factors cancel, and L ket is the ket
+The integrand.  The bra and ket y factors cancel, and L ket is the ket
 times F0 + sg F1 (sg = sign(x - a) for a kink at a, 1 for the plane wave;
 F0, F1 are the same for every piece).  Panel edges include x = 0, y = 0
 and every defect position, so integrand kinks lie on panel boundaries and
-sg is constant on each panel, where entry (a, b) is
+sg is constant on each panel, where entry (i, j) is
 
-    T_ab = sum_i wx_i B_a(x_i) K_b(x_i) (G0_i + sg_b G1_i),
+    T_ij = sum_k wx_k (U B)_i(x_k) (V H)_j(x_k),
+    H_q = K_q (G0 + sg_q G1),
 
-B_a and K_b the bra and ket x factors and G0, G1 the y-contracted F0, F1:
-one matrix product per panel for the whole table.  Each piece's x factor
-is one complex exponential: a bra plane wave's factor is its ket's, and a
-bra kink's the conjugate of its ket's.  G0 and G1 are linear
-in seven y contractions that depend on the panel's cell alone (c is
-lambda1 c1 + lambda2 c2 at first order):
+B_p and K_q the bra and ket x factors of the pieces and G0, G1 the
+y-contracted F0, F1: one matrix product per panel for every pair of
+states.  Each piece's x factor is one complex exponential, taken once: a
+bra plane wave's factor is its ket's, and a bra kink's the conjugate of
+its ket's.  At U = V = 1, the piece table, the amplitude products would
+be products by 1 and sums with exact zeros, which change no bit, so they
+are skipped there.  G0 and G1 are linear in seven y contractions that depend on the
+panel's cell alone (c is lambda1 c1 + lambda2 c2 at first order):
 
     G0 = -beta^2 x^2 int a - gamma^2 int a y^2 + lambda1 int c1
          + lambda2 int c2 + i gamma int b y,
@@ -56,20 +63,23 @@ lambda1 c1 + lambda2 c2 at first order):
 so the operator is evaluated once per distinct cell and Gauss order: the
 seven contractions and the x nodes and weights, O(p) numbers, are kept
 for the life of the call's integrand, no 2D grid with them, and a tree's
-panel costs O(p (N + 1)).  int |f| of entry (a, b) is int |F0 + sg_b F1|
-= int |c - a u^2 + i b u|, u = sg_b beta x + gamma y, two values per
-panel; only the order-2p values of the final panels are read, so they
-are taken once, after every tree has converged, with each distinct final
-cell's 2D grid built once.  The line integral int psi_a(a, y) dy of a ket
-kink depends on neither the bra nor beta, K and the curvature weights, so
-one 1D tree integrates the N of them for every point of a call.
+panel costs O(p (N + 1)).  int |f| of the piece pair (p, q) is
+M_pq = int |F0 + sg_q F1| = int |c - a u^2 + i b u|, u = sg_q beta x +
+gamma y, two values per panel, and a pair of states takes |U| M |V|^T, a
+triangle-inequality bound that is M itself at identity amplitudes.  Only
+the order-2p values of the final panels are read, so they are taken
+once, after every tree has converged, with each distinct final cell's 2D
+grid built once.  The line integral int psi_a(a, y) dy of a ket kink
+depends on neither the bra nor beta, K and the curvature weights, so one
+1D tree integrates the N of them for every point of a call; ket state j
+weighs kink n's by V[j, n+1] 2 i beta a_n^2 (U B)_i(a_n).
 
 The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
 of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
 Espelid and Genz, ACM TOMS 17, 1991).  Each panel scores every entry by the
 difference of its order-p and order-2p values; an entry is converged when
 its summed difference, the reported err_est, meets
-max(REL_TOL |T_ab|, ABS_FLOOR), and until every entry is, the panel with
+max(REL_TOL |T_ij|, ABS_FLOOR), and until every entry is, the panel with
 the largest error-to-target ratio over the unconverged entries is bisected
 across its longer side.  The box, the error target, the panel budget and
 verify_all's pass rule are module constants; the oracle has no options.
@@ -87,11 +97,11 @@ panels end up in.
 This module is intentionally independent of the closed forms: it never
 calls them or their kernels, only mirrors the defining integrals (from
 geoamp it takes the inputs, coefficient_table for the comparison and the
-complex product _cmul).  verify_all evaluates both tables on one array
-input for its whole grid and reports coefficient-by-coefficient
-agreement, judging all records of a call as arrays.  The closed table is
-geoamp's region kernel at unit amplitudes: the numbers every scan
-contracts.
+complex product _cmul; from defects the defect matrices).  verify_all
+evaluates both tables on one array input for its whole grid and reports
+coefficient-by-coefficient agreement, judging all records of a call as
+arrays.  The closed table is geoamp's region kernel at unit amplitudes:
+the numbers every scan contracts.
 """
 
 from __future__ import annotations
@@ -410,19 +420,14 @@ def _combine(basis, beta, gamma, lambda1, lambda2):
     return g0, g1
 
 
-def _x_factors(bras, kets, x, beta):
-    """The bra and the ket x factors at the nodes x, each stacked over its
-    pieces on the second-last axis: e^{i beta x} for the plane wave (None)
-    on either side, e^{i beta |x - a|} for a ket kink at a and its
-    conjugate e^{-i beta |x - a|} for a bra kink.  One complex exponential
-    per piece of the union of kets and bras: a bra takes its piece's ket
-    factor, conjugated if it is a kink."""
-    pieces = (*kets, *(a for a in dict.fromkeys(bras) if a not in kets))
-    e = np.exp(1j * beta * np.stack([x if a is None else np.abs(x - a) for a in pieces],
-                                    axis=-2))
-    bra = e[..., [pieces.index(a) for a in bras], :]
-    np.negative(bra.imag, out=bra.imag, where=np.array([[a is not None] for a in bras]))
-    return bra, e[..., :len(kets), :]
+def _piece_factors(alphas, x, beta):
+    """The bra and the ket x factors of the pieces (None, *alphas) at the
+    nodes x, each stacked over the pieces on the second-last axis:
+    e^{i beta x} for the plane wave on either side, e^{i beta |x - a|} for
+    a ket kink at a and its conjugate e^{-i beta |x - a|} for a bra kink.
+    One complex exponential per piece."""
+    ket = np.exp(1j * beta * np.stack([x, *(np.abs(x - a) for a in alphas)], axis=-2))
+    return np.concatenate([ket[..., :1, :], ket[..., 1:, :].conj()], axis=-2), ket
 
 
 def _ket_signs(kets, cells):
@@ -433,18 +438,25 @@ def _ket_signs(kets, cells):
                      for b in kets], axis=-1)
 
 
-def _table_integrand(bras, kets, g):
-    """The integrand of bra * (L ket) for every bra in bras against every
-    ket in kets, flattened row by row, each panel at the point t of g that
-    its tree t belongs to: the factored table of the module docstring.
+def _table_integrand(u, v, g):
+    """The integrand of <U| L |V> for the amplitude matrices u and v,
+    (tree, state, piece) arrays over the pieces (None, *g.alphas), every
+    bra state against every ket state flattened row by row, each panel at
+    the point t of g that its tree t belongs to: the factored table of the
+    module docstring, U applied to the bra factors and V to the ket
+    factors times G0 + sg G1 (not at U = V = 1, where they change no bit).
 
     A panel's values split into its cell's _cell_basis, which no tree
     changes and which is kept, per cell and Gauss order, for the life of
     the integrand, and its tree's _combine of it: O(p (N + 1)) per panel.
-    The moduli |F0 + sg F1| = |c - a u^2 + i b u|, u = sg beta x + gamma y,
-    take the 2D grid: it is built once per distinct cell of a call and not
-    kept."""
+    The piece moduli M, |F0 + sg F1| = |c - a w^2 + i b w| with
+    w = sg beta x + gamma y, take the 2D grid: it is built once per
+    distinct cell of a call and not kept; a pair of states takes
+    |U| M |V|^T of them."""
     betas, gammas, lambda1, lambda2, profile = _integrand_inputs(g)
+    pieces = (None, *g.alphas)
+    # at U = V = 1, the piece table, the products would change no bit
+    identity = all(w.shape[1] == len(pieces) and (w == np.eye(len(pieces))).all() for w in (u, v))
     basis = {}  # (cell bounds, order) -> its _cell_basis rows
 
     def values(t, cells, order):
@@ -456,11 +468,13 @@ def _table_integrand(bras, kets, g):
                 _cell_basis(profile, todo[i:i + GRID_BATCH], order)
                 for i in range(0, len(todo), GRID_BATCH))))
         rows = np.array([basis[k] for k in keys])
-        g0, g1 = _combine(rows, *(v[t][:, None] for v in (betas, gammas, lambda1, lambda2)))
+        g0, g1 = _combine(rows, *(w[t][:, None] for w in (betas, gammas, lambda1, lambda2)))
         x, wx, beta = rows[:, 0], rows[:, 1], betas[t][:, None, None]
-        sg = _ket_signs(kets, cells)[:, :, None]
-        bra, ket = _x_factors(bras, kets, x, beta)
+        sg = _ket_signs(pieces, cells)[:, :, None]
+        bra, ket = _piece_factors(g.alphas, x, beta)
         ket = ket * (g0[:, None] + sg * g1[:, None])
+        if not identity:
+            bra, ket = u[t] @ bra, v[t] @ ket
         table = (bra * wx[:, None, :]) @ ket.transpose(0, 2, 1)
         return table.reshape(len(t), -1)
 
@@ -491,15 +505,18 @@ def _table_integrand(bras, kets, g):
                 bx, gy = betas[tt] * x[k][:, :, None], gammas[tt] * y[k][:, None, :]
                 f = np.empty(c.shape, complex)
                 for j, sign in enumerate((1.0, -1.0)):
-                    u = sign * bx + gy
-                    np.multiply(b[k], u, out=f.imag)
-                    u *= u
-                    u *= a[k]
-                    np.subtract(c, u, out=f.real)  # f = c - a u^2 + i b u
-                    np.abs(f, out=u)
-                    out[panels, j] = (wx[k][:, None, :] @ u @ wy[k][:, :, None])[:, 0, 0]
-        mag = np.where(_ket_signs(kets, cells) > 0.0, out[:, :1], out[:, 1:])
-        return np.broadcast_to(mag[:, None, :], (len(t), len(bras), len(kets))).reshape(len(t), -1)
+                    w = sign * bx + gy
+                    np.multiply(b[k], w, out=f.imag)
+                    w *= w
+                    w *= a[k]
+                    np.subtract(c, w, out=f.real)  # f = c - a w^2 + i b w
+                    np.abs(f, out=w)
+                    out[panels, j] = (wx[k][:, None, :] @ w @ wy[k][:, :, None])[:, 0, 0]
+        # M[p, q] is its ket's modulus for every bra p
+        mag = np.where(_ket_signs(pieces, cells) > 0.0, out[:, :1], out[:, 1:])
+        bras = np.abs(u[t]).sum(axis=2)
+        kets = (np.abs(v[t]) @ mag[:, :, None])[:, :, 0]
+        return (bras[:, :, None] * kets[:, None, :]).reshape(len(t), -1)
 
     return _Integrand(values, moduli)
 
@@ -531,42 +548,53 @@ def _panel_edges(g: GeoCoefficientInputs, points):
     return edges_x, [-rmax, 0.0, rmax]
 
 
-def _integrate_tables(bras, kets, g, labels) -> list:
-    """Integrals of every bra piece against every ket piece (kink
-    positions, or None for the plane wave), labeled by the rows of labels,
-    one table per point of g (one for a float g): the smooth parts on one
-    2D tree per point, refined in lockstep, the line terms of the ket kinks
-    on one 1D tree that every point shares."""
-    betas = np.array(g.beta, dtype=float, ndmin=1)
-    edges_x, edges_y = _panel_edges(g, [k for k in (*bras, *kets) if k is not None])
-    smooth = _adaptive(_table_integrand(bras, kets, g), len(betas), edges_x, edges_y,
+def _integrate_states(u, v, g, labels) -> list:
+    """<U| L |V> for the amplitude matrices u and v, (tree, state, piece)
+    arrays over the pieces (None, *g.alphas), one tree per point of g (one
+    for a float g): per point the table of every bra state i against
+    every ket state j, labeled labels[i][j].  The smooth parts are on one
+    2D tree per point, refined in lockstep; the line terms of the kinks
+    on one 1D tree that every point shares, taken only if some ket state
+    holds a kink.  Ket state j adds, for every kink n it holds,
+    V[j, n+1] 2 i beta a_n^2 (U bra)_i(a_n) times line n; its entries
+    then count both trees' panels."""
+    edges_x, edges_y = _panel_edges(g, g.alphas)
+    smooth = _adaptive(_table_integrand(u, v, g), len(u), edges_x, edges_y,
                        [what for row in labels for what in row])
-    tables = [[entries[i * len(kets):(i + 1) * len(kets)] for i in range(len(bras))]
+    tables = [[entries[i:i + v.shape[1]] for i in range(0, len(entries), v.shape[1])]
               for entries in smooth]
-    cols = [j for j, ket in enumerate(kets) if ket is not None]
-    if not cols:
+    if not v[:, :, 1:].any():
         return tables
-    at = np.array([kets[j] for j in cols])
+    at = np.array(g.alphas)
     [lines] = _adaptive(_line_integrand(at, g.eta), 1, edges_y, None,
-                        [labels[0][j] + " (line term)" for j in cols])
-    bra_at, _ = _x_factors(bras, kets, at, betas[:, None, None])
-    for beta, table, bra in zip(betas.tolist(), tables, bra_at):
+                        [_label(g, None, a) + " (line term)" for a in g.alphas])
+    betas = np.array(g.beta, dtype=float, ndmin=1)
+    bra_at = u @ _piece_factors(g.alphas, at, betas[:, None, None])[0]
+    for beta, table, bra, amps in zip(betas.tolist(), tables, bra_at, v[:, :, 1:].tolist()):
         # Python complex weights, so the merged entries hold Python numbers
         weights = (2j * beta * at**2 * bra).tolist()
-        for row, row_weights in zip(table, weights):
-            for j, w, line in zip(cols, row_weights, lines):
+        for j, amp in enumerate(amps):
+            held = [(n, a) for n, a in enumerate(amp) if a]  # the kinks ket state j holds
+            if not held:
+                continue
+            for row, row_weights in zip(table, weights):
                 ov = row[j]
-                row[j] = OracleValue(
-                    ov.value + w * line.value, ov.err_est + abs(w) * line.err_est,
-                    ov.panels + line.panels, ov.abs_integral + abs(w) * line.abs_integral)
+                value, err, mod = ov.value, ov.err_est, ov.abs_integral
+                for n, a in held:
+                    c = a * row_weights[n]
+                    value += c * lines[n].value
+                    err += abs(c) * lines[n].err_est
+                    mod += abs(c) * lines[n].abs_integral
+                row[j] = OracleValue(value, err, ov.panels + lines[0].panels, mod)
     return tables
 
 
 def _integrate_pair(bra, ket, g: GeoCoefficientInputs, what: str) -> OracleValue:
     """Integral of bra piece `bra` against ket piece `ket` (kink positions,
     or None for the plane wave) at the float g, labeled `what`: the
-    one-entry table."""
-    return _integrate_tables((bra,), (ket,), g, [[what]])[0][0][0]
+    one-hot case of <U| L |V>."""
+    one_hot = np.eye(len(g.alphas) + 1)[None, [(None, *g.alphas).index(p) for p in (bra, ket)]]
+    return _integrate_states(one_hot[:, :1], one_hot[:, 1:], g, [[what]])[0][0][0]
 
 
 def _label(g: GeoCoefficientInputs, bra, ket) -> str:
@@ -584,12 +612,13 @@ def integral_table(g: GeoCoefficientInputs) -> list:
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
     the bra kink I~_n, T[0][n+1] the ket kink J~_n and T[m+1][n+1] the kink
     pair C[m, n].  The quadrature of geoamp.coefficient_table, all entries
-    of a point on one shared panel tree.  A float g gives its table; an
-    array g one table per point, all trees refined in one lockstep loop,
-    each the table of that point alone."""
+    of a point on one shared panel tree: <U| L |V> at U = V = 1.  A float
+    g gives its table; an array g one table per point, all trees refined
+    in one lockstep loop, each the table of that point alone."""
     pieces = (None, *g.alphas)
     labels = [[_label(g, bra, ket) for ket in pieces] for bra in pieces]
-    tables = _integrate_tables(pieces, pieces, g, labels)
+    eye = np.broadcast_to(np.eye(len(pieces)), (np.size(g.beta), len(pieces), len(pieces)))
+    tables = _integrate_states(eye, eye, g, labels)
     return tables[0] if np.ndim(g.beta) == 0 else tables
 
 
@@ -605,54 +634,36 @@ def assemble_f1_oracle(
     lambda1: float,
     lambda2: float,
 ) -> OracleValue:
-    """f1 with every coefficient taken from quadrature instead of closed form.
+    """f1 as one quadrature of the physical states, with no closed form.
 
-    Shares only the defect-matrix algebra with the engine; all scattering
-    coefficients are integrated.  This is the engine's bilinear form over
-    the (N+1) x (N+1) table T of integral_table, 0 the plane wave and
-    n + 1 the kink at alpha_n.  With e_n = e^{i beta a_n}, v = Ainv^T e and
-    w = Ainv e, each entry is weighted by
+    Shares only the defect-matrix algebra with the engine: the outgoing
+    bra state u = (1, -i Ainv_out e) and the incoming ket state
+    v = (1, -i Ainv_in e) over the pieces (None, *alphas), with
+    e_n = e^{i beta a_n} and each Ainv e taken by
+    build_defect_matrix(...).weights, make one <u| L |v> on one 2D tree
+    and, at N >= 1, one 1D tree of the N line integrals.  f1 is that
+    integral times -e^{i pi/4} / (2 sqrt(2 pi K)).  So the engine's
+    reduction to the table, its contraction, its fsum and its prefactor
+    are all checked.
 
-        1 for T[0][0] = I0,   -i v_out[n] for the bra kink T[n+1][0],
-        -i v_in[n] for the ket kink T[0][n+1],
-        -w_out[m] w_in[n] for the kink pair T[m+1][n+1],
-
-    and the weighted entries are added by math.fsum.  The engine contracts
-    w in place of v (A is symmetric); keeping both orientations of the
-    inverse here checks that reduction too.
-
-    err_est and abs_integral weigh each integral's estimate by the summed
-    modulus of its assembly weights: sum_m |Ainv_out[m,n]| for a bra kink,
-    sum_m |Ainv_in[m,n]| for a ket kink, and sum_{m',n'} |Ainv_out[m,m']
-    Ainv_in[n,n']| = (sum_m' |Ainv_out[m,m']|) (sum_n' |Ainv_in[n,n']|)
-    for a kink pair.  panels counts the table's shared trees once: every
-    ket-kink entry carries the 2D and the 1D tree.
+    err_est is the integral's two-level estimate (and the line integrals'
+    estimates weighted by the moduli of their weights).  abs_integral is
+    |u| M |v|^T plus the line terms' moduli, M the piece moduli of
+    integral_table: a triangle-inequality bound on the integral of the
+    modulus.  Both carry the prefactor's modulus.  panels counts both
+    trees.
     """
     g = GeoCoefficientInputs(
         s=kin.s, bigK=kin.bigK, alphas=defects.positions,
         eta=eta, lambda1=lambda1, lambda2=lambda2,
     )
-    n = defects.n
-    coef = np.ones((n + 1, n + 1), dtype=complex)
-    weight = np.ones((n + 1, n + 1))
-    if n > 0:
-        ainv_in = build_defect_matrix(kin.kx, defects).inverse
-        ainv_out = build_defect_matrix(kin.kx_out, defects).inverse
-        e = np.exp(1j * g.beta * np.array(g.alphas))
-        coef[1:, 0], coef[0, 1:] = -1j * (ainv_out.T @ e), -1j * (ainv_in.T @ e)
-        coef[1:, 1:] = -np.outer(ainv_out @ e, ainv_in @ e)
-        weight[1:, 0], weight[0, 1:] = np.abs(ainv_out).sum(0), np.abs(ainv_in).sum(0)
-        weight[1:, 1:] = np.outer(np.abs(ainv_out).sum(1), np.abs(ainv_in).sum(1))
-    cells = [(coef[a, b], weight[a, b], ov)
-             for a, row in enumerate(integral_table(g)) for b, ov in enumerate(row)]
-    values = [c * ov.value for c, _, ov in cells]
-    bracket = complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
-    total_err = math.fsum(w * ov.err_est for _, w, ov in cells)
-    total_abs = math.fsum(w * ov.abs_integral for _, w, ov in cells)
+    e = np.exp(1j * g.beta * np.array(g.alphas))
+    u, v = (np.concatenate([[1.0], -1j * build_defect_matrix(kx, defects).weights(e)])[None, None]
+            for kx in (kin.kx_out, kin.kx))
+    [[[ov]]] = _integrate_states(u, v, g, [["f1 bracket"]])
     pref = -0.5 * complex(np.exp(1j * math.pi / 4.0)) / math.sqrt(2.0 * math.pi * kin.bigK)
-    return OracleValue(value=complex(pref * bracket), err_est=float(abs(pref) * total_err),
-                       panels=max(ov.panels for *_, ov in cells),
-                       abs_integral=float(abs(pref) * total_abs))
+    return OracleValue(value=pref * ov.value, err_est=abs(pref) * ov.err_est, panels=ov.panels,
+                       abs_integral=abs(pref) * ov.abs_integral)
 
 
 # ---------------------------------------------------------------------------

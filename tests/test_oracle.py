@@ -289,16 +289,21 @@ def test_mollified_line_term_converges_quadratically():
 
 
 def test_assembly_oracle_matches_closed_amplitude():
-    kin = Kinematics(bigK=1.0, theta0=0.0, theta=math.radians(50.0))
-    ds = DefectSet([-3.0, 3.0], [1.0, 1.0])
-    closed = f1_geometric(kin, ds, 0.1, 0.5, -0.5)
-    ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
-    assert abs(ov.value - closed) / abs(closed) <= 1e-5
-    # Also at a backscattering angle where the outgoing k_x is negative.
-    kin2 = Kinematics(bigK=1.0, theta0=0.0, theta=math.radians(130.0))
-    closed2 = f1_geometric(kin2, ds, 0.1, 0.5, -0.5)
-    ov2 = assemble_f1_oracle(kin2, ds, 0.1, 0.5, -0.5)
-    assert abs(ov2.value - closed2) / abs(closed2) <= 1e-5
+    # f1 as one quadrature of the physical states agrees with the closed
+    # amplitude within its own error estimate and to 1e-10 relative, on
+    # both sides of theta = 90 deg (the averaged rows are left out): the
+    # presets' layout, one defect off 0 and one at 0, a pair with a defect
+    # at 0 and an asymmetric pair with unequal couplings.
+    layouts = [((-3.0, 3.0), (1.0, 1.0)), ((3.0,), (1.0,)), ((0.0,), (1.0,)),
+               ((-3.0, 0.0), (1.0, 1.0)), ((-1.0, 3.0), (1.0, 0.7))]
+    for positions, couplings in layouts:
+        ds = DefectSet(positions, couplings)
+        for theta in (5.0, 50.0, 130.0, 175.0):
+            kin = Kinematics(bigK=1.0, theta0=0.0, theta=math.radians(theta))
+            closed = f1_geometric(kin, ds, 0.1, 0.5, -0.5)
+            ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
+            assert abs(ov.value - closed) <= ov.err_est, (positions, theta)
+            assert abs(ov.value - closed) <= 1e-10 * abs(closed), (positions, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -686,83 +691,55 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point(monkeypatch):
 
 
 def _fake_table(entry):
-    """Stand-in for the table integrator: entry(label) for every label of
+    """Stand-in for the state integrator: entry(label) for every label of
     every point of g."""
-    def fake(bras, kets, g, labels):
+    def fake(u, v, g, labels):
         return [[[entry(what) for what in row] for row in labels] for _ in range(np.size(g.s))]
 
     return fake
 
 
-def test_assembly_oracle_error_estimate_is_weighted(monkeypatch):
-    import bumpscatter.oracle as oracle_mod
-
-    # Stand-in integrals with a distinct error estimate per label.
-    err_of = {}
-
-    def fake_entry(what):
-        err_of[what] = 1e-9 * (1 + len(err_of))
-        return OracleValue(value=0.1 + 0.2j, err_est=err_of[what], panels=1,
-                           abs_integral=1.0)
-
-    monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
+@pytest.mark.parametrize("positions, couplings", [
+    ((), ()),
+    ((0.0,), (0.8 - 0.3j,)),
+    ((-1.0, 3.0), (1.0, 0.7j)),
+    ((-1.0, 0.5, 2.0), (1.0, 0.5 + 0.2j, 2.0)),
+], ids=["N0", "N1_at_0", "N2", "N3"])
+def test_state_integral_is_the_contracted_table(positions, couplings):
+    # assemble_f1_oracle integrates <u| L |v> of the physical states on
+    # trees of its own; the same states contracted with the piece table of
+    # integral_table at the same point, sum_ab u_a T_ab v_b by math.fsum,
+    # agree with it within the two error estimates summed.
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
-    ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
+    ds = DefectSet(positions, couplings)
     ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
-    ain = np.abs(build_defect_matrix(kin.kx, ds).inverse)
-    aout = np.abs(build_defect_matrix(kin.kx_out, ds).inverse)
-    n = ds.n
-    # the kink-only integrals Imn[k], Jmn[k] serve every phase position m
-    expected = err_of["I0"] + sum(
-        aout[m, k] * err_of[f"Imn[{k}]"]
-        + ain[m, k] * err_of[f"Jmn[{k}]"]
-        + aout[m].sum() * ain[k].sum() * err_of[f"I4 base[{m},{k}]"]
-        for m in range(n)
-        for k in range(n)
-    )
-    pref = 0.5 / math.sqrt(2.0 * math.pi * kin.bigK)
-    assert ov.err_est == pytest.approx(pref * expected, rel=1e-12)
-
-
-def test_assembly_oracle_four_index_sum_matches_quadruple_loop(monkeypatch):
-    import bumpscatter.oracle as oracle_mod
-
-    # Stand-in integrals with a distinct value per label.
-    value_of = {}
-
-    def fake_entry(what):
-        k = len(value_of)
-        value_of[what] = complex(math.cos(1.3 * k), math.sin(0.7 * k + 0.2))
-        return OracleValue(value=value_of[what], err_est=0.0, panels=1,
-                           abs_integral=1.0)
-
-    monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
-    kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
-    ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
-    ov = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
-    ain = build_defect_matrix(kin.kx, ds).inverse
-    aout = build_defect_matrix(kin.kx_out, ds).inverse
-    a = ds.positions
-    beta = _g(s=kin.s, bigK=kin.bigK, alphas=a).beta
-    n = ds.n
-    # Imn = e^{i beta a_m} Imn[k] and Jmn = e^{i beta a_m} Jmn[k]
-    singles = sum(
-        cmath.exp(1j * beta * a[m])
-        * (aout[m, k] * value_of[f"Imn[{k}]"] + ain[m, k] * value_of[f"Jmn[{k}]"])
-        for m in range(n)
-        for k in range(n)
-    )
-    quads = sum(
-        aout[m, mp] * ain[k, kp] * cmath.exp(1j * beta * (a[mp] + a[kp]))
-        * value_of[f"I4 base[{m},{k}]"]
-        for m in range(n)
-        for mp in range(n)
-        for k in range(n)
-        for kp in range(n)
-    )
+    g = _g(s=kin.s, bigK=kin.bigK, alphas=ds.positions)
+    e = np.exp(1j * g.beta * np.array(ds.positions))
+    u, v = ([1.0, *(-1j * (build_defect_matrix(kx, ds).inverse @ e))]
+            for kx in (kin.kx_out, kin.kx))
+    table = integral_table(g)
+    terms = [u[a] * v[b] * ov_ab.value for a, row in enumerate(table)
+             for b, ov_ab in enumerate(row)]
     pref = -0.5 * cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi * kin.bigK)
-    expected = pref * (value_of["I0"] - 1j * singles - quads)
-    assert abs(ov.value - expected) <= 1e-13 * abs(expected)
+    contracted = pref * complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    table_err = abs(pref) * math.fsum(abs(u[a] * v[b]) * ov_ab.err_est
+                                      for a, row in enumerate(table) for b, ov_ab in enumerate(row))
+    assert abs(ov.value - contracted) <= ov.err_est + table_err
+    assert abs(ov.value - f1_geometric(kin, ds, 0.1, 0.5, -0.5)) <= ov.err_est
+
+
+def test_amplitude_products_change_no_bit_at_identity():
+    # integral_table, the identity case, skips the amplitude products.  A
+    # permutation of the pieces takes them and gives the table's entries,
+    # permuted, bit for bit: products by 1 and sums with exact zeros are
+    # exact, so the same panels converge and every sum is the same.
+    g = _g(s=0.7, bigK=1.0, alphas=(-3.0, 0.0, 3.0))
+    table = integral_table(g)
+    perm = [2, 0, 3, 1]
+    amps = np.eye(4)[perm][None]
+    labels = [[f"{i},{j}" for j in range(4)] for i in range(4)]
+    [permuted] = oracle._integrate_states(amps, amps, g, labels)
+    assert permuted == [[table[i][j] for j in perm] for i in perm]
 
 
 def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
@@ -777,25 +754,28 @@ def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
-    # N = 3: one 2D tree carries the plane integral, 3 + 3 kink integrals
-    # and 9 kink pairs, where one tree per entry would make 16; one 1D tree
-    # carries the 3 line integrals of the ket kinks
+    # N = 3: for the table, one 2D tree carries the plane integral, 3 + 3
+    # kink integrals and 9 kink pairs, where one tree per entry would make
+    # 16; for f1, one 2D tree carries the one state integral.  Either way
+    # one 1D tree carries the 3 line integrals of the ket kinks.
     expected = {"I0": 1, "Imn": 3, "Jmn": 3, "I4 base": 9}
     grid = dict(_ZERO_POINT_GRID, lambdas=((0.5, -0.5),))
+    verify_all(grid=grid)
+    assert [kind for kind, *_ in trees] == ["2d", "1d"]
+    (_, labels, _), (_, lines, _) = trees
+    assert len(labels) == 16
+    assert len(set(labels)) == 16
+    assert Counter(what.split("[")[0] for what in labels) == expected
+    assert lines == [f"Jmn[{n}] (line term)" for n in range(3)]
+    trees.clear()
     kin = Kinematics(bigK=1.2, theta0=0.1, theta=2.0)
     ds = DefectSet([-1.0, 0.5, 2.0], [1.0, 0.5 + 0.2j, 2.0])
-    for run in (lambda: verify_all(grid=grid),
-                lambda: assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)):
-        trees.clear()
-        out = run()
-        assert [kind for kind, *_ in trees] == ["2d", "1d"]
-        (_, labels, panels_2d), (_, lines, panels_1d) = trees
-        assert len(labels) == 16
-        assert len(set(labels)) == 16
-        families = Counter(what.split("[")[0] for what in labels)
-        assert families == expected
-        assert lines == [f"Jmn[{n}] (line term)" for n in range(3)]
-    # the assembly reports the shared trees' panels once
+    out = assemble_f1_oracle(kin, ds, 0.1, 0.5, -0.5)
+    assert [kind for kind, *_ in trees] == ["2d", "1d"]
+    (_, labels, panels_2d), (_, lines, panels_1d) = trees
+    assert labels == ["f1 bracket"]
+    assert lines == [f"Jmn[{n}] (line term)" for n in range(3)]
+    # the assembly reports both trees' panels
     assert out.panels == panels_2d + panels_1d
 
 
@@ -826,7 +806,7 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
 
     monkeypatch.setattr(geoamp, "_bracket_terms", counted_kernel)
     monkeypatch.setattr(geoamp, "_plane_coefficient", counted_plane)
-    monkeypatch.setattr(oracle_mod, "_integrate_tables", _fake_table(fake_entry))
+    monkeypatch.setattr(oracle_mod, "_integrate_states", _fake_table(fake_entry))
     grid = dict(_ZERO_POINT_GRID, s=(0.7,), lambdas=((0.5, -0.5),))
     report = verify_all(grid=grid)
     assert len(report.records) == 100
