@@ -32,22 +32,26 @@ its own closed form; it is the bracket at beta = 0 and at N = 0.
 
 Evaluation is array-first: f1_arrays takes a whole K or theta scan as one
 array Kinematics and returns f1 as two float arrays (real, imag), and
-f1_scan, f1_geometric and cross_section are adapters on it.  A scan is
-two steps.  Its state (_scan_state) holds what depends on neither eta
-nor the curvature weights: the defect builds, amplitudes, phases, prefix
-and suffix sums, half-line moments and the powers in p2.  The
-contraction (_bracket_terms) weighs the moments by the curvature
-weights, forms the region and line terms, and sums them.  The state of
-the last scan is kept and contracted again while the next scan has the
-same K, theta, theta0 and defects, bit for bit: the four curvature
-settings of a preset build it once.  A scan costs one contraction, and
-one state build (the defect builds and one erfcx call, see f1_arrays)
-unless its state is kept, whatever its length.  Every product is
-Python's complex *, taken on the real and
-imaginary parts as float arrays (numpy's complex * rounds differently),
-and each bracket is one math.fsum over the real parts of its terms and
-one over the imaginary parts.  So a scan and one call per point give the
-same numbers bit for bit.
+f1_scan, f1_geometric and cross_section are adapters on it; all four
+take eta and the curvature weights as floats.  A scan is two steps.  Its
+state (_scan_state) holds what depends on neither eta nor the curvature
+weights: the points (beta = s K and K) and defect positions, the defect
+builds, amplitudes, phases, prefix and suffix sums, half-line moments
+and the powers in p2.  The contraction, _bracket_terms(state, eta,
+lambda1, lambda2), reads the points and defects from the state alone,
+weighs the moments by the curvature weights, forms the region and line
+terms, and sums them; the f1 path builds no GeoCoefficientInputs, which
+stays the input of coefficient_table, I0_closed and the oracle.  The
+state of the last scan is kept and contracted again while the next scan
+has the same K, theta, theta0 and defects, bit for bit: the four
+curvature settings of a preset build it once.  A scan costs one
+contraction, and one state build (the defect builds and one erfcx call,
+see f1_arrays) unless its state is kept, whatever its length.  Every
+product is Python's complex *, taken on the real and imaginary parts as
+float arrays (numpy's complex * rounds differently), and each bracket is
+one math.fsum over the real parts of its terms and one over the
+imaginary parts.  So a scan and one call per point give the same numbers
+bit for bit.
 
 Validation status (enforced by the test suite and the quadrature oracle in
 bumpscatter.oracle): every table entry matches adaptive quadrature of its
@@ -151,11 +155,6 @@ class GeoCoefficientInputs:
     def beta(self):
         return self.s * self.bigK
 
-    @cached_property
-    def p2(self):
-        """Plane-plane bracket: K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2)."""
-        return _p2(self, _powers(self.s, self.bigK))
-
 
 def _check_settings(eta, lambda1, lambda2, alphas) -> None:
     """The checks of GeoCoefficientInputs that do not read its points: eta,
@@ -190,23 +189,24 @@ def _powers(s, k):
     return np.array(list(powers)).reshape(3, -1)
 
 
-def _p2(g: GeoCoefficientInputs, powers):
-    """g.p2 from the powers of g's points (_powers)."""
+def _p2(powers, lambda1, lambda2):
+    """The plane-plane bracket K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2) from the
+    powers of the points (_powers)."""
     k2, s2, b4 = powers
-    return k2 * (4.0 * g.lambda1 * s2 - 1.0) + g.lambda2 * (b4 + 2.0)
+    return k2 * (4.0 * lambda1 * s2 - 1.0) + lambda2 * (b4 + 2.0)
 
 
-def _full_lines(g: GeoCoefficientInputs, p2) -> tuple:
+def _full_lines(beta, bigK, lambda2, p2) -> tuple:
     """The full-line integrals of e^{-x^2 + i q x} p_kx (_half_line_table)
     at q = 0, sqrt(pi) (l2 - K^2/2), and at q = 2 kx, sqrt(pi)
     e^{-beta^2} p2 / 2 = I0 / (eta sqrt(pi)), for regions across 0; p2 is
-    g.p2."""
-    return (SQPI * (g.lambda2 - 0.5 * g.bigK**2), 0.5 * SQPI * _gauss(g.beta) * p2)
+    _p2 of the points."""
+    return (SQPI * (lambda2 - 0.5 * bigK**2), 0.5 * SQPI * _gauss(beta) * p2)
 
 
-def _plane_coefficient(g: GeoCoefficientInputs, p2):
-    """I0 of g from g.p2, one value or an array over the points."""
-    return 0.5 * math.pi * g.eta * _gauss(g.beta) * p2
+def _plane_coefficient(beta, eta, p2):
+    """I0 at the points beta from their _p2, one value or an array."""
+    return 0.5 * math.pi * eta * _gauss(beta) * p2
 
 
 def _kink_phases(beta, alphas) -> np.ndarray:
@@ -225,7 +225,8 @@ def I0_closed(g: GeoCoefficientInputs):
 
     I0 = (pi eta / 2) e^{-beta^2} [ K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2) ].
     """
-    return unbox(_plane_coefficient(g, g.p2))
+    p2 = _p2(_powers(g.s, g.bigK), g.lambda1, g.lambda2)
+    return unbox(_plane_coefficient(g.beta, g.eta, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def I0_closed(g: GeoCoefficientInputs):
 _PAIRS = {(2.0, 1.0): 0, (0.0, 1.0): 1, (0.0, -1.0): 2, (-2.0, -1.0): 3}
 
 
-def _half_line_table(g: GeoCoefficientInputs, moments: np.ndarray) -> np.ndarray:
+def _half_line_table(beta, bigK, moments: np.ndarray, l1, l2) -> np.ndarray:
     """sum_k c[k] M_k for the moments M_k = int x^k e^{-x^2 + i q x} dx over
     x < a (side 0) or x > a (side 1), k = 0..4, and the coefficients c of
     the quartic that L leaves on a ket piece of x slope kx after the y
@@ -247,18 +248,19 @@ def _half_line_table(g: GeoCoefficientInputs, moments: np.ndarray) -> np.ndarray
         p_kx(x) = (-4 gamma^2 + 8 l1 + 11 l2)/8 + (3 i kx/2) x
                   - (kx^2 + 2 l1 + 3 l2/2) x^2 - i kx x^3 + (l2/2) x^4,
 
-    as one (defect, side, pair) array [with a last axis over g's points]:
-    defect i is at g.alphas[i], and pair _PAIRS[qb, sg] has q = qb beta and
-    kx = sg beta.  moments are g's _half_line_moments.  Only two values of
+    as one (defect, side, pair) array [with a last axis over the points
+    when beta is an array]: defect i is the moments' defect i, and pair
+    _PAIRS[qb, sg] has q = qb beta and kx = sg beta.  moments are
+    _half_line_moments at beta; bigK and the curvature weights l1 and l2
+    are floats or hold one value per point.  Only two values of
     q are distinct: at qb = 0 the moments do not depend on beta, and at
     qb = -2 they are the conjugates of those at qb = 2 (exactly: erfcx's
     conjugate symmetry holds bit for bit).  The moments do not depend on
     the curvature weights; this weighted sum is the step that does.
     """
-    b = np.asarray(g.beta, dtype=float)
+    b = np.asarray(beta, dtype=float)
     p = b.size
-    l1, l2 = g.lambda1, g.lambda2
-    c0 = 0.125 * (-4.0 * (g.bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
+    c0 = 0.125 * (-4.0 * (bigK**2 - b * b) + 8.0 * l1 + 11.0 * l2)
     c2 = -(b * b + 2.0 * l1 + 1.5 * l2)
     c4 = 0.5 * l2
     kx = np.array([1.0, -1.0])[:, None] * b  # sg = 1, -1
@@ -370,11 +372,13 @@ def _nonzero_terms(n: int) -> np.ndarray:
 class _ScanState(NamedTuple):
     """What the bracket at a set of points takes from their kinematics and
     defects, and not from eta or the curvature weights: _state builds it
-    and _bracket_terms contracts it.  Complex numbers in float arrays are
-    (real, imag) along the first axis."""
+    and _bracket_terms contracts it, reading the points and defects from it
+    alone.  Complex numbers in float arrays are (real, imag) along the
+    first axis."""
 
-    s: np.ndarray         # the points evaluated (s, K): a scan's, with each
-    bigK: np.ndarray      # averaged point's two flanks in its place
+    beta: np.ndarray      # the points evaluated (beta = s K, K): a scan's,
+    bigK: np.ndarray      # with each averaged point's two flanks in its place
+    alphas: tuple         # the defect positions, ascending
     averaged: np.ndarray  # the scan's points taken as the mean of their flanks
     powers: np.ndarray    # K^2, s^2 and beta^4 (_powers)
     moments: np.ndarray   # the half-line moments (_half_line_moments)
@@ -389,8 +393,11 @@ def _state(s, bigK, alphas: tuple, phases: np.ndarray, u: np.ndarray, v: np.ndar
     """The _ScanState of the points (s, K) for defects at alphas, with the
     phases e_n = e^{i beta a_n} (_kink_phases; None without defects) and
     the bra and ket amplitudes u and v, complex (..., piece, point) arrays
-    whose leading axes broadcast (see _bracket_terms)."""
+    whose leading axes broadcast (see _bracket_terms).  It keeps beta =
+    s K, K and alphas as the points and defects the contraction reads,
+    and s only through the powers in p2 (_powers)."""
     n = len(alphas)
+    beta = s * bigK
     u, v = (np.stack([w.real, w.imag]) for w in (u, v))
     moments = products = kinks = plane = None
     if not n:  # P_0 = u_0 and C_0 = v_0
@@ -410,20 +417,21 @@ def _state(s, bigK, alphas: tuple, phases: np.ndarray, u: np.ndarray, v: np.ndar
                          ket[..., None, :, :, :])[..., _nonzero_terms(n), :]
         at_kinks = _cmul(bra[..., 1:, :], pair[:, ::-1]).sum(axis=-3)  # P_n e_n + Q_n e_n*
         kinks = _cmul(v[..., 1:, :], at_kinks)
-        beta = np.asarray(s * bigK)
-        if not beta.all():  # a point at beta = 0
+        if not np.all(beta):  # a point at beta = 0
             plane = _cmul(bra[..., 0, :1, :], ket[..., 0, n:, :])
         moments = _half_line_moments(beta, alphas)
-    return _ScanState(s, bigK, averaged, _powers(s, bigK), moments, products, kinks, plane)
+    return _ScanState(beta, bigK, alphas, averaged, _powers(s, bigK), moments, products, kinks,
+                      plane)
 
 
-def _bracket_terms(g: GeoCoefficientInputs, state: _ScanState) -> np.ndarray:
-    """The terms of the bracket sum_ab u_a T[a][b] v_b at every point of g:
-    a float array (part, ..., term, point), part 0 the real parts and 1 the
-    imaginary parts.  state is _state at g's points and defects, for bra
-    and ket amplitudes u and v whose leading axes are those of the result;
-    a float g has one point.  This is the step that takes eta and the
-    curvature weights: one state can be contracted at any of them.
+def _bracket_terms(state: _ScanState, eta: float, lambda1, lambda2) -> np.ndarray:
+    """The terms of the bracket sum_ab u_a T[a][b] v_b at every point of
+    state, for its defects: a float array (part, ..., term, point), part 0
+    the real parts and 1 the imaginary parts.  state is _state for bra and
+    ket amplitudes u and v whose leading axes are those of the result; a
+    state of a float beta has one point.  This is the step that takes eta
+    and the curvature weights lambda1 and lambda2 (floats, or one weight
+    per point): one state can be contracted at any of them.
 
     On region r = 0..N, between kinks r and r + 1, the states are
     U = P_r e^{i beta x} + Q_r e^{-i beta x} and
@@ -452,36 +460,37 @@ def _bracket_terms(g: GeoCoefficientInputs, state: _ScanState) -> np.ndarray:
     terms are P_0 C_N I0 (the sum of u times the sum of v times I0) and
     zeros, so that the bracket is that product exactly.
     """
-    n = len(g.alphas)
-    b = np.array(g.beta, dtype=float, ndmin=1)
+    n = len(state.alphas)
+    b = np.array(state.beta, dtype=float, ndmin=1)
     at_zero = (b == 0.0) | (n == 0)
-    p2 = _p2(g, state.powers)
+    p2 = _p2(state.powers, lambda1, lambda2)
     i0 = np.zeros((2,) + b.shape)
     if at_zero.any():
-        i0[0] = _plane_coefficient(g, p2)
+        i0[0] = _plane_coefficient(state.beta, eta, p2)
     if not n:
         return _cmul(state.plane, i0)
     # R(r; qb, sg) as (region, pair, point), pairs in the order of _PAIRS,
     # from the half-lines x < a and x > a at the region's edges
-    half = _half_line_table(g, state.moments).reshape(n, 2, len(_PAIRS), -1)
-    f0, f2 = _full_lines(g, p2)
+    half = _half_line_table(state.beta, state.bigK, state.moments, lambda1,
+                            lambda2).reshape(n, 2, len(_PAIRS), -1)
+    f0, f2 = _full_lines(state.beta, state.bigK, lambda2, p2)
     full = np.array([f2, f0, f0, f2]).reshape(len(_PAIRS), -1)
     regions = np.empty((n + 1,) + half.shape[2:], dtype=complex)
     for r in range(n + 1):
         lo, hi = half[r - 1] if r else (0.0, 0.0), half[r] if r < n else (0.0, 0.0)
-        if r < n and g.alphas[r] <= 0.0:
+        if r < n and state.alphas[r] <= 0.0:
             regions[r] = hi[0] - lo[0]
-        elif r and g.alphas[r - 1] >= 0.0:
+        elif r and state.alphas[r - 1] >= 0.0:
             regions[r] = lo[1] - hi[1]
         else:
             regions[r] = full - lo[0] - hi[1]
     # (part, bra row, ket row, region, point), the nonzero terms as state.products
-    regions = g.eta * SQPI * np.stack([regions.real, regions.imag])
+    regions = eta * SQPI * np.stack([regions.real, regions.imag])
     regions = regions.reshape(2, n + 1, 2, 2, -1).transpose(0, 3, 2, 1, 4)
     terms = _cmul(state.products, regions[:, _nonzero_terms(n)])
-    a = np.array(g.alphas)
+    a = np.array(state.alphas)
     line = np.zeros((2, n, b.size))
-    line[1] = g.eta * SQPI * 2.0 * b * (a * a)[:, None] * _gauss(a)[:, None]
+    line[1] = eta * SQPI * 2.0 * b * (a * a)[:, None] * _gauss(a)[:, None]
     out = np.concatenate([terms, _cmul(state.kinks, line)], axis=-2)
     if at_zero.any():
         out[..., at_zero] = 0.0
@@ -500,7 +509,7 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     every scan contracts.  At beta = 0 every entry is I0 exactly."""
     eye = np.eye(len(g.alphas) + 1, dtype=complex)[..., None]
     state = _state(g.s, g.bigK, g.alphas, _kink_phases(g.beta, g.alphas), eye[:, None], eye)
-    terms = np.moveaxis(_bracket_terms(g, state), -2, -1)
+    terms = np.moveaxis(_bracket_terms(state, g.eta, g.lambda1, g.lambda2), -2, -1)
     re, im = np.array(list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
                       ).reshape(terms.shape[:-1])
     table = re.astype(complex)
@@ -555,7 +564,7 @@ def _scan_state(kin: Kinematics, defects: DefectSet) -> _ScanState:
         v = np.concatenate([v, -1j * dm_in[at_in].require_regular().weights(e).T])
     state = _state(s, bigK, defects.positions, phases, u, v, averaged)
     for part in state:
-        if part is not None:
+        if isinstance(part, np.ndarray):
             part.setflags(write=False)
     return state
 
@@ -583,12 +592,15 @@ def _f1_points(
     """f1 at each point of kin (one point, or a scan) as two float arrays
     (real, imag): f1_arrays after validation.
 
-    The state of the points (_scan_state) is kept for the next call: only
-    the last one, reused while kin's K and theta, theta0 and the defects
-    are the same bits, so that scanning one set of points at other eta or
-    curvature weights (a preset's four settings) builds it once.  eta, the
-    curvature weights and the defect window are checked before a state is
-    built (_check_settings).  Each call then contracts it (_bracket_terms):
+    Every call first checks that eta and the curvature weights are floats,
+    then their values and the defect window (_check_settings): a bad
+    setting raises before any work on the points, whether their state is
+    kept or not.  The state of the points (_scan_state) is kept for the
+    next call: only the last one, reused while kin's K and theta, theta0
+    and the defects are the same bits, so that scanning one set of points
+    at other eta or curvature weights (a preset's four settings) builds it
+    once.  Each call then contracts it (_bracket_terms, which reads the
+    points and defects from the state; no GeoCoefficientInputs is made):
     one math.fsum over the real parts of each point's terms and one over
     the imaginary parts, times the prefactor.  An averaged point's value
     is 0.5 * (f_up + f_down) of its flanks, as Python computes it on
@@ -596,20 +608,19 @@ def _f1_points(
     with 0.5 + 0j).
     """
     global _last_scan
+    # a bad setting raises before any work on the points, kept or not
+    if np.ndim(eta) or np.ndim(lambda1) or np.ndim(lambda2):
+        raise InputError(f"eta, lambda1, lambda2 must be floats: {(eta, lambda1, lambda2)!r}")
+    _check_settings(eta, lambda1, lambda2, defects.positions)
     key = _scan_key(kin, defects)
     last_key, state = _last_scan
     if key != last_key:
-        # a bad setting raises before any work on the points
-        _check_settings(eta, lambda1, lambda2, defects.positions)
         _last_scan = None, None  # not kept alive while the new state is built
         state = _scan_state(kin, defects)
         _last_scan = key, state
-    g = GeoCoefficientInputs(
-        s=state.s, bigK=state.bigK, alphas=defects.positions, eta=eta, lambda1=lambda1,
-        lambda2=lambda2,
-    )
     # pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
-    bracket = np.array([list(map(math.fsum, t.T.tolist())) for t in _bracket_terms(g, state)])
+    bracket = np.array([list(map(math.fsum, t.T.tolist()))
+                        for t in _bracket_terms(state, eta, lambda1, lambda2)])
     f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * state.bigK),
               bracket)
     averaged = state.averaged
@@ -628,10 +639,12 @@ def f1_arrays(bigK, theta0: float, theta, defects: DefectSet, eta: float,
     float arrays (real, imag).
 
     bigK and theta are equal-length 1-D arrays (a scalar stands for a
-    constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  A
-    shape, point, eta or curvature weight outside its domain raises
-    defects.InputError, a defect past |alpha| = 26 OverflowError, before
-    any point is evaluated.  The whole scan is one array Kinematics and
+    constant one); point i is Kinematics(bigK[i], theta0, theta[i]).  eta,
+    lambda1 and lambda2 are floats, one setting for the whole scan.  A
+    shape, point, eta or curvature weight outside its domain (an array
+    among them) raises defects.InputError, a defect past
+    |alpha| = 26 OverflowError, before any point is evaluated or any
+    defect matrix built.  The whole scan is one array Kinematics and
     one region-kernel call.  Its state is built with one defect build of
     the outgoing matrices and of the incoming ones at the scan's distinct
     kx = K cos(theta0), one more outgoing build, of the flanks alone, if a

@@ -359,7 +359,7 @@ def kink_coefficient_py(g, bra=None, ket=None):
         elif lo >= 0.0:
             part = table[defect(lo), 1, pair] - right
         else:
-            part = geoamp._full_lines(g, g.p2)[qb != 0.0] - left - right
+            part = _full_lines(g)[qb != 0.0] - left - right
         total += np.exp(ib * phase) * part
     if ket is not None:
         x_bra = b * ket if bra is None else -b * abs(ket - bra)
@@ -370,7 +370,14 @@ def kink_coefficient_py(g, bra=None, ket=None):
 
 def _half_lines(g):
     """geoamp's half-line table of g's points and defects."""
-    return geoamp._half_line_table(g, geoamp._half_line_moments(g.beta, g.alphas))
+    return geoamp._half_line_table(g.beta, g.bigK, geoamp._half_line_moments(g.beta, g.alphas),
+                                   g.lambda1, g.lambda2)
+
+
+def _full_lines(g):
+    """geoamp's full-line integrals of g's points."""
+    p2 = geoamp._p2(geoamp._powers(g.s, g.bigK), g.lambda1, g.lambda2)
+    return geoamp._full_lines(g.beta, g.bigK, g.lambda2, p2)
 
 
 def coefficient_table_py(g):
@@ -411,7 +418,7 @@ def contraction_py(g, u, v):
     math.fsum of each bracket are written out here on Python numbers."""
     n = len(g.alphas)
     half = _half_lines(g).tolist()
-    full = [np.broadcast_to(f, g.beta.shape).tolist() for f in geoamp._full_lines(g, g.p2)]
+    full = [np.broadcast_to(f, g.beta.shape).tolist() for f in _full_lines(g)]
     phases = geoamp._kink_phases(g.beta, g.alphas).T.tolist()
     gauss = geoamp._gauss(np.array(g.alphas)).tolist()
     i0 = np.broadcast_to(geoamp.I0_closed(g), g.beta.shape).tolist()

@@ -462,7 +462,9 @@ def test_scan_state_is_rebuilt_when_its_points_or_defects_change(cold_scans):
 def test_scan_state_arrays_are_read_only(cold_scans, positions):
     ds = DefectSet(positions, [1.0] * len(positions))
     geoamp.f1_arrays(1.0, 0.0, np.radians([30.0, 90.0, 150.0]), ds, 0.1, 0.5, -0.5)
-    arrays = [a for a in geoamp._last_scan[1] if a is not None]
+    state = geoamp._last_scan[1]
+    assert state.alphas == ds.positions
+    arrays = [a for a in state if isinstance(a, np.ndarray)]
     assert len(arrays) == (7 if positions else 5)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -509,8 +511,9 @@ def test_contraction_is_the_python_float_reference_bit_for_bit(n):
     bigK = np.exp(rng.uniform(np.log(1e-2), np.log(1e1), points))
     positions = np.sort(np.append(rng.uniform(-6.0, 6.0, n - 1), 0.0)) if n else ()
     g = _g(s, bigK, positions)
-    re, im = geoamp._bracket_terms(g, geoamp._state(
-        g.s, g.bigK, g.alphas, geoamp._kink_phases(g.beta, g.alphas), u.T, v.T))
+    re, im = geoamp._bracket_terms(geoamp._state(
+        g.s, g.bigK, g.alphas, geoamp._kink_phases(g.beta, g.alphas), u.T, v.T),
+        g.eta, g.lambda1, g.lambda2)
     got = [complex(math.fsum(r), math.fsum(i)) for r, i in zip(re.T.tolist(), im.T.tolist())]
     ref = contraction_py(g, u.tolist(), v.tolist())
     assert [(f.real.hex(), f.imag.hex()) for f in got] == [
@@ -525,12 +528,12 @@ def _bracket_error(monkeypatch, bigK, theta0, thetas, ds):
     takes the mean of its flanks' errors."""
     seen, amplitudes = [], []
 
-    def recorded(g, state):
-        seen.append((g, kernel(g, state)))
+    def recorded(scan_state, *settings):
+        seen.append((settings, kernel(scan_state, *settings)))
         return seen[-1][-1]
 
     def recorded_state(s, bigK, alphas, phases, u, v, averaged):
-        amplitudes.append((u, v))
+        amplitudes.append((s, bigK, alphas, u, v))
         return state(s, bigK, alphas, phases, u, v, averaged)
 
     kernel, state = geoamp._bracket_terms, geoamp._state
@@ -539,7 +542,9 @@ def _bracket_error(monkeypatch, bigK, theta0, thetas, ds):
     monkeypatch.setattr(geoamp, "_last_scan", (None, None))
     fr, fi = geoamp.f1_arrays(bigK, theta0, thetas, ds, 0.1, 0.5, -0.5)
     monkeypatch.undo()
-    [(g, (re, im))], [(u, v)] = seen, amplitudes
+    # the evaluation's points (s, K), each averaged point's flanks in its place
+    [(settings, (re, im))], [(s, k, alphas, u, v)] = seen, amplitudes
+    g = _g(s, k, alphas, *settings)
     terms = u[:, None] * coefficient_table_py(g) * v[None]
     ref = [complex(math.fsum(t.real for t in row), math.fsum(t.imag for t in row))
            for row in terms.reshape(-1, terms.shape[-1]).T.tolist()]
@@ -595,7 +600,9 @@ def test_half_line_table_equals_the_per_qb_evaluation_bit_for_bit(positions):
     bigK = rng.uniform(0.01, 5.0, s.size)
     for g in (_g(s, bigK, positions), _g(float(s[0]), float(bigK[0]), positions),
               _g(0.0, 1.0, positions)):
-        got = geoamp._half_line_table(g, geoamp._half_line_moments(g.beta, g.alphas))
+        got = geoamp._half_line_table(g.beta, g.bigK,
+                                      geoamp._half_line_moments(g.beta, g.alphas),
+                                      g.lambda1, g.lambda2)
         ref = half_line_table_per_qb(g)
         assert got.shape == (len(positions), 2, len(geoamp._PAIRS)) + np.shape(g.beta)
         for i, a in enumerate(g.alphas):
@@ -936,6 +943,59 @@ def test_bad_settings_raise_before_the_state_is_built(monkeypatch, cold_scans, p
         f1_scan(1.0, 0.0, [0.5, 0.6], ds, eta, lambda1, -0.5)
     assert calls == {"build": 0, "erfcx": 0}
     assert geoamp._last_scan is kept
+
+
+@pytest.mark.parametrize("weights", [179, 180])
+def test_f1_settings_are_floats(monkeypatch, cold_scans, weights):
+    # A 179-point N = 2 angle scan through 90 deg is evaluated at 180 points
+    # (the 90 deg point by its two flanks).  A curvature weight array of
+    # either length, or an eta array, is refused with an InputError before
+    # a defect build, cold and warm, by every f1 entry point, and the kept
+    # state is left as it was.
+    thetas = np.radians(np.linspace(1.0, 179.0, 179))
+    ds = DefectSet([-3.0, 3.0], [1.0, 1.0])
+    calls = dict.fromkeys(("build", "erfcx"), 0)
+    monkeypatch.setattr(geoamp, "build_defect_matrix",
+                        _counted(calls, "build", build_defect_matrix))
+    monkeypatch.setattr(geoamp, "erfcx_c", _counted(calls, "erfcx", geoamp.erfcx_c))
+    lam = np.full(weights, 0.5)
+    kin = Kinematics(np.ones(thetas.size), 0.0, thetas)
+    for warm in (False, True):
+        if warm:
+            geoamp.f1_arrays(1.0, 0.0, thetas, ds, 0.1, 0.5, -0.5)
+        kept = geoamp._last_scan
+        calls.update(dict.fromkeys(calls, 0))
+        for call in (lambda: geoamp.f1_arrays(1.0, 0.0, thetas, ds, 0.1, lam, -0.5),
+                     lambda: f1_scan(1.0, 0.0, thetas, ds, 0.1, 0.5, lam),
+                     lambda: cross_section(kin, ds, 0.1, lam, lam),
+                     lambda: f1_geometric(Kinematics(1.0, 0.0, 2.0), ds, 0.1, lam, -0.5),
+                     lambda: geoamp.f1_arrays(1.0, 0.0, thetas, ds, 0.2 * lam, 0.5, -0.5)):
+            with pytest.raises(InputError, match="must be floats"):
+                call()
+        assert calls == {"build": 0, "erfcx": 0}
+        assert geoamp._last_scan is kept
+
+
+def test_f1_builds_no_coefficient_inputs(monkeypatch, cold_scans):
+    # A scan reads its points and defects from its state alone: no
+    # GeoCoefficientInputs is made, whether the state is built or kept.
+    made = []
+    init = GeoCoefficientInputs.__post_init__
+    monkeypatch.setattr(GeoCoefficientInputs, "__post_init__",
+                        lambda self: made.append(self) or init(self))
+    thetas = np.radians(np.linspace(1.0, 179.0, 179))
+    for positions in ((), (-3.0, 3.0)):
+        ds = DefectSet(positions, [1.0] * len(positions))
+        for f1 in (lambda l1: geoamp.f1_arrays(1.0, 0.0, thetas, ds, 0.1, l1, -0.5),
+                   lambda l1: f1_geometric(Kinematics(1.0, 0.0, 2.0), ds, 0.1, l1, -0.5)):
+            cold_scans()
+            f1(0.5)
+            state = geoamp._last_scan[1]
+            f1(0.0)
+            assert geoamp._last_scan[1] is state
+    assert made == []
+    _g(0.5, 1.0, ())
+    assert len(made) == 1
 
 
 def test_cross_section_refuses_delta_supported_rays():

@@ -793,13 +793,13 @@ def test_verify_all_evaluates_each_closed_coefficient_once_per_table_entry(monke
     calls = Counter()
     kernel, plane = geoamp._bracket_terms, geoamp._plane_coefficient
 
-    def counted_kernel(g, state):
+    def counted_kernel(state, eta, lambda1, lambda2):
         calls["kernel"] += 1
-        return kernel(g, state)
+        return kernel(state, eta, lambda1, lambda2)
 
-    def counted_plane(g, p2):
+    def counted_plane(beta, eta, p2):
         calls["I0"] += 1
-        return plane(g, p2)
+        return plane(beta, eta, p2)
 
     def fake_entry(what):
         return OracleValue(value=0.1 + 0.2j, err_est=0.0, panels=1, abs_integral=1.0)

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 from mpmath import mp
 
 from bumpscatter.surface import (
@@ -227,3 +228,94 @@ def test_vectorization_shapes():
     assert coeffs.c.shape == r.shape
     K, M = curvatures(r, p)
     assert K.shape == r.shape
+
+
+# ---------------------------------------------------------------------------
+# The operator derived from the embedding (ROADMAP item 12(a))
+
+
+_R, _THETA, _DELTA, _L1, _L2 = sp.symbols("r theta delta lambda1 lambda2", positive=True)
+_F = sp.Function("f")(_R)
+_RADII = (0.3, 1.0, 2.5, 4.0)
+
+
+@pytest.fixture(scope="module")
+def derived_operator():
+    """-(Delta_g - Delta) + 2 l1 K + 2 l2 M^2 on h(r, theta), derived by
+    sympy for the embedding (r cos theta, r sin theta, f(r)) of a generic
+    f: Delta_g from the first fundamental form, K and M from the first and
+    second.  Returns the coefficients of h_rr, h_r and h (a, b/r and c) and
+    those of h_theta, h_r_theta, h_theta_theta (the angular remainder)."""
+    r, theta = _R, _THETA
+    x = sp.Matrix([r * sp.cos(theta), r * sp.sin(theta), _F])
+    coords = (r, theta)
+    tangent = [x.diff(q) for q in coords]
+    first = sp.Matrix(2, 2, lambda i, j: sp.simplify(tangent[i].dot(tangent[j])))
+    det = sp.factor(first.det())
+    inverse = sp.simplify(first.inv())
+    h = sp.Function("h")(r, theta)
+    laplace_g = sum(sp.diff(sp.sqrt(det) * inverse[i, j] * h.diff(coords[j]), coords[i])
+                    for i in range(2) for j in range(2)) / sp.sqrt(det)
+    laplace = h.diff(r, 2) + h.diff(r) / r + h.diff(theta, 2) / r**2
+    normal = tangent[0].cross(tangent[1])
+    normal /= sp.sqrt(sp.simplify(normal.dot(normal)))
+    second = sp.Matrix(2, 2, lambda i, j: sp.simplify(x.diff(coords[i], coords[j]).dot(normal)))
+    gauss_k = second.det() / det
+    mean_m = (first[0, 0] * second[1, 1] - 2 * first[0, 1] * second[0, 1]
+              + first[1, 1] * second[0, 0]) / (2 * det)
+    op = -(laplace_g - laplace) + (2 * _L1 * gauss_k + 2 * _L2 * mean_m**2) * h
+    # h and its derivatives as symbols: op is linear in them
+    hs = sp.symbols("h h_r h_rr h_theta h_rtheta h_thetatheta")
+    op = sp.expand(op.xreplace({h.diff(r, 2): hs[2], h.diff(r, theta): hs[4],
+                                h.diff(theta, 2): hs[5]})
+                   .xreplace({h.diff(r): hs[1], h.diff(theta): hs[3]}).xreplace({h: hs[0]}))
+    coeffs = [sp.simplify(op.diff(s)) for s in hs]
+    assert sp.simplify(op - sum(c * s for c, s in zip(coeffs, hs))) == 0
+    c, b_over_r, a = coeffs[:3]
+    return (a, b_over_r, c), coeffs[3:]
+
+
+def _at_radii(expr, lambdas, delta=0.3):
+    """expr of f = delta e^{-r^2/2} at _RADII, evaluated to 30 digits and
+    rounded to floats."""
+    expr = expr.subs(_F, _DELTA * sp.exp(-_R**2 / 2)).doit()
+    values = {_DELTA: sp.nsimplify(delta), _L1: sp.nsimplify(lambdas[0]),
+              _L2: sp.nsimplify(lambdas[1])}
+    return np.array([float(sp.N(expr.subs(values).subs(_R, sp.nsimplify(r)), 30))
+                     for r in _RADII])
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, -0.5), (0.7, -0.3)])
+def test_exact_operator_is_derived_from_the_embedding(derived_operator, lambdas):
+    # surface.py's a, b and c are the coefficients of the operator derived
+    # from the surface's fundamental forms, and the derived operator has
+    # no angular part.  Measured worst relative error at delta = 0.3:
+    # 2.2e-16 for a and b; for c 2.2e-16 at (0.7, -0.3) and 5.4e-14 at the
+    # thin-layer weights (at r = 0.3), where c = K - M^2 = -(k1 - k2)^2 / 4
+    # cancels near the umbilic axis.
+    (a, b_over_r, c), angular = derived_operator
+    assert angular == [0, 0, 0]
+    got = operator_coeffs_exact(np.array(_RADII), BumpProfile(0.3),
+                                CurvatureCoefficients(*lambdas))
+    for field, expr, rtol in ((got.a_over_r2, a / _R**2, 2e-15),
+                              (got.b_over_r2, b_over_r / _R, 2e-15), (got.c, c, 1e-12)):
+        np.testing.assert_allclose(field, _at_radii(expr, lambdas), rtol=rtol, atol=0)
+
+
+def test_first_order_operator_is_the_series_truncation(derived_operator):
+    # The series of the derived coefficients in delta (f = delta phi) starts
+    # at delta^2 and has no delta^3 term, so truncating it at delta^2 leaves
+    # O(eta^2); that delta^2 term is operator_coeffs_first_order, to
+    # rounding (measured worst: 2.2e-16 relative).
+    lambdas = (0.7, -0.3)
+    phi = sp.exp(-_R**2 / 2)
+    got = operator_coeffs_first_order(np.array(_RADII), BumpProfile(0.3),
+                                      CurvatureCoefficients(*lambdas))
+    (a, b_over_r, c), _ = derived_operator
+    for field, expr in ((got.a_over_r2, a / _R**2), (got.b_over_r2, b_over_r / _R),
+                        (got.c, c)):
+        series = sp.series(expr.subs(_F, _DELTA * phi).doit(), _DELTA, 0, 4).removeO()
+        terms = sp.Poly(series, _DELTA).all_coeffs()[::-1]
+        assert [sp.simplify(t) for t in terms[:2] + terms[3:]] == [0] * (len(terms) - 1)
+        truncated = (terms[2] * _DELTA**2).subs(_DELTA * phi, _F)
+        np.testing.assert_allclose(field, _at_radii(truncated, lambdas), rtol=2e-15, atol=0)
