@@ -36,9 +36,6 @@ from .geoamp import (  # noqa: F401
 )
 from .surface import (  # noqa: F401
     BumpProfile,
-    CurvatureCoefficients,
     RadialOperatorCoefficients,
-    curvatures,
-    operator_coeffs_exact,
     operator_coeffs_first_order,
 )

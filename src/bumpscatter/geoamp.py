@@ -159,8 +159,9 @@ class GeoCoefficientInputs:
 def _check_settings(eta, lambda1, lambda2, alphas) -> None:
     """The checks of GeoCoefficientInputs that do not read its points: eta,
     the curvature weights' values, the order of the defects and their
-    window (OverflowError past |alpha| = SAFE_REAL_WINDOW)."""
-    if not (eta >= 0.0 and math.isfinite(eta)):
+    window (OverflowError past |alpha| = SAFE_REAL_WINDOW).  eta is one
+    value: an array eta, of any length, raises InputError."""
+    if np.ndim(eta) or not (eta >= 0.0 and math.isfinite(eta)):
         raise InputError(f"eta must be a finite non-negative number, got {eta!r}")
     if not (np.isfinite(lambda1) & np.isfinite(lambda2)).all():
         raise InputError(f"lambda1 and lambda2 must be finite, got {lambda1!r}, {lambda2!r}")

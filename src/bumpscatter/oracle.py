@@ -116,7 +116,7 @@ import numpy as np
 
 from .defects import DefectSet, Kinematics, build_defect_matrix
 from .geoamp import GeoCoefficientInputs, _cmul, coefficient_table
-from .surface import BumpProfile, CurvatureCoefficients, operator_coeffs_first_order
+from .surface import BumpProfile, operator_coeffs_first_order
 
 __all__ = [
     "OracleValue",
@@ -373,21 +373,13 @@ def _integrand_inputs(g):
     return beta, gamma, lambda1, lambda2, BumpProfile(delta=math.sqrt(g.eta))
 
 
-# The first-order c is linear in the curvature weights: its values at
-# (lambda1, lambda2) = (1, 0) and (0, 1), 2 f'/r f'' and (f'/r + f'')^2 / 2,
-# stacked on a leading axis by one operator evaluation.
-_UNIT_WEIGHTS = CurvatureCoefficients(np.array([1.0, 0.0]).reshape(2, 1, 1, 1),
-                                      np.array([0.0, 1.0]).reshape(2, 1, 1, 1))
-
-
 def _cell_grids(profile, cells, order):
     """The order x order tensor grid of each 2D cell: its nodes x, y and
     weights wx, wy, one row per cell, and on the grid a/r^2, b/r^2 and the
     curvature parts c1, c2 of c = lambda1 c1 + lambda2 c2."""
     (x, wx), (y, wy) = _nodes(cells[:, 0], order), _nodes(cells[:, 1], order)
-    oc = operator_coeffs_first_order(np.hypot(x[:, :, None], y[:, None, :]), profile,
-                                     _UNIT_WEIGHTS)
-    return x, wx, y, wy, oc.a_over_r2, oc.b_over_r2, *oc.c
+    oc = operator_coeffs_first_order(np.hypot(x[:, :, None], y[:, None, :]), profile)
+    return x, wx, y, wy, oc.a_over_r2, oc.b_over_r2, oc.c1, oc.c2
 
 
 def _cell_basis(profile, cells, order):
@@ -532,18 +524,17 @@ def _line_integrand(kinks, eta):
 
     def psi(t, cells, order):
         y, wy = _nodes(cells[:, 0], order)
-        F = operator_coeffs_first_order(np.hypot(a, y[:, None, :]), profile,
-                                        CurvatureCoefficients(0.0, 0.0)).a_over_r2
+        F = operator_coeffs_first_order(np.hypot(a, y[:, None, :]), profile).a_over_r2
         return (F @ wy[:, :, None])[:, :, 0]
 
     return _Integrand(psi, psi)
 
 
-def _panel_edges(g: GeoCoefficientInputs, points):
+def _panel_edges(g: GeoCoefficientInputs):
     """Base panel edges of the box [-r, r]^2, r = BOX_MARGIN + max|alpha|:
-    x breaks at 0 and at the points inside the box, y breaks at 0."""
+    x breaks at 0 and at the defects, y breaks at 0."""
     rmax = BOX_MARGIN + max((abs(a) for a in g.alphas), default=0.0)
-    interior = sorted({0.0, *points})
+    interior = sorted({0.0, *g.alphas})
     edges_x = [-rmax] + [v for v in interior if -rmax < v < rmax] + [rmax]
     return edges_x, [-rmax, 0.0, rmax]
 
@@ -558,7 +549,7 @@ def _integrate_states(u, v, g, labels) -> list:
     holds a kink.  Ket state j adds, for every kink n it holds,
     V[j, n+1] 2 i beta a_n^2 (U bra)_i(a_n) times line n; its entries
     then count both trees' panels."""
-    edges_x, edges_y = _panel_edges(g, g.alphas)
+    edges_x, edges_y = _panel_edges(g)
     smooth = _adaptive(_table_integrand(u, v, g), len(u), edges_x, edges_y,
                        [what for row in labels for what in row])
     tables = [[entries[i:i + v.shape[1]] for i in range(0, len(entries), v.shape[1])]

@@ -77,7 +77,7 @@ from bumpscatter.oracle import (
     _panel_edges,
 )
 from bumpscatter.specfun import exp_erf, exp_erfc
-from bumpscatter.surface import CurvatureCoefficients, operator_coeffs_first_order
+from bumpscatter.surface import operator_coeffs_first_order
 from bumpscatter.svgplot import _fmt, render_svg
 
 
@@ -174,9 +174,9 @@ def operator_parts(betas, gammas, lambda1, lambda2, profile):
     """
     def parts(t, X, Y):
         beta, gamma = betas[t], gammas[t]
-        oc = operator_coeffs_first_order(
-            np.hypot(X, Y), profile, CurvatureCoefficients(lambda1[t], lambda2[t]))
-        a_r2, b_r2, c = oc.a_over_r2, oc.b_over_r2, oc.c
+        oc = operator_coeffs_first_order(np.hypot(X, Y), profile)
+        a_r2, b_r2 = oc.a_over_r2, oc.b_over_r2
+        c = lambda1[t] * oc.c1 + lambda2[t] * oc.c2
         f0, f1 = np.empty((2, *a_r2.shape), complex)
         f0.real = a_r2 * (-(beta**2) * X * X - gamma**2 * Y * Y) + c
         f0.imag = b_r2 * (gamma * Y)
@@ -244,7 +244,6 @@ def jmn_mollified(g, n, width):
     a = g.alphas[n]
     inputs = _integrand_inputs(g)
     beta, profile = g.beta, inputs[-1]
-    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
     parts = operator_parts(*inputs)
 
     def F(t, x, y):
@@ -252,14 +251,15 @@ def jmn_mollified(g, n, width):
         f0, f1 = parts(t[:, None, None], X, Y)
         plane_ket = np.exp(1j * beta * (X + np.abs(X - a)))
         smooth = plane_ket * (f0 + np.sign(X - a) * f1)
-        oc = operator_coeffs_first_order(np.hypot(X, Y), profile, cc)
+        oc = operator_coeffs_first_order(np.hypot(X, Y), profile)
         moll = np.exp(-(((X - a) / width) ** 2)) / (width * math.sqrt(math.pi))
         line = 2j * beta * np.exp(1j * beta * X) * oc.a_over_r2 * X * X * moll
         return np.stack([smooth, line], axis=1)
 
     # the mollifier support needs panel edges at a +- a few widths
-    edges = _panel_edges(g, [a, a - 6.0 * width, a + 6.0 * width])
-    [[smooth, line]] = _adaptive(tensor_integrand(F), 1, *edges,
+    edges_x, edges_y = _panel_edges(g)
+    edges_x = sorted({*edges_x, a - 6.0 * width, a + 6.0 * width})
+    [[smooth, line]] = _adaptive(tensor_integrand(F), 1, edges_x, edges_y,
                                  [f"Jmn[{n}] smooth", "mollified line"])
     return smooth.value + line.value
 

@@ -1097,6 +1097,9 @@ def test_invalid_inputs_raise():
     {"s": np.array([0.0, 0.3, 0.7]), "bigK": np.ones(3), "lambda1": np.array([0.5, 0.5])},
     {"s": np.array([0.0, 0.3]), "bigK": np.ones(2), "lambda2": np.array([-0.5, -0.5, -0.5])},
     {"lambda1": np.array([0.5])},  # an array weight with a float s
+    # eta is one value, with float or array points
+    {"eta": np.array([0.1, 0.2])}, {"eta": np.array([0.1])},
+    {"s": np.array([0.0, 0.3]), "bigK": np.ones(2), "eta": np.array([0.1, 0.2])},
 ])
 def test_coefficient_input_errors_are_input_errors(kwargs):
     args = {"s": 0.5, "bigK": 1.0, "alphas": (0.0,), **kwargs}

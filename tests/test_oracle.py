@@ -31,7 +31,7 @@ from references import (
 )
 
 from bumpscatter import geoamp, oracle
-from bumpscatter.defects import DefectSet, Kinematics, build_defect_matrix
+from bumpscatter.defects import DefectSet, InputError, Kinematics, build_defect_matrix
 from bumpscatter.geoamp import GeoCoefficientInputs, coefficient_table, f1_geometric
 from bumpscatter.oracle import (
     OracleValue,
@@ -53,11 +53,7 @@ from bumpscatter.oracle import (
     integral_table,
     verify_all,
 )
-from bumpscatter.surface import (
-    BumpProfile,
-    CurvatureCoefficients,
-    operator_coeffs_first_order,
-)
+from bumpscatter.surface import BumpProfile, operator_coeffs_first_order
 
 
 def _g(s=0.5, bigK=1.3, alphas=(-1.1, 2.3), eta=0.1, lambda1=0.5, lambda2=-0.5):
@@ -137,13 +133,14 @@ def _polar_integrand(bra, ket, g):
     beta = g.beta
     gamma = math.sqrt(max(g.bigK**2 - beta**2, 0.0))
     profile = BumpProfile(delta=math.sqrt(g.eta))
-    cc = CurvatureCoefficients(g.lambda1, g.lambda2)
+    lambda1, lambda2 = g.lambda1, g.lambda2
 
     def f(X, Y):
         R = np.hypot(X, Y)
         g, _, g2 = profile.slopes(R)
         a, b = g * g, g * g + R * g * g2
-        c = operator_coeffs_first_order(R, profile, cc).c
+        oc = operator_coeffs_first_order(R, profile)
+        c = lambda1 * oc.c1 + lambda2 * oc.c2
         sg = 1.0 if ket is None else np.sign(X - ket)
         hx = 1j * beta * sg
         hy = 1j * gamma
@@ -380,7 +377,7 @@ def test_table_convergence_error_names_worst_entry(monkeypatch):
 def test_box_resolves_from_offsets():
     # the base panels span [-r, r]^2, r = 12 + max|alpha|
     for alphas, r_max in (((-3.0, 3.0), 15.0), ((), 12.0)):
-        edges_x, edges_y = _panel_edges(_g(alphas=alphas), alphas)
+        edges_x, edges_y = _panel_edges(_g(alphas=alphas))
         assert edges_y == [-r_max, 0.0, r_max]
         assert (edges_x[0], edges_x[-1]) == (-r_max, r_max)
 
@@ -415,6 +412,18 @@ def test_verify_all_of_an_empty_grid_has_no_records():
     report = verify_all(grid=grid)
     assert report.records == []
     assert report.all_passed
+
+
+@pytest.mark.parametrize("eta", [np.array([0.1, 0.2]), np.array([0.1])])
+def test_verify_all_refuses_an_array_eta(monkeypatch, eta):
+    # A grid has one eta: an array of either length raises InputError
+    # before any closed form or quadrature.
+    calls = []
+    monkeypatch.setattr(oracle, "_adaptive", lambda *a: calls.append("quadrature"))
+    monkeypatch.setattr(oracle, "coefficient_table", lambda *a: calls.append("closed"))
+    with pytest.raises(InputError):
+        verify_all(grid={**_SMALL_GRID, "eta": eta})
+    assert calls == []
 
 
 def test_verify_all_reports_failures_under_absurd_tolerance(monkeypatch):
@@ -1020,14 +1029,12 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
     assert n_trees == 1
     kinks = np.array(gs[0].alphas)[:, None]
     for g, table in zip(gs, tables):
-        # the line integrals of this table alone, with its own curvature
-        # weights, equal the shared ones bit for bit
+        # the line integrals of this table alone, from its own bump profile,
+        # equal the shared ones bit for bit
         profile = BumpProfile(delta=math.sqrt(g.eta))
-        cc = CurvatureCoefficients(g.lambda1, g.lambda2)
 
-        def own_lines(t, y, profile=profile, cc=cc):
-            return operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile,
-                                               cc).a_over_r2
+        def own_lines(t, y, profile=profile):
+            return operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile).a_over_r2
 
         [own] = adaptive(tensor_integrand(own_lines), 1, edges, None, labels)
         assert own == shared

@@ -1,8 +1,11 @@
 """Tests for the bump geometry and the induced radial operator coefficients.
 
-Curvatures are cross-checked against an mpmath oracle that differentiates the
-profile numerically at 30 significant digits, so the module's hand-coded
-derivative algebra is never compared against itself.
+The exact operator, to all orders in the bump height, is derived here with
+sympy from the surface's fundamental forms; it is checked against the
+textbook forms of its coefficients evaluated by mpmath differentiation at
+30 significant digits, and the module's first-order operator is checked
+against its series.  The module's hand-coded derivative algebra is never
+compared against itself.
 """
 
 import math
@@ -13,13 +16,7 @@ import pytest
 import sympy as sp
 from mpmath import mp
 
-from bumpscatter.surface import (
-    BumpProfile,
-    CurvatureCoefficients,
-    curvatures,
-    operator_coeffs_exact,
-    operator_coeffs_first_order,
-)
+from bumpscatter.surface import BumpProfile, operator_coeffs_first_order
 
 # Run every test at 30 digits without mutating the shared mpmath context
 # (other test modules pick their own working precision).
@@ -29,8 +26,10 @@ def _thirty_digits():
         yield
 
 
-def _mp_curvatures(delta: float, r: float):
-    """Gaussian and mean curvature of z = f(r) via mpmath differentiation."""
+def _mp_exact_operator(delta: float, r: float, lambdas):
+    """a/r^2, b/r^2 and c of the exact operator at r, from the textbook
+    forms a = G^2, b = G^2 + r G G' (G = f'/sqrt(1 + f'^2)) and
+    c = 2 l1 K + 2 l2 M^2, with f' and f'' by mpmath differentiation."""
     d = mp.mpf(delta)
 
     def f(x):
@@ -40,9 +39,11 @@ def _mp_curvatures(delta: float, r: float):
     f1 = mp.diff(f, rr, 1)
     f2 = mp.diff(f, rr, 2)
     w = 1 + f1 * f1
+    a_over_r2 = f1 * f1 / (w * rr * rr)
     K = f1 * f2 / (rr * w * w)
     M = (f2 / w ** mp.mpf("1.5") + f1 / (rr * mp.sqrt(w))) / 2
-    return float(K), float(M)
+    c = 2 * mp.mpf(lambdas[0]) * K + 2 * mp.mpf(lambdas[1]) * M * M
+    return float(a_over_r2), float(a_over_r2 + f1 * f2 / (rr * w * w)), float(c)
 
 
 def test_profile_derivative_spot_values():
@@ -72,41 +73,16 @@ def test_profile_derivatives_against_mpmath():
         np.testing.assert_allclose(g2, float(mp.diff(f, r, 2)), rtol=1e-12)
 
 
-def test_curvatures_against_mpmath():
-    for delta in (0.3, 0.2):
-        p = BumpProfile(delta=delta)
-        for r in (0.3, 1.0, 2.5):
-            K_ref, M_ref = _mp_curvatures(delta, r)
-            K, M = curvatures(r, p)
-            np.testing.assert_allclose(K, K_ref, rtol=1e-10, atol=1e-15)
-            np.testing.assert_allclose(M, M_ref, rtol=1e-10, atol=1e-15)
-
-
-def test_curvatures_at_axis():
-    p = BumpProfile(delta=0.3)
-    K0, M0 = curvatures(0.0, p)
-    np.testing.assert_allclose(K0, 0.3**2, rtol=1e-13)
-    np.testing.assert_allclose(M0, -0.3, rtol=1e-13)
-    # The axis values are the limits of the off-axis formulas.
-    Ke, Me = curvatures(1e-7, p)
-    np.testing.assert_allclose(Ke, K0, rtol=1e-10)
-    np.testing.assert_allclose(Me, M0, rtol=1e-10)
-
-
 def test_operator_coefficients_regular_at_origin():
     p = BumpProfile(delta=0.1)
-    cc = CurvatureCoefficients(0.5, -0.5)
-    for coeffs in (
-        operator_coeffs_exact(np.array([0.0, 1e-10]), p, cc),
-        operator_coeffs_first_order(np.array([0.0, 1e-10]), p, cc),
-    ):
-        for field in (coeffs.a_over_r2, coeffs.b_over_r2, coeffs.c):
-            assert np.all(np.isfinite(field))
-            # Value just off the axis matches the axis value.
-            scale = max(abs(field[0]), 1e-3)
-            assert abs(field[1] - field[0]) <= 1e-6 * scale
+    coeffs = operator_coeffs_first_order(np.array([0.0, 1e-10]), p)
+    for field in (coeffs.a_over_r2, coeffs.b_over_r2, coeffs.c1, coeffs.c2):
+        assert np.all(np.isfinite(field))
+        # Value just off the axis matches the axis value.
+        scale = max(abs(field[0]), 1e-3)
+        assert abs(field[1] - field[0]) <= 1e-6 * scale
     # The origin-regular ratios take their analytic limits.
-    c1 = operator_coeffs_first_order(0.0, p, cc)
+    c1 = operator_coeffs_first_order(0.0, p)
     # At the axis f'(r)/r and f''(r) both tend to -delta.
     np.testing.assert_allclose(c1.a_over_r2, 0.1**2, rtol=1e-13)
     np.testing.assert_allclose(c1.b_over_r2, 2.0 * 0.1**2, rtol=1e-13)
@@ -114,55 +90,16 @@ def test_operator_coefficients_regular_at_origin():
 
 def test_ratio_fields_match_direct_division():
     p = BumpProfile(delta=0.2)
-    cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.05, 5.0, 40)
     g, _, g2 = p.slopes(r)
-    # the polar a and b: G^2 and G^2 + r G G' exactly, f'^2 and
-    # f'^2 + r f' f'' at first order
-    G2 = g * g / (1.0 + g * g)
-    exact_ab = (G2, G2 + r * g * g2 / (1.0 + g * g) ** 2)
-    first_ab = (g * g, g * g + r * g * g2)
-    for coeffs, (a, b) in (
-        (operator_coeffs_exact(r, p, cc), exact_ab),
-        (operator_coeffs_first_order(r, p, cc), first_ab),
-    ):
-        np.testing.assert_allclose(coeffs.a_over_r2, a / r**2, rtol=1e-12)
-        np.testing.assert_allclose(coeffs.b_over_r2, b / r**2, rtol=1e-12)
-
-
-@pytest.mark.parametrize("eta", [1e-3, 1e-5])
-def test_first_order_truncation_is_order_eta(eta):
-    delta = math.sqrt(eta)
-    p = BumpProfile(delta=delta)
-    cc = CurvatureCoefficients(0.5, -0.5)
-    r = np.linspace(0.0, 6.0, 301)
-    exact = operator_coeffs_exact(r, p, cc)
-    first = operator_coeffs_first_order(r, p, cc)
-    for e, f in ((exact.a_over_r2, first.a_over_r2), (exact.b_over_r2, first.b_over_r2),
-                 (exact.c, first.c)):
-        # The truncated coefficients are themselves O(eta), so the O(eta^2)
-        # absolute truncation error is O(eta) relative, with an eta^2
-        # absolute floor where the truncated coefficient crosses zero.
-        assert np.all(np.abs(e - f) <= 5.0 * eta * np.abs(f) + 5.0 * eta * eta)
-
-
-def test_first_order_c_decouples_lambda_terms():
-    p = BumpProfile(delta=0.1)
-    r = np.linspace(0.0, 4.0, 50)
-    c_both = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, -0.5)).c
-    c_l1 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, 0.0)).c
-    c_l2 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.0, -0.5)).c
-    np.testing.assert_allclose(c_l1 + c_l2, c_both, rtol=0, atol=1e-16)
-    # a and b do not depend on the curvature weights at all.
-    o1 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.5, -0.5))
-    o2 = operator_coeffs_first_order(r, p, CurvatureCoefficients(0.0, 0.0))
-    assert np.array_equal(o1.a_over_r2, o2.a_over_r2)
-    assert np.array_equal(o1.b_over_r2, o2.b_over_r2)
+    # the polar a and b at first order: f'^2 and f'^2 + r f' f''
+    coeffs = operator_coeffs_first_order(r, p)
+    np.testing.assert_allclose(coeffs.a_over_r2, g * g / r**2, rtol=1e-12)
+    np.testing.assert_allclose(coeffs.b_over_r2, (g * g + r * g * g2) / r**2, rtol=1e-12)
 
 
 def test_first_order_operator_takes_one_gaussian(monkeypatch):
     p = BumpProfile(delta=0.3)
-    cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.0, 6.0, 101)
     calls = []
     gauss = BumpProfile._gauss
@@ -172,35 +109,15 @@ def test_first_order_operator_takes_one_gaussian(monkeypatch):
         return gauss(self, radius)
 
     monkeypatch.setattr(BumpProfile, "_gauss", counted)
-    oc = operator_coeffs_first_order(r, p, cc)
+    oc = operator_coeffs_first_order(r, p)
     assert len(calls) == 1
-    curvatures(r, p)
-    assert len(calls) == 2
-    # the exact operator's c goes through curvatures on purpose: one
-    # Gaussian for a and b, one for c
-    operator_coeffs_exact(r, p, cc)
-    assert len(calls) == 4
     monkeypatch.undo()
     # every field equals its formula over the three slopes
     _, gr, g2 = p.slopes(r)
-    assert np.array_equal(oc.c, 2.0 * 0.5 * gr * g2 + 0.5 * -0.5 * (gr + g2) ** 2)
     assert np.array_equal(oc.a_over_r2, gr * gr)
     assert np.array_equal(oc.b_over_r2, gr * gr + gr * g2)
-
-
-def test_curvature_weights_broadcast_per_point():
-    p = BumpProfile(delta=0.3)
-    lambda1 = np.array([0.5, 0.0, 0.25])
-    lambda2 = np.array([-0.5, 0.5, 0.0])
-    r = np.linspace(0.0, 4.0, 9)
-    c = operator_coeffs_first_order(
-        r, p, CurvatureCoefficients(lambda1[:, None], lambda2[:, None])).c
-    assert c.shape == (3, 9)
-    for row, l1, l2 in zip(c, lambda1, lambda2):
-        scalar = operator_coeffs_first_order(r, p, CurvatureCoefficients(float(l1), float(l2)))
-        assert np.array_equal(row, scalar.c)
-    with pytest.raises(ValueError):
-        CurvatureCoefficients(np.array([0.5, np.inf]), 0.0)
+    assert np.array_equal(oc.c1, 2.0 * gr * g2)
+    assert np.array_equal(oc.c2, 0.5 * (gr + g2) ** 2)
 
 
 def test_eta_soft_limit_warns():
@@ -214,20 +131,14 @@ def test_eta_soft_limit_warns():
 def test_invalid_parameters_raise():
     with pytest.raises(ValueError):
         BumpProfile(delta=float("nan"))
-    with pytest.raises(ValueError):
-        CurvatureCoefficients(float("inf"), 0.5)
 
 
 def test_vectorization_shapes():
     p = BumpProfile(delta=0.3)
-    cc = CurvatureCoefficients(0.5, -0.5)
     r = np.linspace(0.0, 3.0, 17).reshape(17, 1) * np.ones((1, 3))
-    coeffs = operator_coeffs_exact(r, p, cc)
-    assert coeffs.a_over_r2.shape == r.shape
-    assert coeffs.b_over_r2.shape == r.shape
-    assert coeffs.c.shape == r.shape
-    K, M = curvatures(r, p)
-    assert K.shape == r.shape
+    coeffs = operator_coeffs_first_order(r, p)
+    for field in (coeffs.a_over_r2, coeffs.b_over_r2, coeffs.c1, coeffs.c2):
+        assert field.shape == r.shape
 
 
 # ---------------------------------------------------------------------------
@@ -285,37 +196,69 @@ def _at_radii(expr, lambdas, delta=0.3):
                      for r in _RADII])
 
 
+def _lambdified(expr):
+    """expr of f = delta e^{-r^2/2} as a numpy function of (r, delta,
+    lambda1, lambda2), its fractions cancelled so that r = 0 is regular."""
+    expr = sp.cancel(expr.subs(_F, _DELTA * sp.exp(-_R**2 / 2)).doit())
+    return sp.lambdify((_R, _DELTA, _L1, _L2), expr, "numpy")
+
+
 @pytest.mark.parametrize("lambdas", [(0.5, -0.5), (0.7, -0.3)])
 def test_exact_operator_is_derived_from_the_embedding(derived_operator, lambdas):
-    # surface.py's a, b and c are the coefficients of the operator derived
-    # from the surface's fundamental forms, and the derived operator has
-    # no angular part.  Measured worst relative error at delta = 0.3:
-    # 2.2e-16 for a and b; for c 2.2e-16 at (0.7, -0.3) and 5.4e-14 at the
-    # thin-layer weights (at r = 0.3), where c = K - M^2 = -(k1 - k2)^2 / 4
-    # cancels near the umbilic axis.
+    # The operator derived from the surface's fundamental forms has no
+    # angular part, and its a, b and c are the textbook a = G^2,
+    # b = G^2 + r G G' and c = 2 l1 K + 2 l2 M^2 of the graph of
+    # revolution, evaluated independently by mpmath differentiation at
+    # delta = 0.3 (measured worst: 2.4e-16 relative, both sides rounded
+    # from 30 digits).
     (a, b_over_r, c), angular = derived_operator
     assert angular == [0, 0, 0]
-    got = operator_coeffs_exact(np.array(_RADII), BumpProfile(0.3),
-                                CurvatureCoefficients(*lambdas))
-    for field, expr, rtol in ((got.a_over_r2, a / _R**2, 2e-15),
-                              (got.b_over_r2, b_over_r / _R, 2e-15), (got.c, c, 1e-12)):
-        np.testing.assert_allclose(field, _at_radii(expr, lambdas), rtol=rtol, atol=0)
+    ref = np.array([_mp_exact_operator(0.3, r, lambdas) for r in _RADII]).T
+    for field, expr in zip(ref, (a / _R**2, b_over_r / _R, c)):
+        np.testing.assert_allclose(field, _at_radii(expr, lambdas), rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e-5])
+def test_first_order_truncation_is_order_eta(derived_operator, eta):
+    delta = math.sqrt(eta)
+    r = np.linspace(0.0, 6.0, 301)
+    (a, b_over_r, c), _ = derived_operator
+    exact = [_lambdified(expr)(r, delta, 0.5, -0.5) for expr in (a / _R**2, b_over_r / _R, c)]
+    first = operator_coeffs_first_order(r, BumpProfile(delta=delta))
+    for e, f in zip(exact, (first.a_over_r2, first.b_over_r2, 0.5 * first.c1 - 0.5 * first.c2)):
+        # The truncated coefficients are themselves O(eta), so the O(eta^2)
+        # absolute truncation error is O(eta) relative, with an eta^2
+        # absolute floor where the truncated coefficient crosses zero.
+        assert np.all(np.abs(e - f) <= 5.0 * eta * np.abs(f) + 5.0 * eta * eta)
+
+
+def test_first_order_c_decouples_lambda_terms(derived_operator):
+    # c1 and c2 are the first-order parts of the exact c at the unit
+    # weights (1, 0) and (0, 1), 2K and 2M^2, each to the truncation
+    # bound above.
+    eta = 1e-3
+    r = np.linspace(0.0, 4.0, 50)
+    (_, _, c), _ = derived_operator
+    exact = _lambdified(c)
+    first = operator_coeffs_first_order(r, BumpProfile(delta=math.sqrt(eta)))
+    for e, f in ((exact(r, math.sqrt(eta), 1.0, 0.0), first.c1),
+                 (exact(r, math.sqrt(eta), 0.0, 1.0), first.c2)):
+        assert np.all(np.abs(e - f) <= 5.0 * eta * np.abs(f) + 5.0 * eta * eta)
 
 
 def test_first_order_operator_is_the_series_truncation(derived_operator):
     # The series of the derived coefficients in delta (f = delta phi) starts
     # at delta^2 and has no delta^3 term, so truncating it at delta^2 leaves
-    # O(eta^2); that delta^2 term is operator_coeffs_first_order, to
+    # O(eta^2); that delta^2 term is operator_coeffs_first_order, with the
+    # curvature parts c1 and c2 the terms of dc/dlambda1 and dc/dlambda2, to
     # rounding (measured worst: 2.2e-16 relative).
-    lambdas = (0.7, -0.3)
     phi = sp.exp(-_R**2 / 2)
-    got = operator_coeffs_first_order(np.array(_RADII), BumpProfile(0.3),
-                                      CurvatureCoefficients(*lambdas))
+    got = operator_coeffs_first_order(np.array(_RADII), BumpProfile(0.3))
     (a, b_over_r, c), _ = derived_operator
     for field, expr in ((got.a_over_r2, a / _R**2), (got.b_over_r2, b_over_r / _R),
-                        (got.c, c)):
+                        (got.c1, c.diff(_L1)), (got.c2, c.diff(_L2))):
         series = sp.series(expr.subs(_F, _DELTA * phi).doit(), _DELTA, 0, 4).removeO()
         terms = sp.Poly(series, _DELTA).all_coeffs()[::-1]
         assert [sp.simplify(t) for t in terms[:2] + terms[3:]] == [0] * (len(terms) - 1)
         truncated = (terms[2] * _DELTA**2).subs(_DELTA * phi, _F)
-        np.testing.assert_allclose(field, _at_radii(truncated, lambdas), rtol=2e-15, atol=0)
+        np.testing.assert_allclose(field, _at_radii(truncated, (0.0, 0.0)), rtol=2e-15, atol=0)
