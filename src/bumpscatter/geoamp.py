@@ -68,9 +68,11 @@ and the first-order cross section is not defined pointwise;
 delta_ray_offset measures an angle's distance to them, and cross_section
 refuses the angles within SINGULAR_ANGLE_TOL.  At |cos theta| -> 0 with
 N >= 2 the outgoing defect matrix degenerates (all entries approach i);
-f1 is then evaluated by averaging theta +- 1e-6 rad, which cancels the
-leading divergence and terms up to about 1e8 times the result, so the
-order of the arithmetic alone moves it (docs/math_to_code.md section 3).
+f1 is then evaluated by averaging theta +- 1e-6 rad, both flanks on the
+point's own branch of s (at theta = -90 deg too, the lower edge of
+Kinematics' angles), which cancels the leading divergence and terms up
+to about 1e8 times the result, so the order of the arithmetic alone
+moves it (docs/math_to_code.md section 3).
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defects import (DefectMatrix, DefectSet, InputError, Kinematics, _remainder_2pi,
+from .defects import (DefectMatrix, DefectSet, InputError, Kinematics, _each, _remainder_2pi,
                       build_defect_matrix)
 from .specfun import SAFE_REAL_WINDOW, eexp, erfcx_c, unbox
 
@@ -129,8 +131,9 @@ class GeoCoefficientInputs:
     positions (ascending); eta scales every coefficient linearly; lambda1
     and lambda2 weigh the two curvature contributions.  s and bigK are
     floats, or 1-D arrays of one length for a scan: every coefficient is
-    then an array with one value per point.  lambda1 and lambda2 are
-    floats, or with array s arrays of its length: one weight per point.
+    then an array with one value per point; any other shapes raise
+    InputError.  lambda1 and lambda2 are floats, or with array s arrays
+    of its length: one weight per point.
     """
 
     s: float | np.ndarray
@@ -141,6 +144,10 @@ class GeoCoefficientInputs:
     lambda2: float | np.ndarray
 
     def __post_init__(self):
+        arrays = isinstance(self.s, np.ndarray) and isinstance(self.bigK, np.ndarray)
+        if np.shape(self.s) != np.shape(self.bigK) or np.ndim(self.s) > int(arrays):
+            raise InputError(f"s and bigK must both be numbers or both 1-D arrays of one length, "
+                             f"got shapes {np.shape(self.s)} and {np.shape(self.bigK)}")
         if not ((np.abs(self.s) <= 1.0) & np.isfinite(self.bigK) & (self.bigK > 0.0)).all():
             raise InputError(
                 f"s must lie in [-1, 1] and K be positive, got s={self.s!r}, "
@@ -527,7 +534,9 @@ def _scan_state(kin: Kinematics, defects: DefectSet) -> _ScanState:
     matrix is singular or past REG_COND_LIMIT is replaced by its flanks
     theta +- ANGLE_REG_EPS (one more outgoing build, of the flanks alone,
     spliced into the points in its place; a flank has its point's kx), and
-    is marked averaged.
+    is marked averaged.  A flank's s and kx_out are Kinematics' formulas
+    at the unnormalised angle, so both flanks stay on the point's branch
+    of s = sin((theta - theta0)/2).
     """
     bigK = np.array(kin.bigK, dtype=float, ndmin=1)
     s = np.array(kin.s, ndmin=1)
@@ -540,18 +549,21 @@ def _scan_state(kin: Kinematics, defects: DefectSet) -> _ScanState:
             averaged = ~(dm_out.cond <= REG_COND_LIMIT)
         if averaged.any():
             theta = np.array(kin.theta, ndmin=1)[averaged]
-            flanks = Kinematics(np.repeat(bigK[averaged], 2), kin.theta0, np.stack(
-                [theta + ANGLE_REG_EPS, theta - ANGLE_REG_EPS], axis=1).reshape(-1))
+            # on the point's own branch, as Kinematics takes s and kx_out but
+            # not renormalised: the lower flank of -90 deg stays below it
+            theta = np.stack([theta + ANGLE_REG_EPS, theta - ANGLE_REG_EPS], axis=1).reshape(-1)
+            flank_k = np.repeat(bigK[averaged], 2)
             # position j of the evaluation holds entry at[j] of [points, flanks]
             at = np.arange(bigK.size).repeat(1 + averaged)
-            at[averaged.repeat(1 + averaged)] = bigK.size + np.arange(flanks.bigK.size)
+            at[averaged.repeat(1 + averaged)] = bigK.size + np.arange(flank_k.size)
 
             def splice(points, flank_values):
                 return np.concatenate([points, flank_values])[at]
 
-            s, bigK = splice(s, flanks.s), splice(bigK, flanks.bigK)
+            s = splice(s, _each(math.sin, 0.5 * (theta - kin.theta0)))
+            bigK = splice(bigK, flank_k)
             at_in = splice(at_in, at_in[averaged].repeat(2))
-            dm_flanks = build_defect_matrix(flanks.kx_out, defects)
+            dm_flanks = build_defect_matrix(flank_k * _each(math.cos, theta), defects)
             dm_out = DefectMatrix(splice(dm_out.matrix, dm_flanks.matrix),
                                   splice(dm_out.inverse, dm_flanks.inverse),
                                   splice(dm_out.cond, dm_flanks.cond))
@@ -685,11 +697,16 @@ def f1_geometric(
     Exactly linear in eta.  Near theta = +-90 deg with N >= 2 defects the
     outgoing defect matrix degenerates (it is singular or its condition
     number exceeds REG_COND_LIMIT); f1 is then evaluated as the average
-    over theta +- 1e-6 rad, which cancels the leading divergence (the
-    averaged value changes by < 1e-4 relative when the offset shrinks
-    tenfold; the test suite checks this).  The one-point case of
-    f1_arrays, bit for bit.  An array kin raises InputError; f1_arrays,
-    f1_scan and cross_section take scans.
+    over theta +- ANGLE_REG_EPS (1e-6 rad), both flanks on the point's
+    own branch (at -90 deg the lower one lies below -90 deg, not near
+    270 deg), which cancels the leading divergence.  The offset trades
+    truncation for rounding: at defects (-3, 3), K = 1 and +90 deg, each
+    tenfold step of the offset from 1e-3 down to 1e-8 moves the average
+    by 1.7e-5, 7.2e-7, 7.8e-5, 7.8e-3 and 0.46 relative.  So at 1e-6 it
+    is stable to about 1e-4 relative, and no test pins a finer figure
+    (ROADMAP item 10 asks for its forward error against 50 digits).  The
+    one-point case of f1_arrays, bit for bit.  An array kin raises
+    InputError; f1_arrays, f1_scan and cross_section take scans.
     """
     if np.ndim(kin.theta):
         raise InputError("f1_geometric takes one point; evaluate a scan with f1_scan")

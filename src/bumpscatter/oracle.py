@@ -471,39 +471,29 @@ def _table_integrand(u, v, g):
         return table.reshape(len(t), -1)
 
     def moduli(t, cells, order):
-        distinct, cell_of, counts = np.unique(cells.reshape(len(cells), -1), axis=0,
-                                              return_inverse=True, return_counts=True)
-        cell_of = cell_of.ravel()
-        by_cell = np.argsort(cell_of, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        # runs of whole distinct cells, at most GRID_BATCH panels each
-        # unless one cell has more: the grids of a run's cells are built
-        # once, and its panels take them GRID_BATCH at a time
-        runs, lo = [], 0
-        for hi in range(1, len(counts) + 1):
-            if hi == len(counts) or starts[hi + 1] - starts[lo] > GRID_BATCH:
-                runs.append((lo, hi))
-                lo = hi
+        # with return_inverse np.unique also stays off its hash path, whose
+        # first call imports numpy.ma (13 ms and 0.8 MB of a cold process)
+        distinct, cell_of = np.unique(cells.reshape(len(cells), -1), axis=0, return_inverse=True)
         out = np.empty((len(cells), 2))  # int |F0 + F1| and int |F0 - F1|
-        for lo, hi in runs:
-            x, wx, y, wy, a, b, c1, c2 = _cell_grids(profile, distinct[lo:hi].reshape(-1, 2, 2),
-                                                     order)
-            run = by_cell[starts[lo]:starts[hi]]
-            for i in range(0, len(run), GRID_BATCH):
-                panels = run[i:i + GRID_BATCH]
-                k, tt = cell_of[panels] - lo, t[panels][:, None, None]
-                c = lambda1[tt] * c1[k]
-                c += lambda2[tt] * c2[k]
-                bx, gy = betas[tt] * x[k][:, :, None], gammas[tt] * y[k][:, None, :]
+        # one grid per distinct cell, broadcast over its panels GRID_BATCH at a time
+        for k, cell in enumerate(distinct):
+            x, wx, y, wy, a, b, c1, c2 = _cell_grids(profile, cell.reshape(1, 2, 2), order)
+            on_cell = np.flatnonzero(cell_of.ravel() == k)
+            for i in range(0, len(on_cell), GRID_BATCH):
+                panels = on_cell[i:i + GRID_BATCH]
+                tt = t[panels][:, None, None]
+                c = lambda1[tt] * c1
+                c += lambda2[tt] * c2
+                bx, gy = betas[tt] * x[:, :, None], gammas[tt] * y[:, None, :]
                 f = np.empty(c.shape, complex)
                 for j, sign in enumerate((1.0, -1.0)):
                     w = sign * bx + gy
-                    np.multiply(b[k], w, out=f.imag)
+                    np.multiply(b, w, out=f.imag)
                     w *= w
-                    w *= a[k]
+                    w *= a
                     np.subtract(c, w, out=f.real)  # f = c - a w^2 + i b w
                     np.abs(f, out=w)
-                    out[panels, j] = (wx[k][:, None, :] @ w @ wy[k][:, :, None])[:, 0, 0]
+                    out[panels, j] = (wx[:, None, :] @ w @ wy[:, :, None])[:, 0, 0]
         # M[p, q] is its ket's modulus for every bra p
         mag = np.where(_ket_signs(pieces, cells) > 0.0, out[:, :1], out[:, 1:])
         bras = np.abs(u[t]).sum(axis=2)

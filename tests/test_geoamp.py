@@ -795,21 +795,45 @@ def test_right_angle_is_averaged_for_degenerate_outgoing_matrix():
     np.testing.assert_allclose(f_reg, mid, rtol=1e-3)
 
 
+class _OnItsBranch(Kinematics):
+    """A Kinematics that keeps theta as given, not normalised into
+    [-pi/2, 3 pi/2): its s and kx_out are those of that angle."""
+
+    def __post_init__(self):
+        pass
+
+
 @pytest.mark.parametrize("bigK, theta0", [(1.0, 0.0), (0.3, 0.2), (2.7, -0.4)])
 def test_averaged_point_is_pythons_mean_of_its_flanks_bit_for_bit(bigK, theta0):
     # An averaged point's value is 0.5 * (f_up + f_down) on Python complex
     # numbers, from its flanks' own values: complex couplings, theta at
     # +-90 deg, alone and in a scan with ordinary points.
+    # Each flank is on its point's branch: at -90 deg the lower flank lies
+    # below -90 deg, which Kinematics would renormalise to 270 deg - eps.
     ds = DefectSet([-1.0, 2.5], [0.8 - 0.3j, 1.2 + 0.5j])
-    for theta in (math.pi / 2, -math.pi / 2):
+    for theta, flank in ((math.pi / 2, Kinematics), (-math.pi / 2, _OnItsBranch)):
         kin = Kinematics(bigK, theta0, theta)
-        up, down = (f1_geometric(Kinematics(bigK, theta0, kin.theta + d), ds, 0.1, 0.5, -0.5)
+        up, down = (f1_geometric(flank(bigK, theta0, kin.theta + d), ds, 0.1, 0.5, -0.5)
                     for d in (ANGLE_REG_EPS, -ANGLE_REG_EPS))
         want = 0.5 * (up + down)
         got = [f1_geometric(kin, ds, 0.1, 0.5, -0.5),
                f1_scan([bigK] * 3, theta0, [0.3, theta, 2.0], ds, 0.1, 0.5, -0.5)[1]]
         assert [(f.real.hex(), f.imag.hex()) for f in got] == [(want.real.hex(),
                                                                want.imag.hex())] * 2
+
+
+@pytest.mark.parametrize("positions", [(-3.0, 0.0), (0.0, 3.0), (-3.0, 3.0)])
+def test_minus_ninety_degrees_averages_flanks_on_its_branch(positions):
+    # -90 deg is the lower edge of Kinematics' angles.  Its averaged f1 is
+    # as small as at +90 deg only if both flanks keep the sign of
+    # s = sin((theta - theta0)/2), so that their poles cancel (a lower
+    # flank at 270 deg - eps gave |f1| of 2e3 to 1e4).  270 deg is
+    # normalised to -90 deg and gives the same bits.
+    ds = DefectSet(positions, [1.0, 1.0])
+    f, g = (f1_geometric(Kinematics(1.0, 0.0, theta), ds, 0.1, 0.5, -0.5)
+            for theta in (-math.pi / 2, math.radians(270.0)))
+    assert abs(f) < 1.0
+    assert (f.real.hex(), f.imag.hex()) == (g.real.hex(), g.imag.hex())
 
 
 def test_modulus_squared_is_abs_squared_bit_for_bit():
@@ -1105,3 +1129,19 @@ def test_coefficient_input_errors_are_input_errors(kwargs):
     args = {"s": 0.5, "bigK": 1.0, "alphas": (0.0,), **kwargs}
     with pytest.raises(InputError):
         _g(**args)
+
+
+@pytest.mark.parametrize("s, bigK", [
+    (np.array([0.1, 0.2]), 1.0),  # an array s with a float K
+    (0.5, np.ones(2)),
+    (np.zeros((2, 2)), np.ones((2, 2))),  # 2-D points
+    (np.zeros(2), np.ones(3)),  # arrays of two lengths
+    ([0.1, 0.2], [1.0, 1.0]),  # lists, not arrays
+])
+def test_coefficient_inputs_refuse_point_shapes_the_tables_cannot_take(s, bigK):
+    # s and K are both numbers or both 1-D arrays of one length; any other
+    # shapes raise InputError at construction, not an AttributeError,
+    # IndexError, TypeError or broadcast ValueError in coefficient_table,
+    # I0_closed or the oracle.
+    with pytest.raises(InputError, match="s and bigK"):
+        _g(s, bigK, (0.0,))

@@ -256,6 +256,39 @@ def test_final_panel_moduli_match_the_per_panel_sum(monkeypatch):
         assert np.all(np.abs(row - want) <= 1e-13 * want)
 
 
+def test_final_panel_moduli_keep_their_bits_whichever_panels_share_the_call(monkeypatch):
+    # moduli builds one grid per distinct cell and takes the cell's panels
+    # GRID_BATCH at a time: a final panel's int |F0 +- F1| has the same
+    # bits with every tree's panels in the call, with its tree's alone,
+    # and with the panels reversed, on the full grid, where some cell's
+    # panels fill several GRID_BATCH chunks.
+    import bumpscatter.oracle as oracle_mod
+
+    gs = _grid_inputs(default_verification_grid())
+    seen = []
+    adaptive = oracle_mod._adaptive
+
+    def spy(f, n_trees, edges_x, edges_y, labels):
+        def moduli(t, cells, order, inner=f.moduli):
+            seen.append((inner, t, cells, order))
+            return inner(t, cells, order)
+
+        if edges_y is not None:
+            f = _Integrand(f.values, moduli)
+        return adaptive(f, n_trees, edges_x, edges_y, labels)
+
+    monkeypatch.setattr(oracle_mod, "_adaptive", spy)
+    integral_table(stacked_inputs(gs))
+    [(moduli, t, cells, order)] = seen
+    _, counts = np.unique(cells.reshape(len(cells), -1), axis=0, return_counts=True)
+    assert counts.max() > 2 * oracle_mod.GRID_BATCH
+    want = moduli(t, cells, order)
+    for tree in range(len(gs)):
+        alone = t == tree
+        assert moduli(t[alone], cells[alone], order).tobytes() == want[alone].tobytes()
+    assert moduli(t[::-1], cells[::-1], order).tobytes() == want[::-1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Quadrature vs closed forms (spot checks; the grids run under acceptance)
 
