@@ -619,6 +619,14 @@ def _f1_points(
     is 0.5 * (f_up + f_down) of its flanks, as Python computes it on
     complex numbers (through 3.13 a float times a complex is the product
     with 0.5 + 0j).
+
+    Overflow rule: the settings are finite, so a value can leave the float
+    range only by their size (lambda1 = 1e308, say).  A non-finite term,
+    bracket or f1 then raises OverflowError, and no NaN or inf is
+    returned.  math.fsum raises OverflowError on a sum past the range and
+    ValueError on terms of both infinities, and both become this
+    OverflowError; a NaN or one infinity among the terms makes the bracket
+    and f1 non-finite, and f1 is checked.
     """
     global _last_scan
     # a bad setting raises before any work on the points, kept or not
@@ -631,18 +639,28 @@ def _f1_points(
         _last_scan = None, None  # not kept alive while the new state is built
         state = _scan_state(kin, defects)
         _last_scan = key, state
-    # pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
-    bracket = np.array([list(map(math.fsum, t.T.tolist()))
-                        for t in _bracket_terms(state, eta, lambda1, lambda2)])
-    f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * state.bigK),
-              bracket)
-    averaged = state.averaged
-    if averaged.any():
-        # each point's first entry in the evaluation, and an averaged one's second
-        first = np.cumsum(1 + averaged) - 1 - averaged
-        up = first[averaged]
-        f, flanks = f[:, first], f[:, up] + f[:, up + 1]
-        f[:, averaged] = _cmul(np.array([0.5, 0.0]), flanks)
+    # finite settings overflow only by their size: a non-finite value is
+    # caught below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            bracket = np.array([list(map(math.fsum, t.T.tolist()))
+                                for t in _bracket_terms(state, eta, lambda1, lambda2)])
+        except (OverflowError, ValueError) as exc:  # a sum past the range, or -inf + inf
+            raise OverflowError(f"f1 overflows at eta={eta!r}, lambda1={lambda1!r}, "
+                                f"lambda2={lambda2!r}: {exc}") from None
+        # pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
+        f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * state.bigK),
+                  bracket)
+        averaged = state.averaged
+        if averaged.any():
+            # each point's first entry in the evaluation, and an averaged one's second
+            first = np.cumsum(1 + averaged) - 1 - averaged
+            up = first[averaged]
+            f, flanks = f[:, first], f[:, up] + f[:, up + 1]
+            f[:, averaged] = _cmul(np.array([0.5, 0.0]), flanks)
+    if not np.isfinite(f).all():  # a non-finite term or bracket makes f so
+        raise OverflowError(f"f1 overflows at eta={eta!r}, lambda1={lambda1!r}, "
+                            f"lambda2={lambda2!r}: f1 is not finite")
     return f[0], f[1]
 
 

@@ -60,19 +60,24 @@ panel's cell alone (c is lambda1 c1 + lambda2 c2 at first order):
     G1 = -2 beta gamma x int a y + i beta x int b
 
 (a = psi_a, b = psi_b).  The trees of a call share most of their cells,
-so the operator is evaluated once per distinct cell and Gauss order: the
-seven contractions and the x nodes and weights, O(p) numbers, are kept
-for the life of the call's integrand, no 2D grid with them, and a tree's
-panel costs O(p (N + 1)).  int |f| of the piece pair (p, q) is
+so the operator is evaluated once per distinct cell: the seven
+contractions and the x nodes and weights at both Gauss orders, O(p)
+numbers in one row on p + 2p nodes, are kept for the life of the call's
+integrand, no 2D grid with them.  One integrand call gives a panel's
+order-p and order-2p values from that row, and a tree's panel costs
+O(p (N + 1)).  int |f| of the piece pair (p, q) is
 M_pq = int |F0 + sg_q F1| = int |c - a u^2 + i b u|, u = sg_q beta x +
 gamma y, two values per panel, and a pair of states takes |U| M |V|^T, a
 triangle-inequality bound that is M itself at identity amplitudes.  Only
 the order-2p values of the final panels are read, so they are taken
 once, after every tree has converged, with each distinct final cell's 2D
-grid built once.  The line integral int psi_a(a, y) dy of a ket kink
-depends on neither the bra nor beta, K and the curvature weights, so one
-1D tree integrates the N of them for every point of a call; ket state j
-weighs kink n's by V[j, n+1] 2 i beta a_n^2 (U B)_i(a_n).
+grid built once.  The sg = -1 value is taken only where a ket reads it
+and it differs: on panels left of some kink, at beta != 0 (at beta = 0,
+F1 = 0 and it is the sg = +1 value).  The line integral
+int psi_a(a, y) dy of a ket kink depends on neither the bra nor beta, K
+and the curvature weights, so one 1D tree integrates the N of them for
+every point of a call; ket state j weighs kink n's by
+V[j, n+1] 2 i beta a_n^2 (U B)_i(a_n).
 
 The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
 of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
@@ -86,7 +91,7 @@ verify_all's pass rule are module constants; the oracle has no options.
 The trees of the points of one call (one per point) are refined in
 lockstep: each round every unconverged tree bisects its worst panel, and
 the new panels of all trees are evaluated together, at most PANEL_BATCH
-panels per integrand call and Gauss order.
+panels per integrand call, each call giving both Gauss orders.
 The live trees' panels are held as arrays with one row per tree, so each
 round's stop test and split are array operations over all of them.  A tree
 reads only its own panels, so it is the tree it would be alone.  Panel
@@ -144,9 +149,11 @@ BOX_MARGIN = 12.0
 # rtol and atol of verify_all's pass rule.
 VERIFY_RTOL = 1e-6
 VERIFY_ATOL = 1e-10
-# Most panels per integrand call.  A table panel's own work is O(p (N + 1))
-# (see _table_integrand), so the cap bounds the call count more than the
-# memory; larger batches save little more time.
+# Most panels per integrand call, which gives both Gauss orders.  A table
+# panel's own work is O(p (N + 1)) (see _table_integrand), so the cap
+# bounds the call count more than the memory; larger batches save little
+# more time, and with no cap the tracemalloc peak of a warm verify_all
+# call rises from 2.9 to 5.4 MB.
 PANEL_BATCH = 48
 # Most 2p x 2p grids of cells or panels held at once: the operator on new
 # cells, and |f| on final panels.  Their temporaries set the peak memory.
@@ -218,12 +225,12 @@ def _nodes(bounds, order):
 class _Integrand(NamedTuple):
     """A vector of integrals in the form _adaptive takes.
 
-    values(trees, cells, order) returns, one row per panel, the
-    order x order tensor Gauss-Legendre values (order nodes on a 1D cell)
-    of every integral over cells[k], at the point of tree trees[k];
-    cells[k] holds one (lo, hi) row per axis.  moduli takes the same
-    arguments and returns the same rule applied to the moduli of the
-    integrands.
+    values(trees, cells, order) returns two arrays, one row per panel in
+    each: the order x order tensor Gauss-Legendre values (order nodes on a
+    1D cell) of every integral over cells[k], at the point of tree
+    trees[k], and the same at 2 order; cells[k] holds one (lo, hi) row per
+    axis.  moduli(trees, cells, order) returns, at the one order given,
+    the same rule applied to the moduli of the integrands.
     """
 
     values: Callable
@@ -232,19 +239,17 @@ class _Integrand(NamedTuple):
 
 def _eval_panel_2d(f, trees, cells, p):
     """Order-p and order-2p evaluations of the rectangles cells, trees[k]
-    the tree of cells[k], by f.values (see _Integrand).  Returns the
-    order-2p values and the two-level errors, one row per panel.
+    the tree of cells[k], by one f.values call (see _Integrand).  Returns
+    the order-2p values and the two-level errors, one row per panel.
     """
-    q_lo = f.values(trees, cells, p)
-    q_hi = f.values(trees, cells, 2 * p)
+    q_lo, q_hi = f.values(trees, cells, p)
     return q_hi, np.abs(q_hi - q_lo)
 
 
 def _eval_panel_1d(f, trees, cells, p):
     """The 1D twin of _eval_panel_2d, for intervals; a separate name so
     that the two kinds of call can be counted apart."""
-    q_lo = f.values(trees, cells, p)
-    q_hi = f.values(trees, cells, 2 * p)
+    q_lo, q_hi = f.values(trees, cells, p)
     return q_hi, np.abs(q_hi - q_lo)
 
 
@@ -424,10 +429,34 @@ def _piece_factors(alphas, x, beta):
 
 def _ket_signs(kets, cells):
     """sg of every ket on every panel: 1 for the plane wave, the sign of
-    x - a on the panel for a kink at a (read at the panel's midpoint)."""
+    x - a on the panel for a kink at a (read at the panel's midpoint), one
+    copysign over (panel, ket): the plane wave as a kink at -inf."""
     mid = 0.5 * (cells[:, 0, 0] + cells[:, 0, 1])
-    return np.stack([np.ones_like(mid) if b is None else np.copysign(1.0, mid - b)
-                     for b in kets], axis=-1)
+    return np.copysign(1.0, mid[:, None] - np.array([-np.inf if b is None else b for b in kets]))
+
+
+def _panel_moduli(grid, beta, gamma, lambda1, lambda2, minus):
+    """int |F0 + F1| of every panel on one cell's 2D grid (a _cell_grids
+    tuple of one cell), and int |F0 - F1| of its first `minus` panels,
+    each panel at its own beta, gamma and curvature weights ((panel, 1, 1)
+    arrays): int |c - a w^2 + i b w| with w = +-beta x + gamma y.
+    Elementwise operations and per-panel products alone, so a panel's
+    values have the same bits whichever panels share the call."""
+    x, wx, y, wy, a, b, c1, c2 = grid
+    c = lambda1 * c1
+    c += lambda2 * c2
+    bx, gy = beta * x[:, :, None], gamma * y[:, None, :]
+    out = []
+    for sign, n in ((1.0, len(c)), (-1.0, minus)):
+        w = sign * bx[:n] + gy[:n]
+        f = np.empty(w.shape, complex)
+        np.multiply(b, w, out=f.imag)
+        w *= w
+        w *= a
+        np.subtract(c[:n], w, out=f.real)  # f = c - a w^2 + i b w
+        np.abs(f, out=w)
+        out.append((wx[:, None, :] @ w @ wy[:, :, None])[:, 0, 0])
+    return out
 
 
 def _table_integrand(u, v, g):
@@ -439,25 +468,37 @@ def _table_integrand(u, v, g):
     factors times G0 + sg G1 (not at U = V = 1, where they change no bit).
 
     A panel's values split into its cell's _cell_basis, which no tree
-    changes and which is kept, per cell and Gauss order, for the life of
-    the integrand, and its tree's _combine of it: O(p (N + 1)) per panel.
+    changes, and its tree's _combine of it: O(p (N + 1)) per panel.  A
+    cell's bases at orders p and 2p are kept side by side in one row, on
+    p + 2p nodes, for the life of the integrand, so one values call takes
+    both orders with one gather of the rows, one _combine and one
+    _piece_factors; only the contraction over the nodes is taken per
+    order.  Every operation before it is elementwise over the nodes, so
+    each order's table has the bits of that order taken alone.
+
     The piece moduli M, |F0 + sg F1| = |c - a w^2 + i b w| with
     w = sg beta x + gamma y, take the 2D grid: it is built once per
     distinct cell of a call and not kept; a pair of states takes
-    |U| M |V|^T of them."""
+    |U| M |V|^T of them.  The sg = -1 column is read only on cells left
+    of some kink, and where beta = 0 (F1 = 0) it is the sg = +1 column
+    bit for bit, so it is integrated only on those cells and trees with
+    beta != 0, and copied from the sg = +1 column elsewhere."""
     betas, gammas, lambda1, lambda2, profile = _integrand_inputs(g)
     pieces = (None, *g.alphas)
     # at U = V = 1, the piece table, the products would change no bit
     identity = all(w.shape[1] == len(pieces) and (w == np.eye(len(pieces))).all() for w in (u, v))
-    basis = {}  # (cell bounds, order) -> its _cell_basis rows
+    bases = {}  # order -> {cell bounds: its _cell_basis rows at order and 2 order}
 
     def values(t, cells, order):
-        keys = [(c.tobytes(), order) for c in cells]
+        basis = bases.setdefault(order, {})
+        flat = np.ascontiguousarray(cells, dtype=float).tobytes()
+        keys = [flat[i:i + 32] for i in range(0, len(flat), 32)]  # one (2, 2) cell each
         new = {k: c for k, c in zip(keys, cells) if k not in basis}
         if new:
             todo = np.array(list(new.values()))
             basis.update(zip(new, itertools.chain.from_iterable(
-                _cell_basis(profile, todo[i:i + GRID_BATCH], order)
+                np.concatenate([_cell_basis(profile, todo[i:i + GRID_BATCH], n)
+                                for n in (order, 2 * order)], axis=-1)
                 for i in range(0, len(todo), GRID_BATCH))))
         rows = np.array([basis[k] for k in keys])
         g0, g1 = _combine(rows, *(w[t][:, None] for w in (betas, gammas, lambda1, lambda2)))
@@ -465,35 +506,35 @@ def _table_integrand(u, v, g):
         sg = _ket_signs(pieces, cells)[:, :, None]
         bra, ket = _piece_factors(g.alphas, x, beta)
         ket = ket * (g0[:, None] + sg * g1[:, None])
-        if not identity:
-            bra, ket = u[t] @ bra, v[t] @ ket
-        table = (bra * wx[:, None, :]) @ ket.transpose(0, 2, 1)
-        return table.reshape(len(t), -1)
+        tables = []
+        for nodes in (slice(None, order), slice(order, None)):
+            b, k = bra[..., nodes], ket[..., nodes]
+            if not identity:
+                b, k = u[t] @ b, v[t] @ k
+            tables.append(((b * wx[:, None, nodes]) @ k.transpose(0, 2, 1)).reshape(len(t), -1))
+        return tuple(tables)
 
     def moduli(t, cells, order):
         # with return_inverse np.unique also stays off its hash path, whose
         # first call imports numpy.ma (13 ms and 0.8 MB of a cold process)
         distinct, cell_of = np.unique(cells.reshape(len(cells), -1), axis=0, return_inverse=True)
+        distinct = distinct.reshape(-1, 2, 2)
+        left = (_ket_signs(pieces, distinct) < 0.0).any(axis=1)  # of some kink
         out = np.empty((len(cells), 2))  # int |F0 + F1| and int |F0 - F1|
         # one grid per distinct cell, broadcast over its panels GRID_BATCH at a time
         for k, cell in enumerate(distinct):
-            x, wx, y, wy, a, b, c1, c2 = _cell_grids(profile, cell.reshape(1, 2, 2), order)
+            grid = _cell_grids(profile, cell[None], order)
             on_cell = np.flatnonzero(cell_of.ravel() == k)
+            # the panels that need int |F0 - F1| first, in each chunk too
+            need = left[k] & (betas[t[on_cell]] != 0.0)
+            on_cell, need = on_cell[np.argsort(~need, kind="stable")], int(need.sum())
             for i in range(0, len(on_cell), GRID_BATCH):
                 panels = on_cell[i:i + GRID_BATCH]
                 tt = t[panels][:, None, None]
-                c = lambda1[tt] * c1
-                c += lambda2[tt] * c2
-                bx, gy = betas[tt] * x[:, :, None], gammas[tt] * y[:, None, :]
-                f = np.empty(c.shape, complex)
-                for j, sign in enumerate((1.0, -1.0)):
-                    w = sign * bx + gy
-                    np.multiply(b, w, out=f.imag)
-                    w *= w
-                    w *= a
-                    np.subtract(c, w, out=f.real)  # f = c - a w^2 + i b w
-                    np.abs(f, out=w)
-                    out[panels, j] = (wx[:, None, :] @ w @ wy[:, :, None])[:, 0, 0]
+                plus, minus = _panel_moduli(grid, *(w[tt] for w in (
+                    betas, gammas, lambda1, lambda2)), min(max(need - i, 0), GRID_BATCH))
+                out[panels] = plus[:, None]
+                out[panels[:len(minus)], 1] = minus
         # M[p, q] is its ket's modulus for every bra p
         mag = np.where(_ket_signs(pieces, cells) > 0.0, out[:, :1], out[:, 1:])
         bras = np.abs(u[t]).sum(axis=2)
@@ -517,7 +558,8 @@ def _line_integrand(kinks, eta):
         F = operator_coeffs_first_order(np.hypot(a, y[:, None, :]), profile).a_over_r2
         return (F @ wy[:, :, None])[:, :, 0]
 
-    return _Integrand(psi, psi)
+    return _Integrand(lambda t, cells, order: (psi(t, cells, order), psi(t, cells, 2 * order)),
+                      psi)
 
 
 def _panel_edges(g: GeoCoefficientInputs):

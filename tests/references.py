@@ -12,7 +12,11 @@ defining integrals, independent of the engine's moment recursion.
 the oracle's per-cell y contractions are checked against, and
 ``table_moduli_per_panel`` the integral of |f| over one panel at a time
 from it.  ``tensor_integrand`` wraps a pointwise vector of integrands for
-the oracle's integrator.
+the oracle's integrator.  ``table_values_one_order`` is the table
+integrand's values at one Gauss order alone, and
+``table_moduli_both_columns`` its moduli with int |F0 +- F1| both taken
+on every panel: the forms the one call for both orders and the skipped
+columns are checked against bit for bit.
 
 ``jmn_mollified`` is the oracle's ket-kink entry with its delta line
 smeared into a narrow Gaussian, a check that the sharp line term is right.
@@ -70,11 +74,16 @@ from bumpscatter.oracle import (
     OracleValue,
     QuadratureConvergenceError,
     _adaptive,
+    GRID_BATCH,
+    _cell_basis,
+    _cell_grids,
+    _combine,
     _Integrand,
     _integrand_inputs,
     _ket_signs,
     _nodes,
     _panel_edges,
+    _piece_factors,
 )
 from bumpscatter.specfun import exp_erf, exp_erfc
 from bumpscatter.surface import operator_coeffs_first_order
@@ -191,8 +200,9 @@ def tensor_integrand(F):
     """The oracle integrand (an _Integrand) of a pointwise vector of
     integrands: F(trees, *nodes) takes the Gauss-Legendre nodes of each
     panel, one row per panel and axis, and returns the integrands on the
-    tensor grid, (panel, entry, *node axes).  The values and the moduli
-    are the tensor rule applied to F and to |F|."""
+    tensor grid, (panel, entry, *node axes).  The values are the tensor
+    rule applied to F at the order asked for and at twice it, the moduli
+    the rule applied to |F| at the order asked for."""
     def rule(modulus):
         def integrate(trees, cells, order):
             nodes = [_nodes(cells[:, k], order) for k in range(cells.shape[1])]
@@ -205,7 +215,61 @@ def tensor_integrand(F):
 
         return integrate
 
-    return _Integrand(rule(False), rule(True))
+    values = rule(False)
+    return _Integrand(lambda trees, cells, order: (values(trees, cells, order),
+                                                   values(trees, cells, 2 * order)),
+                      rule(True))
+
+
+def table_values_one_order(u, v, g, trees, cells, order):
+    """The values of oracle._table_integrand(u, v, g) at one Gauss order,
+    as the integrand took them one order per call: the cells' _cell_basis
+    at that order alone, its _combine, the piece factors on its nodes and
+    the table product, the amplitude products skipped at U = V = 1.  The
+    form the one call for both orders is checked against bit for bit."""
+    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(g)
+    pieces = (None, *g.alphas)
+    identity = all(w.shape[1] == len(pieces) and (w == np.eye(len(pieces))).all() for w in (u, v))
+    rows = np.concatenate([_cell_basis(profile, cells[i:i + GRID_BATCH], order)
+                           for i in range(0, len(cells), GRID_BATCH)])
+    g0, g1 = _combine(rows, *(w[trees][:, None] for w in (betas, gammas, lambda1, lambda2)))
+    sg = _ket_signs(pieces, cells)[:, :, None]
+    bra, ket = _piece_factors(g.alphas, rows[:, 0], betas[trees][:, None, None])
+    ket = ket * (g0[:, None] + sg * g1[:, None])
+    if not identity:
+        bra, ket = u[trees] @ bra, v[trees] @ ket
+    table = (bra * rows[:, 1][:, None, :]) @ ket.transpose(0, 2, 1)
+    return table.reshape(len(trees), -1)
+
+
+def table_moduli_both_columns(u, v, g, trees, cells, order):
+    """The moduli of oracle._table_integrand(u, v, g) with int |F0 + F1| and
+    int |F0 - F1| both taken on every panel, one distinct cell's grid at a
+    time, its panels GRID_BATCH at a time: the form the integrand's
+    skipping of the unread and the copied column is checked against bit
+    for bit."""
+    betas, gammas, lambda1, lambda2, profile = _integrand_inputs(g)
+    pieces = (None, *g.alphas)
+    distinct, cell_of = np.unique(cells.reshape(len(cells), -1), axis=0, return_inverse=True)
+    out = np.empty((len(cells), 2))
+    for k, cell in enumerate(distinct):
+        x, wx, y, wy, a, b, c1, c2 = _cell_grids(profile, cell.reshape(1, 2, 2), order)
+        on_cell = np.flatnonzero(cell_of.ravel() == k)
+        for i in range(0, len(on_cell), GRID_BATCH):
+            panels = on_cell[i:i + GRID_BATCH]
+            tt = trees[panels][:, None, None]
+            c = lambda1[tt] * c1
+            c += lambda2[tt] * c2
+            bx, gy = betas[tt] * x[:, :, None], gammas[tt] * y[:, None, :]
+            for j, sign in enumerate((1.0, -1.0)):
+                w = sign * bx + gy
+                f = np.empty(c.shape, complex)
+                f.real, f.imag = c - w * w * a, b * w
+                out[panels, j] = (wx[:, None, :] @ np.abs(f) @ wy[:, :, None])[:, 0, 0]
+    mag = np.where(_ket_signs(pieces, cells) > 0.0, out[:, :1], out[:, 1:])
+    bras = np.abs(u[trees]).sum(axis=2)
+    kets = (np.abs(v[trees]) @ mag[:, :, None])[:, :, 0]
+    return (bras[:, :, None] * kets[:, None, :]).reshape(len(trees), -1)
 
 
 def stacked_inputs(gs):

@@ -294,6 +294,22 @@ def test_far_defect_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--lambda1=1e308"],                       # N = 0: NaN rows, exit 0, before
+    ["--defects=1", "--lambda1=1e308"],        # N = 1: the same
+    ["--lambda2=1e308"],
+    ["--defects=-3,3", "--lambda2=1e306"],     # N = 2: fsum's ValueError, exit 1
+])
+def test_f1_overflow_is_a_numerical_failure(tmp_path, capsys, args):
+    # A curvature weight whose size takes f1 past the float range exits
+    # with the numerical-failure code and writes no file.
+    out = tmp_path / "a.csv"
+    code = main(["angular", *args, "--ksigma=1", "--thetagrid=10:170:5", f"--out={out}"])
+    assert code == EXIT_NUMERICAL
+    assert "f1 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep / angular CSV output
 

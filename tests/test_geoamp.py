@@ -680,6 +680,39 @@ def test_scan_defect_past_the_window_is_no_input_error():
     assert not issubclass(SingularAngleError, InputError)
 
 
+# Finite settings whose size takes f1 past the float range, at N = 0, 1
+# and 2: (bigK, defects, eta, lambda1, lambda2, an angle in degrees where
+# f1 itself overflows).  Without the overflow rule the first four returned
+# NaN or ended in fsum's ValueError (-inf + inf); the last has finite
+# bracket terms and an infinite f1 at 30 deg.  The N = 2 scan overflows
+# at its averaged 90 deg point only.
+_OVERFLOWING = [
+    (1.0, (), 0.1, 1e308, -0.5, 10.0),
+    (1.0, (), 1e308, 0.5, -0.5, 10.0),
+    (1.0, (0.0,), 0.1, 1e308, -0.5, 10.0),
+    (1.0, (-3.0, 3.0), 0.1, 0.5, 1e306, 90.0),
+    (0.01, (), 1e307, 4e5, 0.0, 30.0),
+]
+
+
+@pytest.mark.parametrize("bigK, alphas, eta, lambda1, lambda2, deg", _OVERFLOWING)
+def test_f1_past_the_float_range_raises_overflow_error(bigK, alphas, eta, lambda1, lambda2, deg):
+    # A non-finite term, bracket or f1 raises OverflowError: no NaN or inf
+    # is returned by a scan, by a cross section or by one point, and no
+    # numpy warning is given.
+    ds = DefectSet(list(alphas), [1.0] * len(alphas))
+    theta = np.radians([10.0, 90.0, 170.0])
+    with pytest.raises(OverflowError, match="f1 overflows"):
+        geoamp.f1_arrays(bigK, 0.0, theta, ds, eta, lambda1, lambda2)
+    with pytest.raises(OverflowError, match="f1 overflows"):
+        cross_section(Kinematics(np.full(3, bigK), 0.0, theta), ds, eta, lambda1, lambda2)
+    kin = Kinematics(bigK, 0.0, math.radians(deg))
+    with pytest.raises(OverflowError, match="f1 overflows"):
+        cross_section(kin, ds, eta, lambda1, lambda2)
+    with pytest.raises(OverflowError, match="f1 overflows"):
+        f1_geometric(kin, ds, eta, lambda1, lambda2)
+
+
 def test_delta_ray_offset_refuses_non_finite_angles():
     for theta0, theta in ((math.inf, 0.5), (0.0, -math.inf), (math.nan, 0.5)):
         with pytest.raises(InputError):

@@ -26,7 +26,9 @@ from references import (
     operator_parts,
     records_per_point,
     stacked_inputs,
+    table_moduli_both_columns,
     table_moduli_per_panel,
+    table_values_one_order,
     tensor_integrand,
 )
 
@@ -287,6 +289,79 @@ def test_final_panel_moduli_keep_their_bits_whichever_panels_share_the_call(monk
         alone = t == tree
         assert moduli(t[alone], cells[alone], order).tobytes() == want[alone].tobytes()
     assert moduli(t[::-1], cells[::-1], order).tobytes() == want[::-1].tobytes()
+
+
+def _amplitudes(rng, n_trees, n_states, n_pieces):
+    """Random complex (tree, state, piece) amplitude matrices."""
+    return (rng.standard_normal((n_trees, n_states, n_pieces))
+            + 1j * rng.standard_normal((n_trees, n_states, n_pieces)))
+
+
+@pytest.mark.parametrize("alphas", [(), (0.4,), (-3.0, 3.0), (-3.0, 0.0, 3.0)])
+def test_one_values_call_gives_each_order_alone_bit_for_bit(alphas):
+    # One values call takes orders p and 2p from one row per cell on
+    # p + 2p nodes; each order's table has the bits of that order taken
+    # alone, at identity amplitudes and at random complex ones, on panels
+    # whose cells are new to the integrand, already known, or both, and
+    # repeated within one call.
+    gs = [_g(s, bigK, alphas, 0.1, l1, l2) for s, bigK, (l1, l2) in
+          [(0.0, 1.0, (0.5, 0.5)), (0.7, 1.3, (0.5, -0.5)), (1.0, 2.0, (0.0, -0.5)),
+           (-0.4, 0.5, (0.5, 0.0))]]
+    g = stacked_inputs(gs)
+    n = len(alphas) + 1
+    rng = np.random.default_rng(len(alphas))
+    eye = np.broadcast_to(np.eye(n), (len(gs), n, n))
+    for u, v in ((eye, eye), (_amplitudes(rng, len(gs), 2, n), _amplitudes(rng, len(gs), 3, n)),
+                 (eye, _amplitudes(rng, len(gs), 1, n))):
+        values = oracle._table_integrand(u, v, g).values
+        t, cells = _random_panels(gs, 60, seed=n)
+        t, cells = np.concatenate([t, t[:7]]), np.concatenate([cells, cells[:7]])
+        for part in (slice(0, 30), slice(20, None), slice(None)):
+            got = values(t[part], cells[part], oracle.PANEL_ORDER)
+            assert len(got) == 2
+            for order, table in zip((oracle.PANEL_ORDER, 2 * oracle.PANEL_ORDER), got):
+                want = table_values_one_order(u, v, g, t[part], cells[part], order)
+                assert table.tobytes() == want.tobytes()
+
+
+def test_moduli_equal_both_columns_on_every_panel_bit_for_bit(monkeypatch):
+    # moduli integrates int |F0 - F1| only on cells left of some kink and
+    # on trees with beta != 0, and copies int |F0 + F1| elsewhere: the full
+    # grid's final panels get the bits of taking both columns everywhere,
+    # and so do random panels at random complex amplitudes.
+    gs = _grid_inputs(default_verification_grid())
+    g, order = stacked_inputs(gs), 2 * oracle.PANEL_ORDER
+    finals = _final_cells_spy(monkeypatch, oracle._adaptive)
+    integral_table(g)
+    eye = np.broadcast_to(np.eye(4), (len(gs), 4, 4))
+    full_grid = (eye, eye, *finals[0])  # the 2D trees' final panels
+    rng = np.random.default_rng(5)
+    t, cells = _random_panels(gs, 80, seed=5)
+    random = (_amplitudes(rng, len(gs), 2, 4), _amplitudes(rng, len(gs), 3, 4),
+              np.concatenate([t, rng.integers(0, len(gs), 30)]),
+              np.concatenate([cells, cells[:30]]))  # some panels share a cell
+    for u, v, t, cells in (full_grid, random):
+        got = oracle._table_integrand(u, v, g).moduli(t, cells, order)
+        assert got.tobytes() == table_moduli_both_columns(u, v, g, t, cells, order).tobytes()
+
+
+def test_full_grid_integrates_the_minus_column_on_894_final_panels(monkeypatch):
+    # Of the 1,495 final 2D panels of the full grid, 366 lie right of
+    # every kink and 235 more belong to the 12 trees at s = 0 (beta = 0):
+    # int |F0 - F1| is integrated on the other 894 only.
+    import bumpscatter.oracle as oracle_mod
+
+    panels = Counter()
+    inner = oracle_mod._panel_moduli
+
+    def counted(grid, beta, gamma, lambda1, lambda2, minus):
+        panels["plus"] += len(beta)
+        panels["minus"] += minus
+        return inner(grid, beta, gamma, lambda1, lambda2, minus)
+
+    monkeypatch.setattr(oracle_mod, "_panel_moduli", counted)
+    verify_all(default_verification_grid())
+    assert panels == {"plus": 1495, "minus": 894}
 
 
 # ---------------------------------------------------------------------------
@@ -956,19 +1031,23 @@ def test_full_grid_makes_few_integrand_calls(monkeypatch):
     import bumpscatter.oracle as oracle_mod
 
     calls, batch = Counter(), []
-    for name in ("_eval_panel_2d", "_eval_panel_1d"):
-        def counted(f, trees, cells, p, _evaluate=getattr(oracle_mod, name), _name=name):
-            calls[_name] += 1
-            batch.append(len(cells))
-            return _evaluate(f, trees, cells, p)
+    adaptive = oracle_mod._adaptive
 
-        monkeypatch.setattr(oracle_mod, name, counted)
+    def spy(f, n_trees, edges_x, edges_y, labels):
+        def values(t, cells, order, inner=f.values, kind="2d" if edges_y is not None else "1d"):
+            calls[kind] += 1
+            batch.append(len(cells))
+            return inner(t, cells, order)
+
+        return adaptive(_Integrand(values, f.moduli), n_trees, edges_x, edges_y, labels)
+
+    monkeypatch.setattr(oracle_mod, "_adaptive", spy)
     verify_all(default_verification_grid())
-    # each evaluator call makes one integrand call per Gauss order, p and
-    # 2p; one evaluator call per panel made 6,172 integrand calls, and
-    # batches of at most 12 panels made 452
-    assert 2 * sum(calls.values()) <= 136
-    assert calls["_eval_panel_1d"] > 0
+    # one integrand call per evaluator call gives both Gauss orders, p and
+    # 2p; one evaluator call per panel made 6,172 integrand calls, batches
+    # of at most 12 panels 452, and one call per batch and order 136
+    assert sum(calls.values()) <= 68
+    assert calls["1d"] > 0
     assert max(batch) == PANEL_BATCH
 
 
