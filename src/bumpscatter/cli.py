@@ -435,13 +435,7 @@ def _cmd_verify(args) -> int:
         _write_out(args.out, report.to_text() + "\n" + extra + "\n")
         print(f"report written to {args.out}")
     if args.json:
-        import json  # here, so that verify runs without --json do not load it
-
-        # the report's JSON object with one more key, written before its
-        # closing brace: to parse and write the 4,800 records again would
-        # cost more than writing them once
-        text = report.to_json().rstrip()
-        _write_out(args.json, f'{text[:-1]}, "symmetry": {json.dumps(symmetry)}}}\n')
+        _write_out(args.json, report.to_json(symmetry=symmetry))
         print(f"JSON report written to {args.json}")
     print("\n".join(report.summary_lines()))
     print(extra)

@@ -232,9 +232,13 @@ def I0_closed(g: GeoCoefficientInputs):
     """Plane-wave x plane-wave coefficient.
 
     I0 = (pi eta / 2) e^{-beta^2} [ K^2 (4 l1 s^2 - 1) + l2 (beta^4 + 2) ].
+
+    A value past the float range raises OverflowError (the overflow rule
+    of _f1_points).
     """
-    p2 = _p2(_powers(g.s, g.bigK), g.lambda1, g.lambda2)
-    return unbox(_plane_coefficient(g.beta, g.eta, p2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite I0 raises below
+        i0 = _plane_coefficient(g.beta, g.eta, _p2(_powers(g.s, g.bigK), g.lambda1, g.lambda2))
+    return unbox(_require_finite(i0, "I0", g.eta, g.lambda1, g.lambda2))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +510,35 @@ def _bracket_terms(state: _ScanState, eta: float, lambda1, lambda2) -> np.ndarra
     return out
 
 
+def _require_finite(x, what, eta, lambda1, lambda2):
+    """x, if all its values are finite; else the overflow rule
+    (_f1_points) raises OverflowError naming what and the settings."""
+    if not np.isfinite(x).all():
+        raise OverflowError(f"{what} overflows at eta={eta!r}, lambda1={lambda1!r}, "
+                            f"lambda2={lambda2!r}")
+    return x
+
+
+def _bracket_sums(state, eta, lambda1, lambda2, what) -> np.ndarray:
+    """_bracket_terms(state, eta, lambda1, lambda2) summed over the terms,
+    one math.fsum per point and part: a (part, ..., point) float array.
+    The sum-and-check step of the overflow rule (_f1_points): math.fsum's
+    OverflowError (a sum past the range) and ValueError (terms of both
+    infinities), and a sum that is not finite (a NaN or one infinity among
+    the terms), raise OverflowError naming what and the settings; no numpy
+    warning is given."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
+        terms = _bracket_terms(state, eta, lambda1, lambda2)
+    try:
+        # one part at a time: only its (point, term) rows are alive as lists
+        sums = np.array([list(map(math.fsum, t.swapaxes(-2, -1).reshape(-1, t.shape[-2]).tolist()))
+                         for t in terms])
+    except (OverflowError, ValueError):  # a sum past the range, or -inf + inf
+        sums = np.array(math.inf)
+    return _require_finite(sums, what, eta, lambda1, lambda2).reshape(
+        terms.shape[:-2] + terms.shape[-1:])
+
+
 def coefficient_table(g: GeoCoefficientInputs) -> list:
     """The (N+1) x (N+1) table of g's pieces, 0 the plane wave and n + 1 the
     kink at alpha_n, every phase position at 0: T[0][0] is I0, T[n+1][0]
@@ -514,12 +547,11 @@ def coefficient_table(g: GeoCoefficientInputs) -> list:
     point when g holds a scan.  Entry (a, b) is the math.fsum of
     _bracket_terms at the unit amplitudes of pieces a and b, on a state
     built for this call: the region integrals and prefix algebra that
-    every scan contracts.  At beta = 0 every entry is I0 exactly."""
+    every scan contracts.  At beta = 0 every entry is I0 exactly.  An entry
+    past the float range raises OverflowError (_bracket_sums)."""
     eye = np.eye(len(g.alphas) + 1, dtype=complex)[..., None]
     state = _state(g.s, g.bigK, g.alphas, _kink_phases(g.beta, g.alphas), eye[:, None], eye)
-    terms = np.moveaxis(_bracket_terms(state, g.eta, g.lambda1, g.lambda2), -2, -1)
-    re, im = np.array(list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
-                      ).reshape(terms.shape[:-1])
+    re, im = _bracket_sums(state, g.eta, g.lambda1, g.lambda2, "the coefficient table")
     table = re.astype(complex)
     table.imag = im
     return table[..., 0].tolist() if np.ndim(g.beta) == 0 else [list(row) for row in table]
@@ -625,8 +657,10 @@ def _f1_points(
     bracket or f1 then raises OverflowError, and no NaN or inf is
     returned.  math.fsum raises OverflowError on a sum past the range and
     ValueError on terms of both infinities, and both become this
-    OverflowError; a NaN or one infinity among the terms makes the bracket
-    and f1 non-finite, and f1 is checked.
+    OverflowError, as does a bracket that is not finite (a NaN or one
+    infinity among the terms): _bracket_sums, the step coefficient_table
+    shares.  The product with the prefactor and the averaging can still
+    overflow, so f1 is checked too.
     """
     global _last_scan
     # a bad setting raises before any work on the points, kept or not
@@ -639,15 +673,10 @@ def _f1_points(
         _last_scan = None, None  # not kept alive while the new state is built
         state = _scan_state(kin, defects)
         _last_scan = key, state
+    bracket = _bracket_sums(state, eta, lambda1, lambda2, "f1")
     # finite settings overflow only by their size: a non-finite value is
     # caught below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            bracket = np.array([list(map(math.fsum, t.T.tolist()))
-                                for t in _bracket_terms(state, eta, lambda1, lambda2)])
-        except (OverflowError, ValueError) as exc:  # a sum past the range, or -inf + inf
-            raise OverflowError(f"f1 overflows at eta={eta!r}, lambda1={lambda1!r}, "
-                                f"lambda2={lambda2!r}: {exc}") from None
         # pref(K) = -(1/2) e^{i pi/4} / sqrt(2 pi K)
         f = _cmul(np.array([[_PREF.real], [_PREF.imag]]) / np.sqrt(2.0 * math.pi * state.bigK),
                   bracket)
@@ -658,9 +687,7 @@ def _f1_points(
             up = first[averaged]
             f, flanks = f[:, first], f[:, up] + f[:, up + 1]
             f[:, averaged] = _cmul(np.array([0.5, 0.0]), flanks)
-    if not np.isfinite(f).all():  # a non-finite term or bracket makes f so
-        raise OverflowError(f"f1 overflows at eta={eta!r}, lambda1={lambda1!r}, "
-                            f"lambda2={lambda2!r}: f1 is not finite")
+    _require_finite(f, "f1", eta, lambda1, lambda2)
     return f[0], f[1]
 
 
@@ -735,8 +762,14 @@ def f1_geometric(
 def modulus_squared(re, im) -> list:
     """|f|^2 of f = re + i im at every point, as Python's abs(f) ** 2 takes
     it: libm's hypot (numpy's hypot; numpy's square x * x may differ from
-    pow in the last bit) and libm's pow (math.pow).  A list of floats."""
-    return list(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
+    pow in the last bit) and libm's pow (math.pow).  A list of floats.
+    An |f|^2 past the float range raises OverflowError naming |f1|^2 and
+    the largest |f1|, where pow's says only "math range error"."""
+    try:
+        return list(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
+    except OverflowError:
+        raise OverflowError(f"|f1|^2 is past the float range: the largest |f1| is "
+                            f"{np.hypot(re, im).max().item()!r}") from None
 
 
 def delta_ray_offset(theta0: float, theta):

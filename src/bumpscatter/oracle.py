@@ -77,7 +77,8 @@ F1 = 0 and it is the sg = +1 value).  The line integral
 int psi_a(a, y) dy of a ket kink depends on neither the bra nor beta, K
 and the curvature weights, so one 1D tree integrates the N of them for
 every point of a call; ket state j weighs kink n's by
-V[j, n+1] 2 i beta a_n^2 (U B)_i(a_n).
+V[j, n+1] 2 i beta a_n^2 (U B)_i(a_n), added to every entry in one array
+step per kink, in Python's complex arithmetic (geoamp._cmul, np.hypot).
 
 The integrator is global-adaptive tensor-product Gauss-Legendre quadrature
 of a vector of integrals on one shared subdivision (DCUHRE: Berntsen,
@@ -97,7 +98,10 @@ round's stop test and split are array operations over all of them.  A tree
 reads only its own panels, so it is the tree it would be alone.  Panel
 contributions are summed with math.fsum (real and imaginary parts
 separately), which is exactly rounded and so independent of the order the
-panels end up in.
+panels end up in.  The results stay arrays, one OracleValue of them per
+call of the integrator and of the state integral, and verify_all reads
+them as such; only the public functions unpack them into OracleValues of
+Python numbers (_python_entries).
 
 This module is intentionally independent of the closed forms: it never
 calls them or their kernels, only mirrors the defining integrals (from
@@ -160,8 +164,7 @@ PANEL_BATCH = 48
 GRID_BATCH = 12
 
 
-@dataclass(frozen=True)
-class OracleValue:
+class OracleValue(NamedTuple):
     """A quadrature result with its two-level error estimate.
 
     abs_integral is the integral of |integrand| over the same panels, at
@@ -172,6 +175,11 @@ class OracleValue:
     Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  A
     value no larger than that floor cannot be told apart from zero;
     verify_all judges such values against the floor instead of relatively.
+
+    The public functions return Python numbers in the fields; inside the
+    oracle each field is an array of one shape, one entry per tree and
+    integral (_adaptive) or per tree, bra and ket state (_integrate_states),
+    until _python_entries unpacks them.
     """
 
     value: complex
@@ -263,7 +271,7 @@ def _slot_sums(rows):
     return np.ascontiguousarray(rows.transpose(2, 0, 3, 1)).sum(axis=-1)
 
 
-def _adaptive(f, n_trees, edges_x, edges_y, labels) -> list:
+def _adaptive(f, n_trees, edges_x, edges_y, labels) -> OracleValue:
     """n_trees vectors of integrals f (an _Integrand), one entry per label,
     each on its own global-adaptive panel tree as in the module docstring
     (x is bisected on a tie); every tree starts from the same edges, and
@@ -286,8 +294,9 @@ def _adaptive(f, n_trees, edges_x, edges_y, labels) -> list:
     panel on a tie) and the split run on all live trees at once.  A tree
     that converges leaves the state with its math.fsum sums and its final
     cells.  Once every tree has converged, one f.moduli call at order 2p
-    integrates |f| over the final panels of all trees.  Returns, per tree,
-    one OracleValue per label, each with that tree's panel count.
+    integrates |f| over the final panels of all trees, and math.fsum sums
+    them per tree.  Returns one OracleValue of (tree, label) arrays, each
+    entry with its tree's panel count.
 
     A tree that reaches MAX_PANELS unconverged raises
     QuadratureConvergenceError with its worst entry.  The live trees all
@@ -303,7 +312,8 @@ def _adaptive(f, n_trees, edges_x, edges_y, labels) -> list:
     cells = np.repeat(base[None], n_trees, axis=0)
     rows = np.empty((n_trees, 0, 3, len(labels)))
     fresh = cells  # the live trees' cells still to evaluate
-    done = [None] * n_trees  # per converged tree: its final cells and fsum sums
+    final = [None] * n_trees  # the final cells of each converged tree
+    sums = np.empty((3, n_trees, len(labels)))  # its fsum sums of the rows
     while True:
         trees = np.repeat(live, fresh.shape[1])
         batch = fresh.reshape(-1, *base.shape[1:])
@@ -318,8 +328,9 @@ def _adaptive(f, n_trees, edges_x, edges_y, labels) -> list:
         going = unconverged.any(axis=1)
         if not going.all():
             for i in np.flatnonzero(~going):
-                done[live[i]] = cells[i].copy(), [
-                    list(map(math.fsum, part)) for part in rows[i].transpose(2, 1, 0).tolist()]
+                final[live[i]] = cells[i].copy()
+                sums[:, live[i]] = [list(map(math.fsum, part))
+                                    for part in rows[i].transpose(1, 2, 0).tolist()]
             live, cells, rows = live[going], cells[going], rows[going]
             err, target, unconverged = err[going], target[going], unconverged[going]
             if not len(live):
@@ -347,16 +358,12 @@ def _adaptive(f, n_trees, edges_x, edges_y, labels) -> list:
         cells[i, j], rows[i, j] = cells[i, j + 1], rows[i, j + 1]
         cells = np.concatenate([cells[:, :-1], fresh], axis=1)
         rows = rows[:, :-1]
-    final = [c for c, _ in done]
-    mags = f.moduli(np.repeat(np.arange(n_trees), [len(c) for c in final]),
-                    np.concatenate(final), 2 * PANEL_ORDER)
-    out, lo = [], 0
-    for c, sums in done:
-        mag = mags[lo:lo + len(c)].T.tolist()
-        lo += len(c)
-        out.append([OracleValue(complex(a, b), e, len(c), math.fsum(m))
-                    for (a, b, e), m in zip(sums, mag)])
-    return out
+    sizes = np.array([len(c) for c in final])
+    mags = f.moduli(np.repeat(np.arange(n_trees), sizes), np.concatenate(final), 2 * PANEL_ORDER)
+    value = np.empty(sums.shape[1:], complex)
+    value.real, value.imag = sums[:2]
+    return OracleValue(value, sums[2], np.repeat(sizes[:, None], len(labels), axis=1), np.array(
+        [list(map(math.fsum, m.T.tolist())) for m in np.split(mags, np.cumsum(sizes)[:-1])]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +477,8 @@ def _table_integrand(u, v, g):
     A panel's values split into its cell's _cell_basis, which no tree
     changes, and its tree's _combine of it: O(p (N + 1)) per panel.  A
     cell's bases at orders p and 2p are kept side by side in one row, on
-    p + 2p nodes, for the life of the integrand, so one values call takes
+    p + 2p nodes, for the life of the integrand (keyed by the cell alone:
+    the oracle takes every panel at p = PANEL_ORDER), so one values call takes
     both orders with one gather of the rows, one _combine and one
     _piece_factors; only the contraction over the nodes is taken per
     order.  Every operation before it is elementwise over the nodes, so
@@ -487,10 +495,9 @@ def _table_integrand(u, v, g):
     pieces = (None, *g.alphas)
     # at U = V = 1, the piece table, the products would change no bit
     identity = all(w.shape[1] == len(pieces) and (w == np.eye(len(pieces))).all() for w in (u, v))
-    bases = {}  # order -> {cell bounds: its _cell_basis rows at order and 2 order}
+    basis = {}  # cell bounds -> its _cell_basis rows at order and 2 order
 
     def values(t, cells, order):
-        basis = bases.setdefault(order, {})
         flat = np.ascontiguousarray(cells, dtype=float).tobytes()
         keys = [flat[i:i + 32] for i in range(0, len(flat), 32)]  # one (2, 2) cell each
         new = {k: c for k, c in zip(keys, cells) if k not in basis}
@@ -571,45 +578,54 @@ def _panel_edges(g: GeoCoefficientInputs):
     return edges_x, [-rmax, 0.0, rmax]
 
 
-def _integrate_states(u, v, g, labels) -> list:
+def _integrate_states(u, v, g, labels) -> OracleValue:
     """<U| L |V> for the amplitude matrices u and v, (tree, state, piece)
     arrays over the pieces (None, *g.alphas), one tree per point of g (one
     for a float g): per point the table of every bra state i against
-    every ket state j, labeled labels[i][j].  The smooth parts are on one
-    2D tree per point, refined in lockstep; the line terms of the kinks
-    on one 1D tree that every point shares, taken only if some ket state
-    holds a kink.  Ket state j adds, for every kink n it holds,
-    V[j, n+1] 2 i beta a_n^2 (U bra)_i(a_n) times line n; its entries
-    then count both trees' panels."""
+    every ket state j, labeled labels[i][j], as one OracleValue of
+    (tree, bra, ket) arrays.  The smooth parts are on one 2D tree per
+    point, refined in lockstep; the line terms of the kinks on one 1D tree
+    that every point shares, taken only if some ket state holds a kink.
+    Ket state j adds, for every kink n it holds (V[j, n+1] != 0), in kink
+    order, c = V[j, n+1] 2 i beta a_n^2 (U bra)_i(a_n) times line n to
+    the value and |c| times line n's err_est and abs_integral to those of
+    its entries, which then count both trees' panels.  One array step per
+    kink over all trees and states: the complex products are geoamp._cmul
+    and |c| is np.hypot, Python's complex arithmetic bit for bit."""
     edges_x, edges_y = _panel_edges(g)
-    smooth = _adaptive(_table_integrand(u, v, g), len(u), edges_x, edges_y,
-                       [what for row in labels for what in row])
-    tables = [[entries[i:i + v.shape[1]] for i in range(0, len(entries), v.shape[1])]
-              for entries in smooth]
+    table = OracleValue(*(x.reshape(len(u), u.shape[1], v.shape[1]) for x in _adaptive(
+        _table_integrand(u, v, g), len(u), edges_x, edges_y, [w for row in labels for w in row])))
     if not v[:, :, 1:].any():
-        return tables
+        return table
     at = np.array(g.alphas)
-    [lines] = _adaptive(_line_integrand(at, g.eta), 1, edges_y, None,
-                        [_label(g, None, a) + " (line term)" for a in g.alphas])
-    betas = np.array(g.beta, dtype=float, ndmin=1)
-    bra_at = u @ _piece_factors(g.alphas, at, betas[:, None, None])[0]
-    for beta, table, bra, amps in zip(betas.tolist(), tables, bra_at, v[:, :, 1:].tolist()):
-        # Python complex weights, so the merged entries hold Python numbers
-        weights = (2j * beta * at**2 * bra).tolist()
-        for j, amp in enumerate(amps):
-            held = [(n, a) for n, a in enumerate(amp) if a]  # the kinks ket state j holds
-            if not held:
-                continue
-            for row, row_weights in zip(table, weights):
-                ov = row[j]
-                value, err, mod = ov.value, ov.err_est, ov.abs_integral
-                for n, a in held:
-                    c = a * row_weights[n]
-                    value += c * lines[n].value
-                    err += abs(c) * lines[n].err_est
-                    mod += abs(c) * lines[n].abs_integral
-                row[j] = OracleValue(value, err, ov.panels + lines[0].panels, mod)
-    return tables
+    lines = _adaptive(_line_integrand(at, g.eta), 1, edges_y, None,
+                      [_label(g, None, a) + " (line term)" for a in g.alphas])
+    betas = np.array(g.beta, dtype=float, ndmin=1)[:, None, None]
+    weights = 2j * betas * at**2 * (u @ _piece_factors(g.alphas, at, betas)[0])
+    # c of every (tree, bra, ket, kink), and the kinks each ket state holds
+    c = _cmul(np.stack([v.real, v.imag])[:, :, None, :, 1:],
+              np.stack([weights.real, weights.imag])[:, :, :, None])
+    size, held = np.hypot(*c), (v[:, None, :, 1:] != 0)
+    terms = _cmul(c, np.stack([lines.value.real, lines.value.imag]))
+    z = np.stack([table.value.real, table.value.imag])
+    err, mod = table.err_est, table.abs_integral
+    for n in range(len(at)):
+        z = np.where(held[..., n], z + terms[..., n], z)
+        err = np.where(held[..., n], err + size[..., n] * lines.err_est[0, n], err)
+        mod = np.where(held[..., n], mod + size[..., n] * lines.abs_integral[0, n], mod)
+    value = np.empty(z.shape[1:], complex)
+    value.real, value.imag = z
+    return OracleValue(value, err, table.panels + held.any(axis=-1) * lines.panels[0, 0], mod)
+
+
+def _python_entries(ov: OracleValue) -> list:
+    """An OracleValue of arrays of one shape as OracleValues of Python
+    numbers, nested in lists as the arrays are: the form the public
+    functions return."""
+    entries = list(map(OracleValue._make, zip(*(x.ravel().tolist() for x in ov))))
+    for n in reversed(ov.value.shape[1:]):
+        entries = [entries[i:i + n] for i in range(0, len(entries), n)]
+    return entries
 
 
 def _integrate_pair(bra, ket, g: GeoCoefficientInputs, what: str) -> OracleValue:
@@ -617,7 +633,7 @@ def _integrate_pair(bra, ket, g: GeoCoefficientInputs, what: str) -> OracleValue
     or None for the plane wave) at the float g, labeled `what`: the
     one-hot case of <U| L |V>."""
     one_hot = np.eye(len(g.alphas) + 1)[None, [(None, *g.alphas).index(p) for p in (bra, ket)]]
-    return _integrate_states(one_hot[:, :1], one_hot[:, 1:], g, [[what]])[0][0][0]
+    return _python_entries(_integrate_states(one_hot[:, :1], one_hot[:, 1:], g, [[what]]))[0][0][0]
 
 
 def _label(g: GeoCoefficientInputs, bra, ket) -> str:
@@ -638,11 +654,17 @@ def integral_table(g: GeoCoefficientInputs) -> list:
     of a point on one shared panel tree: <U| L |V> at U = V = 1.  A float
     g gives its table; an array g one table per point, all trees refined
     in one lockstep loop, each the table of that point alone."""
+    tables = _python_entries(_piece_tables(g))
+    return tables[0] if np.ndim(g.beta) == 0 else tables
+
+
+def _piece_tables(g: GeoCoefficientInputs) -> OracleValue:
+    """integral_table's tables as one OracleValue of (point, bra piece,
+    ket piece) arrays, one point for a float g."""
     pieces = (None, *g.alphas)
     labels = [[_label(g, bra, ket) for ket in pieces] for bra in pieces]
     eye = np.broadcast_to(np.eye(len(pieces)), (np.size(g.beta), len(pieces), len(pieces)))
-    tables = _integrate_states(eye, eye, g, labels)
-    return tables[0] if np.ndim(g.beta) == 0 else tables
+    return _integrate_states(eye, eye, g, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +705,7 @@ def assemble_f1_oracle(
     e = np.exp(1j * g.beta * np.array(g.alphas))
     u, v = (np.concatenate([[1.0], -1j * build_defect_matrix(kx, defects).weights(e)])[None, None]
             for kx in (kin.kx_out, kin.kx))
-    [[[ov]]] = _integrate_states(u, v, g, [["f1 bracket"]])
+    [[[ov]]] = _python_entries(_integrate_states(u, v, g, [["f1 bracket"]]))
     pref = -0.5 * complex(np.exp(1j * math.pi / 4.0)) / math.sqrt(2.0 * math.pi * kin.bigK)
     return OracleValue(value=pref * ov.value, err_est=abs(pref) * ov.err_est, panels=ov.panels,
                        abs_integral=abs(pref) * ov.abs_integral)
@@ -789,10 +811,11 @@ class VerificationReport:
         """One line per record, then the summary lines."""
         return "\n".join([*(r.line() for r in self.records), *self.summary_lines()])
 
-    def to_json(self) -> str:
+    def to_json(self, **sections) -> str:
         """Every field of every record (a complex value as [re, im], a tuple
-        as a list) and the summary, as JSON.  Floats are written by repr, so
-        they read back bit for bit."""
+        as a list) and the summary, as JSON, then sections, each a
+        JSON-ready value under its own top-level key.  Floats are written by
+        repr, so they read back bit for bit."""
         import json  # here, so that reports never written as JSON do not load it
 
         def value(x):
@@ -801,7 +824,7 @@ class VerificationReport:
             return list(x) if isinstance(x, tuple) else x
 
         records = [{name: value(x) for name, x in zip(r._fields, r)} for r in self.records]
-        return json.dumps({"summary": self.summary(), "records": records}) + "\n"
+        return json.dumps({"summary": self.summary(), "records": records, **sections}) + "\n"
 
 
 def default_verification_grid():
@@ -843,11 +866,13 @@ def verify_all(grid: dict | None = None) -> VerificationReport:
     One array GeoCoefficientInputs holds every grid point's s, K and
     curvature weights.  The closed (N+1) x (N+1) tables of all grid points
     come from one geoamp.coefficient_table call on it, and the quadrature
-    tables from one integral_table call (one lockstep loop, see the module
-    docstring).  An invalid grid point raises before any quadrature, and a
-    QuadratureConvergenceError names the first grid point, in grid order,
-    whose tree overruns.  The records
-    keep the four coefficient families of the index-tuple expansion of f1:
+    tables from one _integrate_states call (one lockstep loop, see the
+    module docstring), read as its arrays: integral_table's numbers with no
+    OracleValue built per entry.  An invalid grid point, or one whose closed
+    table leaves the float range (OverflowError), raises before any
+    quadrature, and a QuadratureConvergenceError names the first grid
+    point, in grid order, whose tree overruns.  The records keep the four
+    coefficient families of the index-tuple expansion of f1:
     I0 = T[0][0] and, with e_n = e^{i beta a_n},
 
         Imn[m, n] = e_m T[n+1][0],   Jmn[m, n] = e_m T[0][n+1],
@@ -915,10 +940,7 @@ def verify_all(grid: dict | None = None) -> VerificationReport:
         indices.append((m, mp, n, np_))
         entry.append((m + 1) * (npos + 1) + n + 1)
         phase.append(1 + npos + mp * npos + np_)
-    ovs = [ov for table in integral_table(g) for row in table for ov in row]
-    oracle, err_est, abs_integral, panels = (
-        np.array([getattr(ov, name) for ov in ovs]).reshape(len(points), -1)
-        for name in ("value", "err_est", "abs_integral", "panels"))
+    oracle, err_est, panels, abs_integral = (x.reshape(len(points), -1) for x in _piece_tables(g))
     phase = np.array(phase)
     phases = np.exp(1j * g.beta[:, None] * positions)[:, phase]
     resolution = _resolution(abs_integral[:, entry])

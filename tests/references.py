@@ -25,6 +25,11 @@ smeared into a narrow Gaussian, a check that the sharp line term is right.
 Python loop over the trees, each tree's rows and cells in arrays of their
 own: the form the array-state integrator is checked against.
 
+``integrate_states_py`` is the oracle's state integral with its line
+terms merged in Python numbers, entry by entry and kink by kink, into
+per-tree lists of OracleValues: the form the array merge is checked
+against bit for bit.
+
 ``kink_coefficient_py`` is one entry of the coefficient table by its own
 walk over the x intervals cut at its kinks, the engine's per-entry kernel
 before the region sum, and ``coefficient_table_py`` the table of them: the
@@ -323,9 +328,9 @@ def jmn_mollified(g, n, width):
     # the mollifier support needs panel edges at a +- a few widths
     edges_x, edges_y = _panel_edges(g)
     edges_x = sorted({*edges_x, a - 6.0 * width, a + 6.0 * width})
-    [[smooth, line]] = _adaptive(tensor_integrand(F), 1, edges_x, edges_y,
-                                 [f"Jmn[{n}] smooth", "mollified line"])
-    return smooth.value + line.value
+    smooth, line = _adaptive(tensor_integrand(F), 1, edges_x, edges_y,
+                             [f"Jmn[{n}] smooth", "mollified line"]).value[0].tolist()
+    return smooth + line
 
 
 def adaptive_per_tree(f, n_trees, edges_x, edges_y, labels):
@@ -378,9 +383,48 @@ def adaptive_per_tree(f, n_trees, edges_x, edges_y, labels):
             todo[t] = kids
     sizes = [len(c) for c in cells]
     mags = f.moduli(np.repeat(np.arange(n_trees), sizes), np.concatenate(cells), 2 * PANEL_ORDER)
-    return [[OracleValue(complex(math.fsum(a), math.fsum(b)), math.fsum(e), len(c), math.fsum(m))
-             for a, b, e, m in zip(*r.transpose(1, 2, 0), mag.T)]
-            for r, c, mag in zip(rows, cells, np.split(mags, np.cumsum(sizes)[:-1]))]
+    fields = []  # per tree, (value, err_est, panels, abs_integral) per label
+    for r, c, mag in zip(rows, cells, np.split(mags, np.cumsum(sizes)[:-1])):
+        fields.append(zip(*((complex(math.fsum(a), math.fsum(b)), math.fsum(e), len(c),
+                             math.fsum(m)) for a, b, e, m in zip(*r.transpose(1, 2, 0), mag.T))))
+    return OracleValue(*map(np.array, zip(*fields)))
+
+
+def integrate_states_py(u, v, g, labels):
+    """oracle._integrate_states with its line terms merged in Python
+    numbers: per tree a list of rows of OracleValues of Python numbers,
+    the 2D trees' entries, to which ket state j adds, for every kink n it
+    holds, c = V[j, n+1] w_in times line n in Python complex arithmetic,
+    w_in = 2 i beta a_n^2 (U bra)_i(a_n) taken by numpy per tree."""
+    edges_x, edges_y = _panel_edges(g)
+    smooth = oracle._python_entries(_adaptive(oracle._table_integrand(u, v, g), len(u), edges_x,
+                                              edges_y, [w for row in labels for w in row]))
+    tables = [[entries[i:i + v.shape[1]] for i in range(0, len(entries), v.shape[1])]
+              for entries in smooth]
+    if not v[:, :, 1:].any():
+        return tables
+    at = np.array(g.alphas)
+    [lines] = oracle._python_entries(_adaptive(
+        oracle._line_integrand(at, g.eta), 1, edges_y, None,
+        [oracle._label(g, None, a) + " (line term)" for a in g.alphas]))
+    betas = np.array(g.beta, dtype=float, ndmin=1)
+    bra_at = u @ _piece_factors(g.alphas, at, betas[:, None, None])[0]
+    for beta, table, bra, amps in zip(betas.tolist(), tables, bra_at, v[:, :, 1:].tolist()):
+        weights = (2j * beta * at**2 * bra).tolist()
+        for j, amp in enumerate(amps):
+            held = [(n, a) for n, a in enumerate(amp) if a]  # the kinks ket state j holds
+            if not held:
+                continue
+            for row, row_weights in zip(table, weights):
+                ov = row[j]
+                value, err, mod = ov.value, ov.err_est, ov.abs_integral
+                for n, a in held:
+                    c = a * row_weights[n]
+                    value += c * lines[n].value
+                    err += abs(c) * lines[n].err_est
+                    mod += abs(c) * lines[n].abs_integral
+                row[j] = OracleValue(value, err, ov.panels + lines[0].panels, mod)
+    return tables
 
 
 def kink_coefficient_py(g, bra=None, ket=None):

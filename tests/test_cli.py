@@ -284,6 +284,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--eta=1e290"], ["--lambda1=1e300"]])
+def test_cross_section_overflow_is_a_named_numerical_failure(tmp_path, capsys, args):
+    # f1 is finite and |f1|^2 is past the float range: the numerical-failure
+    # exit names |f1|^2 and the largest |f1|, and no file is written.
+    out = tmp_path / "a.csv"
+    code = main(["angular", *args, "--ksigma=1", "--thetagrid=10:170:5", f"--out={out}"])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "|f1|^2" in err and "largest |f1| is" in err
+    assert not out.exists()
+
+
 def test_far_defect_is_a_numerical_failure(tmp_path, capsys):
     # A defect far past the window (1e200, whose square overflows) is
     # refused by the window check before any point is evaluated.

@@ -713,6 +713,48 @@ def test_f1_past_the_float_range_raises_overflow_error(bigK, alphas, eta, lambda
         f1_geometric(kin, ds, eta, lambda1, lambda2)
 
 
+@pytest.mark.parametrize("eta, lambda1", [(1e290, 0.5), (0.1, 1e300)])
+def test_cross_section_past_the_float_range_names_f1_squared(eta, lambda1):
+    # f1 is finite and its square is not: the cross section raises an
+    # OverflowError that names |f1|^2 and the largest |f1|, for a scan and
+    # for one point, not math.pow's bare "math range error".
+    ds = DefectSet([], [])
+    theta = np.radians([10.0, 90.0, 170.0])
+    largest = max(np.hypot(*geoamp.f1_arrays(1.0, 0.0, theta, ds, eta, lambda1, -0.5)))
+    assert math.isfinite(largest)
+    for kin in (Kinematics(np.ones(3), 0.0, theta), Kinematics(1.0, 0.0, theta[1])):
+        with pytest.raises(OverflowError, match=r"\|f1\|\^2 .* largest \|f1\| is ") as info:
+            cross_section(kin, ds, eta, lambda1, -0.5)
+    assert float(str(info.value).rsplit(" ", 1)[1]) <= largest
+
+
+def test_modulus_squared_past_the_float_range_names_f1_squared():
+    # Where Python's abs(f) ** 2 overflows in pow (|f| > 1.4e154), the
+    # OverflowError names |f1|^2 and the largest |f1|.
+    re, im = np.array([1.0, 3e200, -2e200]), np.array([0.0, 4e200, 0.0])
+    with pytest.raises(OverflowError):
+        abs(complex(3e200, 4e200)) ** 2
+    with pytest.raises(OverflowError, match=r"\|f1\|\^2 .* largest \|f1\| is 4.9999999999999995e\+200$"):
+        modulus_squared(re, im)
+
+
+@pytest.mark.parametrize("alphas", [(), (-3.0, 3.0)], ids=["N0", "N2"])
+def test_closed_table_past_the_float_range_raises_overflow_error(alphas):
+    # The closed table and I0 keep f1's overflow rule: a sum or a value
+    # that is not finite raises OverflowError, for a float g and for an
+    # array g with one such point, and no numpy warning is given.  Without
+    # the rule the table held inf + nan j at N = 0 and NaN at N = 2.
+    g = _g(0.3, 1.0, alphas, lambda1=1e308)
+    both = GeoCoefficientInputs(s=np.array([0.3, 0.3]), bigK=np.ones(2), alphas=alphas,
+                                eta=0.1, lambda1=np.array([0.5, 1e308]), lambda2=-0.5)
+    for inputs in (g, both):
+        with pytest.raises(OverflowError, match="coefficient table overflows"):
+            coefficient_table(inputs)
+        with pytest.raises(OverflowError, match="I0 overflows"):
+            I0_closed(inputs)
+    assert np.isfinite(coefficient_table(_g(0.3, 1.0, alphas, lambda1=1e300))).all()
+
+
 def test_delta_ray_offset_refuses_non_finite_angles():
     for theta0, theta in ((math.inf, 0.5), (0.0, -math.inf), (math.nan, 0.5)):
         with pytest.raises(InputError):

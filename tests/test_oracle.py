@@ -9,8 +9,8 @@ comparison carries the "oracle" marker for selection and runs by default.
 """
 
 import cmath
-import dataclasses
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -21,6 +21,7 @@ from conftest import full_grid_report
 from references import (
     adaptive_per_tree,
     immnn_x2,
+    integrate_states_py,
     jmn_mollified,
     matches_oracle,
     operator_parts,
@@ -49,6 +50,7 @@ from bumpscatter.oracle import (
     _label,
     _nodes,
     _panel_edges,
+    _python_entries,
     _slot_sums,
     assemble_f1_oracle,
     default_verification_grid,
@@ -534,6 +536,32 @@ def test_verify_all_refuses_an_array_eta(monkeypatch, eta):
     assert calls == []
 
 
+@pytest.mark.parametrize("alphas", [(), (-3.0, 3.0)], ids=["N0", "N2"])
+def test_verify_all_raises_on_an_overflowing_closed_table_before_quadrature(monkeypatch,
+                                                                            alphas):
+    # A curvature weight whose size takes the closed table past the float
+    # range raises OverflowError from coefficient_table before any tree is
+    # refined; without the rule every tree ran to MAX_PANELS first.
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(oracle, "_adaptive", no_quadrature)
+    grid = dict(_SMALL_GRID, alphas=alphas, lambdas=((0.5, -0.5), (1e308, -0.5)))
+    with pytest.raises(OverflowError, match="coefficient table overflows"):
+        verify_all(grid=grid)
+
+
+def test_json_sections_follow_the_records():
+    # to_json(**sections) writes each section under its own top-level key
+    # after the summary and the records: the bytes of splicing it before
+    # the closing brace of the report's own JSON.
+    report = verify_all(grid=_ZERO_POINT_GRID)
+    sections = {"symmetry": {"pairs": [1.5, -0.0, 1e-300]}, "more": [[0.1, 2], "x"]}
+    spliced = report.to_json().rstrip()[:-1] + "".join(
+        f", {json.dumps(key)}: {json.dumps(value)}" for key, value in sections.items())
+    assert report.to_json(**sections) == spliced + "}\n"
+
+
 def test_verify_all_reports_failures_under_absurd_tolerance(monkeypatch):
     grid = {
         "s": (0.7,),
@@ -586,8 +614,8 @@ def test_adaptive_accumulates_integral_of_modulus():
         F = x[:, :, None] * np.exp(-x[:, :, None] ** 2 - y[:, None, :] ** 2)
         return F[:, None]
 
-    [[ov]] = _adaptive(tensor_integrand(odd_gaussian), 1, [-8.0, 0.0, 8.0], [-8.0, 0.0, 8.0],
-                       ["odd gaussian"])
+    [[ov]] = _python_entries(_adaptive(tensor_integrand(odd_gaussian), 1, [-8.0, 0.0, 8.0],
+                                       [-8.0, 0.0, 8.0], ["odd gaussian"]))
     assert abs(ov.value) <= 1e-15
     assert ov.abs_integral == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert ov.resolution() == pytest.approx(
@@ -684,7 +712,7 @@ def test_records_hold_python_scalars():
     # and so do the table entries, the ket kinks' with their line terms
     for row in integral_table(_g()):
         for ov in row:
-            assert [type(v) for v in dataclasses.astuple(ov)] == [complex, float, int, float]
+            assert [type(v) for v in ov] == [complex, float, int, float]
 
 
 @pytest.mark.parametrize("grid, rtol, judged, negated", [
@@ -809,9 +837,11 @@ def test_verify_all_keeps_relative_failures_away_from_zero_point(monkeypatch):
 
 def _fake_table(entry):
     """Stand-in for the state integrator: entry(label) for every label of
-    every point of g."""
+    every point of g, as one OracleValue of (point, bra, ket) arrays."""
     def fake(u, v, g, labels):
-        return [[[entry(what) for what in row] for row in labels] for _ in range(np.size(g.s))]
+        table = [[entry(what) for what in row] for row in labels]
+        return OracleValue(*(np.array([[[ov[k] for ov in row] for row in table]] * np.size(g.s))
+                             for k in range(len(OracleValue._fields))))
 
     return fake
 
@@ -855,8 +885,35 @@ def test_amplitude_products_change_no_bit_at_identity():
     perm = [2, 0, 3, 1]
     amps = np.eye(4)[perm][None]
     labels = [[f"{i},{j}" for j in range(4)] for i in range(4)]
-    [permuted] = oracle._integrate_states(amps, amps, g, labels)
+    [permuted] = _python_entries(oracle._integrate_states(amps, amps, g, labels))
     assert permuted == [[table[i][j] for j in perm] for i in perm]
+
+
+@pytest.mark.parametrize("alphas", [(), (0.4,), (-1.0, 0.5), (-1.1, 0.4, 1.3)])
+def test_state_line_terms_are_the_python_merge_bit_for_bit(alphas):
+    # _integrate_states adds the line terms as one array step per kink over
+    # every tree and state; each entry has the value, err_est, panels and
+    # abs_integral, types and bits, of the Python merge entry by entry, at
+    # random complex amplitudes on three points, with kets that hold no
+    # kink, some of the kinks or all of them.  The defects lie near the
+    # bump, where the line terms are as large as the smooth parts, so the
+    # order of the additions shows in the bits.
+    gs = [_g(s, bigK, alphas, 0.1, l1, l2) for s, bigK, (l1, l2) in
+          [(0.0, 1.0, (0.5, 0.5)), (0.7, 1.3, (0.5, -0.5)), (-0.4, 0.5, (0.0, -0.5))]]
+    g, n = stacked_inputs(gs), len(alphas) + 1
+    rng = np.random.default_rng(n)
+    u, v = _amplitudes(rng, len(gs), 2, n), _amplitudes(rng, len(gs), 4, n)
+    v[:, 0, 1:] = 0.0  # the plane wave alone
+    v[:, 1, 2:] = 0.0  # the first kink
+    v[1, 2, 1::2] = 0.0  # every second kink at one point
+    labels = [[f"{i},{j}" for j in range(4)] for i in range(2)]
+    got = _python_entries(oracle._integrate_states(u, v, g, labels))
+    want = integrate_states_py(u, v, g, labels)
+
+    def bits(tables):
+        return [[[[(type(x), repr(x)) for x in ov] for ov in row] for row in t] for t in tables]
+
+    assert bits(got) == bits(want)
 
 
 def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
@@ -867,7 +924,7 @@ def test_oracle_integrates_one_2d_and_one_1d_tree_per_table(monkeypatch):
 
     def spy(f, n_trees, edges_x, edges_y, labels):
         out = adaptive(f, n_trees, edges_x, edges_y, labels)
-        trees.append(("2d" if edges_y is not None else "1d", list(labels), out[0][0].panels))
+        trees.append(("2d" if edges_y is not None else "1d", list(labels), out.panels[0, 0]))
         return out
 
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
@@ -1137,7 +1194,8 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_adaptive", spy)
     gs = _grid_inputs(_SMALL_GRID)
     tables = integral_table(stacked_inputs(gs))
-    [(n_trees, edges, labels, [shared])] = lines
+    [(n_trees, edges, labels, out)] = lines
+    [shared] = _python_entries(out)
     assert n_trees == 1
     kinks = np.array(gs[0].alphas)[:, None]
     for g, table in zip(gs, tables):
@@ -1148,7 +1206,7 @@ def test_one_line_tree_serves_every_grid_point(monkeypatch):
         def own_lines(t, y, profile=profile):
             return operator_coeffs_first_order(np.hypot(kinks, y[:, None, :]), profile).a_over_r2
 
-        [own] = adaptive(tensor_integrand(own_lines), 1, edges, None, labels)
+        [own] = _python_entries(adaptive(tensor_integrand(own_lines), 1, edges, None, labels))
         assert own == shared
         # every ket-kink entry counts the 2D tree and the shared line tree
         panels_2d = table[0][0].panels
